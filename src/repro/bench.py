@@ -13,7 +13,7 @@ experiment can reach.
 * ``eig_n96_p16`` — one full-pipeline :func:`repro.eig.eigensolve_2p5d`
   run at pinned (n, p, δ, seed);
 * ``eig_n512_p256`` — the same full pipeline at large pinned (n, p): the
-  instance class the batched chase engine exists for, so its wall gate is
+  instance class the deferred charge log exists for, so its wall gate is
   the regression tripwire for every per-step Python loop on the hot path;
 * ``scaling_exponents`` — a small pinned (n, p, δ) grid of band-to-band
   runs with the paper's band-width scaling b ≈ n/p^δ; the measured W and S

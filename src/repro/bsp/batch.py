@@ -1,324 +1,347 @@
-"""Order-preserving batched charging: ChargeLog and kernel charge tapes.
+"""One charge vocabulary, two flush modes: ChargeLog and kernel tapes.
 
-The batched chase engines (:mod:`repro.eig.chase_batch`, the CA-SBR batched
-path) eliminate per-step Python charging overhead without changing a single
-accumulated bit.  Two pieces make that possible:
+The bulge-chase loop (:func:`repro.eig.band_to_band.band_to_band_2p5d`)
+is written once against a :class:`ChargeLog`; the *log* decides how its
+charges land:
 
-:class:`ChargeLog`
-    An append-only event log bound to a machine.  Callers append the *same*
-    (rank-index, amount) charges the per-step code would have issued, in the
-    same order; :meth:`ChargeLog.flush` replays each counter field with one
-    ``np.add.at`` call.  ``np.add.at`` is unbuffered and applies additions
-    in index-array order, so every rank receives the identical sequence of
-    IEEE-754 additions the per-step path performs — the flushed cost report
-    is byte-identical, on both counter engines (the scalar store loops over
-    the same event arrays in the same order).
+**deferred** (no observer needs program order — :func:`needs_program_order`)
+    Appends are buffered and :meth:`ChargeLog.flush` replays each counter
+    field with one ``np.add.at``.  ``np.add.at`` is unbuffered and applies
+    additions in index-array order, so every rank receives the identical
+    sequence of IEEE-754 additions the immediate path performs — the cost
+    report is byte-identical, on both counter engines (the scalar store
+    loops over the same event arrays in the same order).  Superstep counts
+    are integers and memory notes running maxima, so batching those is
+    trivially exact.
 
-:class:`KernelTape`
-    A memo of the charge sequences emitted by the parallel kernels
-    (``rect_qr``, ``carma_matmul``) whose costs depend only on operand
-    shapes and the executing group — never on operand values (their leaves
-    charge ``mem_stream``/``note_memory``/``charge_comm_batch`` computed
-    from shapes; no cache keys are involved).  The first occurrence of a
-    (kernel, shape, group) key runs the real kernel once on dummy operands
-    against a scratch machine with a recording store; later occurrences
-    replay the recorded events into a :class:`ChargeLog` in original order.
+**write-through** (trace, spans, metrics or fault injection is live)
+    Every append is applied at once through the machine's own charging
+    primitives, so each observer's hooks fire in program order.
 
-Superstep counts are integers (commutative, exact) and memory notes are
-running maxima (order-insensitive), so batching those is trivially exact;
-the float fields rely on the ordered-replay argument above.
+:class:`KernelTape` memoizes what the parallel kernels (``rect_qr``,
+``carma_matmul``) emit.  Their charges depend only on operand shapes and
+the executing group — never on operand values or cache state — so one
+recording per (kernel, shapes, group, tag) serves every machine.  A tape is
+recorded at the *hook boundary*: the ordered stream of counter-store calls,
+``metrics.on_*`` calls (with their exact wire patterns), span opens/closes
+and ``trace.record`` calls the kernel makes on a scratch machine.  A
+write-through replay re-issues that stream against the live machine; a
+deferred replay appends its counter-store subset, pre-flattened to one
+array pair per field (:class:`FlatTape`).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
+from repro.trace.spans import SpanHandle
+
+#: one buffered charge: (rank indices, per-index amounts)
+_Event = tuple[np.ndarray, np.ndarray]
 
 
-def batched_charging_ok(machine: BSPMachine) -> bool:
-    """True iff order-preserving batched charging may replace per-step calls.
+def needs_program_order(machine: BSPMachine) -> bool:
+    """True iff an observer of ``machine`` must see each charge as it happens.
 
-    Batched paths bypass the machine's per-charge hooks, so they are only
-    sound on a plain :class:`BSPMachine` (no verifying subclass) with every
-    observer — event trace, span attribution, per-rank metrics, fault
-    injection — disabled.  Observed runs fall back to the per-step path,
-    which keeps their artifacts byte-identical by construction.
+    Event traces, span attribution, per-rank metrics and fault injection
+    all hook individual charging calls.  Cumulative-state checks
+    (:meth:`BSPMachine.verify`) do not: they run at the end of a flush.
     """
     return (
-        type(machine) is BSPMachine
-        and not machine.trace.enabled
-        and not machine.spans.enabled
-        and not machine.metrics.enabled
-        and not machine.faults.enabled
+        machine.trace.enabled
+        or machine.spans.enabled
+        or machine.metrics.enabled
+        or machine.faults.enabled
     )
 
 
-def _as_idx(idx) -> np.ndarray:
-    if isinstance(idx, (int, np.integer)):
-        return np.array([int(idx)], dtype=np.int64)
-    return np.asarray(idx, dtype=np.int64)
+def _as_idx(ranks: Any) -> np.ndarray:
+    if isinstance(ranks, RankGroup):
+        return ranks.indices()
+    if isinstance(ranks, (int, np.integer)):
+        return np.array([int(ranks)], dtype=np.int64)
+    return np.asarray(ranks, dtype=np.int64)
 
 
-def _as_amounts(idx: np.ndarray, amount) -> np.ndarray:
+def _event(ranks: Any, amount: Any, dtype: type = np.float64) -> _Event:
+    idx = _as_idx(ranks)
     if np.ndim(amount) == 0:
-        return np.full(idx.size, float(amount), dtype=np.float64)
-    return np.asarray(amount, dtype=np.float64)
+        return idx, np.full(idx.size, amount, dtype=dtype)
+    return idx, np.asarray(amount, dtype=dtype)
+
+
+def _concat(events: list[_Event]) -> _Event | None:
+    if not events:
+        return None
+    if len(events) == 1:
+        return events[0]
+    return (
+        np.concatenate([e[0] for e in events]),
+        np.concatenate([e[1] for e in events]),
+    )
+
+
+def _nonneg(event: _Event | None, label: str) -> _Event | tuple[None, None]:
+    if event is None:
+        return None, None
+    if event[1].size and event[1].min() < 0:
+        raise ValueError(f"{label} must be nonnegative")
+    return event
 
 
 class ChargeLog:
-    """Append-only charge event log flushed with order-preserving batch adds.
+    """Ordered charge events of one stage, deferred or written through.
 
     Method names mirror the :class:`BSPMachine` charging primitives (and are
-    recognized as charging calls by the lint callgraph).  ``idx`` arguments
-    are resolved rank indices: an ``int`` or an ``int64`` array (e.g. a
-    cached :meth:`RankGroup.indices` array).  Bounds are the caller's
-    responsibility — the batched engines only charge groups the machine has
-    already validated.
+    recognized as charging calls by the lint callgraph).  ``ranks`` is a
+    :class:`RankGroup` or a single rank.  A deferred log also accepts raw
+    ``int64`` index arrays (repeats allowed) with per-index amount arrays —
+    the vectorised emission CA-SBR uses; bounds are then the caller's
+    responsibility.
     """
 
-    __slots__ = ("machine", "_flops", "_sent", "_recv", "_mem", "_ss", "_note")
+    __slots__ = ("machine", "deferred", "_flops", "_sent", "_recv", "_mem", "_ss", "_note")
 
     def __init__(self, machine: BSPMachine):
         self.machine = machine
-        self._flops: list[tuple[np.ndarray, np.ndarray]] = []
-        self._sent: list[tuple[np.ndarray, np.ndarray]] = []
-        self._recv: list[tuple[np.ndarray, np.ndarray]] = []
-        self._mem: list[tuple[np.ndarray, np.ndarray]] = []
-        self._ss: list[tuple[np.ndarray, int]] = []
-        self._note: list[tuple[np.ndarray, np.ndarray]] = []
+        self.deferred = not needs_program_order(machine)
+        self._flops: list[_Event] = []
+        self._sent: list[_Event] = []
+        self._recv: list[_Event] = []
+        self._mem: list[_Event] = []
+        self._ss: list[_Event] = []
+        self._note: list[_Event] = []
 
-    # -- event append (same call sites/order as the per-step path) ------- #
+    def charge_flops(self, ranks: Any, amount: Any) -> None:
+        if self.deferred:
+            self._flops.append(_event(ranks, amount))
+        else:
+            self.machine.charge_flops(ranks, amount)
 
-    def charge_flops(self, idx, amount) -> None:
-        i = _as_idx(idx)
-        self._flops.append((i, _as_amounts(i, amount)))
+    def charge_comm(self, senders: Any, sent: Any, receivers: Any, recvd: Any) -> None:
+        """Each of ``senders`` sends ``sent`` words, each of ``receivers``
+        receives ``recvd``."""
+        if self.deferred:
+            self._sent.append(_event(senders, sent))
+            self._recv.append(_event(receivers, recvd))
+        else:
+            self.machine.charge_comm(
+                sends=dict.fromkeys(senders, sent), recvs=dict.fromkeys(receivers, recvd)
+            )
 
-    def charge_comm(self, send_idx=None, sent=None, recv_idx=None, recvd=None) -> None:
-        if send_idx is not None:
-            i = _as_idx(send_idx)
-            self._sent.append((i, _as_amounts(i, sent)))
-        if recv_idx is not None:
-            i = _as_idx(recv_idx)
-            self._recv.append((i, _as_amounts(i, recvd)))
+    def mem_stream(self, ranks: Any, words: Any) -> None:
+        if self.deferred:
+            self._mem.append(_event(ranks, words))
+        else:
+            self.machine.mem_stream_group(ranks, words)
 
-    def mem_stream(self, idx, words) -> None:
-        i = _as_idx(idx)
-        self._mem.append((i, _as_amounts(i, words)))
+    def superstep(self, ranks: Any, count: int = 1) -> None:
+        if self.deferred:
+            self._ss.append(_event(ranks, count, np.int64))
+        else:
+            self.machine.superstep(ranks, count)
 
-    def superstep(self, idx, count: int = 1) -> None:
-        self._ss.append((_as_idx(idx), int(count)))
+    def transfer(self, src: RankGroup, dst: RankGroup, words: float, kind: str, tag: str) -> None:
+        """``src`` ships ``words`` words to ``dst`` in equal shares, one
+        superstep over both groups (a band window fetch or write-back)."""
+        self.charge_comm(src, words / src.size, dst, words / dst.size)
+        if self.deferred:
+            self._ss.append(_event(np.union1d(src.indices(), dst.indices()), 1, np.int64))
+        else:
+            involved = tuple(dict.fromkeys(src.ranks + dst.ranks))
+            self.machine.superstep(RankGroup(involved), 1)
+            self.machine.trace.record(kind, involved, words=words, tag=tag)
 
-    def note_memory(self, idx, words) -> None:
-        i = _as_idx(idx)
-        self._note.append((i, _as_amounts(i, words)))
-
-    def extend_tape(self, tape: "FlatTape") -> None:
-        """Append a pre-flattened kernel tape's per-field event arrays."""
-        if tape.flops is not None:
-            self._flops.append(tape.flops)
-        if tape.sent is not None:
-            self._sent.append(tape.sent)
-        if tape.recv is not None:
-            self._recv.append(tape.recv)
-        if tape.mem is not None:
-            self._mem.append(tape.mem)
-        if tape.ss is not None:
-            self._ss.append(tape.ss)
-        if tape.note is not None:
-            self._note.append(tape.note)
-
-    # -- replay ---------------------------------------------------------- #
-
-    @staticmethod
-    def _concat(events: list[tuple[np.ndarray, np.ndarray]]):
-        if not events:
-            return None, None
-        if len(events) == 1:
-            return events[0]
-        return (
-            np.concatenate([e[0] for e in events]),
-            np.concatenate([e[1] for e in events]),
-        )
+    def replay(self, tape: "FlatTape") -> None:
+        """Append a recorded kernel's charges (see :class:`KernelTape`)."""
+        if self.deferred:
+            if tape.flops is not None:
+                self._flops.append(tape.flops)
+            if tape.sent is not None:
+                self._sent.append(tape.sent)
+            if tape.recv is not None:
+                self._recv.append(tape.recv)
+            if tape.mem is not None:
+                self._mem.append(tape.mem)
+            if tape.ss is not None:
+                self._ss.append(tape.ss)
+            if tape.note is not None:
+                self._note.append(tape.note)
+            return
+        if tape.events is None:
+            raise RuntimeError("tape was recorded for a deferred log; it kept no hook events")
+        machine = self.machine
+        observers = {"counters": machine.counters}
+        if machine.metrics.enabled:
+            observers["metrics"] = machine.metrics
+        if machine.trace.enabled:
+            observers["trace"] = machine.trace
+        open_spans: list[SpanHandle] = []
+        for channel, method, args, kwargs in tape.events:
+            if channel == "spans":  # through machine.span: a no-op handle when spans are off
+                if method == "open":
+                    open_spans.append(machine.span(*args).__enter__())
+                else:
+                    open_spans.pop().__exit__(None, None, None)
+            elif channel in observers:
+                if method == "on_superstep":  # its argument is the live store
+                    args = (machine.counters,)
+                getattr(observers[channel], method)(*args, **kwargs)
 
     def flush(self) -> None:
-        """Apply all pending events and clear the log.
+        """Apply all buffered events, clear the log, and let the machine
+        re-check its cumulative invariants.
 
         One ``np.add.at`` per counter field; per-rank addition order equals
-        event-append order, which the engines keep equal to per-step order.
+        append order.  A write-through log has nothing buffered.
         """
         counters = self.machine.counters
-        idx, amt = self._concat(self._flops)
-        if idx is not None:
-            if amt.size and amt.min() < 0:
-                raise ValueError("flops must be nonnegative")
-            counters.add_flops(idx, amt, unique=False)
-        s_idx, s_amt = self._concat(self._sent)
-        r_idx, r_amt = self._concat(self._recv)
-        if s_idx is not None or r_idx is not None:
-            for label, arr in (("sent", s_amt), ("received", r_amt)):
-                if arr is not None and arr.size and arr.min() < 0:
-                    raise ValueError(f"{label} words must be nonnegative")
-            counters.add_comm(s_idx, s_amt, r_idx, r_amt, unique=False)
-        idx, amt = self._concat(self._mem)
-        if idx is not None:
-            if amt.size and amt.min() < 0:
-                raise ValueError("words must be nonnegative")
-            counters.add_mem_traffic(idx, amt, unique=False)
-        if self._ss:
-            # integer superstep increments commute: concatenate and add
-            idx = np.concatenate([i for i, _ in self._ss])
-            cnt = np.concatenate(
-                [c if isinstance(c, np.ndarray) else np.full(i.size, c, dtype=np.int64)
-                 for i, c in self._ss]
-            )
-            counters.add_supersteps(idx, cnt, unique=False)
-        idx, amt = self._concat(self._note)
-        if idx is not None:
-            counters.note_memory(idx, amt, unique=False)
-        self._flops.clear()
-        self._sent.clear()
-        self._recv.clear()
-        self._mem.clear()
-        self._ss.clear()
-        self._note.clear()
+        flops = _nonneg(_concat(self._flops), "flops")
+        sent = _nonneg(_concat(self._sent), "sent words")
+        recv = _nonneg(_concat(self._recv), "received words")
+        mem = _nonneg(_concat(self._mem), "words")
+        steps = _concat(self._ss)
+        note = _concat(self._note)
+        if flops[0] is not None:
+            counters.add_flops(*flops, unique=False)
+        if sent[0] is not None or recv[0] is not None:
+            counters.add_comm(*sent, *recv, unique=False)
+        if mem[0] is not None:
+            counters.add_mem_traffic(*mem, unique=False)
+        if steps is not None:
+            counters.add_supersteps(*steps, unique=False)
+        if note is not None:
+            counters.note_memory(*note, unique=False)
+        for events in (self._flops, self._sent, self._recv, self._mem, self._ss, self._note):
+            events.clear()
+        self.machine.verify("flush")
 
 
-class _RecordingStore:
-    """Counter-store stand-in capturing (field, idx, amount) event sequences."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[tuple] = []
-
-    def add_flops(self, idx, amount, unique: bool = True) -> None:
-        self.events.append(("flops", idx, amount))
-
-    def add_comm(self, send_idx=None, sent=None, recv_idx=None, recvd=None,
-                 unique: bool = True) -> None:
-        self.events.append(("comm", send_idx, sent, recv_idx, recvd))
-
-    def add_supersteps(self, idx, count, unique: bool = True) -> None:
-        self.events.append(("ss", idx, int(count)))
-
-    def add_mem_traffic(self, idx, words, unique: bool = True) -> None:
-        self.events.append(("mem", idx, words))
-
-    def note_memory(self, idx, words_each, unique: bool = True) -> None:
-        self.events.append(("note", idx, words_each))
-
-    def add_memory(self, idx, words_each, unique: bool = True) -> None:
-        raise RuntimeError("taped kernels must not call add_memory")
-
-    def release_memory(self, idx, words_each, unique: bool = True) -> None:
-        raise RuntimeError("taped kernels must not call release_memory")
+#: counter-store method -> FlatTape field (anything else a kernel calls on
+#: the store — the order-sensitive add/release memory pair — cannot be taped)
+_STORE_FIELDS = {
+    "add_flops": ("flops", np.float64),
+    "add_mem_traffic": ("mem", np.float64),
+    "add_supersteps": ("ss", np.int64),
+    "note_memory": ("note", np.float64),
+}
 
 
 class FlatTape:
-    """A kernel's charge events flattened to one array pair per field.
+    """One recorded kernel call: its hook-level event stream, plus the
+    counter-store subset flattened to one array pair per field.
 
-    Within one kernel call, per-field event order is preserved by the
-    flattening concatenation; cross-field interleaving carries no
-    information (each counter field accumulates independently, and taped
-    kernels never touch the order-sensitive add/release memory pair), so
-    appending a FlatTape to a ChargeLog reproduces the kernel's per-rank
-    additions exactly.
+    ``events`` holds ``(channel, method, args, kwargs)`` tuples in program
+    order, ``channel`` naming the observer the call went to (``"counters"``,
+    ``"metrics"``, ``"trace"``, ``"spans"``).  The flattened fields keep
+    per-field order; cross-field interleaving carries no information for a
+    deferred flush (each counter field accumulates independently).
     """
 
-    __slots__ = ("flops", "sent", "recv", "mem", "ss", "note")
+    __slots__ = ("events", "flops", "sent", "recv", "mem", "ss", "note")
 
     def __init__(self, events: list[tuple]):
-        log = ChargeLog.__new__(ChargeLog)
-        ChargeLog.__init__(log, machine=None)  # type: ignore[arg-type]
-        for ev in events:
-            kind = ev[0]
-            if kind == "flops":
-                log.charge_flops(ev[1], ev[2])
-            elif kind == "comm":
-                log.charge_comm(ev[1], ev[2], ev[3], ev[4])
-            elif kind == "ss":
-                log.superstep(ev[1], ev[2])
-            elif kind == "mem":
-                log.mem_stream(ev[1], ev[2])
-            else:  # "note"
-                log.note_memory(ev[1], ev[2])
-        self.flops = ChargeLog._concat(log._flops) if log._flops else None
-        self.sent = ChargeLog._concat(log._sent) if log._sent else None
-        self.recv = ChargeLog._concat(log._recv) if log._recv else None
-        self.mem = ChargeLog._concat(log._mem) if log._mem else None
-        self.note = ChargeLog._concat(log._note) if log._note else None
-        if log._ss:
-            idx = np.concatenate([i for i, _ in log._ss])
-            cnt = np.concatenate(
-                [np.full(i.size, c, dtype=np.int64) for i, c in log._ss]
-            )
-            self.ss = (idx, cnt)
-        else:
-            self.ss = None
+        self.events: list[tuple] | None = events
+        fields: dict[str, list[_Event]] = {name: [] for name in self.__slots__[1:]}
+        for channel, method, args, _kwargs in events:
+            if channel != "counters":
+                continue
+            if method == "add_comm":
+                if args[0] is not None:
+                    fields["sent"].append(_event(args[0], args[1]))
+                if args[2] is not None:
+                    fields["recv"].append(_event(args[2], args[3]))
+            elif method in _STORE_FIELDS:
+                name, dtype = _STORE_FIELDS[method]
+                fields[name].append(_event(args[0], args[1], dtype))
+            else:
+                raise RuntimeError(f"taped kernels must not call {method}")
+        self.flops = _concat(fields["flops"])
+        self.sent = _concat(fields["sent"])
+        self.recv = _concat(fields["recv"])
+        self.mem = _concat(fields["mem"])
+        self.ss = _concat(fields["ss"])
+        self.note = _concat(fields["note"])
+
+
+class _HookRecorder(SpanHandle):
+    """Stand-in for one observer of a scratch machine (counter store,
+    metrics, trace or spans): records every call made on it."""
+
+    enabled = True
+
+    def __init__(self, channel: str, events: list[tuple]):
+        self._channel = channel
+        self._events = events
+
+    def __getattr__(self, method: str) -> Callable[..., None]:
+        def record(*args: Any, **kwargs: Any) -> None:
+            self._events.append((self._channel, method, args, kwargs))
+
+        return record
+
+    # the span recorder's ``handle`` returns a context manager: this object
+    def handle(self, name: str, group: object = None) -> "_HookRecorder":
+        self._events.append((self._channel, "open", (name, group), {}))
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        self._events.append((self._channel, "close", (), {}))
+        return False
 
 
 # Recorded tapes are reusable across KernelTape instances (and hence across
-# band-to-band stages and bench repeats): the key pins everything a kernel's
-# charge sequence depends on — machine size, machine parameters, kernel,
-# operand shapes, and the executing group's exact rank tuple.
+# band-to-band stages and solves): the key pins everything a kernel's event
+# stream depends on — machine size and parameters, kernel, operand shapes,
+# the executing group's exact rank tuple, and the tag its trace events carry.
 _TAPE_CACHE: dict[tuple, FlatTape] = {}
 
 
 class KernelTape:
-    """Shape-keyed memo of kernel charge sequences, replayed into ChargeLogs."""
+    """Shape-keyed memo of kernel event streams, replayed into a ChargeLog."""
 
-    def __init__(self, machine: BSPMachine):
-        self.machine = machine
+    def __init__(self, log: ChargeLog):
+        self.log = log
         self._scratch: BSPMachine | None = None
-        self._rng = np.random.default_rng(0x5EED)
-        self._params_key = repr(machine.params)
+        self._key = (log.machine.p, repr(log.machine.params))
 
-    def _record(self, run) -> FlatTape:
-        """Run ``run(scratch_machine)`` with a recording store installed."""
+    def _record(self, kernel: Callable[..., object], *args: Any, **kwargs: Any) -> FlatTape:
+        """Run ``kernel(scratch, *args, **kwargs)`` with every observer of
+        the scratch machine recording."""
+        machine = self.log.machine
         if self._scratch is None:
-            self._scratch = BSPMachine(
-                self.machine.p, params=self.machine.params,
-                trace=False, engine="array", spans=False, metrics=False,
-            )
-        recorder = _RecordingStore()
-        saved = self._scratch.counters
-        self._scratch.counters = recorder  # type: ignore[assignment]
-        try:
-            run(self._scratch)
-        finally:
-            self._scratch.counters = saved
-        return FlatTape(recorder.events)
+            self._scratch = BSPMachine(machine.p, params=machine.params)
+        scratch: Any = self._scratch
+        events: list[tuple] = []
+        for channel in ("counters", "metrics", "trace", "spans"):
+            setattr(scratch, channel, _HookRecorder(channel, events))
+        kernel(scratch, *args, **kwargs)
+        tape = FlatTape(events)
+        if self.log.deferred:
+            tape.events = None  # only a write-through replay reads them (~20 MB at p = 256)
+        return tape
 
-    def rect_qr(self, log: ChargeLog, m: int, n: int, group: Any) -> None:
-        """Replay the charges of ``rect_qr`` on an m×n block over ``group``."""
-        key = (self.machine.p, self._params_key, "rect_qr", m, n, group.ranks)
+    def run(self, kernel: Callable[..., object], group: RankGroup, operands: tuple, tag: str) -> None:
+        """Charge ``kernel(machine, group, *operands, tag=tag)`` to the log.
+
+        ``kernel`` is ``rect_qr`` or ``carma_matmul`` (operands already in
+        the kernel's layout, so no redistribution is charged); its result
+        is not used — the chase loop does the numerics directly.  Under
+        fault injection the real kernel runs on the real operands, so drop
+        / corrupt / ABFT sites and the seeded RNG stream are untouched.
+        """
+        machine = self.log.machine
+        if machine.faults.enabled:
+            kernel(machine, group, *operands, charge_redistribution=False, tag=tag)
+            return
+        key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks, tag)
         tape = _TAPE_CACHE.get(key)
-        if tape is None:
-            from repro.blocks.rect_qr import rect_qr  # late import: avoid cycle
-
-            dummy = self._rng.standard_normal((m, n))
-            tape = self._record(
-                lambda sm: rect_qr(sm, group, dummy, charge_redistribution=False,
-                                   tag="tape")
+        if tape is None or (tape.events is None and not self.log.deferred):
+            tape = _TAPE_CACHE[key] = self._record(
+                kernel, group, *operands, charge_redistribution=False, tag=tag
             )
-            _TAPE_CACHE[key] = tape
-        log.extend_tape(tape)
-
-    def carma(self, log: ChargeLog, m: int, n: int, k: int, group: Any) -> None:
-        """Replay the charges of ``carma_matmul`` (m×n @ n×k) over ``group``."""
-        key = (self.machine.p, self._params_key, "carma", m, n, k, group.ranks)
-        tape = _TAPE_CACHE.get(key)
-        if tape is None:
-            from repro.blocks.matmul import carma_matmul  # late import
-
-            a = self._rng.standard_normal((m, n))
-            b = self._rng.standard_normal((n, k))
-            tape = self._record(
-                lambda sm: carma_matmul(sm, group, a, b,
-                                        charge_redistribution=False, tag="tape")
-            )
-            _TAPE_CACHE[key] = tape
-        log.extend_tape(tape)
+        self.log.replay(tape)

@@ -209,12 +209,12 @@ class CostReport:
         """The per-span cost breakdown of the traced run.
 
         Raises ``ValueError`` if the machine did not run with span tracing
-        (``BSPMachine(p, spans=True)`` or ``REPRO_SPANS=1``).
+        (``BSPMachine(p, spans=True)``).
         """
         if self.span_breakdown is None:
             raise ValueError(
                 "this report carries no span breakdown; run on a machine with "
-                "span tracing enabled (BSPMachine(p, spans=True) or REPRO_SPANS=1)"
+                "span tracing enabled (BSPMachine(p, spans=True))"
             )
         return self.span_breakdown
 
@@ -226,12 +226,12 @@ class CostReport:
         """The per-rank telemetry snapshot of the instrumented run.
 
         Raises ``ValueError`` if the machine did not run with metrics
-        (``BSPMachine(p, metrics=True)`` or ``REPRO_METRICS=1``).
+        (``BSPMachine(p, metrics=True)``).
         """
         if self.metrics_data is None:
             raise ValueError(
                 "this report carries no per-rank metrics; run on a machine with "
-                "metrics enabled (BSPMachine(p, metrics=True) or REPRO_METRICS=1)"
+                "metrics enabled (BSPMachine(p, metrics=True))"
             )
         return self.metrics_data
 

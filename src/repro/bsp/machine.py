@@ -16,8 +16,7 @@ Counters live in a pluggable *store*.  The default ``engine="array"`` is a
 :class:`~repro.bsp.counters.CounterArray`: numpy arrays with one slot per
 rank, so charging a :class:`~repro.bsp.group.RankGroup` is one fancy-indexed
 slice op against the group's cached index array — O(1) numpy calls instead
-of O(|group|) Python iterations.  ``engine="scalar"`` (also selectable
-machine-wide with the ``REPRO_ENGINE`` environment variable) is the
+of O(|group|) Python iterations.  ``engine="scalar"`` is the
 pre-vectorization Python-loop oracle used by the equivalence suite and
 ``repro bench``; both engines produce bit-identical cost reports.
 
@@ -29,7 +28,6 @@ a g×g transfer matrix — without building Python dicts in inner loops.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Union
 
 import numpy as np
@@ -74,9 +72,8 @@ NO_FAULTS = NoFaults()
 class NoMetrics:
     """Inert per-rank metrics layer installed on every machine by default.
 
-    A metrics-enabled machine (``BSPMachine(p, metrics=True)`` or
-    ``REPRO_METRICS=1``) replaces it with a live
-    :class:`repro.metrics.collector.MetricsCollector`; the charging
+    A metrics-enabled machine (``BSPMachine(p, metrics=True)``) replaces it
+    with a live :class:`repro.metrics.collector.MetricsCollector`; the charging
     primitives gate on ``machine.metrics.enabled``, so the default path
     costs a single attribute read and the pinned trace/cost outputs are
     byte-identical with metrics off.
@@ -121,13 +118,11 @@ class BSPMachine:
     ):
         self.p = check_positive_int(p, "p")
         self.params = params or MachineParams()
-        self.engine = engine or os.environ.get("REPRO_ENGINE") or "array"
+        self.engine = engine or "array"
         self.counters = _make_store(self.engine, self.p)
         self.caches: list[CacheModel] = [CacheModel(self.params.cache_words) for _ in range(self.p)]
         self.trace = Trace(enabled=trace)
-        if spans is None:
-            spans = os.environ.get("REPRO_SPANS", "") not in ("", "0")
-        self.spans = SpanRecorder(self.counters, self.params, enabled=spans)
+        self.spans = SpanRecorder(self.counters, self.params, enabled=bool(spans))
         self.world = RankGroup(tuple(range(self.p)))
         # Fault layer: a shared no-op here; FaultyMachine installs a live
         # injector.  Typed Any because the injector lives in repro.faults,
@@ -135,8 +130,6 @@ class BSPMachine:
         self.faults: Any = NO_FAULTS
         # Per-rank metrics layer: same pattern (the collector lives in
         # repro.metrics, which imports this module — hence the late import).
-        if metrics is None:
-            metrics = os.environ.get("REPRO_METRICS", "") not in ("", "0")
         if metrics:
             from repro.metrics.collector import MetricsCollector
 
@@ -436,6 +429,11 @@ class BSPMachine:
         if self.metrics.enabled:
             report = report.with_metrics(self.metrics.snapshot(self.counters))
         return report
+
+    def verify(self, context: str = "explicit") -> None:
+        """Re-check cumulative accounting invariants; a plain machine has
+        none (:class:`repro.lint.verify.VerifiedMachine` overrides this).
+        :meth:`repro.bsp.batch.ChargeLog.flush` calls it after every flush."""
 
     def reset(self) -> None:
         """Zero all engine state: counters, caches, traces, open spans.

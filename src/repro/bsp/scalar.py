@@ -6,8 +6,7 @@
 with plain loops, exactly as the machine did before the engine was
 vectorized.  It exists so the fast path stays falsifiable:
 
-* ``BSPMachine(p, engine="scalar")`` (or ``REPRO_ENGINE=scalar`` in the
-  environment) runs any workload on the oracle;
+* ``BSPMachine(p, engine="scalar")`` runs any workload on the oracle;
 * the equivalence suite (``tests/test_engine_equivalence.py``) and
   ``repro bench`` assert that both engines produce bit-identical
   :class:`~repro.bsp.counters.CostReport`s — identical maxima, totals *and*

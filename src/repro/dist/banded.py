@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bsp.batch import ChargeLog
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
 from repro.util.intlog import chunk_offsets, split_evenly
@@ -73,78 +74,42 @@ class DistBandMatrix:
     # ------------------------------------------------------------------ #
     # data motion
 
-    def fetch_window(self, rows: slice, cols: slice, to_group: RankGroup, tag: str = "fetch") -> np.ndarray:
+    def _window_words(self, rows: slice, cols: slice) -> float:
+        """A window's *actual content* — the stored band plus any live bulge
+        fill, measured as its nonzero count (a distributed band never ships
+        the zeros outside its structure)."""
+        window = self.data[rows, cols]
+        return float(max(int(np.count_nonzero(window)), min(window.size, 1)))
+
+    def fetch_window(
+        self, log: ChargeLog, rows: slice, cols: slice, to_group: RankGroup, tag: str = "fetch"
+    ) -> np.ndarray:
         """Bring the window B[rows, cols] onto ``to_group``.
 
-        Charges: owners of the window's columns send the window's *actual
-        content* — the stored band plus any live bulge fill, measured as the
-        window's nonzero count (a distributed band never ships the zeros
-        outside its structure); each member of ``to_group`` receives its
-        1/|group| share.  One superstep.
+        Charges (to ``log``): the owners of the window's columns send its
+        content, each member of ``to_group`` receives its 1/|group| share.
+        One superstep.
         """
-        window = self.data[rows, cols]
-        words = float(max(int(np.count_nonzero(window)), min(window.size, 1)))
         owners = self.owners_of_cols(cols.start, cols.stop)
-        share = words / to_group.size
-        sends: dict[int, float] = {}
-        recvs: dict[int, float] = {}
-        for r in owners:
-            sends[r] = sends.get(r, 0.0) + words / owners.size
-        for r in to_group:
-            recvs[r] = recvs.get(r, 0.0) + share
-        involved = RankGroup(tuple(dict.fromkeys(list(owners) + list(to_group))))
-        self.machine.charge_comm(sends=sends, recvs=recvs)
-        self.machine.superstep(involved, 1)
-        self.machine.trace.record("band_fetch", involved.ranks, words=words, tag=tag)
-        window = window.copy()
+        log.transfer(owners, to_group, self._window_words(rows, cols), "band_fetch", tag)
+        window = self.data[rows, cols].copy()
         if self.machine.faults.enabled:
             self.machine.faults.corrupt_window(window, f"fetch_window:{tag}")
         return window
 
-    def charge_store(self, rows: slice, cols: slice, from_group: RankGroup, tag: str = "store") -> None:
+    def charge_store(
+        self, log: ChargeLog, rows: slice, cols: slice, from_group: RankGroup, tag: str = "store"
+    ) -> None:
         """Charge the write-back of a window from ``from_group`` to the
         owners of its columns (dual of :meth:`fetch_window`), without
-        touching the data — callers that update ``data`` in place use this.
-        Like the fetch, only the window's actual (nonzero) content moves."""
-        window = self.data[rows, cols]
-        words = float(max(int(np.count_nonzero(window)), min(window.size, 1)))
+        touching the data — callers that update ``data`` in place use this."""
         owners = self.owners_of_cols(cols.start, cols.stop)
-        sends = {r: words / from_group.size for r in from_group}
-        recvs = {r: words / owners.size for r in owners}
-        involved = RankGroup(tuple(dict.fromkeys(list(from_group) + list(owners))))
-        self.machine.charge_comm(sends=sends, recvs=recvs)
-        self.machine.superstep(involved, 1)
-        self.machine.trace.record("band_store", involved.ranks, words=words, tag=tag)
+        log.transfer(from_group, owners, self._window_words(rows, cols), "band_store", tag)
 
-    # -- batched variants (charge into a ChargeLog, one flush per stage) -- #
-    #
-    # These append the *same* per-rank charge amounts fetch_window /
-    # charge_store issue, in the same order, to a
-    # :class:`repro.bsp.batch.ChargeLog`; the log's single flush replays
-    # them with order-preserving batch adds, so aggregate costs are
-    # bit-identical to the per-step path.  Callers must hold
-    # ``batched_charging_ok(machine)`` — trace/fault hooks are skipped here.
-
-    def fetch_window_batched(self, log, rows: slice, cols: slice, to_group: RankGroup) -> np.ndarray:
-        """ChargeLog twin of :meth:`fetch_window`; returns the window copy."""
-        window = self.data[rows, cols]
-        words = float(max(int(np.count_nonzero(window)), min(window.size, 1)))
-        owners = self.owners_of_cols(cols.start, cols.stop)
-        log.charge_comm(owners.indices(), words / owners.size,
-                        to_group.indices(), words / to_group.size)
-        log.superstep(np.union1d(owners.indices(), to_group.indices()), 1)
-        return window.copy()
-
-    def charge_store_batched(self, log, rows: slice, cols: slice, from_group: RankGroup) -> None:
-        """ChargeLog twin of :meth:`charge_store` (window already written)."""
-        window = self.data[rows, cols]
-        words = float(max(int(np.count_nonzero(window)), min(window.size, 1)))
-        owners = self.owners_of_cols(cols.start, cols.stop)
-        log.charge_comm(from_group.indices(), words / from_group.size,
-                        owners.indices(), words / owners.size)
-        log.superstep(np.union1d(from_group.indices(), owners.indices()), 1)
-
-    def store_window(self, rows: slice, cols: slice, values: np.ndarray, from_group: RankGroup, tag: str = "store") -> None:
+    def store_window(
+        self, log: ChargeLog, rows: slice, cols: slice, values: np.ndarray,
+        from_group: RankGroup, tag: str = "store",
+    ) -> None:
         """Write back a dense window from ``from_group`` to the owners.
 
         Symmetric counterpart of :meth:`fetch_window` (dual communication).
@@ -155,7 +120,7 @@ class DistBandMatrix:
             raise ValueError("window shape mismatch")
         self.data[rows, cols] = values
         self.data[cols, rows] = values.T
-        self.charge_store(rows, cols, from_group, tag=tag)
+        self.charge_store(log, rows, cols, from_group, tag=tag)
 
     def gather(self, target: int, tag: str = "band_gather") -> np.ndarray:
         """Collect the whole band on one rank (end of Algorithm IV.3)."""

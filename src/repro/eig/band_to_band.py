@@ -12,116 +12,28 @@ valid dependency order — see :mod:`repro.eig.schedule` for the concurrency
 structure); each step charges only its own group's ranks, so the aggregated
 BSP cost reflects the pipeline's concurrency exactly.
 
+There is one chase loop.  It charges through a
+:class:`~repro.bsp.batch.ChargeLog`, and the log alone decides whether a
+charge lands at once (observed machines: trace, spans, metrics, faults) or
+in one order-preserving flush — the loop never looks at the observers.
+
 Measured costs (Lemma IV.3, k = b/h):
 F = O(n²b/p), W = O(n^{1+δ} b^{1−δ}/p^δ), S = O(k^δ n^{1−δ} p^δ/b^{1−δ} ·log p).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.bsp.group import RankGroup
+from repro.bsp.batch import ChargeLog, KernelTape
 from repro.bsp.kernels import qr_flops
 from repro.bsp.machine import BSPMachine
 from repro.blocks.matmul import carma_matmul
 from repro.blocks.rect_qr import rect_qr
 from repro.dist.banded import DistBandMatrix
 from repro.eig.schedule import group_of_step
-from repro.linalg.sbr import ChaseStep, chase_steps
+from repro.linalg.sbr import chase_steps
 from repro.linalg.householder import compact_wy_qr_general
-
-
-def _charge_chase_qr(machine: BSPMachine, group: RankGroup, block: np.ndarray, tag: str) -> None:
-    """Charge one chase block's QR on a group (rect-QR, or local when degenerate)."""
-    m, ncols = block.shape
-    if m >= ncols and group.size > 1:
-        rect_qr(machine, group, block, charge_redistribution=False, tag=tag)
-    else:
-        machine.charge_flops(group[0], qr_flops(max(m, ncols), min(m, ncols)))
-        machine.superstep(group, 1)
-
-
-def apply_chase_parallel(
-    machine: BSPMachine,
-    band: DistBandMatrix,
-    step: ChaseStep,
-    qr_group: RankGroup,
-    upd_group: RankGroup,
-    tag: str = "b2b",
-) -> None:
-    """Execute one chase step (lines 16–22) with group-parallel kernels.
-
-    Numerically identical to :func:`repro.linalg.sbr.apply_chase_step`, but
-    the QR runs on ``qr_group`` (Π̂_j[1 : ph/n]) and the V/update products on
-    ``upd_group`` (Π̂_j), with window fetch/store charged against the band's
-    column owners.
-
-    The band's *values* evolve via one direct compact-WY factorization and
-    plain dense products per step — the same arithmetic the batched engine
-    (:mod:`repro.eig.chase_batch`) performs — while the parallel kernels run
-    alongside purely for their charges, traces, spans and fault hooks (their
-    costs depend only on shapes and groups, their numerical results only in
-    summation order).  Sharing one data evolution keeps window nonzero
-    counts — the only value-dependent charges — identical across engines,
-    which is what makes the two cost reports byte-equal at every size.
-    """
-    rows = slice(step.oqr_r, step.oqr_r + step.nr)
-    cols = slice(step.oqr_c, step.oqr_c + step.ncols)
-    with machine.span("chase_qr", group=qr_group):
-        block = band.fetch_window(rows, cols, qr_group, tag=f"{tag}:qr_fetch")
-        u, t, r = compact_wy_qr_general(block)
-        _charge_chase_qr(machine, qr_group, block, tag=f"{tag}:qr")
-        out = np.zeros_like(block)
-        out[: r.shape[0], :] = r
-        band.store_window(rows, cols, out, qr_group, tag=f"{tag}:qr_store")
-
-    if step.nc <= 0:
-        return
-    up = slice(step.oup_c, step.oup_c + step.nc)
-    with machine.span("chase_update", group=upd_group):
-        bup = band.fetch_window(up, rows, upd_group, tag=f"{tag}:upd_fetch")
-        # Lines 19–20: W = B[Iup, Iqr]·U·T;  V = −W + ½U(Tᵀ(Uᵀ W[Iv])).  These
-        # products are charged through CARMA (Lemma III.2), exactly as Lemma
-        # IV.3's proof invokes it — for these outer shapes CARMA splits both
-        # operands, beating any pattern that replicates U to the whole group.
-        ut = u @ t  # cost: free(charged via the carma call on the next line)
-        carma_matmul(machine, upd_group, u, t, charge_redistribution=False, tag=f"{tag}:UT")
-        w = bup @ ut  # cost: free(charged via the carma call on the next line)
-        carma_matmul(machine, upd_group, bup, ut, charge_redistribution=False, tag=f"{tag}:W")
-        v = -w
-        vrows = slice(step.ov, step.ov + step.nr)
-        inner = u.T @ w[vrows, :]  # cost: free(charged via the carma call on the next line)
-        carma_matmul(machine, upd_group, u.T, w[vrows, :], charge_redistribution=False, tag=f"{tag}:V")
-        v[vrows, :] += 0.5 * (u @ (t.T @ inner))  # cost: free(charged via charge_flops on the next line)
-        machine.charge_flops(upd_group, 2.0 * u.size * t.shape[0] / upd_group.size)
-        # Lines 21–22: two-sided rank-2h update of the window (both triangles;
-        # the overlap block B[Iqr, Iqr] accumulates UVᵀ AND VUᵀ).
-        uvt = u @ v.T  # cost: free(charged via the carma call on the next line)
-        carma_matmul(machine, upd_group, u, v.T, charge_redistribution=False, tag=f"{tag}:UVt")
-        band.data[rows, up] += uvt
-        band.data[up, rows] += uvt.T
-        band.charge_store(rows, up, upd_group, tag=f"{tag}:upd_store")
-
-
-def resolve_chase_engine(machine: BSPMachine, chase_engine: str | None = None) -> str:
-    """Pick "batched" or "perstep" for the chase loops.
-
-    Explicit argument wins, then the ``REPRO_CHASE_ENGINE`` environment
-    variable, then "auto".  "auto" selects the batched engine exactly when
-    :func:`repro.bsp.batch.batched_charging_ok` holds — observed runs
-    (trace, spans, metrics, fault injection, verifying machines) always get
-    the per-step path so their artifacts are unchanged.
-    """
-    from repro.bsp.batch import batched_charging_ok
-
-    engine = chase_engine or os.environ.get("REPRO_CHASE_ENGINE") or "auto"
-    if engine not in ("auto", "batched", "perstep"):
-        raise ValueError(f"unknown chase engine {engine!r}")
-    if engine == "auto":
-        return "batched" if batched_charging_ok(machine) else "perstep"
-    return engine
 
 
 def band_to_band_2p5d(
@@ -129,15 +41,18 @@ def band_to_band_2p5d(
     band: DistBandMatrix,
     k: int = 2,
     tag: str = "b2b",
-    chase_engine: str | None = None,
 ) -> DistBandMatrix:
     """Reduce a distributed band-``b`` matrix to band-width ``b/k``.
 
     Returns a new :class:`DistBandMatrix` with band-width ``h = b/k`` over
     the same group.  ``k`` must divide ``b`` (the paper's b mod k ≡ 0).
 
-    ``chase_engine`` selects per-step or batched charging (see
-    :func:`resolve_chase_engine`); both produce bit-identical cost reports.
+    Each chase step (lines 16–22) fetches its window, factors it with one
+    direct compact-WY QR and updates the band with plain dense products;
+    the group-parallel kernels Lemma IV.3 charges — rect-QR on ``qr_group``
+    (Π̂_j[1 : ph/n]), CARMA on ``upd_group`` (Π̂_j) — cost by shape and
+    group only, so their charges, spans, metrics and trace events come from
+    a :class:`~repro.bsp.batch.KernelTape`.
     """
     b = band.b
     n = band.n
@@ -155,17 +70,56 @@ def band_to_band_2p5d(
     # QR sub-groups: Π̂_j[1 : p·h/n] (line 16).
     qr_size = max(1, (p * h) // n)
 
-    if resolve_chase_engine(machine, chase_engine) == "batched":
-        from repro.eig.chase_batch import run_chases_batched
+    log = ChargeLog(machine)
+    tape = KernelTape(log)
+    data = band.data
+    with machine.span("band_to_band", group=group):
+        for step in chase_steps(n, b, h):
+            upd_group = subgroups[group_of_step(step, n, b) % n_groups]
+            qr_group = upd_group.take(min(qr_size, upd_group.size))
+            rows = slice(step.oqr_r, step.oqr_r + step.nr)
+            cols = slice(step.oqr_c, step.oqr_c + step.ncols)
+            with machine.span("chase_qr", group=qr_group):
+                block = band.fetch_window(log, rows, cols, qr_group, tag=f"{tag}:qr_fetch")
+                m, ncols = block.shape
+                u, t, r = compact_wy_qr_general(block)
+                if m >= ncols and qr_group.size > 1:
+                    tape.run(rect_qr, qr_group, (block,), f"{tag}:qr")
+                else:  # degenerate block: a local QR on the group's root
+                    log.charge_flops(qr_group[0], qr_flops(max(m, ncols), min(m, ncols)))
+                    log.superstep(qr_group, 1)
+                out = np.zeros_like(block)
+                out[: r.shape[0], :] = r
+                band.store_window(log, rows, cols, out, qr_group, tag=f"{tag}:qr_store")
 
-        run_chases_batched(machine, band, h, subgroups, qr_size, n_groups)
-    else:
-        with machine.span("band_to_band", group=group):
-            for step in chase_steps(n, b, h):
-                gidx = group_of_step(step, n, b) % n_groups
-                upd_group = subgroups[gidx]
-                qr_group = upd_group.take(min(qr_size, upd_group.size))
-                apply_chase_parallel(machine, band, step, qr_group, upd_group, tag=tag)
+            if step.nc <= 0:
+                continue
+            up = slice(step.oup_c, step.oup_c + step.nc)
+            with machine.span("chase_update", group=upd_group):
+                bup = band.fetch_window(log, up, rows, upd_group, tag=f"{tag}:upd_fetch")
+                # Lines 19–20: W = B[Iup, Iqr]·U·T;  V = −W + ½U(Tᵀ(Uᵀ W[Iv])).
+                # These products are charged through CARMA (Lemma III.2), exactly
+                # as Lemma IV.3's proof invokes it — for these outer shapes CARMA
+                # splits both operands, beating any pattern that replicates U to
+                # the whole group.
+                ut = u @ t  # cost: free(charged via the carma tape on the next line)
+                tape.run(carma_matmul, upd_group, (u, t), f"{tag}:UT")
+                w = bup @ ut  # cost: free(charged via the carma tape on the next line)
+                tape.run(carma_matmul, upd_group, (bup, ut), f"{tag}:W")
+                v = -w
+                vrows = slice(step.ov, step.ov + step.nr)
+                inner = u.T @ w[vrows, :]  # cost: free(charged via the carma tape on the next line)
+                tape.run(carma_matmul, upd_group, (u.T, w[vrows, :]), f"{tag}:V")
+                v[vrows, :] += 0.5 * (u @ (t.T @ inner))  # cost: free(charged via charge_flops on the next line)
+                log.charge_flops(upd_group, 2.0 * u.size * t.shape[0] / upd_group.size)
+                # Lines 21–22: two-sided rank-2h update of the window (both
+                # triangles; the overlap block B[Iqr, Iqr] accumulates UVᵀ AND VUᵀ).
+                uvt = u @ v.T  # cost: free(charged via the carma tape on the next line)
+                tape.run(carma_matmul, upd_group, (u, v.T), f"{tag}:UVt")
+                data[rows, up] += uvt
+                data[up, rows] += uvt.T
+                band.charge_store(log, rows, up, upd_group, tag=f"{tag}:upd_store")
+        log.flush()
 
     band.data[:] = (band.data + band.data.T) / 2.0
     machine.trace.record("band_to_band", group.ranks, tag=tag)

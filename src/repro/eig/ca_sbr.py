@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bsp.batch import ChargeLog, needs_program_order
 from repro.bsp.group import RankGroup
 from repro.bsp.kernels import matmul_flops, matmul_flops_arr, qr_flops, qr_flops_arr
 from repro.bsp.machine import BSPMachine
@@ -31,7 +32,8 @@ from repro.linalg.sbr import apply_chase_step, chase_steps
 def _run_chases_1d_batched(
     machine: BSPMachine, band: DistBandMatrix, h: int, tag: str
 ) -> DistBandMatrix:
-    """Batched twin of :func:`_run_chases_1d` (same charges, one flush).
+    """Vectorised emission of :func:`_run_chases_1d`'s charges, for machines
+    no observer needs program order on (same charges, one flush).
 
     Charges are computed from the vectorized schedule arrays and appended
     to a :class:`~repro.bsp.batch.ChargeLog` in the per-step order — per
@@ -40,7 +42,6 @@ def _run_chases_1d_batched(
     reproduces the loop's cost report bit-for-bit.  The numerics loop is
     unchanged (identical `apply_chase_step` sequence).
     """
-    from repro.bsp.batch import ChargeLog
     from repro.eig.schedule import chase_step_arrays
 
     n, b = band.n, band.b
@@ -80,9 +81,7 @@ def _run_chases_1d(
     machine: BSPMachine, band: DistBandMatrix, h: int, tag: str
 ) -> DistBandMatrix:
     """Drive all chase steps with 1-D column ownership and boundary syncs."""
-    from repro.eig.band_to_band import resolve_chase_engine
-
-    if resolve_chase_engine(machine) == "batched":
+    if not needs_program_order(machine):
         return _run_chases_1d_batched(machine, band, h, tag)
     n, b = band.n, band.b
     group = band.group

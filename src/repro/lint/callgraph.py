@@ -38,6 +38,7 @@ CHARGE_CALLS = frozenset(
         "charge_store",
         "fetch_window",
         "store_window",
+        "transfer",
         "redistribute",
         "replicate",
         "bcast",
@@ -63,6 +64,7 @@ COMM_CALLS = frozenset(
         "charge_store",
         "fetch_window",
         "store_window",
+        "transfer",
         "redistribute",
         "replicate",
         "bcast",
@@ -87,6 +89,7 @@ BARRIER_CALLS = frozenset(
         "superstep",
         "fetch_window",
         "store_window",
+        "transfer",
         "redistribute",
         "replicate",
         "charge_store",

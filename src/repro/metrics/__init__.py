@@ -2,8 +2,8 @@
 imbalance metrics and bound-attainment ratios.
 
 See docs/observability.md ("Per-rank metrics").  Enable on any machine with
-``BSPMachine(p, metrics=True)`` (or ``REPRO_METRICS=1``), read the result
-with ``machine.cost().metrics()``, and export with ``repro metrics``.
+``BSPMachine(p, metrics=True)``, read the result with
+``machine.cost().metrics()``, and export with ``repro metrics``.
 """
 
 from repro.bsp.machine import NO_METRICS

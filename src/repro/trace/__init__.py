@@ -1,7 +1,7 @@
 """Span tracing, critical-path breakdowns and Chrome trace export.
 
 See docs/observability.md.  Enable on any machine with
-``BSPMachine(p, spans=True)`` (or ``REPRO_SPANS=1``), read the result with
+``BSPMachine(p, spans=True)``, read the result with
 ``machine.cost().by_span()``, and export with
 :func:`repro.trace.chrome.write_chrome_trace` or ``repro trace``.
 """

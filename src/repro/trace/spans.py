@@ -209,7 +209,7 @@ class SpanRecorder:
 
     One recorder lives on every :class:`~repro.bsp.machine.BSPMachine` as
     ``machine.spans``; it is inert (``enabled=False``) unless the machine
-    was built with ``spans=True`` or ``REPRO_SPANS=1``.
+    was built with ``spans=True``.
     """
 
     def __init__(self, store: object, params: MachineParams, enabled: bool = False):

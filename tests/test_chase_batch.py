@@ -1,30 +1,40 @@
-"""Batched bulge-chase charging: schedule arrays, ChargeLog, tapes, engines.
+"""The chase charge log: schedule arrays, ChargeLog, kernel tapes, one loop.
 
-The batched chase engines replace per-step Python charging with one
-order-preserving flush per stage; the contract is **bit-identity** of the
-resulting cost reports — per rank, on both counter engines — plus unchanged
-band numerics.  These tests pin that contract at the unit level (schedule
-arrays, :class:`~repro.bsp.batch.ChargeLog`, :class:`~repro.bsp.batch.KernelTape`,
-window charge twins), at the stage level (band-to-band and CA-SBR), and at
-the full-pipeline level at the benchmark's pinned (n=96, p=16).  Engine
-resolution — and the fallback to the per-step path whenever any observer
-(trace, spans, metrics, faults) is live — is covered alongside.
+Algorithm IV.2 has one chase loop, written against
+:class:`~repro.bsp.batch.ChargeLog` / :class:`~repro.bsp.batch.KernelTape`;
+the log defers its charges to one order-preserving flush on a machine no
+observer needs program order on, and writes them through the machine's own
+primitives otherwise.  The contract is **bit-identity** — per rank, on both
+counter engines — between the two modes, between a replayed tape and the
+live kernel, and with the per-step chase path this loop replaced (golden
+digests captured before it was deleted).  These tests pin that contract at
+the unit level (schedule arrays, log, tapes, window charges), at the stage
+level (band-to-band and CA-SBR) and at the full-pipeline level.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import report_mismatches
+from repro.blocks.matmul import carma_matmul
+from repro.blocks.rect_qr import rect_qr
 from repro.bsp import BSPMachine
-from repro.bsp.batch import ChargeLog, FlatTape, KernelTape, batched_charging_ok
+from repro.bsp.batch import _TAPE_CACHE, ChargeLog, FlatTape, KernelTape, needs_program_order
 from repro.dist.banded import DistBandMatrix
-from repro.eig.band_to_band import band_to_band_2p5d, resolve_chase_engine
+from repro.eig import eigensolve_2p5d
+from repro.eig.band_to_band import band_to_band_2p5d
 from repro.eig.ca_sbr import ca_sbr_halve
 from repro.eig.schedule import chase_step_arrays, pipeline_schedule, wave_sizes
+from repro.faults import SCENARIOS, FaultPlan, FaultyMachine
 from repro.linalg.sbr import chase_steps
+from repro.lint.verify import BSPDisciplineError, VerifiedMachine
 from repro.util.matrices import random_banded_symmetric, random_symmetric
+from tests import chase_digests
 
 ENGINES = ("array", "scalar")
 
@@ -36,6 +46,18 @@ CONFIGS = [
     (96, 12, 3),
     (100, 14, 7),  # ragged both ways
 ]
+
+#: machines whose logs write through (each observer alone) or defer while
+#: being more than a plain BSPMachine (the verifier)
+OBSERVERS = ("spans", "metrics", "trace", "verified")
+
+
+def _machine(p: int, observer: str | None = None, engine: str = "array") -> BSPMachine:
+    if observer == "verified":
+        return VerifiedMachine(p, engine=engine)
+    if observer == "faulty-clean":
+        return FaultyMachine(p, engine=engine, plan=FaultPlan(SCENARIOS["clean"], seed=4))
+    return BSPMachine(p, engine=engine, **({observer: True} if observer else {}))
 
 
 # ------------------------------------------------------------------ #
@@ -77,7 +99,6 @@ def _direct_workload(machine: BSPMachine) -> None:
     machine.mem_stream(1, 11.0)
     machine.superstep(w, 1)
     machine.superstep([0, 3], 2)
-    machine.note_memory(w, 40.0)
 
 
 def _logged_workload(machine: BSPMachine) -> None:
@@ -89,7 +110,6 @@ def _logged_workload(machine: BSPMachine) -> None:
     log.mem_stream(1, 11.0)
     log.superstep(w.indices(), 1)
     log.superstep(np.array([0, 3]), 2)
-    log.note_memory(w.indices(), 40.0)
     log.flush()
 
 
@@ -153,47 +173,61 @@ class TestChargeLog:
 # KernelTape
 
 
+def _observable_state(machine: BSPMachine) -> dict:
+    """Everything a spans + metrics + trace machine exposes, comparably."""
+    report = machine.cost()
+    snap = report.metrics()
+    return {
+        "spans": [e.as_dict() for e in machine.spans.events],
+        "trace": [(e.kind, e.group, e.words, e.flops, e.tag, e.meta) for e in machine.trace.events],
+        "metrics": {
+            name: getattr(snap, name).tolist()
+            for name in ("words_matrix", "messages_matrix", "sent_words", "recv_words",
+                         "unpaired_sent", "unpaired_recv", "watermark_words")
+        },
+        "supersteps_seen": snap.supersteps_seen,
+    }
+
+
 class TestKernelTape:
     @pytest.mark.parametrize("kind", ["rect_qr", "carma"])
     def test_replay_matches_direct_kernel(self, kind, rng):
-        from repro.blocks.matmul import carma_matmul
-        from repro.blocks.rect_qr import rect_qr
-
-        direct = BSPMachine(8)
-        group = direct.world
+        """A replayed tape is the live kernel: same per-rank costs from a
+        deferred flush, and the same spans, metrics and trace events from a
+        write-through replay."""
         if kind == "rect_qr":
-            rect_qr(direct, group, rng.standard_normal((32, 8)),
-                    charge_redistribution=False, tag="t")
+            kernel, operands = rect_qr, (rng.standard_normal((32, 8)),)
         else:
-            carma_matmul(direct, group, rng.standard_normal((24, 16)),
-                         rng.standard_normal((16, 8)),
-                         charge_redistribution=False, tag="t")
+            kernel, operands = carma_matmul, (rng.standard_normal((24, 16)),
+                                              rng.standard_normal((16, 8)))
+        observed = {"spans": True, "metrics": True, "trace": True}
+        for kwargs in ({}, observed):
+            direct = BSPMachine(8, **kwargs)
+            kernel(direct, direct.world, *operands, charge_redistribution=False, tag="t")
 
-        replayed = BSPMachine(8)
-        tape = KernelTape(replayed)
-        log = ChargeLog(replayed)
-        if kind == "rect_qr":
-            tape.rect_qr(log, 32, 8, replayed.world)
-        else:
-            tape.carma(log, 24, 16, 8, replayed.world)
-        log.flush()
-        assert report_mismatches(direct.cost(), replayed.cost()) == []
+            replayed = BSPMachine(8, **kwargs)
+            log = ChargeLog(replayed)
+            assert log.deferred == (not kwargs)
+            KernelTape(log).run(kernel, replayed.world, operands, "t")
+            log.flush()
+            assert report_mismatches(direct.cost(), replayed.cost()) == []
+            if kwargs:
+                assert _observable_state(direct) == _observable_state(replayed)
 
-    def test_tape_is_memoized_across_instances(self):
-        from repro.bsp.batch import _TAPE_CACHE
-
+    def test_tape_is_memoized_across_instances(self, rng):
         m = BSPMachine(8)
         log = ChargeLog(m)
-        KernelTape(m).carma(log, 12, 12, 6, m.world)
-        key = (m.p, repr(m.params), "carma", 12, 12, 6, m.world.ranks)
+        operands = (rng.standard_normal((12, 12)), rng.standard_normal((12, 6)))
+        KernelTape(log).run(carma_matmul, m.world, operands, "memo")
+        key = ((m.p, repr(m.params)), "carma_matmul", ((12, 12), (12, 6)), m.world.ranks, "memo")
         first = _TAPE_CACHE[key]
-        KernelTape(m).carma(log, 12, 12, 6, m.world)
+        KernelTape(log).run(carma_matmul, m.world, operands, "memo")
         assert _TAPE_CACHE[key] is first
         assert isinstance(first, FlatTape)
 
 
 # ------------------------------------------------------------------ #
-# batched window charge twins
+# window charges: the log's two modes are twins
 
 
 class TestBatchedWindowCharges:
@@ -201,82 +235,69 @@ class TestBatchedWindowCharges:
     def test_fetch_and_store_twins_match(self, engine):
         a = random_banded_symmetric(32, 6, seed=5)
         rows, cols = slice(8, 14), slice(4, 10)
-
-        perstep = BSPMachine(8, engine=engine)
-        band = DistBandMatrix(perstep, a.copy(), 6, perstep.world)
-        grp = perstep.world.take(4)
-        win = band.fetch_window(rows, cols, grp)
-        band.charge_store(rows, cols, grp)
-
-        batched = BSPMachine(8, engine=engine)
-        band2 = DistBandMatrix(batched, a.copy(), 6, batched.world)
-        grp2 = batched.world.take(4)
-        log = ChargeLog(batched)
-        win2 = band2.fetch_window_batched(log, rows, cols, grp2)
-        band2.charge_store_batched(log, rows, cols, grp2)
-        log.flush()
-
-        assert np.array_equal(win, win2)
-        assert report_mismatches(perstep.cost(), batched.cost()) == []
+        wins, machines = [], []
+        for observer in (None, "trace"):
+            machine = _machine(8, observer, engine)
+            band = DistBandMatrix(machine, a.copy(), 6, machine.world)
+            grp = machine.world.take(4)
+            log = ChargeLog(machine)
+            wins.append(band.fetch_window(log, rows, cols, grp, tag="f"))
+            band.charge_store(log, rows, cols, grp, tag="s")
+            if observer:  # written through: nothing waits for the flush
+                assert machine.cost().S == 2
+            log.flush()
+            machines.append(machine)
+        assert np.array_equal(*wins)
+        assert report_mismatches(machines[0].cost(), machines[1].cost()) == []
+        moved = [(e.kind, e.tag) for e in machines[1].trace.events if e.kind != "superstep"]
+        assert moved == [("band_fetch", "f"), ("band_store", "s")]
 
 
 # ------------------------------------------------------------------ #
-# engine resolution
+# which mode a log takes
 
 
 class TestEngineResolution:
     def test_auto_picks_batched_on_plain_machine(self):
         m = BSPMachine(4)
-        assert batched_charging_ok(m)
-        assert resolve_chase_engine(m) == "batched"
+        assert not needs_program_order(m)
+        assert ChargeLog(m).deferred
 
     @pytest.mark.parametrize("observer", ["trace", "spans", "metrics", "faults"])
     def test_auto_falls_back_under_observation(self, observer):
-        if observer == "faults":
-            from repro.faults import FaultPlan, FaultSpec, FaultyMachine
+        m = _machine(4, "faulty-clean" if observer == "faults" else observer)
+        assert needs_program_order(m)
+        log = ChargeLog(m)
+        assert not log.deferred
+        log.charge_flops(m.world, 3.0)  # lands at once, through the machine
+        assert m.cost().F == 3.0
 
-            m = FaultyMachine(4, plan=FaultPlan(FaultSpec(), seed=0))
-        else:
-            m = BSPMachine(4, **{observer: True})
-        assert not batched_charging_ok(m)
-        assert resolve_chase_engine(m) == "perstep"
-
-    def test_verified_machine_falls_back(self):
-        from repro.lint.verify import VerifiedMachine
-
-        assert resolve_chase_engine(VerifiedMachine(4)) == "perstep"
-
-    def test_env_var_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHASE_ENGINE", "perstep")
-        assert resolve_chase_engine(BSPMachine(4)) == "perstep"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHASE_ENGINE", "perstep")
-        assert resolve_chase_engine(BSPMachine(4), "batched") == "batched"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown chase engine"):
-            resolve_chase_engine(BSPMachine(4), "simd")
+    def test_verified_machine_defers_and_verifies_at_flush(self):
+        """The verifier's checks are cumulative-state checks: it defers like
+        a plain machine and re-checks when the flush lands."""
+        m = VerifiedMachine(4)
+        log = ChargeLog(m)
+        assert log.deferred
+        log.charge_comm(m.world.take(2), 5.0, m.world.take(2), 5.0)
+        log.flush()
+        assert m.checks_run == 1
+        log.charge_comm(m.world.take(1), 5.0, m.world.take(1), 1.0)  # books one side short
+        with pytest.raises(BSPDisciplineError, match="conservation violation at flush"):
+            log.flush()
 
 
 # ------------------------------------------------------------------ #
-# stage-level identity: per-step vs batched, both counter engines
+# stage-level identity: deferred vs write-through, both counter engines
 
 
-def _b2b_run(counter_engine: str, chase_engine: str, n=64, b=8, p=16):
-    a = random_banded_symmetric(n, b, seed=9)
-    machine = BSPMachine(p, engine=counter_engine)
-    band = DistBandMatrix(machine, a, b, machine.world)
-    out = band_to_band_2p5d(machine, band, k=2, chase_engine=chase_engine)
+def _b2b_run(machine: BSPMachine, n=64, b=8, k=2, seed=9):
+    band = DistBandMatrix(machine, random_banded_symmetric(n, b, seed=seed), b, machine.world)
+    out = band_to_band_2p5d(machine, band, k=k)
     return machine.cost(), out.data.copy()
 
 
-def _sbr_run(counter_engine: str, chase_engine: str, n=64, b=8, p=8, monkeypatch=None):
-    a = random_banded_symmetric(n, b, seed=9)
-    machine = BSPMachine(p, engine=counter_engine)
-    band = DistBandMatrix(machine, a, b, machine.world)
-    # CA-SBR resolves its engine from the environment / machine state only.
-    monkeypatch.setenv("REPRO_CHASE_ENGINE", chase_engine)
+def _sbr_run(machine: BSPMachine, n=64, b=8):
+    band = DistBandMatrix(machine, random_banded_symmetric(n, b, seed=9), b, machine.world)
     out = ca_sbr_halve(machine, band)
     return machine.cost(), out.data.copy()
 
@@ -284,53 +305,73 @@ def _sbr_run(counter_engine: str, chase_engine: str, n=64, b=8, p=8, monkeypatch
 class TestStageIdentity:
     @pytest.mark.parametrize("counter_engine", ENGINES)
     def test_band_to_band_batched_is_bit_identical(self, counter_engine):
-        ref_cost, ref_data = _b2b_run(counter_engine, "perstep")
-        bat_cost, bat_data = _b2b_run(counter_engine, "batched")
-        assert report_mismatches(ref_cost, bat_cost) == []
-        assert np.array_equal(ref_data, bat_data)
+        ref_cost, ref_data = _b2b_run(_machine(16, None, counter_engine))
+        for observer in OBSERVERS:
+            cost, data = _b2b_run(_machine(16, observer, counter_engine))
+            assert report_mismatches(ref_cost, cost) == [], observer
+            assert np.array_equal(ref_data, data), observer
 
     @pytest.mark.parametrize("counter_engine", ENGINES)
-    def test_ca_sbr_batched_is_bit_identical(self, counter_engine, monkeypatch):
-        ref_cost, ref_data = _sbr_run(counter_engine, "perstep", monkeypatch=monkeypatch)
-        bat_cost, bat_data = _sbr_run(counter_engine, "batched", monkeypatch=monkeypatch)
-        assert report_mismatches(ref_cost, bat_cost) == []
-        assert np.array_equal(ref_data, bat_data)
+    def test_ca_sbr_batched_is_bit_identical(self, counter_engine):
+        ref_cost, ref_data = _sbr_run(_machine(8, None, counter_engine))
+        for observer in OBSERVERS:
+            cost, data = _sbr_run(_machine(8, observer, counter_engine))
+            assert report_mismatches(ref_cost, cost) == [], observer
+            assert np.array_equal(ref_data, data), observer
 
     def test_batched_rejected_configs_match_perstep(self):
-        """Both engines validate k the same way."""
+        """k is validated before any charge, observed or not."""
         a = random_banded_symmetric(32, 6, seed=1)
-        for chase_engine in ("perstep", "batched"):
-            m = BSPMachine(8)
+        for observer in (None, "spans"):
+            m = _machine(8, observer)
             band = DistBandMatrix(m, a.copy(), 6, m.world)
             with pytest.raises(ValueError, match="must divide"):
-                band_to_band_2p5d(m, band, k=4, chase_engine=chase_engine)
+                band_to_band_2p5d(m, band, k=4)
+            assert m.cost().S == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        h=st.integers(1, 4),
+        k=st.integers(2, 3),
+        panels=st.integers(2, 6),
+        ragged=st.integers(0, 3),
+        p=st.sampled_from([2, 4, 6, 8, 16]),
+        observer=st.sampled_from(OBSERVERS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_deferred_equals_write_through_property(self, h, k, panels, ragged, p, observer, seed):
+        b = h * k
+        n = panels * b + ragged + 1
+        ref_cost, ref_data = _b2b_run(_machine(p), n, b, k, seed)
+        cost, data = _b2b_run(_machine(p, observer), n, b, k, seed)
+        assert report_mismatches(ref_cost, cost) == []
+        assert np.array_equal(ref_data, data)
 
 
 # ------------------------------------------------------------------ #
-# full-pipeline identity at the benchmark's pinned instance
+# full-pipeline identity
 
 
 class TestPipelineIdentity:
     def test_eig_n96_p16_all_engine_pairings_identical(self):
-        """The pinned bench case: cost reports must be byte-identical across
-        {array, scalar} x {perstep, batched} — per rank, not just aggregate."""
-        from repro.eig import eigensolve_2p5d
-
+        """The pinned bench case: cost reports and spectra must be
+        byte-identical across {array, scalar} x {plain, each observer} — per
+        rank, not just aggregate."""
         a = random_symmetric(96, seed=3)
-        reports = {}
+        runs = {}
         for counter_engine in ENGINES:
-            for chase_engine in ("perstep", "batched"):
-                m = BSPMachine(16, engine=counter_engine)
-                eigensolve_2p5d(m, a.copy(), delta=2.0 / 3.0)
-                reports[(counter_engine, chase_engine)] = m.cost()
-        ref = reports[("array", "perstep")]
-        for key, rep in reports.items():
-            assert report_mismatches(ref, rep) == [], key
+            for observer in (None, *OBSERVERS):
+                m = _machine(16, observer, counter_engine)
+                evals = eigensolve_2p5d(m, a.copy(), delta=2.0 / 3.0).eigenvalues
+                runs[(counter_engine, observer)] = (m.cost(), evals)
+        ref_cost, ref_evals = runs[("array", None)]
+        for key, (cost, evals) in runs.items():
+            assert report_mismatches(ref_cost, cost) == [], key
+            assert np.array_equal(ref_evals, evals), key
 
     def test_eig_n96_p16_matches_committed_baseline(self):
         """The live pinned cost equals the committed BENCH_engine.json entry
         (the bench CI gate asserts the same; this keeps it tier-1)."""
-        import json
         from pathlib import Path
 
         from repro.bench import cost_dict, run_eig
@@ -342,34 +383,62 @@ class TestPipelineIdentity:
         report, _wall = run_eig("array")
         assert cost_dict(report) == baseline["cases"]["eig_n96_p16"]["cost"]
 
+    @pytest.mark.parametrize("config", chase_digests.CONFIGS, ids=lambda c: chase_digests.config_key(*c))
+    def test_observed_run_reproduces_perstep_golden_digests(self, config):
+        """Span events, span buckets, the metrics snapshot, per-rank counters,
+        the spectrum and the legacy trace events all digest to what the
+        deleted per-step path produced (real rect_qr / carma calls per step)."""
+        golden = json.loads(chase_digests.DATA.read_text())[chase_digests.config_key(*config)]
+        assert chase_digests.observed_run_digests(*config) == golden
+
 
 # ------------------------------------------------------------------ #
-# observed runs: the batched engine yields, artifacts stay exact
+# observed runs: artifacts stay exact
 
 
 class TestObservedRuns:
-    def test_faulty_run_takes_perstep_path_and_keeps_spans_exact(self):
-        """A live fault injector disables batching (auto -> perstep); per-span
-        sums still reproduce the global report bit-for-bit.  (Recovery-loop
-        span exactness under actual injected faults is pinned in
-        test_faults.py; here the injector is armed but silent so the stage
-        runs to completion without a retry harness.)"""
-        from repro.faults import SCENARIOS, FaultPlan, FaultyMachine
+    def test_faulty_run_runs_live_kernels_and_matches_tape_replay(self, monkeypatch):
+        """A fault-injecting machine never replays a tape: every rect_qr /
+        carma call runs live on the real operands (injection sites and the
+        seeded RNG stream keep their program order).  On the ``clean`` plan
+        nothing is injected, so — with the ABFT checksum charges, the one
+        cost a fault machine adds by itself, switched off — that live run is
+        the oracle for the tapes: it must match a plain machine per rank,
+        and its per-span sums must reproduce the global report bit-for-bit."""
+        import repro.eig.band_to_band as b2b
+        import repro.faults.abft as abft
 
-        a = random_banded_symmetric(48, 8, seed=2)
-        machine = FaultyMachine(
-            8, plan=FaultPlan(SCENARIOS["clean"], seed=4), spans=True
-        )
-        assert resolve_chase_engine(machine) == "perstep"
-        band = DistBandMatrix(machine, a, 8, machine.world)
-        band_to_band_2p5d(machine, band, k=2)
-        bd = machine.cost().by_span()
+        monkeypatch.setattr(abft, "abft_check", lambda *args, **kwargs: None)
+        calls = []
+        for name in ("rect_qr", "carma_matmul"):
+            kernel = getattr(b2b, name)
+            monkeypatch.setattr(
+                b2b, name, lambda *a, _k=kernel, _n=name, **kw: (calls.append(_n), _k(*a, **kw))[1]
+            )
+        a = random_banded_symmetric(64, 16, seed=2)  # p·h/n = 2: rect-QR groups of two
+
+        plain = BSPMachine(16)
+        band = DistBandMatrix(plain, a.copy(), 16, plain.world)
+        band_to_band_2p5d(plain, band, k=2)  # records whatever tapes are missing
+        calls.clear()
+        plain = BSPMachine(16)
+        band = DistBandMatrix(plain, a.copy(), 16, plain.world)
+        band_to_band_2p5d(plain, band, k=2)
+        assert calls == []  # every kernel came off a tape
+
+        faulty = FaultyMachine(16, plan=FaultPlan(SCENARIOS["clean"], seed=4), spans=True)
+        band2 = DistBandMatrix(faulty, a.copy(), 16, faulty.world)
+        band_to_band_2p5d(faulty, band2, k=2)
+        assert {"rect_qr", "carma_matmul"} <= set(calls)
+        assert report_mismatches(plain.cost(), faulty.cost()) == []
+        assert np.array_equal(band.data, band2.data)
+        bd = faulty.cost().by_span()
         assert bd.open_paths == ()
         assert bd.verify_exact() == []
 
     def test_span_run_costs_match_unobserved_batched_run(self):
         """Spans change *where* charges are attributed, never their values:
-        an observed (per-step) run and a batched run agree on every counter."""
+        a written-through run and a deferred run agree on every counter."""
         a = random_banded_symmetric(48, 8, seed=2)
         observed = BSPMachine(8, spans=True)
         band = DistBandMatrix(observed, a.copy(), 8, observed.world)
@@ -377,5 +446,5 @@ class TestObservedRuns:
 
         plain = BSPMachine(8)
         band2 = DistBandMatrix(plain, a.copy(), 8, plain.world)
-        band_to_band_2p5d(plain, band2, k=2, chase_engine="batched")
+        band_to_band_2p5d(plain, band2, k=2)
         assert report_mismatches(observed.cost(), plain.cost()) == []

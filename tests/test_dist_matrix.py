@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bsp import BSPMachine, RankGroup
+from repro.bsp.batch import ChargeLog
 from repro.dist import DistBandMatrix, DistMatrix, ProcGrid
 from repro.dist.layout import BlockRowLayout, CyclicLayout
 from repro.util.matrices import random_banded_symmetric
@@ -107,7 +108,9 @@ class TestDistBandMatrix:
     def test_fetch_window_charges(self):
         m, band = self.make()
         g = RankGroup((2, 3))
-        win = band.fetch_window(slice(0, 4), slice(0, 2), g)
+        log = ChargeLog(m)
+        win = band.fetch_window(log, slice(0, 4), slice(0, 2), g)
+        log.flush()
         assert win.shape == (4, 2)
         assert m.counters[2].words_recv == pytest.approx(4.0)  # 8 words / 2
         assert m.cost().S == 1
@@ -115,14 +118,16 @@ class TestDistBandMatrix:
     def test_store_window_mirrors_symmetrically(self):
         m, band = self.make()
         vals = np.arange(8.0).reshape(4, 2)
-        band.store_window(slice(4, 8), slice(0, 2), vals, RankGroup((0,)))
+        band.store_window(ChargeLog(m), slice(4, 8), slice(0, 2), vals, RankGroup((0,)))
         assert np.array_equal(band.data[4:8, 0:2], vals)
         assert np.array_equal(band.data[0:2, 4:8], vals.T)
 
     def test_store_window_shape_check(self):
         m, band = self.make()
         with pytest.raises(ValueError):
-            band.store_window(slice(0, 4), slice(0, 2), np.zeros((3, 2)), RankGroup((0,)))
+            band.store_window(
+                ChargeLog(m), slice(0, 4), slice(0, 2), np.zeros((3, 2)), RankGroup((0,))
+            )
 
     def test_gather_collects_band_words(self):
         m, band = self.make(p=4, n=16, b=3)

@@ -66,13 +66,6 @@ def test_engine_selection_and_store_types():
     assert ma.engine == "array" and ms.engine == "scalar"
 
 
-def test_engine_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "scalar")
-    assert isinstance(BSPMachine(4).counters, ScalarCounterStore)
-    monkeypatch.delenv("REPRO_ENGINE")
-    assert isinstance(BSPMachine(4).counters, CounterArray)
-
-
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown accounting engine"):
         BSPMachine(4, engine="gpu")

@@ -115,12 +115,6 @@ class TestDisabled:
         with pytest.raises(ValueError, match="spans=True"):
             machine.cost().by_span()
 
-    def test_env_var_enables_spans(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPANS", "1")
-        assert BSPMachine(2).spans.enabled
-        monkeypatch.setenv("REPRO_SPANS", "0")
-        assert not BSPMachine(2).spans.enabled
-
     def test_disabled_costs_match_enabled(self):
         """Spans charge nothing: enabled and disabled runs cost the same."""
         reports = []
