@@ -1,7 +1,7 @@
 """Figure 1 — the matrices of Algorithm IV.1 at two successive steps.
 
 Reproduces the structure diagram and cross-checks it against an *actual
-instrumented run*: the traced QR panels of ``full_to_band_2p5d`` must have
+instrumented run*: the QR panel spans of ``full_to_band_2p5d`` must have
 exactly the shapes the figure depicts (an (n − s·b) × b sub-diagonal panel
 at step s, shrinking by b rows per step, with the U/V aggregates growing by
 b columns).
@@ -18,31 +18,32 @@ from repro.util.matrices import random_symmetric
 from _common import run_once, write_result
 
 N, B = 96, 16
+PANEL_QR = "full_to_band/panel_qr/rect_qr"
 
 
 def run_experiment():
-    mach = BSPMachine(4, trace=True)
+    mach = BSPMachine(4, spans=True)
     grid = ProcGrid(mach, (2, 2, 1))
     a = random_symmetric(N, seed=0)
     out = full_to_band_2p5d(mach, grid, a, B)
-    qr_events = [e for e in mach.trace.events if e.kind == "rect_qr" or e.tag.startswith("f2b:qr@")]
-    # Panel offsets recorded in the tags.
-    offsets = sorted(
-        {int(e.tag.split("@")[1].split(":")[0]) for e in mach.trace.events if "f2b:qr@" in e.tag}
-    )
-    return out, offsets, a
+    # One rect-QR span per factored panel; its own (exclusive) words are the
+    # panel's redistribution, so they measure the panel's size.
+    panel_words = [e.words for e in mach.spans.events if e.path == PANEL_QR]
+    return out, panel_words, a
 
 
 def test_figure1(benchmark):
-    out, offsets, a = run_once(benchmark, run_experiment)
+    out, panel_words, a = run_once(benchmark, run_experiment)
     fig = render_figure1(n_panels=N // B, step=3)
     write_result("figure1", fig)
 
-    # The instrumented run factors one panel per b columns, exactly the
-    # sequence the figure depicts.
-    assert offsets == [B * s for s in range(N // B - 1)]
+    # The instrumented run factors one panel per b columns, each b rows
+    # shorter than the last — exactly the sequence the figure depicts.
+    assert len(panel_words) == N // B - 1
+    shrink = np.diff(panel_words)
+    assert (shrink < 0).all() and np.ptp(shrink) == 0
     # And the output really is banded with A's spectrum (the figure's "#").
     ref = np.linalg.eigvalsh(a)
     got = np.linalg.eigvalsh(out)
     assert np.abs(ref - got).max() < 1e-9 * max(1, np.abs(ref).max())
-    benchmark.extra_info["panels"] = len(offsets)
+    benchmark.extra_info["panels"] = len(panel_words)

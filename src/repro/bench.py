@@ -41,11 +41,11 @@ rank, not just in aggregate) or the run fails.  Results go to
 * a >25% wall-clock regression, after rescaling the committed wall numbers
   by the scalar oracle's wall ratio on this host (the oracle acts as the
   hardware calibrator, so the gate is portable across machines); the
-  envelope is overridable with ``REPRO_BENCH_ENVELOPE`` (legacy alias
-  ``REPRO_BENCH_WALL_TOL``), and a run whose *only* failures are wall
-  regressions is re-timed up to ``REPRO_BENCH_RETRIES`` times
-  (best-of-k) before failing, so a loaded CI host doesn't flake the gate —
-  cost drift and speedup-floor violations are never retried;
+  envelope is overridable with ``REPRO_BENCH_ENVELOPE``, and a run whose
+  *only* failures are wall regressions is re-timed up to
+  ``REPRO_BENCH_RETRIES`` times (best-of-k) before failing, so a loaded CI
+  host doesn't flake the gate — cost drift and speedup-floor violations
+  are never retried;
 * charging-suite speedup below the 3× floor the vectorized engine must
   maintain over the scalar oracle at p ≥ 256.
 """
@@ -91,14 +91,8 @@ PINNED: dict[str, dict[str, Any]] = {
     },
 }
 
-#: >25% wall regression fails --check (env-overridable for noisy hosts;
-#: REPRO_BENCH_ENVELOPE is the documented name, REPRO_BENCH_WALL_TOL the
-#: legacy alias)
-WALL_TOLERANCE = float(
-    os.environ.get("REPRO_BENCH_ENVELOPE")
-    or os.environ.get("REPRO_BENCH_WALL_TOL")
-    or "1.25"
-)
+#: >25% wall regression fails --check (env-overridable for noisy hosts)
+WALL_TOLERANCE = float(os.environ.get("REPRO_BENCH_ENVELOPE") or "1.25")
 
 #: wall-only gate failures are re-timed this many times before failing
 WALL_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "2"))

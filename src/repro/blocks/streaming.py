@@ -67,7 +67,6 @@ def streaming_matmul(
             per_rank = n * k / p
             machine.charge_comm_batch(group, per_rank, per_rank)
             machine.superstep(group, 1)
-            machine.trace.record("streaming_b_redist", group.ranks, words=float(n * k), tag=tag)
 
         # The numerical product (identical to the sum of the per-fiber partials).
         c_out = a @ b  # cost: free(numerical product computed once; flops charged per pipeline stage below)
@@ -103,8 +102,5 @@ def streaming_matmul(
 
             c_out = machine.faults.corrupt_output(c_out, "streaming_mm")
             abft_check(machine, group, a, b, c_out, site="streaming_mm")
-    machine.trace.record(
-        "streaming_mm", group.ranks, words=float(m * k + n * k), flops=2.0 * m * n * k, tag=tag
-    )
     machine.note_memory(group, a_block_words + b_block_words + c_block_words)
     return c_out

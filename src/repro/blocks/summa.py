@@ -72,5 +72,4 @@ def summa_matmul(
 
             c = machine.faults.corrupt_output(c, "summa")
             abft_check(machine, group, a, b, c, site="summa")
-    machine.trace.record("summa", group.ranks, words=float(m * n + n * k), flops=2.0 * m * n * k, tag=tag)
     return c

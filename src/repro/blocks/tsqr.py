@@ -53,7 +53,6 @@ def reconstruct_householder(
             machine.charge_comm_batch(group, per_rank, per_rank)
             machine.superstep(group, max(1, int(np.ceil(np.log2(g)))))
         machine.mem_stream(group[0], float(u.size + t.size))
-    machine.trace.record("reconstruct", group.ranks, flops=4.0 * m * n * n, tag=tag)
     return u, t, r_signed
 
 
@@ -152,7 +151,6 @@ def tsqr_thin(
             q_blocks.append(local_matmul(machine, rank, qleaf, z))
         machine.superstep(grp, 1)
         q_thin = np.vstack(q_blocks)
-    machine.trace.record("tsqr", grp.ranks, flops=2.0 * m * n * n, tag=tag)
     return q_thin, r_final
 
 

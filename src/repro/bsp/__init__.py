@@ -23,7 +23,6 @@ from repro.bsp.counters import CostReport, CounterArray, RankCounters, RankSlot
 from repro.bsp.cache import CacheModel
 from repro.bsp.machine import BSPMachine, ENGINES
 from repro.bsp.group import RankGroup
-from repro.bsp.profile import Profiler
 from repro.bsp.scalar import ScalarCounterStore
 from repro.bsp import collectives
 
@@ -38,6 +37,5 @@ __all__ = [
     "BSPMachine",
     "ENGINES",
     "RankGroup",
-    "Profiler",
     "collectives",
 ]

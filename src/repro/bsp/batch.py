@@ -14,20 +14,20 @@ charges land:
     are integers and memory notes running maxima, so batching those is
     trivially exact.
 
-**write-through** (trace, spans, metrics or fault injection is live)
+**write-through** (spans, metrics or fault injection is live)
     Every append is applied at once through the machine's own charging
     primitives, so each observer's hooks fire in program order.
 
 :class:`KernelTape` memoizes what the parallel kernels (``rect_qr``,
 ``carma_matmul``) emit.  Their charges depend only on operand shapes and
 the executing group — never on operand values or cache state — so one
-recording per (kernel, shapes, group, tag) serves every machine.  A tape is
+recording per (kernel, shapes, group) serves every machine.  A tape is
 recorded at the *hook boundary*: the ordered stream of counter-store calls,
-``metrics.on_*`` calls (with their exact wire patterns), span opens/closes
-and ``trace.record`` calls the kernel makes on a scratch machine.  A
-write-through replay re-issues that stream against the live machine; a
-deferred replay appends its counter-store subset, pre-flattened to one
-array pair per field (:class:`FlatTape`).
+``metrics.on_*`` calls (with their exact wire patterns) and span
+opens/closes the kernel makes on a scratch machine.  A write-through replay
+re-issues that stream against the live machine; a deferred replay appends
+its counter-store subset, pre-flattened to one array pair per field
+(:class:`FlatTape`).
 """
 
 from __future__ import annotations
@@ -47,16 +47,11 @@ _Event = tuple[np.ndarray, np.ndarray]
 def needs_program_order(machine: BSPMachine) -> bool:
     """True iff an observer of ``machine`` must see each charge as it happens.
 
-    Event traces, span attribution, per-rank metrics and fault injection
-    all hook individual charging calls.  Cumulative-state checks
+    Span attribution, per-rank metrics and fault injection all hook
+    individual charging calls.  Cumulative-state checks
     (:meth:`BSPMachine.verify`) do not: they run at the end of a flush.
     """
-    return (
-        machine.trace.enabled
-        or machine.spans.enabled
-        or machine.metrics.enabled
-        or machine.faults.enabled
-    )
+    return machine.spans.enabled or machine.metrics.enabled or machine.faults.enabled
 
 
 def _as_idx(ranks: Any) -> np.ndarray:
@@ -145,16 +140,14 @@ class ChargeLog:
         else:
             self.machine.superstep(ranks, count)
 
-    def transfer(self, src: RankGroup, dst: RankGroup, words: float, kind: str, tag: str) -> None:
+    def transfer(self, src: RankGroup, dst: RankGroup, words: float) -> None:
         """``src`` ships ``words`` words to ``dst`` in equal shares, one
         superstep over both groups (a band window fetch or write-back)."""
         self.charge_comm(src, words / src.size, dst, words / dst.size)
         if self.deferred:
             self._ss.append(_event(np.union1d(src.indices(), dst.indices()), 1, np.int64))
         else:
-            involved = tuple(dict.fromkeys(src.ranks + dst.ranks))
-            self.machine.superstep(RankGroup(involved), 1)
-            self.machine.trace.record(kind, involved, words=words, tag=tag)
+            self.machine.superstep(RankGroup(tuple(dict.fromkeys(src.ranks + dst.ranks))), 1)
 
     def replay(self, tape: "FlatTape") -> None:
         """Append a recorded kernel's charges (see :class:`KernelTape`)."""
@@ -178,8 +171,6 @@ class ChargeLog:
         observers = {"counters": machine.counters}
         if machine.metrics.enabled:
             observers["metrics"] = machine.metrics
-        if machine.trace.enabled:
-            observers["trace"] = machine.trace
         open_spans: list[SpanHandle] = []
         for channel, method, args, kwargs in tape.events:
             if channel == "spans":  # through machine.span: a no-op handle when spans are off
@@ -237,7 +228,7 @@ class FlatTape:
 
     ``events`` holds ``(channel, method, args, kwargs)`` tuples in program
     order, ``channel`` naming the observer the call went to (``"counters"``,
-    ``"metrics"``, ``"trace"``, ``"spans"``).  The flattened fields keep
+    ``"metrics"``, ``"spans"``).  The flattened fields keep
     per-field order; cross-field interleaving carries no information for a
     deferred flush (each counter field accumulates independently).
     """
@@ -270,7 +261,7 @@ class FlatTape:
 
 class _HookRecorder(SpanHandle):
     """Stand-in for one observer of a scratch machine (counter store,
-    metrics, trace or spans): records every call made on it."""
+    metrics or spans): records every call made on it."""
 
     enabled = True
 
@@ -297,7 +288,7 @@ class _HookRecorder(SpanHandle):
 # Recorded tapes are reusable across KernelTape instances (and hence across
 # band-to-band stages and solves): the key pins everything a kernel's event
 # stream depends on — machine size and parameters, kernel, operand shapes,
-# the executing group's exact rank tuple, and the tag its trace events carry.
+# and the executing group's exact rank tuple.
 _TAPE_CACHE: dict[tuple, FlatTape] = {}
 
 
@@ -317,7 +308,7 @@ class KernelTape:
             self._scratch = BSPMachine(machine.p, params=machine.params)
         scratch: Any = self._scratch
         events: list[tuple] = []
-        for channel in ("counters", "metrics", "trace", "spans"):
+        for channel in ("counters", "metrics", "spans"):
             setattr(scratch, channel, _HookRecorder(channel, events))
         kernel(scratch, *args, **kwargs)
         tape = FlatTape(events)
@@ -338,7 +329,7 @@ class KernelTape:
         if machine.faults.enabled:
             kernel(machine, group, *operands, charge_redistribution=False, tag=tag)
             return
-        key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks, tag)
+        key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks)
         tape = _TAPE_CACHE.get(key)
         if tape is None or (tape.events is None and not self.log.deferred):
             tape = _TAPE_CACHE[key] = self._record(

@@ -23,7 +23,10 @@ charges the whole group through the machine's batched entry points
 :meth:`~repro.bsp.machine.BSPMachine.charge_comm_matrix`), so a collective
 costs O(1) numpy ops regardless of group size.
 
-Every primitive accepts ``tag`` for the machine trace.
+Every primitive accepts ``tag``, the caller's label for the call site; the
+primitives do not read it — each opens its own
+:meth:`~repro.bsp.machine.BSPMachine.span`, which is what attributes its
+charges.
 """
 
 from __future__ import annotations
@@ -87,7 +90,6 @@ def bcast(machine: BSPMachine, group: RankGroup, words: float, root: int | None 
     with machine.span("bcast", group=group):
         _charge()
         _retransmit_on_drop(machine, "bcast", group, _charge)
-    machine.trace.record("bcast", group.ranks, words=words, tag=tag, root=root)
 
 
 def reduce(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None, tag: str = "") -> None:
@@ -120,7 +122,6 @@ def reduce(machine: BSPMachine, group: RankGroup, words: float, root: int | None
     with machine.span("reduce", group=group):
         _charge()
         _retransmit_on_drop(machine, "reduce", group, _charge)
-    machine.trace.record("reduce", group.ranks, words=words, tag=tag, root=root)
 
 
 def allreduce(machine: BSPMachine, group: RankGroup, words: float, tag: str = "") -> None:
@@ -139,7 +140,6 @@ def allreduce(machine: BSPMachine, group: RankGroup, words: float, tag: str = ""
     with machine.span("allreduce", group=group):
         _charge()
         _retransmit_on_drop(machine, "allreduce", group, _charge)
-    machine.trace.record("allreduce", group.ranks, words=words, tag=tag)
 
 
 def reduce_scatter(machine: BSPMachine, group: RankGroup, words_total: float, tag: str = "") -> None:
@@ -158,7 +158,6 @@ def reduce_scatter(machine: BSPMachine, group: RankGroup, words_total: float, ta
     with machine.span("reduce_scatter", group=group):
         _charge()
         _retransmit_on_drop(machine, "reduce_scatter", group, _charge)
-    machine.trace.record("reduce_scatter", group.ranks, words=words_total, tag=tag)
 
 
 def allgather(machine: BSPMachine, group: RankGroup, words_each: float, tag: str = "") -> None:
@@ -175,7 +174,6 @@ def allgather(machine: BSPMachine, group: RankGroup, words_each: float, tag: str
     with machine.span("allgather", group=group):
         _charge()
         _retransmit_on_drop(machine, "allgather", group, _charge)
-    machine.trace.record("allgather", group.ranks, words=g * words_each, tag=tag)
 
 
 def gather(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None, tag: str = "") -> None:
@@ -196,7 +194,6 @@ def gather(machine: BSPMachine, group: RankGroup, words_each: float, root: int |
     with machine.span("gather", group=group):
         _charge()
         _retransmit_on_drop(machine, "gather", group, _charge)
-    machine.trace.record("gather", group.ranks, words=g * words_each, tag=tag, root=root)
 
 
 def scatter(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None, tag: str = "") -> None:
@@ -217,7 +214,6 @@ def scatter(machine: BSPMachine, group: RankGroup, words_each: float, root: int 
     with machine.span("scatter", group=group):
         _charge()
         _retransmit_on_drop(machine, "scatter", group, _charge)
-    machine.trace.record("scatter", group.ranks, words=g * words_each, tag=tag, root=root)
 
 
 def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, int], float], tag: str = "") -> None:
@@ -232,7 +228,6 @@ def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, i
     sends: dict[int, float] = {}
     recvs: dict[int, float] = {}
     pairs: list[tuple[int, int, float]] | None = [] if machine.metrics.enabled else None
-    total = 0.0
     for (src, dst), w in transfers.items():
         if w < 0:
             raise ValueError("transfer words must be nonnegative")
@@ -244,7 +239,6 @@ def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, i
         recvs[dst] = recvs.get(dst, 0.0) + w
         if pairs is not None:
             pairs.append((src, dst, float(w)))
-        total += w
     def _charge() -> None:
         machine.charge_comm(sends=sends, recvs=recvs, pairs=pairs)
         machine.superstep(group, 1)
@@ -252,7 +246,6 @@ def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, i
     with machine.span("alltoall", group=group):
         _charge()
         _retransmit_on_drop(machine, "alltoall", group, _charge)
-    machine.trace.record("alltoall", group.ranks, words=total, tag=tag)
 
 
 def alltoall_matrix(machine: BSPMachine, group: RankGroup, matrix, tag: str = "") -> None:
@@ -271,10 +264,6 @@ def alltoall_matrix(machine: BSPMachine, group: RankGroup, matrix, tag: str = ""
     with machine.span("alltoall", group=group):
         _charge()
         _retransmit_on_drop(machine, "alltoall", group, _charge)
-    if machine.trace.enabled:
-        off = mat.copy()
-        np.fill_diagonal(off, 0.0)
-        machine.trace.record("alltoall", group.ranks, words=float(off.sum()), tag=tag)
 
 
 def p2p(machine: BSPMachine, src: int, dst: int, words: float, tag: str = "") -> None:
@@ -285,4 +274,3 @@ def p2p(machine: BSPMachine, src: int, dst: int, words: float, tag: str = "") ->
         return
     pairs = ((src, dst, float(words)),) if machine.metrics.enabled else None
     machine.charge_comm(sends={src: words}, recvs={dst: words}, pairs=pairs)
-    machine.trace.record("p2p", (src, dst), words=words, tag=tag)

@@ -36,7 +36,6 @@ from repro.bsp.cache import CacheModel
 from repro.bsp.counters import CostReport, CounterArray
 from repro.bsp.group import RankGroup
 from repro.bsp.params import MachineParams
-from repro.bsp.trace import Trace
 from repro.trace.spans import NULL_SPAN, SpanHandle, SpanRecorder
 from repro.util.validation import check_positive_int
 
@@ -111,7 +110,6 @@ class BSPMachine:
         self,
         p: int,
         params: MachineParams | None = None,
-        trace: bool = False,
         engine: str | None = None,
         spans: bool | None = None,
         metrics: bool | None = None,
@@ -121,7 +119,6 @@ class BSPMachine:
         self.engine = engine or "array"
         self.counters = _make_store(self.engine, self.p)
         self.caches: list[CacheModel] = [CacheModel(self.params.cache_words) for _ in range(self.p)]
-        self.trace = Trace(enabled=trace)
         self.spans = SpanRecorder(self.counters, self.params, enabled=bool(spans))
         self.world = RankGroup(tuple(range(self.p)))
         # Fault layer: a shared no-op here; FaultyMachine installs a live
@@ -319,8 +316,6 @@ class BSPMachine:
         self.counters.add_supersteps(idx, count, unique=unique)
         if self.metrics.enabled:
             self.metrics.on_superstep(self.counters)
-        if self.trace.enabled:
-            self.trace.record("superstep", ranks if not isinstance(ranks, RankGroup) else ranks.ranks)
 
     # ------------------------------------------------------------------ #
     # vertical (memory <-> cache) traffic
@@ -436,7 +431,7 @@ class BSPMachine:
         :meth:`repro.bsp.batch.ChargeLog.flush` calls it after every flush."""
 
     def reset(self) -> None:
-        """Zero all engine state: counters, caches, traces, open spans.
+        """Zero all engine state: counters, caches, spans, metrics.
 
         Both engines reset their stores *in place* (held per-rank views
         stay live), so a reset machine is indistinguishable from a fresh
@@ -444,7 +439,6 @@ class BSPMachine:
         """
         self.counters.reset()
         self.caches = [CacheModel(self.params.cache_words) for _ in range(self.p)]
-        self.trace.clear()
         self.spans.reset()
         self.metrics.reset()
 

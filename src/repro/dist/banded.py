@@ -91,7 +91,7 @@ class DistBandMatrix:
         One superstep.
         """
         owners = self.owners_of_cols(cols.start, cols.stop)
-        log.transfer(owners, to_group, self._window_words(rows, cols), "band_fetch", tag)
+        log.transfer(owners, to_group, self._window_words(rows, cols))
         window = self.data[rows, cols].copy()
         if self.machine.faults.enabled:
             self.machine.faults.corrupt_window(window, f"fetch_window:{tag}")
@@ -104,7 +104,7 @@ class DistBandMatrix:
         owners of its columns (dual of :meth:`fetch_window`), without
         touching the data — callers that update ``data`` in place use this."""
         owners = self.owners_of_cols(cols.start, cols.stop)
-        log.transfer(from_group, owners, self._window_words(rows, cols), "band_store", tag)
+        log.transfer(from_group, owners, self._window_words(rows, cols))
 
     def store_window(
         self, log: ChargeLog, rows: slice, cols: slice, values: np.ndarray,
@@ -135,7 +135,6 @@ class DistBandMatrix:
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(group, 1)
         self.machine.note_memory(target, float(self.words))
-        self.machine.trace.record("gather", group.ranks, words=recvs[target], tag=tag)
         if self.machine.faults.enabled:
             # NOTE: gather returns the live array, so a flip here corrupts
             # the band itself — exactly the failure the finish stage's
@@ -164,11 +163,9 @@ class DistBandMatrix:
         dst_ranks, dst_counts = np.unique(dst[mask], return_counts=True)
         sends = {int(r): float(k) * w for r, k in zip(src_ranks, src_counts)}
         recvs = {int(r): float(k) * w for r, k in zip(dst_ranks, dst_counts)}
-        moved = float(int(mask.sum())) * w
         involved = RankGroup(tuple(dict.fromkeys(list(self.group) + list(new_group))))
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(involved, 1)
-        self.machine.trace.record("band_redistribute", involved.ranks, words=moved, tag=tag)
         return new
 
     def with_bandwidth(self, new_b: int) -> "DistBandMatrix":

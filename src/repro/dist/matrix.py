@@ -61,7 +61,6 @@ class DistMatrix:
             share = data.size / max(1, group.size)
             machine.charge_comm_batch(group, share, share)
             machine.superstep(group, 1)
-            machine.trace.record("distribute", group.ranks, words=float(data.size), tag="from_global")
         return mat
 
     @classmethod
@@ -135,7 +134,6 @@ class DistMatrix:
         all_ranks = RankGroup(tuple(dict.fromkeys(list(src_group) + group_ranks)))
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(all_ranks, 1)
-        self.machine.trace.record("replicate", all_ranks.ranks, words=total_recv, tag=tag)
         new_layout = ReplicatedLayout(layouts[0], layouts[1:])
         return DistMatrix(self.machine, self.data, new_layout)
 
@@ -160,7 +158,6 @@ class DistMatrix:
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(group, 1)
         self.machine.note_memory(target, float(self.data.size))
-        self.machine.trace.record("gather", group.ranks, words=recvs[target], tag=tag)
         return self.data
 
     # ------------------------------------------------------------------ #

@@ -14,7 +14,7 @@ BSP cost reflects the pipeline's concurrency exactly.
 
 There is one chase loop.  It charges through a
 :class:`~repro.bsp.batch.ChargeLog`, and the log alone decides whether a
-charge lands at once (observed machines: trace, spans, metrics, faults) or
+charge lands at once (observed machines: spans, metrics, faults) or
 in one order-preserving flush — the loop never looks at the observers.
 
 Measured costs (Lemma IV.3, k = b/h):
@@ -51,8 +51,8 @@ def band_to_band_2p5d(
     direct compact-WY QR and updates the band with plain dense products;
     the group-parallel kernels Lemma IV.3 charges — rect-QR on ``qr_group``
     (Π̂_j[1 : ph/n]), CARMA on ``upd_group`` (Π̂_j) — cost by shape and
-    group only, so their charges, spans, metrics and trace events come from
-    a :class:`~repro.bsp.batch.KernelTape`.
+    group only, so their charges, spans and metrics come from a
+    :class:`~repro.bsp.batch.KernelTape`.
     """
     b = band.b
     n = band.n
@@ -122,5 +122,4 @@ def band_to_band_2p5d(
         log.flush()
 
     band.data[:] = (band.data + band.data.T) / 2.0
-    machine.trace.record("band_to_band", group.ranks, tag=tag)
     return DistBandMatrix(machine, band.data, h, group)

@@ -29,9 +29,7 @@ from repro.dist.banded import DistBandMatrix
 from repro.linalg.sbr import apply_chase_step, chase_steps
 
 
-def _run_chases_1d_batched(
-    machine: BSPMachine, band: DistBandMatrix, h: int, tag: str
-) -> DistBandMatrix:
+def _run_chases_1d_batched(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
     """Vectorised emission of :func:`_run_chases_1d`'s charges, for machines
     no observer needs program order on (same charges, one flush).
 
@@ -77,12 +75,10 @@ def _run_chases_1d_batched(
     return DistBandMatrix(machine, band.data, h, group)
 
 
-def _run_chases_1d(
-    machine: BSPMachine, band: DistBandMatrix, h: int, tag: str
-) -> DistBandMatrix:
+def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
     """Drive all chase steps with 1-D column ownership and boundary syncs."""
     if not needs_program_order(machine):
-        return _run_chases_1d_batched(machine, band, h, tag)
+        return _run_chases_1d_batched(machine, band, h)
     n, b = band.n, band.b
     group = band.group
     prev_owner: dict[int, int] = {}  # panel index -> owner of its last chase
@@ -101,11 +97,9 @@ def _run_chases_1d(
                 words = float(step.nr * (step.ncols + step.nc))
                 machine.charge_comm(sends={last: words}, recvs={owner: words})  # certify: count(n / h)
                 machine.superstep(RankGroup((last, owner)), 1)
-                machine.trace.record("sbr_handoff", (last, owner), words=words, tag=tag)
             prev_owner[step.i] = owner
             apply_chase_step(band.data, step)
     band.data[:] = (band.data + band.data.T) / 2.0
-    machine.trace.record("ca_sbr", group.ranks, tag=tag)
     return DistBandMatrix(machine, band.data, h, group)
 
 
@@ -113,7 +107,7 @@ def ca_sbr_halve(machine: BSPMachine, band: DistBandMatrix, tag: str = "ca_sbr")
     """Halve the band-width (b → ⌈b/2⌉) with CA-SBR's 1-D pipeline."""
     if band.b < 2:
         raise ValueError("band-width must be at least 2 to halve")
-    return _run_chases_1d(machine, band, max(1, band.b // 2), tag)
+    return _run_chases_1d(machine, band, max(1, band.b // 2))
 
 
 def ca_sbr_reduce(
@@ -123,7 +117,7 @@ def ca_sbr_reduce(
     if target < 1:
         raise ValueError("target band-width must be >= 1")
     while band.b > target:
-        band = _run_chases_1d(machine, band, max(target, band.b // 2), tag)
+        band = _run_chases_1d(machine, band, max(target, band.b // 2))
     return band
 
 
@@ -137,4 +131,4 @@ def band_to_tridiagonal_1d(
     """
     if band.b <= 1:
         return band
-    return _run_chases_1d(machine, band, 1, tag)
+    return _run_chases_1d(machine, band, 1)

@@ -31,7 +31,6 @@ from repro.eig.ca_sbr import ca_sbr_reduce
 from repro.eig.full_to_band import full_to_band_2p5d
 from repro.faults.errors import UnrecoverableFault
 from repro.faults.recovery import (
-    Checkpoint,
     guard_band,
     guard_spectrum,
     guard_tridiagonal,
@@ -81,7 +80,6 @@ def finish_sequential(
         machine.charge_flops(root, 64.0 * 5.0 * n * n)
         machine.mem_stream(root, 64.0 * 2.0 * n)
         machine.superstep(machine.world, 1)
-    machine.trace.record("finish", (root,), tag=tag)
     return evals
 
 
@@ -158,38 +156,33 @@ def eigensolve_2p5d(
             stage_meta.append({"name": name, **meta})
             mark = now
 
-    # Fault tolerance: with a live injector, each stage runs under
-    # run_stage (checkpoint -> guard -> bounded retries; on a rank loss the
-    # grid shrinks to the survivors and delta is re-planned).  With faults
-    # off every branch below is the plain call — charge-for-charge
-    # identical to a machine without the fault layer.
-    ft = machine.faults.enabled
-    norm_a = frobenius_norm(a) if ft else 0.0
+    # Every stage is declared once and runs under run_stage (checkpoint ->
+    # guard -> bounded retries; on a rank loss the grid shrinks to the
+    # survivors and delta is re-planned).  Without a live fault layer
+    # run_stage is the plain call — charge-for-charge identical to a
+    # machine that has no fault layer at all.
+    norm_a = frobenius_norm(a)  # what every stage guard checks against
 
     with machine.span(tag):
         # Stage 1: full → band.
-        if ft:
-            def run_f2b() -> np.ndarray:
-                return full_to_band_2p5d(machine, grid, a, b, tag=f"{tag}:f2b")
+        def run_f2b() -> np.ndarray:
+            return full_to_band_2p5d(machine, grid, a, b, tag=f"{tag}:f2b")
 
-            def loss_f2b(survivors: RankGroup) -> None:
-                nonlocal grid, delta_eff
-                p_bar = survivors.size
-                d_new = replan_delta(n, p_bar, machine.params)
-                q2, c2 = factor_2p5d(p_bar, d_new)
-                grid = ProcGrid(machine, (q2, q2, c2), survivors.take(q2 * q2 * c2))
-                delta_eff = 0.5 if p_bar == 1 else 0.5 * (1.0 + np.log(c2) / np.log(p_bar))
+        def loss_f2b(survivors: RankGroup) -> None:
+            nonlocal grid, delta_eff
+            p_bar = survivors.size
+            d_new = replan_delta(n, p_bar, machine.params)
+            q2, c2 = factor_2p5d(p_bar, d_new)
+            grid = ProcGrid(machine, (q2, q2, c2), survivors.take(q2 * q2 * c2))
+            delta_eff = 0.5 if p_bar == 1 else 0.5 * (1.0 + np.log(c2) / np.log(p_bar))
 
-            ckpt = Checkpoint(machine, "full_to_band", {"A": a}, grid.group())
-            banded = run_stage(
-                machine, "full_to_band", run_f2b,
-                checkpoint=ckpt,
-                guard=lambda out: guard_band(
-                    machine, out, b, norm_a, "full_to_band", grid.group()),
-                on_rank_loss=loss_f2b,
-            )
-        else:
-            banded = full_to_band_2p5d(machine, grid, a, b, tag=f"{tag}:f2b")
+        banded = run_stage(
+            machine, "full_to_band", run_f2b,
+            arrays={"A": a}, group=grid.group(),
+            guard=lambda out: guard_band(
+                machine, out, b, norm_a, "full_to_band", grid.group()),
+            on_rank_loss=loss_f2b,
+        )
         snapshot(
             f"full_to_band(b={b})",
             kind="full_to_band",
@@ -218,29 +211,24 @@ def eigensolve_2p5d(
                     active = active.take(new_size)
                     with machine.span("shrink", group=active):
                         band = band.redistribute(active, tag=f"{tag}:shrink{stage_idx}")
-            if ft:
-                idx = stage_idx
+            idx = stage_idx
 
-                def run_b2b() -> DistBandMatrix:
-                    return band_to_band_2p5d(machine, band, k=k, tag=f"{tag}:b2b{idx}")
+            def run_b2b() -> DistBandMatrix:
+                return band_to_band_2p5d(machine, band, k=k, tag=f"{tag}:b2b{idx}")
 
-                def loss_b2b(survivors: RankGroup) -> None:
-                    nonlocal band, active
-                    active = survivors.take(min(active.size, survivors.size))
-                    band = band.redistribute(active, tag=f"{tag}:b2b{idx}:failover")
+            def loss_b2b(survivors: RankGroup) -> None:
+                nonlocal band, active
+                active = survivors.take(min(active.size, survivors.size))
+                band = band.redistribute(active, tag=f"{tag}:b2b{idx}:failover")
 
-                ckpt = Checkpoint(machine, f"band_to_band[{idx}]",
-                                  {"band": band.data}, active)
-                band = run_stage(
-                    machine, f"band_to_band[{idx}]", run_b2b,
-                    checkpoint=ckpt,
-                    guard=lambda out: guard_band(
-                        machine, out.data, out.b, norm_a,
-                        f"band_to_band[{idx}]", out.group),
-                    on_rank_loss=loss_b2b,
-                )
-            else:
-                band = band_to_band_2p5d(machine, band, k=k, tag=f"{tag}:b2b{stage_idx}")
+            band = run_stage(
+                machine, f"band_to_band[{idx}]", run_b2b,
+                arrays={"band": band.data}, group=active,
+                guard=lambda out: guard_band(
+                    machine, out.data, out.b, norm_a,
+                    f"band_to_band[{idx}]", out.group),
+                on_rank_loss=loss_b2b,
+            )
             snapshot(
                 f"band_to_band(b={band.b * k}->{band.b}, p={active.size})",
                 kind="band_to_band",
@@ -261,25 +249,22 @@ def eigensolve_2p5d(
                 with machine.span("shrink", group=small):
                     band = band.redistribute(small, tag=f"{tag}:shrink_sbr")
             start_b = band.b
-            if ft:
-                def run_sbr() -> DistBandMatrix:
-                    return ca_sbr_reduce(machine, band, target3, tag=f"{tag}:sbr")
 
-                def loss_sbr(survivors: RankGroup) -> None:
-                    nonlocal band, small
-                    small = survivors.take(min(small.size, survivors.size))
-                    band = band.redistribute(small, tag=f"{tag}:sbr:failover")
+            def run_sbr() -> DistBandMatrix:
+                return ca_sbr_reduce(machine, band, target3, tag=f"{tag}:sbr")
 
-                ckpt = Checkpoint(machine, "ca_sbr", {"band": band.data}, small)
-                band = run_stage(
-                    machine, "ca_sbr", run_sbr,
-                    checkpoint=ckpt,
-                    guard=lambda out: guard_band(
-                        machine, out.data, out.b, norm_a, "ca_sbr", out.group),
-                    on_rank_loss=loss_sbr,
-                )
-            else:
-                band = ca_sbr_reduce(machine, band, target3, tag=f"{tag}:sbr")
+            def loss_sbr(survivors: RankGroup) -> None:
+                nonlocal band, small
+                small = survivors.take(min(small.size, survivors.size))
+                band = band.redistribute(small, tag=f"{tag}:sbr:failover")
+
+            band = run_stage(
+                machine, "ca_sbr", run_sbr,
+                arrays={"band": band.data}, group=small,
+                guard=lambda out: guard_band(
+                    machine, out.data, out.b, norm_a, "ca_sbr", out.group),
+                on_rank_loss=loss_sbr,
+            )
             snapshot(
                 f"ca_sbr(b={start_b}->{band.b}, p={small.size})",
                 kind="ca_sbr",
@@ -291,27 +276,23 @@ def eigensolve_2p5d(
             )
 
         # Stage 4: sequential finish.
-        if ft:
-            root = world.root
+        root = world.root
 
-            def run_finish() -> np.ndarray:
-                return finish_sequential(machine, band, tag=tag, root=root)
+        def run_finish() -> np.ndarray:
+            return finish_sequential(machine, band, tag=tag, root=root)
 
-            def loss_finish(survivors: RankGroup) -> None:
-                nonlocal band, root
-                regrouped = survivors.take(min(band.group.size, survivors.size))
-                band = band.redistribute(regrouped, tag=f"{tag}:finish:failover")
-                root = regrouped.root
+        def loss_finish(survivors: RankGroup) -> None:
+            nonlocal band, root
+            regrouped = survivors.take(min(band.group.size, survivors.size))
+            band = band.redistribute(regrouped, tag=f"{tag}:finish:failover")
+            root = regrouped.root
 
-            ckpt = Checkpoint(machine, "finish", {"band": band.data}, band.group)
-            evals = run_stage(
-                machine, "finish", run_finish,
-                checkpoint=ckpt,
-                guard=lambda out: guard_spectrum(machine, out, n, root),
-                on_rank_loss=loss_finish,
-            )
-        else:
-            evals = finish_sequential(machine, band, tag=tag)
+        evals = run_stage(
+            machine, "finish", run_finish,
+            arrays={"band": band.data}, group=band.group,
+            guard=lambda out: guard_spectrum(machine, out, n, root),
+            on_rank_loss=loss_finish,
+        )
         snapshot(
             "finish",
             kind="finish",

@@ -69,5 +69,4 @@ def eigensolve_elpa_like(
             machine.charge_flops(machine.world, 64.0 * 5.0 * n * n / p)
             machine.charge_comm_batch(machine.world, float(n), float(n))
             machine.superstep(machine.world, 2)
-    machine.trace.record("elpa_like", machine.world.ranks, tag=tag)
     return evals

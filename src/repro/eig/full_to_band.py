@@ -83,7 +83,6 @@ def full_to_band_2p5d(
                 machine.charge_comm_batch(group, share, share)
                 machine.superstep(group, 1)
         machine.note_memory(group, 3 * share)  # A + U + V replicas
-        machine.trace.record("replicate_A", group.ranks, words=share * p, tag=tag)
 
         bmat = np.zeros((n, n))
         # Aggregated update panels U, V, written in place into preallocated
@@ -157,7 +156,6 @@ def full_to_band_2p5d(
             with machine.span("replicate_UV", group=group):
                 machine.charge_comm_batch(group, rep, rep)
                 machine.superstep(group, 1)
-            machine.trace.record("replicate_UV", group.ranks, words=rep * p, tag=tag)
 
             # ---- assemble the banded output ------------------------------------
             bmat[c0 : c0 + b, c0 : c0 + b] = (a11 + a11.T) / 2.0
@@ -185,5 +183,4 @@ def full_to_band_2p5d(
                     machine, grid, v_buf[c0:, :m_cols], u_buf[c0:, :m_cols].T, w, a_key="Vagg", tag=f"{tag}:tail"
                 )
         bmat[c0:, c0:] = (tail + tail.T) / 2.0
-        machine.trace.record("full_to_band", group.ranks, tag=tag)
         return (bmat + bmat.T) / 2.0

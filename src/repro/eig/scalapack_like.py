@@ -59,7 +59,6 @@ def tridiagonalize_scalapack_like(
             a[j, j + 1] = beta
             a[j + 2 :, j] = 0.0
             a[j, j + 2 :] = 0.0
-    machine.trace.record("scalapack_tridiag", group.ranks, tag=tag)
     return np.diag(a).copy(), np.diag(a, -1).copy()
 
 

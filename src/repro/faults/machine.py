@@ -147,7 +147,6 @@ class FaultyMachine(BSPMachine):
         self,
         p: int,
         params: MachineParams | None = None,
-        trace: bool = False,
         engine: str | None = None,
         spans: bool | None = None,
         metrics: bool | None = None,
@@ -155,7 +154,7 @@ class FaultyMachine(BSPMachine):
         plan: FaultPlan,
         policy: RecoveryPolicy | None = None,
     ):
-        super().__init__(p, params, trace=trace, engine=engine, spans=spans, metrics=metrics)
+        super().__init__(p, params, engine=engine, spans=spans, metrics=metrics)
         self.plan = plan
         self.policy = policy or RecoveryPolicy()
         self.faults = FaultInjector(self, plan, self.policy)

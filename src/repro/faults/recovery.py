@@ -159,16 +159,23 @@ def run_stage(
     name: str,
     run: Callable[[], T],
     *,
-    checkpoint: Checkpoint | None = None,
+    arrays: Mapping[str, np.ndarray] | None = None,
+    group: RankGroup | None = None,
     guard: Callable[[T], None] | None = None,
     on_rank_loss: Callable[[RankGroup], None] | None = None,
 ) -> T:
     """Execute one pipeline stage with bounded detect–restore–retry.
 
-    Only ever called on a fault-enabled machine; the driver bypasses it
-    entirely otherwise.  See the module docstring for the semantics.
+    ``arrays`` (the live arrays the stage mutates, held by ``group`` —
+    default: every rank) are checkpointed before the first attempt.  On a
+    machine without a live fault layer nothing can be detected, so the
+    stage is just ``run()``: no checkpoint, no guard, no charge.  See the
+    module docstring for the semantics.
     """
     faults = machine.faults
+    if not faults.enabled:
+        return run()
+    checkpoint = Checkpoint(machine, name, arrays, group or machine.world) if arrays else None
     attempt = 0
     while True:
         try:

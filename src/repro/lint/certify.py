@@ -957,7 +957,6 @@ def _sbr_env(ctx: Ctx) -> dict[str, object]:
         "band.b": b,
         "band.group": ctx.group(),
         "h": b,  # one halving step: the target half-width is Theta(b)
-        "tag": OPAQUE,
         "n": n,
         "b": b,
         "p": ctx.p,

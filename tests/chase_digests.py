@@ -3,10 +3,9 @@
 ``tests/data/chase_observed_digests.json`` holds these digests as captured
 at the last commit that still had the per-step chase path: real ``rect_qr``
 / ``carma_matmul`` calls per chase step on a ``spans=True, metrics=True``
-machine, plus the legacy event list of a ``trace=True`` one.
-``tests/test_chase_batch.py`` asserts the single chase loop reproduces
-them; regenerate (``PYTHONPATH=src python tests/chase_digests.py``) only
-when a charge legitimately changes.
+machine.  ``tests/test_chase_batch.py`` asserts the single chase loop
+reproduces them; regenerate (``PYTHONPATH=src python tests/chase_digests.py``)
+only when a charge legitimately changes.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ def _array_bytes(a) -> bytes:
 
 
 def observed_run_digests(n: int, p: int, delta: float) -> dict[str, str]:
-    """sha256 per artifact of one solve on a spans + metrics machine (and
-    of the event list of a second solve on a ``trace=True`` machine)."""
+    """sha256 per artifact of one solve on a spans + metrics machine."""
     machine = BSPMachine(p, spans=True, metrics=True)
     result = eigensolve_2p5d(machine, random_symmetric(n, seed=3), delta=delta)
     report = machine.cost()
@@ -70,13 +68,7 @@ def observed_run_digests(n: int, p: int, delta: float) -> dict[str, str]:
             metrics.append(_array_bytes(value))
         else:
             metrics.append(repr(value))
-    traced = BSPMachine(p, trace=True)
-    eigensolve_2p5d(traced, random_symmetric(n, seed=3), delta=delta)
     return {
-        "trace_events": _sha(
-            repr((e.kind, e.group, e.words, e.flops, e.tag, sorted(e.meta.items())))
-            for e in traced.trace.events
-        ),
         "span_events": _sha(json.dumps(e.as_dict(), sort_keys=True) for e in machine.spans.events),
         "span_buckets": _sha(buckets),
         "metrics": _sha(metrics),

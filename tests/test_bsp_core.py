@@ -142,12 +142,13 @@ class TestMachine:
         assert m.counters[0].mem_traffic == 20.0
 
     def test_reset(self):
-        m = BSPMachine(2, trace=True)
-        m.charge_flops(0, 5.0)
-        m.superstep()
+        m = BSPMachine(2, spans=True)
+        with m.span("work"):
+            m.charge_flops(0, 5.0)
+            m.superstep()
         m.reset()
         rep = m.cost()
-        assert rep.flops == 0 and rep.S == 0 and len(m.trace) == 0
+        assert rep.flops == 0 and rep.S == 0 and m.spans.events == []
 
     def test_small_cache_causes_repeat_misses(self):
         m = BSPMachine(1, MachineParams(cache_words=50.0))

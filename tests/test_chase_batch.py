@@ -49,7 +49,7 @@ CONFIGS = [
 
 #: machines whose logs write through (each observer alone) or defer while
 #: being more than a plain BSPMachine (the verifier)
-OBSERVERS = ("spans", "metrics", "trace", "verified")
+OBSERVERS = ("spans", "metrics", "verified")
 
 
 def _machine(p: int, observer: str | None = None, engine: str = "array") -> BSPMachine:
@@ -174,12 +174,11 @@ class TestChargeLog:
 
 
 def _observable_state(machine: BSPMachine) -> dict:
-    """Everything a spans + metrics + trace machine exposes, comparably."""
+    """Everything a spans + metrics machine exposes, comparably."""
     report = machine.cost()
     snap = report.metrics()
     return {
         "spans": [e.as_dict() for e in machine.spans.events],
-        "trace": [(e.kind, e.group, e.words, e.flops, e.tag, e.meta) for e in machine.trace.events],
         "metrics": {
             name: getattr(snap, name).tolist()
             for name in ("words_matrix", "messages_matrix", "sent_words", "recv_words",
@@ -193,14 +192,14 @@ class TestKernelTape:
     @pytest.mark.parametrize("kind", ["rect_qr", "carma"])
     def test_replay_matches_direct_kernel(self, kind, rng):
         """A replayed tape is the live kernel: same per-rank costs from a
-        deferred flush, and the same spans, metrics and trace events from a
-        write-through replay."""
+        deferred flush, and the same spans and metrics from a write-through
+        replay."""
         if kind == "rect_qr":
             kernel, operands = rect_qr, (rng.standard_normal((32, 8)),)
         else:
             kernel, operands = carma_matmul, (rng.standard_normal((24, 16)),
                                               rng.standard_normal((16, 8)))
-        observed = {"spans": True, "metrics": True, "trace": True}
+        observed = {"spans": True, "metrics": True}
         for kwargs in ({}, observed):
             direct = BSPMachine(8, **kwargs)
             kernel(direct, direct.world, *operands, charge_redistribution=False, tag="t")
@@ -219,7 +218,7 @@ class TestKernelTape:
         log = ChargeLog(m)
         operands = (rng.standard_normal((12, 12)), rng.standard_normal((12, 6)))
         KernelTape(log).run(carma_matmul, m.world, operands, "memo")
-        key = ((m.p, repr(m.params)), "carma_matmul", ((12, 12), (12, 6)), m.world.ranks, "memo")
+        key = ((m.p, repr(m.params)), "carma_matmul", ((12, 12), (12, 6)), m.world.ranks)
         first = _TAPE_CACHE[key]
         KernelTape(log).run(carma_matmul, m.world, operands, "memo")
         assert _TAPE_CACHE[key] is first
@@ -236,7 +235,7 @@ class TestBatchedWindowCharges:
         a = random_banded_symmetric(32, 6, seed=5)
         rows, cols = slice(8, 14), slice(4, 10)
         wins, machines = [], []
-        for observer in (None, "trace"):
+        for observer in (None, "spans"):
             machine = _machine(8, observer, engine)
             band = DistBandMatrix(machine, a.copy(), 6, machine.world)
             grp = machine.world.take(4)
@@ -249,8 +248,6 @@ class TestBatchedWindowCharges:
             machines.append(machine)
         assert np.array_equal(*wins)
         assert report_mismatches(machines[0].cost(), machines[1].cost()) == []
-        moved = [(e.kind, e.tag) for e in machines[1].trace.events if e.kind != "superstep"]
-        assert moved == [("band_fetch", "f"), ("band_store", "s")]
 
 
 # ------------------------------------------------------------------ #
@@ -263,7 +260,7 @@ class TestEngineResolution:
         assert not needs_program_order(m)
         assert ChargeLog(m).deferred
 
-    @pytest.mark.parametrize("observer", ["trace", "spans", "metrics", "faults"])
+    @pytest.mark.parametrize("observer", ["spans", "metrics", "faults"])
     def test_auto_falls_back_under_observation(self, observer):
         m = _machine(4, "faulty-clean" if observer == "faults" else observer)
         assert needs_program_order(m)
@@ -385,9 +382,9 @@ class TestPipelineIdentity:
 
     @pytest.mark.parametrize("config", chase_digests.CONFIGS, ids=lambda c: chase_digests.config_key(*c))
     def test_observed_run_reproduces_perstep_golden_digests(self, config):
-        """Span events, span buckets, the metrics snapshot, per-rank counters,
-        the spectrum and the legacy trace events all digest to what the
-        deleted per-step path produced (real rect_qr / carma calls per step)."""
+        """Span events, span buckets, the metrics snapshot, per-rank counters
+        and the spectrum all digest to what the deleted per-step path
+        produced (real rect_qr / carma calls per step)."""
         golden = json.loads(chase_digests.DATA.read_text())[chase_digests.config_key(*config)]
         assert chase_digests.observed_run_digests(*config) == golden
 

@@ -17,6 +17,19 @@ def test_readme_quickstart_snippet_runs():
     assert ns["result"].eigenvalues.shape == (256,)
 
 
+def test_cost_model_attribution_snippet_runs():
+    """Execute the span recipe of docs/cost_model.md §"Attributing costs"."""
+    doc = (pathlib.Path(__file__).parent.parent / "docs" / "cost_model.md").read_text()
+    match = re.search(r"## Attributing costs\n.*?```python\n(.*?)```", doc, re.DOTALL)
+    assert match, "the section must contain a python block"
+    ns: dict = {}
+    exec(match.group(1), ns)  # noqa: S102 — executing our own docs
+    spans = ns["spans"]
+    assert spans.paths()[:2] == ["reduction", "reduction/allreduce"]
+    assert spans.verify_exact() == []
+    assert spans["reduction"].flops == 16.0 and spans["reduction/allreduce"].words > 0
+
+
 def test_package_docstring_snippet_runs():
     import repro
 

@@ -5,10 +5,12 @@ import pytest
 
 from repro.bsp import BSPMachine
 from repro.eig import (
+    SOLVERS,
     eigensolve_2p5d,
     eigensolve_ca_sbr,
     eigensolve_elpa_like,
     eigensolve_scalapack_like,
+    solve_by_name,
 )
 from repro.eig.driver import default_initial_bandwidth, eigensolve_2p5d_check, finish_sequential
 from repro.dist.banded import DistBandMatrix
@@ -120,6 +122,25 @@ class TestBaselines:
         ]
         for ev in evs[1:]:
             assert np.abs(ev - evs[0]).max() < 1e-8
+
+
+class TestSolverBoundary:
+    """What the service's dispatch (``solve_by_name``) hands a solver is
+    validated before any charge."""
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_tiny_norm_asymmetric_input_is_a_typed_error(self, name):
+        # entries ~1e-12: far below any absolute gate, yet not symmetric
+        a = 1e-12 * np.triu(random_symmetric(16, seed=4))
+        m = BSPMachine(4)
+        with pytest.raises(ValueError, match="A is not symmetric"):
+            solve_by_name(name, m, a)
+        assert m.cost() == BSPMachine(4).cost()
+
+    def test_tiny_norm_symmetric_input_is_solved(self):
+        a = 1e-12 * random_symmetric(16, seed=4)
+        res = solve_by_name("eig2p5d", BSPMachine(4), a)
+        assert eig_err(a, res.eigenvalues) < 1e-8 * 1e-12
 
 
 class TestFinishSequential:

@@ -30,7 +30,6 @@ from repro.faults import (
 )
 from repro.faults.abft import abft_check
 from repro.faults.recovery import (
-    Checkpoint,
     guard_band,
     guard_tridiagonal,
     run_stage,
@@ -243,7 +242,6 @@ class TestRunStage:
     def test_retry_restores_checkpoint(self):
         machine = self._machine()
         data = np.arange(8.0)
-        ckpt = Checkpoint(machine, "stage", {"x": data}, machine.world)
         attempts = []
 
         def attempt():
@@ -253,7 +251,7 @@ class TestRunStage:
                 raise CorruptData("injected", span="t")
             return float(data.sum())
 
-        out = run_stage(machine, "stage", attempt, checkpoint=ckpt)
+        out = run_stage(machine, "stage", attempt, arrays={"x": data}, group=machine.world)
         assert out == 28.0
         assert len(attempts) == 2
         assert np.array_equal(attempts[1], np.arange(8.0))  # restored
@@ -261,6 +259,20 @@ class TestRunStage:
         paths = machine.cost().by_span().paths()
         assert "checkpoint" in paths and "recovery" in paths
         assert "recovery/restore" in paths
+
+    def test_plain_machine_runs_the_stage_bare(self):
+        # no live fault layer: no checkpoint, no guard, no charge
+        machine = BSPMachine(4, spans=True)
+        data = np.arange(8.0)
+
+        def guard(out):
+            raise AssertionError("guards only run under a live fault layer")
+
+        out = run_stage(machine, "stage", lambda: float(data.sum()),
+                        arrays={"x": data}, group=machine.world, guard=guard)
+        assert out == 28.0
+        assert machine.cost() == BSPMachine(4).cost()
+        assert machine.spans.events == []
 
     def test_retries_exhausted_is_unrecoverable(self):
         machine = self._machine()

@@ -1,9 +1,8 @@
-"""Tests for RankGroup and the event trace."""
+"""Tests for RankGroup and span-attributed communication patterns."""
 
 import pytest
 
-from repro.bsp import BSPMachine, RankGroup
-from repro.bsp.trace import Trace
+from repro.bsp import BSPMachine, RankGroup, collectives
 
 
 class TestRankGroup:
@@ -52,28 +51,27 @@ class TestRankGroup:
         assert hash(RankGroup((1, 2))) == hash(RankGroup((1, 2)))
 
 
-class TestTrace:
-    def test_disabled_trace_records_nothing(self):
-        t = Trace(enabled=False)
-        t.record("x", (0,))
-        assert len(t) == 0
+class TestSpanPattern:
+    """Communication *patterns* — who took part, how often, exactly how many
+    words — are asserted on spans."""
 
-    def test_record_and_query(self):
-        t = Trace(enabled=True)
-        t.record("bcast", (0, 1), words=10.0, tag="setup")
-        t.record("qr", (0,), flops=99.0, tag="panel0")
-        t.record("bcast", (2, 3), words=20.0, tag="panel0")
-        assert len(t.of_kind("bcast")) == 2
-        assert len(t.with_tag("panel0")) == 2
-        assert t.tags() == ["setup", "panel0"]
-
-    def test_machine_trace_integration(self):
-        m = BSPMachine(4, trace=True)
-        m.superstep()
-        assert len(m.trace.of_kind("superstep")) == 1
-
-    def test_clear(self):
-        t = Trace(enabled=True)
-        t.record("x", (0,))
-        t.clear()
-        assert len(t) == 0
+    def test_bcast_then_superstep_pattern(self):
+        m = BSPMachine(4, spans=True)
+        with m.span("setup", group=m.world):
+            collectives.bcast(m, m.world, 12.0, root=0)
+            m.superstep()
+        # one bcast on all four ranks, nested in the one setup span
+        assert [(e.path, e.ranks) for e in m.spans.events] == [
+            ("setup/bcast", (0, 1, 2, 3)),
+            ("setup", (0, 1, 2, 3)),
+        ]
+        bd = m.cost().by_span()
+        bcast, setup = bd["setup/bcast"], bd["setup"]
+        assert (bcast.calls, setup.calls) == (1, 1)
+        # two-phase broadcast of 12 words on g = 4 (share = 3): the root
+        # sends 2·3 shares and receives 3; every other rank sends 3 shares
+        # and receives 4 — exactly, per rank and in total
+        assert bd.rank_values("setup/bcast", "words").tolist() == [27.0, 21.0, 21.0, 21.0]
+        assert (bcast.words, bcast.total_words, bcast.supersteps) == (27.0, 90.0, 2)
+        # the explicit barrier is setup's own; it moved no words
+        assert (setup.words, setup.supersteps) == (0.0, 1)

@@ -1,13 +1,22 @@
-"""Knob ratchet: the set of ``REPRO_*`` environment switches ``src/`` reads.
+"""Knob ratchet: the ``REPRO_*`` environment switches ``src/`` reads, the
+constructor switches of :class:`BSPMachine`, and the observers that force a
+charge log to write through.
 
-Every environment switch is a code path the test matrix has to cover twice.
-A new one fails here until it is added to ``ALLOWED`` on purpose, and one
-that goes away must be dropped from it, so the set cannot grow unnoticed.
+Every switch is a code path the test matrix has to cover twice.  A new one
+fails here until it is added to the pinned set on purpose, and one that
+goes away must be dropped from it, so the sets cannot grow unnoticed.
 """
 
 import ast
+import inspect
 import pathlib
 import re
+import textwrap
+
+from repro.bsp import BSPMachine
+from repro.bsp.batch import needs_program_order
+from repro.faults import FaultyMachine
+from repro.lint.verify import VerifiedMachine
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
@@ -16,7 +25,6 @@ ALLOWED = {
     "REPRO_FAULTS": "opt-in fault scenario for machine_from_env (chaos tooling)",
     "REPRO_SERVE_CRASH_AFTER": "kill point of the journal crash/resume soak",
     "REPRO_BENCH_ENVELOPE": "wall-clock gate width of `repro bench --check`",
-    "REPRO_BENCH_WALL_TOL": "older spelling of REPRO_BENCH_ENVELOPE",
     "REPRO_BENCH_RETRIES": "wall-clock retry budget on loaded CI runners",
 }
 
@@ -41,3 +49,37 @@ def test_environment_switches_are_pinned():
     assert not new, f"new REPRO_* environment switch (add to ALLOWED on purpose): {new}"
     gone = sorted(set(ALLOWED) - set(found))
     assert not gone, f"no longer read anywhere in src/ — drop from ALLOWED: {gone}"
+
+
+#: what a machine is built from; ``spans`` and ``metrics`` are its only
+#: observer switches (fault injection and verification are subclasses)
+MACHINE_KWARGS = ("p", "params", "engine", "spans", "metrics")
+
+#: machine attributes whose ``.enabled`` makes a ChargeLog write through
+ORDERED_OBSERVERS = {"spans", "metrics", "faults"}
+
+
+def test_machine_constructor_switches_are_pinned():
+    own = {"self", *MACHINE_KWARGS}
+    assert tuple(inspect.signature(BSPMachine).parameters) == MACHINE_KWARGS
+    # the subclasses add only their own keyword-only configuration
+    for cls, extra in (
+        (VerifiedMachine, {"memory_bound_words", "strict_reads", "conservation_rtol"}),
+        (FaultyMachine, {"plan", "policy"}),
+    ):
+        params = inspect.signature(cls).parameters
+        assert set(params) - own == extra, cls.__name__
+        assert all(params[name].kind is inspect.Parameter.KEYWORD_ONLY for name in extra)
+
+
+def test_program_order_observers_are_pinned():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(needs_program_order)))
+    read = {
+        node.value.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "machine"
+    }
+    assert read == ORDERED_OBSERVERS

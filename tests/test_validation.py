@@ -71,9 +71,10 @@ class TestCheckers:
 
 
 class TestFrobeniusRelativeTolerances:
-    """Regression (large-scale inputs): tolerances are relative to
-    ``max(1, ‖A‖_F)``, so 1e6-scale matrices are judged by their own
-    magnitude instead of an absolute threshold."""
+    """Regression (badly scaled inputs): tolerances are relative to ‖A‖_F
+    (symmetry) or ``max(1, ‖A‖_F)`` (band-width), so 1e6-scale — and, for
+    symmetry, 1e-12-scale — matrices are judged by their own magnitude
+    instead of an absolute threshold."""
 
     def test_frobenius_norm_matches_numpy(self):
         a = random_symmetric(12, seed=0)
@@ -92,6 +93,20 @@ class TestFrobeniusRelativeTolerances:
         a[0, 1] += 0.1 * frobenius_norm(a)  # genuinely asymmetric
         with pytest.raises(ValueError, match="symmetric"):
             check_symmetric(a)
+
+    def test_tiny_norm_asymmetry_rejected(self):
+        # a fully asymmetric matrix is judged against its own norm: under
+        # an absolute floor its 1e-12-scale skew would pass and be silently
+        # symmetrised downstream
+        a = 1e-12 * np.triu(np.ones((6, 6)))
+        with pytest.raises(ValueError, match="symmetric"):
+            check_symmetric(a)
+
+    def test_tiny_norm_symmetric_and_zero_pass(self):
+        a = 1e-12 * random_symmetric(16, seed=2)
+        a[0, 1] += 1e-24  # skew ~ 1e-12 · ‖A‖_F: roundoff at this scale
+        check_symmetric(a)
+        check_symmetric(np.zeros((4, 4)))  # exactly symmetric, ‖A‖_F = 0
 
     def test_large_scale_banded(self):
         a = 1e6 * random_banded_symmetric(64, 3, seed=2)
