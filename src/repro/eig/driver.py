@@ -50,6 +50,9 @@ def finish_sequential(
 
     Charges ``root`` the sequential band→tridiagonal work (O(n·b²) flops,
     O(n·b·log b) streaming) and the Sturm bisection (O(n²) per sweep).
+    Both charges are analytic — functions of (n, b) alone — so how
+    ``repro.linalg`` carries the two steps out on the host (Givens sweeps
+    or a Householder chase, by band-width) never shows in a cost report.
     Under fault injection the gathered band and the extracted tridiagonal
     are both guarded (the gather may corrupt the live band — the caller's
     checkpoint restores it on retry).
@@ -64,8 +67,8 @@ def finish_sequential(
             guard_band(machine, data, b, norm0, "finish:gather",
                        RankGroup((root,)))
         if b > 1:
-            # Band-storage reduction: (b+2)·n working words on root instead
-            # of the dense path's n².  Charges are unchanged (analytic).
+            # Band-storage reduction: O(n·b) working words on root instead
+            # of the dense path's n².
             d, e = band_to_tridiagonal_storage(extract_band(data, b), b)
             machine.charge_flops(root, 8.0 * n * b * b)
             machine.mem_stream(root, float(n * b) * max(1.0, np.log2(max(2, b))))

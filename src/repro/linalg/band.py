@@ -133,7 +133,7 @@ class SymmetricBand:
             d = self.data[0].copy()
             e = self.data[1, : self.n - 1].copy()
         else:
-            # Reduce in band storage — (b+2)·n working words, never the
+            # Reduce in band storage — O(n·b) working words, never the
             # dense n² that to_dense() + tridiagonalize_band_seq needed.
             d, e = band_to_tridiagonal_storage(self.data, self.b)
         return sturm_bisection_eigenvalues(d, e)

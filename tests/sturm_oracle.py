@@ -1,0 +1,47 @@
+"""The Sturm recurrence as it was before ``repro.linalg.tridiag`` hoisted
+its loop invariants — kept as the bit-for-bit oracle of the lean one.
+
+Per row and per sweep it recomputes e², the pivot guard and the sign count
+with fresh temporaries: slow, and obviously the textbook recurrence.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.linalg.tridiag import gershgorin_interval
+
+
+def count_below(d: np.ndarray, e: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """#eigenvalues of tridiag(d, e) strictly below each shift in ``xs``."""
+    e2 = np.concatenate(([0.0], e * e))
+    count = np.zeros(xs.shape, dtype=np.int64)
+    q = np.full(xs.shape, 1.0)
+    eps = np.finfo(np.float64).eps
+    safmin = np.finfo(np.float64).tiny
+    for i in range(d.size):
+        q = (d[i] - xs) - e2[i] / q
+        tiny = np.abs(q) < safmin + eps * (abs(d[i]) + np.sqrt(e2[i]))
+        q = np.where(tiny, -safmin - eps * (abs(d[i]) + np.sqrt(e2[i])), q)
+        count += (q < 0.0).astype(np.int64)
+    return count
+
+
+def bisection_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """All eigenvalues by simultaneous bisection over :func:`count_below`."""
+    n = d.size
+    if n == 1:
+        return d.copy()
+    lo, hi = gershgorin_interval(d, e)
+    lower = np.full(n, lo)
+    upper = np.full(n, hi)
+    scale = max(abs(lo), abs(hi), 1e-300)
+    target = np.arange(1, n + 1)
+    for _ in range(128):
+        mid = 0.5 * (lower + upper)
+        below = count_below(d, e, mid) >= target
+        upper = np.where(below, mid, upper)
+        lower = np.where(below, lower, mid)
+        if np.max(upper - lower) <= 4.0 * np.finfo(np.float64).eps * scale:
+            break
+    return 0.5 * (lower + upper)

@@ -143,6 +143,19 @@ class TestSolverBoundary:
         assert eig_err(a, res.eigenvalues) < 1e-8 * 1e-12
 
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e150])
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_accuracy_scales_with_the_matrix(self, name, scale):
+        """Backward-error gate at every magnitude: the Gershgorin pad (and
+        with it the bisection's stopping width) used to be absolute below
+        norm 1, returning a spectrum off by 2e6·n·ε·‖A‖₂ at scale 1e-20."""
+        a = scale * random_symmetric(16, seed=3)
+        res = solve_by_name(name, BSPMachine(4), a, 0.5)
+        ref = np.linalg.eigvalsh(a)
+        bound = 4.0 * 16 * np.finfo(np.float64).eps * np.abs(ref).max()
+        assert np.abs(np.sort(res.eigenvalues) - ref).max() <= bound
+
+
 class TestFinishSequential:
     def test_charges_only_root(self):
         m = BSPMachine(4)

@@ -13,6 +13,8 @@ from repro.linalg.tridiag import (
 )
 from repro.util.matrices import wilkinson, clustered_spectrum, random_spectrum_symmetric
 
+from tests import sturm_oracle
+
 
 def tridiag_dense(d, e):
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
@@ -91,6 +93,84 @@ class TestBisection:
         got = sturm_bisection_eigenvalues(d, e)
         ref = np.linalg.eigvalsh(tridiag_dense(d, e))
         assert np.abs(got - ref).max() < 1e-8
+
+
+    def test_exhausted_max_iter_raises(self, rng):
+        d = rng.standard_normal(10)
+        e = rng.standard_normal(9)
+        with pytest.raises(RuntimeError, match="did not converge in 3 sweeps"):
+            sturm_bisection_eigenvalues(d, e, max_iter=3)
+        # a loose tolerance is reached, and is not an error
+        coarse = sturm_bisection_eigenvalues(d, e, tol=2.0, max_iter=8)
+        assert np.abs(coarse - np.linalg.eigvalsh(tridiag_dense(d, e))).max() <= 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_typed_error(self, bad):
+        d = np.array([1.0, 2.0, 3.0])
+        e = np.array([0.5, 0.5])
+        for where in (0, 1):
+            broken = [d.copy(), e.copy()]
+            broken[where][1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                sturm_bisection_eigenvalues(*broken)
+            with pytest.raises(ValueError, match="non-finite"):
+                eigenvalue_count_below(*broken, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e-6, 1.0, 1e150])
+    def test_accuracy_is_relative_to_the_matrix(self, rng, scale):
+        d = scale * rng.standard_normal(16)
+        e = scale * rng.standard_normal(15)
+        ref = np.linalg.eigvalsh(tridiag_dense(d, e))
+        got = sturm_bisection_eigenvalues(d, e)
+        assert np.abs(got - ref).max() <= 4 * 16 * np.finfo(float).eps * np.abs(ref).max()
+
+    def test_gershgorin_pad_is_relative(self):
+        assert gershgorin_interval(np.zeros(5), np.zeros(4)) == (0.0, 0.0)
+        assert np.array_equal(sturm_bisection_eigenvalues(np.zeros(5), np.zeros(4)), np.zeros(5))
+        lo, hi = gershgorin_interval(np.array([1e-30, -1e-30]), np.array([1e-30]))
+        assert -2.1e-30 < lo < -2e-30 and 2e-30 < hi < 2.1e-30
+
+
+def _tridiagonal_of(a):
+    """(d, e) of a dense symmetric matrix, via LAPACK's Hessenberg reduction."""
+    import scipy.linalg
+
+    h = scipy.linalg.hessenberg(a)
+    return np.diag(h).copy(), np.diag(h, -1).copy()
+
+
+def _oracle_cases():
+    for n in (1, 2, 3, 8, 17, 64):
+        r = np.random.default_rng(100 + n)
+        yield f"gaussian-{n}", 3.0 * r.standard_normal(n), 3.0 * r.standard_normal(n - 1)
+    for n in (16, 48):
+        a = random_spectrum_symmetric(clustered_spectrum(n, 4, 1e-8, seed=n), seed=n)
+        yield (f"clustered-{n}", *_tridiagonal_of(a))
+    yield ("wilkinson-21", *tridiagonal_from_dense(wilkinson(21)))
+    # more rows than one pivot block holds (2¹⁵ words / n shifts)
+    r = np.random.default_rng(7)
+    yield "gaussian-200", r.standard_normal(200), r.standard_normal(199)
+
+
+_ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("d,e", [c[1:] for c in _ORACLE_CASES], ids=[c[0] for c in _ORACLE_CASES])
+class TestAgainstTextbookRecurrence:
+    """The lean recurrence performs the same IEEE operations in the same
+    order as the textbook loop kept in ``tests/sturm_oracle.py``."""
+
+    def test_spectrum_bit_for_bit(self, d, e):
+        want = sturm_oracle.bisection_eigenvalues(d, e)
+        assert sturm_bisection_eigenvalues(d, e).tobytes() == want.tobytes()
+
+    def test_counts_equal(self, d, e):
+        lo, hi = gershgorin_interval(d, e)
+        xs = np.concatenate((np.linspace(lo, hi, 41), d))  # shifts on the diagonal hit the guard
+        want = sturm_oracle.count_below(d, e, xs)
+        got = eigenvalue_count_below(d, e, xs)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(eigenvalue_count_below(d, e, xs.reshape(-1, 1)), want.reshape(-1, 1))
 
 
 class TestQL:
