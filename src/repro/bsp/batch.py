@@ -39,9 +39,14 @@ import numpy as np
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
 from repro.trace.spans import SpanHandle
+from repro.util.lru import ByteLRU
 
 #: one buffered charge: (rank indices, per-index amounts)
 _Event = tuple[np.ndarray, np.ndarray]
+
+#: bytes of the tuple and argument containers of one recorded hook event
+#: (what a tape retains per event besides its array arguments)
+_EVENT_OVERHEAD = 200
 
 
 def needs_program_order(machine: BSPMachine) -> bool:
@@ -258,6 +263,20 @@ class FlatTape:
         self.ss = _concat(fields["ss"])
         self.note = _concat(fields["note"])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes this tape retains: the flattened fields plus, while they
+        are kept, the array arguments of the hook events."""
+        total = 0
+        for name in self.__slots__[1:]:
+            field = getattr(self, name)
+            if field is not None:
+                total += field[0].nbytes + field[1].nbytes
+        for _channel, _method, args, kwargs in self.events or ():
+            total += _EVENT_OVERHEAD
+            total += sum(a.nbytes for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray))
+        return total
+
 
 class _HookRecorder(SpanHandle):
     """Stand-in for one observer of a scratch machine (counter store,
@@ -285,11 +304,18 @@ class _HookRecorder(SpanHandle):
         return False
 
 
+#: byte cap of the process-wide tape cache (least recently used tapes are
+#: evicted and re-recorded on their next use).  The repo benchmark's solve
+#: workloads hold < 2 MB of tapes each and an observed p = 256 solve ≈ 20 MB,
+#: so after a warm-up op everything replays; an ``EigenService`` process that
+#: keeps meeting new shapes stops growing here.
+_TAPE_CACHE_BYTES = 64 << 20
+
 # Recorded tapes are reusable across KernelTape instances (and hence across
 # band-to-band stages and solves): the key pins everything a kernel's event
 # stream depends on — machine size and parameters, kernel, operand shapes,
 # and the executing group's exact rank tuple.
-_TAPE_CACHE: dict[tuple, FlatTape] = {}
+_TAPE_CACHE = ByteLRU(_TAPE_CACHE_BYTES)
 
 
 class KernelTape:
@@ -332,7 +358,6 @@ class KernelTape:
         key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks)
         tape = _TAPE_CACHE.get(key)
         if tape is None or (tape.events is None and not self.log.deferred):
-            tape = _TAPE_CACHE[key] = self._record(
-                kernel, group, *operands, charge_redistribution=False, tag=tag
-            )
+            tape = self._record(kernel, group, *operands, charge_redistribution=False, tag=tag)
+            _TAPE_CACHE.put(key, tape, tape.nbytes)
         self.log.replay(tape)

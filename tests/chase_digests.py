@@ -46,9 +46,11 @@ def _array_bytes(a) -> bytes:
     return f"{a.dtype}{a.shape}".encode() + a.tobytes()
 
 
-def observed_run_digests(n: int, p: int, delta: float) -> dict[str, str]:
-    """sha256 per artifact of one solve on a spans + metrics machine."""
-    machine = BSPMachine(p, spans=True, metrics=True)
+def observed_run_digests(n: int, p: int, delta: float, machine: BSPMachine | None = None) -> dict[str, str]:
+    """sha256 per artifact of one solve on a spans + metrics machine (a
+    fresh one unless ``machine`` — freshly built or reset — is given)."""
+    if machine is None:
+        machine = BSPMachine(p, spans=True, metrics=True)
     result = eigensolve_2p5d(machine, random_symmetric(n, seed=3), delta=delta)
     report = machine.cost()
     spans = report.by_span()

@@ -24,6 +24,7 @@ from repro.bench import report_mismatches
 from repro.blocks.matmul import carma_matmul
 from repro.blocks.rect_qr import rect_qr
 from repro.bsp import BSPMachine
+from repro.bsp import batch
 from repro.bsp.batch import _TAPE_CACHE, ChargeLog, FlatTape, KernelTape, needs_program_order
 from repro.dist.banded import DistBandMatrix
 from repro.eig import eigensolve_2p5d
@@ -33,6 +34,8 @@ from repro.eig.schedule import chase_step_arrays, pipeline_schedule, wave_sizes
 from repro.faults import SCENARIOS, FaultPlan, FaultyMachine
 from repro.linalg.sbr import chase_steps
 from repro.lint.verify import BSPDisciplineError, VerifiedMachine
+from repro.metrics.collector import _FLOW_MEMO
+from repro.util.lru import ByteLRU
 from repro.util.matrices import random_banded_symmetric, random_symmetric
 from tests import chase_digests
 
@@ -219,10 +222,45 @@ class TestKernelTape:
         operands = (rng.standard_normal((12, 12)), rng.standard_normal((12, 6)))
         KernelTape(log).run(carma_matmul, m.world, operands, "memo")
         key = ((m.p, repr(m.params)), "carma_matmul", ((12, 12), (12, 6)), m.world.ranks)
-        first = _TAPE_CACHE[key]
+        first = _TAPE_CACHE.get(key)
         KernelTape(log).run(carma_matmul, m.world, operands, "memo")
-        assert _TAPE_CACHE[key] is first
+        assert _TAPE_CACHE.get(key) is first
         assert isinstance(first, FlatTape)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_cache_evicts_and_re_records_identically(self, observed, rng, monkeypatch):
+        """More distinct shapes than the byte cap holds: cold tapes are
+        evicted and re-recorded on their next use, and every replay still
+        equals the live kernel (costs; spans and metrics when observed)."""
+        kwargs = {"spans": True, "metrics": True} if observed else {}
+        shapes = [(8 * k, 8) for k in range(2, 10)]
+        operands = {shape: (rng.standard_normal(shape),) for shape in shapes}
+
+        def replayed(shape) -> BSPMachine:
+            m = BSPMachine(8, **kwargs)
+            log = ChargeLog(m)
+            KernelTape(log).run(rect_qr, m.world, operands[shape], "t")
+            log.flush()
+            return m
+
+        probe = ByteLRU(1 << 30)
+        monkeypatch.setattr(batch, "_TAPE_CACHE", probe)
+        replayed(shapes[-1])
+        cache = ByteLRU(3 * probe.nbytes)  # room for about three of the eight
+        monkeypatch.setattr(batch, "_TAPE_CACHE", cache)
+        for _sweep in range(2):
+            for shape in shapes:
+                direct = BSPMachine(8, **kwargs)
+                rect_qr(direct, direct.world, *operands[shape], charge_redistribution=False, tag="t")
+                m = replayed(shape)
+                assert report_mismatches(direct.cost(), m.cost()) == []
+                if observed:
+                    assert _observable_state(direct) == _observable_state(m)
+                assert 0 < cache.nbytes <= cache.cap_bytes
+        assert cache.misses == 2 * len(shapes) and cache.hits == 0  # each shape fell out before its return
+        assert len(cache) < len(shapes)
+        replayed(shapes[-1])
+        assert cache.hits == 1  # the warm end still replays
 
 
 # ------------------------------------------------------------------ #
@@ -387,6 +425,30 @@ class TestPipelineIdentity:
         produced (real rect_qr / carma calls per step)."""
         golden = json.loads(chase_digests.DATA.read_text())[chase_digests.config_key(*config)]
         assert chase_digests.observed_run_digests(*config) == golden
+
+    @pytest.mark.parametrize("config", chase_digests.CONFIGS, ids=lambda c: chase_digests.config_key(*c))
+    def test_golden_digests_hold_with_a_warm_memo_and_after_reset(self, config):
+        """The digests do not depend on what the process has already fitted:
+        a repeated observed solve — on a reset machine — replays every wire
+        pattern from the memo (zero IPF fits, a wall-clock-free perf guard)
+        and lands on the same bytes."""
+        golden = json.loads(chase_digests.DATA.read_text())[chase_digests.config_key(*config)]
+        machine = BSPMachine(config[1], spans=True, metrics=True)
+        assert chase_digests.observed_run_digests(*config, machine=machine) == golden
+        fits = _FLOW_MEMO.misses
+        machine.reset()
+        assert chase_digests.observed_run_digests(*config, machine=machine) == golden
+        assert _FLOW_MEMO.misses == fits
+        assert _FLOW_MEMO.hits > 0
+
+        # an unchanged per-rank memory vector is one shared array, not a copy per sample
+        series = machine.cost().metrics().series
+        unchanged = [
+            (before[1], after[1]) for before, after in zip(series, series[1:])
+            if np.array_equal(before[1], after[1])
+        ]
+        assert len(unchanged) > len(series) // 2
+        assert all(before is after for before, after in unchanged)
 
 
 # ------------------------------------------------------------------ #
