@@ -19,23 +19,19 @@ cheaper to collect).
 """
 
 from repro.bsp.params import MachineParams
-from repro.bsp.counters import CostReport, CounterArray, RankCounters, RankSlot
+from repro.bsp.counters import CostReport, CounterArray, RankSlot
 from repro.bsp.cache import CacheModel
-from repro.bsp.machine import BSPMachine, ENGINES
+from repro.bsp.machine import BSPMachine
 from repro.bsp.group import RankGroup
-from repro.bsp.scalar import ScalarCounterStore
 from repro.bsp import collectives
 
 __all__ = [
     "MachineParams",
     "CostReport",
     "CounterArray",
-    "RankCounters",
     "RankSlot",
-    "ScalarCounterStore",
     "CacheModel",
     "BSPMachine",
-    "ENGINES",
     "RankGroup",
     "collectives",
 ]

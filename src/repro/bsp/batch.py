@@ -9,8 +9,8 @@ charges land:
     field with one ``np.add.at``.  ``np.add.at`` is unbuffered and applies
     additions in index-array order, so every rank receives the identical
     sequence of IEEE-754 additions the immediate path performs — the cost
-    report is byte-identical, on both counter engines (the scalar store
-    loops over the same event arrays in the same order).  Superstep counts
+    report is byte-identical (``tests/scalar_oracle.py`` loops over the
+    same event arrays in the same order).  Superstep counts
     are integers and memory notes running maxima, so batching those is
     trivially exact.
 

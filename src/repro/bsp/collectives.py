@@ -23,10 +23,8 @@ charges the whole group through the machine's batched entry points
 :meth:`~repro.bsp.machine.BSPMachine.charge_comm_matrix`), so a collective
 costs O(1) numpy ops regardless of group size.
 
-Every primitive accepts ``tag``, the caller's label for the call site; the
-primitives do not read it — each opens its own
-:meth:`~repro.bsp.machine.BSPMachine.span`, which is what attributes its
-charges.
+Each primitive opens its own :meth:`~repro.bsp.machine.BSPMachine.span`,
+which is what attributes its charges to the call site.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ def _root_index(group: RankGroup, root: int | None) -> tuple[int, int]:
     return root, group.index_of(root)
 
 
-def bcast(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None, tag: str = "") -> None:
+def bcast(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None) -> None:
     """Broadcast ``words`` from ``root`` to the group (two-phase optimal)."""
     _check(machine, group, words)
     root, ri = _root_index(group, root)
@@ -92,7 +90,7 @@ def bcast(machine: BSPMachine, group: RankGroup, words: float, root: int | None 
         _retransmit_on_drop(machine, "bcast", group, _charge)
 
 
-def reduce(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None, tag: str = "") -> None:
+def reduce(machine: BSPMachine, group: RankGroup, words: float, root: int | None = None) -> None:
     """Reduce ``words`` contributions from every rank onto ``root``."""
     _check(machine, group, words)
     root, ri = _root_index(group, root)
@@ -124,7 +122,7 @@ def reduce(machine: BSPMachine, group: RankGroup, words: float, root: int | None
         _retransmit_on_drop(machine, "reduce", group, _charge)
 
 
-def allreduce(machine: BSPMachine, group: RankGroup, words: float, tag: str = "") -> None:
+def allreduce(machine: BSPMachine, group: RankGroup, words: float) -> None:
     """Reduce ``words`` contributions and leave the result on every rank."""
     _check(machine, group, words)
     g = group.size
@@ -142,7 +140,7 @@ def allreduce(machine: BSPMachine, group: RankGroup, words: float, tag: str = ""
         _retransmit_on_drop(machine, "allreduce", group, _charge)
 
 
-def reduce_scatter(machine: BSPMachine, group: RankGroup, words_total: float, tag: str = "") -> None:
+def reduce_scatter(machine: BSPMachine, group: RankGroup, words_total: float) -> None:
     """Each rank contributes ``words_total``; each ends with its 1/g share summed."""
     _check(machine, group, words_total)
     g = group.size
@@ -160,7 +158,7 @@ def reduce_scatter(machine: BSPMachine, group: RankGroup, words_total: float, ta
         _retransmit_on_drop(machine, "reduce_scatter", group, _charge)
 
 
-def allgather(machine: BSPMachine, group: RankGroup, words_each: float, tag: str = "") -> None:
+def allgather(machine: BSPMachine, group: RankGroup, words_each: float) -> None:
     """Each rank contributes ``words_each``; everyone ends with all g blocks."""
     _check(machine, group, words_each)
     g = group.size
@@ -176,7 +174,7 @@ def allgather(machine: BSPMachine, group: RankGroup, words_each: float, tag: str
         _retransmit_on_drop(machine, "allgather", group, _charge)
 
 
-def gather(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None, tag: str = "") -> None:
+def gather(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None) -> None:
     """Each non-root rank sends its ``words_each`` block to ``root``."""
     _check(machine, group, words_each)
     root, ri = _root_index(group, root)
@@ -196,7 +194,7 @@ def gather(machine: BSPMachine, group: RankGroup, words_each: float, root: int |
         _retransmit_on_drop(machine, "gather", group, _charge)
 
 
-def scatter(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None, tag: str = "") -> None:
+def scatter(machine: BSPMachine, group: RankGroup, words_each: float, root: int | None = None) -> None:
     """``root`` sends a distinct ``words_each`` block to each other rank."""
     _check(machine, group, words_each)
     root, ri = _root_index(group, root)
@@ -216,7 +214,7 @@ def scatter(machine: BSPMachine, group: RankGroup, words_each: float, root: int 
         _retransmit_on_drop(machine, "scatter", group, _charge)
 
 
-def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, int], float], tag: str = "") -> None:
+def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, int], float]) -> None:
     """Arbitrary point-to-point exchange completed in one superstep.
 
     ``transfers[(src, dst)]`` is the word count moved from src to dst;
@@ -248,7 +246,7 @@ def alltoall(machine: BSPMachine, group: RankGroup, transfers: dict[tuple[int, i
         _retransmit_on_drop(machine, "alltoall", group, _charge)
 
 
-def alltoall_matrix(machine: BSPMachine, group: RankGroup, matrix, tag: str = "") -> None:
+def alltoall_matrix(machine: BSPMachine, group: RankGroup, matrix) -> None:
     """All-to-all from a dense g×g transfer matrix, one superstep.
 
     ``matrix[i, j]`` words move from ``group[i]`` to ``group[j]``; diagonal
@@ -266,7 +264,7 @@ def alltoall_matrix(machine: BSPMachine, group: RankGroup, matrix, tag: str = ""
         _retransmit_on_drop(machine, "alltoall", group, _charge)
 
 
-def p2p(machine: BSPMachine, src: int, dst: int, words: float, tag: str = "") -> None:
+def p2p(machine: BSPMachine, src: int, dst: int, words: float) -> None:
     """Point-to-point transfer; does NOT end a superstep (caller batches)."""
     if words < 0:
         raise ValueError("words must be nonnegative")

@@ -5,22 +5,18 @@ Q (memory↔cache traffic) and S (supersteps it participated in).  A
 :class:`CostReport` snapshots the machine-wide aggregates used everywhere in
 tests and benchmarks.
 
-Two counter stores implement the same accumulation interface:
-
-* :class:`CounterArray` — the default engine: one numpy ``float64`` (or
-  ``int64`` for S) array per quantity, one slot per rank, so charging a
-  whole :class:`~repro.bsp.group.RankGroup` is a single fancy-indexed slice
-  op.  ``machine.counters[r]`` hands back a :class:`RankSlot` view, keeping
-  the historical per-rank attribute API (``counters[r].flops`` readable and
-  writable) without per-rank Python objects.
-* :class:`repro.bsp.scalar.ScalarCounterStore` — the pre-vectorization
-  oracle: a list of :class:`RankCounters` updated by Python loops, kept as
-  the reference the equivalence suite and ``repro bench`` compare against.
+:class:`CounterArray` is the one counter store: a numpy ``float64`` (or
+``int64`` for S) array per quantity, one slot per rank, so charging a whole
+:class:`~repro.bsp.group.RankGroup` is a single fancy-indexed slice op.
+``machine.counters[r]`` hands back a :class:`RankSlot` view with a per-rank
+attribute API (``counters[r].flops`` readable and writable) without per-rank
+Python objects.
 
 All *values* charged are computed by the machine/collective layer before
-they reach a store; stores only accumulate.  Per-rank accumulation therefore
-performs the identical sequence of IEEE-754 additions in both stores, which
-is what makes the engines bit-identical, not merely close.
+they reach the store; the store only accumulates.  That is what lets the
+Python-loop reference in ``tests/scalar_oracle.py`` perform the identical
+sequence of IEEE-754 additions per rank, so the equivalence suite compares
+the two bit for bit, not approximately.
 """
 
 from __future__ import annotations
@@ -87,13 +83,8 @@ def gini_of(values: np.ndarray, active: np.ndarray | None = None) -> float:
     return diffs / (2.0 * vals.size * vals.size * mean)
 
 
-def rank_field_values(per_rank: object, name: str) -> np.ndarray:
-    """Materialize one per-rank quantity from either engine's snapshot.
-
-    ``per_rank`` is a :class:`CounterArray` (vectorized engine) or a
-    sequence of :class:`RankCounters` (scalar engine); ``name`` is one of
-    :data:`IMBALANCE_FIELDS`.
-    """
+def rank_field_values(per_rank: CounterArray, name: str) -> np.ndarray:
+    """One per-rank quantity (a :data:`IMBALANCE_FIELDS` name) of a snapshot."""
     if name == "words":
         return rank_field_values(per_rank, "words_sent") + rank_field_values(
             per_rank, "words_recv"
@@ -101,13 +92,10 @@ def rank_field_values(per_rank: object, name: str) -> np.ndarray:
     field_name = "peak_memory_words" if name == "memory" else name
     if field_name not in COUNTER_FIELDS:
         raise ValueError(f"unknown per-rank field {name!r}; expected one of {IMBALANCE_FIELDS}")
-    getter = getattr(per_rank, "field_array", None)
-    if getter is not None:
-        return np.asarray(getter(field_name), dtype=np.float64)
-    return np.array([getattr(c, field_name) for c in per_rank], dtype=np.float64)  # type: ignore[union-attr]
+    return np.asarray(per_rank.field_array(field_name), dtype=np.float64)
 
 
-def active_rank_mask(per_rank: object) -> np.ndarray:
+def active_rank_mask(per_rank: CounterArray) -> np.ndarray:
     """Boolean mask of ranks with any nonzero additive counter."""
     mask: np.ndarray | None = None
     for name in _ACTIVITY_FIELDS:
@@ -115,35 +103,6 @@ def active_rank_mask(per_rank: object) -> np.ndarray:
         mask = nz if mask is None else (mask | nz)
     assert mask is not None
     return mask
-
-
-@dataclass
-class RankCounters:
-    """Running cost totals for one virtual processor."""
-
-    flops: float = 0.0
-    words_sent: float = 0.0
-    words_recv: float = 0.0
-    mem_traffic: float = 0.0
-    supersteps: int = 0
-    peak_memory_words: float = 0.0
-    current_memory_words: float = 0.0
-
-    @property
-    def words(self) -> float:
-        """Total interprocessor words moved by this rank (sent + received)."""
-        return self.words_sent + self.words_recv
-
-    def copy(self) -> "RankCounters":
-        return RankCounters(
-            flops=self.flops,
-            words_sent=self.words_sent,
-            words_recv=self.words_recv,
-            mem_traffic=self.mem_traffic,
-            supersteps=self.supersteps,
-            peak_memory_words=self.peak_memory_words,
-            current_memory_words=self.current_memory_words,
-        )
 
 
 @dataclass(frozen=True)
@@ -164,10 +123,9 @@ class CostReport:
     total_words: float
     total_mem_traffic: float
     peak_memory_words: float
-    #: per-rank snapshot backing ``__sub__``: a tuple of :class:`RankCounters`
-    #: (scalar engine) or a :class:`CounterArray` (vectorized engine).
-    #: Excluded from equality so reports from either engine compare by cost.
-    per_rank: object = field(repr=False, compare=False, default=())
+    #: per-rank snapshot (a :class:`CounterArray`) backing ``__sub__`` and the
+    #: imbalance statistics.  Excluded from equality: reports compare by cost.
+    per_rank: CounterArray = field(repr=False, compare=False)
     #: per-span breakdown (:class:`repro.trace.report.SpanBreakdown`) when
     #: the machine ran with span tracing enabled; ``None`` otherwise.
     #: Excluded from equality so traced and untraced runs compare by cost.
@@ -248,12 +206,6 @@ class CostReport:
         """
         return active_rank_mask(self.per_rank)
 
-    def _has_per_rank(self) -> bool:
-        try:
-            return len(self.per_rank) > 0  # type: ignore[arg-type]
-        except TypeError:
-            return False
-
     def imbalance(self, fld: str = "flops") -> float:
         """max/mean of one per-rank quantity over the executing group.
 
@@ -261,17 +213,10 @@ class CostReport:
         ``"words"``, ``"mem_traffic"``, ``"memory"``).  1.0 means perfectly
         balanced; idle ranks are excluded via :meth:`active_ranks`.
         """
-        if not self._has_per_rank():
-            # legacy fallback for hand-built reports without per-rank data
-            if fld == "flops" and self.total_flops != 0:
-                return self.flops / (self.total_flops / self.p)
-            return 1.0
         return imbalance_of(self.rank_values(fld), self.active_ranks())
 
     def gini(self, fld: str = "flops") -> float:
         """Gini coefficient of one per-rank quantity over the executing group."""
-        if not self._has_per_rank():
-            return 0.0
         return gini_of(self.rank_values(fld), self.active_ranks())
 
     @property
@@ -291,20 +236,7 @@ class CostReport:
         """
         if self.p != other.p:
             raise ValueError("cannot subtract cost reports from different machines")
-        if isinstance(self.per_rank, CounterArray) and isinstance(other.per_rank, CounterArray):
-            return self.per_rank.delta_report(other.per_rank)
-        deltas = [
-            RankCounters(
-                flops=a.flops - b.flops,
-                words_sent=a.words_sent - b.words_sent,
-                words_recv=a.words_recv - b.words_recv,
-                mem_traffic=a.mem_traffic - b.mem_traffic,
-                supersteps=a.supersteps - b.supersteps,
-                peak_memory_words=a.peak_memory_words,
-            )
-            for a, b in zip(self.per_rank, other.per_rank)
-        ]
-        return aggregate(deltas)
+        return self.per_rank.delta_report(other.per_rank)
 
     def summary(self) -> str:
         """One-line human-readable summary."""
@@ -330,9 +262,9 @@ COUNTER_FIELDS: tuple[str, ...] = (
 class RankSlot:
     """Mutable view of one rank's slot in a :class:`CounterArray`.
 
-    Supports the same attribute API as :class:`RankCounters` (including
-    assignment, which tests use to fault-inject counter decreases), writing
-    through to the backing arrays.
+    One attribute per :data:`COUNTER_FIELDS` quantity, readable and
+    assignable (tests use assignment to fault-inject counter decreases),
+    writing through to the backing arrays.
     """
 
     __slots__ = ("_store", "_i")
@@ -401,20 +333,9 @@ class RankSlot:
     def words(self) -> float:
         return self.words_sent + self.words_recv
 
-    def copy(self) -> RankCounters:
-        """Detach into a plain :class:`RankCounters` value."""
-        return RankCounters(
-            flops=self.flops,
-            words_sent=self.words_sent,
-            words_recv=self.words_recv,
-            mem_traffic=self.mem_traffic,
-            supersteps=self.supersteps,
-            peak_memory_words=self.peak_memory_words,
-            current_memory_words=self.current_memory_words,
-        )
-
     def __repr__(self) -> str:
-        return f"RankSlot({self.copy()!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in COUNTER_FIELDS)
+        return f"RankSlot({fields})"
 
 
 class CounterArray:
@@ -464,8 +385,8 @@ class CounterArray:
 
     # -- accumulation primitives ---------------------------------------- #
     # ``idx`` is an int or an int64 ndarray; ``amount`` a float or an
-    # aligned float array.  Values are computed by the caller — stores only
-    # add, so scalar and vectorized engines perform identical IEEE ops.
+    # aligned float array.  Values are computed by the caller — the store
+    # only adds, the same IEEE ops per slot as a per-rank Python loop.
 
     def add_flops(self, idx, amount, unique: bool = True) -> None:
         if unique:
@@ -563,7 +484,7 @@ class CounterArray:
             getattr(self, name).fill(0)
 
     def report(self) -> CostReport:
-        """Vectorized equivalent of :func:`aggregate` over this store."""
+        """Aggregate this store: maxima and totals over ranks, plus a snapshot."""
         words = self.words_sent + self.words_recv
         return CostReport(
             p=self.p,
@@ -581,8 +502,7 @@ class CounterArray:
     def delta_report(self, older: "CounterArray") -> CostReport:
         """Re-aggregated per-rank delta against an older snapshot.
 
-        Matches the scalar ``CostReport.__sub__`` convention: additive
-        counters are differenced per rank before aggregation, while the
+        Additive counters are differenced per rank before aggregation; the
         peak-memory high-water mark is taken from the newer snapshot.
         """
         if self.p != older.p:
@@ -601,27 +521,3 @@ class CounterArray:
     def __repr__(self) -> str:
         return f"CounterArray(p={self.p})"
 
-
-def aggregate(per_rank: list[RankCounters]) -> CostReport:
-    """Build a :class:`CostReport` from per-rank counters."""
-    if not per_rank:
-        raise ValueError("aggregate requires at least one rank")
-    flops = np.array([r.flops for r in per_rank])
-    sent = np.array([r.words_sent for r in per_rank])
-    recv = np.array([r.words_recv for r in per_rank])
-    mem = np.array([r.mem_traffic for r in per_rank])
-    steps = np.array([r.supersteps for r in per_rank])
-    peak = np.array([r.peak_memory_words for r in per_rank])
-    words = sent + recv
-    return CostReport(
-        p=len(per_rank),
-        flops=float(flops.max()),
-        words=float(words.max()),
-        mem_traffic=float(mem.max()),
-        supersteps=int(steps.max()),
-        total_flops=float(flops.sum()),
-        total_words=float(words.sum()),
-        total_mem_traffic=float(mem.sum()),
-        peak_memory_words=float(peak.max()),
-        per_rank=tuple(r.copy() for r in per_rank),
-    )

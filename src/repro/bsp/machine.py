@@ -10,15 +10,14 @@ would have on a real machine (max over ranks per quantity).
 Disjoint groups that the paper runs concurrently are simply charged on their
 own ranks; the max-over-ranks aggregation then reflects the concurrency.
 
-Accounting engines
-------------------
-Counters live in a pluggable *store*.  The default ``engine="array"`` is a
-:class:`~repro.bsp.counters.CounterArray`: numpy arrays with one slot per
-rank, so charging a :class:`~repro.bsp.group.RankGroup` is one fancy-indexed
-slice op against the group's cached index array — O(1) numpy calls instead
-of O(|group|) Python iterations.  ``engine="scalar"`` is the
-pre-vectorization Python-loop oracle used by the equivalence suite and
-``repro bench``; both engines produce bit-identical cost reports.
+Accounting
+----------
+Counters live in one :class:`~repro.bsp.counters.CounterArray`: numpy arrays
+with one slot per rank, so charging a :class:`~repro.bsp.group.RankGroup` is
+one fancy-indexed slice op against the group's cached index array — O(1)
+numpy calls instead of O(|group|) Python iterations.  The Python-loop store
+it replaced lives on as ``tests/scalar_oracle.py``, the reference the
+equivalence suite compares every charging path against, bit for bit.
 
 Batched entry points (:meth:`charge_flops_batch`, :meth:`charge_comm_batch`,
 :meth:`charge_comm_matrix`, :meth:`mem_stream_group`) let collectives and
@@ -28,7 +27,7 @@ a g×g transfer matrix — without building Python dicts in inner loops.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -38,12 +37,6 @@ from repro.bsp.group import RankGroup
 from repro.bsp.params import MachineParams
 from repro.trace.spans import NULL_SPAN, SpanHandle, SpanRecorder
 from repro.util.validation import check_positive_int
-
-if TYPE_CHECKING:
-    from repro.bsp.scalar import ScalarCounterStore
-
-#: valid accounting engines (see module docstring)
-ENGINES = ("array", "scalar")
 
 
 class NoFaults:
@@ -89,19 +82,6 @@ class NoMetrics:
 #: shared no-op metrics layer (cf. NO_FAULTS, NULL_SPAN)
 NO_METRICS = NoMetrics()
 
-#: either counter store; both implement the same accumulation interface
-CounterStore = Union[CounterArray, "ScalarCounterStore"]
-
-
-def _make_store(engine: str, p: int):
-    if engine == "array":
-        return CounterArray(p)
-    if engine == "scalar":
-        from repro.bsp.scalar import ScalarCounterStore  # late import: avoid cycle
-
-        return ScalarCounterStore(p)
-    raise ValueError(f"unknown accounting engine {engine!r}; expected one of {ENGINES}")
-
 
 class BSPMachine:
     """A ``p``-processor simulated BSP machine with cost accounting."""
@@ -110,14 +90,12 @@ class BSPMachine:
         self,
         p: int,
         params: MachineParams | None = None,
-        engine: str | None = None,
         spans: bool | None = None,
         metrics: bool | None = None,
     ):
         self.p = check_positive_int(p, "p")
         self.params = params or MachineParams()
-        self.engine = engine or "array"
-        self.counters = _make_store(self.engine, self.p)
+        self.counters = CounterArray(self.p)
         self.caches: list[CacheModel] = [CacheModel(self.params.cache_words) for _ in range(self.p)]
         self.spans = SpanRecorder(self.counters, self.params, enabled=bool(spans))
         self.world = RankGroup(tuple(range(self.p)))
@@ -255,7 +233,6 @@ class BSPMachine:
         def _prep(words, label):
             if words is None:
                 return None
-            arr_or_scalar = words
             if np.ndim(words) == 0:
                 if float(words) < 0:
                     raise ValueError(f"{label} words must be nonnegative")
@@ -431,11 +408,11 @@ class BSPMachine:
         :meth:`repro.bsp.batch.ChargeLog.flush` calls it after every flush."""
 
     def reset(self) -> None:
-        """Zero all engine state: counters, caches, spans, metrics.
+        """Zero all accounting state: counters, caches, spans, metrics.
 
-        Both engines reset their stores *in place* (held per-rank views
-        stay live), so a reset machine is indistinguishable from a fresh
-        one on either engine — see the reset regression tests.
+        The store resets *in place* (held per-rank views stay live), so a
+        reset machine is indistinguishable from a fresh one — see the reset
+        regression tests.
         """
         self.counters.reset()
         self.caches = [CacheModel(self.params.cache_words) for _ in range(self.p)]
@@ -443,4 +420,4 @@ class BSPMachine:
         self.metrics.reset()
 
     def __repr__(self) -> str:
-        return f"BSPMachine(p={self.p}, params={self.params}, engine={self.engine!r})"
+        return f"BSPMachine(p={self.p}, params={self.params})"

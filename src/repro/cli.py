@@ -9,8 +9,9 @@ solve    run the 2.5D eigensolver on a random symmetric matrix and print
 run      alias of ``solve``
 lint     static cost-accounting lint of the source tree (see
          docs/static_analysis.md)
-bench    wall-clock benchmark of the accounting engine itself; with
-         ``--check`` gates against a committed BENCH_engine.json baseline
+bench    the pinned simulated-cost suite (wall time recorded alongside);
+         ``--check`` gates the costs, exactly, against a committed
+         BENCH_engine.json baseline
 trace    run one eigensolve with span tracing on, print the critical-path
          breakdown, and export a Chrome trace-event JSON (Perfetto);
          ``--per-rank`` adds a multi-track file with one timeline per rank
@@ -28,7 +29,8 @@ serve-bench
          cache, then EDF scheduling), byte-identity verification of every
          served spectrum against single-shot solves, and a
          BENCH_serve.json throughput/latency/SLO report; ``--check``
-         gates against a committed baseline, ``--soak`` runs a chaos
+         gates its simulated sections, exactly, against a committed
+         baseline, ``--soak`` runs a chaos
          scenario (solver faults, flaky-machine, straggler, poison-job,
          or crash/resume) and asserts never-silently-wrong, no-job-lost,
          and determinism (see docs/serving.md); ``--telemetry-out`` runs
@@ -167,17 +169,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"\nwrote {out}")
     if baseline is None:
         return 0
-    try:
-        final, failures = bench.check_with_retries(
-            results, baseline, lambda: bench.run_suite(repeats=args.repeats)
-        )
-    except bench.BenchError as exc:
-        print(f"bench FAILED: {exc}", file=sys.stderr)
-        return 1
-    if final is not results:
-        out = bench.write_results(final, args.out)
-        print(f"rewrote {out} with the re-timed results")
-    return _report_gate(failures, args.check, "bench")
+    return _report_gate(bench.check_against_baseline(results, baseline), args.check, "bench")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -188,12 +180,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.util import random_symmetric
 
     a = random_symmetric(args.n, seed=args.seed)
-    machine = BSPMachine(args.p, engine=args.engine, spans=True, metrics=args.per_rank)
+    machine = BSPMachine(args.p, spans=True, metrics=args.per_rank)
     res = eigensolve_2p5d(machine, a, delta=args.delta)
     breakdown = res.cost.by_span()
-    engine = "scalar" if args.engine == "scalar" else "array"
     print(breakdown.render(
-        title=f"critical-path breakdown (n={args.n}, p={args.p}, delta={res.delta:.3f}, engine={engine})"
+        title=f"critical-path breakdown (n={args.n}, p={args.p}, delta={res.delta:.3f})"
     ))
     problems = breakdown.verify_exact()
     if problems:
@@ -228,7 +219,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro import BSPMachine, bench, eigensolve_2p5d
+    from repro import BSPMachine, eigensolve_2p5d
     from repro.metrics import (
         DEFAULT_ENVELOPE,
         build_metrics_doc,
@@ -250,14 +241,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         if err is not None:
             return err
 
-    def run() -> dict:
-        a = random_symmetric(args.n, seed=args.seed)
-        machine = BSPMachine(args.p, engine=args.engine, spans=True, metrics=True)
-        res = eigensolve_2p5d(machine, a, delta=args.delta)
-        engine = "scalar" if args.engine == "scalar" else "array"
-        return build_metrics_doc(res, args.n, engine=engine, config={"seed": args.seed})
-
-    doc = run()
+    machine = BSPMachine(args.p, spans=True, metrics=True)
+    res = eigensolve_2p5d(machine, random_symmetric(args.n, seed=args.seed), delta=args.delta)
+    doc = build_metrics_doc(res, args.n, config={"seed": args.seed})
     print(render_metrics(doc))
     out = args.out
     if out is None:
@@ -273,12 +259,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         return 1
     if baseline is None:
         return 0
-    # check_metrics never emits wall-clock failures, so the retry loop of
-    # check_with_retries never fires — the gate is fully deterministic.
-    final, failures = bench.check_with_retries(
-        doc, baseline, run, wall_tolerance=envelope, check=check_metrics
-    )
-    return _report_gate(failures, args.check, "metrics")
+    return _report_gate(check_metrics(doc, baseline, envelope), args.check, "metrics")
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -387,16 +368,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
 
     if not args.telemetry_only:
-
-        def run() -> dict:
-            return serve_bench.run_serve_suite(
+        try:
+            doc = serve_bench.run_serve_suite(
                 cache_path=args.cache,
                 trace_path=args.trace_out,
                 workers=args.workers,
             )
-
-        try:
-            doc = run()
         except bench.BenchError as exc:
             print(f"serve-bench FAILED: {exc}", file=sys.stderr)
             return 1
@@ -404,24 +381,16 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         out = serve_bench.write_serve_results(doc, args.out)
         print(f"\nwrote {out}")
         if baseline is not None:
-            try:
-                final, failures = bench.check_with_retries(
-                    doc, baseline, run, check=serve_bench.check_serve
-                )
-            except bench.BenchError as exc:
-                print(f"serve-bench FAILED: {exc}", file=sys.stderr)
-                return 1
-            if final is not doc:
-                out = serve_bench.write_serve_results(final, args.out)
-                print(f"rewrote {out} with the re-timed results")
-            rc = _report_gate(failures, args.check, "serve-bench")
+            rc = _report_gate(
+                serve_bench.check_serve(doc, baseline), args.check, "serve-bench"
+            )
             if rc != 0:
                 return rc
 
     if not want_telemetry:
         return 0
 
-    # the observed pass: separate from the wall-clock passes above (span
+    # the observed pass: separate from the timed passes above (span
     # capture slows the wall clock, never the simulated results)
     from repro.obs import check_telemetry, render_telemetry, write_telemetry
 
@@ -444,7 +413,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(f"wrote {args.dash_out} (flight-recorder dashboard)")
     if tel_baseline is None:
         return 0
-    # fully deterministic — no retry loop needed
     return _report_gate(
         check_telemetry(tdoc, tel_baseline), args.telemetry_check,
         "serve-bench telemetry",
@@ -583,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.set_defaults(fn=_cmd_lint)
 
-    p_bench = sub.add_parser("bench", help="wall-clock benchmark of the accounting engine")
+    p_bench = sub.add_parser("bench", help="pinned simulated-cost suite (wall time recorded)")
     p_bench.add_argument(
         "--repeats", type=int, default=3, help="timing repeats per case (median is reported)"
     )
@@ -598,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         metavar="BASELINE",
-        help="compare against a committed BENCH_engine.json; exit 1 on cost drift, "
-        ">25%% wall regression (host-calibrated), or speedup below the 3x floor",
+        help="compare against a committed BENCH_engine.json; exit 1 on any "
+        "simulated-cost drift (exact; wall time is recorded, never gated)",
     )
     p_bench.set_defaults(fn=_cmd_bench)
 
@@ -611,12 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--p", type=int, default=16)
     p_trace.add_argument("--delta", type=float, default=2.0 / 3.0)
     p_trace.add_argument("--seed", type=int, default=3)
-    p_trace.add_argument(
-        "--engine",
-        choices=("array", "scalar"),
-        default=None,
-        help="accounting engine (default: the vectorized array engine)",
-    )
     p_trace.add_argument(
         "--out",
         type=Path,
@@ -639,12 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--p", type=int, default=16)
     p_metrics.add_argument("--delta", type=float, default=2.0 / 3.0)
     p_metrics.add_argument("--seed", type=int, default=3)
-    p_metrics.add_argument(
-        "--engine",
-        choices=("array", "scalar"),
-        default=None,
-        help="accounting engine (default: the vectorized array engine)",
-    )
     p_metrics.add_argument(
         "--out",
         type=Path,
@@ -704,8 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BASELINE",
         help="gate against a committed BENCH_serve.json: exact simulated "
-        "latency/cost/regime drift, warm-pass cache hit rate >= 80%%, "
-        "byte-identity of served spectra, and host-calibrated throughput",
+        "latency/cost/regime drift, warm-pass cache hit rate >= 80%%, and "
+        "byte-identity of served spectra (throughput is recorded, never gated)",
     )
     p_serve.add_argument(
         "--cache",
@@ -798,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--telemetry-only",
         action="store_true",
-        help="skip the three wall-clock passes and run only the telemetry "
+        help="skip the three timed passes and run only the telemetry "
         "pass (baseline generation / quick dashboard refresh)",
     )
     p_serve.set_defaults(fn=_cmd_serve_bench)

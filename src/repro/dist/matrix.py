@@ -137,14 +137,14 @@ class DistMatrix:
         new_layout = ReplicatedLayout(layouts[0], layouts[1:])
         return DistMatrix(self.machine, self.data, new_layout)
 
-    def redistribute(self, new_layout: Layout, tag: str = "redistribute") -> "DistMatrix":
+    def redistribute(self, new_layout: Layout) -> "DistMatrix":
         """Move to a new layout; charges the actual owner-change histogram."""
         src = self.layout.primary if isinstance(self.layout, ReplicatedLayout) else self.layout
         transfers = transfer_histogram(src, new_layout, self.machine.p)
         involved = RankGroup(
             tuple(dict.fromkeys(list(src.ranks()) + list(new_layout.ranks())))
         )
-        collectives.alltoall(self.machine, involved, transfers, tag=tag)
+        collectives.alltoall(self.machine, involved, transfers)
         return DistMatrix(self.machine, self.data, new_layout)
 
     def gather(self, target: int, tag: str = "gather") -> np.ndarray:

@@ -103,16 +103,14 @@ def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBan
     return DistBandMatrix(machine, band.data, h, group)
 
 
-def ca_sbr_halve(machine: BSPMachine, band: DistBandMatrix, tag: str = "ca_sbr") -> DistBandMatrix:
+def ca_sbr_halve(machine: BSPMachine, band: DistBandMatrix) -> DistBandMatrix:
     """Halve the band-width (b → ⌈b/2⌉) with CA-SBR's 1-D pipeline."""
     if band.b < 2:
         raise ValueError("band-width must be at least 2 to halve")
     return _run_chases_1d(machine, band, max(1, band.b // 2))
 
 
-def ca_sbr_reduce(
-    machine: BSPMachine, band: DistBandMatrix, target: int, tag: str = "ca_sbr"
-) -> DistBandMatrix:
+def ca_sbr_reduce(machine: BSPMachine, band: DistBandMatrix, target: int) -> DistBandMatrix:
     """Repeatedly halve until the band-width is at most ``target``."""
     if target < 1:
         raise ValueError("target band-width must be >= 1")
@@ -121,9 +119,7 @@ def ca_sbr_reduce(
     return band
 
 
-def band_to_tridiagonal_1d(
-    machine: BSPMachine, band: DistBandMatrix, tag: str = "lang"
-) -> DistBandMatrix:
+def band_to_tridiagonal_1d(machine: BSPMachine, band: DistBandMatrix) -> DistBandMatrix:
     """Reduce band → tridiagonal in one stage (Lang's algorithm shape).
 
     Used by the ELPA-like baseline; the direct h = 1 reduction trades the

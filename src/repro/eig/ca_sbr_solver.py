@@ -43,6 +43,6 @@ def eigensolve_ca_sbr(
         band = DistBandMatrix(machine, banded, b, machine.world)
         target = max(1, n // p)
         if band.b > target:
-            band = ca_sbr_reduce(machine, band, target, tag=f"{tag}:halve")
+            band = ca_sbr_reduce(machine, band, target)
 
         return finish_sequential(machine, band, tag=tag)

@@ -254,7 +254,7 @@ def eigensolve_2p5d(
             start_b = band.b
 
             def run_sbr() -> DistBandMatrix:
-                return ca_sbr_reduce(machine, band, target3, tag=f"{tag}:sbr")
+                return ca_sbr_reduce(machine, band, target3)
 
             def loss_sbr(survivors: RankGroup) -> None:
                 nonlocal band, small

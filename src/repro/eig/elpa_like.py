@@ -59,7 +59,7 @@ def eigensolve_elpa_like(
 
         # Stage 2: Lang's band-to-tridiagonal on the full machine.
         band = DistBandMatrix(machine, banded, b, machine.world)
-        tri = band_to_tridiagonal_1d(machine, band, tag=f"{tag}:lang")
+        tri = band_to_tridiagonal_1d(machine, band)
 
         # Tridiagonal eigenvalues (parallel bisection, as in the other solvers).
         d = np.diag(tri.data).copy()

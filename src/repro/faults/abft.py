@@ -55,7 +55,7 @@ def abft_check(
         # the three operands: mn + nk + 2mk streamed words.
         machine.charge_flops(group, (3.0 * (m * n + n * k) + 2.0 * m * k) / g)
         machine.mem_stream_group(group, (m * n + n * k + 2.0 * m * k) / g)
-        collectives.allreduce(machine, group, 1.0, tag=f"abft:{site}")
+        collectives.allreduce(machine, group, 1.0)
 
         span = current_span(machine)
         if not np.isfinite(c).all():

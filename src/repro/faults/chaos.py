@@ -13,8 +13,8 @@ The **chaos invariant** classifies every run:
                      never happen; ``repro chaos`` exits nonzero on any.
 
 Runs are exactly reproducible from ``(scenario, seed)`` — the plan draws at
-algorithm-determined sites in a deterministic order (same on both counter
-engines), and nothing in the harness touches the wall clock.
+algorithm-determined sites in a deterministic order, and nothing in the
+harness touches the wall clock.
 """
 
 from __future__ import annotations

@@ -147,14 +147,13 @@ class FaultyMachine(BSPMachine):
         self,
         p: int,
         params: MachineParams | None = None,
-        engine: str | None = None,
         spans: bool | None = None,
         metrics: bool | None = None,
         *,
         plan: FaultPlan,
         policy: RecoveryPolicy | None = None,
     ):
-        super().__init__(p, params, engine=engine, spans=spans, metrics=metrics)
+        super().__init__(p, params, spans=spans, metrics=metrics)
         self.plan = plan
         self.policy = policy or RecoveryPolicy()
         self.faults = FaultInjector(self, plan, self.policy)
@@ -175,7 +174,7 @@ class FaultyMachine(BSPMachine):
 
     def __repr__(self) -> str:
         return (f"FaultyMachine(p={self.p}, plan={self.plan.spec.name!r}, "
-                f"seed={self.plan.seed}, engine={self.engine!r})")
+                f"seed={self.plan.seed})")
 
 
 # ---------------------------------------------------------------------- #

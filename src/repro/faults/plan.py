@@ -4,9 +4,8 @@ A :class:`FaultPlan` owns a ``np.random.Generator`` seeded explicitly —
 never from the wall clock — and is consulted by the machine's injector at
 well-defined sites: superstep barriers (rank failures), collectives
 (message drops), and data-movement / kernel boundaries (corruption).  The
-sites are visited in the order the *algorithm* dictates, which is identical
-on both counter engines, so the same seed produces the same fault sequence
-everywhere: a chaos run is exactly reproducible from ``(scenario, seed)``.
+sites are visited in the order the *algorithm* dictates, so the same seed
+produces the same fault sequence everywhere: a chaos run is exactly reproducible from ``(scenario, seed)``.
 
 Draw accounting: every consultation advances ``draws`` whether or not it
 fires, so two runs of the same plan can be compared draw-for-draw.

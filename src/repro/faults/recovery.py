@@ -99,7 +99,7 @@ def guard_band(machine: BSPMachine, data: np.ndarray, bandwidth: int,
     with machine.span("guard", group=group):
         machine.charge_flops(group, 3.0 * data.size / group.size)
         machine.mem_stream_group(group, float(data.size) / group.size)
-        collectives.allreduce(machine, group, 1.0, tag=f"guard:{stage}")
+        collectives.allreduce(machine, group, 1.0)
         span = current_span(machine)
         if not np.isfinite(data).all():
             raise CorruptData(f"{stage}: non-finite entries in the band",

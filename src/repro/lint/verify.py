@@ -97,7 +97,6 @@ class VerifiedMachine(BSPMachine):
         self,
         p: int,
         params: MachineParams | None = None,
-        engine: str | None = None,
         spans: bool | None = None,
         metrics: bool | None = None,
         *,
@@ -105,7 +104,7 @@ class VerifiedMachine(BSPMachine):
         strict_reads: bool = False,
         conservation_rtol: float = 1e-6,
     ):
-        super().__init__(p, params, engine, spans, metrics)
+        super().__init__(p, params, spans, metrics)
         self.memory_bound_words = memory_bound_words
         self.strict_reads = strict_reads
         self.conservation_rtol = conservation_rtol

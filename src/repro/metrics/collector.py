@@ -11,7 +11,7 @@ without per-call-site instrumentation.  It records
 * per-rank **send/receive mirrors**: arrays accumulated with the *identical
   values in the identical order* as the counter store's ``words_sent`` /
   ``words_recv`` slots, which is what makes the conservation check below
-  bit-exact on both engines (same IEEE-754 additions per slot);
+  bit-exact (same IEEE-754 additions per slot);
 * per-rank **memory high-water marks** sampled at superstep boundaries,
   plus a decimated time series for the per-rank Perfetto counter tracks.
 
@@ -425,7 +425,7 @@ class MetricsCollector:
 
         The mirror additions repeat the exact store operations (same
         values, same order), so ``sent_words``/``recv_words`` stay
-        bit-identical to the live counters on either engine.  ``pairs``,
+        bit-identical to the live counters.  ``pairs``,
         when given, is the exact ``(src, dst, words)`` wire pattern in
         absolute ranks; otherwise the marginals are split by
         :func:`attribute_flows`.

@@ -4,7 +4,7 @@
 stable machine-readable document (schema :data:`SCHEMA_VERSION`) with five
 sections:
 
-* ``config`` — the run parameters (n, p, delta, engine, ...);
+* ``config`` — the run parameters (n, p, delta, ...);
 * ``comm`` — the rank-to-rank words/messages matrices, their totals, the
   heaviest directed pairs and the unpaired residuals;
 * ``memory`` — per-rank superstep watermarks, counter peaks, and the
@@ -17,11 +17,7 @@ sections:
 :func:`check_metrics` is the deterministic CI gate over a pinned baseline
 document: conservation must hold, no memory watermark may exceed the model
 bound, the simulated comm totals must match exactly, and no attainment
-ratio may drift above its baseline by more than the envelope.  It has the
-same ``(fresh, baseline, tolerance)`` shape as
-:func:`repro.bench.check_against_baseline`, so ``repro metrics --check``
-reuses :func:`repro.bench.check_with_retries` (no failure here mentions
-wall clocks, so the retry loop never fires).
+ratio may drift above its baseline by more than the envelope.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ DEFAULT_ENVELOPE = 0.25
 
 
 def build_metrics_doc(
-    result: "EigensolveResult", n: int, engine: str = "array", config: dict | None = None
+    result: "EigensolveResult", n: int, config: dict | None = None
 ) -> dict[str, Any]:
     """Fold an instrumented :class:`EigensolveResult` into the document.
 
@@ -77,7 +73,6 @@ def build_metrics_doc(
             "delta": float(result.delta),
             "replication": int(result.replication),
             "initial_bandwidth": int(result.initial_bandwidth),
-            "engine": engine,
             **(config or {}),
         },
         "comm": {
@@ -220,8 +215,7 @@ def render_metrics(doc: dict[str, Any]) -> str:
     comm = doc["comm"]
     mem = doc["memory"]
     parts: list[str] = [
-        f"per-rank metrics (n={cfg['n']}, p={cfg['p']}, delta={cfg['delta']:.3f}, "
-        f"engine={cfg['engine']})",
+        f"per-rank metrics (n={cfg['n']}, p={cfg['p']}, delta={cfg['delta']:.3f})",
         "",
         format_table(
             ["src", "dst", "words"],

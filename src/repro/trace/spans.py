@@ -1,4 +1,4 @@
-"""Span-based cost tracing over the BSP counter engines.
+"""Span-based cost tracing over the BSP counter store.
 
 A *span* is a named, nested region of a simulated run — a collective, a
 sharded kernel, a block algorithm, an eig pipeline stage — opened with
@@ -21,14 +21,12 @@ deltas in segment order.  Because the accumulator always equals the
 previous watermark bit-for-bit, ``acc + (now − mark)`` reproduces ``now``
 exactly (the subtraction of two nearby accumulated sums is exact, and
 adding it back telescopes) — so per-span deltas sum to the global counters
-with **zero** float error, on both the vectorized and the scalar engine.
+with **zero** float error.
 :meth:`SpanRecorder.verify_attribution` asserts this with
 ``np.array_equal``, and :meth:`repro.trace.report.SpanBreakdown.verify_exact`
 asserts the same for the rendered per-span rows.
 
-The recorder is engine-agnostic: it only uses the counter stores'
-``field_array`` accessor, which both :class:`~repro.bsp.counters.CounterArray`
-and :class:`~repro.bsp.scalar.ScalarCounterStore` implement.
+The recorder reads the store only through its ``field_array`` accessor.
 """
 
 from __future__ import annotations

@@ -18,10 +18,13 @@ from repro.lint.verify import VerifiedMachine
 VERIFY = os.environ.get("REPRO_VERIFY", "") not in ("", "0")
 
 
+#: the machine class the fixtures build (``REPRO_VERIFY`` switches it)
+MACHINE_CLS = VerifiedMachine if VERIFY else BSPMachine
+
+
 def make_machine(p: int, **kwargs) -> BSPMachine:
     """Machine factory honouring the ``REPRO_VERIFY`` switch."""
-    cls = VerifiedMachine if VERIFY else BSPMachine
-    return cls(p, **kwargs)
+    return MACHINE_CLS(p, **kwargs)
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ chase engine:
   crossing the band edge and clipped at the matrix border;
 * :meth:`DistBandMatrix.redistribute` — the searchsorted owner maps must
   charge exactly what the old per-column scan charged, including ragged
-  layouts where the column split is uneven, on both counter engines;
+  layouts where the column split is uneven, on the live counter store and
+  on the scalar oracle;
 * :meth:`SymmetricBand.eigenvalues` with b > 1 — the reduction now runs in
   band storage, so its working set stays O((b+2)·n) words instead of the
   dense n² that to_dense() needed.
@@ -26,8 +27,7 @@ from repro.bsp import BSPMachine, RankGroup
 from repro.dist.banded import DistBandMatrix
 from repro.linalg.band import SymmetricBand
 from repro.util.matrices import random_banded_symmetric
-
-ENGINES = ("array", "scalar")
+from tests.scalar_oracle import ENGINES, machine_on
 
 
 def window_reference(band: SymmetricBand, rows: slice, cols: slice) -> np.ndarray:
@@ -94,7 +94,7 @@ class TestRedistributeRagged:
     )
     def test_charges_match_per_column_scan(self, engine, n, p, old_size, new_size):
         a = random_banded_symmetric(n, 3, seed=n)
-        machine = BSPMachine(p, engine=engine)
+        machine = machine_on(engine, p)
         old_group = machine.world.take(old_size)
         new_group = RankGroup(tuple(range(p - new_size, p)))
         band = DistBandMatrix(machine, a, 3, old_group)
@@ -120,7 +120,7 @@ class TestRedistributeRagged:
         a = random_banded_symmetric(29, 3, seed=29)
         reports = {}
         for engine in ENGINES:
-            machine = BSPMachine(8, engine=engine)
+            machine = machine_on(engine, 8)
             band = DistBandMatrix(machine, a.copy(), 3, machine.world.take(8))
             band.redistribute(machine.world.take(3))
             reports[engine] = machine.cost()

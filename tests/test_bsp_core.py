@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.bsp import BSPMachine, MachineParams, RankGroup
-from repro.bsp.counters import RankCounters, aggregate
 from repro.bsp.params import BANDWIDTH_BOUND, LATENCY_BOUND
+from tests.scalar_oracle import RankCounters, aggregate
 
 
 class TestMachineParams:
@@ -46,6 +46,9 @@ class TestMachineParams:
 
 
 class TestCounters:
+    """``RankCounters`` / ``aggregate`` are the scalar oracle's (they left
+    ``src/`` with it); the report they build is the ordinary ``CostReport``."""
+
     def test_words_is_sent_plus_received(self):
         c = RankCounters(words_sent=3.0, words_recv=4.0)
         assert c.words == 7.0

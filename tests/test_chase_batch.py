@@ -4,8 +4,8 @@ Algorithm IV.2 has one chase loop, written against
 :class:`~repro.bsp.batch.ChargeLog` / :class:`~repro.bsp.batch.KernelTape`;
 the log defers its charges to one order-preserving flush on a machine no
 observer needs program order on, and writes them through the machine's own
-primitives otherwise.  The contract is **bit-identity** — per rank, on both
-counter engines — between the two modes, between a replayed tape and the
+primitives otherwise.  The contract is **bit-identity** — per rank, on the
+live store and on the scalar oracle — between the two modes, between a replayed tape and the
 live kernel, and with the per-step chase path this loop replaced (golden
 digests captured before it was deleted).  These tests pin that contract at
 the unit level (schedule arrays, log, tapes, window charges), at the stage
@@ -38,8 +38,7 @@ from repro.metrics.collector import _FLOW_MEMO
 from repro.util.lru import ByteLRU
 from repro.util.matrices import random_banded_symmetric, random_symmetric
 from tests import chase_digests
-
-ENGINES = ("array", "scalar")
+from tests.scalar_oracle import ENGINES, machine_on
 
 CONFIGS = [
     (32, 8, 4),
@@ -57,10 +56,10 @@ OBSERVERS = ("spans", "metrics", "verified")
 
 def _machine(p: int, observer: str | None = None, engine: str = "array") -> BSPMachine:
     if observer == "verified":
-        return VerifiedMachine(p, engine=engine)
+        return machine_on(engine, p, VerifiedMachine)
     if observer == "faulty-clean":
-        return FaultyMachine(p, engine=engine, plan=FaultPlan(SCENARIOS["clean"], seed=4))
-    return BSPMachine(p, engine=engine, **({observer: True} if observer else {}))
+        return machine_on(engine, p, FaultyMachine, plan=FaultPlan(SCENARIOS["clean"], seed=4))
+    return machine_on(engine, p, **({observer: True} if observer else {}))
 
 
 # ------------------------------------------------------------------ #
@@ -119,16 +118,16 @@ def _logged_workload(machine: BSPMachine) -> None:
 class TestChargeLog:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_flush_matches_direct_charges(self, engine):
-        direct = BSPMachine(4, engine=engine)
+        direct = machine_on(engine, 4)
         _direct_workload(direct)
-        logged = BSPMachine(4, engine=engine)
+        logged = machine_on(engine, 4)
         _logged_workload(logged)
         assert report_mismatches(direct.cost(), logged.cost()) == []
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_array_superstep_counts(self, engine):
         """Per-event int64 count arrays (from tape replay) add like scalars."""
-        machine = BSPMachine(4, engine=engine)
+        machine = machine_on(engine, 4)
         log = ChargeLog(machine)
         log._ss.append((np.array([0, 1, 1]), np.array([2, 1, 3], dtype=np.int64)))
         log.superstep(np.array([3]), 4)
@@ -322,7 +321,7 @@ class TestEngineResolution:
 
 
 # ------------------------------------------------------------------ #
-# stage-level identity: deferred vs write-through, both counter engines
+# stage-level identity: deferred vs write-through, live store and oracle
 
 
 def _b2b_run(machine: BSPMachine, n=64, b=8, k=2, seed=9):
@@ -415,7 +414,7 @@ class TestPipelineIdentity:
         if not baseline_path.is_file():
             pytest.skip("no committed BENCH_engine.json")
         baseline = json.loads(baseline_path.read_text())
-        report, _wall = run_eig("array")
+        report, _wall = run_eig()
         assert cost_dict(report) == baseline["cases"]["eig_n96_p16"]["cost"]
 
     @pytest.mark.parametrize("config", chase_digests.CONFIGS, ids=lambda c: chase_digests.config_key(*c))

@@ -75,12 +75,16 @@ class TestTrace:
         assert doc["otherData"]["p"] == 4
 
     def test_trace_scalar_engine_matches(self, tmp_path, capsys):
-        rc = main([
-            "trace", "--n", "32", "--p", "4",
-            "--engine", "scalar", "--out", str(tmp_path / "t.json"),
-        ])
-        assert rc == 0
-        assert "engine=scalar" in capsys.readouterr().out
+        """The same breakdown and trace file, byte for byte, when the command's
+        machine counts on the scalar oracle (the CLI has no engine switch)."""
+        from tests.scalar_oracle import scalar_store
+
+        argv = ["trace", "--n", "32", "--p", "4", "--out", str(tmp_path / "t.json")]
+        assert main(argv) == 0
+        array_run = capsys.readouterr().out, (tmp_path / "t.json").read_bytes()
+        with scalar_store():
+            assert main(argv) == 0
+        assert (capsys.readouterr().out, (tmp_path / "t.json").read_bytes()) == array_run
 
     def test_trace_per_rank_writes_second_file(self, tmp_path, capsys):
         import json

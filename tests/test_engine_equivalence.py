@@ -1,15 +1,15 @@
-"""Bit-identity of the vectorized and scalar accounting engines.
+"""Bit-identity of the counter store with its scalar oracle.
 
-The vectorized ``array`` engine (:class:`repro.bsp.counters.CounterArray`)
-must produce cost reports **bit-identical** to the pre-vectorization
-``scalar`` oracle (:class:`repro.bsp.scalar.ScalarCounterStore`) — per rank,
-not just in aggregate — for every charging path: collectives, batched entry
-points, sharded kernels, memory tracking, and a full eigensolver run.  Both
-engines receive the identical pre-computed charge values, so any difference
-is an engine bug, never float noise.
+:class:`repro.bsp.counters.CounterArray` — the one store ``src/`` has — must
+produce cost reports **bit-identical** to the Python-loop store it replaced
+(``tests/scalar_oracle.py``) — per rank, not just in aggregate — for every
+charging path: collectives, batched entry points, sharded kernels, memory
+tracking, the deferred charge log, and a full eigensolver run, on all three
+machine classes.  Both stores receive the identical pre-computed charge
+values, so any difference is a store bug, never float noise.
 
 Also covers the :class:`~repro.bsp.group.RankGroup` index/position caches
-the vectorized engine relies on.
+the store relies on.
 """
 
 from __future__ import annotations
@@ -18,13 +18,26 @@ import numpy as np
 import pytest
 
 from repro.bsp import BSPMachine, RankGroup, collectives
-from repro.bsp.counters import COUNTER_FIELDS, CounterArray, RankCounters
+from repro.bsp.batch import ChargeLog
+from repro.bsp.counters import COUNTER_FIELDS, CounterArray
 from repro.bsp.kernels import sharded_axpy, sharded_dot, sharded_matvec
-from repro.bsp.scalar import ScalarCounterStore
+from repro.faults import SCENARIOS, FaultPlan, FaultyMachine, machine_from_env
+from repro.lint.verify import VerifiedMachine
+from tests.scalar_oracle import ScalarCounterStore, machine_on, scalar_delta, scalar_store
+
+#: the three machine classes, each built the way its users build it (the
+#: ``clean`` plan never fires, so a pair of machines may share it)
+MACHINE_CLASSES = {
+    "plain": (BSPMachine, {}),
+    "verified": (VerifiedMachine, {"memory_bound_words": 1e9}),
+    "faulty": (FaultyMachine, {"plan": FaultPlan(SCENARIOS["clean"], seed=4)}),
+}
 
 
-def both_machines(p: int, **kwargs) -> tuple[BSPMachine, BSPMachine]:
-    return BSPMachine(p, engine="array", **kwargs), BSPMachine(p, engine="scalar", **kwargs)
+def both_machines(
+    p: int, cls: type[BSPMachine] = BSPMachine, **kwargs
+) -> tuple[BSPMachine, BSPMachine]:
+    return machine_on("array", p, cls, **kwargs), machine_on("scalar", p, cls, **kwargs)
 
 
 def assert_identical(array_m: BSPMachine, scalar_m: BSPMachine) -> None:
@@ -48,8 +61,8 @@ def assert_identical(array_m: BSPMachine, scalar_m: BSPMachine) -> None:
         assert np.array_equal(av, sv), f"per-rank {fname} differs"
 
 
-def run_on_both(p, workload, **kwargs):
-    ma, ms = both_machines(p, **kwargs)
+def run_on_both(p, workload, cls=BSPMachine, **kwargs):
+    ma, ms = both_machines(p, cls, **kwargs)
     workload(ma)
     workload(ms)
     assert_identical(ma, ms)
@@ -57,30 +70,52 @@ def run_on_both(p, workload, **kwargs):
 
 
 # ------------------------------------------------------------------ #
-# engine selection
+# engine selection: ``src/`` has one store; only the oracle helper swaps it
 
 def test_engine_selection_and_store_types():
-    ma, ms = both_machines(4)
-    assert isinstance(ma.counters, CounterArray)
-    assert isinstance(ms.counters, ScalarCounterStore)
-    assert ma.engine == "array" and ms.engine == "scalar"
+    """The comparisons below are not vacuous: the helper really builds each
+    machine class on the scalar store, and leaves ``src/`` as it found it."""
+    for cls, kwargs in MACHINE_CLASSES.values():
+        ma, ms = both_machines(4, cls, **kwargs)
+        assert type(ma) is cls and type(ms) is cls
+        assert isinstance(ma.counters, CounterArray)
+        assert isinstance(ms.counters, ScalarCounterStore)
+        assert ms.spans._store is ms.counters  # observers were wired to the oracle
+        assert isinstance(cls(4, **kwargs).counters, CounterArray)  # patch undone
+        assert not hasattr(ma, "engine")
+
+
+def test_scalar_store_block_covers_code_that_builds_its_own_machine(monkeypatch):
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    with scalar_store():
+        assert isinstance(machine_from_env(4).counters, ScalarCounterStore)
+    assert isinstance(machine_from_env(4).counters, CounterArray)
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown accounting engine"):
-        BSPMachine(4, engine="gpu")
+    """There is no engine to name any more: the constructors take no
+    ``engine`` argument at all (``tests/test_knobs.py`` pins the signature)."""
+    for cls, kwargs in MACHINE_CLASSES.values():
+        with pytest.raises(TypeError, match="engine"):
+            cls(4, engine="scalar", **kwargs)
+    with pytest.raises(ValueError, match="unknown engine"):
+        machine_on("gpu", 4)
 
 
 def test_counters_preserve_rankcounters_view():
-    ma, _ = both_machines(4)
-    ma.charge_flops(ma.world, 3.0)
-    slot = ma.counters[1]
-    assert slot.flops == 3.0
-    slot.flops = 7.0  # writable view, as tests and tools rely on
-    assert ma.counters.field_array("flops")[1] == 7.0
-    assert isinstance(ma.counters[0].copy(), RankCounters)
-    assert len(ma.counters) == 4
-    assert [s.flops for s in ma.counters] == [3.0, 7.0, 3.0, 3.0]
+    """``counters[r]`` reads and writes like the oracle's ``RankCounters``."""
+    ma, ms = both_machines(4)
+    for m in (ma, ms):
+        m.charge_flops(m.world, 3.0)
+        slot = m.counters[1]
+        assert slot.flops == 3.0
+        slot.flops = 7.0  # writable view, as tests and tools rely on
+        assert m.counters.field_array("flops")[1] == 7.0
+        assert len(m.counters) == 4
+        assert [s.flops for s in m.counters] == [3.0, 7.0, 3.0, 3.0]
+    for name in COUNTER_FIELDS + ("words",):
+        assert getattr(ma.counters[1], name) == getattr(ms.counters[1], name), name
+    assert "flops=7.0" in repr(ma.counters[1])
 
 
 # ------------------------------------------------------------------ #
@@ -126,7 +161,7 @@ def test_alltoall_matrix_identical():
 
     ma, ms = run_on_both(8, workload)
     # and it matches the dict-based alltoall of the same transfers
-    md = BSPMachine(8, engine="array")
+    md = BSPMachine(8)
     transfers = {(i, j): float(mat[i, j]) for i in range(8) for j in range(8) if mat[i, j]}
     collectives.alltoall(md, md.world, transfers)
     assert md.cost().words == ma.cost().words
@@ -158,7 +193,7 @@ def test_charge_comm_matrix_identical():
 
 
 def test_duplicate_rank_iterables_accumulate_identically():
-    # Arbitrary iterables may repeat ranks; both engines must double-charge.
+    # Arbitrary iterables may repeat ranks; both stores must double-charge.
     def workload(m):
         m.charge_flops([0, 1, 1, 2, 0], 2.0)
         m.mem_stream_group([3, 3, 3], 1.5)
@@ -213,6 +248,10 @@ def test_sharded_kernels_identical(rng):
 
 
 def test_full_driver_identical():
+    """The whole pipeline on every machine class: deferred log on the plain
+    and verified machines, write-through on the fault-injecting one.  (The
+    pinned n = 96, p = 16 instance runs on both stores under every observer
+    in ``test_chase_batch.py::TestPipelineIdentity``.)"""
     from repro.eig import eigensolve_2p5d
     from repro.util.matrices import random_symmetric
 
@@ -221,21 +260,81 @@ def test_full_driver_identical():
     def workload(m):
         eigensolve_2p5d(m, a.copy(), delta=2.0 / 3.0)
 
-    run_on_both(16, workload)
+    for cls, kwargs in MACHINE_CLASSES.values():
+        run_on_both(16, workload, cls, **kwargs)
+
+
+# ------------------------------------------------------------------ #
+# the charge log: deferred flush (``unique=False`` adds) and write-through
+
+def _logged(m: BSPMachine) -> None:
+    w = m.world
+    log = ChargeLog(m)
+    log.charge_flops(w, 2.5)
+    log.charge_flops(2, 7.0)
+    log.charge_comm(w.take(2), 5.0, RankGroup((2, 3)), 5.0)
+    log.mem_stream(w.take(3), 11.0)
+    log.transfer(w.take(2), RankGroup((1, 2, 3)), 12.0)
+    log.superstep(w, 1)
+    if log.deferred:
+        # raw index arrays with repeated ranks and per-index amounts (the
+        # vectorised emission; only a deferred log accepts them)
+        log.charge_flops(np.array([1, 1, 2]), np.array([0.1, 0.2, 0.3]))
+        log.charge_comm(np.array([0, 1, 0]), np.array([5.0, 3.0, 0.7]), np.array([2, 2]), 4.35)
+        log.mem_stream(np.array([3, 3]), 0.1)
+        log.superstep(np.array([0, 3, 0]), np.array([2, 1, 3], dtype=np.int64))
+        log._note.append((np.array([1, 1, 2]), np.array([9.0, 4.0, 6.0])))  # as a tape replay does
+    log.flush()
+
+
+@pytest.mark.parametrize("observers", [{}, {"spans": True}, {"metrics": True}])
+def test_charge_log_identical(observers):
+    """No observer: one deferred flush through the stores' ``unique=False``
+    paths.  Spans or metrics on: every append written through at once."""
+    ma, _ = run_on_both(4, _logged, **observers)
+    assert ChargeLog(ma).deferred is not bool(observers)
+
+
+# ------------------------------------------------------------------ #
+# reports: reset in place, interval subtraction
+
+def test_reset_in_place_identical():
+    def workload(m):
+        held = m.counters[0]  # per-rank view taken before the reset
+        collectives.allreduce(m, m.world, 64.0)
+        m.note_memory(m.world, 50.0)
+        assert held.flops > 0.0
+        m.reset()
+        assert held.flops == 0.0 and held.peak_memory_words == 0.0
+        collectives.bcast(m, m.world, 32.0)
+
+    ma, _ = run_on_both(8, workload, spans=True)
+    fresh = BSPMachine(8)
+    collectives.bcast(fresh, fresh.world, 32.0)
+    assert ma.cost() == fresh.cost()
 
 
 def test_report_subtraction_identical():
+    """``CostReport.__sub__`` against the scalar engine's per-rank
+    ``RankCounters`` differences, on reports from either store."""
     def run(engine):
-        m = BSPMachine(8, engine=engine)
+        m = machine_on(engine, 8)
         collectives.allreduce(m, m.world, 64.0)
+        m.note_memory(m.world.take(3), 40.0)
         before = m.cost()
-        collectives.bcast(m, m.world, 32.0)
-        m.charge_flops(m.world, 5.0)
-        return m.cost() - before
+        collectives.bcast(m, m.world, 32.0, root=5)
+        m.charge_flops(m.world.take(5), 5.0)
+        after = m.cost()
+        return after - before, scalar_delta(after, before)
 
-    da, ds = run("array"), run("scalar")
-    for name in ("flops", "words", "mem_traffic", "supersteps", "total_flops", "total_words"):
-        assert getattr(da, name) == getattr(ds, name), name
+    (da, oracle_a), (ds, oracle_s) = run("array"), run("scalar")
+    for delta in (ds, oracle_a, oracle_s):
+        assert delta == da  # every aggregate field, exactly
+        for name in COUNTER_FIELDS:
+            assert np.array_equal(
+                delta.per_rank.field_array(name), da.per_rank.field_array(name)
+            ), name
+    assert isinstance(ds.per_rank, CounterArray)  # one representation
 
 
 # ------------------------------------------------------------------ #

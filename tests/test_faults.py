@@ -5,7 +5,8 @@ sites on :class:`~repro.faults.FaultyMachine`, ABFT checksum detection,
 the post-stage invariant guards, the checkpoint/restart retry loop,
 degenerate configurations (p=1, ragged n, finish-stage faults), and the
 span-exactness property on faulty runs: per-span sums — including recovery
-re-execution — reproduce the global report bit-for-bit on both engines.
+re-execution — reproduce the global report bit-for-bit, on the live store
+and on the scalar oracle.
 """
 
 import numpy as np
@@ -36,8 +37,7 @@ from repro.faults.recovery import (
 )
 from repro.util.matrices import random_banded_symmetric, random_symmetric
 from repro.util.validation import frobenius_norm
-
-ENGINES = ("array", "scalar")
+from tests.scalar_oracle import ENGINES, machine_on
 
 #: a scenario that exercises corruption + retry without killing ranks
 KC = FaultSpec(name="kc", kernel_corrupt_prob=0.3, max_corruptions=2,
@@ -355,8 +355,8 @@ class TestFaultySpanExactness:
 
     def _run(self, engine):
         a = random_symmetric(32, seed=3)
-        machine = FaultyMachine(4, plan=FaultPlan(KC, 5), spans=True,
-                                engine=engine)
+        machine = machine_on(engine, 4, FaultyMachine, plan=FaultPlan(KC, 5),
+                             spans=True)
         eigensolve_2p5d(machine, a, delta=2.0 / 3.0)
         assert len(machine.faults.recoveries) > 0  # retries happened
         return machine

@@ -22,8 +22,7 @@ from repro.metrics import collector
 from repro.metrics.collector import FlowPattern, attribute_flows
 from repro.util.lru import ByteLRU
 from tests.flow_oracle import ACCUMULATORS, EagerCollector
-
-ENGINES = ("array", "scalar")
+from tests.scalar_oracle import ENGINES, machine_on
 
 
 class _Tee:
@@ -60,7 +59,7 @@ def _apply(machine: BSPMachine, charge: tuple) -> None:
 def _run(p: int, engine: str, charges: list) -> tuple:
     """Apply ``charges`` to a metered machine whose hooks also feed the
     eager oracle; returns ``(machine, live collector, oracle)``."""
-    machine = BSPMachine(p, engine=engine, metrics=True)
+    machine = machine_on(engine, p, metrics=True)
     live, oracle = machine.metrics, EagerCollector(p)
     machine.metrics = _Tee(live, oracle)
     for charge in charges:

@@ -1,20 +1,26 @@
 """Knob ratchet: the ``REPRO_*`` environment switches ``src/`` reads, the
-constructor switches of :class:`BSPMachine`, and the observers that force a
-charge log to write through.
+constructor switches of :class:`BSPMachine`, the observers that force a
+charge log to write through, and the counter-store selector that must not
+come back (one store in ``src/``; the scalar one is ``tests/scalar_oracle.py``).
 
 Every switch is a code path the test matrix has to cover twice.  A new one
 fails here until it is added to the pinned set on purpose, and one that
 goes away must be dropped from it, so the sets cannot grow unnoticed.
 """
 
+import argparse
 import ast
 import inspect
 import pathlib
 import re
 import textwrap
 
+import pytest
+
+import repro.bsp
 from repro.bsp import BSPMachine
 from repro.bsp.batch import needs_program_order
+from repro.cli import build_parser
 from repro.faults import FaultyMachine
 from repro.lint.verify import VerifiedMachine
 
@@ -24,8 +30,6 @@ SRC = pathlib.Path(__file__).parent.parent / "src"
 ALLOWED = {
     "REPRO_FAULTS": "opt-in fault scenario for machine_from_env (chaos tooling)",
     "REPRO_SERVE_CRASH_AFTER": "kill point of the journal crash/resume soak",
-    "REPRO_BENCH_ENVELOPE": "wall-clock gate width of `repro bench --check`",
-    "REPRO_BENCH_RETRIES": "wall-clock retry budget on loaded CI runners",
 }
 
 _NAME = re.compile(r"REPRO_[A-Z][A-Z0-9_]*")
@@ -53,7 +57,7 @@ def test_environment_switches_are_pinned():
 
 #: what a machine is built from; ``spans`` and ``metrics`` are its only
 #: observer switches (fault injection and verification are subclasses)
-MACHINE_KWARGS = ("p", "params", "engine", "spans", "metrics")
+MACHINE_KWARGS = ("p", "params", "spans", "metrics")
 
 #: machine attributes whose ``.enabled`` makes a ChargeLog write through
 ORDERED_OBSERVERS = {"spans", "metrics", "faults"}
@@ -83,3 +87,21 @@ def test_program_order_observers_are_pinned():
         and node.value.value.id == "machine"
     }
     assert read == ORDERED_OBSERVERS
+
+
+def test_src_exports_one_counter_store():
+    for name in ("ScalarCounterStore", "ENGINES", "RankCounters"):
+        assert name not in repro.bsp.__all__ and not hasattr(repro.bsp, name), name
+    assert not (SRC / "repro" / "bsp" / "scalar.py").exists()
+
+
+def test_no_subcommand_accepts_an_engine_flag(capsys):
+    parser = build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert "--engine" not in flags, name
+    with pytest.raises(SystemExit) as exc:  # argparse: unrecognized arguments
+        parser.parse_args(["trace", "--engine", "scalar"])
+    assert exc.value.code == 2
+    assert "--engine" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 """Tests for the per-rank metrics layer (repro.metrics).
 
 The tentpole invariant is *conservation*: the rank-to-rank word matrix
-plus the unpaired residuals must reproduce the counter engines' per-rank
+plus the unpaired residuals must reproduce the counter store's per-rank
 sent/recv totals bit-exactly, for every collective, every sharded kernel,
-on both accounting engines, and under injected faults.
+on the live store and on the scalar oracle, and under injected faults.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from repro.metrics import (
 )
 from repro.model.bounds import memory_bound_words
 from repro.util import random_symmetric
-
-ENGINES = ("array", "scalar")
+from tests.scalar_oracle import ENGINES, machine_on
 
 
 def metered(p: int, engine: str = "array", **kwargs) -> BSPMachine:
-    return BSPMachine(p, engine=engine, metrics=True, **kwargs)
+    return machine_on(engine, p, metrics=True, **kwargs)
 
 
 def snap_of(machine: BSPMachine):
@@ -187,8 +186,8 @@ def test_faulty_run_conserves_and_shows_retransmission(engine):
     a = random_symmetric(48, seed=1)
     clean = metered(8, engine)
     eigensolve_2p5d(clean, a)
-    faulty = FaultyMachine(
-        8, engine=engine, metrics=True,
+    faulty = machine_on(
+        engine, 8, FaultyMachine, metrics=True,
         plan=FaultPlan(SCENARIOS["message-drop"], seed=7),
     )
     eigensolve_2p5d(faulty, a)
@@ -251,7 +250,7 @@ def test_metrics_do_not_change_the_cost_report(engine):
     from repro import eigensolve_2p5d
 
     a = random_symmetric(48, seed=1)
-    plain = BSPMachine(8, engine=engine)
+    plain = machine_on(engine, 8)
     r_plain = eigensolve_2p5d(plain, a).cost
     r_metered = eigensolve_2p5d(metered(8, engine), a).cost
     assert r_plain == r_metered  # metrics_data is compare=False; costs equal
@@ -304,7 +303,7 @@ def pinned_doc():
     n, p = 48, 8
     m = metered(p, spans=True)
     res = eigensolve_2p5d(m, random_symmetric(n, seed=3))
-    return build_metrics_doc(res, n, engine="array", config={"seed": 3})
+    return build_metrics_doc(res, n, config={"seed": 3})
 
 
 class TestMetricsDoc:

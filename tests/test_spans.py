@@ -1,10 +1,11 @@
 """Tests for span tracing, critical-path breakdowns and Chrome export.
 
 Covers the recorder core (nesting, exclusive attribution, bit-exactness of
-the breakdown against the global cost report on both engines), the no-op
-disabled path, the Chrome trace-event exporter, ``VerifiedMachine``'s
-per-span invariant checks, and the engine-reset regression (the scalar
-store's old list-replacing ``reset`` left held per-rank references stale).
+the breakdown against the global cost report, on the live store and on the
+scalar oracle), the no-op disabled path, the Chrome trace-event exporter,
+``VerifiedMachine``'s per-span invariant checks, and the reset regression
+(the scalar store's old list-replacing ``reset`` left held per-rank
+references stale).
 """
 
 import json
@@ -16,9 +17,8 @@ from repro.bench import per_rank_arrays, report_mismatches
 from repro.bsp import BSPMachine, collectives
 from repro.trace import NULL_SPAN, SPAN_FIELDS, UNTRACED, chrome_trace, write_chrome_trace
 
-from .conftest import make_machine
-
-ENGINES = ("array", "scalar")
+from .conftest import MACHINE_CLS
+from .scalar_oracle import ENGINES, machine_on
 
 
 def _workload(machine: BSPMachine) -> None:
@@ -38,7 +38,7 @@ def _workload(machine: BSPMachine) -> None:
 class TestSpanRecorder:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_nested_paths_and_exclusive_attribution(self, engine):
-        machine = BSPMachine(4, engine=engine, spans=True)
+        machine = machine_on(engine, 4, spans=True)
         _workload(machine)
         bd = machine.cost().by_span()
         paths = set(bd.paths())
@@ -53,7 +53,7 @@ class TestSpanRecorder:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_breakdown_is_bit_exact(self, engine):
-        machine = BSPMachine(4, engine=engine, spans=True)
+        machine = machine_on(engine, 4, spans=True)
         _workload(machine)
         report = machine.cost()
         bd = report.by_span()
@@ -70,7 +70,7 @@ class TestSpanRecorder:
     def test_engines_agree_on_breakdown(self):
         rows = {}
         for engine in ENGINES:
-            machine = BSPMachine(4, engine=engine, spans=True)
+            machine = machine_on(engine, 4, spans=True)
             _workload(machine)
             rows[engine] = machine.cost().by_span()
         a, s = rows["array"], rows["scalar"]
@@ -177,7 +177,7 @@ class TestReset:
         """Regression: ScalarCounterStore.reset() replaced its rank list, so
         previously handed-out RankCounters kept pre-reset values and the two
         engines diverged after any mid-run reset."""
-        machine = BSPMachine(4, engine=engine, spans=True)
+        machine = machine_on(engine, 4, spans=True)
         held = machine.counters[0]  # per-rank view taken BEFORE the reset
         _workload(machine)
         assert held.flops > 0.0
@@ -189,7 +189,7 @@ class TestReset:
     def test_rerun_after_reset_is_bit_identical_across_engines(self):
         reports = {}
         for engine in ENGINES:
-            machine = BSPMachine(4, engine=engine, spans=True)
+            machine = machine_on(engine, 4, spans=True)
             _ = machine.counters[0]  # hold a view across the reset
             _workload(machine)
             machine.reset()
@@ -214,7 +214,7 @@ class TestDriverProperty:
         from repro.util.matrices import random_symmetric
 
         a = random_symmetric(32, seed=7)
-        machine = make_machine(4, engine=engine, spans=True)
+        machine = machine_on(engine, 4, MACHINE_CLS, spans=True)
         if solver == "eig2p5d":
             eigensolve_2p5d(machine, a, delta=2.0 / 3.0)
         elif solver == "ca_sbr":
