@@ -19,7 +19,7 @@ from repro.eig.ca_sbr import ca_sbr_halve
 from repro.report.tables import format_table
 from repro.util.matrices import random_banded_symmetric
 
-from _common import run_once, write_result
+from _common import write_result
 
 N, P = 512, 64
 BANDS = (16, 32, 64, 128)
@@ -46,8 +46,8 @@ def run_experiment():
     return rows, m_k4.cost(), m_2k2.cost()
 
 
-def test_band_reduction(benchmark):
-    rows, k4, two_k2 = run_once(benchmark, run_experiment)
+def test_band_reduction():
+    rows, k4, two_k2 = run_experiment()
     table = format_table(
         ["b", "F CA-SBR", "F 2.5D b2b", "W CA-SBR", "W 2.5D b2b", "S CA-SBR", "S 2.5D b2b"],
         rows,
@@ -74,5 +74,3 @@ def test_band_reduction(benchmark):
     assert rows[-1][4] < 8 * rows[-1][3]
     # Fewer stages, fewer supersteps (the k trade-off of Section IV).
     assert k4.S < two_k2.S
-    benchmark.extra_info["F_ratio_wide"] = f_ratio_wide
-    benchmark.extra_info["F_ratio_narrow"] = f_ratio_narrow

@@ -2,7 +2,8 @@
 
 Strong-scaling sweep of the full pipeline at δ = 1/2 vs δ = 2/3, asserting:
 
-* spectra stay correct at every point (the reduction chain is exact),
+* spectra stay correct at every point (max |λ − λ_LAPACK| ≤ 4·n·ε·‖A‖₂ —
+  host numerics are asserted, not printed: the table is simulated counts),
 * W decreases with p for both settings,
 * the replicated setting's S is larger (the paper's trade: √c more
   synchronization for √c less bandwidth),
@@ -16,7 +17,7 @@ from repro.eig import eigensolve_2p5d
 from repro.report.tables import fit_exponent, format_table
 from repro.util.matrices import random_symmetric
 
-from _common import run_once, write_result
+from _common import spectrum_bound, write_result
 
 N = 384
 P_SWEEP = (16, 64, 256)
@@ -31,24 +32,20 @@ def run_experiment():
         for p in P_SWEEP:
             res = eigensolve_2p5d(BSPMachine(p), a, delta=delta)
             err = np.abs(res.eigenvalues - ref).max()
-            rows.append(
-                [delta, p, res.replication, res.cost.W, res.cost.S, res.cost.F, err]
-            )
+            assert err <= spectrum_bound(ref), f"delta={delta} p={p}: |eig err| = {err}"
+            rows.append([delta, p, res.replication, res.cost.W, res.cost.S, res.cost.F])
             data[(delta, p)] = res.cost
     return rows, data
 
 
-def test_eigensolver_scaling(benchmark):
-    rows, data = run_once(benchmark, run_experiment)
+def test_eigensolver_scaling():
+    rows, data = run_experiment()
     table = format_table(
-        ["delta", "p", "c", "W", "S", "F (max rank)", "|eig err|"],
+        ["delta", "p", "c", "W", "S", "F (max rank)"],
         rows,
         title=f"Theorem IV.4 strong scaling (n={N})",
     )
     write_result("thm_IV4_eigensolver", table)
-
-    # Exact spectra everywhere.
-    assert max(r[6] for r in rows) < 1e-7
 
     for delta in (0.5, 2.0 / 3.0):
         ws = [data[(delta, p)].W for p in P_SWEEP]
@@ -61,9 +58,3 @@ def test_eigensolver_scaling(benchmark):
     # stage paddings account for the slack at this n).
     for p in P_SWEEP:
         assert data[(0.5, p)].F < 120 * 2 * N**3 / p + 400 * N * N
-    benchmark.extra_info["W_exp_d12"] = fit_exponent(
-        P_SWEEP, [data[(0.5, p)].W for p in P_SWEEP]
-    )
-    benchmark.extra_info["W_exp_d23"] = fit_exponent(
-        P_SWEEP, [data[(2.0 / 3.0, p)].W for p in P_SWEEP]
-    )

@@ -15,7 +15,7 @@ from repro.eig.full_to_band import full_to_band_2p5d
 from repro.report.figures import render_figure1
 from repro.util.matrices import random_symmetric
 
-from _common import run_once, write_result
+from _common import write_result
 
 N, B = 96, 16
 PANEL_QR = "full_to_band/panel_qr/rect_qr"
@@ -32,8 +32,8 @@ def run_experiment():
     return out, panel_words, a
 
 
-def test_figure1(benchmark):
-    out, panel_words, a = run_once(benchmark, run_experiment)
+def test_figure1():
+    out, panel_words, a = run_experiment()
     fig = render_figure1(n_panels=N // B, step=3)
     write_result("figure1", fig)
 
@@ -46,4 +46,3 @@ def test_figure1(benchmark):
     ref = np.linalg.eigvalsh(a)
     got = np.linalg.eigvalsh(out)
     assert np.abs(ref - got).max() < 1e-9 * max(1, np.abs(ref).max())
-    benchmark.extra_info["panels"] = len(panel_words)

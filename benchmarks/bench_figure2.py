@@ -8,7 +8,7 @@ asserts the exact concurrency sets the caption states:
 from repro.eig.schedule import pipeline_schedule, schedule_checks
 from repro.report.figures import render_figure2
 
-from _common import run_once, write_result
+from _common import write_result
 
 N, B, K = 48, 8, 2
 
@@ -20,13 +20,11 @@ def run_experiment():
     return sched, fig, checks
 
 
-def test_figure2(benchmark):
-    sched, fig, checks = run_once(benchmark, run_experiment)
+def test_figure2():
+    sched, fig, checks = run_experiment()
     write_result("figure2", fig)
 
     assert sched[5].ij_set == {(3, 1), (2, 3), (1, 5)}
     assert sched[6].ij_set == {(3, 2), (2, 4), (1, 6)}
     assert checks["phases_disjoint"]
     assert checks["bulge_handoff"]
-    benchmark.extra_info["phase5"] = sorted(sched[5].ij_set)
-    benchmark.extra_info["phase6"] = sorted(sched[6].ij_set)

@@ -17,9 +17,7 @@ from repro.report.tables import format_table
 from repro.util.matrices import random_symmetric
 from repro.util.validation import matrix_bandwidth
 
-from repro.report.svg import line_chart, save_svg
-
-from _common import RESULTS_DIR, run_once, write_result
+from _common import write_result
 
 N, B = 768, 96
 P = 256
@@ -47,8 +45,8 @@ def run_experiment():
     return a, rows, outs, q_rows
 
 
-def test_full_to_band(benchmark):
-    a, rows, outs, q_rows = run_once(benchmark, run_experiment)
+def test_full_to_band():
+    a, rows, outs, q_rows = run_experiment()
     table = format_table(
         ["grid", "c", "W", "M (peak/rank)", "S", "F"],
         rows,
@@ -75,18 +73,6 @@ def test_full_to_band(benchmark):
     ideal_gain = np.sqrt(64)
     actual_gain = ws[0] / ws[3]
     assert actual_gain < 0.6 * ideal_gain, "the c <= p^{1/3} constraint must bite"
-    save_svg(
-        RESULTS_DIR / "full_to_band_c_sweep.svg",
-        line_chart(
-            {"measured W": [(r[1], r[2]) for r in rows],
-             "ideal W(c=1)/sqrt(c)": [(r[1], rows[0][2] / np.sqrt(r[1])) for r in rows]},
-            title=f"Lemma IV.1: W vs replication c (n={N}, p={P})",
-            xlabel="c", ylabel="W (words per rank)",
-        ),
-    )
-    benchmark.extra_info["gain_c4"] = ws[0] / ws[1]
-    benchmark.extra_info["gain_c16"] = ws[0] / ws[2]
-    benchmark.extra_info["gain_c64"] = ws[0] / ws[3]
     # Cache condition: the small-H surplus matches the conditional term
     # O(ν·(n/b)·n²/q²) of Lemma IV.1 (q = 8 on the (8,8,4) grid).
     extra_q = q_rows[1][1] - q_rows[0][1]

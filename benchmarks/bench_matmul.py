@@ -13,7 +13,7 @@ from repro.model.costs import carma_cost
 from repro.report.tables import format_table
 from repro.util.matrices import _rng
 
-from _common import run_once, write_result
+from _common import write_result
 
 P = 64
 SHAPES = [
@@ -48,8 +48,8 @@ def run_experiment():
     return rows, mach_free.cost(), mach_tight.cost()
 
 
-def test_matmul_regimes(benchmark):
-    rows, free, tight = run_once(benchmark, run_experiment)
+def test_matmul_regimes():
+    rows, free, tight = run_experiment()
     table = format_table(
         ["regime", "shape", "W measured", "W predicted", "ratio", "S"],
         rows,
@@ -77,4 +77,3 @@ def test_matmul_regimes(benchmark):
     # Memory pressure strictly inflates communication (DFS steps).
     assert tight.W > free.W
     assert tight.M <= free.M
-    benchmark.extra_info["tight_over_free_W"] = tight.W / free.W

@@ -14,7 +14,7 @@ from repro.model.costs import rect_qr_cost
 from repro.report.tables import format_table
 from repro.util.matrices import _rng
 
-from _common import run_once, write_result
+from _common import write_result
 
 P = 16
 CASES = [(8192, 8), (4096, 16), (1024, 32), (256, 64), (128, 128)]
@@ -36,8 +36,8 @@ def run_experiment():
     return rows, resids
 
 
-def test_rect_qr(benchmark):
-    rows, resids = run_once(benchmark, run_experiment)
+def test_rect_qr():
+    rows, resids = run_experiment()
     table = format_table(
         ["shape", "m/n", "W measured", "W predicted", "ratio", "S", "F"],
         rows,
@@ -53,4 +53,3 @@ def test_rect_qr(benchmark):
     # Work efficiency: F ≈ 2mn²/p within constants, across the sweep.
     for (m, n), row in zip(CASES, rows):
         assert row[6] < 25 * 2 * m * n * n / P
-    benchmark.extra_info["worst_ratio"] = max(r[4] for r in rows)

@@ -18,7 +18,7 @@ from repro.model.costs import c_to_delta, streaming_mm_cost
 from repro.report.tables import format_table
 from repro.util.matrices import _rng
 
-from _common import run_once, write_result
+from _common import write_result
 
 P = 64
 N, K = 512, 32
@@ -52,8 +52,8 @@ def run_experiment():
     return rows, cache_rows
 
 
-def test_streaming(benchmark):
-    rows, cache_rows = run_once(benchmark, run_experiment)
+def test_streaming():
+    rows, cache_rows = run_experiment()
     table = format_table(
         ["grid", "c", "W measured", "W predicted", "ratio", "S"],
         rows,
@@ -75,4 +75,3 @@ def test_streaming(benchmark):
     # Cache condition: resident A cuts Q by a large factor over 10 passes.
     q_big, q_small = cache_rows[0][2], cache_rows[1][2]
     assert q_small > 2.5 * q_big
-    benchmark.extra_info["W_c1_over_c16"] = ws[0] / ws[2]

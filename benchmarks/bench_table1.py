@@ -30,9 +30,7 @@ from repro.model.table1 import render_table1
 from repro.report.tables import fit_exponent, format_table
 from repro.util.matrices import random_symmetric
 
-from repro.report.svg import line_chart, save_svg
-
-from _common import RESULTS_DIR, run_once, write_result
+from _common import write_result
 
 N = 320
 P_SWEEP = (16, 64, 256)
@@ -66,8 +64,8 @@ def run_experiment():
     return data
 
 
-def test_table1(benchmark):
-    data = run_once(benchmark, run_experiment)
+def test_table1():
+    data = run_experiment()
     rows = []
     for name, per_p in data.items():
         for p in P_SWEEP:
@@ -88,15 +86,6 @@ def test_table1(benchmark):
         + table
         + "\n\n"
         + format_table(["algorithm", "fitted W ~ p^e"], exp_rows),
-    )
-    benchmark.extra_info.update({f"W_exp[{k}]": round(v, 3) for k, v in exps.items()})
-    save_svg(
-        RESULTS_DIR / "table1_scaling.svg",
-        line_chart(
-            {name: [(p, per_p[p].W) for p in P_SWEEP] for name, per_p in data.items()},
-            title=f"Table I: measured W vs p (n={N}, log-log)",
-            xlabel="p", ylabel="W (words per rank)",
-        ),
     )
 
     p_hi = P_SWEEP[-1]

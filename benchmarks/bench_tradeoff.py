@@ -17,7 +17,7 @@ from repro.model.tuning import best_delta, tuning_table
 from repro.report.tables import format_table
 from repro.util.matrices import random_symmetric
 
-from _common import run_once, write_result
+from _common import write_result
 
 N, B, P = 512, 64, 256
 GRIDS = [(16, 16, 1), (8, 8, 4), (4, 4, 16)]
@@ -41,8 +41,8 @@ def run_experiment():
     return measured, model_rows, d_bw, d_lat
 
 
-def test_tradeoff(benchmark):
-    measured, model_rows, d_bw, d_lat = run_once(benchmark, run_experiment)
+def test_tradeoff():
+    measured, model_rows, d_bw, d_lat = run_experiment()
     m_table = format_table(
         ["c", "W measured", "M measured", "W lower bound", "W/bound"],
         measured,
@@ -69,4 +69,3 @@ def test_tradeoff(benchmark):
         assert ratio < 200.0
     assert measured[1][1] < measured[0][1]  # W drops c=1 -> 4
     assert measured[1][2] > measured[0][2]  # M grows
-    benchmark.extra_info["ratios"] = [round(r[4], 1) for r in measured]

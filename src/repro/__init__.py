@@ -23,7 +23,7 @@ Package map:
 
 ==============  =====================================================
 ``repro.bsp``    simulated BSP machine, collectives, cache model
-``repro.dist``   processor grids, distributed dense/banded matrices
+``repro.dist``   processor grids, distributed banded matrices
 ``repro.linalg`` sequential numerics (Householder, SBR, tridiagonal)
 ``repro.blocks`` parallel building blocks (CARMA, streaming MM, TSQR,
                  square-QR, rect-QR) — Section III
@@ -37,7 +37,7 @@ Package map:
 """
 
 from repro.bsp import BSPMachine, CostReport, MachineParams, RankGroup
-from repro.dist import DistBandMatrix, DistMatrix, ProcGrid
+from repro.dist import DistBandMatrix, ProcGrid
 from repro.eig import (
     EigensolveResult,
     band_to_band_2p5d,
@@ -60,7 +60,6 @@ __all__ = [
     "CostReport",
     "RankGroup",
     "ProcGrid",
-    "DistMatrix",
     "DistBandMatrix",
     "eigensolve_2p5d",
     "EigensolveResult",

@@ -46,9 +46,6 @@ import numpy as np
 from repro.bsp import BSPMachine, collectives
 from repro.bsp.counters import CostReport
 
-#: default location of the fresh results JSON (relative to the cwd)
-DEFAULT_RESULT_PATH = Path("benchmarks") / "results" / "BENCH_engine.json"
-
 #: committed baseline filename at the repo root
 BASELINE_NAME = "BENCH_engine.json"
 
@@ -374,6 +371,52 @@ def run_suite(repeats: int = 3, log: Callable[[str], None] = print) -> dict[str,
     return results
 
 
+def _leaf(value: Any) -> str:
+    text = repr(value.item() if isinstance(value, np.generic) else value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def exact_diff(fresh: Any, baseline: Any, path: str = "") -> list[str]:
+    """Every place two JSON documents differ, one line per leaf ([] = equal).
+
+    The one differ behind all four ``--check`` gates (this module,
+    :mod:`repro.serve.bench`, :mod:`repro.metrics.report`,
+    :mod:`repro.obs.report`), which hand it the deterministic part of their
+    documents.  Recursive over dicts and lists; leaves compare with ``==``
+    (floats exactly — the simulation is deterministic, so the last bit
+    counts); a key or entry on one side only fails in either direction.
+    Each line starts with the JSON path of the leaf
+    (``attainment[1].ratio.words: baseline 14.8 != fresh 7.4``).
+    """
+    if isinstance(fresh, dict) and isinstance(baseline, dict):
+        failures: list[str] = []
+        for key in [*baseline, *(k for k in fresh if k not in baseline)]:
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in fresh:
+                failures.append(f"{sub}: in the baseline but missing from this run")
+            elif key not in baseline:
+                failures.append(f"{sub}: missing from baseline")
+            else:
+                failures.extend(exact_diff(fresh[key], baseline[key], sub))
+        return failures
+    if isinstance(fresh, (list, tuple)) and isinstance(baseline, (list, tuple)):
+        if len(fresh) != len(baseline):
+            return [f"{path}: baseline has {len(baseline)} entries != fresh {len(fresh)}"]
+        return [
+            failure
+            for i, (f, b) in enumerate(zip(fresh, baseline))
+            for failure in exact_diff(f, b, f"{path}[{i}]")
+        ]
+    if fresh == baseline:
+        return []
+    return [f"{path}: baseline {_leaf(baseline)} != fresh {_leaf(fresh)}"]
+
+
+def _gated(doc: dict[str, Any]) -> dict[str, Any]:
+    """The deterministic part of a results document: every case's ``cost``."""
+    return {"cases": {k: {"cost": e.get("cost", {})} for k, e in doc.get("cases", {}).items()}}
+
+
 def check_against_baseline(fresh: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
     """Gate failures of a fresh run versus the committed baseline ([] = pass).
 
@@ -386,24 +429,7 @@ def check_against_baseline(fresh: dict[str, Any], baseline: dict[str, Any]) -> l
             "pinned suite inputs differ from the baseline — regenerate it with "
             "`repro bench --out BENCH_engine.json`"
         ]
-    failures: list[str] = []
-    base_cases = baseline.get("cases", {})
-    for name in base_cases:
-        if name not in fresh["cases"]:
-            failures.append(f"{name}: in the baseline but missing from this run")
-    for name, entry in fresh["cases"].items():
-        base = base_cases.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline")
-            continue
-        for field in {**base["cost"], **entry["cost"]}:
-            base_value, value = base["cost"].get(field), entry["cost"].get(field)
-            if base_value != value:
-                failures.append(
-                    f"{name}: simulated-cost drift in {field}: "
-                    f"baseline {base_value!r} != fresh {value!r}"
-                )
-    return failures
+    return exact_diff(_gated(fresh), _gated(baseline))
 
 
 def render_results(results: dict[str, Any]) -> str:
@@ -432,23 +458,32 @@ def render_results(results: dict[str, Any]) -> str:
     )
 
 
-def write_results(results: dict[str, Any], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    return path
+def write_document(doc: dict[str, Any], path: Path | str) -> Path:
+    """Write a results / baseline document (any of the four gated kinds) to
+    ``path`` — parents created, keys sorted — and return the path."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return out
 
 
-def load_baseline(path: Path) -> dict[str, Any]:
+def load_document(path: Path | str, what: str, create_with: str) -> dict[str, Any]:
+    """Load a committed document, e.g. ``what="serve baseline"``.
+
+    One contract for every gate: a missing file raises ``FileNotFoundError``
+    naming the file and the command that creates it (``create_with``, e.g.
+    ``"repro serve-bench --out"``); an unreadable or malformed one raises
+    :class:`BenchError`.  The CLI turns all three into exit 2.
+    """
+    path = Path(path)
     if not path.is_file():
-        raise FileNotFoundError(
-            f"no benchmark baseline at {path}; create one with `repro bench --out {path}`"
-        )
+        raise FileNotFoundError(f"no {what} at {path}; create one with `{create_with} {path}`")
     try:
         return json.loads(path.read_text())
     except OSError as exc:
-        raise BenchError(f"benchmark baseline {path} is unreadable: {exc}") from exc
+        raise BenchError(f"{what} {path} is unreadable: {exc}") from exc
     except ValueError as exc:
         raise BenchError(
-            f"benchmark baseline {path} is not valid JSON ({exc}); "
-            f"regenerate it with `repro bench --out {path}`"
+            f"{what} {path} is not valid JSON ({exc}); "
+            f"regenerate it with `{create_with} {path}`"
         ) from exc

@@ -15,7 +15,6 @@
 
 from repro.blocks.matmul import carma_matmul
 from repro.blocks.streaming import streaming_matmul
-from repro.blocks.summa import summa_matmul
 from repro.blocks.tsqr import tsqr
 from repro.blocks.square_qr import square_qr
 from repro.blocks.square_qr_25d import square_qr_25d
@@ -24,7 +23,6 @@ from repro.blocks.rect_qr import rect_qr
 __all__ = [
     "carma_matmul",
     "streaming_matmul",
-    "summa_matmul",
     "tsqr",
     "square_qr",
     "square_qr_25d",

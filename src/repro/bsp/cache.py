@@ -112,11 +112,6 @@ class CacheModel:
         self._insert(key, words)
         return words
 
-    def invalidate(self, key: object) -> None:
-        """Drop a dataset from the cache (e.g. its owner freed it)."""
-        if key in self._entries:
-            self._used -= self._entries.pop(key)
-
     def clear(self) -> None:
         self._entries.clear()
         self._used = 0.0

@@ -156,31 +156,6 @@ def local_qr_householder(
     return u, t, r
 
 
-def local_lu_nopivot(
-    machine: BSPMachine,
-    rank: int,
-    a: np.ndarray,
-    a_key: object | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Non-pivoted LU of a local square matrix (used by Householder
-    reconstruction, Corollary III.7); returns unit-lower L and upper U."""
-    from repro.linalg.lu import lu_nopivot  # late import
-
-    n = a.shape[0]
-    lo, up = lu_nopivot(a)
-    machine.charge_flops(rank, (2.0 / 3.0) * n**3)
-    _read(machine, rank, a, a_key)
-    machine.mem_stream(rank, float(lo.size + up.size))
-    return lo, up
-
-
-def local_elementwise(machine: BSPMachine, rank: int, arrays: list[np.ndarray], flops_per_elem: float = 1.0) -> None:
-    """Charge an elementwise pass over the given arrays (adds, scalings...)."""
-    words = float(sum(a.size for a in arrays))
-    machine.charge_flops(rank, flops_per_elem * words)
-    machine.mem_stream(rank, words)
-
-
 # ---------------------------------------------------------------------- #
 # group-sharded kernels
 #

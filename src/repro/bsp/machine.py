@@ -323,10 +323,6 @@ class BSPMachine:
         idx, unique = self._resolve(ranks)
         self.counters.add_mem_traffic(idx, words_each, unique=unique)
 
-    def cache_resident(self, rank: int, key: object) -> bool:
-        """True iff the dataset is currently in the rank's cache."""
-        return self.caches[self._check_rank(rank)].contains(key)
-
     # ------------------------------------------------------------------ #
     # memory-footprint tracking (high-water mark per rank)
 

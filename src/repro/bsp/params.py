@@ -17,7 +17,7 @@ The paper's simplifying assumptions are ``γ ≤ β``, ``ν ≤ β`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,6 @@ class MachineParams:
             raise ValueError(f"paper assumes nu <= beta (got {self.nu} > {self.beta})")
         if math.isfinite(self.cache_words) and self.nu > self.gamma * math.sqrt(self.cache_words):
             raise ValueError("paper assumes nu <= gamma * sqrt(H)")
-
-    def with_cache(self, cache_words: float) -> "MachineParams":
-        """Return a copy with a different cache size (for H sweeps)."""
-        return replace(self, cache_words=cache_words)
-
-    def with_memory(self, memory_words: float) -> "MachineParams":
-        """Return a copy with a different memory size (for M sweeps)."""
-        return replace(self, memory_words=memory_words)
 
     def fingerprint(self) -> str:
         """Stable text form of every cost parameter, for cache keys.

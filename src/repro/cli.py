@@ -18,7 +18,8 @@ trace    run one eigensolve with span tracing on, print the critical-path
 metrics  run one instrumented eigensolve and export per-rank metrics:
          rank-to-rank communication heatmap, memory watermarks vs the
          Theorem IV.4 bound, imbalance statistics, and bound-attainment
-         ratios; with ``--check`` gates against a committed baseline
+         ratios; ``--check`` gates the whole document, exactly, against
+         a committed baseline
 chaos    sweep seeded fault scenarios over the pinned eigensolve and
          assert the chaos invariant: every run recovers or fails with a
          typed, span-attributed error (see docs/robustness.md)
@@ -60,26 +61,30 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _load_baseline(loader, path):
+def _load_baseline(path, what: str, create_with: str):
     """The shared ``--check`` preamble of every gated command.
 
-    Loads the committed baseline *before* the (slow) suite runs, through
-    the command's own ``loader``.  A missing or unreadable baseline is a
-    configuration error, not a bench failure — the typed contract, shared
-    by ``repro bench``, ``repro metrics``, ``repro serve-bench`` and the
-    telemetry gate, is **exit 2** with a one-line message naming the
-    expected file (each loader's FileNotFoundError text says how to
-    create it).
+    Loads the committed baseline *before* the (slow) suite runs.  A missing
+    or unreadable baseline is a configuration error, not a bench failure —
+    the typed contract, shared by ``repro bench``, ``repro metrics``,
+    ``repro serve-bench`` and the telemetry gate, is **exit 2** with a
+    one-line message naming the expected file and the ``create_with``
+    command that writes it (:func:`repro.bench.load_document`).
 
     Returns ``(baseline, None)`` on success, ``(None, exit_code)`` on
     failure — the caller returns the exit code immediately.
     """
-    from repro.bench import BenchError
+    from repro.bench import BenchError, load_document
 
     try:
-        return loader(path), None
-    except (OSError, ValueError, BenchError) as exc:
+        return load_document(path, what, create_with), None
+    except (OSError, BenchError) as exc:
         return None, _fail(str(exc))
+
+
+#: failure lines a gate prints before summarising the rest (one moved charge
+#: can shift every cell of a p x p heat map)
+_GATE_LINES = 40
 
 
 def _report_gate(failures: list[str], baseline_path, what: str) -> int:
@@ -87,8 +92,10 @@ def _report_gate(failures: list[str], baseline_path, what: str) -> int:
     pass line (exit 0)."""
     if failures:
         print(f"\n{what} FAILED against baseline {baseline_path}:", file=sys.stderr)
-        for failure in failures:
+        for failure in failures[:_GATE_LINES]:
             print(f"  - {failure}", file=sys.stderr)
+        if len(failures) > _GATE_LINES:
+            print(f"  ... and {len(failures) - _GATE_LINES} more", file=sys.stderr)
         return 1
     print(f"baseline check passed against {baseline_path}")
     return 0
@@ -155,7 +162,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     baseline = None
     if args.check is not None:
-        baseline, err = _load_baseline(bench.load_baseline, args.check)
+        baseline, err = _load_baseline(args.check, "benchmark baseline", "repro bench --out")
         if err is not None:
             return err
 
@@ -165,7 +172,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"bench FAILED: {exc}", file=sys.stderr)
         return 1
     print(bench.render_results(results))
-    out = bench.write_results(results, args.out)
+    out = bench.write_document(results, args.out)
     print(f"\nwrote {out}")
     if baseline is None:
         return 0
@@ -220,24 +227,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro import BSPMachine, eigensolve_2p5d
-    from repro.metrics import (
-        DEFAULT_ENVELOPE,
-        build_metrics_doc,
-        check_metrics,
-        load_metrics,
-        render_metrics,
-        write_metrics,
-    )
+    from repro.bench import write_document
+    from repro.metrics import build_metrics_doc, check_metrics, render_metrics
     from repro.util import random_symmetric
-
-    envelope = DEFAULT_ENVELOPE if args.envelope is None else args.envelope
 
     # Load the baseline *before* writing the fresh document: the default
     # output path is the committed baseline path, so writing first would
     # compare the fresh run against itself.
     baseline = None
     if args.check is not None:
-        baseline, err = _load_baseline(load_metrics, args.check)
+        baseline, err = _load_baseline(args.check, "metrics baseline", "repro metrics --out")
         if err is not None:
             return err
 
@@ -250,7 +249,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         from pathlib import Path
 
         out = Path("benchmarks") / "results" / f"metrics_eig_n{args.n}_p{args.p}.json"
-    out = write_metrics(doc, out)
+    out = write_document(doc, out)
     print(f"\nwrote {out}")
     if doc["conservation"]["problems"]:
         print("metrics FAILED: conservation violated:", file=sys.stderr)
@@ -259,7 +258,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         return 1
     if baseline is None:
         return 0
-    return _report_gate(check_metrics(doc, baseline, envelope), args.check, "metrics")
+    return _report_gate(check_metrics(doc, baseline), args.check, "metrics")
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -308,7 +307,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         except (ValueError, bench.BenchError) as exc:
             print(f"serve soak FAILED: {exc}", file=sys.stderr)
             return 1
-        out = serve_bench.write_serve_results(doc, args.soak_out)
+        out = bench.write_document(doc, args.soak_out)
         print(f"wrote {out}")
         if doc.get("dash"):
             print(
@@ -348,14 +347,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     # fast with the shared exit-2 contract
     baseline = None
     if args.check is not None:
-        baseline, err = _load_baseline(serve_bench.load_serve_baseline, args.check)
+        baseline, err = _load_baseline(args.check, "serve baseline", "repro serve-bench --out")
         if err is not None:
             return err
     tel_baseline = None
     if args.telemetry_check is not None:
-        from repro.obs import load_telemetry
-
-        tel_baseline, err = _load_baseline(load_telemetry, args.telemetry_check)
+        tel_baseline, err = _load_baseline(
+            args.telemetry_check, "telemetry baseline", "repro serve-bench --telemetry-out"
+        )
         if err is not None:
             return err
 
@@ -378,7 +377,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             print(f"serve-bench FAILED: {exc}", file=sys.stderr)
             return 1
         print(serve_bench.render_serve(doc))
-        out = serve_bench.write_serve_results(doc, args.out)
+        out = bench.write_document(doc, args.out)
         print(f"\nwrote {out}")
         if baseline is not None:
             rc = _report_gate(
@@ -392,7 +391,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     # the observed pass: separate from the timed passes above (span
     # capture slows the wall clock, never the simulated results)
-    from repro.obs import check_telemetry, render_telemetry, write_telemetry
+    from repro.obs import check_telemetry, render_telemetry
 
     try:
         tdoc = serve_bench.run_telemetry_suite(
@@ -405,7 +404,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return 1
     print(render_telemetry(tdoc))
     if args.telemetry_out is not None:
-        out = write_telemetry(tdoc, args.telemetry_out)
+        out = bench.write_document(tdoc, args.telemetry_out)
         print(f"wrote {out}")
     if args.merged_trace_out is not None:
         print(f"wrote {args.merged_trace_out} (merged Perfetto trace)")
@@ -420,10 +419,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
-    from repro.obs import load_telemetry, write_dash
+    from repro.obs import write_dash
 
     # missing/unreadable telemetry document: the shared exit-2 contract
-    doc, err = _load_baseline(load_telemetry, args.telemetry)
+    doc, err = _load_baseline(
+        args.telemetry, "telemetry document", "repro serve-bench --telemetry-out"
+    )
     if err is not None:
         return err
     out = write_dash(doc, args.out, title=args.title)
@@ -613,13 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BASELINE",
         help="gate against a committed metrics JSON: conservation, memory "
-        "watermark <= model bound, exact comm totals, attainment drift <= envelope",
-    )
-    p_metrics.add_argument(
-        "--envelope",
-        type=float,
-        default=None,
-        help="relative attainment drift allowed vs the baseline (default 0.25)",
+        "watermark <= model bound, and every field of the document exactly equal",
     )
     p_metrics.set_defaults(fn=_cmd_metrics)
 

@@ -1,38 +1,22 @@
-"""Processor grids and distributed-matrix layouts with cost accounting.
+"""Processor grids and the distributed band matrix.
 
 The parallel algorithms execute orchestrated (sequential Python, global
-numpy arrays) but every data motion is declared against these layouts so the
-BSP machine measures per-rank communication exactly as the distributed
-program would perform it.
+numpy arrays).  Dense operands carry no layout object: the blocks and
+stages charge their data motion by operand shape and executing group
+through :mod:`repro.bsp.kernels` and :mod:`repro.bsp.collectives`.  What
+lives here is the two pieces of distribution state the algorithms do hold:
 
 * :class:`ProcGrid` — an N-dimensional grid over a subset of machine ranks
   (the paper's q×q×c grids, their layers, and their sub-grids).
-* layouts (:mod:`repro.dist.layout`) — cyclic / block / block-cyclic 2-D
-  layouts, 1-D block-row layouts, and replication wrappers; each computes
-  vectorized owner maps and per-rank word counts.
-* :class:`DistMatrix` — a (conceptually global) matrix bound to a layout,
-  with replicate / gather / redistribute operations that charge the machine.
-* :class:`DistBandMatrix` — 1-D block layout of a symmetric band matrix.
+* :class:`DistBandMatrix` — 1-D column-block layout of a symmetric band
+  matrix; window fetches / stores, gather and redistribution charge the
+  machine by column ownership.
 """
 
 from repro.dist.grid import ProcGrid
-from repro.dist.layout import (
-    BlockCyclicLayout,
-    BlockRowLayout,
-    CyclicLayout,
-    Layout,
-    ReplicatedLayout,
-)
-from repro.dist.matrix import DistMatrix
 from repro.dist.banded import DistBandMatrix
 
 __all__ = [
     "ProcGrid",
-    "Layout",
-    "CyclicLayout",
-    "BlockCyclicLayout",
-    "BlockRowLayout",
-    "ReplicatedLayout",
-    "DistMatrix",
     "DistBandMatrix",
 ]

@@ -6,9 +6,9 @@ distributed in 1-D contiguous column-panels: group ``Π̂_j`` owns columns
 ``[(j−1)·n/g, j·n/g)`` (the paper assigns panels of ``b`` columns to groups
 of ``p̂ = pb/n`` ranks, which is the same partition).
 
-As with :class:`~repro.dist.matrix.DistMatrix`, the numerical content is a
-global dense array (window reads/writes during bulge chasing are cheap and
-exact), while ownership drives the communication accounting.
+The numerical content is a global dense array (window reads/writes
+during bulge chasing are cheap and exact), while column ownership drives
+the communication accounting.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class DistBandMatrix:
         blks = np.arange(lo, hi + 1)
         widths = self._col_starts[blks + 1] - self._col_starts[blks]
         return RankGroup(tuple(int(r) for r in self._ranks_arr[blks[widths > 0]]))
-
-    def band_words_in_cols(self, j0: int, j1: int) -> float:
-        """Stored band words in columns [j0, j1)."""
-        return float((self.b + 1) * max(0, j1 - j0))
 
     # ------------------------------------------------------------------ #
     # data motion
@@ -167,7 +163,3 @@ class DistBandMatrix:
         self.machine.charge_comm(sends=sends, recvs=recvs)
         self.machine.superstep(involved, 1)
         return new
-
-    def with_bandwidth(self, new_b: int) -> "DistBandMatrix":
-        """Rebind with a smaller declared band-width (after a reduction)."""
-        return DistBandMatrix(self.machine, self.data, new_b, self.group)

@@ -40,7 +40,7 @@ from repro.linalg.band_tridiag import band_to_tridiagonal_storage, extract_band
 from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.model.tuning import replan_delta
 from repro.util.intlog import next_power_of_two
-from repro.util.validation import check_symmetric, frobenius_norm, reference_spectrum_error
+from repro.util.validation import check_symmetric, frobenius_norm
 
 
 def finish_sequential(
@@ -315,9 +315,3 @@ def eigensolve_2p5d(
         stages=stages,
         stage_meta=stage_meta,
     )
-
-
-def eigensolve_2p5d_check(machine: BSPMachine, a: np.ndarray, **kwargs) -> tuple[EigensolveResult, float]:
-    """Run the solver and return (result, max |λ − λ_numpy|) — test helper."""
-    res = eigensolve_2p5d(machine, a, **kwargs)
-    return res, reference_spectrum_error(a, res.eigenvalues)

@@ -109,12 +109,6 @@ def group_of_step(step: ChaseStep, n: int, b: int) -> int:
     return (step.j - 1) % n_groups
 
 
-def max_concurrency(n: int, b: int, h: int) -> int:
-    """Peak number of simultaneously active chase steps."""
-    sched = pipeline_schedule(n, b, h)
-    return max((ph.concurrency for ph in sched), default=0)
-
-
 def schedule_checks(n: int, b: int, h: int) -> dict[str, bool]:
     """Structural invariants of the schedule (used by tests and benches).
 

@@ -62,10 +62,6 @@ class FaultInjector:
 
     # ------------------------------------------------------------------ #
 
-    @property
-    def paused(self) -> bool:
-        return self._paused > 0
-
     @contextmanager
     def quiesce(self) -> Iterator[None]:
         """Suspend injection while recovery actions (checkpoint restore,

@@ -2,9 +2,9 @@
 
 This package is the numerical substrate of the reproduction: Householder
 transformations and their compact-WY aggregation, blocked QR, non-pivoted LU
-(for Householder reconstruction), symmetric band storage, the two-sided
-aggregated update of Eqn IV.1, successive band reduction via bulge chasing,
-and tridiagonal eigensolvers (Sturm bisection and implicit-shift QL).
+(for Householder reconstruction), successive band reduction via bulge
+chasing, band → tridiagonal reduction, and Sturm-bisection tridiagonal
+eigenvalues.
 
 numpy is used only for array storage and BLAS-like primitives (``@``, slicing,
 norms); all factorization logic is implemented here and validated against
@@ -13,41 +13,27 @@ norms); all factorization logic is implemented here and validated against
 
 from repro.linalg.householder import (
     apply_block_reflector_left,
-    apply_block_reflector_right,
     compact_wy_qr,
     householder_vector,
 )
 from repro.linalg.qr import blocked_qr, householder_qr
 from repro.linalg.lu import lu_nopivot
-from repro.linalg.band import SymmetricBand
-from repro.linalg.two_sided import (
-    aggregated_update_apply,
-    aggregated_update_matmul,
-    two_sided_update_vectors,
-)
 from repro.linalg.tridiag import (
     eigenvalue_count_below,
     sturm_bisection_eigenvalues,
-    tridiagonal_eigenvalues_ql,
 )
 from repro.linalg.sbr import band_reduce_seq, full_to_band_seq, tridiagonalize_band_seq
 from repro.linalg.reconstruct import householder_reconstruct
 
 __all__ = [
     "apply_block_reflector_left",
-    "apply_block_reflector_right",
     "compact_wy_qr",
     "householder_vector",
     "blocked_qr",
     "householder_qr",
     "lu_nopivot",
-    "SymmetricBand",
-    "aggregated_update_apply",
-    "aggregated_update_matmul",
-    "two_sided_update_vectors",
     "eigenvalue_count_below",
     "sturm_bisection_eigenvalues",
-    "tridiagonal_eigenvalues_ql",
     "band_reduce_seq",
     "full_to_band_seq",
     "tridiagonalize_band_seq",

@@ -47,7 +47,7 @@ constant, not an option: the benchmark's ``chase_large`` /
     ( 32, 16)       1.8        0.6
     (384, 24)     526         55
 
-Storage convention matches :class:`repro.linalg.band.SymmetricBand`:
+Lower-band storage convention (what :func:`extract_band` produces):
 ``data[d, j] = A[j+d, j]`` for ``d ∈ [0, b]``.
 """
 # cost: free-module(sequential numerics; the finish stage charges analytic flop/stream costs)

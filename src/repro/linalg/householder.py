@@ -123,15 +123,6 @@ def apply_block_reflector_left(
     return c - u @ (tm @ w)
 
 
-def apply_block_reflector_right(
-    u: np.ndarray, t: np.ndarray, c: np.ndarray, transpose: bool = False
-) -> np.ndarray:
-    """Compute ``C Q`` (or ``C Qᵀ``) for ``Q = I − U T Uᵀ``."""
-    tm = t.T if transpose else t
-    w = c @ u
-    return c - (w @ tm) @ u.T
-
-
 def expand_q(u: np.ndarray, t: np.ndarray, full: bool = False) -> np.ndarray:
     """Materialize the orthogonal factor ``Q = I − U T Uᵀ``.
 

@@ -76,11 +76,3 @@ def blocked_qr(a: np.ndarray, nb: int = 32) -> tuple[np.ndarray, np.ndarray, np.
         t[j0:j1, j0:j1] = tp
     r = np.triu(a[:n, :])
     return u, t, r
-
-
-def qr_residuals(a: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[float, float]:
-    """Return (‖A − QR‖_F / ‖A‖_F, ‖QᵀQ − I‖_F) for accuracy checks."""
-    denom = max(np.linalg.norm(a), 1e-300)
-    res = np.linalg.norm(a - q @ r) / denom
-    orth = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
-    return float(res), float(orth)

@@ -46,15 +46,3 @@ def householder_reconstruct(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     u = y @ invert_upper(w1)
     t = np.triu(w1 @ (-np.diag(s)) @ invert_unit_lower(u1).T)
     return u, t, s
-
-
-def reconstruct_q(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Thin orthogonal factor: first n columns of ``I − U T Uᵀ``."""
-    m, n = u.shape
-    e = np.eye(m, n)
-    return e - u @ (t @ u[:n, :].T)
-
-
-def reconstruction_error(q: np.ndarray, u: np.ndarray, t: np.ndarray, s: np.ndarray) -> float:
-    """Frobenius error ‖Q·diag(s) − (I − U T Uᵀ)E‖_F."""
-    return float(np.linalg.norm(q * s - reconstruct_q(u, t)))

@@ -170,22 +170,3 @@ def tridiagonalize_band_seq(a: np.ndarray, b: int) -> np.ndarray:
         a = band_reduce_seq(a, cur, nxt)
         cur = nxt
     return a
-
-
-def eigenvalues_via_sbr(a: np.ndarray, b: int | None = None) -> np.ndarray:
-    """Eigenvalues of a dense symmetric matrix via the full sequential
-    pipeline: full→band→tridiagonal→Sturm bisection.
-
-    ``b`` defaults to max(8, n // 8) — any intermediate band-width works.
-    """
-    from repro.linalg.tridiag import sturm_bisection_eigenvalues
-
-    a = check_symmetric(a)
-    n = a.shape[0]
-    if n == 1:
-        return a.ravel().copy()
-    if b is None:
-        b = min(max(8, n // 8), n - 1)
-    banded = full_to_band_seq(a, b) if b < n - 1 else a.copy()
-    tri = tridiagonalize_band_seq(banded, b)
-    return sturm_bisection_eigenvalues(np.diag(tri).copy(), np.diag(tri, -1).copy())

@@ -1,13 +1,11 @@
 """Eigenvalues of symmetric tridiagonal matrices, from scratch.
 
-Two independent methods (each validates the other in tests):
-
-* **Sturm-sequence bisection** — the inertia count ``ν(x)`` (#eigenvalues
-  below x) from the sign changes of the Sturm sequence, then bisection for
-  every eigenvalue.  Robust, embarrassingly parallel across eigenvalues,
-  vectorized here across bisection intervals.
-* **Implicit-shift QL** — the classic ``tql2``-style iteration with Wilkinson
-  shifts; O(n²) for eigenvalues only.
+**Sturm-sequence bisection** — the inertia count ``ν(x)`` (#eigenvalues
+below x) from the sign changes of the Sturm sequence, then bisection for
+every eigenvalue.  Robust, embarrassingly parallel across eigenvalues,
+vectorized here across bisection intervals; the tests validate it against
+``scipy.linalg.eigh_tridiagonal`` and a textbook scalar recurrence
+(``tests/sturm_oracle.py``).
 
 The paper delegates this final step to "one processor computes its
 eigenvalues" (its cost is O(γ·n³/p + β·n²/p + α) in context); we implement
@@ -142,66 +140,6 @@ def sturm_bisection_eigenvalues(
     else:
         raise RuntimeError(f"Sturm bisection did not converge in {max_iter} sweeps")
     return 0.5 * (lower + upper)
-
-
-def tridiagonal_eigenvalues_ql(
-    d: np.ndarray, e: np.ndarray, max_sweeps: int = 64
-) -> np.ndarray:
-    """All eigenvalues via implicit-shift QL iteration (tql2, values only).
-
-    Deflates converged off-diagonals and applies the Wilkinson shift through
-    plane rotations.  Raises ``RuntimeError`` if an eigenvalue fails to
-    converge in ``max_sweeps`` sweeps (does not happen for symmetric input).
-    """
-    d, e = _validate_tridiag(d, e)
-    d = d.copy()
-    n = d.size
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    eps = np.finfo(np.float64).eps
-    for l in range(n):
-        for sweep in range(max_sweeps + 1):
-            # Find the first small off-diagonal at or after l (deflation point).
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweep == max_sweeps:
-                raise RuntimeError(f"QL failed to converge for eigenvalue {l}")
-            # Wilkinson shift from the leading 2x2.
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + ee[l] / (g + (r if g >= 0 else -r))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = np.hypot(f, g)
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                ee[l] = g
-                ee[m] = 0.0
-                continue
-            # Inner break (r == 0): retry the sweep.
-            continue
-    return np.sort(d)
 
 
 def tridiagonal_from_dense(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -144,7 +144,7 @@ EXPLANATIONS: dict[str, str] = {
         "return, an argument to an unknown/uncharging callee, an attribute\n"
         "store, or a closure capture — and neither the function nor its call\n"
         "closure charges anything, so the data left rank context without any\n"
-        "accounted motion.  A charged escape (DistMatrix.gather, windowed\n"
+        "accounted motion.  A charged escape (DistBandMatrix.gather, windowed\n"
         "fetch/store) is fine; so is one where every known caller charges."
     ),
     "REPRO010": (

@@ -15,19 +15,15 @@ from repro.metrics.attainment import (
 )
 from repro.metrics.collector import MetricsCollector, MetricsSnapshot
 from repro.metrics.report import (
-    DEFAULT_ENVELOPE,
     SCHEMA_VERSION,
     build_metrics_doc,
     check_metrics,
-    load_metrics,
     render_metrics,
-    write_metrics,
 )
 from repro.metrics.sketch import LatencySketch
 
 __all__ = [
     "ATTAINMENT_COMPONENTS",
-    "DEFAULT_ENVELOPE",
     "LatencySketch",
     "MetricsCollector",
     "MetricsSnapshot",
@@ -37,8 +33,6 @@ __all__ = [
     "build_metrics_doc",
     "check_metrics",
     "finish_cost",
-    "load_metrics",
     "render_metrics",
     "stage_model_cost",
-    "write_metrics",
 ]

@@ -1,4 +1,4 @@
-"""The ``metrics.json`` document: build, render, persist, and gate.
+"""The ``metrics.json`` document: build, render, and gate.
 
 :func:`build_metrics_doc` folds one instrumented eigensolver run into a
 stable machine-readable document (schema :data:`SCHEMA_VERSION`) with five
@@ -16,18 +16,18 @@ sections:
 
 :func:`check_metrics` is the deterministic CI gate over a pinned baseline
 document: conservation must hold, no memory watermark may exceed the model
-bound, the simulated comm totals must match exactly, and no attainment
-ratio may drift above its baseline by more than the envelope.
+bound, and — the run being a pure function of its ``config`` — the whole
+document must equal the baseline exactly (:func:`repro.bench.exact_diff`;
+every heat-map cell, watermark and attainment ratio, in both directions).
+Documents are written and loaded with :func:`repro.bench.write_document` /
+:func:`repro.bench.load_document`.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
+from repro.bench import exact_diff
 from repro.metrics.attainment import ATTAINMENT_COMPONENTS, attainment_ratios
 from repro.model.bounds import memory_bound_words
 
@@ -45,9 +45,6 @@ IMBALANCE_REPORT_FIELDS: tuple[str, ...] = (
     "supersteps",
     "memory",
 )
-
-#: relative drift allowed on attainment ratios before the gate fails
-DEFAULT_ENVELOPE = 0.25
 
 
 def build_metrics_doc(
@@ -103,58 +100,21 @@ def build_metrics_doc(
     return doc
 
 
-def write_metrics(doc: dict[str, Any], path: Path | str) -> Path:
-    """Write the document to ``path`` (parents created) and return it."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return out
-
-
-def load_metrics(path: Path | str) -> dict[str, Any]:
-    """Load a previously written document.
-
-    Raises ``FileNotFoundError`` / ``ValueError`` with messages naming the
-    expected file — the CLI routes both through its exit-2 diagnostic path
-    instead of a bare traceback.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"no metrics baseline at {path}; create one with `repro metrics --out {path}`"
-        )
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"metrics baseline {path} is not valid JSON ({exc}); "
-            f"regenerate it with `repro metrics --out {path}`"
-        ) from exc
-
-
-def check_metrics(
-    fresh: dict[str, Any],
-    baseline: dict[str, Any],
-    envelope: float = DEFAULT_ENVELOPE,
-) -> list[str]:
+def check_metrics(fresh: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
     """Deterministic gate of a fresh document against a pinned baseline.
 
     Returns failure descriptions ([] = pass).  Hard invariants (checked on
     the fresh run alone): conservation holds and no rank's memory peak
-    exceeds the model bound.  Baseline-relative: identical config, exactly
-    matching comm totals (the simulation is deterministic), and every
-    attainment ratio within ``(1 + envelope) ×`` its baseline value.
+    exceeds the model bound.  Baseline-relative: the same schema and
+    config, then every leaf of the document exactly equal, each difference
+    reported under its JSON path.
     """
-    failures: list[str] = []
     if fresh.get("schema") != SCHEMA_VERSION:
-        failures.append(
+        return [
             f"schema mismatch: fresh document is {fresh.get('schema')!r}, "
             f"expected {SCHEMA_VERSION!r}"
-        )
-        return failures
-
-    for problem in fresh["conservation"]["problems"]:
-        failures.append(f"conservation violated: {problem}")
+        ]
+    failures = [f"conservation violated: {p}" for p in fresh["conservation"]["problems"]]
     mem = fresh["memory"]
     bound = mem["model_bound_words"]
     if mem["max_peak"] > bound:
@@ -169,42 +129,13 @@ def check_metrics(
             "(regenerate the pinned baseline)"
         )
         return failures
-    if fresh["config"] != baseline["config"]:
+    if fresh["config"] != baseline.get("config"):
         failures.append(
-            f"config mismatch: fresh {fresh['config']!r} != baseline {baseline['config']!r}"
+            f"config mismatch: fresh {fresh['config']!r} != baseline "
+            f"{baseline.get('config')!r} (regenerate the pinned baseline)"
         )
         return failures
-
-    for key in ("total_words", "total_messages"):
-        got, want = fresh["comm"][key], baseline["comm"][key]
-        if not np.isclose(got, want, rtol=1e-12, atol=0.0):
-            failures.append(
-                f"comm drift in {key}: baseline {want!r} != fresh {got!r} "
-                "(the simulation is deterministic — a charge changed)"
-            )
-
-    base_stages = {entry["stage"]: entry for entry in baseline["attainment"]}
-    fresh_stages = {entry["stage"]: entry for entry in fresh["attainment"]}
-    if set(base_stages) != set(fresh_stages):
-        failures.append(
-            f"attainment stage set changed: baseline {sorted(base_stages)} != "
-            f"fresh {sorted(fresh_stages)}"
-        )
-        return failures
-    for stage, base_entry in base_stages.items():
-        fresh_entry = fresh_stages[stage]
-        for comp in ATTAINMENT_COMPONENTS:
-            base_ratio = base_entry["ratio"].get(comp)
-            fresh_ratio = fresh_entry["ratio"].get(comp)
-            if base_ratio is None or fresh_ratio is None:
-                continue
-            if fresh_ratio > base_ratio * (1.0 + envelope):
-                failures.append(
-                    f"attainment regression in {stage}/{comp}: measured/model "
-                    f"ratio {fresh_ratio:.4g} exceeds baseline {base_ratio:.4g} "
-                    f"by more than {100.0 * envelope:.0f}%"
-                )
-    return failures
+    return failures + exact_diff(fresh, baseline)
 
 
 def render_metrics(doc: dict[str, Any]) -> str:

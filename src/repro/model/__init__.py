@@ -26,12 +26,6 @@ from repro.model.bounds import (
     memory_dependent_lower_bound,
     synchronization_tradeoff_lower_bound,
 )
-from repro.model.analysis import (
-    crossover_p,
-    dominant_component,
-    speedup_curve,
-    time_breakdown,
-)
 
 __all__ = [
     "AsymptoticCost",
@@ -53,8 +47,4 @@ __all__ = [
     "tuning_table",
     "memory_dependent_lower_bound",
     "synchronization_tradeoff_lower_bound",
-    "crossover_p",
-    "dominant_component",
-    "speedup_curve",
-    "time_breakdown",
 ]

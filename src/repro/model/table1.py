@@ -76,12 +76,3 @@ def render_table1() -> str:
 def table1_numeric(n: int, p: int, delta: float = 2.0 / 3.0) -> dict[str, AsymptoticCost]:
     """Evaluate every Table I row at concrete parameters."""
     return {row.algorithm: row.evaluate(n, p, delta) for row in TABLE1_ROWS}
-
-
-def table1_ratios(n: int, p: int, delta: float = 2.0 / 3.0) -> dict[str, float]:
-    """Predicted W advantage of Theorem IV.4 over each baseline (= √c)."""
-    rows = table1_numeric(n, p, delta)
-    ours = rows["Theorem IV.4"].W
-    return {
-        name: cost.W / ours for name, cost in rows.items() if name != "Theorem IV.4"
-    }

@@ -9,8 +9,6 @@ minimizer, respecting the per-rank memory limit M ≥ n²/p^{2(1−δ)}.
 
 from __future__ import annotations
 
-import math
-
 from repro.bsp.params import MachineParams
 from repro.model.costs import delta_to_c, eigensolver_2p5d_cost
 
@@ -94,11 +92,6 @@ def tuning_table(n: int, p: int, params: MachineParams, samples: int = 9) -> lis
             }
         )
     return rows
-
-
-def bandwidth_bound_speedup(p: int, delta: float = 2.0 / 3.0) -> float:
-    """Ideal W speedup of the 2.5D solver over 2-D baselines: √c = p^{δ−1/2}."""
-    return math.sqrt(delta_to_c(p, delta))
 
 
 def tuning_signature(samples: int = 33) -> dict:

@@ -12,12 +12,9 @@ from repro.metrics.sketch import LatencySketch
 from repro.obs.dash import build_dash_html, write_dash
 from repro.obs.perfetto import merged_trace, write_merged_trace
 from repro.obs.report import (
-    DEFAULT_TELEMETRY_PATH,
     build_telemetry_doc,
     check_telemetry,
-    load_telemetry,
     render_telemetry,
-    write_telemetry,
 )
 from repro.obs.series import Gauge, SeriesRegistry
 from repro.obs.telemetry import (
@@ -30,7 +27,6 @@ from repro.obs.telemetry import (
 
 __all__ = [
     "BREAKER_STATE_CODES",
-    "DEFAULT_TELEMETRY_PATH",
     "Gauge",
     "LatencySketch",
     "NO_TELEMETRY",
@@ -40,11 +36,9 @@ __all__ = [
     "build_dash_html",
     "build_telemetry_doc",
     "check_telemetry",
-    "load_telemetry",
     "merged_trace",
     "read_event_log",
     "render_telemetry",
     "write_dash",
     "write_merged_trace",
-    "write_telemetry",
 ]

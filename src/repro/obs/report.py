@@ -1,4 +1,4 @@
-"""The gated ``telemetry.json`` document: build, write, load, check.
+"""The gated ``telemetry.json`` document: build, check, render.
 
 The document is a *fully deterministic* digest of one telemetry-enabled
 pass of the pinned serve workload: event-log counts and a sha256 of the
@@ -14,26 +14,14 @@ the simulated sections of ``BENCH_serve.json``).
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.bench import BenchError
+from repro.bench import exact_diff
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
 
 SCHEMA_VERSION = 1
-
-#: default fresh-results location (the committed baseline lives under
-#: benchmarks/results/ like metrics_eig_n96_p16.json)
-DEFAULT_TELEMETRY_PATH = Path("benchmarks") / "results" / "telemetry.json"
-
-#: top-level sections compared with exact equality by the gate
-GATED_SECTIONS = (
-    "config", "events", "counters", "gauges", "latency_sketches",
-    "solver", "slo", "timeline", "breaker_chronology", "hedge_chronology",
-)
 
 
 def _slo_section(telemetry: "Telemetry") -> dict[str, Any]:
@@ -112,55 +100,17 @@ def check_telemetry(
 ) -> list[str]:
     """Gate failures of a fresh telemetry doc vs the baseline ([] = pass).
 
-    Everything is deterministic, so every section compares exactly; the
-    failure text names the drifted section (and for the event log, the
-    per-kind counts) so a deliberate behavior change is easy to audit
-    before recommitting.
+    Everything is deterministic, so the whole document compares exactly
+    (:func:`repro.bench.exact_diff`); each failure names the JSON path of
+    the drifted leaf (``events.by_kind.retry_fire``, ``counters.dispatches``)
+    so a deliberate behavior change is easy to audit before recommitting.
     """
-    failures: list[str] = []
     if fresh.get("version") != baseline.get("version"):
         return [
             f"telemetry schema version {fresh.get('version')} != baseline "
             f"{baseline.get('version')} — regenerate the baseline"
         ]
-    for section in GATED_SECTIONS:
-        f, b = fresh.get(section), baseline.get(section)
-        if f == b:
-            continue
-        detail = ""
-        if section == "events" and isinstance(f, dict) and isinstance(b, dict):
-            if f.get("by_kind") != b.get("by_kind"):
-                detail = (
-                    f": event counts by kind {b.get('by_kind')!r} -> "
-                    f"{f.get('by_kind')!r}"
-                )
-            else:
-                detail = ": same per-kind counts but the event log bytes differ"
-        failures.append(
-            f"telemetry drift in {section}{detail} (deterministic — the "
-            "service's observable behavior changed; recommit deliberately)"
-        )
-    return failures
-
-
-def write_telemetry(doc: dict[str, Any], path: Path | str) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return out
-
-
-def load_telemetry(path: Path | str) -> dict[str, Any]:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"no telemetry baseline at {path}; create one with "
-            f"`repro serve-bench --telemetry-out {path}`"
-        )
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise BenchError(f"telemetry baseline {path} is unreadable: {exc}") from exc
+    return exact_diff(fresh, baseline)
 
 
 def render_telemetry(doc: dict[str, Any]) -> str:

@@ -10,7 +10,8 @@ package turns the repo's single-shot solver into a served system:
                                on-disk JSON, fingerprint invalidation)
 :mod:`~repro.serve.planner`    per-shape regime routing: rank count + δ
 :mod:`~repro.serve.pool`       the fleet of simulated BSP machines
-:mod:`~repro.serve.scheduler`  simulated-time bin-packing dispatch
+:mod:`~repro.serve.scheduler`  the schedule a run produces (per-job rows,
+                               latency percentiles, utilization)
 :mod:`~repro.serve.resilience` SLO deadlines/EDF, retry ladder, machine
                                quarantine, hedged dispatch, admission
                                control — one deterministic event loop
@@ -55,7 +56,7 @@ from repro.serve.resilience import (
     ServiceScenario,
     run_resilient,
 )
-from repro.serve.scheduler import Schedule, ScheduledJob, schedule_jobs
+from repro.serve.scheduler import Schedule, ScheduledJob
 from repro.serve.service import (
     EigenService,
     JobResult,
@@ -96,7 +97,6 @@ __all__ = [
     "PoolMachine",
     "Schedule",
     "ScheduledJob",
-    "schedule_jobs",
     "EigenService",
     "JobResult",
     "ServeReport",

@@ -33,7 +33,6 @@ paired runs), so this gate cannot fail on a timing.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -42,7 +41,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.bench import BenchError
+from repro.bench import BenchError, exact_diff
 from repro.bsp.params import MachineParams
 from repro.metrics.attainment import attainment_rollup
 from repro.obs.dash import write_dash
@@ -62,16 +61,8 @@ from repro.serve.workload import Workload, mixed_workload
 from repro.util.matrices import random_symmetric
 from repro.util.validation import reference_spectrum_error
 
-#: default fresh-results location (the committed baseline lives at the
-#: repo root as BENCH_serve.json, mirroring BENCH_engine.json)
-DEFAULT_RESULT_PATH = Path("benchmarks") / "results" / "BENCH_serve.json"
-DEFAULT_TRACE_PATH = Path("benchmarks") / "results" / "serve_trace.json"
+#: where the three passes persist / reload the tuning cache by default
 DEFAULT_CACHE_PATH = Path("benchmarks") / "results" / "serve_tuning_cache.json"
-DEFAULT_SOAK_PATH = Path("benchmarks") / "results" / "serve_soak.json"
-DEFAULT_MERGED_TRACE_PATH = (
-    Path("benchmarks") / "results" / "serve_merged_trace.json"
-)
-DEFAULT_DASH_PATH = Path("benchmarks") / "results" / "serve_dash.html"
 
 #: the serve-bench machine profile: a latency-heavy commodity cluster
 #: (α/γ = 3000) chosen so the planner's regime routing is *exercised* —
@@ -269,27 +260,19 @@ def check_serve(fresh: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
             f"{HIT_RATE_FLOOR:.0%} floor"
         )
 
-    base_passes = baseline.get("passes", {})
-    for label in base_passes:
-        if label not in fresh_passes:
-            failures.append(f"pass {label}: in the baseline but missing from this run")
-    for label, entry in fresh_passes.items():
-        base = base_passes.get(label)
-        if base is None:
-            failures.append(f"pass {label}: missing from baseline")
-            continue
-        for fld in EXACT_PASS_FIELDS:
-            if entry.get(fld) != base.get(fld):
-                failures.append(
-                    f"pass {label}: simulated-result drift in {fld}: "
-                    f"baseline {base.get(fld)!r} != fresh {entry.get(fld)!r}"
-                )
-    if fresh.get("attainment") != baseline.get("attainment"):
-        failures.append(
-            "per-job attainment roll-up drifted from the baseline "
-            "(stage cost accounting changed — recommit deliberately)"
-        )
-    return failures
+    return failures + exact_diff(_gated(fresh), _gated(baseline))
+
+
+def _gated(doc: dict[str, Any]) -> dict[str, Any]:
+    """The deterministic part of a serve document: the exact fields of
+    every pass and the per-job attainment roll-up."""
+    return {
+        "passes": {
+            label: {fld: entry[fld] for fld in EXACT_PASS_FIELDS if fld in entry}
+            for label, entry in doc.get("passes", {}).items()
+        },
+        "attainment": doc.get("attainment"),
+    }
 
 
 # ------------------------------------------------------------------ #
@@ -426,6 +409,20 @@ def _silent_wrong(report: ServeReport, tol: float) -> list[dict[str, Any]]:
     return out
 
 
+def _write_soak_dash(
+    telemetry: Telemetry, dash_path: Path | str, label: str, config: dict[str, Any]
+) -> dict[str, Any]:
+    """Render a soak run's flight recorder; returns the ``dash`` entry of
+    the soak document."""
+    tdoc = build_telemetry_doc(telemetry, config=config)
+    write_dash(tdoc, dash_path, title=f"repro soak flight recorder — {label}")
+    return {
+        "path": str(dash_path),
+        "events": tdoc["events"]["count"],
+        "event_digest": tdoc["events"]["digest"],
+    }
+
+
 def crash_driver(
     jobs: int, seed: int, journal_path: str, workers: int = 0
 ) -> None:
@@ -523,20 +520,11 @@ def run_crash_resume(
         "resilience": resumed.resilience,
         "slo": resumed.slo,
     }
-    if telemetry is not None and dash_path is not None:
-        tdoc = build_telemetry_doc(
-            telemetry,
-            config={"scenario": "crash", "jobs": jobs, "seed": seed,
-                    "crash_after": crash_after},
+    if telemetry is not None:
+        doc["dash"] = _write_soak_dash(
+            telemetry, dash_path, "crash resume",
+            {"scenario": "crash", "jobs": jobs, "seed": seed, "crash_after": crash_after},
         )
-        write_dash(
-            tdoc, dash_path, title="repro soak flight recorder — crash resume"
-        )
-        doc["dash"] = {
-            "path": str(dash_path),
-            "events": tdoc["events"]["count"],
-            "event_digest": tdoc["events"]["digest"],
-        }
     log(
         f"soak[crash]: killed after {crash_after} journal appends "
         f"({interrupted['attempts']} attempts journaled), resumed "
@@ -635,20 +623,11 @@ def run_soak(
         ),
         "deterministic": deterministic,
     }
-    if telemetry is not None and dash_path is not None:
-        tdoc = build_telemetry_doc(
-            telemetry,
-            config={"scenario": scenario, "jobs": jobs, "seed": seed,
-                    "fault_seed0": fault_seed0},
+    if telemetry is not None:
+        doc["dash"] = _write_soak_dash(
+            telemetry, dash_path, scenario,
+            {"scenario": scenario, "jobs": jobs, "seed": seed, "fault_seed0": fault_seed0},
         )
-        write_dash(
-            tdoc, dash_path, title=f"repro soak flight recorder — {scenario}"
-        )
-        doc["dash"] = {
-            "path": str(dash_path),
-            "events": tdoc["events"]["count"],
-            "event_digest": tdoc["events"]["digest"],
-        }
     log(
         f"soak[{scenario}]: {doc['ok']}/{doc['jobs']} ok "
         f"({doc['degraded']} degraded, {doc['shed']} shed), "
@@ -659,7 +638,7 @@ def run_soak(
 
 
 # ------------------------------------------------------------------ #
-# document I/O (mirrors repro.bench)
+# console rendering
 
 
 def render_serve(doc: dict[str, Any]) -> str:
@@ -692,22 +671,3 @@ def render_serve(doc: dict[str, Any]) -> str:
         f"warm pass identical: {verify.get('warm_identical')}"
     )
     return table + tail
-
-
-def write_serve_results(doc: dict[str, Any], path: Path | str) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return out
-
-
-def load_serve_baseline(path: Path | str) -> dict[str, Any]:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"no serve baseline at {path}; create one with `repro serve-bench --out {path}`"
-        )
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise BenchError(f"serve baseline {path} is unreadable: {exc}") from exc

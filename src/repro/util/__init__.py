@@ -3,7 +3,6 @@
 from repro.util.intlog import (
     ceil_div,
     ilog2,
-    is_power_of_two,
     next_multiple,
     next_power_of_two,
     split_evenly,
@@ -26,7 +25,6 @@ from repro.util.matrices import (
 __all__ = [
     "ceil_div",
     "ilog2",
-    "is_power_of_two",
     "next_multiple",
     "next_power_of_two",
     "split_evenly",

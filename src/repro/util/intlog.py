@@ -17,11 +17,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def is_power_of_two(x: int) -> bool:
-    """Return True iff ``x`` is a positive power of two (1 counts)."""
-    return x > 0 and (x & (x - 1)) == 0
-
-
 def next_power_of_two(x: int) -> int:
     """Return the smallest power of two >= ``x`` (for positive ``x``)."""
     if x <= 0:

@@ -1,18 +1,14 @@
-"""Vectorized band-container hot spots: equivalence and memory regressions.
+"""Vectorized band hot spots: equivalence and memory regressions.
 
-Pins the three container-level rewrites that rode along with the batched
-chase engine:
+Pins the two rewrites that rode along with the batched chase engine:
 
-* :meth:`SymmetricBand.window` — one fancy-indexed gather must equal the
-  old per-element double loop on every window shape, including windows
-  crossing the band edge and clipped at the matrix border;
 * :meth:`DistBandMatrix.redistribute` — the searchsorted owner maps must
   charge exactly what the old per-column scan charged, including ragged
   layouts where the column split is uneven, on the live counter store and
   on the scalar oracle;
-* :meth:`SymmetricBand.eigenvalues` with b > 1 — the reduction now runs in
-  band storage, so its working set stays O((b+2)·n) words instead of the
-  dense n² that to_dense() needed.
+* the band → tridiagonal → bisection finish with b > 1 — the reduction
+  runs in band storage, so its working set stays O((b+2)·n) words instead
+  of the dense n².
 """
 
 from __future__ import annotations
@@ -25,47 +21,10 @@ import pytest
 from repro.bench import report_mismatches
 from repro.bsp import BSPMachine, RankGroup
 from repro.dist.banded import DistBandMatrix
-from repro.linalg.band import SymmetricBand
+from repro.linalg.band_tridiag import band_to_tridiagonal_storage, extract_band
+from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.matrices import random_banded_symmetric
 from tests.scalar_oracle import ENGINES, machine_on
-
-
-def window_reference(band: SymmetricBand, rows: slice, cols: slice) -> np.ndarray:
-    """The pre-vectorization per-element double loop, verbatim."""
-    out = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
-    for a, i in enumerate(range(rows.start, rows.stop)):
-        for b, j in enumerate(range(cols.start, cols.stop)):
-            out[a, b] = band[i, j]
-    return out
-
-
-class TestWindowEquivalence:
-    @pytest.mark.parametrize(
-        "rows,cols",
-        [
-            (slice(0, 6), slice(0, 6)),       # top-left corner
-            (slice(10, 18), slice(10, 18)),   # diagonal block, inside band
-            (slice(10, 18), slice(2, 10)),    # sub-diagonal, crosses band edge
-            (slice(2, 10), slice(10, 18)),    # super-diagonal (transposed read)
-            (slice(0, 24), slice(20, 24)),    # tall sliver to the border
-            (slice(23, 24), slice(0, 24)),    # single row across everything
-            (slice(5, 5), slice(0, 4)),       # empty row range
-        ],
-    )
-    def test_matches_double_loop(self, rows, cols):
-        a = random_banded_symmetric(24, 5, seed=11)
-        band = SymmetricBand.from_dense(a, 5)
-        assert np.array_equal(band.window(rows, cols), window_reference(band, rows, cols))
-
-    def test_matches_dense_submatrix(self):
-        a = random_banded_symmetric(30, 7, seed=3)
-        band = SymmetricBand.from_dense(a, 7)
-        rows, cols = slice(4, 19), slice(9, 27)
-        assert np.allclose(band.window(rows, cols), a[rows, cols])
-
-    def test_far_off_band_window_is_zero(self):
-        band = SymmetricBand.from_dense(random_banded_symmetric(24, 3, seed=0), 3)
-        assert np.array_equal(band.window(slice(20, 24), slice(0, 4)), np.zeros((4, 4)))
 
 
 class TestRedistributeRagged:
@@ -130,24 +89,21 @@ class TestRedistributeRagged:
 class TestBandEigenvaluesMemory:
     def test_wide_band_eigenvalues_match_numpy(self):
         a = random_banded_symmetric(120, 6, seed=8)
-        band = SymmetricBand.from_dense(a, 6)
-        got = band.eigenvalues()
+        got = sturm_bisection_eigenvalues(*band_to_tridiagonal_storage(extract_band(a, 6), 6))
         want = np.sort(np.linalg.eigvalsh(a))
         assert np.allclose(got, want, atol=1e-8 * max(1.0, np.abs(want).max()))
 
     def test_reduction_runs_in_band_storage_memory(self):
-        """Peak allocations stay O((b+2)·n) words — far below the dense n²
-        the old to_dense() path materialized."""
+        """Peak allocations stay O((b+2)·n) words — far below the dense n²."""
         n, b = 600, 4
-        a = random_banded_symmetric(n, b, seed=13)
-        band = SymmetricBand.from_dense(a, b)
+        band = extract_band(random_banded_symmetric(n, b, seed=13), b)
         dense_bytes = n * n * 8
 
         tracemalloc.start()
-        band.eigenvalues()
+        sturm_bisection_eigenvalues(*band_to_tridiagonal_storage(band, b))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # Band-storage working set is a few (b+2)·n panels plus bisection
         # scratch; a quarter of the dense matrix is a generous ceiling that
-        # the old dense path (>= n² words) cannot meet.
+        # a dense path (>= n² words) cannot meet.
         assert peak < dense_bytes / 4, f"peak {peak} bytes vs dense {dense_bytes}"

@@ -83,14 +83,16 @@ class TestBaselineCheck:
         doc, base = self.fresh(), self.fresh()
         base["cases"]["charging_p512"]["cost"]["flops"] = 99.0
         failures = bench.check_against_baseline(doc, base)
-        assert any("simulated-cost drift" in f for f in failures)
+        assert failures == ["cases.charging_p512.cost.flops: baseline 99.0 != fresh 100.0"]
 
     def test_last_bit_of_one_cost_fails_naming_the_field(self):
         doc, base = self.fresh(), self.fresh()
         doc["cases"]["charging_p512"]["cost"]["flops"] = np.nextafter(100.0, 101.0)
         failures = bench.check_against_baseline(doc, base)
         assert len(failures) == 1
-        assert "charging_p512" in failures[0] and "drift in flops" in failures[0]
+        assert failures == [
+            "cases.charging_p512.cost.flops: baseline 100.0 != fresh 100.00000000000001"
+        ]
 
     def test_wall_fields_are_never_compared(self):
         """Host time is gated by benchmarks/e2e, not here: a run 100x slower
@@ -126,13 +128,77 @@ class TestBaselineCheck:
         doc, base = self.fresh(), self.fresh()
         base["cases"]["eig_n96_p16"] = {"wall_s": 0.2, "cost": {"flops": 1.0}}
         failures = bench.check_against_baseline(doc, base)
-        assert failures == ["eig_n96_p16: in the baseline but missing from this run"]
+        assert failures == ["cases.eig_n96_p16: in the baseline but missing from this run"]
 
     def test_cost_field_dropped_from_the_run_fails(self):
         doc, base = self.fresh(), self.fresh()
         del doc["cases"]["charging_p512"]["cost"]["supersteps"]
         failures = bench.check_against_baseline(doc, base)
-        assert len(failures) == 1 and "drift in supersteps" in failures[0]
+        assert failures == [
+            "cases.charging_p512.cost.supersteps: in the baseline but missing from this run"
+        ]
+
+
+class TestExactDiff:
+    """The one leaf differ behind the four ``--check`` gates."""
+
+    def test_equal_documents(self):
+        doc = {"a": [1, 2.5, {"b": None}], "c": "x"}
+        assert bench.exact_diff(doc, copy.deepcopy(doc)) == []
+        # a fresh in-process document may hold tuples where JSON gave lists
+        assert bench.exact_diff({"pairs": [(0, 1, 2.0)]}, {"pairs": [[0, 1, 2.0]]}) == []
+
+    def test_names_the_json_path_of_every_leaf(self):
+        base = {"attainment": [{"ratio": {"words": 14.8}}, {"ratio": {"words": 2.0}}],
+                "comm": {"words_matrix": [[0.0, 1.0], [2.0, 3.0]]}}
+        fresh = copy.deepcopy(base)
+        fresh["attainment"][1]["ratio"]["words"] = 1.0
+        fresh["comm"]["words_matrix"][1][0] = 1002.0
+        assert bench.exact_diff(fresh, base) == [
+            "attainment[1].ratio.words: baseline 2.0 != fresh 1.0",
+            "comm.words_matrix[1][0]: baseline 2.0 != fresh 1002.0",
+        ]
+
+    def test_both_directions_and_the_last_bit(self):
+        assert bench.exact_diff({"a": 1}, {"a": 1, "b": 2}) == [
+            "b: in the baseline but missing from this run"
+        ]
+        assert bench.exact_diff({"a": 1, "b": 2}, {"a": 1}) == ["b: missing from baseline"]
+        assert bench.exact_diff({"a": [1, 2]}, {"a": [1]}) == [
+            "a: baseline has 1 entries != fresh 2"
+        ]
+        up = float(np.nextafter(1.0, 2.0))
+        assert bench.exact_diff({"a": up}, {"a": 1.0}) == [f"a: baseline 1.0 != fresh {up!r}"]
+
+    def test_a_changed_container_does_not_dump_its_contents(self):
+        (line,) = bench.exact_diff({"a": list(range(1000))}, {"a": "scalar"})
+        assert len(line) < 200 and line.startswith("a: baseline 'scalar' != fresh [0, 1, 2")
+
+
+class TestDocumentIO:
+    """One loader / one writer for the four gated documents."""
+
+    def test_round_trip_is_exact(self, tmp_path):
+        doc = {"x": [0.1 + 0.2, 1e-300, 3], "nested": {"k": None}}
+        path = bench.write_document(doc, tmp_path / "deep" / "doc.json")
+        assert bench.load_document(path, "doc", "cmd --out") == doc
+        assert path.read_text().endswith("\n")
+
+    def test_invalid_json_is_a_bench_error_naming_the_fix(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{truncated")
+        with pytest.raises(bench.BenchError, match="not valid JSON.*regenerate it with `cmd --out"):
+            bench.load_document(bad, "doc", "cmd --out")
+
+    def test_unreadable_file_is_a_bench_error(self, tmp_path, monkeypatch):
+        path = bench.write_document({}, tmp_path / "doc.json")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(type(path), "read_text", denied)
+        with pytest.raises(bench.BenchError, match="doc .*doc.json is unreadable"):
+            bench.load_document(path, "doc", "cmd --out")
 
 
 class TestSuite:
@@ -148,7 +214,7 @@ class TestSuite:
         from pathlib import Path
 
         baseline_path = Path(__file__).resolve().parents[1] / bench.BASELINE_NAME
-        doc = bench.load_baseline(baseline_path)
+        doc = bench.load_document(baseline_path, "benchmark baseline", "repro bench --out")
         assert doc["pinned"] == bench.PINNED
         assert set(doc["cases"]) == set(bench.CASES) | {"scaling_exponents"}
         large = doc["cases"]["eig_n512_p256"]["cost"]
@@ -158,8 +224,9 @@ class TestSuite:
         assert scaling["S_exponent"] <= 1.0 + bench.S_EXPONENT_SLACK
 
     def test_load_baseline_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="no benchmark baseline"):
-            bench.load_baseline(tmp_path / "nope.json")
+        with pytest.raises(FileNotFoundError, match="no benchmark baseline at .*nope.json; "
+                           "create one with `repro bench --out .*nope.json`"):
+            bench.load_document(tmp_path / "nope.json", "benchmark baseline", "repro bench --out")
 
     def test_unpinned_cases_are_skipped(self, monkeypatch):
         """PINNED is the source of truth: dropping a case's inputs drops the
@@ -259,7 +326,7 @@ class TestCLI:
             )
             == 1
         )
-        assert "simulated-cost drift" in capsys.readouterr().err
+        assert "cases.charging_p512.cost.flops: baseline 238.0 != fresh 237.0" in capsys.readouterr().err
 
     def test_bench_check_missing_baseline(self, tmp_path, capsys):
         # a missing baseline is a configuration error: exit 2 naming the

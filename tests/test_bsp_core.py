@@ -35,11 +35,6 @@ class TestMachineParams:
         p = MachineParams(gamma=1.0, beta=2.0, nu=3.0, alpha=4.0)
         assert p.time(1, 1, 1, 1) == 10.0
 
-    def test_with_cache_and_memory(self):
-        p = MachineParams().with_cache(100.0).with_memory(1000.0)
-        assert p.cache_words == 100.0
-        assert p.memory_words == 1000.0
-
     def test_presets(self):
         assert BANDWIDTH_BOUND.time(100, 7, 100, 100) == 7
         assert LATENCY_BOUND.time(100, 100, 100, 7) == 7

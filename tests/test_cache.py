@@ -53,13 +53,6 @@ class TestBasics:
         assert not c.contains("a")  # too big to stay resident
         assert c.access("a", 200) == 200  # subsequent full stream
 
-    def test_invalidate(self):
-        c = CacheModel(1000)
-        c.access("a", 10)
-        c.invalidate("a")
-        assert not c.contains("a")
-        assert c.access("a", 10) == 10
-
     def test_clear(self):
         c = CacheModel(100)
         c.access("a", 10)

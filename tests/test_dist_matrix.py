@@ -1,91 +1,12 @@
-"""Tests for distributed dense and banded matrices (cost accounting)."""
+"""Tests for the distributed band matrix (cost accounting)."""
 
 import numpy as np
 import pytest
 
 from repro.bsp import BSPMachine, RankGroup
 from repro.bsp.batch import ChargeLog
-from repro.dist import DistBandMatrix, DistMatrix, ProcGrid
-from repro.dist.layout import BlockRowLayout, CyclicLayout
+from repro.dist import DistBandMatrix
 from repro.util.matrices import random_banded_symmetric
-
-
-class TestDistMatrix:
-    def test_shape_layout_mismatch(self):
-        m = BSPMachine(4)
-        grid = ProcGrid(m, (2, 2))
-        with pytest.raises(ValueError, match="match layout"):
-            DistMatrix(m, np.zeros((3, 3)), CyclicLayout(grid, 4, 4))
-
-    def test_from_global_charges_distribution(self):
-        m = BSPMachine(4)
-        grid = ProcGrid(m, (2, 2))
-        DistMatrix.cyclic(m, np.ones((8, 8)), grid, charge_distribution=True)
-        assert m.cost().W > 0
-        assert m.cost().S == 1
-
-    def test_from_global_free_by_default(self):
-        m = BSPMachine(4)
-        grid = ProcGrid(m, (2, 2))
-        DistMatrix.cyclic(m, np.ones((8, 8)), grid)
-        assert m.cost().W == 0
-
-    def test_memory_noted(self):
-        m = BSPMachine(4)
-        grid = ProcGrid(m, (2, 2))
-        DistMatrix.cyclic(m, np.ones((8, 8)), grid)
-        assert m.cost().M == 16.0  # 64 words over 4 ranks
-
-    def test_replicate_charges_and_marks(self):
-        m = BSPMachine(8)
-        g3 = ProcGrid(m, (2, 2, 2))
-        dm = DistMatrix.cyclic(m, np.ones((8, 8)), g3.layer(0))
-        rep = dm.replicate(g3.layers())
-        assert rep.is_replicated
-        # Each layer-1 rank must have received its 16-word share.
-        l1 = g3.layer(1)
-        for r in l1.group():
-            assert m.counters[r].words_recv >= 16.0
-        # Memory per rank now reflects a layer-local share.
-        assert m.cost().M >= 16.0
-
-    def test_redistribute_charges_histogram(self):
-        m = BSPMachine(4)
-        grid = ProcGrid(m, (2, 2))
-        dm = DistMatrix.cyclic(m, np.arange(64.0).reshape(8, 8), grid)
-        new_layout = BlockRowLayout(RankGroup((0, 1, 2, 3)), 8, 8)
-        dm2 = dm.redistribute(new_layout)
-        assert m.cost().W > 0
-        assert np.array_equal(dm2.data, dm.data)
-
-    def test_gather(self):
-        m = BSPMachine(4)
-        grid = ProcGrid(m, (2, 2))
-        dm = DistMatrix.cyclic(m, np.arange(16.0).reshape(4, 4), grid)
-        out = dm.gather(0)
-        assert out.shape == (4, 4)
-        assert m.counters[0].words_recv == pytest.approx(12.0)  # 16 - own 4
-
-    def test_submatrix_is_free_and_shares_data(self):
-        m = BSPMachine(4)
-        grid = ProcGrid(m, (2, 2))
-        dm = DistMatrix.cyclic(m, np.zeros((8, 8)), grid)
-        before = m.cost().W
-        sub = dm.submatrix(2, 2, 4, 4)
-        assert m.cost().W == before
-        sub.data[0, 0] = 7.0
-        assert dm.data[2, 2] == 7.0
-
-    def test_submatrix_bounds(self):
-        m = BSPMachine(4)
-        dm = DistMatrix.cyclic(m, np.zeros((4, 4)), ProcGrid(m, (2, 2)))
-        with pytest.raises(ValueError):
-            dm.submatrix(2, 2, 4, 4)
-
-    def test_local_words(self):
-        m = BSPMachine(4)
-        dm = DistMatrix.cyclic(m, np.zeros((4, 4)), ProcGrid(m, (2, 2)))
-        assert dm.local_words(0) == 4
 
 
 class TestDistBandMatrix:
@@ -145,9 +66,3 @@ class TestDistBandMatrix:
     def test_memory_noted_in_band_words(self):
         m, band = self.make(p=4, n=16, b=3)
         assert m.cost().M == pytest.approx((3 + 1) * 4)
-
-    def test_with_bandwidth(self):
-        m, band = self.make()
-        b2 = band.with_bandwidth(1)
-        assert b2.b == 1
-        assert b2.data is band.data

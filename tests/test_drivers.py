@@ -12,8 +12,9 @@ from repro.eig import (
     eigensolve_scalapack_like,
     solve_by_name,
 )
-from repro.eig.driver import default_initial_bandwidth, eigensolve_2p5d_check, finish_sequential
+from repro.eig.driver import default_initial_bandwidth, finish_sequential
 from repro.dist.banded import DistBandMatrix
+from repro.util.validation import reference_spectrum_error
 from repro.util.matrices import (
     random_banded_symmetric,
     random_spectrum_symmetric,
@@ -28,14 +29,14 @@ class Test2p5dSolver:
     @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
     def test_spectrum_across_p(self, p):
         a = random_symmetric(48, seed=p)
-        res, err = eigensolve_2p5d_check(BSPMachine(p), a)
-        assert err < 1e-8
+        res = eigensolve_2p5d(BSPMachine(p), a)
+        assert reference_spectrum_error(a, res.eigenvalues) < 1e-8
 
     @pytest.mark.parametrize("delta", [0.5, 0.58, 2.0 / 3.0])
     def test_spectrum_across_delta(self, delta):
         a = random_symmetric(64, seed=1)
-        res, err = eigensolve_2p5d_check(BSPMachine(16), a, delta=delta)
-        assert err < 1e-8
+        res = eigensolve_2p5d(BSPMachine(16), a, delta=delta)
+        assert reference_spectrum_error(a, res.eigenvalues) < 1e-8
 
     def test_prescribed_spectrum(self):
         d = np.linspace(-5, 5, 32)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.linalg.householder import (
     apply_block_reflector_left,
-    apply_block_reflector_right,
     compact_wy_qr,
     compact_wy_qr_general,
     expand_q,
@@ -107,13 +106,6 @@ class TestApplyAndExpand:
         c = rng.standard_normal((10, 6))
         assert np.abs(apply_block_reflector_left(u, t, c) - q @ c).max() < 1e-11
         assert np.abs(apply_block_reflector_left(u, t, c, transpose=True) - q.T @ c).max() < 1e-11
-
-    def test_apply_right_matches_explicit(self, rng):
-        a = rng.standard_normal((10, 4))
-        u, t, _ = compact_wy_qr(a)
-        q = np.eye(10) - u @ t @ u.T
-        c = rng.standard_normal((6, 10))
-        assert np.abs(apply_block_reflector_right(u, t, c) - c @ q).max() < 1e-11
 
     def test_expand_thin_vs_full(self, rng):
         u, t, _ = compact_wy_qr(rng.standard_normal((8, 3)))

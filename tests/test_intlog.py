@@ -7,7 +7,6 @@ from repro.util.intlog import (
     ceil_div,
     chunk_offsets,
     ilog2,
-    is_power_of_two,
     next_multiple,
     next_power_of_two,
     split_evenly,
@@ -39,13 +38,6 @@ class TestCeilDiv:
 
 
 class TestPowersOfTwo:
-    def test_is_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(64)
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(12)
-        assert not is_power_of_two(-4)
-
     def test_next_power_of_two(self):
         assert next_power_of_two(1) == 1
         assert next_power_of_two(5) == 8
@@ -58,7 +50,7 @@ class TestPowersOfTwo:
     @given(st.integers(1, 2**40))
     def test_next_power_properties(self, x):
         np2 = next_power_of_two(x)
-        assert is_power_of_two(np2)
+        assert np2 & (np2 - 1) == 0
         assert np2 >= x
         assert np2 // 2 < x
 

@@ -5,8 +5,6 @@ import pytest
 
 from repro.bsp import BSPMachine, MachineParams
 from repro.bsp.kernels import (
-    local_elementwise,
-    local_lu_nopivot,
     local_matmul,
     local_qr,
     local_qr_householder,
@@ -86,20 +84,3 @@ class TestLocalQR:
         u, t, r = local_qr_householder(m, 0, a)
         q = np.eye(12, 5) - u @ (t @ u[:5, :].T)
         assert np.abs(q @ r - a).max() < 1e-11
-
-
-class TestLocalLU:
-    def test_lu_and_charges(self, rng):
-        m = BSPMachine(1)
-        a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        lo, up = local_lu_nopivot(m, 0, a)
-        assert np.abs(lo @ up - a).max() < 1e-10
-        assert m.counters[0].flops == pytest.approx((2 / 3) * 216)
-
-
-class TestElementwise:
-    def test_charges_per_word(self):
-        m = BSPMachine(1)
-        local_elementwise(m, 0, [np.zeros((4, 4)), np.zeros(8)], flops_per_elem=2.0)
-        assert m.counters[0].flops == 48.0
-        assert m.counters[0].mem_traffic == 24.0

@@ -1,7 +1,9 @@
 """Knob ratchet: the ``REPRO_*`` environment switches ``src/`` reads, the
 constructor switches of :class:`BSPMachine`, the observers that force a
-charge log to write through, and the counter-store selector that must not
-come back (one store in ``src/``; the scalar one is ``tests/scalar_oracle.py``).
+charge log to write through, and the two flags that must not come back: the
+counter-store selector (one store in ``src/``; the scalar one is
+``tests/scalar_oracle.py``) and the metrics gate's envelope (every gate is
+exact).
 
 Every switch is a code path the test matrix has to cover twice.  A new one
 fails here until it is added to the pinned set on purpose, and one that
@@ -96,12 +98,15 @@ def test_src_exports_one_counter_store():
 
 
 def test_no_subcommand_accepts_an_engine_flag(capsys):
+    """``--engine`` (a second counter store) and ``--envelope`` (an inexact
+    gate on a deterministic document) must not come back on any command."""
     parser = build_parser()
     (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, sub in subparsers.choices.items():
         flags = {flag for action in sub._actions for flag in action.option_strings}
-        assert "--engine" not in flags, name
-    with pytest.raises(SystemExit) as exc:  # argparse: unrecognized arguments
-        parser.parse_args(["trace", "--engine", "scalar"])
-    assert exc.value.code == 2
-    assert "--engine" in capsys.readouterr().err
+        assert not flags & {"--engine", "--envelope"}, name
+    for argv in (["trace", "--engine", "scalar"], ["metrics", "--envelope", "0.5"]):
+        with pytest.raises(SystemExit) as exc:  # argparse: unrecognized arguments
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err

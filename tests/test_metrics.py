@@ -13,11 +13,7 @@ import pytest
 
 from repro.bsp import BSPMachine, RankGroup, collectives
 from repro.bsp.machine import NO_METRICS
-from repro.metrics import (
-    DEFAULT_ENVELOPE,
-    build_metrics_doc,
-    check_metrics,
-)
+from repro.metrics import build_metrics_doc, check_metrics
 from repro.model.bounds import memory_bound_words
 from repro.util import random_symmetric
 from tests.scalar_oracle import ENGINES, machine_on
@@ -330,9 +326,64 @@ class TestMetricsDoc:
         worse = copy.deepcopy(pinned_doc)
         entry = worse["attainment"][0]
         comp = next(c for c in entry["ratio"] if entry["ratio"][c])
-        entry["ratio"][comp] *= 1.0 + 2.0 * DEFAULT_ENVELOPE
-        failures = check_metrics(worse, pinned_doc)
-        assert any("attainment regression" in f for f in failures)
+        entry["ratio"][comp] *= 1.5
+        (failure,) = check_metrics(worse, pinned_doc)
+        assert failure.startswith(f"attainment[0].ratio.{comp}: baseline ")
+
+    # The gate used to be one-sided with a 25 % envelope on attainment and
+    # read only two comm totals; each of these four mutations passed it.
+
+    def test_every_attainment_ratio_halved_fails(self, pinned_doc):
+        """An *improvement* is drift too: halving every ratio (an
+        under-charge looks exactly like this) names every leaf."""
+        import copy
+
+        better = copy.deepcopy(pinned_doc)
+        halved = []
+        for i, entry in enumerate(better["attainment"]):
+            for comp, ratio in entry["ratio"].items():
+                if ratio:
+                    entry["ratio"][comp] = ratio / 2.0
+                    halved.append(f"attainment[{i}].ratio.{comp}")
+        failures = check_metrics(better, pinned_doc)
+        assert halved and [f.split(":")[0] for f in failures] == halved
+
+    def test_one_heat_map_cell_fails(self, pinned_doc):
+        import copy
+
+        drifted = copy.deepcopy(pinned_doc)
+        cell = drifted["comm"]["words_matrix"][3][5]
+        drifted["comm"]["words_matrix"][3][5] = cell + 1000.0
+        assert check_metrics(drifted, pinned_doc) == [
+            f"comm.words_matrix[3][5]: baseline {cell!r} != fresh {cell + 1000.0!r}"
+        ]
+
+    def test_halved_memory_watermark_fails(self, pinned_doc):
+        import copy
+
+        drifted = copy.deepcopy(pinned_doc)
+        drifted["memory"]["watermark_words"][2] /= 2.0
+        (failure,) = check_metrics(drifted, pinned_doc)
+        assert failure.startswith("memory.watermark_words[2]: baseline ")
+
+    def test_deleted_ratio_component_fails_in_both_directions(self, pinned_doc):
+        import copy
+
+        short = copy.deepcopy(pinned_doc)
+        del short["attainment"][1]["ratio"]["words"]
+        assert check_metrics(short, pinned_doc) == [
+            "attainment[1].ratio.words: in the baseline but missing from this run"
+        ]
+        assert check_metrics(pinned_doc, short) == [
+            "attainment[1].ratio.words: missing from baseline"
+        ]
+
+    def test_json_round_trip_of_a_fresh_document_passes(self, pinned_doc):
+        """``repro metrics --check`` compares an in-process document against
+        a loaded one: tuples vs lists and numpy scalars are not drift."""
+        import json
+
+        assert check_metrics(pinned_doc, json.loads(json.dumps(pinned_doc))) == []
 
     def test_check_flags_memory_bound_violation(self, pinned_doc):
         import copy
@@ -355,8 +406,8 @@ class TestMetricsDoc:
 
         drifted = copy.deepcopy(pinned_doc)
         drifted["comm"]["total_words"] *= 1.001
-        failures = check_metrics(drifted, pinned_doc)
-        assert any("comm drift" in f for f in failures)
+        (failure,) = check_metrics(drifted, pinned_doc)
+        assert failure.startswith("comm.total_words: baseline ")
 
     def test_render_mentions_every_section(self, pinned_doc):
         from repro.metrics import render_metrics

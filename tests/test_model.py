@@ -25,9 +25,8 @@ from repro.model.costs import (
     square_qr_cost,
     streaming_mm_cost,
 )
-from repro.model.table1 import render_table1, table1_numeric, table1_ratios
+from repro.model.table1 import render_table1, table1_numeric
 from repro.model.tuning import (
-    bandwidth_bound_speedup,
     best_delta,
     feasible_deltas,
     tuning_table,
@@ -110,13 +109,6 @@ class TestTable1:
         for name in ("ScaLAPACK", "ELPA", "CA-SBR"):
             assert rows[name].W > ours
 
-    def test_ratios_equal_sqrt_c(self):
-        p = 4096
-        ratios = table1_ratios(8192, p, delta=2 / 3)
-        expect = math.sqrt(delta_to_c(p, 2 / 3))
-        for v in ratios.values():
-            assert v == pytest.approx(expect, rel=0.01)
-
     def test_scalapack_q_is_cubic_when_cache_small(self):
         rows = table1_numeric(4096, 256)
         assert rows["ScaLAPACK"].Q == pytest.approx(4096**3 / 256)
@@ -176,9 +168,6 @@ class TestTuning:
         assert rows[0]["delta"] == pytest.approx(0.5)
         assert rows[-1]["delta"] == pytest.approx(2 / 3)
         assert all(r["c"] >= 1 for r in rows)
-
-    def test_speedup_formula(self):
-        assert bandwidth_bound_speedup(4096) == pytest.approx(4096 ** (1 / 6))
 
 
 class TestBounds:

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bench import load_document, write_document
 from repro.bsp.machine import BSPMachine
 from repro.cli import main
 from repro.metrics.sketch import LatencySketch
@@ -33,12 +34,10 @@ from repro.obs import (
     build_dash_html,
     build_telemetry_doc,
     check_telemetry,
-    load_telemetry,
     merged_trace,
     read_event_log,
     write_dash,
     write_merged_trace,
-    write_telemetry,
 )
 from repro.serve import EigenService, MachinePool, TuningCache, mixed_workload
 from repro.serve import bench as serve_bench
@@ -49,6 +48,10 @@ from repro.util.matrices import random_symmetric
 PARAMS = serve_bench.SERVE_PARAMS
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def load_telemetry(path):
+    return load_document(path, "telemetry baseline", "repro serve-bench --telemetry-out")
 
 
 def small_workload(jobs=10, seed=7):
@@ -377,7 +380,7 @@ class TestPerfetto:
 
 class TestTelemetryDoc:
     def test_write_load_round_trip_exact(self, tdoc, tmp_path):
-        path = write_telemetry(tdoc, tmp_path / "telemetry.json")
+        path = write_document(tdoc, tmp_path / "telemetry.json")
         assert load_telemetry(path) == tdoc
         assert check_telemetry(load_telemetry(path), tdoc) == []
 
@@ -386,16 +389,16 @@ class TestTelemetryDoc:
 
         drifted = copy.deepcopy(tdoc)
         drifted["counters"]["dispatches"] += 1
-        failures = check_telemetry(drifted, tdoc)
-        assert failures and "counters" in failures[0]
+        (failure,) = check_telemetry(drifted, tdoc)
+        assert failure.startswith("counters.dispatches: baseline ")
 
     def test_check_names_event_kind_drift(self, tdoc):
         import copy
 
         drifted = copy.deepcopy(tdoc)
         drifted["events"]["by_kind"]["retry_fire"] = 5
-        failures = check_telemetry(drifted, tdoc)
-        assert any("by_kind" in f or "event counts" in f for f in failures)
+        (failure,) = check_telemetry(drifted, tdoc)
+        assert failure == "events.by_kind.retry_fire: missing from baseline"
 
     def test_version_mismatch_fails_loudly(self, tdoc):
         failures = check_telemetry({"version": 999}, tdoc)
@@ -467,10 +470,10 @@ class TestCli:
     def test_dash_missing_telemetry_exits_2(self, tmp_path, capsys):
         rc = main(["dash", "--telemetry", str(tmp_path / "nope.json")])
         assert rc == 2
-        assert "no telemetry baseline" in capsys.readouterr().err
+        assert "no telemetry document" in capsys.readouterr().err
 
     def test_dash_renders_a_written_doc(self, tdoc, tmp_path, capsys):
-        src = write_telemetry(tdoc, tmp_path / "telemetry.json")
+        src = write_document(tdoc, tmp_path / "telemetry.json")
         out = tmp_path / "dash.html"
         rc = main(["dash", "--telemetry", str(src), "--out", str(out)])
         assert rc == 0

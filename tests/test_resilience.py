@@ -33,7 +33,8 @@ from repro.serve.resilience import (
     run_resilient,
     slo_summary,
 )
-from repro.serve.scheduler import schedule_jobs
+
+from tests.helpers import happy_path_schedule
 
 RUNG = Rung(1, 0.5, "primary")
 
@@ -115,39 +116,24 @@ class TestHappyPath:
 
     def test_matches_plain_scheduler_on_clean_workload(self):
         """With no failures/hedges/deadlines the resilient loop must place
-        jobs exactly like the PR 7 scheduler (same machine, start, finish)."""
+        jobs exactly like the plain FIFO-backfill / best-fit scheduler kept
+        below as ``_oracle_schedule`` (same machine, start, finish)."""
         rng = np.random.default_rng(42)
         pool = MachinePool(2, 8)
-        jobs, services = [], {}
-        for i in range(60):
-            arrival = float(rng.uniform(0, 500))
-            p = int(rng.integers(1, 9))
-            service = float(rng.uniform(5, 80))
-            jobs.append((SimJob(i, arrival), p, service))
-            services[i] = (p, service)
-
-        def rung_for(job_id, failures):
-            return Rung(services[job_id][0], 0.5, "primary")
-
-        def outcome_for(job_id, rung, attempt, machine_id):
-            return AttemptOutcome(ok=True, service_time=services[job_id][1])
-
-        run = run_resilient(
-            [j for j, _, _ in jobs], pool, rung_for, outcome_for, NO_HEDGE
-        )
-        plain = schedule_jobs(
-            [(i, j.arrival, services[i][0], services[i][1])
-             for i, (j, _, _) in enumerate(jobs)],
-            pool,
-        )
-        resilient_rows = {
-            r.job_id: (r.machine_id, r.start, r.finish) for r in run.schedule.jobs
-        }
-        plain_rows = {
-            r.job_id: (r.machine_id, r.start, r.finish) for r in plain.jobs
-        }
-        assert resilient_rows == plain_rows
-        assert run.schedule.makespan == pytest.approx(plain.makespan)
+        reqs = [
+            (
+                i,
+                float(rng.uniform(0, 500)),
+                int(rng.integers(1, 9)),
+                float(rng.uniform(5, 80)),
+            )
+            for i in range(60)
+        ]
+        sched = happy_path_schedule(reqs, pool)
+        placed = _oracle_schedule(reqs, pool)
+        assert sorted((j.job_id, j.machine_id, j.start, j.finish) for j in sched.jobs) == placed
+        span = max(f for *_, f in placed) - min(r[1] for r in reqs)
+        assert sched.makespan == pytest.approx(span)
 
     def test_duplicate_job_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -454,12 +440,12 @@ class TestDeterminismAndInvariants:
 
 
 # ------------------------------------------------------------------ #
-# satellite: heapq running queue equivalence (property test)
+# heapq running queue equivalence (property test)
 
 
 def _oracle_schedule(requests, pool):
-    """The PR 7 scheduler verbatim, with the sorted-list running queue —
-    the oracle the heapq rewrite must match placement-for-placement."""
+    """The plain scheduler, with a sorted-list running queue — the oracle
+    the event loop's heapq must match placement-for-placement."""
     reqs = [(r[0], r[1], r[2], r[3]) for r in requests]
     pending = sorted(reqs, key=lambda r: (r[1], r[0]))
     free = {m.machine_id: m.p for m in pool}
@@ -519,23 +505,6 @@ class TestHeapqEquivalence:
             )
             for i in range(n_jobs)
         ]
-        sched = schedule_jobs(reqs, pool)
+        sched = happy_path_schedule(reqs, pool)
         got = sorted((j.job_id, j.machine_id, j.start, j.finish) for j in sched.jobs)
         assert got == _oracle_schedule(reqs, pool)
-
-    def test_edf_policy_validated(self):
-        with pytest.raises(ValueError, match="fifo.*edf|edf.*fifo"):
-            schedule_jobs([], MachinePool(1, 1), policy="lifo")
-
-    def test_edf_reorders_by_deadline_tuple(self):
-        pool = MachinePool(1, 1)
-        # both queued while the machine is busy; deadlines invert arrival
-        reqs = [
-            (0, 0.0, 1, 50.0, math.inf),
-            (1, 1.0, 1, 10.0, 1000.0),
-            (2, 2.0, 1, 10.0, 100.0),
-        ]
-        fifo = {j.job_id: j.start for j in schedule_jobs(reqs, pool).jobs}
-        edf = {j.job_id: j.start for j in schedule_jobs(reqs, pool, policy="edf").jobs}
-        assert fifo[1] < fifo[2]
-        assert edf[2] < edf[1]

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg.band import SymmetricBand
 from repro.linalg.sbr import (
     apply_chase_step,
     band_reduce_seq,
     chase_steps,
-    eigenvalues_via_sbr,
     full_to_band_seq,
     tridiagonalize_band_seq,
 )
+from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.matrices import random_banded_symmetric, random_symmetric
 from repro.util.validation import matrix_bandwidth
 
@@ -128,61 +127,12 @@ class TestTridiagonalizeAndPipeline:
         assert matrix_bandwidth(t) <= 1
         assert eig_err(a, t) < 1e-9
 
-    def test_eigenvalues_via_sbr(self):
-        a = random_symmetric(40, seed=7)
-        evals = eigenvalues_via_sbr(a)
-        assert eig_err(a, evals) < 1e-9
-
-    def test_eigenvalues_via_sbr_small(self):
-        a = random_symmetric(3, seed=8)
-        assert eig_err(a, eigenvalues_via_sbr(a)) < 1e-12
-
-    def test_eigenvalues_one_by_one(self):
-        a = np.array([[5.0]])
-        assert eigenvalues_via_sbr(a)[0] == 5.0
-
     @given(st.integers(6, 28))
     @settings(max_examples=15, deadline=None)
     def test_property_spectrum_preserved(self, n):
+        """full → band → tridiagonal → Sturm bisection, end to end."""
         a = random_symmetric(n, seed=n * 7)
-        assert eig_err(a, eigenvalues_via_sbr(a)) < 1e-8
-
-
-class TestSymmetricBandStorage:
-    def test_roundtrip(self):
-        a = random_banded_symmetric(12, 3, seed=9)
-        sb = SymmetricBand.from_dense(a, 3)
-        assert np.abs(sb.to_dense() - a).max() < 1e-14
-        assert sb.words == 4 * 12
-
-    def test_indexing(self):
-        a = random_banded_symmetric(8, 2, seed=10)
-        sb = SymmetricBand.from_dense(a, 2)
-        assert sb[3, 1] == pytest.approx(a[3, 1])
-        assert sb[1, 3] == pytest.approx(a[3, 1])  # symmetric access
-        assert sb[0, 7] == 0.0  # outside band reads zero
-
-    def test_write_outside_band_raises(self):
-        sb = SymmetricBand(8, 2)
-        with pytest.raises(IndexError):
-            sb[0, 5] = 1.0
-
-    def test_bandwidth_check_and_shrink(self):
-        a = random_banded_symmetric(10, 1, seed=11)
-        sb = SymmetricBand.from_dense(a, 4)
-        assert sb.bandwidth_check() == 1
-        small = sb.shrink(2)
-        assert small.b == 2
-        with pytest.raises(ValueError):
-            small.shrink(0)  # data has band-width 1 > 0
-
-    def test_eigenvalues(self):
-        a = random_banded_symmetric(14, 3, seed=12)
-        sb = SymmetricBand.from_dense(a, 3)
-        assert eig_err(a, sb.eigenvalues()) < 1e-9
-
-    def test_eigenvalues_tridiagonal_and_diagonal(self):
-        a = random_banded_symmetric(10, 1, seed=13)
-        assert eig_err(a, SymmetricBand.from_dense(a, 1).eigenvalues()) < 1e-10
-        d = np.diag(np.arange(5.0))
-        assert np.allclose(SymmetricBand.from_dense(d, 0).eigenvalues(), np.arange(5.0))
+        b = min(8, n - 2)
+        tri = tridiagonalize_band_seq(full_to_band_seq(a, b), b)
+        evals = sturm_bisection_eigenvalues(np.diag(tri).copy(), np.diag(tri, -1).copy())
+        assert eig_err(a, evals) < 1e-8

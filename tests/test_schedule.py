@@ -4,11 +4,14 @@ import pytest
 
 from repro.eig.schedule import (
     group_of_step,
-    max_concurrency,
     pipeline_schedule,
     schedule_checks,
 )
 from repro.linalg.sbr import chase_steps
+
+
+def _max_concurrency(n, b, h):
+    return max(ph.concurrency for ph in pipeline_schedule(n, b, h))
 
 
 class TestFigure2:
@@ -47,12 +50,12 @@ class TestStructure:
         assert total == len(chase_steps(n, b, h))
 
     def test_max_concurrency_grows_with_matrix(self):
-        assert max_concurrency(96, 8, 4) > max_concurrency(32, 8, 4)
+        assert _max_concurrency(96, 8, 4) > _max_concurrency(32, 8, 4)
 
     def test_concurrency_bounded_by_half_band_count(self):
         # At most ~n/(2b) bulges are in flight (the paper's pipeline bound).
         n, b, h = 96, 8, 4
-        assert max_concurrency(n, b, h) <= n // (2 * b) + 1
+        assert _max_concurrency(n, b, h) <= n // (2 * b) + 1
 
 
 class TestGroupAssignment:

@@ -1,59 +1,10 @@
-"""Tests for the SUMMA baseline and the 2.5D square-QR variant."""
+"""Tests for the 2.5D square-QR variant."""
 
 import numpy as np
 import pytest
 
 from repro.bsp import BSPMachine
 from repro.blocks.square_qr_25d import square_qr_25d, usable_grid
-from repro.blocks.streaming import streaming_matmul
-from repro.blocks.summa import summa_matmul
-from repro.dist.grid import ProcGrid
-
-
-class TestSUMMA:
-    def test_product_exact(self, rng):
-        m = BSPMachine(16)
-        grid = ProcGrid(m, (4, 4))
-        a = rng.standard_normal((32, 24))
-        b = rng.standard_normal((24, 16))
-        c = summa_matmul(m, grid, a, b)
-        assert np.abs(c - a @ b).max() < 1e-12
-
-    def test_requires_square_2d_grid(self, rng):
-        m = BSPMachine(8)
-        with pytest.raises(ValueError):
-            summa_matmul(m, ProcGrid(m, (2, 4)), np.eye(4), np.eye(4))
-        with pytest.raises(ValueError):
-            summa_matmul(m, ProcGrid(m, (2, 2, 2)), np.eye(4), np.eye(4))
-
-    def test_shape_and_panel_validation(self, rng):
-        m = BSPMachine(4)
-        grid = ProcGrid(m, (2, 2))
-        with pytest.raises(ValueError):
-            summa_matmul(m, grid, np.zeros((2, 3)), np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            summa_matmul(m, grid, np.eye(4), np.eye(4), panel=0)
-
-    def test_w_is_2d_scale(self, rng):
-        # SUMMA W per rank ~ (m + k)·n/√p; the replicated streaming variant
-        # on a c>1 grid must move fewer words — the Algorithm III.1 point.
-        n = 128
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, 16))
-        m1 = BSPMachine(16)
-        summa_matmul(m1, ProcGrid(m1, (4, 4)), a, b)
-        m2 = BSPMachine(16)
-        streaming_matmul(m2, ProcGrid(m2, (2, 2, 4)), a, b, a_key="A")
-        assert m2.cost().W < m1.cost().W
-
-    def test_panel_count_drives_supersteps(self, rng):
-        m_few = BSPMachine(4)
-        m_many = BSPMachine(4)
-        a = rng.standard_normal((16, 16))
-        b = rng.standard_normal((16, 16))
-        summa_matmul(m_few, ProcGrid(m_few, (2, 2)), a, b, panel=8)
-        summa_matmul(m_many, ProcGrid(m_many, (2, 2)), a, b, panel=2)
-        assert m_many.cost().S > m_few.cost().S
 
 
 class TestSquareQR25D:

@@ -1,4 +1,4 @@
-"""Tests for tridiagonal eigensolvers (Sturm bisection and QL)."""
+"""Tests for the tridiagonal eigensolver (Sturm bisection)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.linalg.tridiag import (
     eigenvalue_count_below,
     gershgorin_interval,
     sturm_bisection_eigenvalues,
-    tridiagonal_eigenvalues_ql,
     tridiagonal_from_dense,
 )
 from repro.util.matrices import wilkinson, clustered_spectrum, random_spectrum_symmetric
@@ -171,25 +170,6 @@ class TestAgainstTextbookRecurrence:
         got = eigenvalue_count_below(d, e, xs)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(eigenvalue_count_below(d, e, xs.reshape(-1, 1)), want.reshape(-1, 1))
-
-
-class TestQL:
-    def test_matches_bisection(self, rng):
-        d = rng.standard_normal(18)
-        e = rng.standard_normal(17)
-        ql = tridiagonal_eigenvalues_ql(d, e)
-        bis = sturm_bisection_eigenvalues(d, e)
-        assert np.abs(ql - bis).max() < 1e-9
-
-    def test_wilkinson(self):
-        w = wilkinson(15)
-        d, e = tridiagonal_from_dense(w)
-        got = tridiagonal_eigenvalues_ql(d, e)
-        assert np.abs(got - np.linalg.eigvalsh(w)).max() < 1e-10
-
-    def test_already_diagonal(self):
-        got = tridiagonal_eigenvalues_ql(np.array([2.0, 1.0]), np.array([0.0]))
-        assert np.allclose(got, [1.0, 2.0])
 
 
 class TestClusteredSpectra:
