@@ -42,7 +42,7 @@ serve-bench
          docs/observability.md)
 dash     render a telemetry.json as a self-contained HTML flight-recorder
          dashboard (timeline, SLO hit rates, latency percentiles,
-         breaker/hedge chronology)
+         breaker chronology)
 table1   print the paper's Table I, symbolically and evaluated at (n, p)
 figure1  print the Figure 1 structure diagram (Algorithm IV.1)
 figure2  print the Figure 2 pipeline diagram (Algorithm IV.2)

@@ -4,18 +4,18 @@ Renders one telemetry document (:func:`repro.obs.report.build_telemetry_doc`)
 as a single HTML file with zero external assets — openable from a CI
 artifact listing:
 
-* stat tiles (jobs by disposition, retries/hedges/sheds/quarantines,
+* stat tiles (jobs by disposition, retries/sheds/quarantines,
   plan-cache hit rate);
 * the machine-lane **timeline**: every executed attempt as a thin slice on
   its machine's lane(s) in simulated time, colored by attempt kind
-  (primary/retry/hedge), failed attempts in the status color;
+  (primary/retry), failed attempts in the status color;
 * the **queue-depth** step line with a nearest-point hover readout;
 * per-SLO-class deadline hit rates and latency percentile tables;
-* the breaker / hedge **chronology**;
+* the breaker **chronology**;
 * a full attempts table (the screen-reader / grayscale twin of the
   timeline — every value the charts show is also in a table).
 
-Colors follow the repo-wide dataviz conventions: three categorical slots
+Colors follow the repo-wide dataviz conventions: two categorical slots
 for attempt identity (validated for CVD separation in both light and dark
 modes), status colors only for failure/breaker state, text always in ink
 tokens.  The output is a pure function of the document — byte-stable
@@ -33,7 +33,6 @@ from typing import Any
 KIND_COLORS = {
     "primary": ("#2a78d6", "#3987e5"),
     "retry": ("#eb6834", "#d95926"),
-    "hedge": ("#1baf7a", "#199e70"),
 }
 #: status colors (state, never identity)
 STATUS_CRITICAL = ("#d03b3b", "#d03b3b")
@@ -50,7 +49,7 @@ body {
   --page: #f9f9f7; --surface: #fcfcfb; --ink: #0b0b0b; --ink-2: #52514e;
   --muted: #898781; --grid: #e1e0d9; --axis: #c3c2b7;
   --border: rgba(11,11,11,0.10);
-  --k-primary: #2a78d6; --k-retry: #eb6834; --k-hedge: #1baf7a;
+  --k-primary: #2a78d6; --k-retry: #eb6834;
   --critical: #d03b3b; --good: #0ca30c;
 }
 @media (prefers-color-scheme: dark) {
@@ -58,7 +57,7 @@ body {
     --page: #0d0d0d; --surface: #1a1a19; --ink: #ffffff; --ink-2: #c3c2b7;
     --muted: #898781; --grid: #2c2c2a; --axis: #383835;
     --border: rgba(255,255,255,0.10);
-    --k-primary: #3987e5; --k-retry: #d95926; --k-hedge: #199e70;
+    --k-primary: #3987e5; --k-retry: #d95926;
   }
 }
 h1 { font-size: 20px; margin: 0 0 4px; }
@@ -356,29 +355,17 @@ def _chronology(doc: dict[str, Any]) -> str:
         else:
             mark = f'<span class="state">◐ {html.escape(str(state))}</span>'
         rows.append(
-            (e["t"], e["seq"],
-             f'<tr><td>{_fmt_t(e["t"])}</td><td class="t">breaker</td>'
-             f'<td class="t">machine {e.get("machine")}</td>'
-             f'<td class="t">{html.escape(str(e.get("prev")))} → {mark}</td></tr>')
-        )
-    for e in doc.get("hedge_chronology", []):
-        what = "hedge scheduled" if e["ev"] == "hedge_scheduled" else "hedge launched"
-        detail = f'job {e.get("job")}'
-        if "fire_at" in e:
-            detail += f' (fires at {_fmt_t(e["fire_at"])})'
-        rows.append(
-            (e["t"], e["seq"],
-             f'<tr><td>{_fmt_t(e["t"])}</td><td class="t">hedge</td>'
-             f'<td class="t">{detail}</td>'
-             f'<td class="t">{html.escape(what)}</td></tr>')
+            f'<tr><td>{_fmt_t(e["t"])}</td>'
+            f'<td class="t">machine {e.get("machine")}</td>'
+            f'<td class="t">{html.escape(str(e.get("prev")))} → {mark}</td></tr>'
         )
     if not rows:
-        return '<p class="sub">no breaker transitions or hedges this run</p>'
-    rows.sort(key=lambda r: (r[0], r[1]))
+        return '<p class="sub">no breaker transitions this run</p>'
+    # the events are already in emission (simulated-time) order
     return (
-        "<table><thead><tr><th>t (sim)</th><th>kind</th><th>subject</th>"
-        "<th>event</th></tr></thead><tbody>"
-        + "".join(r[2] for r in rows)
+        "<table><thead><tr><th>t (sim)</th><th>machine</th>"
+        "<th>transition</th></tr></thead><tbody>"
+        + "".join(rows)
         + "</tbody></table>"
     )
 
@@ -430,7 +417,6 @@ def build_dash_html(
         _tile("Attempts", _fmt(counters.get("dispatches", 0)),
               f"{_fmt(counters.get('probes', 0))} probes"),
         _tile("Retries", _fmt(counters.get("retries", 0))),
-        _tile("Hedges", _fmt(counters.get("hedges", 0))),
         _tile("Quarantines", _fmt(counters.get("quarantines", 0))),
         _tile("Plan cache", f"{(hits / plans if plans else 0.0):.0%}",
               f"{_fmt(hits)}/{_fmt(plans)} hits"),
@@ -452,7 +438,7 @@ config: {html.escape(cfg_line)}</p>
 <div class="card">{_queue_svg(timeline.get("queue_depth", []))}</div>
 <h2>SLO deadline hit rates and latency percentiles</h2>
 <div class="card">{_slo_table(doc)}</div>
-<h2>Breaker and hedge chronology</h2>
+<h2>Breaker chronology</h2>
 <div class="card">{_chronology(doc)}</div>
 <footer>generated by <code>repro dash</code> from telemetry.json ·
 all times simulated and deterministic — two runs of the same seeded

@@ -4,7 +4,7 @@ The document is a *fully deterministic* digest of one telemetry-enabled
 pass of the pinned serve workload: event-log counts and a sha256 of the
 canonical JSONL lines, compact gauge summaries (count/last/max plus a
 per-series digest), counters, per-SLO-class latency sketches, and the
-breaker/hedge chronologies verbatim.  Every field is a pure function of
+breaker chronology verbatim.  Every field is a pure function of
 the seeded workload, so :func:`check_telemetry` gates with **exact
 equality** — any drift means the service's observable behavior changed
 and the baseline must be recommitted deliberately (the same contract as
@@ -21,7 +21,7 @@ from repro.bench import exact_diff
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _slo_section(telemetry: "Telemetry") -> dict[str, Any]:
@@ -91,7 +91,6 @@ def build_telemetry_doc(
             ),
         },
         "breaker_chronology": telemetry.events_of("breaker"),
-        "hedge_chronology": telemetry.events_of("hedge_scheduled", "hedge_fire"),
     }
 
 
@@ -132,6 +131,4 @@ def render_telemetry(doc: dict[str, Any]) -> str:
         )
     if doc.get("breaker_chronology"):
         lines.append(f"breaker transitions: {len(doc['breaker_chronology'])}")
-    if doc.get("hedge_chronology"):
-        lines.append(f"hedge events: {len(doc['hedge_chronology'])}")
     return "\n".join(lines)

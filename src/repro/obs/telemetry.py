@@ -6,7 +6,7 @@ One :class:`Telemetry` instance rides through a service run
 
 * a **structured event log**: every lifecycle transition (``submit`` →
   ``plan`` → ``dispatch`` → ``attempt_end`` / ``retry_scheduled`` /
-  ``hedge_scheduled`` / ``breaker`` → ``terminal`` or ``shed``) as one
+  ``breaker`` → ``terminal`` or ``shed``) as one
   dict stamped with its simulated time ``t`` and a total-order ``seq``;
 * a :class:`~repro.obs.series.SeriesRegistry` of counters and
   change-only gauges (queue depth, per-machine busy ranks and breaker
@@ -52,8 +52,6 @@ EVENT_KINDS = (
     "attempt_end",
     "retry_scheduled",
     "retry_fire",
-    "hedge_scheduled",
-    "hedge_fire",
     "breaker",
     "terminal",
 )
@@ -96,8 +94,8 @@ class Telemetry:
 
     ``capture_solver_spans`` controls whether job solves run with span
     recording enabled (costs and spectra are byte-identical either way —
-    the batched chase engine's per-step fallback charges identically — but
-    wall-clock is slower, so soak runs turn it off).
+    the same chase loop runs, its charge log written through instead of
+    deferred — but wall-clock is slower, so soak runs turn it off).
     """
 
     enabled = True
@@ -140,9 +138,8 @@ class Telemetry:
     ) -> None:
         """Bind a solve's span events to its ``(job, attempt)`` context.
 
-        Idempotent: memoized solves can surface the same attempt twice
-        (e.g. a hedge landing on an identical plan); the first attach wins
-        and repeats carry identical data by construction.
+        Idempotent: the first attach of a ``(job, attempt)`` context wins
+        and a repeat is ignored.
         """
         key = f"{job}:{attempt}"
         if key in self.solver:

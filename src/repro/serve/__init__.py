@@ -13,8 +13,9 @@ package turns the repo's single-shot solver into a served system:
 :mod:`~repro.serve.scheduler`  the schedule a run produces (per-job rows,
                                latency percentiles, utilization)
 :mod:`~repro.serve.resilience` SLO deadlines/EDF, retry ladder, machine
-                               quarantine, hedged dispatch, admission
-                               control — one deterministic event loop
+                               quarantine, admission control — one
+                               deterministic event loop, one attempt per
+                               job in flight
 :mod:`~repro.serve.journal`    crash-safe write-ahead job journal
                                (fsync'd JSONL, resume without recompute)
 :mod:`~repro.serve.service`    the request pipeline (plan → solve →
@@ -49,7 +50,6 @@ from repro.serve.resilience import (
     SERVICE_SCENARIOS,
     SLO_CLASSES,
     AdmissionPolicy,
-    HedgePolicy,
     QuarantinePolicy,
     ResiliencePolicy,
     RetryPolicy,
@@ -84,7 +84,6 @@ __all__ = [
     "SERVICE_SCENARIOS",
     "SLO_CLASSES",
     "AdmissionPolicy",
-    "HedgePolicy",
     "QuarantinePolicy",
     "ResiliencePolicy",
     "RetryPolicy",

@@ -95,7 +95,7 @@ PINNED: dict[str, Any] = {
 HIT_RATE_FLOOR = 0.8
 
 #: per-pass summary fields gated by exact equality (deterministic).  The
-#: resilience and SLO sections are gate food too: retry/hedge/shed counts
+#: resilience and SLO sections are gate food too: retry/shed counts
 #: and per-class deadline hit rates are pure functions of the seeded
 #: workload, so any drift means the resilience layer changed behavior.
 EXACT_PASS_FIELDS = (

@@ -32,9 +32,10 @@ Record stream (one JSON object per line)::
   solve memo, so replay costs arithmetic, not eigensolves.
 
 Durability: every append is ``write → flush → fsync`` of one complete
-line, so a crash can only ever produce a *torn final line*, which replay
-detects and drops (anything torn mid-file means external corruption and
-counts as such).  The environment hook ``REPRO_SERVE_CRASH_AFTER=N``
+line, so a crash can only ever produce a *torn final line* — a last
+segment without its newline, whether or not its JSON is complete — which
+replay detects and drops (anything torn mid-file means external
+corruption and counts as such).  The environment hook ``REPRO_SERVE_CRASH_AFTER=N``
 hard-kills the process (``os._exit``) after N appends — the deterministic
 "kill -9 mid-workload" used by the crash/resume tests and the chaos
 harness's crash scenario.
@@ -74,24 +75,24 @@ def _parse_lines(text: str) -> tuple[list[dict[str, Any]], bool]:
     raises :class:`JournalError` — that is corruption, not a crash.
     """
     records: list[dict[str, Any]] = []
-    lines = text.split("\n")
     # a file that ends mid-append has a non-empty last segment with no
-    # trailing newline; everything before it must parse
+    # trailing newline — torn even when its JSON happens to be complete,
+    # since the next append would land on the same line; everything
+    # before it must parse
+    *lines, tail = text.split("\n")
     for pos, line in enumerate(lines):
         if not line:
             continue
         try:
             doc = json.loads(line)
         except ValueError:
-            if all(not later for later in lines[pos + 1 :]):
-                return records, True  # the torn tail of a crashed append
             raise JournalError(
                 f"journal line {pos + 1} is not valid JSON (mid-file corruption)"
             ) from None
         if not isinstance(doc, dict):
             raise JournalError(f"journal line {pos + 1} is not an object")
         records.append(doc)
-    return records, False
+    return records, bool(tail)
 
 
 class JobJournal:

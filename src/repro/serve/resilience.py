@@ -1,4 +1,4 @@
-"""Service-level resilience: deadlines, retries, quarantine, hedging, shedding.
+"""Service-level resilience: deadlines, retries, quarantine, shedding.
 
 PR 7's service was fragile in exactly the ways a production eigensolver
 front-end cannot be: a faulted job got one hard-coded replicated retry
@@ -25,12 +25,6 @@ survived a service crash.  This module supplies the missing mechanisms as
   after a simulated cooldown it goes half-open and re-admits exactly one
   *probe* attempt — success closes the breaker, failure re-opens it with a
   doubled cooldown.
-* **Hedged dispatch** — an attempt whose simulated service time exceeds
-  the running percentile of completed attempt times is shadowed by a
-  speculative duplicate launched once the threshold elapses.  First
-  result wins; the loser runs to completion and is charged (visible
-  resilience overhead, never hidden).  Byte-identity is preserved by
-  construction: the same ``(seed, p, δ)`` produces the same spectrum.
 * **Admission control** — a bounded ready queue: an arrival that finds
   ``queue_limit`` jobs already waiting is *shed* with a typed terminal
   disposition instead of queueing without bound.
@@ -41,12 +35,13 @@ reports — which is what lets the chaos scenarios here
 (:data:`SERVICE_SCENARIOS`: flaky-machine, straggler, poison-job) be CI
 gates rather than flaky wall-clock tests.  The loop guarantees **no job
 lost**: every submitted job reaches exactly one terminal disposition in
-``ok | degraded | shed | error``.
+``ok | degraded | shed | error``; and **one attempt in flight**: a job's
+next attempt is dispatched only after its previous one finished, so no
+two attempts of one job ever race.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import heapq
 import json
@@ -145,23 +140,6 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class HedgePolicy:
-    """Speculative duplicates for straggling attempts.
-
-    An attempt whose simulated service time exceeds the nearest-rank
-    ``percentile`` of completed attempt times (once ``min_observations``
-    have completed) gets a duplicate enqueued at ``start + threshold`` —
-    the moment the service would *notice* the straggle.  ``max_hedges``
-    bounds the speculative budget per workload.
-    """
-
-    enabled: bool = True
-    percentile: float = 95.0
-    min_observations: int = 32
-    max_hedges: int = 16
-
-
-@dataclass(frozen=True)
 class QuarantinePolicy:
     """Per-machine circuit breaker: open after ``failure_threshold``
     consecutive failures, half-open after ``cooldown`` simulated time, and
@@ -186,7 +164,6 @@ class ResiliencePolicy:
     """The full resilience configuration of one service instance."""
 
     retry: RetryPolicy = RetryPolicy()
-    hedge: HedgePolicy = HedgePolicy()
     quarantine: QuarantinePolicy = QuarantinePolicy()
     admission: AdmissionPolicy = AdmissionPolicy()
     scheduling: str = "fifo"  # "fifo" | "edf"
@@ -227,8 +204,8 @@ class ServiceScenario:
       the quarantine breaker exists to drain.
     * ``straggler_rate`` / ``straggler_factor`` — a seeded fraction of
       attempts take ``factor`` times their modeled service time (slow
-      node, contention); the spectrum is untouched.  This is what hedged
-      dispatch exists to cut.
+      node, contention); the spectrum is untouched.  The slow attempt runs
+      alone to completion: its job's latency and deadline absorb it.
     * ``poison_rate`` — a seeded fraction of jobs fail *every* attempt
       with a typed error (a request that trips a bug wherever it runs);
       the retry ladder must exhaust and surface ``error``, never loop.
@@ -343,34 +320,18 @@ class Rung:
 
 @dataclass
 class Trial:
-    """One executed attempt (primary, retry, hedge, or probe)."""
+    """One executed attempt (primary or retry; either may be a probe)."""
 
     job_id: int
     attempt: int
-    kind: str  # "primary" | "retry" | "hedge"
+    kind: str  # "primary" | "retry"
     rung: Rung
     machine_id: int
     start: float
     finish: float
     ok: bool
+    outcome: AttemptOutcome
     probe: bool = False
-    winner: bool = False
-    outcome: AttemptOutcome | None = None
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "attempt": self.attempt,
-            "kind": self.kind,
-            "rung": self.rung.kind,
-            "p": self.rung.p,
-            "machine_id": self.machine_id,
-            "start": self.start,
-            "finish": self.finish,
-            "ok": self.ok,
-            "probe": self.probe,
-            "winner": self.winner,
-        }
 
 
 @dataclass
@@ -388,7 +349,6 @@ class JobVerdict:
     machine_id: int
     attempts: int
     retries: int
-    hedged: bool
     outcome: AttemptOutcome | None
 
     @property
@@ -406,8 +366,6 @@ class ResilienceStats:
         default_factory=lambda: {d: 0 for d in DISPOSITIONS}
     )
     retries: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
     shed: int = 0
     quarantines: int = 0
     probes: int = 0
@@ -423,8 +381,9 @@ class ResilienceStats:
         return {
             "dispositions": dict(self.dispositions),
             "retries": self.retries,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
+            # always 0: benchmarks/e2e/leg.py still reads both keys
+            "hedges": 0,
+            "hedge_wins": 0,
             "shed": self.shed,
             "quarantines": self.quarantines,
             "probes": self.probes,
@@ -466,17 +425,13 @@ class ResilientRun:
 
 
 class _JobState:
-    __slots__ = (
-        "job", "failures", "in_flight", "verdict", "hedge_launched",
-        "first_start", "trial_count",
-    )
+    __slots__ = ("job", "failures", "in_flight", "verdict", "first_start", "trial_count")
 
     def __init__(self, job: SimJob):
         self.job = job
         self.failures = 0
-        self.in_flight: set[int] = set()  # trial indices still running
+        self.in_flight: int | None = None  # index of the running trial
         self.verdict: JobVerdict | None = None
-        self.hedge_launched = False
         self.first_start = math.inf
         self.trial_count = 0
 
@@ -525,8 +480,6 @@ def run_resilient(
     }
     stats = ResilienceStats()
     trials: list[Trial] = []
-    #: completed attempt service times, kept sorted for the hedge percentile
-    completed_services: list[float] = []
     running: list[tuple[float, int, int]] = []  # (finish, seq, trial_idx)
     timers: list[tuple[float, int, str, int]] = []  # (time, seq, kind, job/machine)
     ready: list[tuple[int, int, str, Rung]] = []  # (seq, job_id, kind, rung)
@@ -544,7 +497,7 @@ def run_resilient(
                 disposition=verdict.disposition, slo=verdict.slo,
                 latency=latency, deadline_hit=verdict.deadline_hit,
                 attempts=verdict.attempts, retries=verdict.retries,
-                hedged=verdict.hedged, machine=verdict.machine_id,
+                machine=verdict.machine_id,
             )
             telemetry.counter(f"jobs_{verdict.disposition}")
             if verdict.disposition != "shed":
@@ -552,20 +505,26 @@ def run_resilient(
         if on_terminal is not None:
             on_terminal(verdict)
 
-    def hedge_threshold() -> float | None:
-        if (
-            not policy.hedge.enabled
-            or len(completed_services) < policy.hedge.min_observations
-        ):
-            return None
-        k = max(
-            0,
-            min(
-                len(completed_services) - 1,
-                math.ceil(policy.hedge.percentile / 100.0 * len(completed_services)) - 1,
+    def settle_trial(trial: Trial, disposition: str, retries: int) -> None:
+        """Settle a job on the outcome of its last (and only running) trial."""
+        st = states[trial.job_id]
+        settle(
+            trial.job_id,
+            JobVerdict(
+                job_id=trial.job_id,
+                disposition=disposition,
+                arrival=st.job.arrival,
+                start=st.first_start,
+                finish=trial.finish,
+                slo=st.job.slo,
+                deadline=st.job.deadline,
+                rung=trial.rung,
+                machine_id=trial.machine_id,
+                attempts=st.trial_count,
+                retries=retries,
+                outcome=trial.outcome,
             ),
         )
-        return completed_services[k]
 
     def breaker_event(machine_id: int, prev: str, state: str) -> None:
         telemetry.emit("breaker", now, machine=machine_id, prev=prev, state=state)
@@ -612,72 +571,28 @@ def run_resilient(
         trial = trials[idx]
         free[trial.machine_id] += trial.rung.p
         st = states[trial.job_id]
-        st.in_flight.discard(idx)
+        st.in_flight = None
         if trial.probe:
             health[trial.machine_id].probe_in_flight = False
         if telemetry.enabled:
             telemetry.emit(
                 "attempt_end", trial.finish, job=trial.job_id,
                 attempt=trial.attempt, kind=trial.kind, machine=trial.machine_id,
-                ok=trial.ok, winner=trial.ok and st.verdict is None,
-                late=st.verdict is not None,
+                ok=trial.ok,
             )
         feed_health(trial.machine_id, trial.ok)
-        assert trial.outcome is not None
-        bisect.insort(completed_services, trial.outcome.service_time)
-        if st.verdict is not None:
-            return  # a duplicate finishing after the job settled
         if trial.ok:
-            trial.winner = True
-            if trial.kind == "hedge":
-                stats.hedge_wins += 1
             disposition = "ok" if trial.rung.kind in ("primary", "same-plan") else "degraded"
-            settle(
-                trial.job_id,
-                JobVerdict(
-                    job_id=trial.job_id,
-                    disposition=disposition,
-                    arrival=st.job.arrival,
-                    start=st.first_start,
-                    finish=trial.finish,
-                    slo=st.job.slo,
-                    deadline=st.job.deadline,
-                    rung=trial.rung,
-                    machine_id=trial.machine_id,
-                    attempts=st.trial_count,
-                    retries=st.failures,
-                    hedged=st.hedge_launched,
-                    outcome=trial.outcome,
-                ),
-            )
+            settle_trial(trial, disposition, st.failures)
             return
         st.failures += 1
-        if st.in_flight:
-            return  # a duplicate is still running; let it race the ladder
         rung = (
             rung_for(trial.job_id, st.failures)
             if st.failures <= policy.retry.budget
             else None
         )
         if rung is None:
-            settle(
-                trial.job_id,
-                JobVerdict(
-                    job_id=trial.job_id,
-                    disposition="error",
-                    arrival=st.job.arrival,
-                    start=st.first_start,
-                    finish=trial.finish,
-                    slo=st.job.slo,
-                    deadline=st.job.deadline,
-                    rung=trial.rung,
-                    machine_id=trial.machine_id,
-                    attempts=st.trial_count,
-                    retries=st.failures - 1,
-                    hedged=st.hedge_launched,
-                    outcome=trial.outcome,
-                ),
-            )
+            settle_trial(trial, "error", st.failures - 1)
             return
         fire_at = now + policy.retry.delay(trial.job_id, st.failures)
         if telemetry.enabled:
@@ -695,32 +610,16 @@ def run_resilient(
                 health[key].state = "half-open"
                 breaker_event(key, "open", "half-open")
             return
-        st = states[key]
-        if st.verdict is not None:
+        # kind == "retry": the job's failed attempt has finished
+        rung = rung_for(key, states[key].failures)
+        if rung is None:  # ladder dried up between scheduling and firing
             return
-        if kind == "retry":
-            rung = rung_for(key, st.failures)
-            if rung is None:  # ladder dried up between scheduling and firing
-                return
-            stats.retries += 1
-            if telemetry.enabled:
-                telemetry.emit("retry_fire", now, job=key, rung=rung.kind)
-                telemetry.counter("retries")
-            seq += 1
-            ready.append((seq, key, "retry", rung))
-        elif kind == "hedge":
-            if not st.in_flight or st.hedge_launched:
-                return  # already finished, or already hedged
-            if stats.hedges >= policy.hedge.max_hedges:
-                return
-            running_trial = trials[min(st.in_flight)]
-            st.hedge_launched = True
-            stats.hedges += 1
-            if telemetry.enabled:
-                telemetry.emit("hedge_fire", now, job=key)
-                telemetry.counter("hedges")
-            seq += 1
-            ready.append((seq, key, "hedge", running_trial.rung))
+        stats.retries += 1
+        if telemetry.enabled:
+            telemetry.emit("retry_fire", now, job=key, rung=rung.kind)
+            telemetry.counter("retries")
+        seq += 1
+        ready.append((seq, key, "retry", rung))
 
     def admit(job: SimJob) -> None:
         nonlocal seq
@@ -749,7 +648,6 @@ def run_resilient(
                     machine_id=-1,
                     attempts=0,
                     retries=0,
-                    hedged=False,
                     outcome=None,
                 ),
             )
@@ -767,7 +665,7 @@ def run_resilient(
             return (job.deadline, job.arrival, job_id, entry_seq)
         return (job.arrival, job_id, entry_seq)
 
-    def eligible_machine(p: int, exclude: set[int]) -> tuple[int | None, bool]:
+    def eligible_machine(p: int) -> tuple[int | None, bool]:
         """Best-fit machine for ``p`` ranks honoring breaker state.
 
         Returns ``(machine_id, is_probe)``; half-open machines take one
@@ -775,8 +673,7 @@ def run_resilient(
         """
         best: int | None = None
         for m in pool:
-            h = health[m.machine_id]
-            if h.state != "closed" or m.machine_id in exclude:
+            if health[m.machine_id].state != "closed":
                 continue
             f = free[m.machine_id]
             if f >= p and (best is None or f < free[best]):
@@ -785,7 +682,7 @@ def run_resilient(
             return best, False
         for m in pool:
             h = health[m.machine_id]
-            if h.state != "half-open" or h.probe_in_flight or m.machine_id in exclude:
+            if h.state != "half-open" or h.probe_in_flight:
                 continue
             f = free[m.machine_id]
             if f >= p and (best is None or f < free[best]):
@@ -796,18 +693,15 @@ def run_resilient(
         nonlocal seq, ready
         remaining: list[tuple[int, int, str, Rung]] = []
         for entry in sorted(ready, key=queue_key):
-            entry_seq, job_id, kind, rung = entry
-            st = states[job_id]
-            if st.verdict is not None:
-                continue  # e.g. a hedge whose job already settled
-            exclude = {trials[t].machine_id for t in st.in_flight}
-            machine_id, probe = eligible_machine(rung.p, exclude)
-            if machine_id is None and exclude:
-                # a duplicate may share the straggler's machine rather than wait
-                machine_id, probe = eligible_machine(rung.p, set())
+            _, job_id, kind, rung = entry
+            machine_id, probe = eligible_machine(rung.p)
             if machine_id is None:
                 remaining.append(entry)
                 continue
+            st = states[job_id]
+            # a job is queued only at admission or when its retry timer
+            # fires, both with no attempt of it running
+            assert st.in_flight is None, f"job {job_id}: two attempts in flight"
             attempt = st.trial_count
             st.trial_count += 1
             outcome = outcome_for(job_id, rung, attempt, machine_id)
@@ -828,7 +722,7 @@ def run_resilient(
                     outcome=outcome,
                 )
             )
-            st.in_flight.add(idx)
+            st.in_flight = idx
             st.first_start = min(st.first_start, now)
             stats.trials += 1
             for fld in ("flops", "words", "mem_traffic", "supersteps"):
@@ -850,15 +744,6 @@ def run_resilient(
                     telemetry.counter("probes")
             seq += 1
             heapq.heappush(running, (finish, seq, idx))
-            if kind != "hedge" and not st.hedge_launched:
-                tau = hedge_threshold()
-                if tau is not None and outcome.service_time > tau:
-                    if telemetry.enabled:
-                        telemetry.emit(
-                            "hedge_scheduled", now, job=job_id, fire_at=now + tau
-                        )
-                    seq += 1
-                    heapq.heappush(timers, (now + tau, seq, "hedge", job_id))
         ready = remaining
 
     def sample_series() -> None:
@@ -913,7 +798,6 @@ def run_resilient(
             finish=v.finish,
             disposition=v.disposition,
             attempts=v.attempts,
-            hedged=v.hedged,
         )
         for v in sorted(
             (v for v in verdicts.values() if v is not None), key=lambda v: v.job_id

@@ -30,8 +30,7 @@ class ScheduledJob:
     start: float
     finish: float
     disposition: str = "ok"   # terminal disposition: ok|degraded|shed|error
-    attempts: int = 1         # executed attempts (retries + hedges included)
-    hedged: bool = False      # a speculative duplicate was launched
+    attempts: int = 1         # executed attempts (retries included)
 
     @property
     def latency(self) -> float:
@@ -41,21 +40,6 @@ class ScheduledJob:
     @property
     def queue_wait(self) -> float:
         return self.start - self.arrival
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "machine_id": self.machine_id,
-            "p": self.p,
-            "arrival": self.arrival,
-            "start": self.start,
-            "finish": self.finish,
-            "latency": self.latency,
-            "queue_wait": self.queue_wait,
-            "disposition": self.disposition,
-            "attempts": self.attempts,
-            "hedged": self.hedged,
-        }
 
 
 @dataclass

@@ -10,14 +10,14 @@
    :class:`~repro.bsp.machine.BSPMachine` of exactly its planned rank
    count, so its eigenvalues and cost report are byte-identical to a
    single-shot run of the same ``(matrix, p, δ)``.  Repeat attempts of
-   the same plan (retries, hedges) hit a solve memo — one wall-clock
-   solve per distinct plan, however many simulated trials charge it.
+   the same plan (retries) hit a solve memo — one wall-clock solve per
+   distinct plan, however many simulated trials charge it.
 3. **Schedule** — the measured cost reports give each attempt its
    simulated service time T = γF + βW + νQ + αS; the resilient event loop
    (:mod:`repro.serve.resilience`) replays the workload's arrival trace
    against the machine pool under the service's
    :class:`~repro.serve.resilience.ResiliencePolicy` — deadlines/EDF,
-   retry ladder, quarantine, hedging, admission control — and drives
+   retry ladder, quarantine, admission control — and drives
    every job to a terminal disposition (``ok | degraded | shed | error``).
 
 Failure handling is the resilience layer's escalation ladder and runs for
@@ -105,13 +105,12 @@ class JobResult:
     plan: Plan
     status: str                    # "ok" | "error" | "shed"
     eigenvalues: np.ndarray | None
-    service_time: float            # simulated T of the winning attempt
+    service_time: float            # simulated T of the last attempt
     sim_cost: dict[str, float]
     planned_from_cache: bool
     retries: int = 0
     degraded: bool = False         # settled on a grid-shrink/replicated rung
-    hedged: bool = False           # a speculative duplicate was launched
-    attempts: int = 1              # executed attempts (retries + hedges)
+    attempts: int = 1              # executed attempts (primary + retries)
     slo: str = "batch"
     deadline_hit: bool = True
     error: str = ""
@@ -177,12 +176,12 @@ class ServeReport:
         return dict(sorted(out.items(), key=lambda kv: int(kv[0][2:])))
 
     def sim_totals(self) -> dict[str, float]:
-        """Exact simulated cost of each job's *winning* attempt, summed.
+        """Exact simulated cost of each job's *last* attempt, summed.
 
         Error jobs contribute the partial cost their last attempt accrued
         before faulting (they consumed machine time; dropping them would
-        flatter the totals).  The all-attempts total — including hedges,
-        retries, and probes — lives in ``resilience["charged"]``; the gap
+        flatter the totals).  The all-attempts total — including retries
+        and probes — lives in ``resilience["charged"]``; the gap
         between the two is the price of resilience, kept visible.
         """
         totals = {"flops": 0.0, "words": 0.0, "mem_traffic": 0.0, "supersteps": 0.0}
@@ -472,7 +471,7 @@ class EigenService:
 
         Wall-clock work (actual eigensolves) happens lazily inside the
         simulated event loop through a memo keyed on the solve identity,
-        so retries and hedges of an identical plan cost nothing extra in
+        so retries of an identical plan cost nothing extra in
         wall time while still being fully charged in simulated time.
         """
         t0 = time.perf_counter()
@@ -586,7 +585,6 @@ class EigenService:
                         "finish": v.finish,
                         "attempts": v.attempts,
                         "retries": v.retries,
-                        "hedged": v.hedged,
                     },
                 )
 
@@ -615,8 +613,7 @@ class EigenService:
             common = dict(
                 job_id=spec.job_id, n=spec.n, seed=spec.seed, plan=used,
                 planned_from_cache=hit, retries=v.retries,
-                degraded=v.disposition == "degraded", hedged=v.hedged,
-                attempts=v.attempts, slo=spec.slo, deadline_hit=v.deadline_hit,
+                degraded=v.disposition == "degraded", attempts=v.attempts, slo=spec.slo, deadline_hit=v.deadline_hit,
             )
             if v.disposition in ("ok", "degraded"):
                 results.append(
@@ -685,8 +682,8 @@ def verify_against_single_shot(
     """Byte-identity check of every ok job versus a single-shot solve.
 
     Returns human-readable mismatch descriptions ([] = all identical).
-    Degraded/hedged/retried jobs are verified against their *winning*
-    plan — that is the solve that actually produced their spectrum.
+    Degraded/retried jobs are verified against the plan of their last
+    attempt — that is the solve that actually produced their spectrum.
     """
     problems: list[str] = []
     for r in results:

@@ -19,16 +19,9 @@ def eig_err(a: np.ndarray, b_or_evals: np.ndarray) -> float:
 
 def happy_path_schedule(requests, pool):
     """Place ``(job_id, arrival, p, service_time)`` requests with the
-    resilient event loop on its happy path — every attempt succeeds, no
-    hedging — and return the :class:`~repro.serve.scheduler.Schedule`."""
-    from repro.serve.resilience import (
-        AttemptOutcome,
-        HedgePolicy,
-        ResiliencePolicy,
-        Rung,
-        SimJob,
-        run_resilient,
-    )
+    resilient event loop on its happy path — every attempt succeeds — and
+    return the :class:`~repro.serve.scheduler.Schedule`."""
+    from repro.serve.resilience import AttemptOutcome, Rung, SimJob, run_resilient
 
     plan = {job_id: (p, service) for job_id, _, p, service in requests}
     return run_resilient(
@@ -38,5 +31,4 @@ def happy_path_schedule(requests, pool):
         lambda job_id, rung, attempt, machine_id: AttemptOutcome(
             ok=True, service_time=plan[job_id][1]
         ),
-        ResiliencePolicy(hedge=HedgePolicy(enabled=False)),
     ).schedule

@@ -105,22 +105,35 @@ class TestJournalFile:
                 j.open("fp-1", jobs=1)
 
     def test_torn_tail_is_dropped_and_writes_continue_cleanly(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with JobJournal(path) as j:
-            j.open("fp-1", jobs=1)
-            j.record_submitted(0, {"n": 12})
-        # simulate a crash mid-append: a partial record with no newline
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "attempt", "key": "k0", "outco')
-        assert read_journal(path)["torn_tail"] is True
-        with JobJournal(path) as j2:
-            j2.open("fp-1", jobs=1)
-            assert j2.torn_tail and set(j2.submitted) == {0}
-            assert j2.attempts == {}  # the torn attempt never happened
-            j2.record_terminal(0, {"disposition": "ok"})
-        # the post-crash file parses cleanly end to end
-        doc = read_journal(path)
-        assert doc["missing_terminals"] == [] and doc["terminals"] == 1
+        # a crash mid-append leaves a last segment with no newline: cut
+        # mid-record, or after a complete record but before its "\n"
+        complete = json.dumps({"kind": "attempt", "key": "k0", "outcome": {}})
+        tails = ('{"kind": "attempt", "key": "k0", "outco', complete)
+        for i, tail in enumerate(tails):
+            for appends in (1, 2):  # records written after the resume
+                path = tmp_path / f"j{i}-{appends}.jsonl"
+                with JobJournal(path) as j:
+                    j.open("fp-1", jobs=2)
+                    j.record_submitted(0, {"n": 12})
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(tail)
+                assert read_journal(path)["torn_tail"] is True
+                with JobJournal(path) as j2:
+                    j2.open("fp-1", jobs=2)
+                    assert j2.torn_tail and set(j2.submitted) == {0}
+                    assert j2.attempts == {}  # the torn attempt never happened
+                    j2.record_terminal(0, {"disposition": "ok"})
+                    if appends == 2:
+                        j2.record_submitted(1, {"n": 16})
+                # the post-crash file parses cleanly end to end, and the
+                # next resume keeps every record appended after the crash
+                doc = read_journal(path)
+                assert not doc["torn_tail"] and doc["terminals"] == 1
+                assert doc["missing_terminals"] == list(range(1, appends))
+                with JobJournal(path) as j3:
+                    j3.open("fp-1", jobs=2)
+                    assert not j3.torn_tail and set(j3.terminals) == {0}
+                    assert set(j3.submitted) == set(range(appends))
 
     def test_mid_file_corruption_is_an_error_not_a_crash_residue(self, tmp_path):
         path = tmp_path / "j.jsonl"

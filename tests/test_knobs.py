@@ -1,9 +1,10 @@
 """Knob ratchet: the ``REPRO_*`` environment switches ``src/`` reads, the
 constructor switches of :class:`BSPMachine`, the observers that force a
-charge log to write through, and the two flags that must not come back: the
-counter-store selector (one store in ``src/``; the scalar one is
-``tests/scalar_oracle.py``) and the metrics gate's envelope (every gate is
-exact).
+charge log to write through, the service's resilience policy sections, and
+the flags that must not come back: the counter-store selector (one store in
+``src/``; the scalar one is ``tests/scalar_oracle.py``), the metrics gate's
+envelope (every gate is exact) and hedged dispatch (one attempt per job in
+flight).
 
 Every switch is a code path the test matrix has to cover twice.  A new one
 fails here until it is added to the pinned set on purpose, and one that
@@ -12,6 +13,7 @@ goes away must be dropped from it, so the sets cannot grow unnoticed.
 
 import argparse
 import ast
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -20,6 +22,7 @@ import textwrap
 import pytest
 
 import repro.bsp
+import repro.serve
 from repro.bsp import BSPMachine
 from repro.bsp.batch import needs_program_order
 from repro.cli import build_parser
@@ -95,6 +98,13 @@ def test_src_exports_one_counter_store():
     for name in ("ScalarCounterStore", "ENGINES", "RankCounters"):
         assert name not in repro.bsp.__all__ and not hasattr(repro.bsp, name), name
     assert not (SRC / "repro" / "bsp" / "scalar.py").exists()
+
+
+def test_resilience_policy_sections_are_pinned():
+    fields = tuple(f.name for f in dataclasses.fields(repro.serve.ResiliencePolicy))
+    assert fields == ("retry", "quarantine", "admission", "scheduling")
+    assert "HedgePolicy" not in repro.serve.__all__
+    assert not hasattr(repro.serve, "HedgePolicy")
 
 
 def test_no_subcommand_accepts_an_engine_flag(capsys):

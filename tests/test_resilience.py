@@ -2,7 +2,7 @@
 
 The event loop is exercised with synthetic rung/outcome callbacks — no
 eigensolves — so every mechanism (deadlines, retries, quarantine,
-hedging, shedding) is tested in isolation and in milliseconds.  The
+shedding) is tested in isolation and in milliseconds.  The
 integration with real solves is covered by ``tests/test_serve.py`` and
 ``tests/test_journal.py``.
 """
@@ -21,7 +21,6 @@ from repro.serve.resilience import (
     SLO_CLASSES,
     AdmissionPolicy,
     AttemptOutcome,
-    HedgePolicy,
     QuarantinePolicy,
     ResiliencePolicy,
     RetryPolicy,
@@ -51,7 +50,33 @@ def rung_ladder(job_id, failures):
     return Rung(1, 0.5, kinds[min(failures, 3)])
 
 
-NO_HEDGE = ResiliencePolicy(hedge=HedgePolicy(enabled=False))
+def chaos_outcome(scen):
+    """Synthetic attempts under a :class:`ServiceScenario`'s seeded hooks."""
+    def outcome_for(job_id, rung, attempt, machine_id):
+        if scen.is_poison(job_id):
+            return AttemptOutcome(ok=False, service_time=3.0)
+        if scen.is_flaky_attempt(machine_id, job_id, attempt):
+            return AttemptOutcome(ok=False, service_time=5.0)
+        factor = scen.straggler_factor if scen.is_straggler(job_id, attempt) else 1.0
+        return AttemptOutcome(ok=True, service_time=10.0 * factor)
+    return outcome_for
+
+
+def assert_one_attempt_in_flight(run):
+    """Per job, trials run back to back and never overlap in simulated
+    time, and the stats count and charge exactly the trials that ran."""
+    by_job = {}
+    for t in run.trials:
+        by_job.setdefault(t.job_id, []).append(t)
+    for job_id, trials in by_job.items():
+        assert [t.attempt for t in trials] == list(range(len(trials)))
+        for prev, nxt in zip(trials, trials[1:]):
+            assert prev.finish <= nxt.start, f"job {job_id}: attempts overlap"
+    assert run.stats.trials == len(run.trials)
+    assert run.stats.trials == sum(v.attempts for v in run.verdicts.values())
+    assert run.stats.charged["service_time"] == sum(
+        t.outcome.service_time for t in run.trials
+    )
 
 
 # ------------------------------------------------------------------ #
@@ -106,16 +131,14 @@ class TestPolicies:
 class TestHappyPath:
     def test_single_job_runs_and_settles_ok(self):
         pool = MachinePool(1, 1)
-        run = run_resilient(
-            [SimJob(0, 0.0)], pool, rung_ladder, ok_outcome(), NO_HEDGE
-        )
+        run = run_resilient([SimJob(0, 0.0)], pool, rung_ladder, ok_outcome())
         v = run.verdicts[0]
         assert v.disposition == "ok" and v.finish == pytest.approx(10.0)
         assert run.stats.trials == 1 and run.stats.retries == 0
         assert run.schedule.jobs[0].disposition == "ok"
 
     def test_matches_plain_scheduler_on_clean_workload(self):
-        """With no failures/hedges/deadlines the resilient loop must place
+        """With no failures/deadlines the resilient loop must place
         jobs exactly like the plain FIFO-backfill / best-fit scheduler kept
         below as ``_oracle_schedule`` (same machine, start, finish)."""
         rng = np.random.default_rng(42)
@@ -162,7 +185,7 @@ class TestRetries:
             return AttemptOutcome(ok=True, service_time=10.0)
 
         run = run_resilient(
-            [SimJob(0, 0.0)], MachinePool(1, 1), rung_ladder, outcome_for, NO_HEDGE
+            [SimJob(0, 0.0)], MachinePool(1, 1), rung_ladder, outcome_for
         )
         v = run.verdicts[0]
         # two failures → third attempt runs on the grid-shrink rung
@@ -176,9 +199,7 @@ class TestRetries:
         def outcome_for(job_id, rung, attempt, machine_id):
             return AttemptOutcome(ok=False, service_time=5.0)
 
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(budget=3), hedge=HedgePolicy(enabled=False)
-        )
+        policy = ResiliencePolicy(retry=RetryPolicy(budget=3))
         run = run_resilient(
             [SimJob(0, 0.0)], MachinePool(1, 1), rung_ladder, outcome_for, policy
         )
@@ -197,7 +218,7 @@ class TestRetries:
             return AttemptOutcome(ok=True, service_time=10.0)
 
         run = run_resilient(
-            [SimJob(0, 0.0)], MachinePool(1, 1), rung_ladder, outcome_for, NO_HEDGE
+            [SimJob(0, 0.0)], MachinePool(1, 1), rung_ladder, outcome_for
         )
         assert run.verdicts[0].disposition == "ok"
         assert run.verdicts[0].rung.kind == "same-plan"
@@ -210,7 +231,7 @@ class TestQuarantine:
 
         jobs = [SimJob(i, float(i)) for i in range(12)]
         run = run_resilient(
-            [*jobs], MachinePool(2, 1), rung_ladder, outcome_for, NO_HEDGE
+            [*jobs], MachinePool(2, 1), rung_ladder, outcome_for
         )
         assert all(v.disposition in ("ok", "degraded") for v in run.verdicts.values())
         h0 = next(h for h in run.health if h["machine_id"] == 0)
@@ -231,7 +252,6 @@ class TestQuarantine:
 
         policy = ResiliencePolicy(
             quarantine=QuarantinePolicy(failure_threshold=3, cooldown=50.0),
-            hedge=HedgePolicy(enabled=False),
         )
         jobs = [SimJob(i, float(i) * 5.0) for i in range(40)]
         run = run_resilient(
@@ -248,10 +268,7 @@ class TestQuarantine:
         def outcome_for(job_id, rung, attempt, machine_id):
             return AttemptOutcome(ok=machine_id != 0, service_time=10.0)
 
-        policy = ResiliencePolicy(
-            quarantine=QuarantinePolicy(enabled=False),
-            hedge=HedgePolicy(enabled=False),
-        )
+        policy = ResiliencePolicy(quarantine=QuarantinePolicy(enabled=False))
         run = run_resilient(
             [SimJob(i, float(i)) for i in range(10)], MachinePool(2, 1),
             rung_ladder, outcome_for, policy,
@@ -260,63 +277,26 @@ class TestQuarantine:
         assert all(h["state"] == "closed" for h in run.health)
 
 
-class TestHedging:
-    def _straggler_setup(self, straggler_id=30, factor=50.0):
+class TestStragglers:
+    def test_slow_attempt_runs_alone_to_completion(self):
         def outcome_for(job_id, rung, attempt, machine_id):
-            if job_id == straggler_id and attempt == 0:
-                return AttemptOutcome(ok=True, service_time=10.0 * factor)
-            return AttemptOutcome(ok=True, service_time=10.0)
-        return outcome_for
+            slow = job_id == 30 and attempt == 0
+            return AttemptOutcome(ok=True, service_time=500.0 if slow else 10.0)
 
-    def test_straggler_is_hedged_and_the_duplicate_wins(self):
-        policy = ResiliencePolicy(
-            hedge=HedgePolicy(percentile=95.0, min_observations=16, max_hedges=4)
-        )
         jobs = [SimJob(i, float(i) * 20.0) for i in range(40)]
-        run = run_resilient(
-            jobs, MachinePool(2, 2), rung_ladder, self._straggler_setup(), policy
-        )
-        assert run.stats.hedges == 1
-        assert run.stats.hedge_wins == 1
+        run = run_resilient(jobs, MachinePool(2, 2), rung_ladder, outcome_for)
         v = run.verdicts[30]
-        assert v.hedged and v.disposition == "ok"
-        # the duplicate (attempt 1, fast) finished long before the straggler
-        assert v.finish < jobs[30].arrival + 500.0
-        # the loser still ran to completion and was charged
-        straggler_trials = [t for t in run.trials if t.job_id == 30]
-        assert len(straggler_trials) == 2
-        assert sum(t.outcome.service_time for t in straggler_trials) == 510.0
-
-    def test_hedge_budget_caps_speculation(self):
-        policy = ResiliencePolicy(
-            hedge=HedgePolicy(percentile=50.0, min_observations=4, max_hedges=2)
-        )
-
-        def outcome_for(job_id, rung, attempt, machine_id):
-            # every job after warmup looks like a straggler
-            return AttemptOutcome(ok=True, service_time=10.0 + 10.0 * (job_id % 7))
-
-        run = run_resilient(
-            [SimJob(i, float(i) * 5.0) for i in range(30)], MachinePool(2, 2),
-            rung_ladder, outcome_for, policy,
-        )
-        assert run.stats.hedges <= 2
-
-    def test_disabled_hedging_never_speculates(self):
-        run = run_resilient(
-            [SimJob(i, float(i)) for i in range(40)], MachinePool(2, 2),
-            rung_ladder, self._straggler_setup(), NO_HEDGE,
-        )
-        assert run.stats.hedges == 0
-        assert all(not v.hedged for v in run.verdicts.values())
+        assert v.disposition == "ok" and v.attempts == 1 and v.retries == 0
+        # nothing shadows the 50x attempt: the job waits it out, charged once
+        assert v.finish == jobs[30].arrival + 500.0
+        assert [t.attempt for t in run.trials if t.job_id == 30] == [0]
+        assert run.stats.trials == len(jobs)
+        assert_one_attempt_in_flight(run)
 
 
 class TestAdmission:
     def test_overload_sheds_instead_of_queueing_unboundedly(self):
-        policy = ResiliencePolicy(
-            admission=AdmissionPolicy(queue_limit=2),
-            hedge=HedgePolicy(enabled=False),
-        )
+        policy = ResiliencePolicy(admission=AdmissionPolicy(queue_limit=2))
         # 10 jobs arrive at once onto one slow 1-rank machine
         jobs = [SimJob(i, 0.0) for i in range(10)]
         run = run_resilient(
@@ -337,7 +317,7 @@ class TestAdmission:
     def test_unbounded_queue_never_sheds(self):
         run = run_resilient(
             [SimJob(i, 0.0) for i in range(10)], MachinePool(1, 1),
-            rung_ladder, ok_outcome(100.0), NO_HEDGE,
+            rung_ladder, ok_outcome(100.0),
         )
         assert run.stats.shed == 0
         assert all(v.disposition == "ok" for v in run.verdicts.values())
@@ -354,9 +334,7 @@ class TestDeadlinesAndEDF:
         ]
         starts = {}
         for scheduling in ("fifo", "edf"):
-            policy = ResiliencePolicy(
-                scheduling=scheduling, hedge=HedgePolicy(enabled=False)
-            )
+            policy = ResiliencePolicy(scheduling=scheduling)
             run = run_resilient(
                 jobs, MachinePool(1, 1), rung_ladder, ok_outcome(50.0), policy
             )
@@ -376,7 +354,7 @@ class TestDeadlinesAndEDF:
         # deadline with a service time just over half the budget
         service = SLO_CLASSES["interactive"].deadline * 0.6
         run = run_resilient(
-            jobs, MachinePool(1, 1), rung_ladder, ok_outcome(service), NO_HEDGE
+            jobs, MachinePool(1, 1), rung_ladder, ok_outcome(service)
         )
         doc = slo_summary(list(run.verdicts.values()))
         assert doc["interactive"]["jobs"] == 2
@@ -414,17 +392,9 @@ class TestDeterminismAndInvariants:
             name="mix", flaky_machines=1, flaky_rate=0.7,
             straggler_rate=0.2, poison_rate=0.15, seed=9,
         )
-
-        def outcome_for(job_id, rung, attempt, machine_id):
-            if scen.is_poison(job_id):
-                return AttemptOutcome(ok=False, service_time=3.0)
-            if scen.is_flaky_attempt(machine_id, job_id, attempt):
-                return AttemptOutcome(ok=False, service_time=5.0)
-            factor = 8.0 if scen.is_straggler(job_id, attempt) else 1.0
-            return AttemptOutcome(ok=True, service_time=10.0 * factor)
-
         jobs = [SimJob(i, float(i) * 3.0) for i in range(50)]
-        run = run_resilient(jobs, MachinePool(2, 2), rung_ladder, outcome_for)
+        run = run_resilient(jobs, MachinePool(2, 2), rung_ladder, chaos_outcome(scen))
+        assert_one_attempt_in_flight(run)
         assert len(run.verdicts) == 50
         assert sum(run.stats.dispositions.values()) == 50
         assert all(
@@ -437,6 +407,17 @@ class TestDeterminismAndInvariants:
         assert run.schedule.summary()["dispositions"] == {
             k: v for k, v in run.stats.dispositions.items() if v
         }
+
+    @pytest.mark.parametrize("name", sorted(SERVICE_SCENARIOS))
+    def test_one_attempt_in_flight_under_service_scenarios(self, name):
+        jobs = [SimJob(i, float(i) * 3.0) for i in range(50)]
+        run = run_resilient(
+            jobs, MachinePool(2, 2), rung_ladder, chaos_outcome(SERVICE_SCENARIOS[name])
+        )
+        assert len(run.verdicts) == 50
+        # the scenario bit: some attempt failed or straggled
+        assert any(not t.ok or t.outcome.service_time > 10.0 for t in run.trials)
+        assert_one_attempt_in_flight(run)
 
 
 # ------------------------------------------------------------------ #

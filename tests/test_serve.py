@@ -95,7 +95,7 @@ class TestWorkload:
 
 
 # ------------------------------------------------------------------ #
-# scheduling policy of the event loop (happy path: no failures, no hedges)
+# scheduling policy of the event loop (happy path: no failures)
 
 
 class TestScheduler:
