@@ -1,8 +1,10 @@
 """The Sturm recurrence as it was before ``repro.linalg.tridiag`` hoisted
-its loop invariants — kept as the bit-for-bit oracle of the lean one.
+its loop invariants and counted several bisection levels per pass — kept
+as the bit-for-bit oracle of the lean one.
 
 Per row and per sweep it recomputes e², the pivot guard and the sign count
-with fresh temporaries: slow, and obviously the textbook recurrence.
+with fresh temporaries, and it bisects one level per sweep: slow, and
+obviously the textbook algorithm.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ def count_below(d: np.ndarray, e: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return count
 
 
-def bisection_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """All eigenvalues by simultaneous bisection over :func:`count_below`."""
+def bisection_eigenvalues(
+    d: np.ndarray, e: np.ndarray, tol: float = 0.0, max_iter: int = 128
+) -> np.ndarray:
+    """All eigenvalues by simultaneous bisection over :func:`count_below`,
+    one level per sweep, with the solver's ``tol`` / ``max_iter`` contract."""
     n = d.size
     if n == 1:
         return d.copy()
@@ -37,11 +42,13 @@ def bisection_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     upper = np.full(n, hi)
     scale = max(abs(lo), abs(hi), 1e-300)
     target = np.arange(1, n + 1)
-    for _ in range(128):
+    for _ in range(max_iter):
         mid = 0.5 * (lower + upper)
         below = count_below(d, e, mid) >= target
         upper = np.where(below, mid, upper)
         lower = np.where(below, lower, mid)
-        if np.max(upper - lower) <= 4.0 * np.finfo(np.float64).eps * scale:
+        if np.max(upper - lower) <= max(tol, 4.0 * np.finfo(np.float64).eps * scale):
             break
+    else:
+        raise RuntimeError(f"Sturm bisection did not converge in {max_iter} sweeps")
     return 0.5 * (lower + upper)

@@ -1,10 +1,13 @@
 """Tests for the tridiagonal eigensolver (Sturm bisection)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.linalg.tridiag import (
+    _levels_per_pass,
     eigenvalue_count_below,
     gershgorin_interval,
     sturm_bisection_eigenvalues,
@@ -138,17 +141,27 @@ def _tridiagonal_of(a):
     return np.diag(h).copy(), np.diag(h, -1).copy()
 
 
+# Either side of every change in the bisection levels one recurrence pass
+# counts (6 at n = 8 down to 1 from n = 171; pinned in TestMultisection).
+_DEPTH_BOUNDARIES = (8, 9, 16, 17, 34, 35, 73, 74, 170, 171)
+
+
 def _oracle_cases():
-    for n in (1, 2, 3, 8, 17, 64):
+    for n in sorted({1, 2, 3, 64, *_DEPTH_BOUNDARIES}):
         r = np.random.default_rng(100 + n)
         yield f"gaussian-{n}", 3.0 * r.standard_normal(n), 3.0 * r.standard_normal(n - 1)
-    for n in (16, 48):
+    for n in sorted({48, *_DEPTH_BOUNDARIES}):
         a = random_spectrum_symmetric(clustered_spectrum(n, 4, 1e-8, seed=n), seed=n)
         yield (f"clustered-{n}", *_tridiagonal_of(a))
     yield ("wilkinson-21", *tridiagonal_from_dense(wilkinson(21)))
     # more rows than one pivot block holds (2¹⁵ words / n shifts)
     r = np.random.default_rng(7)
     yield "gaussian-200", r.standard_normal(200), r.standard_normal(199)
+    for n, scale in zip(_DEPTH_BOUNDARIES, (1e-150, 1e150) * 5):
+        r = np.random.default_rng(300 + n)
+        yield f"gaussian-{n}x{scale:.0e}", scale * r.standard_normal(n), scale * r.standard_normal(n - 1)
+    for n in (8, 171):
+        yield f"zero-{n}", np.zeros(n), np.zeros(n - 1)
 
 
 _ORACLE_CASES = list(_oracle_cases())
@@ -172,12 +185,49 @@ class TestAgainstTextbookRecurrence:
         assert np.array_equal(eigenvalue_count_below(d, e, xs.reshape(-1, 1)), want.reshape(-1, 1))
 
 
+class TestMultisection:
+    """Several bisection levels per recurrence pass take exactly the sweeps
+    of one-level bisection, including where ``tol`` / ``max_iter`` stop it."""
+
+    def test_levels_change_at_the_depth_boundaries(self):
+        assert [_levels_per_pass(n) for n in _DEPTH_BOUNDARIES] == [6, 5, 5, 4, 4, 3, 3, 2, 2, 1]
+        assert _levels_per_pass(2) == 8 and _levels_per_pass(4096) == 1
+
+    @pytest.mark.parametrize("n", [8, 17, 74])
+    def test_loop_controls_match_the_oracle(self, n):
+        r = np.random.default_rng(n)
+        d, e = r.standard_normal(n), r.standard_normal(n - 1)
+        k = _levels_per_pass(n)
+        lo, hi = gershgorin_interval(d, e)
+        # tol = 1.5·width/2^s stops on sweep s: mid-tree unless k divides s
+        tols = [0.0] + [1.5 * (hi - lo) / 2**s for s in range(1, 2 * k + 2)]
+        for tol in tols:
+            for max_iter in range(1, 2 * k + 2):
+                try:
+                    want = sturm_oracle.bisection_eigenvalues(d, e, tol=tol, max_iter=max_iter)
+                except RuntimeError as exc:
+                    with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
+                        sturm_bisection_eigenvalues(d, e, tol=tol, max_iter=max_iter)
+                    continue
+                got = sturm_bisection_eigenvalues(d, e, tol=tol, max_iter=max_iter)
+                assert got.tobytes() == want.tobytes(), (tol, max_iter)
+
+    @given(st.integers(2, 200), st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_property_bit_identical_to_the_oracle(self, n, seed):
+        r = np.random.default_rng(seed)
+        d, e = r.standard_normal(n), r.standard_normal(n - 1)
+        want = sturm_oracle.bisection_eigenvalues(d, e)
+        assert sturm_bisection_eigenvalues(d, e).tobytes() == want.tobytes()
+
+
 class TestClusteredSpectra:
     def test_pipeline_resolves_tight_clusters(self):
-        vals = clustered_spectrum(20, n_clusters=3, spread=1e-10, seed=5)
+        n = 20  # four levels per recurrence pass
+        vals = clustered_spectrum(n, n_clusters=3, spread=1e-10, seed=5)
         a = random_spectrum_symmetric(vals, seed=6)
-        # Tridiagonalize via numpy reference here; the point is the
-        # tridiagonal solver's behaviour on clustered data.
+        d, e = _tridiagonal_of(a)
+        got = sturm_bisection_eigenvalues(d, e)
+        assert got.tobytes() == sturm_oracle.bisection_eigenvalues(d, e).tobytes()
         ref = np.linalg.eigvalsh(a)
-        t = np.linalg.eigvalsh(a)  # sanity anchor
-        assert np.abs(np.sort(vals) - ref).max() < 1e-7
+        assert np.abs(got - ref).max() <= 4 * n * np.finfo(float).eps * np.linalg.norm(a, 2)
