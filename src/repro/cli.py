@@ -32,9 +32,10 @@ serve-bench
          BENCH_serve.json throughput/latency/SLO report; ``--check``
          gates its simulated sections, exactly, against a committed
          baseline, ``--soak`` runs a chaos
-         scenario (solver faults, flaky-machine, straggler, poison-job,
-         or crash/resume) and asserts never-silently-wrong, no-job-lost,
-         and determinism (see docs/serving.md); ``--telemetry-out`` runs
+         scenario (solver faults, flaky-machine, straggler, poison-job)
+         and asserts never-silently-wrong, no-job-lost, and a
+         byte-identical resume from every prefix of its journal (see
+         docs/serving.md); ``--telemetry-out`` runs
          the observed pass of the unified telemetry layer and writes the
          deterministic telemetry.json (``--telemetry-check`` gates it,
          ``--merged-trace-out`` exports the merged Perfetto trace,
@@ -324,11 +325,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "journal shows submitted jobs without a terminal disposition "
                 f"(missing: {doc.get('journal', {}).get('missing_terminals')})"
             )
-        if not doc.get("deterministic", False):
+        if doc["crash_failures"]:
+            first = doc["crash_failures"][0]
             violations.append(
-                "two same-seed runs produced different summaries"
-                if args.faults != "crash"
-                else "resumed run is not byte-identical to the uninterrupted run"
+                f"{len(doc['crash_failures'])} crash-point check(s) failed to "
+                "reproduce the uninterrupted run (first: journal offset "
+                f"{first['offset']}, {first['check']})"
             )
         if violations:
             print("serve soak FAILED:", file=sys.stderr)
@@ -339,7 +341,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             f"serve soak invariants hold: {doc['ok']}/{doc['jobs']} ok "
             f"({doc['degraded']} degraded, {doc.get('shed', 0)} shed), "
             f"{doc['typed_errors']} typed errors, 0 silently wrong, "
-            "no job lost, deterministic"
+            f"no job lost, all {doc['crash_points']} crash points resume exactly"
         )
         return 0
 
@@ -697,8 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="chaos",
         metavar="SCENARIO",
         help="chaos scenario of --soak: a solver-level fault scenario "
-        "(chaos, rank-failure, ...), a service-level one (flaky-machine, "
-        "straggler, poison-job), or crash (kill + journal resume)",
+        "(chaos, rank-failure, ...) or a service-level one (flaky-machine, "
+        "straggler, poison-job); every scenario is resumed from each "
+        "prefix of its journal",
     )
     p_serve.add_argument(
         "--journal",

@@ -29,13 +29,16 @@ changed and the baseline must be recommitted deliberately), and
 never compared — host time on this very job mix is gated by the repo
 benchmark's ``serve_stream`` workload (``benchmarks/e2e`` ``--compare``,
 paired runs), so this gate cannot fail on a timing.
+
+``run_soak`` (``--soak``) serves a small workload under one chaos
+scenario with a journal, then resumes from every prefix of that journal
+in-process — every state a crash can leave — and checks each resume
+against the uninterrupted run.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable
 
@@ -49,7 +52,7 @@ from repro.obs.perfetto import write_merged_trace
 from repro.obs.report import build_telemetry_doc
 from repro.obs.telemetry import Telemetry
 from repro.serve.cache import TuningCache
-from repro.serve.journal import CRASH_AFTER_ENV, CRASH_EXIT_CODE, read_journal
+from repro.serve.journal import JobJournal, JournalError, read_journal
 from repro.serve.pool import MachinePool
 from repro.serve.resilience import SERVICE_SCENARIOS, ResiliencePolicy
 from repro.serve.service import (
@@ -355,42 +358,13 @@ def run_telemetry_suite(
 
 
 # ------------------------------------------------------------------ #
-# soak (nightly): solver- and service-level chaos scenarios
+# soak: solver- and service-level chaos scenarios, swept over every crash point
 
 DEFAULT_JOURNAL_PATH = Path("benchmarks") / "results" / "serve_journal.jsonl"
 
 
 def _soak_workload(jobs: int, seed: int):
     return mixed_workload(total_jobs=jobs, seed=seed, scf_iterations=2)
-
-
-def _soak_service(
-    scenario: str | None,
-    journal: Path | None,
-    workers: int = 0,
-    fault_seed0: int = 0,
-    telemetry: Telemetry | None = None,
-) -> EigenService:
-    """One soak service instance on the pinned 2×16 pool.
-
-    ``scenario`` routes to the right injection layer: a service-level name
-    (:data:`~repro.serve.resilience.SERVICE_SCENARIOS`) configures the
-    resilient loop's chaos hooks; anything else is a solver-level fault
-    scenario installed on every pool worker (the PR 7 path); ``None`` runs
-    clean (the crash scenario — the only failure is the kill itself).
-    """
-    pool = MachinePool(2, 16, SERVE_PARAMS)
-    if scenario is not None and scenario in SERVICE_SCENARIOS:
-        return EigenService(
-            pool, TuningCache(), workers=workers,
-            scenario=scenario, fault_seed0=fault_seed0, journal=journal,
-            telemetry=telemetry,
-        )
-    return EigenService(
-        pool, TuningCache(), workers=workers,
-        faults=scenario, fault_seed0=fault_seed0, journal=journal,
-        telemetry=telemetry,
-    )
 
 
 def _silent_wrong(report: ServeReport, tol: float) -> list[dict[str, Any]]:
@@ -409,129 +383,66 @@ def _silent_wrong(report: ServeReport, tol: float) -> list[dict[str, Any]]:
     return out
 
 
-def _write_soak_dash(
-    telemetry: Telemetry, dash_path: Path | str, label: str, config: dict[str, Any]
-) -> dict[str, Any]:
-    """Render a soak run's flight recorder; returns the ``dash`` entry of
-    the soak document."""
-    tdoc = build_telemetry_doc(telemetry, config=config)
-    write_dash(tdoc, dash_path, title=f"repro soak flight recorder — {label}")
-    return {
-        "path": str(dash_path),
-        "events": tdoc["events"]["count"],
-        "event_digest": tdoc["events"]["digest"],
-    }
+def _spectrum_bytes(report: ServeReport) -> list[bytes | None]:
+    return [
+        None if r.eigenvalues is None else np.asarray(r.eigenvalues).tobytes()
+        for r in report.results
+    ]
 
 
-def crash_driver(
-    jobs: int, seed: int, journal_path: str, workers: int = 0
-) -> None:
-    """Subprocess entry point of the crash scenario: serve the pinned soak
-    workload against a journal with ``REPRO_SERVE_CRASH_AFTER`` armed, so
-    the process hard-exits mid-workload (``os._exit(70)``)."""
-    service = _soak_service(None, Path(journal_path), workers=workers)
-    service.run_workload(_soak_workload(jobs, seed))
+def _crash_sweep(
+    resume: Callable[[Path], ServeReport],
+    reference: ServeReport,
+    journal_path: Path,
+    fingerprint: str,
+) -> tuple[int, int, list[dict[str, Any]]]:
+    """Resume from every crash state of the reference run's journal.
 
+    Every append is one fsync'd line, so a crash leaves a byte prefix of
+    the journal.  Each prefix that ends on a record boundary (offset 0, no
+    file, included) is resumed in full on a copy beside the journal and
+    must reproduce the reference's deterministic summary, spectrum bytes
+    and completed journal bytes.  Each record is also cut mid-record and
+    just before its newline; such a torn prefix is only opened, and the
+    open must truncate it to the preceding boundary (a torn header to a
+    fresh header) — a state the full resumes already cover.
 
-def run_crash_resume(
-    jobs: int = 48,
-    seed: int = 11,
-    journal_path: Path | str = DEFAULT_JOURNAL_PATH,
-    crash_after: int | None = None,
-    tol: float = 1e-6,
-    dash_path: Path | str | None = None,
-    log: Callable[[str], None] = print,
-) -> dict[str, Any]:
-    """The mid-run-crash scenario: kill a serving subprocess, resume, compare.
-
-    1. Serve the workload uninterrupted (no journal) — the reference.
-    2. Spawn a subprocess serving the same workload against a journal with
-       the crash hook armed; it must die with :data:`CRASH_EXIT_CODE`.
-    3. Resume in this process against the journal; the resumed report must
-       be byte-identical to the reference (summary and spectra), and the
-       journal must show every submitted job with a terminal disposition.
+    Returns ``(crash_points, torn_cuts, crash_failures)``, one
+    ``{"offset", "check"}`` failure per failing check of a cut.
     """
-    journal_path = Path(journal_path)
-    journal_path.parent.mkdir(parents=True, exist_ok=True)
-    if journal_path.exists():
-        journal_path.unlink()
-    if crash_after is None:
-        # past the header + submit records and a handful of attempts:
-        # solidly mid-workload, well before the last terminal
-        crash_after = 1 + jobs + max(3, jobs // 4)
+    data = journal_path.read_bytes()
+    bounds = [0, *accumulate(map(len, data.splitlines(keepends=True)))]
+    cut_path = journal_path.with_suffix(".cut" + journal_path.suffix)
+    summary = deterministic_summary(reference.summary())
+    spectra = _spectrum_bytes(reference)
+    failures: list[dict[str, Any]] = []
 
-    workload = _soak_workload(jobs, seed)
-    reference = _soak_service(None, None).run_workload(workload)
+    for cut in bounds:
+        cut_path.unlink(missing_ok=True)
+        if cut:
+            cut_path.write_bytes(data[:cut])
+        resumed = resume(cut_path)
+        checks = {
+            "summary": deterministic_summary(resumed.summary()) == summary,
+            "spectra": _spectrum_bytes(resumed) == spectra,
+            "journal": cut_path.read_bytes() == data,
+        }
+        failures += [{"offset": cut, "check": c} for c, ok in checks.items() if not ok]
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    env[CRASH_AFTER_ENV] = str(crash_after)
-    code = (
-        "from repro.serve.bench import crash_driver; "
-        f"crash_driver(jobs={jobs}, seed={seed}, journal_path={str(journal_path)!r})"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    if proc.returncode != CRASH_EXIT_CODE:
-        raise BenchError(
-            f"crash subprocess exited {proc.returncode}, expected "
-            f"{CRASH_EXIT_CODE} (the injected crash): {proc.stderr[-500:]}"
-        )
-    interrupted = read_journal(journal_path)
-
-    # the flight recorder observes the *resumed* run (telemetry is a
-    # strict no-op, so the byte-identity compare below still holds)
-    telemetry = (
-        Telemetry(capture_solver_spans=False) if dash_path is not None else None
-    )
-    resumed = _soak_service(
-        None, journal_path, telemetry=telemetry
-    ).run_workload(workload)
-    summary_identical = deterministic_summary(
-        resumed.summary()
-    ) == deterministic_summary(reference.summary())
-    spectra_identical = all(
-        (a.eigenvalues is None) == (b.eigenvalues is None)
-        and (a.eigenvalues is None or np.array_equal(a.eigenvalues, b.eigenvalues))
-        for a, b in zip(reference.results, resumed.results)
-    )
-    jsum = read_journal(journal_path)
-    doc = {
-        "version": 2,
-        "scenario": "crash",
-        "jobs": resumed.jobs,
-        "ok": resumed.ok_jobs,
-        "typed_errors": resumed.error_jobs,
-        "degraded": sum(r.degraded for r in resumed.results),
-        "error_types": sorted({r.error_type for r in resumed.results if not r.ok}),
-        "crash_after_appends": crash_after,
-        "crash_exit": proc.returncode,
-        "journal_at_crash": interrupted,
-        "journal": jsum,
-        "resumed_summary_identical": summary_identical,
-        "resumed_spectra_identical": spectra_identical,
-        "deterministic": summary_identical and spectra_identical,
-        "no_job_lost": (
-            jsum["submitted"] == resumed.jobs and not jsum["missing_terminals"]
-        ),
-        "silent_wrong": _silent_wrong(resumed, tol),
-        "dispositions": resumed.schedule.dispositions(),
-        "resilience": resumed.resilience,
-        "slo": resumed.slo,
-    }
-    if telemetry is not None:
-        doc["dash"] = _write_soak_dash(
-            telemetry, dash_path, "crash resume",
-            {"scenario": "crash", "jobs": jobs, "seed": seed, "crash_after": crash_after},
-        )
-    log(
-        f"soak[crash]: killed after {crash_after} journal appends "
-        f"({interrupted['attempts']} attempts journaled), resumed "
-        f"{doc['ok']}/{doc['jobs']} ok; summary identical: {summary_identical}, "
-        f"spectra identical: {spectra_identical}, no job lost: {doc['no_job_lost']}"
-    )
-    return doc
+    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        kept = data[: bounds[max(i, 1)]]  # a torn header is written afresh
+        for cut in (start + (end - start) // 2, end - 1):
+            cut_path.write_bytes(data[:cut])
+            try:
+                with JobJournal(cut_path) as journal:
+                    journal.open(fingerprint, reference.jobs)
+            except JournalError as exc:
+                failures.append({"offset": cut, "check": f"open: {exc}"})
+                continue
+            if cut_path.read_bytes() != kept:
+                failures.append({"offset": cut, "check": "truncate"})
+    cut_path.unlink()
+    return len(bounds), 2 * (len(bounds) - 1), failures
 
 
 def run_soak(
@@ -550,21 +461,17 @@ def run_soak(
     ``scenario`` is a solver-level fault scenario (``chaos``,
     ``rank-failure``, ...: every pool worker injects faults), a
     service-level scenario (``flaky-machine``, ``straggler``,
-    ``poison-job``: the resilient loop's chaos hooks), or ``crash``
-    (delegates to :func:`run_crash_resume`).  Three invariants gate:
+    ``poison-job``: the resilient loop's chaos hooks).  Three invariants
+    gate:
 
     * **never silently wrong** — every ok-status spectrum matches the
       numpy reference within ``tol``;
     * **no job lost** — every submitted job owns a journal terminal
       record with a disposition in ``ok | degraded | shed | error``;
-    * **deterministic** — a second run of the same seeded config produces
-      an identical summary (wall-clock fields excluded).
+    * **deterministic at every crash point** — a resume from every prefix
+      of the run's journal reproduces the run exactly
+      (:func:`_crash_sweep`; ``crash_failures == []``).
     """
-    if scenario == "crash":
-        return run_crash_resume(
-            jobs=jobs, seed=seed, journal_path=journal_path, tol=tol,
-            dash_path=dash_path, log=log,
-        )
     if scenario not in SERVICE_SCENARIOS:
         from repro.faults.plan import SCENARIOS
 
@@ -572,7 +479,7 @@ def run_soak(
             raise ValueError(
                 f"unknown soak scenario {scenario!r}; choose a solver scenario "
                 f"{sorted(SCENARIOS)} or a service scenario "
-                f"{sorted(SERVICE_SCENARIOS) + ['crash']}"
+                f"{sorted(SERVICE_SCENARIOS)}"
             )
 
     journal_path = Path(journal_path)
@@ -581,26 +488,33 @@ def run_soak(
         journal_path.unlink()  # each soak run journals from scratch
 
     workload = _soak_workload(jobs, seed)
-    # the flight recorder rides the journaled run; telemetry is a strict
-    # no-op so the determinism compare against the untelemetried rerun
-    # still holds (solver-span capture stays off to keep soak wall cheap)
+    # a service-level scenario configures the resilient loop's chaos hooks;
+    # a solver-level one is installed on every pool worker
+    service_level = scenario in SERVICE_SCENARIOS
+
+    def serve(journal: Path, telemetry: Telemetry | None = None) -> ServeReport:
+        """One run on a fresh pinned 2×16 pool."""
+        return EigenService(
+            MachinePool(2, 16, SERVE_PARAMS), TuningCache(), workers=workers,
+            scenario=scenario if service_level else None,
+            faults=None if service_level else scenario,
+            fault_seed0=fault_seed0, journal=journal, telemetry=telemetry,
+        ).run_workload(workload)
+
+    # the flight recorder rides the reference run; telemetry is a strict
+    # no-op so the resumes still reproduce it (solver-span capture stays
+    # off to keep soak wall cheap)
     telemetry = (
         Telemetry(capture_solver_spans=False) if dash_path is not None else None
     )
-    report = _soak_service(
-        scenario, journal_path, workers=workers, fault_seed0=fault_seed0,
-        telemetry=telemetry,
-    ).run_workload(workload)
-    rerun = _soak_service(
-        scenario, None, workers=workers, fault_seed0=fault_seed0
-    ).run_workload(workload)
-    deterministic = deterministic_summary(report.summary()) == deterministic_summary(
-        rerun.summary()
-    )
+    report = serve(journal_path, telemetry)
     silent_wrong = _silent_wrong(report, tol)
     jsum = read_journal(journal_path)
+    crash_points, torn_cuts, crash_failures = _crash_sweep(
+        serve, report, journal_path, jsum["fingerprint"]
+    )
     doc = {
-        "version": 2,
+        "version": 3,
         "scenario": scenario,
         "fault_seed0": fault_seed0,
         "tol": tol,
@@ -621,18 +535,29 @@ def run_soak(
         "no_job_lost": (
             jsum["submitted"] == report.jobs and not jsum["missing_terminals"]
         ),
-        "deterministic": deterministic,
+        "crash_points": crash_points,
+        "torn_cuts": torn_cuts,
+        "crash_failures": crash_failures,
+        "deterministic": not crash_failures,
     }
     if telemetry is not None:
-        doc["dash"] = _write_soak_dash(
-            telemetry, dash_path, scenario,
-            {"scenario": scenario, "jobs": jobs, "seed": seed, "fault_seed0": fault_seed0},
+        tdoc = build_telemetry_doc(
+            telemetry,
+            config={"scenario": scenario, "jobs": jobs, "seed": seed, "fault_seed0": fault_seed0},
         )
+        write_dash(tdoc, dash_path, title=f"repro soak flight recorder — {scenario}")
+        doc["dash"] = {
+            "path": str(dash_path),
+            "events": tdoc["events"]["count"],
+            "event_digest": tdoc["events"]["digest"],
+        }
     log(
         f"soak[{scenario}]: {doc['ok']}/{doc['jobs']} ok "
         f"({doc['degraded']} degraded, {doc['shed']} shed), "
         f"{doc['typed_errors']} typed errors, {len(silent_wrong)} silently wrong; "
-        f"no job lost: {doc['no_job_lost']}, deterministic: {deterministic}"
+        f"no job lost: {doc['no_job_lost']}; crash sweep: {crash_points} "
+        f"boundaries resumed, {torn_cuts} torn cuts, "
+        f"{len(crash_failures)} failing"
     )
     return doc
 

@@ -32,13 +32,13 @@ Record stream (one JSON object per line)::
   solve memo, so replay costs arithmetic, not eigensolves.
 
 Durability: every append is ``write → flush → fsync`` of one complete
-line, so a crash can only ever produce a *torn final line* — a last
-segment without its newline, whether or not its JSON is complete — which
-replay detects and drops (anything torn mid-file means external
-corruption and counts as such).  The environment hook ``REPRO_SERVE_CRASH_AFTER=N``
-hard-kills the process (``os._exit``) after N appends — the deterministic
-"kill -9 mid-workload" used by the crash/resume tests and the chaos
-harness's crash scenario.
+line, so a crash leaves a byte prefix of the uninterrupted journal.  A
+torn last line — a last segment without its newline, whether or not its
+JSON is complete, including a torn header — is dropped: the crashed
+append never happened (anything torn mid-file means external corruption
+and counts as such).  Since every crash state is a prefix, the soak
+(:func:`repro.serve.bench.run_soak`) proves resume at all of them by
+cutting its own journal, in-process.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ from typing import Any
 
 #: on-disk schema identifier; bump on any incompatible layout change
 JOURNAL_VERSION = "repro.serve.journal/1"
-
-#: env hook: hard-exit (os._exit) after this many appends, simulating a
-#: crash that cuts the process mid-workload with no cleanup
-CRASH_AFTER_ENV = "REPRO_SERVE_CRASH_AFTER"
-
-#: the exit code of a simulated crash (distinct from argparse's 2 and the
-#: gate failures' 1 so tests can assert the death was the injected one)
-CRASH_EXIT_CODE = 70
 
 
 class JournalError(ValueError):
@@ -98,9 +90,8 @@ def _parse_lines(text: str) -> tuple[list[dict[str, Any]], bool]:
 class JobJournal:
     """Append-only, fsync'd, resumable record of one workload run."""
 
-    def __init__(self, path: str | Path, fsync: bool = True):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.fsync = fsync
         self.fingerprint: str | None = None
         self.submitted: dict[int, dict[str, Any]] = {}
         self.attempts: dict[str, dict[str, Any]] = {}
@@ -108,8 +99,6 @@ class JobJournal:
         self.replayed_records = 0
         self.torn_tail = False
         self._fh: Any = None
-        self._appends = 0
-        self._crash_after = int(os.environ.get(CRASH_AFTER_ENV, "0") or "0")
 
     # -------------------------------------------------------------- #
     # open / replay
@@ -117,38 +106,39 @@ class JobJournal:
     def open(self, fingerprint: str, jobs: int) -> None:
         """Bind to ``fingerprint``, replaying an existing file if present.
 
-        A fresh file gets a header record; an existing one must carry the
-        same fingerprint (else :class:`JournalMismatch`).
+        A file without a complete line gets a (new) header record; one
+        with complete lines must carry the same fingerprint (else
+        :class:`JournalMismatch`).  A torn last line is truncated away.
         """
         if self._fh is not None:
             raise JournalError("journal is already open")
         self.fingerprint = fingerprint
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._replay(fingerprint)
-            if self.torn_tail:
-                # drop the torn final line so the file parses cleanly from
-                # here on — the crashed append never happened
-                data = self.path.read_bytes()
-                keep = data.rfind(b"\n") + 1
-                with open(self.path, "rb+") as fh:
-                    fh.truncate(keep)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            self._fh = open(self.path, "a", encoding="utf-8")
-            return
+        data = self.path.read_bytes() if self.path.exists() else b""
+        keep = data.rfind(b"\n") + 1
+        if keep:
+            self._replay(fingerprint, data[:keep].decode("utf-8"))
+        self.torn_tail = keep < len(data)
+        if self.torn_tail:
+            # the crashed append never happened — when it was the header's
+            # own, nothing is kept and the journal starts afresh below
+            with open(self.path, "rb+") as fh:
+                fh.truncate(keep)
+                fh.flush()
+                os.fsync(fh.fileno())
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._append(
-            {
-                "kind": "header",
-                "version": JOURNAL_VERSION,
-                "fingerprint": fingerprint,
-                "jobs": jobs,
-            }
-        )
+        if not keep:
+            self._append(
+                {
+                    "kind": "header",
+                    "version": JOURNAL_VERSION,
+                    "fingerprint": fingerprint,
+                    "jobs": jobs,
+                }
+            )
 
-    def _replay(self, fingerprint: str) -> None:
-        records, self.torn_tail = _parse_lines(self.path.read_text(encoding="utf-8"))
+    def _replay(self, fingerprint: str, text: str) -> None:
+        records, _ = _parse_lines(text)
         if not records or records[0].get("kind") != "header":
             raise JournalError(f"journal {self.path} has no header record")
         header = records[0]
@@ -182,12 +172,7 @@ class JobJournal:
             raise JournalError("journal is not open")
         self._fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-        self._appends += 1
-        if self._crash_after and self._appends >= self._crash_after:
-            # simulate a hard crash: no cleanup, no atexit, no cache save
-            os._exit(CRASH_EXIT_CODE)
+        os.fsync(self._fh.fileno())
 
     def record_submitted(self, job_id: int, doc: dict[str, Any]) -> None:
         """Journal a job's admission (idempotent across resumes)."""

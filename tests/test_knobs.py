@@ -1,10 +1,11 @@
 """Knob ratchet: the ``REPRO_*`` environment switches ``src/`` reads, the
 constructor switches of :class:`BSPMachine`, the observers that force a
-charge log to write through, the service's resilience policy sections, and
-the flags that must not come back: the counter-store selector (one store in
-``src/``; the scalar one is ``tests/scalar_oracle.py``), the metrics gate's
-envelope (every gate is exact) and hedged dispatch (one attempt per job in
-flight).
+charge log to write through, the service's resilience policy sections, the
+job journal's constructor, and the flags that must not come back: the
+counter-store selector (one store in ``src/``; the scalar one is
+``tests/scalar_oracle.py``), the metrics gate's envelope (every gate is
+exact), hedged dispatch (one attempt per job in flight), and the soak's
+``crash`` scenario (every scenario sweeps every crash point).
 
 Every switch is a code path the test matrix has to cover twice.  A new one
 fails here until it is added to the pinned set on purpose, and one that
@@ -28,13 +29,14 @@ from repro.bsp.batch import needs_program_order
 from repro.cli import build_parser
 from repro.faults import FaultyMachine
 from repro.lint.verify import VerifiedMachine
+from repro.serve.bench import run_soak
+from repro.serve.journal import JobJournal
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
 #: name -> why it may exist
 ALLOWED = {
     "REPRO_FAULTS": "opt-in fault scenario for machine_from_env (chaos tooling)",
-    "REPRO_SERVE_CRASH_AFTER": "kill point of the journal crash/resume soak",
 }
 
 _NAME = re.compile(r"REPRO_[A-Z][A-Z0-9_]*")
@@ -105,6 +107,18 @@ def test_resilience_policy_sections_are_pinned():
     assert fields == ("retry", "quarantine", "admission", "scheduling")
     assert "HedgePolicy" not in repro.serve.__all__
     assert not hasattr(repro.serve, "HedgePolicy")
+
+
+def test_journal_takes_only_a_path():
+    """Every append is fsync'd: a crash leaves a byte prefix of the journal,
+    the premise of the soak's crash sweep, so durability is not a switch."""
+    assert tuple(inspect.signature(JobJournal).parameters) == ("path",)
+
+
+def test_soak_has_no_crash_scenario(tmp_path):
+    """Crash/resume is swept under every soak scenario, not a scenario."""
+    with pytest.raises(ValueError, match="unknown soak scenario"):
+        run_soak(scenario="crash", journal_path=tmp_path / "j.jsonl", log=lambda _: None)
 
 
 def test_no_subcommand_accepts_an_engine_flag(capsys):

@@ -351,13 +351,13 @@ class TestServeSuite:
 class TestSoak:
     def test_soak_invariants_hold(self, tmp_path):
         doc = serve_bench.run_soak(
-            jobs=12, seed=21,
+            jobs=8, seed=21,
             journal_path=tmp_path / "journal.jsonl", log=lambda _: None,
         )
-        assert doc["jobs"] == 12
+        assert doc["jobs"] == 8
         assert doc["silent_wrong"] == []
         assert doc["no_job_lost"] is True
-        assert doc["deterministic"] is True
+        assert doc["deterministic"] is True and doc["crash_failures"] == []
         assert doc["ok"] + doc["typed_errors"] + doc["shed"] == doc["jobs"]
 
     def test_soak_rejects_unknown_scenario(self, tmp_path):
@@ -400,17 +400,34 @@ class TestServeCli:
         assert "absent.json" in err and "Traceback" not in err
 
     def test_serve_soak_cli(self, tmp_path, capsys):
+        # straggler: the tier-1 soaks between them sweep a solver scenario
+        # (TestSoak), flaky-machine (test_journal) and this one
         rc = main([
-            "serve-bench", "--soak", "--soak-jobs", "12",
+            "serve-bench", "--soak", "--soak-jobs", "8", "--faults", "straggler",
             "--soak-out", str(tmp_path / "soak.json"),
             "--journal", str(tmp_path / "journal.jsonl"),
         ])
         assert rc == 0
         assert "soak invariants hold" in capsys.readouterr().out
         doc = json.loads((tmp_path / "soak.json").read_text())
+        assert doc["version"] == 3 and doc["scenario"] == "straggler"
         assert doc["silent_wrong"] == []
         assert doc["no_job_lost"] is True
+        assert doc["crash_failures"] == []
+        assert doc["crash_points"] == doc["journal"]["records"] + 1
         assert (tmp_path / "journal.jsonl").is_file()
+
+    def test_serve_soak_cli_fails_on_a_crash_point(self, tmp_path, capsys, monkeypatch):
+        failing = {
+            "silent_wrong": [], "no_job_lost": True, "crash_points": 3,
+            "crash_failures": [{"offset": 47, "check": "open: no header record"}],
+        }
+        monkeypatch.setattr(serve_bench, "run_soak", lambda **_: failing)
+        rc = main(["serve-bench", "--soak", "--soak-out", str(tmp_path / "soak.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "1 crash-point check(s)" in err
+        assert "journal offset 47, open: no header record" in err
 
     def test_bench_missing_baseline_exits_2(self, tmp_path, capsys):
         rc = main(["bench", "--check", str(tmp_path / "absent.json")])
