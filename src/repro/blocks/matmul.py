@@ -31,9 +31,6 @@ from repro.bsp.machine import BSPMachine
 def _charge_split(machine: BSPMachine, group: RankGroup, words_per_rank: float) -> None:
     """Charge an operand re-spreading step: each rank sends and receives
     ``words_per_rank`` words, one superstep."""
-    if words_per_rank <= 0:
-        machine.superstep(group, 1)
-        return
     machine.charge_comm_batch(group, words_per_rank, words_per_rank)
     machine.superstep(group, 1)
 

@@ -7,8 +7,6 @@ solve    run the 2.5D eigensolver on a random symmetric matrix and print
          (``--verify`` runs it on a VerifiedMachine that asserts the BSP
          discipline invariants every superstep)
 run      alias of ``solve``
-lint     static cost-accounting lint of the source tree (see
-         docs/static_analysis.md)
 bench    the pinned simulated-cost suite (wall time recorded alongside);
          ``--check`` gates the costs, exactly, against a committed
          BENCH_engine.json baseline
@@ -135,27 +133,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"(conservation, monotone counters, M <= {machine.memory_bound_words:.4g} words/rank) passed"
         )
     return 0 if err < 1e-6 else 1
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import runner
-
-    argv = [str(p) for p in args.paths]
-    if args.baseline is not None:
-        argv += ["--baseline", str(args.baseline)]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.fail_stale:
-        argv.append("--fail-stale")
-    if args.dataflow:
-        argv.append("--dataflow")
-    if args.explain is not None:
-        argv += ["--explain", args.explain]
-    if args.sarif is not None:
-        argv += ["--sarif", str(args.sarif)]
-    return runner.main(argv)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -526,33 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_solve.set_defaults(fn=_cmd_solve)
 
     from pathlib import Path
-
-    p_lint = sub.add_parser("lint", help="static cost-accounting lint")
-    p_lint.add_argument("paths", nargs="*", type=Path)
-    p_lint.add_argument("--baseline", type=Path, default=None)
-    p_lint.add_argument("--no-baseline", action="store_true")
-    p_lint.add_argument("--write-baseline", action="store_true")
-    p_lint.add_argument(
-        "--fail-stale",
-        action="store_true",
-        help="error on baseline entries allowing more findings than currently exist",
-    )
-    p_lint.add_argument(
-        "--dataflow",
-        action="store_true",
-        help="interprocedural race/ownership rules and symbolic cost certificates",
-    )
-    p_lint.add_argument(
-        "--explain",
-        metavar="RULE",
-        default=None,
-        help="print the long-form explanation for one rule and exit",
-    )
-    p_lint.add_argument(
-        "--sarif", type=Path, default=None, metavar="PATH",
-        help="also write findings as a SARIF 2.1.0 log",
-    )
-    p_lint.set_defaults(fn=_cmd_lint)
 
     p_bench = sub.add_parser("bench", help="pinned simulated-cost suite (wall time recorded)")
     p_bench.add_argument(

@@ -83,7 +83,7 @@ def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBan
     group = band.group
     prev_owner: dict[int, int] = {}  # panel index -> owner of its last chase
     with machine.span("sbr_halve", group=group):
-        for step in chase_steps(n, b, h):  # certify: trips((n / b) * (n / h) / p)
+        for step in chase_steps(n, b, h):
             owner = band.owner_of_col(step.oqr_c)
             # Local work: QR of the (nr × h) block + the window update.
             machine.charge_flops(owner, qr_flops(max(step.nr, step.ncols), min(step.nr, step.ncols)))
@@ -95,7 +95,7 @@ def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBan
             last = prev_owner.get(step.i)
             if last is not None and last != owner:
                 words = float(step.nr * (step.ncols + step.nc))
-                machine.charge_comm(sends={last: words}, recvs={owner: words})  # certify: count(n / h)
+                machine.charge_comm(sends={last: words}, recvs={owner: words})
                 machine.superstep(RankGroup((last, owner)), 1)
             prev_owner[step.i] = owner
             apply_chase_step(band.data, step)

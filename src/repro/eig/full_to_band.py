@@ -93,7 +93,7 @@ def full_to_band_2p5d(
         m_cols = 0
 
         c0 = 0
-        while n - c0 > b:  # certify: trips(n / b)
+        while n - c0 > b:
             nbar = n - c0
             m_agg = m_cols
             u_glob = u_buf[:, :m_cols]

@@ -1,58 +1,12 @@
-"""Cost-accounting lint and BSP discipline verification.
+"""BSP discipline verification.
 
-Two layers keep the measured (F, W, Q, S) honest:
-
-* the **static** layer (:mod:`repro.lint.analyzer` + :mod:`repro.lint.runner`)
-  flags dense math and data motion that bypass the charging APIs
-  (``repro lint`` on the CLI); ``repro lint --dataflow`` additionally links
-  the file set into a call graph (:mod:`repro.lint.callgraph`), runs the
-  interprocedural race/ownership rules (:mod:`repro.lint.dataflow`) and
-  checks the symbolic cost certificates (:mod:`repro.lint.certify`);
-* the **dynamic** layer (:class:`VerifiedMachine`) re-checks conservation,
-  monotonicity, the per-rank memory bound, and read provenance at every
-  superstep (``repro run --verify`` / ``REPRO_VERIFY=1`` in tests).
-
-See docs/static_analysis.md for the rules, pragma syntax, and baseline
-workflow.
+:class:`VerifiedMachine` re-checks conservation, monotone counters and the
+per-rank memory bound at every superstep (``repro run --verify`` /
+``REPRO_VERIFY=1`` in tests).  The static half of the cost discipline —
+every dense product charged or pragma-waived — is the tier-1 test
+``tests/test_numerics_charged.py``; see docs/static_analysis.md.
 """
 
-from repro.lint.analyzer import analyze_source
-from repro.lint.baseline import (
-    BASELINE_NAME,
-    apply_baseline,
-    discover_baseline,
-    load_baseline,
-    parse_baseline,
-    render_baseline,
-)
-from repro.lint.callgraph import CallGraph
-from repro.lint.pragmas import ModulePragmas, parse_pragmas
-from repro.lint.rules import DATAFLOW_RULES, RULES, Finding, explain_rule
-from repro.lint.runner import DEFAULT_ALLOWLIST, LintResult, lint_file, lint_paths
-from repro.lint.sarif import to_sarif, write_sarif
 from repro.lint.verify import BSPDisciplineError, VerifiedMachine
 
-__all__ = [
-    "analyze_source",
-    "apply_baseline",
-    "discover_baseline",
-    "load_baseline",
-    "parse_baseline",
-    "render_baseline",
-    "parse_pragmas",
-    "ModulePragmas",
-    "Finding",
-    "RULES",
-    "DATAFLOW_RULES",
-    "explain_rule",
-    "CallGraph",
-    "to_sarif",
-    "write_sarif",
-    "LintResult",
-    "lint_file",
-    "lint_paths",
-    "DEFAULT_ALLOWLIST",
-    "BASELINE_NAME",
-    "BSPDisciplineError",
-    "VerifiedMachine",
-]
+__all__ = ["BSPDisciplineError", "VerifiedMachine"]

@@ -10,10 +10,7 @@ on, at every superstep barrier and at every :meth:`cost` snapshot:
   never decrease (nothing un-charges cost);
 * **memory bound** — no rank's live footprint exceeds the configured
   per-rank budget, by default the paper's M = O(n²/p^{2(1−δ)}) from
-  :func:`repro.model.bounds.memory_bound_words`;
-* **read provenance** (``strict_reads=True``) — a rank may only
-  ``mem_read`` a keyed dataset it previously wrote, read, or was granted
-  via :meth:`grant`; i.e. no rank consumes data it was never sent.
+  :func:`repro.model.bounds.memory_bound_words`.
 
 Violations raise :class:`BSPDisciplineError` at the *first* barrier that
 observes them (or, on a span-enabled machine, at the close of the span
@@ -24,11 +21,10 @@ the CLI with ``repro solve --verify`` / ``repro run --verify``.
 
 from __future__ import annotations
 
+from types import TracebackType
 from typing import Iterable
 
 import numpy as np
-
-from types import TracebackType
 
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
@@ -44,6 +40,11 @@ _MONOTONE_FIELDS = (
     "supersteps",
     "peak_memory_words",
 )
+
+#: relative tolerance on global sent-vs-received words.  The repo's
+#: collectives balance exactly; the tolerance only absorbs float summation
+#: order.
+CONSERVATION_RTOL = 1e-6
 
 
 class BSPDisciplineError(AssertionError):
@@ -81,16 +82,8 @@ class _VerifiedSpan(SpanHandle):
 class VerifiedMachine(BSPMachine):
     """A ``BSPMachine`` that asserts accounting invariants as it runs.
 
-    Parameters beyond :class:`BSPMachine`'s:
-
-    ``memory_bound_words``
-        per-rank peak-memory budget; ``None`` disables the check.
-    ``strict_reads``
-        enforce read provenance on keyed ``mem_read`` calls.
-    ``conservation_rtol``
-        relative tolerance on global sent-vs-received words.  The repo's
-        collectives balance exactly; the tolerance only absorbs float
-        summation order.
+    ``memory_bound_words`` (beyond :class:`BSPMachine`'s parameters) is the
+    per-rank peak-memory budget; ``None`` disables the check.
     """
 
     def __init__(
@@ -101,16 +94,11 @@ class VerifiedMachine(BSPMachine):
         metrics: bool | None = None,
         *,
         memory_bound_words: float | None = None,
-        strict_reads: bool = False,
-        conservation_rtol: float = 1e-6,
     ):
         super().__init__(p, params, spans, metrics)
         self.memory_bound_words = memory_bound_words
-        self.strict_reads = strict_reads
-        self.conservation_rtol = conservation_rtol
         self.checks_run = 0
         self._watermarks = self.counters.snapshot()
-        self._known_keys: list[set[object]] = [set() for _ in range(self.p)]
 
     @classmethod
     def for_problem(
@@ -150,29 +138,6 @@ class VerifiedMachine(BSPMachine):
     def reset(self) -> None:
         super().reset()
         self._watermarks = self.counters.snapshot()
-        self._known_keys = [set() for _ in range(self.p)]
-
-    def mem_write(self, rank: int, key: object, words: float) -> None:
-        self._known_keys[self._check_rank(rank)].add(key)
-        super().mem_write(rank, key, words)
-
-    def mem_read(self, rank: int, key: object, words: float) -> None:
-        known = self._known_keys[self._check_rank(rank)]
-        if self.strict_reads and key not in known:
-            raise BSPDisciplineError(
-                f"read-provenance violation: rank {rank} reads dataset {key!r} "
-                "it never wrote, read, or was granted (data it was never sent)"
-            )
-        known.add(key)
-        super().mem_read(rank, key, words)
-
-    def grant(self, ranks: Iterable[int] | int, key: object) -> None:
-        """Record that a dataset was delivered to ``ranks`` (e.g. by a
-        broadcast the caller charged), licensing future strict reads."""
-        if isinstance(ranks, int):
-            ranks = (ranks,)
-        for r in ranks:
-            self._known_keys[self._check_rank(r)].add(key)
 
     # -------------------------------------------------------------- #
     # the invariants
@@ -194,7 +159,7 @@ class VerifiedMachine(BSPMachine):
     def _check_conservation(self, context: str) -> None:
         sent = float(np.sum(self.counters.field_array("words_sent")))
         recv = float(np.sum(self.counters.field_array("words_recv")))
-        tol = self.conservation_rtol * max(1.0, sent, recv)
+        tol = CONSERVATION_RTOL * max(1.0, sent, recv)
         if abs(sent - recv) > tol:
             raise BSPDisciplineError(
                 f"conservation violation at {context}: words sent ({sent:.6g}) "
@@ -229,5 +194,5 @@ class VerifiedMachine(BSPMachine):
     def __repr__(self) -> str:
         return (
             f"VerifiedMachine(p={self.p}, params={self.params}, "
-            f"memory_bound_words={self.memory_bound_words}, strict_reads={self.strict_reads})"
+            f"memory_bound_words={self.memory_bound_words})"
         )

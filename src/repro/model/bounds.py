@@ -37,7 +37,7 @@ def memory_bound_words(n: int, p: int, delta: float, slack: float = 8.0) -> floa
     storage the implementation genuinely needs (per-column reflector
     vectors, the gathered n·(b+1)-word band with b = n/p at the sequential
     finish).  ``slack`` absorbs the implementation's constants; the dynamic
-    verifier (:class:`repro.lint.VerifiedMachine`) enforces the result as a
+    verifier (:class:`repro.lint.verify.VerifiedMachine`) enforces the result as a
     hard per-rank cap.
     """
     if not 0.5 <= delta <= 1.0:

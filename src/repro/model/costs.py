@@ -222,12 +222,12 @@ def ca_sbr_eigensolver_cost(n: int, p: int) -> AsymptoticCost:
 
 
 # --------------------------------------------------------------------- #
-# symbolic leading terms (consumed by repro.lint.certify)
+# symbolic leading terms (read into the tuning-cache fingerprint by
+# repro.model.tuning.tuning_signature)
 
-#: stages with machine-checkable certificates; each maps a metric to the
-#: leading terms of its lemma as {symbol: exponent} monomials, where the
-#: ``p`` exponent may depend on delta.  Sub-leading terms are omitted: the
-#: certifier compares leading-term degrees only.
+#: stages with a registered lemma; each maps a metric to the leading terms
+#: of its lemma as {symbol: exponent} monomials, where the ``p`` exponent
+#: may depend on delta.  Sub-leading terms are omitted.
 LEMMA_STAGES: tuple[str, ...] = (
     "streaming_mm",
     "carma",

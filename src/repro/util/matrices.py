@@ -47,7 +47,7 @@ def random_orthogonal(n: int, seed: int | np.random.Generator | None = 0) -> np.
     """Return a Haar-ish random orthogonal matrix via QR of a Gaussian."""
     n = check_positive_int(n, "n")
     rng = _rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))  # cost: free(test-matrix generation on the host, before any machine exists)
     # Fix signs so the distribution does not favour +diag(R) (standard trick).
     return q * np.sign(np.diag(r))
 
@@ -62,7 +62,7 @@ def random_spectrum_symmetric(
     """
     d = np.asarray(eigenvalues, dtype=np.float64).ravel()
     q = random_orthogonal(d.size, seed)
-    return (q * d) @ q.T
+    return (q * d) @ q.T  # cost: free(test-matrix generation on the host, before any machine exists)
 
 
 def wilkinson(n: int) -> np.ndarray:

@@ -4,10 +4,10 @@ All public entry points of the library validate their inputs through these
 functions so error messages are uniform and tests can assert on them.
 
 This module is the single allowlisted entry point for *reference* numerics
-(``repro lint`` exempts it): verification against numpy oracles must go
-through :func:`reference_eigenvalues` rather than calling
-``np.linalg.eigvalsh`` inline, so the static analyzer can tell checking
-from under-counted computing.
+(``tests/test_numerics_charged.py`` exempts it): verification against
+numpy oracles must go through :func:`reference_eigenvalues` rather than
+calling ``np.linalg.eigvalsh`` inline, so the numerics check can tell
+checking from under-counted computing.
 """
 
 from __future__ import annotations

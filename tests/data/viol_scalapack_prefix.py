@@ -3,8 +3,8 @@
 Condensed copy of the trailing-matrix update as it stood before the fix
 routed it through ``repro.bsp.kernels``: the matvec, the ``np.dot(w, v)``
 correction, and the outer-product rank-2 update performed raw numpy math
-while only part of the work was charged.  The linter must keep detecting
-this exact shape so the leak cannot regress.
+while only part of the work was charged.  ``tests/test_numerics_charged.py``
+must keep detecting this exact shape so the leak cannot regress.
 """
 
 import numpy as np

@@ -4,8 +4,9 @@ charge log to write through, the service's resilience policy sections, the
 job journal's constructor, and the flags that must not come back: the
 counter-store selector (one store in ``src/``; the scalar one is
 ``tests/scalar_oracle.py``), the metrics gate's envelope (every gate is
-exact), hedged dispatch (one attempt per job in flight), and the soak's
-``crash`` scenario (every scenario sweeps every crash point).
+exact), hedged dispatch (one attempt per job in flight), the soak's
+``crash`` scenario (every scenario sweeps every crash point), and the
+``repro lint`` sub-command (the numerics check is a tier-1 test).
 
 Every switch is a code path the test matrix has to cover twice.  A new one
 fails here until it is added to the pinned set on purpose, and one that
@@ -75,7 +76,7 @@ def test_machine_constructor_switches_are_pinned():
     assert tuple(inspect.signature(BSPMachine).parameters) == MACHINE_KWARGS
     # the subclasses add only their own keyword-only configuration
     for cls, extra in (
-        (VerifiedMachine, {"memory_bound_words", "strict_reads", "conservation_rtol"}),
+        (VerifiedMachine, {"memory_bound_words"}),
         (FaultyMachine, {"plan", "policy"}),
     ):
         params = inspect.signature(cls).parameters
@@ -134,3 +135,12 @@ def test_no_subcommand_accepts_an_engine_flag(capsys):
             parser.parse_args(argv)
         assert exc.value.code == 2
         assert argv[1] in capsys.readouterr().err
+
+
+def test_lint_subcommand_is_gone(capsys):
+    """The static analyzer was deleted; what it alone could catch is
+    ``tests/test_numerics_charged.py``, which runs in every tier-1 leg."""
+    with pytest.raises(SystemExit) as exc:  # argparse: invalid choice
+        build_parser().parse_args(["lint"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lint'" in capsys.readouterr().err

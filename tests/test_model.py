@@ -12,14 +12,17 @@ from repro.model.bounds import (
     synchronization_tradeoff_lower_bound,
 )
 from repro.model.costs import (
+    LEMMA_STAGES,
     band_to_band_cost,
     c_to_delta,
     ca_sbr_eigensolver_cost,
+    ca_sbr_halve_cost,
     carma_cost,
     delta_to_c,
     eigensolver_2p5d_cost,
     elpa_cost,
     full_to_band_cost,
+    lemma_leading_terms,
     rect_qr_cost,
     scalapack_cost,
     square_qr_cost,
@@ -190,3 +193,67 @@ class TestBounds:
         n, p = 8192, 4096
         c = eigensolver_2p5d_cost(n, p, 2 / 3)
         assert c.W * c.S >= n * n
+
+
+# ------------------------------------------------------------------ #
+# lemma registry <-> numeric closed forms
+
+# stage -> its numeric closed form at a symbol assignment
+_NUMERIC = {
+    "streaming_mm": lambda v, d: streaming_mm_cost(
+        v["m"], v["n"], v["k"], v["p"], d
+    ),
+    "carma": lambda v, d: carma_cost(v["m"], v["n"], v["k"], v["p"]),
+    "rect_qr": lambda v, d: rect_qr_cost(v["m"], v["n"], v["p"], d),
+    "square_qr": lambda v, d: square_qr_cost(v["n"], v["p"], d),
+    "full_to_band": lambda v, d: full_to_band_cost(v["n"], v["p"], d, v["b"]),
+    "ca_sbr_halve": lambda v, d: ca_sbr_halve_cost(v["n"], v["b"], v["p"]),
+    "band_to_band": lambda v, d: band_to_band_cost(
+        v["n"], v["b"], v["k"], v["p"], d
+    ),
+    "eigensolver_2p5d": lambda v, d: eigensolver_2p5d_cost(v["n"], v["p"], d),
+}
+
+_BASE_POINT = {"n": 4096.0, "m": 4096.0, "k": 1024.0, "b": 64.0, "p": 256.0}
+
+
+def _lemma_value(terms, values):
+    return sum(
+        math.prod(values[s] ** e for s, e in term.items()) for term in terms
+    )
+
+
+class TestLemmaRegistry:
+    def test_registry_covers_every_stage(self):
+        assert set(_NUMERIC) == set(LEMMA_STAGES)
+        for stage in LEMMA_STAGES:
+            table = lemma_leading_terms(stage, 0.5)
+            assert table["flops"] and table["words"]
+
+    def test_unknown_stage_raises(self):
+        with pytest.raises(KeyError, match="unknown lemma stage"):
+            lemma_leading_terms("fft", 0.5)
+
+    @pytest.mark.parametrize("stage", LEMMA_STAGES)
+    @pytest.mark.parametrize("delta", [0.5, 2.0 / 3.0])
+    def test_leading_terms_track_numeric_closed_forms(self, stage, delta):
+        """Scaling-drift check: numeric_cost / lemma_leading_terms must stay
+        within a constant factor when every parameter is scaled up — i.e.
+        the registry's exponents match the closed forms' growth rates."""
+        terms = lemma_leading_terms(stage, delta)
+        ratios = []
+        for scale in (1.0, 4.0):
+            values = {s: x * scale for s, x in _BASE_POINT.items()}
+            cost = _NUMERIC[stage](values, delta)
+            for metric, attr in (("flops", "F"), ("words", "W")):
+                predicted = _lemma_value(terms[metric], values)
+                ratios.append((metric, scale, getattr(cost, attr) / predicted))
+        by_metric: dict[str, list[float]] = {}
+        for metric, _, r in ratios:
+            by_metric.setdefault(metric, []).append(r)
+        for metric, (r1, r4) in by_metric.items():
+            drift = r4 / r1
+            assert 0.5 < drift < 2.0, (
+                f"{stage}/{metric}: lemma exponents drift from the closed "
+                f"form (ratio went {r1:.3g} -> {r4:.3g} under 4x scaling)"
+            )

@@ -79,29 +79,13 @@ class TestInvariantViolations:
         with pytest.raises(BSPDisciplineError, match="monotonicity"):
             m.superstep()
 
-    def test_strict_read_of_unknown_key_raises(self):
-        m = VerifiedMachine(4, strict_reads=True)
-        with pytest.raises(BSPDisciplineError, match="read-provenance"):
-            m.mem_read(3, "panel", 64.0)
-
-    def test_strict_read_allowed_after_write_or_grant(self):
-        m = VerifiedMachine(4, strict_reads=True)
-        m.mem_write(0, "panel", 64.0)
-        m.mem_read(0, "panel", 64.0)  # writer may read back
-        m.grant([1, 2], "panel")  # e.g. a charged broadcast delivered it
-        m.mem_read(1, "panel", 64.0)
-        with pytest.raises(BSPDisciplineError, match="rank 3"):
-            m.mem_read(3, "panel", 64.0)
-
     def test_reset_clears_verifier_state(self):
-        m = VerifiedMachine(2, strict_reads=True)
-        m.mem_write(0, "x", 8.0)
+        m = VerifiedMachine(2)
         m.charge_comm(sends={0: 4.0}, recvs={1: 4.0})
         m.superstep()
         m.reset()
-        assert m.cost().F == 0.0
-        with pytest.raises(BSPDisciplineError):
-            m.mem_read(0, "x", 8.0)  # provenance was wiped with the counters
+        assert m.cost().W == 0.0
+        m.superstep()  # the watermarks were wiped with the counters: no monotonicity error
 
 
 class TestShardedKernels:
