@@ -119,6 +119,10 @@ def test_module_pragma_waives_whole_file():
     assert scan_source("# cost: free-module(fixture)\nc = a @ b\nd = a @ c\n", "m.py") == []
 
 
+def test_module_pragma_suppresses_any_line():
+    assert scan_source("c = a @ b\nd = a.dot(c)\n# cost: free-module(fixture)\n", "m.py") == []
+
+
 def test_reason_may_contain_parentheses():
     assert scan_source("c = a @ b  # cost: free(see Theorem IV.4 (and Lemma III.3))\n", "m.py") == []
 
