@@ -112,7 +112,6 @@ def carma_matmul(
     b: np.ndarray,
     memory_words: float = math.inf,
     charge_redistribution: bool = True,
-    tag: str = "carma",
 ) -> np.ndarray:
     """Multiply A (m×n) by B (n×k) on ``group`` with CARMA's cost profile.
 

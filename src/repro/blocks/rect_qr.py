@@ -55,7 +55,7 @@ def _rect_qr_thin(
         if base25d and delta > 0.5 and sub.size >= 8:
             u, t, r = square_qr_25d(machine, sub, a, delta=delta, tag=f"{tag}:base25")
         else:
-            u, t, r = square_qr(machine, sub, a, tag=f"{tag}:base")
+            u, t, r = square_qr(machine, sub, a)
         return expand_q(u, t), r
 
     # Line 3: r row panels on disjoint subsets.
@@ -83,7 +83,7 @@ def _rect_qr_thin(
     for i, sub in enumerate(subgroups):
         zi = z[i * n : (i + 1) * n, :]
         q_blocks.append(
-            carma_matmul(machine, sub, ws[i], zi, charge_redistribution=False, tag=f"{tag}:mm{i}")
+            carma_matmul(machine, sub, ws[i], zi, charge_redistribution=False)
         )
     machine.superstep(group, 1)
     return np.vstack(q_blocks), r_final
@@ -118,4 +118,4 @@ def rect_qr(
             machine.charge_comm_batch(group, per_rank, per_rank)
             machine.superstep(group, 1)
         q_thin, r = _rect_qr_thin(machine, group, a, qmax, delta, base25d, tag)
-        return reconstruct_householder(machine, group, q_thin, r, tag=tag)
+        return reconstruct_householder(machine, group, q_thin, r)

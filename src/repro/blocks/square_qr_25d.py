@@ -70,7 +70,7 @@ def square_qr_25d(
     if grid is None or grid.size < 4:
         from repro.blocks.square_qr import square_qr  # late: avoid cycle
 
-        return square_qr(machine, group, a, panel=panel, tag=tag)
+        return square_qr(machine, group, a, panel=panel)
 
     q = grid.shape[0]
     ggroup = grid.group()
@@ -99,15 +99,15 @@ def square_qr_25d(
                 # aggregate U replicated (two streaming products + a small one).
                 col = a[:, j0:j1]
                 u_prev = u[:, :j0]
-                w1 = streaming_matmul(machine, grid, u_prev.T, col, a_key=(tag, "U"), tag=f"{tag}:upd")
+                w1 = streaming_matmul(machine, grid, u_prev.T, col, a_key=(tag, "U"))
                 w2 = t[:j0, :j0].T @ w1  # cost: free(charged via charge_flops on the next line)
                 machine.charge_flops(ggroup, 2.0 * j0 * j0 * nb / grid.size)
                 a[:, j0:j1] = col - streaming_matmul(
-                    machine, grid, u_prev, w2, a_key=(tag, "U"), tag=f"{tag}:upd"
+                    machine, grid, u_prev, w2, a_key=(tag, "U")
                 )
             pan = a[j0:, j0:j1].copy()
             # Panel factorization: TSQR + reconstruction on the whole grid group.
-            up, tp, rp = tsqr(machine, ggroup, pan, tag=f"{tag}:panel{j0}")
+            up, tp, rp = tsqr(machine, ggroup, pan)
             a[j0 : j0 + nb, j0:j1] = rp
             a[j0 + nb :, j0:j1] = 0.0
             # Merge into the aggregate: T12 = −T11 (U_prevᵀ U_p) T22.

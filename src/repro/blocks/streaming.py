@@ -33,7 +33,6 @@ def streaming_matmul(
     w: int = 1,
     a_key: object | None = None,
     charge_b_redistribution: bool = True,
-    tag: str = "streaming_mm",
 ) -> np.ndarray:
     """Compute C = A·B where A is replicated on every layer of ``grid``.
 

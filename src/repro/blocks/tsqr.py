@@ -29,7 +29,6 @@ def reconstruct_householder(
     group: RankGroup,
     q_thin: np.ndarray,
     r: np.ndarray,
-    tag: str = "hh_reconstruct",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Householder reconstruction with Corollary III.7 cost charges.
 
@@ -60,7 +59,6 @@ def tsqr_thin(
     machine: BSPMachine,
     group: RankGroup,
     a: np.ndarray,
-    tag: str = "tsqr",
 ) -> tuple[np.ndarray, np.ndarray]:
     """TSQR returning the explicit thin Q and R (no reconstruction).
 
@@ -158,7 +156,6 @@ def tsqr(
     machine: BSPMachine,
     group: RankGroup,
     a: np.ndarray,
-    tag: str = "tsqr",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """TSQR in Householder form: returns ``(U, T, R)``.
 
@@ -166,6 +163,6 @@ def tsqr(
     triangular.  This is TSQR + Householder reconstruction, the combination
     every QR call site in Section IV relies on.
     """
-    q_thin, r = tsqr_thin(machine, group, a, tag=tag)
+    q_thin, r = tsqr_thin(machine, group, a)
     p_eff = max(1, min(group.size, a.shape[0] // a.shape[1]))
-    return reconstruct_householder(machine, group.take(p_eff), q_thin, r, tag=tag)
+    return reconstruct_householder(machine, group.take(p_eff), q_thin, r)

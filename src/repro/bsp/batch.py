@@ -1,8 +1,8 @@
 """One charge vocabulary, two flush modes: ChargeLog and kernel tapes.
 
-The bulge-chase loop (:func:`repro.eig.band_to_band.band_to_band_2p5d`)
-is written once against a :class:`ChargeLog`; the *log* decides how its
-charges land:
+The bulge-chase stages (:func:`repro.eig.band_to_band.band_to_band_2p5d`
+and CA-SBR, :mod:`repro.eig.ca_sbr`) are written once against a
+:class:`ChargeLog`; the *log* decides how their charges land:
 
 **deferred** (no observer needs program order — :func:`needs_program_order`)
     Appends are buffered and :meth:`ChargeLog.flush` replays each counter
@@ -16,7 +16,9 @@ charges land:
 
 **write-through** (spans, metrics or fault injection is live)
     Every append is applied at once through the machine's own charging
-    primitives, so each observer's hooks fire in program order.
+    primitives, so each observer's hooks fire in program order; a
+    step-indexed append (a whole schedule keyed by program step, as CA-SBR
+    emits it) is held until the flush and issued step by step.
 
 :class:`KernelTape` memoizes what the parallel kernels (``rect_qr``,
 ``carma_matmul``) emit.  Their charges depend only on operand shapes and
@@ -44,6 +46,9 @@ from repro.util.lru import ByteLRU
 #: one buffered charge: (rank indices, per-index amounts)
 _Event = tuple[np.ndarray, np.ndarray]
 
+#: one step-indexed append: (kind, step of each entry, its events)
+_Step = tuple[str, np.ndarray, tuple[_Event, ...]]
+
 #: bytes of the tuple and argument containers of one recorded hook event
 #: (what a tape retains per event besides its array arguments)
 _EVENT_OVERHEAD = 200
@@ -55,6 +60,7 @@ def needs_program_order(machine: BSPMachine) -> bool:
     Span attribution, per-rank metrics and fault injection all hook
     individual charging calls.  Cumulative-state checks
     (:meth:`BSPMachine.verify`) do not: they run at the end of a flush.
+    Only the log asks: a stage writes each charge once, to a ChargeLog.
     """
     return machine.spans.enabled or machine.metrics.enabled or machine.faults.enabled
 
@@ -96,15 +102,23 @@ def _nonneg(event: _Event | None, label: str) -> _Event | tuple[None, None]:
 class ChargeLog:
     """Ordered charge events of one stage, deferred or written through.
 
-    Method names mirror the :class:`BSPMachine` charging primitives (and are
-    recognized as charging calls by the lint callgraph).  ``ranks`` is a
-    :class:`RankGroup` or a single rank.  A deferred log also accepts raw
-    ``int64`` index arrays (repeats allowed) with per-index amount arrays —
-    the vectorised emission CA-SBR uses; bounds are then the caller's
-    responsibility.
+    Method names mirror the :class:`BSPMachine` charging primitives.
+    ``ranks`` is a :class:`RankGroup` or a single rank.  A step-indexed
+    append (below) — and on a deferred log any append — also takes a raw
+    ``int64`` index array (repeats allowed) with per-index amounts; bounds
+    are then the caller's responsibility.
+
+    ``step=`` (an index array aligned with ``ranks``) appends a whole
+    schedule at once: entry ``i`` belongs to program step ``step[i]``.
+    Step-indexed appends land at :meth:`flush` in (step, append) order — a
+    deferred log adds them as one more ordered block per counter field; a
+    write-through log issues them one (step, append) at a time through the
+    machine's primitives, so every observer sees per-step program order.
+    The entries of one comm or superstep append that share a step form one
+    call (one set of messages; one barrier over those ranks, in entry order).
     """
 
-    __slots__ = ("machine", "deferred", "_flops", "_sent", "_recv", "_mem", "_ss", "_note")
+    __slots__ = ("machine", "deferred", "_flops", "_sent", "_recv", "_mem", "_ss", "_note", "_steps")
 
     def __init__(self, machine: BSPMachine):
         self.machine = machine
@@ -115,17 +129,26 @@ class ChargeLog:
         self._mem: list[_Event] = []
         self._ss: list[_Event] = []
         self._note: list[_Event] = []
+        self._steps: list[_Step] = []
 
-    def charge_flops(self, ranks: Any, amount: Any) -> None:
-        if self.deferred:
+    def charge_flops(self, ranks: Any, amount: Any, *, step: Any = None) -> None:
+        if step is not None:
+            self._steps.append(("flops", np.asarray(step), (_event(ranks, amount),)))
+        elif self.deferred:
             self._flops.append(_event(ranks, amount))
         else:
             self.machine.charge_flops(ranks, amount)
 
-    def charge_comm(self, senders: Any, sent: Any, receivers: Any, recvd: Any) -> None:
+    def charge_comm(
+        self, senders: Any, sent: Any, receivers: Any, recvd: Any, *, step: Any = None
+    ) -> None:
         """Each of ``senders`` sends ``sent`` words, each of ``receivers``
-        receives ``recvd``."""
-        if self.deferred:
+        receives ``recvd`` (with ``step``: sender ``i`` and receiver ``i``
+        in step ``step[i]``)."""
+        if step is not None:
+            events = (_event(senders, sent), _event(receivers, recvd))
+            self._steps.append(("comm", np.asarray(step), events))
+        elif self.deferred:
             self._sent.append(_event(senders, sent))
             self._recv.append(_event(receivers, recvd))
         else:
@@ -133,14 +156,18 @@ class ChargeLog:
                 sends=dict.fromkeys(senders, sent), recvs=dict.fromkeys(receivers, recvd)
             )
 
-    def mem_stream(self, ranks: Any, words: Any) -> None:
-        if self.deferred:
+    def mem_stream(self, ranks: Any, words: Any, *, step: Any = None) -> None:
+        if step is not None:
+            self._steps.append(("mem", np.asarray(step), (_event(ranks, words),)))
+        elif self.deferred:
             self._mem.append(_event(ranks, words))
         else:
             self.machine.mem_stream_group(ranks, words)
 
-    def superstep(self, ranks: Any, count: int = 1) -> None:
-        if self.deferred:
+    def superstep(self, ranks: Any, count: int = 1, *, step: Any = None) -> None:
+        if step is not None:
+            self._steps.append(("ss", np.asarray(step), (_event(ranks, count, np.int64),)))
+        elif self.deferred:
             self._ss.append(_event(ranks, count, np.int64))
         else:
             self.machine.superstep(ranks, count)
@@ -188,13 +215,61 @@ class ChargeLog:
                     args = (machine.counters,)
                 getattr(observers[channel], method)(*args, **kwargs)
 
+    def _defer_steps(self, steps: list[_Step]) -> None:
+        """Buffer the step-indexed appends after the other events of their
+        field, stably ordered by step."""
+        fields: dict[str, tuple[list[_Event], ...]] = {
+            "flops": (self._flops,), "comm": (self._sent, self._recv),
+            "mem": (self._mem,), "ss": (self._ss,),
+        }
+        for kind, targets in fields.items():
+            mine = [(keys, events) for k, keys, events in steps if k == kind]
+            if not mine:
+                continue
+            order = np.argsort(np.concatenate([keys for keys, _ in mine]), kind="stable")
+            for j, target in enumerate(targets):
+                idx = np.concatenate([events[j][0] for _, events in mine])
+                amount = np.concatenate([events[j][1] for _, events in mine])
+                target.append((idx[order], amount[order]))
+
+    def _write_steps(self, steps: list[_Step]) -> None:
+        """Issue the step-indexed appends through the machine, one
+        (step, append) at a time."""
+        calls = []
+        for a, (kind, keys, events) in enumerate(steps):
+            cols = [column.tolist() for event in events for column in event]
+            entries: dict[int, list[int]] = {}
+            for i, s in enumerate(keys.tolist()):
+                entries.setdefault(s, []).append(i)
+            calls += [(s, a, kind, cols, at) for s, at in entries.items()]
+        machine = self.machine
+        for _s, _a, kind, cols, at in sorted(calls, key=lambda call: call[:2]):
+            if kind == "flops":
+                for i in at:
+                    machine.charge_flops(cols[0][i], cols[1][i])
+            elif kind == "mem":
+                for i in at:
+                    machine.mem_stream(cols[0][i], cols[1][i])
+            elif kind == "comm":
+                machine.charge_comm(
+                    sends={cols[0][i]: cols[1][i] for i in at},
+                    recvs={cols[2][i]: cols[3][i] for i in at},
+                )
+            else:
+                machine.superstep(RankGroup(tuple(cols[0][i] for i in at)), cols[1][at[0]])
+
     def flush(self) -> None:
         """Apply all buffered events, clear the log, and let the machine
         re-check its cumulative invariants.
 
-        One ``np.add.at`` per counter field; per-rank addition order equals
-        append order.  A write-through log has nothing buffered.
+        Step-indexed appends land after the log's other events.  Deferred:
+        one ``np.add.at`` per counter field, per-rank addition order equal
+        to append order (step order within the step-indexed block).  A
+        write-through log has only its step-indexed appends to issue.
         """
+        steps, self._steps = self._steps, []
+        if steps:
+            (self._defer_steps if self.deferred else self._write_steps)(steps)
         counters = self.machine.counters
         flops = _nonneg(_concat(self._flops), "flops")
         sent = _nonneg(_concat(self._sent), "sent words")
@@ -342,22 +417,24 @@ class KernelTape:
             tape.events = None  # only a write-through replay reads them (~20 MB at p = 256)
         return tape
 
-    def run(self, kernel: Callable[..., object], group: RankGroup, operands: tuple, tag: str) -> None:
-        """Charge ``kernel(machine, group, *operands, tag=tag)`` to the log.
+    def run(self, kernel: Callable[..., object], group: RankGroup, operands: tuple, **kwargs: Any) -> None:
+        """Charge ``kernel(machine, group, *operands, **kwargs)`` to the log.
 
         ``kernel`` is ``rect_qr`` or ``carma_matmul`` (operands already in
         the kernel's layout, so no redistribution is charged); its result
-        is not used — the chase loop does the numerics directly.  Under
-        fault injection the real kernel runs on the real operands, so drop
-        / corrupt / ABFT sites and the seeded RNG stream are untouched.
+        is not used — the chase loop does the numerics directly.
+        ``kwargs`` (``rect_qr``'s ``tag``) are not part of the tape's key,
+        so they must not change what the kernel charges.  Under fault
+        injection the real kernel runs on the real operands, so drop /
+        corrupt / ABFT sites and the seeded RNG stream are untouched.
         """
         machine = self.log.machine
         if machine.faults.enabled:
-            kernel(machine, group, *operands, charge_redistribution=False, tag=tag)
+            kernel(machine, group, *operands, charge_redistribution=False, **kwargs)
             return
         key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks)
         tape = _TAPE_CACHE.get(key)
         if tape is None or (tape.events is None and not self.log.deferred):
-            tape = self._record(kernel, group, *operands, charge_redistribution=False, tag=tag)
+            tape = self._record(kernel, group, *operands, charge_redistribution=False, **kwargs)
             _TAPE_CACHE.put(key, tape, tape.nbytes)
         self.log.replay(tape)

@@ -43,30 +43,18 @@ def _write(machine: BSPMachine, rank: int, array: np.ndarray, key: object | None
 
 
 def matmul_flops(m: int, n: int, k: int) -> float:
-    """Flop count of an m×n by n×k product (multiply + add)."""
+    """Flop count of an m×n by n×k product (multiply + add).
+
+    Element-wise on float64 dimension arrays too, bit-equal to the int
+    form: the products are exact integers in float64.
+    """
     return 2.0 * m * n * k
 
 
 def qr_flops(m: int, n: int) -> float:
-    """Flop count of Householder QR of an m×n matrix (m >= n)."""
-    return 2.0 * m * n * n - (2.0 / 3.0) * n**3
-
-
-def matmul_flops_arr(m: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`matmul_flops` over float64 dimension arrays.
-
-    Bit-equal to the scalar form: the products are exact integers in
-    float64, so association order cannot change the result.
-    """
-    return 2.0 * m * n * k
-
-
-def qr_flops_arr(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`qr_flops` over float64 dimension arrays.
-
-    Bit-equal to the scalar form for the same reason as
-    :func:`matmul_flops_arr` (both terms exact before the one subtraction).
-    """
+    """Flop count of Householder QR of an m×n matrix (m >= n); element-wise
+    on float64 arrays like :func:`matmul_flops` (both terms are exact
+    before the one subtraction)."""
     return 2.0 * m * n * n - (2.0 / 3.0) * n**3
 
 

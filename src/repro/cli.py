@@ -278,7 +278,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 scenario=args.faults,
                 fault_seed0=args.fault_seed0,
                 tol=args.tol,
-                workers=args.workers,
                 journal_path=args.journal,
                 dash_path=args.dash_out,
             )
@@ -350,7 +349,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             doc = serve_bench.run_serve_suite(
                 cache_path=args.cache,
                 trace_path=args.trace_out,
-                workers=args.workers,
             )
         except bench.BenchError as exc:
             print(f"serve-bench FAILED: {exc}", file=sys.stderr)
@@ -374,7 +372,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     try:
         tdoc = serve_bench.run_telemetry_suite(
-            workers=args.workers,
             trace_path=args.merged_trace_out,
             dash_path=args.dash_out,
         )
@@ -623,16 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to write the generated workload trace (the CI artifact)",
     )
     p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="multiprocessing pool workers for the solve phase (0 = inline)",
-    )
-    p_serve.add_argument(
         "--soak",
         action="store_true",
-        help="fault-injection soak instead of the throughput bench: pool "
-        "workers run under the named fault scenario; every job must recover, "
+        help="fault-injection soak instead of the throughput bench: the "
+        "pool's solves run under the named fault scenario; every job must recover, "
         "degrade to a replicated solve, or fail typed — never silently wrong",
     )
     p_serve.add_argument(

@@ -93,9 +93,7 @@ class DistBandMatrix:
             self.machine.faults.corrupt_window(window, f"fetch_window:{tag}")
         return window
 
-    def charge_store(
-        self, log: ChargeLog, rows: slice, cols: slice, from_group: RankGroup, tag: str = "store"
-    ) -> None:
+    def charge_store(self, log: ChargeLog, rows: slice, cols: slice, from_group: RankGroup) -> None:
         """Charge the write-back of a window from ``from_group`` to the
         owners of its columns (dual of :meth:`fetch_window`), without
         touching the data — callers that update ``data`` in place use this."""
@@ -104,7 +102,7 @@ class DistBandMatrix:
 
     def store_window(
         self, log: ChargeLog, rows: slice, cols: slice, values: np.ndarray,
-        from_group: RankGroup, tag: str = "store",
+        from_group: RankGroup,
     ) -> None:
         """Write back a dense window from ``from_group`` to the owners.
 
@@ -116,7 +114,7 @@ class DistBandMatrix:
             raise ValueError("window shape mismatch")
         self.data[rows, cols] = values
         self.data[cols, rows] = values.T
-        self.charge_store(log, rows, cols, from_group, tag=tag)
+        self.charge_store(log, rows, cols, from_group)
 
     def gather(self, target: int, tag: str = "band_gather") -> np.ndarray:
         """Collect the whole band on one rank (end of Algorithm IV.3)."""
@@ -138,7 +136,7 @@ class DistBandMatrix:
             self.machine.faults.corrupt_window(self.data, f"band_gather:{tag}")
         return self.data
 
-    def redistribute(self, new_group: RankGroup, tag: str = "band_redist") -> "DistBandMatrix":
+    def redistribute(self, new_group: RankGroup) -> "DistBandMatrix":
         """Re-partition the columns over a (possibly smaller) group.
 
         Used between stages of Algorithm IV.3 ("Gather B onto Π̄"): charges

@@ -84,13 +84,13 @@ def band_to_band_2p5d(
                 m, ncols = block.shape
                 u, t, r = compact_wy_qr_general(block)
                 if m >= ncols and qr_group.size > 1:
-                    tape.run(rect_qr, qr_group, (block,), f"{tag}:qr")
+                    tape.run(rect_qr, qr_group, (block,), tag=f"{tag}:qr")
                 else:  # degenerate block: a local QR on the group's root
                     log.charge_flops(qr_group[0], qr_flops(max(m, ncols), min(m, ncols)))
                     log.superstep(qr_group, 1)
                 out = np.zeros_like(block)
                 out[: r.shape[0], :] = r
-                band.store_window(log, rows, cols, out, qr_group, tag=f"{tag}:qr_store")
+                band.store_window(log, rows, cols, out, qr_group)
 
             if step.nc <= 0:
                 continue
@@ -103,22 +103,22 @@ def band_to_band_2p5d(
                 # splits both operands, beating any pattern that replicates U to
                 # the whole group.
                 ut = u @ t  # cost: free(charged via the carma tape on the next line)
-                tape.run(carma_matmul, upd_group, (u, t), f"{tag}:UT")
+                tape.run(carma_matmul, upd_group, (u, t))
                 w = bup @ ut  # cost: free(charged via the carma tape on the next line)
-                tape.run(carma_matmul, upd_group, (bup, ut), f"{tag}:W")
+                tape.run(carma_matmul, upd_group, (bup, ut))
                 v = -w
                 vrows = slice(step.ov, step.ov + step.nr)
                 inner = u.T @ w[vrows, :]  # cost: free(charged via the carma tape on the next line)
-                tape.run(carma_matmul, upd_group, (u.T, w[vrows, :]), f"{tag}:V")
+                tape.run(carma_matmul, upd_group, (u.T, w[vrows, :]))
                 v[vrows, :] += 0.5 * (u @ (t.T @ inner))  # cost: free(charged via charge_flops on the next line)
                 log.charge_flops(upd_group, 2.0 * u.size * t.shape[0] / upd_group.size)
                 # Lines 21–22: two-sided rank-2h update of the window (both
                 # triangles; the overlap block B[Iqr, Iqr] accumulates UVᵀ AND VUᵀ).
                 uvt = u @ v.T  # cost: free(charged via the carma tape on the next line)
-                tape.run(carma_matmul, upd_group, (u, v.T), f"{tag}:UVt")
+                tape.run(carma_matmul, upd_group, (u, v.T))
                 data[rows, up] += uvt
                 data[up, rows] += uvt.T
-                band.charge_store(log, rows, up, upd_group, tag=f"{tag}:upd_store")
+                band.charge_store(log, rows, up, upd_group)
         log.flush()
 
     band.data[:] = (band.data + band.data.T) / 2.0

@@ -12,6 +12,12 @@ band-width b ≤ n/p this measures
 per-rank maxima match the lemma).  CA-SBR is both the third row of Table I
 (as the band stages of a 2D eigensolver) and stage 3 of Algorithm IV.3.
 
+A halving's charges depend only on (n, b, h) and the column ownership, so
+they are computed once for the whole chase schedule
+(:func:`repro.eig.schedule.chase_step_arrays`) and appended to a
+:class:`~repro.bsp.batch.ChargeLog` keyed by chase step; the log lands
+them in one flush, step by step when an observer needs program order.
+
 ``band_to_tridiagonal_1d`` runs the same machinery with h = 1, which is
 Lang's parallel band-to-tridiagonal algorithm — the second stage of the
 ELPA baseline.
@@ -21,86 +27,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bsp.batch import ChargeLog, needs_program_order
-from repro.bsp.group import RankGroup
-from repro.bsp.kernels import matmul_flops, matmul_flops_arr, qr_flops, qr_flops_arr
+from repro.bsp.batch import ChargeLog
+from repro.bsp.kernels import matmul_flops, qr_flops
 from repro.bsp.machine import BSPMachine
 from repro.dist.banded import DistBandMatrix
+from repro.eig.schedule import chase_step_arrays
 from repro.linalg.sbr import apply_chase_step, chase_steps
-
-
-def _run_chases_1d_batched(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
-    """Vectorised emission of :func:`_run_chases_1d`'s charges, for machines
-    no observer needs program order on (same charges, one flush).
-
-    Charges are computed from the vectorized schedule arrays and appended
-    to a :class:`~repro.bsp.batch.ChargeLog` in the per-step order — per
-    step: QR flops, update flops, window stream, then the hand-off
-    comm/sync when the bulge crosses an ownership boundary — so the flush
-    reproduces the loop's cost report bit-for-bit.  The numerics loop is
-    unchanged (identical `apply_chase_step` sequence).
-    """
-    from repro.eig.schedule import chase_step_arrays
-
-    n, b = band.n, band.b
-    group = band.group
-    arr = chase_step_arrays(n, b, h)
-    nr, ncols, nc = arr["nr"], arr["ncols"], arr["nc"]
-    owner = band._ranks_arr[
-        np.searchsorted(band._col_starts, arr["oqr_c"], side="right") - 1
-    ]
-    nrf = nr.astype(np.float64)
-    ncolsf = ncols.astype(np.float64)
-    ncf = nc.astype(np.float64)
-    log = ChargeLog(machine)
-    # Per-step flop order (QR then update) per rank: interleave the two
-    # per-step streams before the single add.
-    qrf = qr_flops_arr(np.maximum(nrf, ncolsf), np.minimum(nrf, ncolsf))
-    mmf = 3.0 * matmul_flops_arr(ncf, nrf, ncolsf)
-    log.charge_flops(np.repeat(owner, 2), np.column_stack([qrf, mmf]).ravel())
-    log.mem_stream(owner, (nc * nr + nr * ncols).astype(np.float64))
-    # A hand-off happens exactly when the previous step of the *same panel*
-    # had a different owner (panel-major order keeps panels contiguous).
-    hand = (arr["i"][1:] == arr["i"][:-1]) & (owner[1:] != owner[:-1])
-    if hand.any():
-        src = owner[:-1][hand]
-        dst = owner[1:][hand]
-        words = (nr * (ncols + nc)).astype(np.float64)[1:][hand]
-        log.charge_comm(src, words, dst, words)
-        log.superstep(np.concatenate([src, dst]), 1)
-    log.flush()
-    for step in chase_steps(n, b, h):
-        apply_chase_step(band.data, step)
-    band.data[:] = (band.data + band.data.T) / 2.0
-    return DistBandMatrix(machine, band.data, h, group)
 
 
 def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
     """Drive all chase steps with 1-D column ownership and boundary syncs."""
-    if not needs_program_order(machine):
-        return _run_chases_1d_batched(machine, band, h)
     n, b = band.n, band.b
-    group = band.group
-    prev_owner: dict[int, int] = {}  # panel index -> owner of its last chase
-    with machine.span("sbr_halve", group=group):
-        for step in chase_steps(n, b, h):
-            owner = band.owner_of_col(step.oqr_c)
-            # Local work: QR of the (nr × h) block + the window update.
-            machine.charge_flops(owner, qr_flops(max(step.nr, step.ncols), min(step.nr, step.ncols)))
-            machine.charge_flops(owner, 3.0 * matmul_flops(step.nc, step.nr, step.ncols))
-            # Vertical traffic: the working window streams through cache.
-            machine.mem_stream(owner, float(step.nc * step.nr + step.nr * step.ncols))
-            # Boundary crossing: if this bulge just moved to a new owner, the
-            # O(b²) window state is handed over and the pair synchronizes.
-            last = prev_owner.get(step.i)
-            if last is not None and last != owner:
-                words = float(step.nr * (step.ncols + step.nc))
-                machine.charge_comm(sends={last: words}, recvs={owner: words})
-                machine.superstep(RankGroup((last, owner)), 1)
-            prev_owner[step.i] = owner
-            apply_chase_step(band.data, step)
+    arr = chase_step_arrays(n, b, h)
+    nr, ncols, nc = (arr[f].astype(np.float64) for f in ("nr", "ncols", "nc"))
+    step = np.arange(nr.size)
+    owner = band._ranks_arr[np.searchsorted(band._col_starts, arr["oqr_c"], side="right") - 1]
+    # A bulge crosses to a new owner exactly when the previous step of the
+    # same panel had another one (panel-major order keeps panels contiguous).
+    hand = np.flatnonzero((arr["i"][1:] == arr["i"][:-1]) & (owner[1:] != owner[:-1])) + 1
+    prev, words = owner[hand - 1], nr[hand] * (ncols[hand] + nc[hand])
+    log = ChargeLog(machine)
+    with machine.span("sbr_halve", group=band.group):
+        # Local work on the owner: QR of the (nr × h) block + the window update.
+        log.charge_flops(owner, qr_flops(np.maximum(nr, ncols), np.minimum(nr, ncols)), step=step)
+        log.charge_flops(owner, 3.0 * matmul_flops(nc, nr, ncols), step=step)
+        # Vertical traffic: the working window streams through cache.
+        log.mem_stream(owner, nc * nr + nr * ncols, step=step)
+        # Boundary crossing: the O(b²) window state is handed over and the
+        # pair synchronizes.
+        log.charge_comm(prev, words, owner[hand], words, step=hand)
+        log.superstep(np.concatenate([prev, owner[hand]]), 1, step=np.concatenate([hand, hand]))
+        log.flush()
+    for s in chase_steps(n, b, h):
+        apply_chase_step(band.data, s)
     band.data[:] = (band.data + band.data.T) / 2.0
-    return DistBandMatrix(machine, band.data, h, group)
+    return DistBandMatrix(machine, band.data, h, band.group)
 
 
 def ca_sbr_halve(machine: BSPMachine, band: DistBandMatrix) -> DistBandMatrix:

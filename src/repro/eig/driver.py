@@ -213,7 +213,7 @@ def eigensolve_2p5d(
                 if new_size < active.size:
                     active = active.take(new_size)
                     with machine.span("shrink", group=active):
-                        band = band.redistribute(active, tag=f"{tag}:shrink{stage_idx}")
+                        band = band.redistribute(active)
             idx = stage_idx
 
             def run_b2b() -> DistBandMatrix:
@@ -222,7 +222,7 @@ def eigensolve_2p5d(
             def loss_b2b(survivors: RankGroup) -> None:
                 nonlocal band, active
                 active = survivors.take(min(active.size, survivors.size))
-                band = band.redistribute(active, tag=f"{tag}:b2b{idx}:failover")
+                band = band.redistribute(active)
 
             band = run_stage(
                 machine, f"band_to_band[{idx}]", run_b2b,
@@ -250,7 +250,7 @@ def eigensolve_2p5d(
             small = world.take(max(1, int(round(p_live**delta_eff))))
             if small.size < band.group.size:
                 with machine.span("shrink", group=small):
-                    band = band.redistribute(small, tag=f"{tag}:shrink_sbr")
+                    band = band.redistribute(small)
             start_b = band.b
 
             def run_sbr() -> DistBandMatrix:
@@ -259,7 +259,7 @@ def eigensolve_2p5d(
             def loss_sbr(survivors: RankGroup) -> None:
                 nonlocal band, small
                 small = survivors.take(min(small.size, survivors.size))
-                band = band.redistribute(small, tag=f"{tag}:sbr:failover")
+                band = band.redistribute(small)
 
             band = run_stage(
                 machine, "ca_sbr", run_sbr,
@@ -287,7 +287,7 @@ def eigensolve_2p5d(
         def loss_finish(survivors: RankGroup) -> None:
             nonlocal band, root
             regrouped = survivors.take(min(band.group.size, survivors.size))
-            band = band.redistribute(regrouped, tag=f"{tag}:finish:failover")
+            band = band.redistribute(regrouped)
             root = regrouped.root
 
         evals = run_stage(

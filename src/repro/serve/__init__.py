@@ -19,7 +19,7 @@ package turns the repo's single-shot solver into a served system:
 :mod:`~repro.serve.journal`    crash-safe write-ahead job journal
                                (fsync'd JSONL, resume without recompute)
 :mod:`~repro.serve.service`    the request pipeline (plan → solve →
-                               schedule), optional multiprocessing
+                               schedule)
 :mod:`~repro.serve.bench`      ``repro serve-bench`` + the CI gate
 ==================  ====================================================
 

@@ -138,7 +138,6 @@ def _profile_params(pinned: dict[str, Any]) -> MachineParams:
 def run_serve_suite(
     cache_path: Path | str | None = None,
     trace_path: Path | str | None = None,
-    workers: int = 0,
     pinned: dict[str, Any] | None = None,
     log: Callable[[str], None] = print,
 ) -> dict[str, Any]:
@@ -175,7 +174,7 @@ def run_serve_suite(
         pool = MachinePool(pool_cfg["machines"], pool_cfg["p"], params)
         cache = TuningCache(cache_path)  # warm/edf passes reload the cold store
         service = EigenService(
-            pool, cache, algorithm=pinned["algorithm"], workers=workers,
+            pool, cache, algorithm=pinned["algorithm"],
             policy=ResiliencePolicy(scheduling="edf") if label == "edf" else None,
         )
         report = service.run_workload(workload)
@@ -284,7 +283,6 @@ def _gated(doc: dict[str, Any]) -> dict[str, Any]:
 
 def run_telemetry_suite(
     pinned: dict[str, Any] | None = None,
-    workers: int = 0,
     capture_solver_spans: bool = True,
     trace_path: Path | str | None = None,
     dash_path: Path | str | None = None,
@@ -315,8 +313,7 @@ def run_telemetry_suite(
     def one_pass(telemetry: Telemetry | None) -> tuple[ServeReport, MachinePool]:
         pool = MachinePool(pool_cfg["machines"], pool_cfg["p"], params)
         service = EigenService(
-            pool, TuningCache(), algorithm=pinned["algorithm"],
-            workers=workers, telemetry=telemetry,
+            pool, TuningCache(), algorithm=pinned["algorithm"], telemetry=telemetry,
         )
         return service.run_workload(workload), pool
 
@@ -451,7 +448,6 @@ def run_soak(
     scenario: str = "chaos",
     fault_seed0: int = 0,
     tol: float = 1e-6,
-    workers: int = 0,
     journal_path: Path | str = DEFAULT_JOURNAL_PATH,
     dash_path: Path | str | None = None,
     log: Callable[[str], None] = print,
@@ -459,7 +455,7 @@ def run_soak(
     """Serve a workload under a chaos scenario and check the invariants.
 
     ``scenario`` is a solver-level fault scenario (``chaos``,
-    ``rank-failure``, ...: every pool worker injects faults), a
+    ``rank-failure``, ...: every solve's machine injects faults), a
     service-level scenario (``flaky-machine``, ``straggler``,
     ``poison-job``: the resilient loop's chaos hooks).  Three invariants
     gate:
@@ -489,13 +485,13 @@ def run_soak(
 
     workload = _soak_workload(jobs, seed)
     # a service-level scenario configures the resilient loop's chaos hooks;
-    # a solver-level one is installed on every pool worker
+    # a solver-level one is installed on every solve's machine
     service_level = scenario in SERVICE_SCENARIOS
 
     def serve(journal: Path, telemetry: Telemetry | None = None) -> ServeReport:
         """One run on a fresh pinned 2×16 pool."""
         return EigenService(
-            MachinePool(2, 16, SERVE_PARAMS), TuningCache(), workers=workers,
+            MachinePool(2, 16, SERVE_PARAMS), TuningCache(),
             scenario=scenario if service_level else None,
             faults=None if service_level else scenario,
             fault_seed0=fault_seed0, journal=journal, telemetry=telemetry,

@@ -216,7 +216,7 @@ class ServeReport:
 
 
 # ------------------------------------------------------------------ #
-# job execution (top-level so a multiprocessing pool can pickle it)
+# job execution
 
 
 def _params_payload(params: MachineParams) -> dict[str, float]:
@@ -228,12 +228,11 @@ def _params_payload(params: MachineParams) -> dict[str, float]:
 
 
 def execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """Solve one planned job; pure function of the payload (worker-safe).
+    """Solve one planned job; pure function of the payload.
 
-    Returns a plain dict (arrays and floats only) so results cross a
-    process boundary cheaply.  A typed fault error is *returned*, not
-    raised — the parent decides the escalation policy.  The error dict
-    carries the *partial* cost the machine accrued before faulting, so a
+    Returns a plain dict (arrays and floats only).  A typed fault error is
+    *returned*, not raised — the service decides the escalation policy.
+    The error dict carries the *partial* cost the machine accrued before faulting, so a
     failed attempt still has a simulated service time to charge.
 
     With ``payload["spans"]`` (set by a telemetry-enabled service) the
@@ -358,7 +357,6 @@ class EigenService:
         pool: MachinePool,
         cache: TuningCache | None = None,
         algorithm: str = DEFAULT_ALGORITHM,
-        workers: int = 0,
         faults: str | None = None,
         fault_seed0: int = 0,
         policy: ResiliencePolicy | None = None,
@@ -366,10 +364,14 @@ class EigenService:
         journal: JobJournal | str | Path | None = None,
         telemetry: Telemetry | None = None,
     ):
+        if faults and scenario is not None:
+            raise ValueError(
+                "EigenService takes solver-level faults= or a service-level "
+                "scenario=, not both: the solver faults would never be injected"
+            )
         self.pool = pool
         self.cache = cache if cache is not None else TuningCache()
         self.algorithm = algorithm
-        self.workers = workers
         self.faults = faults or None
         self.fault_seed0 = fault_seed0
         self.policy = policy if policy is not None else DEFAULT_POLICY
@@ -425,9 +427,9 @@ class EigenService:
         replicated-rung retries, which model the "clean single-rank
         fallback" the degraded path has always promised.  Service
         :class:`ServiceScenario` failures (flaky machine, poison,
-        straggler) are applied *outside* the solve, in ``outcome_for`` —
-        they are service-level events, so the underlying spectrum stays a
-        clean memoizable solve.
+        straggler; exclusive with ``faults``) are applied *outside* the
+        solve, in ``outcome_for`` — they are service-level events, so the
+        underlying spectrum stays a clean memoizable solve.
         """
         payload: dict[str, Any] = {
             "job_id": spec.job_id,
@@ -440,11 +442,7 @@ class EigenService:
         }
         if self.telemetry.capture_solver_spans:
             payload["spans"] = True
-        if (
-            self.scenario is None
-            and self.faults
-            and not (rung.kind == "replicated" and attempt > 0)
-        ):
+        if self.faults and not (rung.kind == "replicated" and attempt > 0):
             payload["faults"] = self.faults
             payload["fault_seed"] = self.fault_seed0 + spec.job_id + 1_000_003 * attempt
         return payload
@@ -508,25 +506,6 @@ class EigenService:
                 if journal is not None:
                     journal.record_attempt(key, _attempt_to_json(raw))
             return raw
-
-        # attempt-0 payloads are placement-independent: warm the memo in
-        # parallel before the (serial) simulated loop
-        if self.workers > 0:
-            first = [
-                self._attempt_payload(
-                    spec, self._rung_for(plans[spec.job_id][0], spec, 0), 0
-                )
-                for spec in workload.jobs
-            ]
-            todo = [pl for pl in first if _memo_key(pl) not in memo]
-            if todo:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=self.workers) as workers:
-                    for pl, raw in zip(todo, workers.map(execute_payload, todo)):
-                        memo[_memo_key(pl)] = raw
-                        if journal is not None:
-                            journal.record_attempt(_memo_key(pl), _attempt_to_json(raw))
 
         def rung_for(job_id: int, failures: int) -> Rung:
             return self._rung_for(plans[job_id][0], specs[job_id], failures)

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bench import report_mismatches
 from repro.blocks.matmul import carma_matmul
 from repro.blocks.rect_qr import rect_qr
-from repro.bsp import BSPMachine
+from repro.bsp import BSPMachine, RankGroup
 from repro.bsp import batch
 from repro.bsp.batch import _TAPE_CACHE, ChargeLog, FlatTape, KernelTape, needs_program_order
 from repro.dist.banded import DistBandMatrix
@@ -162,6 +162,40 @@ class TestChargeLog:
         with pytest.raises(ValueError, match="nonnegative"):
             log.flush()
 
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_step_appends_land_in_step_order(self, observed):
+        """A step-indexed schedule lands as the per-step loop charges it:
+        per-rank float sums in step order, not field order, on a deferred
+        log; on a write-through log the same machine calls in the same
+        order (span events and metrics samples included)."""
+        kwargs = {"spans": True, "metrics": True} if observed else {}
+        owner, qr, mm = [1, 2, 2], [0.5, 1.0, 2.0**53], [0.25, 1.0, 1.0]
+        direct = BSPMachine(4, **kwargs)
+        with direct.span("chase"):
+            for s in range(3):
+                direct.charge_flops(owner[s], qr[s])
+                direct.charge_flops(owner[s], mm[s])
+                direct.mem_stream(owner[s], 3.0)
+                if s == 1:  # the bulge crosses from rank 1 to rank 2
+                    direct.charge_comm(sends={1: 4.0}, recvs={2: 4.0})
+                    direct.superstep(RankGroup((1, 2)), 1)
+        logged = BSPMachine(4, **kwargs)
+        log = ChargeLog(logged)
+        steps = np.arange(3)
+        with logged.span("chase"):
+            log.charge_flops(np.array(owner), np.array(qr), step=steps)
+            log.charge_flops(np.array(owner), np.array(mm), step=steps)
+            log.mem_stream(np.array(owner), 3.0, step=steps)
+            log.charge_comm(np.array([1]), 4.0, np.array([2]), 4.0, step=[1])
+            log.superstep(np.array([1, 2]), 1, step=[1, 1])
+            log.flush()
+        flops = logged.counters.field_array("flops")
+        assert flops[2] == 2.0**53 + 4  # 1 + 1 + 2**53 + 1; field order would give 2**53
+        assert flops.tobytes() == direct.counters.field_array("flops").tobytes()
+        assert report_mismatches(direct.cost(), logged.cost()) == []
+        if observed:
+            assert _observable_state(direct) == _observable_state(logged)
+
     def test_flush_clears_pending_events(self):
         machine = BSPMachine(2)
         log = ChargeLog(machine)
@@ -204,12 +238,12 @@ class TestKernelTape:
         observed = {"spans": True, "metrics": True}
         for kwargs in ({}, observed):
             direct = BSPMachine(8, **kwargs)
-            kernel(direct, direct.world, *operands, charge_redistribution=False, tag="t")
+            kernel(direct, direct.world, *operands, charge_redistribution=False)
 
             replayed = BSPMachine(8, **kwargs)
             log = ChargeLog(replayed)
             assert log.deferred == (not kwargs)
-            KernelTape(log).run(kernel, replayed.world, operands, "t")
+            KernelTape(log).run(kernel, replayed.world, operands)
             log.flush()
             assert report_mismatches(direct.cost(), replayed.cost()) == []
             if kwargs:
@@ -219,10 +253,10 @@ class TestKernelTape:
         m = BSPMachine(8)
         log = ChargeLog(m)
         operands = (rng.standard_normal((12, 12)), rng.standard_normal((12, 6)))
-        KernelTape(log).run(carma_matmul, m.world, operands, "memo")
+        KernelTape(log).run(carma_matmul, m.world, operands)
         key = ((m.p, repr(m.params)), "carma_matmul", ((12, 12), (12, 6)), m.world.ranks)
         first = _TAPE_CACHE.get(key)
-        KernelTape(log).run(carma_matmul, m.world, operands, "memo")
+        KernelTape(log).run(carma_matmul, m.world, operands)
         assert _TAPE_CACHE.get(key) is first
         assert isinstance(first, FlatTape)
 
@@ -238,7 +272,7 @@ class TestKernelTape:
         def replayed(shape) -> BSPMachine:
             m = BSPMachine(8, **kwargs)
             log = ChargeLog(m)
-            KernelTape(log).run(rect_qr, m.world, operands[shape], "t")
+            KernelTape(log).run(rect_qr, m.world, operands[shape], tag="t")
             log.flush()
             return m
 
@@ -278,7 +312,7 @@ class TestBatchedWindowCharges:
             grp = machine.world.take(4)
             log = ChargeLog(machine)
             wins.append(band.fetch_window(log, rows, cols, grp, tag="f"))
-            band.charge_store(log, rows, cols, grp, tag="s")
+            band.charge_store(log, rows, cols, grp)
             if observer:  # written through: nothing waits for the flush
                 assert machine.cost().S == 2
             log.flush()
@@ -348,7 +382,7 @@ class TestStageIdentity:
     @pytest.mark.parametrize("counter_engine", ENGINES)
     def test_ca_sbr_batched_is_bit_identical(self, counter_engine):
         ref_cost, ref_data = _sbr_run(_machine(8, None, counter_engine))
-        for observer in OBSERVERS:
+        for observer in (*OBSERVERS, "faulty-clean"):
             cost, data = _sbr_run(_machine(8, observer, counter_engine))
             assert report_mismatches(ref_cost, cost) == [], observer
             assert np.array_equal(ref_data, data), observer

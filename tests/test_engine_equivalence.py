@@ -276,9 +276,13 @@ def _logged(m: BSPMachine) -> None:
     log.mem_stream(w.take(3), 11.0)
     log.transfer(w.take(2), RankGroup((1, 2, 3)), 12.0)
     log.superstep(w, 1)
+    # a step-indexed schedule: it lands at the flush, in step order, either way
+    log.charge_flops(np.array([1, 2, 1]), np.array([0.5, 0.25, 0.125]), step=[1, 0, 0])
+    log.charge_comm(np.array([0, 3]), 1.5, np.array([1, 2]), 1.5, step=[1, 0])
+    log.superstep(np.array([0, 1, 2, 3]), 1, step=[1, 1, 0, 0])
     if log.deferred:
-        # raw index arrays with repeated ranks and per-index amounts (the
-        # vectorised emission; only a deferred log accepts them)
+        # raw index arrays with repeated ranks and per-index amounts, no
+        # step (only a deferred log accepts them)
         log.charge_flops(np.array([1, 1, 2]), np.array([0.1, 0.2, 0.3]))
         log.charge_comm(np.array([0, 1, 0]), np.array([5.0, 3.0, 0.7]), np.array([2, 2]), 4.35)
         log.mem_stream(np.array([3, 3]), 0.1)

@@ -5,8 +5,10 @@ job journal's constructor, and the flags that must not come back: the
 counter-store selector (one store in ``src/``; the scalar one is
 ``tests/scalar_oracle.py``), the metrics gate's envelope (every gate is
 exact), hedged dispatch (one attempt per job in flight), the soak's
-``crash`` scenario (every scenario sweeps every crash point), and the
-``repro lint`` sub-command (the numerics check is a tier-1 test).
+``crash`` scenario (every scenario sweeps every crash point), the
+``repro lint`` sub-command (the numerics check is a tier-1 test), the
+service's process pool (every solve runs inline) and a second charge
+emission in the solver (only the charge log asks which mode it is in).
 
 Every switch is a code path the test matrix has to cover twice.  A new one
 fails here until it is added to the pinned set on purpose, and one that
@@ -24,13 +26,14 @@ import textwrap
 import pytest
 
 import repro.bsp
+import repro.bsp.kernels
 import repro.serve
 from repro.bsp import BSPMachine
 from repro.bsp.batch import needs_program_order
 from repro.cli import build_parser
 from repro.faults import FaultyMachine
 from repro.lint.verify import VerifiedMachine
-from repro.serve.bench import run_soak
+from repro.serve.bench import run_serve_suite, run_soak, run_telemetry_suite
 from repro.serve.journal import JobJournal
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -97,6 +100,37 @@ def test_program_order_observers_are_pinned():
     assert read == ORDERED_OBSERVERS
 
 
+def test_only_the_charge_log_asks_for_program_order():
+    """A solver stage writes each charge once, to a ChargeLog: no module
+    under eig/, blocks/ or dist/ names ``needs_program_order`` or reads a
+    log's ``.deferred`` to pick an emission."""
+    for d in ("eig", "blocks", "dist"):
+        for path in sorted((SRC / "repro" / d).glob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            assert not names & {"needs_program_order", "deferred"}, f"{d}/{path.name}"
+
+
+def test_flop_counts_have_one_formula():
+    """``qr_flops`` / ``matmul_flops`` work element-wise on float64 arrays;
+    no ``*_flops_arr`` twin may come back."""
+    assert not [name for name in vars(repro.bsp.kernels) if name.endswith("_flops_arr")]
+
+
+def test_service_solves_inline():
+    """No process pool beside the inline solve path: no ``workers`` on the
+    service or its suites, and no ``ProcessPoolExecutor`` in ``src/``."""
+    for fn in (repro.serve.EigenService, run_serve_suite, run_telemetry_suite, run_soak):
+        assert "workers" not in inspect.signature(fn).parameters, fn.__name__
+    assert not [p.name for p in SRC.rglob("*.py") if "ProcessPoolExecutor" in p.read_text()]
+
+
 def test_src_exports_one_counter_store():
     for name in ("ScalarCounterStore", "ENGINES", "RankCounters"):
         assert name not in repro.bsp.__all__ and not hasattr(repro.bsp, name), name
@@ -123,14 +157,18 @@ def test_soak_has_no_crash_scenario(tmp_path):
 
 
 def test_no_subcommand_accepts_an_engine_flag(capsys):
-    """``--engine`` (a second counter store) and ``--envelope`` (an inexact
-    gate on a deterministic document) must not come back on any command."""
+    """``--engine`` (a second counter store), ``--envelope`` (an inexact
+    gate on a deterministic document) and ``--workers`` (a process pool
+    beside the inline solves) must not come back on any command."""
     parser = build_parser()
     (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, sub in subparsers.choices.items():
         flags = {flag for action in sub._actions for flag in action.option_strings}
-        assert not flags & {"--engine", "--envelope"}, name
-    for argv in (["trace", "--engine", "scalar"], ["metrics", "--envelope", "0.5"]):
+        assert not flags & {"--engine", "--envelope", "--workers"}, name
+    for argv in (
+        ["trace", "--engine", "scalar"], ["metrics", "--envelope", "0.5"],
+        ["serve-bench", "--workers", "2"],
+    ):
         with pytest.raises(SystemExit) as exc:  # argparse: unrecognized arguments
             parser.parse_args(argv)
         assert exc.value.code == 2

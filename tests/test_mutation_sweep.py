@@ -10,10 +10,10 @@ from tests.test_numerics_charged import numerics_findings
 
 #: name -> (kind, module, function, call, config, every gate that fires)
 CASES = {
-    # CA-SBR's deferred twin runs only on a plain machine, and a lost
-    # hand-off barrier keeps words conserved: only the counters see it
+    # a lost CA-SBR hand-off barrier keeps words conserved: only the
+    # counters see it
     "drop-casbr-handoff": (
-        "drop", "eig/ca_sbr.py", "_run_chases_1d_batched", "superstep",
+        "drop", "eig/ca_sbr.py", "_run_chases_1d", "superstep",
         "ca_sbr/plain", ["counters"],
     ),
     # an uncharged product changes no number at all: only the numerics test

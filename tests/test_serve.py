@@ -208,15 +208,14 @@ class TestService:
         for a, b in zip(cold.results, warm.results):
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
-    def test_multiprocessing_workers_match_inline(self):
-        workload = small_workload(jobs=6)
-        pool = MachinePool(2, 8, PARAMS)
-        inline = EigenService(pool, TuningCache()).run_workload(workload)
-        forked = EigenService(pool, TuningCache(), workers=2).run_workload(workload)
-        assert forked.ok_jobs == inline.ok_jobs == 6
-        for a, b in zip(inline.results, forked.results):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert a.sim_cost == b.sim_cost
+    def test_solver_faults_and_service_scenario_are_exclusive(self):
+        """Both used to be accepted and fingerprinted while no attempt
+        payload carried the solver faults; the pair is now refused."""
+        with pytest.raises(ValueError, match="faults=.*scenario="):
+            EigenService(
+                MachinePool(2, 8, PARAMS), TuningCache(),
+                faults="chaos", scenario="flaky-machine",
+            )
 
     def test_faulted_jobs_never_silently_wrong(self):
         pool = MachinePool(2, 8, PARAMS)
