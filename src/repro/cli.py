@@ -116,9 +116,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         spec, fault_seed = parse_faults(args.faults)
         machine = FaultyMachine(args.p, plan=FaultPlan(spec, fault_seed), spans=True)
     else:
-        from repro.faults import machine_from_env
-
-        machine = machine_from_env(args.p)
+        machine = BSPMachine(args.p)
     res = eigensolve_2p5d(machine, a, delta=args.delta)
     err = reference_spectrum_error(a, res.eigenvalues)
     print(f"n={args.n} p={args.p} delta={res.delta:.3f} c={res.replication} b0={res.initial_bandwidth}")
@@ -276,7 +274,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             doc = serve_bench.run_soak(
                 jobs=args.soak_jobs,
                 scenario=args.faults,
-                fault_seed0=args.fault_seed0,
                 tol=args.tol,
                 journal_path=args.journal,
                 dash_path=args.dash_out,
@@ -315,7 +312,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             return 1
         print(
             f"serve soak invariants hold: {doc['ok']}/{doc['jobs']} ok "
-            f"({doc['degraded']} degraded, {doc.get('shed', 0)} shed), "
+            f"({doc['degraded']} degraded), "
             f"{doc['typed_errors']} typed errors, 0 silently wrong, "
             f"no job lost, all {doc['crash_points']} crash points resume exactly"
         )
@@ -495,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="",
             metavar="SCENARIO[:SEED]",
             help="run on a FaultyMachine injecting the named seeded fault "
-            "scenario (also honored via REPRO_FAULTS; see repro chaos)",
+            "scenario (see repro chaos)",
         )
         p_solve.set_defaults(fn=_cmd_solve)
 
@@ -650,9 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=Path("benchmarks") / "results" / "serve_journal.jsonl",
         help="write-ahead job journal path of the soak run (the no-job-lost "
         "evidence; uploaded as a nightly CI artifact)",
-    )
-    p_serve.add_argument(
-        "--fault-seed0", type=int, default=0, help="first per-job fault seed of the soak"
     )
     p_serve.add_argument(
         "--tol", type=float, default=1e-6,

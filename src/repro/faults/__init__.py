@@ -30,8 +30,6 @@ from repro.faults.errors import (
 from repro.faults.machine import (
     FaultInjector,
     FaultyMachine,
-    RecoveryPolicy,
-    machine_from_env,
     parse_faults,
 )
 from repro.faults.plan import SCENARIOS, FaultEvent, FaultPlan, FaultSpec
@@ -48,7 +46,5 @@ __all__ = [
     "SCENARIOS",
     "FaultInjector",
     "FaultyMachine",
-    "RecoveryPolicy",
-    "machine_from_env",
     "parse_faults",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.faults.errors import FaultError
-from repro.faults.machine import FaultPlan, FaultyMachine, RecoveryPolicy
+from repro.faults.machine import FaultPlan, FaultyMachine
 from repro.faults.plan import SCENARIOS, FaultSpec
 from repro.report.tables import format_table
 from repro.util.matrices import random_symmetric
@@ -78,7 +78,6 @@ def run_scenario(
     delta: float = 2.0 / 3.0,
     tol: float = DEFAULT_TOL,
     matrix_seed: int = 3,
-    policy: RecoveryPolicy | None = None,
 ) -> ScenarioOutcome:
     """One seeded fault run of the pinned eigensolve; never raises on
     injected faults — the typed error becomes part of the outcome."""
@@ -87,7 +86,7 @@ def run_scenario(
     if spec is None:
         spec = SCENARIOS[SCENARIO_ORDER[seed % len(SCENARIO_ORDER)]]
     a = random_symmetric(n, seed=matrix_seed)
-    machine = FaultyMachine(p, plan=FaultPlan(spec, seed), spans=True, policy=policy)
+    machine = FaultyMachine(p, plan=FaultPlan(spec, seed), spans=True)
     error_type = error = span = None
     spectrum_error: float | None = None
     try:

@@ -14,16 +14,13 @@ no-op) and consults the seeded :class:`~repro.faults.plan.FaultPlan` at
 * **data movement and kernel outputs** — single-entry bit-flips/NaNs,
   caught downstream by ABFT checksums or the driver's invariant guards.
 
-Opt-in is explicit: construct a ``FaultyMachine``, or set ``REPRO_FAULTS``
-(``"<scenario>[:<seed>]"`` or a bare seed, which selects the ``chaos``
-scenario) and build machines via :func:`machine_from_env`.
+Opt-in is explicit: construct a ``FaultyMachine`` (``repro solve --faults
+<scenario>[:<seed>]`` does, through :func:`parse_faults`).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,16 +32,9 @@ from repro.faults.errors import RankFailure, current_span
 from repro.faults.plan import SCENARIOS, FaultPlan, FaultSpec
 
 
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """How the driver responds to detected faults."""
-
-    #: retries per stage before giving up with UnrecoverableFault
-    max_retries: int = 2
-    #: supersteps charged per recovery, doubling each attempt (backoff)
-    backoff_supersteps: int = 1
-    #: snapshot stage inputs so a retry restarts from clean data
-    checkpoints: bool = True
+#: supersteps charged for the first recovery of a stage, doubling with
+#: each further attempt (backoff)
+BACKOFF_SUPERSTEPS = 1
 
 
 class FaultInjector:
@@ -52,10 +42,9 @@ class FaultInjector:
 
     enabled = True
 
-    def __init__(self, machine: BSPMachine, plan: FaultPlan, policy: RecoveryPolicy):
+    def __init__(self, machine: BSPMachine, plan: FaultPlan):
         self.machine = machine
         self.plan = plan
-        self.policy = policy
         self.failed_ranks: set[int] = set()
         self.recoveries: list[tuple[str, str]] = []
         self._paused = 0
@@ -125,7 +114,7 @@ class FaultInjector:
 
     def backoff(self, attempt: int, group: RankGroup) -> None:
         """Charge the backoff barrier wait of recovery ``attempt``."""
-        self.machine.superstep(group, self.policy.backoff_supersteps << attempt)
+        self.machine.superstep(group, BACKOFF_SUPERSTEPS << attempt)
 
     def note_recovery(self, stage: str, exc: BaseException) -> None:
         self.recoveries.append((stage, f"{type(exc).__name__}: {exc}"))
@@ -136,7 +125,7 @@ class FaultyMachine(BSPMachine):
 
     Drop-in: every algorithm in the repo runs on it unchanged.  The fault
     layer draws from ``plan`` at the injection sites described in the
-    module docstring; ``policy`` shapes the driver's recovery behavior.
+    module docstring.
     """
 
     def __init__(
@@ -147,12 +136,10 @@ class FaultyMachine(BSPMachine):
         metrics: bool | None = None,
         *,
         plan: FaultPlan,
-        policy: RecoveryPolicy | None = None,
     ):
         super().__init__(p, params, spans=spans, metrics=metrics)
         self.plan = plan
-        self.policy = policy or RecoveryPolicy()
-        self.faults = FaultInjector(self, plan, self.policy)
+        self.faults = FaultInjector(self, plan)
 
     def superstep(self, group: RankGroup | Iterable[int] | None = None, count: int = 1) -> None:
         if group is not None and not isinstance(group, (RankGroup, int, np.integer)):
@@ -173,11 +160,8 @@ class FaultyMachine(BSPMachine):
                 f"seed={self.plan.seed})")
 
 
-# ---------------------------------------------------------------------- #
-# environment opt-in
-
 def parse_faults(value: str) -> tuple[FaultSpec, int]:
-    """Parse a ``REPRO_FAULTS`` value: ``<scenario>[:<seed>]`` or a bare
+    """Parse a ``--faults`` value: ``<scenario>[:<seed>]`` or a bare
     integer seed (which selects the ``chaos`` scenario)."""
     name, _, seed_text = value.partition(":")
     if not seed_text and name.lstrip("-").isdigit():
@@ -188,12 +172,3 @@ def parse_faults(value: str) -> tuple[FaultSpec, int]:
         )
     seed = int(seed_text) if seed_text else 0
     return SCENARIOS[name], seed
-
-
-def machine_from_env(p: int, **kwargs) -> BSPMachine:
-    """A machine honoring ``REPRO_FAULTS`` (plain BSPMachine when unset)."""
-    value = os.environ.get("REPRO_FAULTS", "")
-    if value in ("", "0"):
-        return BSPMachine(p, **kwargs)
-    spec, seed = parse_faults(value)
-    return FaultyMachine(p, plan=FaultPlan(spec, seed), **kwargs)

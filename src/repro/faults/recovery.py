@@ -9,8 +9,8 @@ band-to-band halving, CA-SBR, the sequential finish) in :func:`run_stage`:
 * a detected fault (:class:`~repro.faults.errors.FaultDetected`) restores
   the checkpoint, reconfigures after a rank loss via the stage's
   ``on_rank_loss`` callback (shrink the group, re-plan δ), charges an
-  exponential backoff in supersteps, and retries — bounded by
-  :class:`~repro.faults.machine.RecoveryPolicy.max_retries`;
+  exponential backoff in supersteps, and retries — at most
+  :data:`STAGE_RETRIES` times;
 * exhausted retries, a stage that cannot reconfigure, or zero survivors
   raise :class:`~repro.faults.errors.UnrecoverableFault` naming the span.
 
@@ -44,6 +44,9 @@ from repro.faults.errors import (
 from repro.util.validation import check_banded, check_symmetric, frobenius_norm
 
 T = TypeVar("T")
+
+#: retries per stage before giving up with UnrecoverableFault
+STAGE_RETRIES = 2
 
 #: relative tolerance of the Frobenius-norm-preservation guard; numerical
 #: drift of the n≲10³ pipelines is ~1e-12, injected flips are ≳2^20
@@ -190,9 +193,9 @@ def run_stage(
                 raise UnrecoverableFault(
                     f"stage {name!r}: no surviving ranks", span=exc.span
                 ) from exc
-            if attempt >= faults.policy.max_retries:
+            if attempt >= STAGE_RETRIES:
                 raise UnrecoverableFault(
-                    f"stage {name!r}: {faults.policy.max_retries} retries "
+                    f"stage {name!r}: {STAGE_RETRIES} retries "
                     f"exhausted; last fault: {exc}",
                     span=exc.span,
                 ) from exc

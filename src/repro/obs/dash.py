@@ -4,7 +4,7 @@ Renders one telemetry document (:func:`repro.obs.report.build_telemetry_doc`)
 as a single HTML file with zero external assets — openable from a CI
 artifact listing:
 
-* stat tiles (jobs by disposition, retries/sheds/quarantines,
+* stat tiles (jobs by disposition, retries/quarantines,
   plan-cache hit rate);
 * the machine-lane **timeline**: every executed attempt as a thin slice on
   its machine's lane(s) in simulated time, colored by attempt kind
@@ -406,14 +406,13 @@ def build_dash_html(
 
     jobs_ok = counters.get("jobs_ok", 0) + counters.get("jobs_degraded", 0)
     jobs_total = sum(
-        counters.get(f"jobs_{d}", 0) for d in ("ok", "degraded", "shed", "error")
+        counters.get(f"jobs_{d}", 0) for d in ("ok", "degraded", "error")
     )
     plans = counters.get("plans", 0)
     hits = counters.get("plan_cache_hits", 0)
     tiles = [
         _tile("Jobs served", _fmt(jobs_total),
-              f"{_fmt(jobs_ok)} ok · {_fmt(counters.get('jobs_error', 0))} error"
-              f" · {_fmt(counters.get('jobs_shed', 0))} shed"),
+              f"{_fmt(jobs_ok)} ok · {_fmt(counters.get('jobs_error', 0))} error"),
         _tile("Attempts", _fmt(counters.get("dispatches", 0)),
               f"{_fmt(counters.get('probes', 0))} probes"),
         _tile("Retries", _fmt(counters.get("retries", 0))),

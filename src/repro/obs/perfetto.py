@@ -4,7 +4,7 @@ One Chrome ``trace_event`` document (loadable at https://ui.perfetto.dev)
 showing a whole service run on the simulated clock:
 
 * **pid 0 — the service process.**  One *scheduler* thread carrying
-  instant events for submits/sheds/terminals plus ``queue_depth`` and
+  instant events for submits/terminals plus ``queue_depth`` and
   per-machine breaker/busy counter tracks, and one thread per
   ``(machine, lane)``: every executed attempt (:class:`Trial` as seen by
   the ``dispatch`` events) renders as a complete ("X") slice.  A machine
@@ -100,7 +100,7 @@ def merged_trace(
 
     # --- scheduler track: lifecycle instants -------------------------- #
     for e in telemetry.events:
-        if e["ev"] in ("submit", "shed", "terminal"):
+        if e["ev"] in ("submit", "terminal"):
             args = {k: v for k, v in e.items() if k not in ("ev", "t", "seq")}
             events.append(
                 {

@@ -28,12 +28,9 @@ def _slo_section(telemetry: "Telemetry") -> dict[str, Any]:
     """Per-SLO-class deadline hit rates from the terminal events."""
     out: dict[str, dict[str, Any]] = {}
     for e in telemetry.events_of("terminal"):
-        entry = out.setdefault(
-            str(e["slo"]), {"jobs": 0, "deadline_hits": 0, "shed": 0}
-        )
+        entry = out.setdefault(str(e["slo"]), {"jobs": 0, "deadline_hits": 0})
         entry["jobs"] += 1
         entry["deadline_hits"] += int(bool(e["deadline_hit"]))
-        entry["shed"] += int(e["disposition"] == "shed")
     for entry in out.values():
         entry["hit_rate"] = (
             entry["deadline_hits"] / entry["jobs"] if entry["jobs"] else 0.0

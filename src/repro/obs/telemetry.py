@@ -6,7 +6,7 @@ One :class:`Telemetry` instance rides through a service run
 
 * a **structured event log**: every lifecycle transition (``submit`` →
   ``plan`` → ``dispatch`` → ``attempt_end`` / ``retry_scheduled`` /
-  ``breaker`` → ``terminal`` or ``shed``) as one
+  ``breaker`` → ``terminal``) as one
   dict stamped with its simulated time ``t`` and a total-order ``seq``;
 * a :class:`~repro.obs.series.SeriesRegistry` of counters and
   change-only gauges (queue depth, per-machine busy ranks and breaker
@@ -47,7 +47,6 @@ BREAKER_STATE_CODES = {"closed": 0, "half-open": 1, "open": 2}
 EVENT_KINDS = (
     "submit",
     "plan",
-    "shed",
     "dispatch",
     "attempt_end",
     "retry_scheduled",
@@ -105,7 +104,7 @@ class Telemetry:
         #: structured lifecycle events in emission order
         self.events: list[dict] = []
         self.series = SeriesRegistry()
-        #: per-SLO-class latency sketches (terminal latencies, shed excluded)
+        #: per-SLO-class latency sketches (terminal latencies)
         self.sketches: dict[str, LatencySketch] = {}
         #: trace context "job:attempt" -> {"p": ..., "events": [span dicts]}
         self.solver: dict[str, dict] = {}

@@ -13,9 +13,8 @@ package turns the repo's single-shot solver into a served system:
 :mod:`~repro.serve.scheduler`  the schedule a run produces (per-job rows,
                                latency percentiles, utilization)
 :mod:`~repro.serve.resilience` SLO deadlines/EDF, retry ladder, machine
-                               quarantine, admission control — one
-                               deterministic event loop, one attempt per
-                               job in flight
+                               quarantine — one deterministic event
+                               loop, one attempt per job in flight
 :mod:`~repro.serve.journal`    crash-safe write-ahead job journal
                                (fsync'd JSONL, resume without recompute)
 :mod:`~repro.serve.service`    the request pipeline (plan → solve →
@@ -49,10 +48,6 @@ from repro.serve.resilience import (
     DISPOSITIONS,
     SERVICE_SCENARIOS,
     SLO_CLASSES,
-    AdmissionPolicy,
-    QuarantinePolicy,
-    ResiliencePolicy,
-    RetryPolicy,
     ServiceScenario,
     run_resilient,
 )
@@ -83,10 +78,6 @@ __all__ = [
     "DISPOSITIONS",
     "SERVICE_SCENARIOS",
     "SLO_CLASSES",
-    "AdmissionPolicy",
-    "QuarantinePolicy",
-    "ResiliencePolicy",
-    "RetryPolicy",
     "ServiceScenario",
     "run_resilient",
     "Plan",

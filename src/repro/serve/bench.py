@@ -9,7 +9,7 @@ Three passes of the pinned seeded workload run through the service:
   must reach :data:`HIT_RATE_FLOOR` (the acceptance gate is ≥ 80%; with a
   correct store it is 100%);
 * **edf** — the warm workload re-served under earliest-deadline-first
-  dispatch (``ResiliencePolicy(scheduling="edf")``): same plans, same
+  dispatch (``EigenService(..., scheduling="edf")``): same plans, same
   spectra, only the simulated queue order may differ — the SLO section
   shows what deadline-aware dispatch buys the interactive class.
 
@@ -54,7 +54,7 @@ from repro.obs.telemetry import Telemetry
 from repro.serve.cache import TuningCache
 from repro.serve.journal import JobJournal, JournalError, read_journal
 from repro.serve.pool import MachinePool
-from repro.serve.resilience import SERVICE_SCENARIOS, ResiliencePolicy
+from repro.serve.resilience import SERVICE_SCENARIOS
 from repro.serve.service import (
     EigenService,
     ServeReport,
@@ -98,11 +98,11 @@ PINNED: dict[str, Any] = {
 HIT_RATE_FLOOR = 0.8
 
 #: per-pass summary fields gated by exact equality (deterministic).  The
-#: resilience and SLO sections are gate food too: retry/shed counts
+#: resilience and SLO sections are gate food too: retry counts
 #: and per-class deadline hit rates are pure functions of the seeded
 #: workload, so any drift means the resilience layer changed behavior.
 EXACT_PASS_FIELDS = (
-    "jobs", "ok", "errors", "shed", "degraded", "regimes",
+    "jobs", "ok", "errors", "degraded", "regimes",
     "sim", "sim_totals", "resilience", "slo",
 )
 
@@ -166,7 +166,7 @@ def run_serve_suite(
         "passes": {},
     }
 
-    #: pass → scheduling policy: "edf" re-serves the warm workload under
+    #: pass → dispatch order: "edf" re-serves the warm workload under
     #: earliest-deadline-first dispatch (same plans, same spectra — only
     #: the simulated queue order may differ)
     reports: dict[str, ServeReport] = {}
@@ -175,7 +175,7 @@ def run_serve_suite(
         cache = TuningCache(cache_path)  # warm/edf passes reload the cold store
         service = EigenService(
             pool, cache, algorithm=pinned["algorithm"],
-            policy=ResiliencePolicy(scheduling="edf") if label == "edf" else None,
+            scheduling="edf" if label == "edf" else "fifo",
         )
         report = service.run_workload(workload)
         reports[label] = report
@@ -446,7 +446,6 @@ def run_soak(
     jobs: int = 48,
     seed: int = 11,
     scenario: str = "chaos",
-    fault_seed0: int = 0,
     tol: float = 1e-6,
     journal_path: Path | str = DEFAULT_JOURNAL_PATH,
     dash_path: Path | str | None = None,
@@ -463,7 +462,7 @@ def run_soak(
     * **never silently wrong** — every ok-status spectrum matches the
       numpy reference within ``tol``;
     * **no job lost** — every submitted job owns a journal terminal
-      record with a disposition in ``ok | degraded | shed | error``;
+      record with a disposition in ``ok | degraded | error``;
     * **deterministic at every crash point** — a resume from every prefix
       of the run's journal reproduces the run exactly
       (:func:`_crash_sweep`; ``crash_failures == []``).
@@ -494,7 +493,7 @@ def run_soak(
             MachinePool(2, 16, SERVE_PARAMS), TuningCache(),
             scenario=scenario if service_level else None,
             faults=None if service_level else scenario,
-            fault_seed0=fault_seed0, journal=journal, telemetry=telemetry,
+            journal=journal, telemetry=telemetry,
         ).run_workload(workload)
 
     # the flight recorder rides the reference run; telemetry is a strict
@@ -512,12 +511,10 @@ def run_soak(
     doc = {
         "version": 3,
         "scenario": scenario,
-        "fault_seed0": fault_seed0,
         "tol": tol,
         "jobs": report.jobs,
         "ok": report.ok_jobs,
         "typed_errors": report.error_jobs,
-        "shed": report.shed_jobs,
         "degraded": sum(r.degraded for r in report.results),
         "error_types": sorted(
             {r.error_type for r in report.results if not r.ok}
@@ -539,7 +536,7 @@ def run_soak(
     if telemetry is not None:
         tdoc = build_telemetry_doc(
             telemetry,
-            config={"scenario": scenario, "jobs": jobs, "seed": seed, "fault_seed0": fault_seed0},
+            config={"scenario": scenario, "jobs": jobs, "seed": seed},
         )
         write_dash(tdoc, dash_path, title=f"repro soak flight recorder — {scenario}")
         doc["dash"] = {
@@ -549,7 +546,7 @@ def run_soak(
         }
     log(
         f"soak[{scenario}]: {doc['ok']}/{doc['jobs']} ok "
-        f"({doc['degraded']} degraded, {doc['shed']} shed), "
+        f"({doc['degraded']} degraded), "
         f"{doc['typed_errors']} typed errors, {len(silent_wrong)} silently wrong; "
         f"no job lost: {doc['no_job_lost']}; crash sweep: {crash_points} "
         f"boundaries resumed, {torn_cuts} torn cuts, "

@@ -5,7 +5,7 @@ Without a journal the whole in-flight batch is lost and every completed
 solve recomputes.  :class:`JobJournal` is an append-only JSONL write-ahead
 log, fsync'd record by record, that a restarted service replays to resume
 a workload **without recompute and without drift**: the resilient event
-loop is a pure function of the workload + policy + seeds, so replaying
+loop is a pure function of the workload + scheduling + seeds, so replaying
 the journal's memoized attempt outcomes through the same loop reproduces
 the uninterrupted run byte-for-byte.
 
@@ -17,14 +17,14 @@ Record stream (one JSON object per line)::
     {"kind": "terminal", "job_id": 0, "disposition": "ok", ...}
 
 * **header** binds the file to one run configuration: a sha256 over the
-  workload trace, machine params, algorithm, resilience policy, scenario,
+  workload trace, machine params, algorithm, scheduling order, scenario,
   and the model fingerprint (the same wholesale-invalidation trick as
   :class:`~repro.serve.cache.TuningCache`).  Opening a journal whose
   header fingerprint differs raises :class:`JournalMismatch` — resuming a
   *different* workload against old records must fail loudly, never blend.
 * **submitted** records make the no-job-lost invariant checkable: after a
   completed run (or a crash + resume) every submitted ``job_id`` must own
-  a **terminal** record with a disposition in ``ok|degraded|shed|error``.
+  a **terminal** record with a disposition in ``ok|degraded|error``.
 * **attempt** records are the expensive part — one per executed solve,
   carrying the full outcome (eigenvalues serialize through JSON ``repr``
   floats, which round-trip IEEE doubles exactly, so a resumed spectrum is

@@ -1,11 +1,8 @@
-"""Service-level resilience: deadlines, retries, quarantine, shedding.
+"""Service-level resilience: deadlines, retries, quarantine.
 
-PR 7's service was fragile in exactly the ways a production eigensolver
-front-end cannot be: a faulted job got one hard-coded replicated retry
-(and only when fault injection happened to be configured), flaky machines
-kept receiving work, overload meant unbounded queueing, and nothing
-survived a service crash.  This module supplies the missing mechanisms as
-*policies* plus one simulated-time event loop that enforces them:
+One simulated-time event loop (:func:`run_resilient`) drives every job of a
+served workload to a terminal disposition under fixed rules; the only
+setting is the dispatch order, ``scheduling="fifo" | "edf"``:
 
 * **SLO classes / deadlines** — every :class:`~repro.serve.workload.JobSpec`
   carries an SLO class name; :data:`SLO_CLASSES` maps it to a relative
@@ -14,20 +11,18 @@ survived a service crash.  This module supplies the missing mechanisms as
   *enforced as priority*: the dispatch scan orders the ready queue by
   absolute deadline (earliest-deadline-first) instead of arrival.
 * **Retry budget + escalation ladder** — a failed attempt is retried on a
-  seeded exponential-backoff timer (deterministic jitter, never wall
-  clock) up to ``RetryPolicy.budget`` extra attempts, escalating
-  same-plan retry → grid-shrink replan (through the tuning cache) →
-  replicated single-rank solve.  The ladder runs whether or not fault
-  injection is configured: any typed error outcome triggers it.
+  seeded exponential-backoff timer (:func:`retry_delay`: deterministic
+  jitter, never wall clock) up to :data:`RETRY_BUDGET` extra attempts,
+  escalating same-plan retry → grid-shrink replan (through the tuning
+  cache) → replicated single-rank solve.  The ladder runs whether or not
+  fault injection is configured: any typed error outcome triggers it.
 * **Machine health / quarantine** — a per-machine circuit breaker fed by
-  attempt outcomes.  ``failure_threshold`` consecutive failures open the
-  breaker (the machine drains: running attempts finish, no new placements);
-  after a simulated cooldown it goes half-open and re-admits exactly one
-  *probe* attempt — success closes the breaker, failure re-opens it with a
-  doubled cooldown.
-* **Admission control** — a bounded ready queue: an arrival that finds
-  ``queue_limit`` jobs already waiting is *shed* with a typed terminal
-  disposition instead of queueing without bound.
+  attempt outcomes.  :data:`BREAKER_THRESHOLD` consecutive failures open
+  the breaker (the machine drains: running attempts finish, no new
+  placements); after :data:`BREAKER_COOLDOWN` simulated time it goes
+  half-open and re-admits exactly one *probe* attempt — success closes the
+  breaker, failure re-opens it with a cooldown scaled by
+  :data:`BREAKER_COOLDOWN_FACTOR`.
 
 Every decision is a pure function of the simulated clock and seeded
 draws, so two runs of the same workload + scenario produce identical
@@ -35,16 +30,14 @@ reports — which is what lets the chaos scenarios here
 (:data:`SERVICE_SCENARIOS`: flaky-machine, straggler, poison-job) be CI
 gates rather than flaky wall-clock tests.  The loop guarantees **no job
 lost**: every submitted job reaches exactly one terminal disposition in
-``ok | degraded | shed | error``; and **one attempt in flight**: a job's
-next attempt is dispatched only after its previous one finished, so no
-two attempts of one job ever race.
+``ok | degraded | error``; and **one attempt in flight**: a job's next
+attempt is dispatched only after its previous one finished, so no two
+attempts of one job ever race.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
@@ -55,7 +48,7 @@ from repro.serve.scheduler import Schedule, ScheduledJob
 
 #: terminal dispositions a job can reach (the no-job-lost invariant says
 #: every submitted job reaches exactly one of these)
-DISPOSITIONS = ("ok", "degraded", "shed", "error")
+DISPOSITIONS = ("ok", "degraded", "error")
 
 
 # ------------------------------------------------------------------ #
@@ -110,81 +103,58 @@ DEFAULT_SLO = "batch"
 
 def deadline_for(slo: str, arrival: float) -> float:
     """Absolute deadline of a job with SLO class ``slo`` arriving at ``arrival``."""
-    cls = SLO_CLASSES.get(slo, SLO_CLASSES[DEFAULT_SLO])
-    return arrival + cls.deadline
+    return arrival + SLO_CLASSES[slo].deadline
 
 
 # ------------------------------------------------------------------ #
-# policies
+# the fixed rules: retry ladder, breaker, dispatch order
+
+#: extra attempts after the primary, one escalation-ladder rung each
+RETRY_BUDGET = 3
+#: the k-th retry waits ``RETRY_BACKOFF_BASE * RETRY_BACKOFF_FACTOR**(k-1)``
+#: simulated time units, scaled by ``1 + RETRY_JITTER * u``
+RETRY_BACKOFF_BASE = 2.0e4
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_JITTER = 0.25
+
+#: consecutive failures that open a machine's breaker
+BREAKER_THRESHOLD = 3
+#: simulated time an open breaker waits before going half-open
+BREAKER_COOLDOWN = 5.0e5
+#: cooldown multiplier applied when a half-open probe fails
+BREAKER_COOLDOWN_FACTOR = 2.0
+
+#: dispatch orders of the ready queue: arrival, or earliest deadline first
+SCHEDULING = ("fifo", "edf")
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry budget and seeded exponential backoff for failed attempts.
+def retry_delay(job_id: int, attempt: int) -> float:
+    """Backoff before retry ``attempt`` of ``job_id``.
 
-    ``budget`` extra attempts follow the escalation ladder (same plan →
-    grid-shrink → replicated).  The k-th retry waits
-    ``backoff_base * backoff_factor**(k-1)`` simulated time units, scaled
-    by ``1 + jitter * u`` where u is a deterministic per-(job, attempt)
-    draw — decorrelated like production backoff, reproducible like a test.
+    ``u`` in the scale is a deterministic per-(job, attempt) draw —
+    decorrelated like production backoff, reproducible like a test.
     """
-
-    budget: int = 3
-    backoff_base: float = 2.0e4
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-
-    def delay(self, job_id: int, attempt: int) -> float:
-        base = self.backoff_base * self.backoff_factor ** max(0, attempt - 1)
-        return base * (1.0 + self.jitter * _hash01(job_id, attempt, 0xB0FF))
+    base = RETRY_BACKOFF_BASE * RETRY_BACKOFF_FACTOR ** max(0, attempt - 1)
+    return base * (1.0 + RETRY_JITTER * _hash01(job_id, attempt, 0xB0FF))
 
 
-@dataclass(frozen=True)
-class QuarantinePolicy:
-    """Per-machine circuit breaker: open after ``failure_threshold``
-    consecutive failures, half-open after ``cooldown`` simulated time, and
-    re-open with ``cooldown_factor``-scaled cooldown on a failed probe."""
-
-    enabled: bool = True
-    failure_threshold: int = 3
-    cooldown: float = 5.0e5
-    cooldown_factor: float = 2.0
+def check_scheduling(scheduling: str) -> str:
+    """``scheduling`` itself, or a ValueError naming the two choices."""
+    if scheduling not in SCHEDULING:
+        raise ValueError(f"scheduling must be 'fifo' or 'edf', got {scheduling!r}")
+    return scheduling
 
 
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Bounded admission: an arrival finding ``queue_limit`` jobs already
-    queued is shed (typed ``shed`` disposition).  0 disables the bound."""
-
-    queue_limit: int = 0
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """The full resilience configuration of one service instance."""
-
-    retry: RetryPolicy = RetryPolicy()
-    quarantine: QuarantinePolicy = QuarantinePolicy()
-    admission: AdmissionPolicy = AdmissionPolicy()
-    scheduling: str = "fifo"  # "fifo" | "edf"
-
-    def __post_init__(self) -> None:
-        if self.scheduling not in ("fifo", "edf"):
-            raise ValueError(
-                f"scheduling must be 'fifo' or 'edf', got {self.scheduling!r}"
-            )
-
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    def fingerprint(self) -> str:
-        """Stable digest for journal binding: resuming under a different
-        policy must be rejected, not silently blended."""
-        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-DEFAULT_POLICY = ResiliencePolicy()
+def check_job(job_id: int, arrival: float, slo: str) -> None:
+    """Reject a job the loop cannot serve as asked: a non-finite arrival
+    is never reached by the simulated clock, and an unknown SLO class
+    has no deadline."""
+    if not math.isfinite(arrival):
+        raise ValueError(f"job {job_id}: arrival must be finite, got {arrival!r}")
+    if slo not in SLO_CLASSES:
+        raise ValueError(
+            f"job {job_id}: unknown SLO class {slo!r}; choose from {sorted(SLO_CLASSES)}"
+        )
 
 
 # ------------------------------------------------------------------ #
@@ -345,16 +315,14 @@ class JobVerdict:
     finish: float
     slo: str
     deadline: float
-    rung: Rung | None
+    rung: Rung
     machine_id: int
     attempts: int
     retries: int
-    outcome: AttemptOutcome | None
+    outcome: AttemptOutcome
 
     @property
     def deadline_hit(self) -> bool:
-        if self.disposition == "shed":
-            return False
         return self.finish <= self.deadline
 
 
@@ -366,7 +334,6 @@ class ResilienceStats:
         default_factory=lambda: {d: 0 for d in DISPOSITIONS}
     )
     retries: int = 0
-    shed: int = 0
     quarantines: int = 0
     probes: int = 0
     trials: int = 0
@@ -384,7 +351,6 @@ class ResilienceStats:
             # always 0: benchmarks/e2e/leg.py still reads both keys
             "hedges": 0,
             "hedge_wins": 0,
-            "shed": self.shed,
             "quarantines": self.quarantines,
             "probes": self.probes,
             "trials": self.trials,
@@ -396,9 +362,9 @@ def slo_summary(verdicts: Sequence[JobVerdict]) -> dict[str, Any]:
     """Per-SLO-class deadline hit rates over a run's terminal verdicts."""
     out: dict[str, Any] = {}
     for v in sorted(verdicts, key=lambda v: v.job_id):
-        cls = SLO_CLASSES.get(v.slo, SLO_CLASSES[DEFAULT_SLO])
         entry = out.setdefault(
-            v.slo, {"deadline": cls.deadline, "jobs": 0, "deadline_hits": 0}
+            v.slo,
+            {"deadline": SLO_CLASSES[v.slo].deadline, "jobs": 0, "deadline_hits": 0},
         )
         entry["jobs"] += 1
         entry["deadline_hits"] += int(v.deadline_hit)
@@ -439,28 +405,27 @@ class _JobState:
 def run_resilient(
     jobs: Sequence[SimJob],
     pool: MachinePool,
-    rung_for: Callable[[int, int], Rung | None],
+    rung_for: Callable[[int, int], Rung],
     outcome_for: Callable[[int, Rung, int, int], AttemptOutcome],
-    policy: ResiliencePolicy = DEFAULT_POLICY,
+    scheduling: str = "fifo",
     on_terminal: Callable[[JobVerdict], None] | None = None,
     telemetry: Any = NO_TELEMETRY,
 ) -> ResilientRun:
     """Drive every job to a terminal disposition in exact simulated time.
 
     ``rung_for(job_id, failures)`` maps a job's failure count to the
-    escalation-ladder plan of its next attempt (``None`` = budget
-    exhausted → terminal ``error``).  ``outcome_for(job_id, rung,
-    attempt, machine_id)`` executes one attempt — it may run a real
+    escalation-ladder plan of its next attempt; a job still failing after
+    :data:`RETRY_BUDGET` retries settles as ``error``.  ``outcome_for(job_id,
+    rung, attempt, machine_id)`` executes one attempt — it may run a real
     (memoized) solve, so the *loop* is where wall-clock work happens, but
     no wall-clock value ever enters a decision.  ``on_terminal`` fires
     exactly once per job, in simulated-completion order — the journal's
     write-ahead hook.
 
-    Dispatch preserves PR 7's semantics on the happy path: FIFO scan with
-    backfill, best-fit placement (fewest free ranks that still fit, ties
-    to the lowest machine id).  Under ``policy.scheduling == "edf"`` the
-    scan order is (deadline, arrival, job_id) instead of (arrival,
-    job_id).
+    Dispatch is a FIFO scan with backfill and best-fit placement (fewest
+    free ranks that still fit, ties to the lowest machine id).  Under
+    ``scheduling="edf"`` the scan order is (deadline, arrival, job_id)
+    instead of (arrival, job_id).
 
     ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`, default the
     inert :data:`~repro.obs.telemetry.NO_TELEMETRY`) observes every
@@ -468,63 +433,59 @@ def run_resilient(
     read-only: no decision in this function reads telemetry state, so the
     run is bit-identical with it on or off.
     """
+    check_scheduling(scheduling)
     order = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
     states = {j.job_id: _JobState(j) for j in order}
     if len(states) != len(order):
         raise ValueError("duplicate job ids in resilient workload")
+    for j in order:
+        check_job(j.job_id, j.arrival, j.slo)
 
     free = {m.machine_id: m.p for m in pool}
-    health = {
-        m.machine_id: MachineHealth(m.machine_id, cooldown=policy.quarantine.cooldown)
-        for m in pool
-    }
+    health = {m.machine_id: MachineHealth(m.machine_id, BREAKER_COOLDOWN) for m in pool}
     stats = ResilienceStats()
     trials: list[Trial] = []
     running: list[tuple[float, int, int]] = []  # (finish, seq, trial_idx)
-    timers: list[tuple[float, int, str, int]] = []  # (time, seq, kind, job/machine)
+    # (time, seq, key, rung): a retry of job ``key`` on ``rung``, or the end
+    # of machine ``key``'s breaker cooldown when ``rung`` is None
+    timers: list[tuple[float, int, int, Rung | None]] = []
     ready: list[tuple[int, int, str, Rung]] = []  # (seq, job_id, kind, rung)
     seq = 0
     i = 0  # next arrival
     now = order[0].arrival if order else 0.0
 
-    def settle(job_id: int, verdict: JobVerdict) -> None:
-        states[job_id].verdict = verdict
-        stats.dispositions[verdict.disposition] += 1
-        if telemetry.enabled:
-            latency = verdict.finish - verdict.arrival
-            telemetry.emit(
-                "terminal", verdict.finish, job=job_id,
-                disposition=verdict.disposition, slo=verdict.slo,
-                latency=latency, deadline_hit=verdict.deadline_hit,
-                attempts=verdict.attempts, retries=verdict.retries,
-                machine=verdict.machine_id,
-            )
-            telemetry.counter(f"jobs_{verdict.disposition}")
-            if verdict.disposition != "shed":
-                telemetry.observe_latency(verdict.slo, latency)
-        if on_terminal is not None:
-            on_terminal(verdict)
-
     def settle_trial(trial: Trial, disposition: str, retries: int) -> None:
         """Settle a job on the outcome of its last (and only running) trial."""
         st = states[trial.job_id]
-        settle(
-            trial.job_id,
-            JobVerdict(
-                job_id=trial.job_id,
-                disposition=disposition,
-                arrival=st.job.arrival,
-                start=st.first_start,
-                finish=trial.finish,
-                slo=st.job.slo,
-                deadline=st.job.deadline,
-                rung=trial.rung,
-                machine_id=trial.machine_id,
-                attempts=st.trial_count,
-                retries=retries,
-                outcome=trial.outcome,
-            ),
+        verdict = JobVerdict(
+            job_id=trial.job_id,
+            disposition=disposition,
+            arrival=st.job.arrival,
+            start=st.first_start,
+            finish=trial.finish,
+            slo=st.job.slo,
+            deadline=st.job.deadline,
+            rung=trial.rung,
+            machine_id=trial.machine_id,
+            attempts=st.trial_count,
+            retries=retries,
+            outcome=trial.outcome,
         )
+        st.verdict = verdict
+        stats.dispositions[disposition] += 1
+        if telemetry.enabled:
+            latency = verdict.finish - verdict.arrival
+            telemetry.emit(
+                "terminal", verdict.finish, job=trial.job_id,
+                disposition=disposition, slo=verdict.slo,
+                latency=latency, deadline_hit=verdict.deadline_hit,
+                attempts=verdict.attempts, retries=retries,
+                machine=verdict.machine_id,
+            )
+            telemetry.counter(f"jobs_{disposition}")
+            telemetry.observe_latency(verdict.slo, latency)
+        if on_terminal is not None:
+            on_terminal(verdict)
 
     def breaker_event(machine_id: int, prev: str, state: str) -> None:
         telemetry.emit("breaker", now, machine=machine_id, prev=prev, state=state)
@@ -536,35 +497,31 @@ def run_resilient(
             h.successes += 1
             if h.state == "half-open":
                 h.state = "closed"
-                h.cooldown = policy.quarantine.cooldown
+                h.cooldown = BREAKER_COOLDOWN
                 breaker_event(machine_id, "half-open", "closed")
             h.consecutive_failures = 0
             return
         h.failures += 1
-        if not policy.quarantine.enabled:
-            return
         if h.state == "half-open":
             # the probe failed: re-open with a longer cooldown
             h.state = "open"
-            h.cooldown *= policy.quarantine.cooldown_factor
+            h.cooldown *= BREAKER_COOLDOWN_FACTOR
             h.quarantines += 1
             stats.quarantines += 1
             breaker_event(machine_id, "half-open", "open")
             telemetry.counter("quarantines")
             seq += 1
-            heapq.heappush(timers, (now + h.cooldown, seq, "probe-open", machine_id))
+            heapq.heappush(timers, (now + h.cooldown, seq, machine_id, None))
         elif h.state == "closed":
             h.consecutive_failures += 1
-            if h.consecutive_failures >= policy.quarantine.failure_threshold:
+            if h.consecutive_failures >= BREAKER_THRESHOLD:
                 h.state = "open"
                 h.quarantines += 1
                 stats.quarantines += 1
                 breaker_event(machine_id, "closed", "open")
                 telemetry.counter("quarantines")
                 seq += 1
-                heapq.heappush(
-                    timers, (now + h.cooldown, seq, "probe-open", machine_id)
-                )
+                heapq.heappush(timers, (now + h.cooldown, seq, machine_id, None))
 
     def finish_trial(idx: int) -> None:
         nonlocal seq
@@ -586,34 +543,28 @@ def run_resilient(
             settle_trial(trial, disposition, st.failures)
             return
         st.failures += 1
-        rung = (
-            rung_for(trial.job_id, st.failures)
-            if st.failures <= policy.retry.budget
-            else None
-        )
-        if rung is None:
+        if st.failures > RETRY_BUDGET:
             settle_trial(trial, "error", st.failures - 1)
             return
-        fire_at = now + policy.retry.delay(trial.job_id, st.failures)
+        rung = rung_for(trial.job_id, st.failures)
+        fire_at = now + retry_delay(trial.job_id, st.failures)
         if telemetry.enabled:
             telemetry.emit(
                 "retry_scheduled", now, job=trial.job_id,
                 failures=st.failures, fire_at=fire_at,
             )
         seq += 1
-        heapq.heappush(timers, (fire_at, seq, "retry", trial.job_id))
+        heapq.heappush(timers, (fire_at, seq, trial.job_id, rung))
 
-    def handle_timer(kind: str, key: int) -> None:
+    def handle_timer(key: int, rung: Rung | None) -> None:
         nonlocal seq
-        if kind == "probe-open":
+        if rung is None:  # machine ``key``'s cooldown ended
             if health[key].state == "open":
                 health[key].state = "half-open"
                 breaker_event(key, "open", "half-open")
             return
-        # kind == "retry": the job's failed attempt has finished
-        rung = rung_for(key, states[key].failures)
-        if rung is None:  # ladder dried up between scheduling and firing
-            return
+        # job ``key``'s failed attempt has finished; ``rung`` is the ladder
+        # step finish_trial picked for the next one
         stats.retries += 1
         if telemetry.enabled:
             telemetry.emit("retry_fire", now, job=key, rung=rung.kind)
@@ -623,45 +574,18 @@ def run_resilient(
 
     def admit(job: SimJob) -> None:
         nonlocal seq
-        limit = policy.admission.queue_limit
         if telemetry.enabled:
             telemetry.emit(
                 "submit", job.arrival, job=job.job_id, slo=job.slo,
                 deadline=job.deadline if math.isfinite(job.deadline) else None,
             )
-        if limit > 0 and len(ready) >= limit:
-            stats.shed += 1
-            if telemetry.enabled:
-                telemetry.emit("shed", job.arrival, job=job.job_id, slo=job.slo)
-                telemetry.counter("sheds")
-            settle(
-                job.job_id,
-                JobVerdict(
-                    job_id=job.job_id,
-                    disposition="shed",
-                    arrival=job.arrival,
-                    start=job.arrival,
-                    finish=job.arrival,
-                    slo=job.slo,
-                    deadline=job.deadline,
-                    rung=None,
-                    machine_id=-1,
-                    attempts=0,
-                    retries=0,
-                    outcome=None,
-                ),
-            )
-            return
-        rung = rung_for(job.job_id, 0)
-        if rung is None:
-            raise ValueError(f"job {job.job_id}: no primary plan")
         seq += 1
-        ready.append((seq, job.job_id, "primary", rung))
+        ready.append((seq, job.job_id, "primary", rung_for(job.job_id, 0)))
 
     def queue_key(entry: tuple[int, int, str, Rung]) -> tuple:
         entry_seq, job_id, _, _ = entry
         job = states[job_id].job
-        if policy.scheduling == "edf":
+        if scheduling == "edf":
             return (job.deadline, job.arrival, job_id, entry_seq)
         return (job.arrival, job_id, entry_seq)
 
@@ -774,8 +698,8 @@ def run_resilient(
             _, _, idx = heapq.heappop(running)
             finish_trial(idx)
         while timers and timers[0][0] <= now:
-            _, _, kind, key = heapq.heappop(timers)
-            handle_timer(kind, key)
+            _, _, key, rung = heapq.heappop(timers)
+            handle_timer(key, rung)
         while i < len(order) and order[i].arrival <= now:
             admit(order[i])
             i += 1
@@ -783,25 +707,23 @@ def run_resilient(
         if telemetry.enabled:
             sample_series()
 
-    verdicts = {job_id: st.verdict for job_id, st in states.items()}
-    missing = [job_id for job_id, v in verdicts.items() if v is None]
+    verdicts = {j: st.verdict for j, st in states.items() if st.verdict is not None}
+    missing = sorted(set(states) - set(verdicts))
     if missing:  # the no-job-lost invariant, enforced structurally
-        raise RuntimeError(f"jobs {sorted(missing)} never reached a terminal disposition")
+        raise RuntimeError(f"jobs {missing} never reached a terminal disposition")
 
     rows = [
         ScheduledJob(
             job_id=v.job_id,
             machine_id=v.machine_id,
-            p=v.rung.p if v.rung is not None else 0,
+            p=v.rung.p,
             arrival=v.arrival,
-            start=v.start if math.isfinite(v.start) else v.arrival,
+            start=v.start,
             finish=v.finish,
             disposition=v.disposition,
             attempts=v.attempts,
         )
-        for v in sorted(
-            (v for v in verdicts.values() if v is not None), key=lambda v: v.job_id
-        )
+        for v in sorted(verdicts.values(), key=lambda v: v.job_id)
     ]
     busy = sum(t.rung.p * (t.finish - t.start) for t in trials)
     if rows:
@@ -815,7 +737,7 @@ def run_resilient(
         jobs=rows, makespan=makespan, utilization=util, busy_rank_time=busy
     )
     return ResilientRun(
-        verdicts={j: v for j, v in verdicts.items() if v is not None},
+        verdicts=verdicts,
         trials=trials,
         schedule=schedule,
         stats=stats,

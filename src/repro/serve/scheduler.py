@@ -5,11 +5,10 @@ A :class:`Schedule` answers "when did each job run, and where" in
 T = γF + βW + νQ + αS of its measured cost report, and arrivals come from
 the workload trace.  The event loop that fills it in is
 :func:`repro.serve.resilience.run_resilient` (its docstring states the
-dispatch policy).  Rows carry a terminal ``disposition``
-(``ok | degraded | shed | error``): *every* job the service accepted gets
-a row here, not just the successes — failed jobs consumed machine time
-and count in the latency percentiles (shed jobs, which never ran, are
-tallied but excluded from latency statistics).
+dispatch order).  Rows carry a terminal ``disposition``
+(``ok | degraded | error``): *every* submitted job gets a row here, not
+just the successes — failed jobs consumed machine time and count in the
+latency percentiles.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ class ScheduledJob:
     arrival: float
     start: float
     finish: float
-    disposition: str = "ok"   # terminal disposition: ok|degraded|shed|error
+    disposition: str = "ok"   # terminal disposition: ok|degraded|error
     attempts: int = 1         # executed attempts (retries included)
 
     @property
@@ -52,10 +51,8 @@ class Schedule:
     busy_rank_time: float
 
     def latencies(self) -> list[float]:
-        """Latencies of every job that actually ran (shed jobs never did —
-        counting their zero wait would flatter the percentiles, the exact
-        inverse of the old bug where *error* jobs were dropped)."""
-        return [j.latency for j in self.jobs if j.disposition != "shed"]
+        """Latencies of every job, error jobs included."""
+        return [j.latency for j in self.jobs]
 
     def percentile(self, q: float) -> float:
         """Exact latency percentile (nearest-rank on the sorted list)."""

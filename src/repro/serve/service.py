@@ -15,10 +15,9 @@
 3. **Schedule** — the measured cost reports give each attempt its
    simulated service time T = γF + βW + νQ + αS; the resilient event loop
    (:mod:`repro.serve.resilience`) replays the workload's arrival trace
-   against the machine pool under the service's
-   :class:`~repro.serve.resilience.ResiliencePolicy` — deadlines/EDF,
-   retry ladder, quarantine, admission control — and drives
-   every job to a terminal disposition (``ok | degraded | shed | error``).
+   against the machine pool — deadlines (FIFO or EDF dispatch), retry
+   ladder, quarantine — and drives every job to a terminal disposition
+   (``ok | degraded | error``).
 
 Failure handling is the resilience layer's escalation ladder and runs for
 *any* typed error outcome, whether it came from configured fault
@@ -56,13 +55,12 @@ from repro.serve.journal import JobJournal
 from repro.serve.planner import DEFAULT_ALGORITHM, Plan, plan_job
 from repro.serve.pool import MachinePool
 from repro.serve.resilience import (
-    DEFAULT_POLICY,
     SERVICE_SCENARIOS,
     AttemptOutcome,
-    ResiliencePolicy,
     Rung,
     ServiceScenario,
     SimJob,
+    check_scheduling,
     run_resilient,
     slo_summary,
 )
@@ -103,7 +101,7 @@ class JobResult:
     n: int
     seed: int
     plan: Plan
-    status: str                    # "ok" | "error" | "shed"
+    status: str                    # "ok" | "error"
     eigenvalues: np.ndarray | None
     service_time: float            # simulated T of the last attempt
     sim_cost: dict[str, float]
@@ -123,7 +121,7 @@ class JobResult:
 
     @property
     def disposition(self) -> str:
-        """Terminal disposition (``ok | degraded | shed | error``)."""
+        """Terminal disposition (``ok | degraded | error``)."""
         if self.status == "ok":
             return "degraded" if self.degraded else "ok"
         return self.status
@@ -154,10 +152,6 @@ class ServeReport:
     @property
     def error_jobs(self) -> int:
         return sum(r.status == "error" for r in self.results)
-
-    @property
-    def shed_jobs(self) -> int:
-        return sum(r.status == "shed" for r in self.results)
 
     @property
     def jobs_per_s(self) -> float:
@@ -197,7 +191,6 @@ class ServeReport:
                 "jobs": self.jobs,
                 "ok": self.ok_jobs,
                 "errors": self.error_jobs,
-                "shed": self.shed_jobs,
                 "degraded": sum(r.degraded for r in self.results),
                 "retries": sum(r.retries for r in self.results),
                 "wall_s": self.wall_s,
@@ -358,8 +351,7 @@ class EigenService:
         cache: TuningCache | None = None,
         algorithm: str = DEFAULT_ALGORITHM,
         faults: str | None = None,
-        fault_seed0: int = 0,
-        policy: ResiliencePolicy | None = None,
+        scheduling: str = "fifo",
         scenario: str | ServiceScenario | None = None,
         journal: JobJournal | str | Path | None = None,
         telemetry: Telemetry | None = None,
@@ -373,8 +365,8 @@ class EigenService:
         self.cache = cache if cache is not None else TuningCache()
         self.algorithm = algorithm
         self.faults = faults or None
-        self.fault_seed0 = fault_seed0
-        self.policy = policy if policy is not None else DEFAULT_POLICY
+        #: dispatch order of the ready queue, "fifo" or "edf"
+        self.scheduling = check_scheduling(scheduling)
         #: observability sink; NO_TELEMETRY keeps every hook a no-op and
         #: (crucially) leaves solve payloads untouched — the telemetry-off
         #: service is byte-identical to the pre-telemetry one
@@ -408,10 +400,9 @@ class EigenService:
             "params": self.pool.params.fingerprint(),
             "pool": self.pool.as_dict(),
             "algorithm": self.algorithm,
-            "policy": self.policy.as_dict(),
+            "scheduling": self.scheduling,
             "scenario": self.scenario.as_dict() if self.scenario else None,
             "faults": self.faults,
-            "fault_seed0": self.fault_seed0,
             "model": model_fingerprint(),
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -422,8 +413,8 @@ class EigenService:
     ) -> dict[str, Any]:
         """The solve payload of one attempt of one job.
 
-        With the service-wide ``faults`` scenario (the PR 7 chaos path),
-        every attempt is faulted with a per-(job, attempt) seed — except
+        With the service-wide ``faults`` scenario, every attempt is
+        faulted with the seed ``job_id + 1_000_003 * attempt`` — except
         replicated-rung retries, which model the "clean single-rank
         fallback" the degraded path has always promised.  Service
         :class:`ServiceScenario` failures (flaky machine, poison,
@@ -444,7 +435,7 @@ class EigenService:
             payload["spans"] = True
         if self.faults and not (rung.kind == "replicated" and attempt > 0):
             payload["faults"] = self.faults
-            payload["fault_seed"] = self.fault_seed0 + spec.job_id + 1_000_003 * attempt
+            payload["fault_seed"] = spec.job_id + 1_000_003 * attempt
         return payload
 
     def _rung_for(self, plan: Plan, spec: JobSpec, failures: int) -> Rung:
@@ -571,7 +562,7 @@ class EigenService:
             SimJob(spec.job_id, spec.arrival, spec.slo) for spec in workload.jobs
         ]
         run = run_resilient(
-            sim_jobs, self.pool, rung_for, outcome_for, self.policy, on_terminal,
+            sim_jobs, self.pool, rung_for, outcome_for, self.scheduling, on_terminal,
             telemetry=telemetry,
         )
         wall = time.perf_counter() - t0
@@ -581,37 +572,25 @@ class EigenService:
             v = run.verdicts[spec.job_id]
             plan, hit = plans[spec.job_id]
             used = plan
-            if v.rung is not None and (
-                v.rung.p != plan.p or v.rung.delta != plan.delta
-            ):
+            if v.rung.p != plan.p or v.rung.delta != plan.delta:
                 used = Plan(
                     n=spec.n, p=v.rung.p, delta=v.rung.delta,
                     predicted_time=float("inf"), algorithm=self.algorithm,
                 )
-            payload = v.outcome.payload if v.outcome is not None else {}
+            payload = v.outcome.payload
             common = dict(
                 job_id=spec.job_id, n=spec.n, seed=spec.seed, plan=used,
                 planned_from_cache=hit, retries=v.retries,
                 degraded=v.disposition == "degraded", attempts=v.attempts, slo=spec.slo, deadline_hit=v.deadline_hit,
+                service_time=v.outcome.service_time,
+                sim_cost=payload.get("sim_cost", {}),
             )
             if v.disposition in ("ok", "degraded"):
                 results.append(
                     JobResult(
                         status="ok",
                         eigenvalues=payload["eigenvalues"],
-                        service_time=v.outcome.service_time if v.outcome else 0.0,
-                        sim_cost=payload.get("sim_cost", {}),
                         attainment=payload.get("attainment", []),
-                        **common,
-                    )
-                )
-            elif v.disposition == "shed":
-                results.append(
-                    JobResult(
-                        status="shed",
-                        eigenvalues=None, service_time=0.0, sim_cost={},
-                        error="shed by admission control (queue at limit)",
-                        error_type="Shed",
                         **common,
                     )
                 )
@@ -620,8 +599,6 @@ class EigenService:
                     JobResult(
                         status="error",
                         eigenvalues=None,
-                        service_time=v.outcome.service_time if v.outcome else 0.0,
-                        sim_cost=payload.get("sim_cost", {}),
                         error=payload.get("error", ""),
                         error_type=payload.get("error_type", ""),
                         **common,

@@ -29,6 +29,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.serve.resilience import check_job
+
 #: size menu of the Zipf stream: "nice" n values small→large.  Snapping to
 #: a short menu is what makes traffic *repeat* — real SCF/k-point codes do
 #: the same (basis-set sizes are quantized by symmetry and cutoffs).
@@ -45,7 +47,9 @@ class JobSpec:
 
     ``slo`` names the request's service-level class (a key of
     :data:`repro.serve.resilience.SLO_CLASSES`); it sets the job's
-    simulated-time deadline and its priority under EDF scheduling.
+    simulated-time deadline and its priority under EDF scheduling.  A
+    non-finite ``arrival`` or an unknown ``slo`` raises ValueError here,
+    the boundary every job crosses (``Workload.from_json`` included).
     """
 
     job_id: int
@@ -54,6 +58,9 @@ class JobSpec:
     arrival: float
     tag: str = ""
     slo: str = "batch"
+
+    def __post_init__(self) -> None:
+        check_job(self.job_id, self.arrival, self.slo)
 
     def as_dict(self) -> dict[str, Any]:
         return {

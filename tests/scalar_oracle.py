@@ -236,7 +236,7 @@ def scalar_store() -> Iterator[None]:
 
     Machines keep the store they were built with, so the block only needs
     to cover construction; code that builds its own machine (``repro.bench``
-    cases, ``machine_from_env``) runs inside it whole.
+    cases, ``VerifiedMachine.for_problem``) runs inside it whole.
     """
     with mock.patch.object(machine_module, "CounterArray", ScalarCounterStore):
         yield

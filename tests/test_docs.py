@@ -54,3 +54,18 @@ def test_design_md_names_real_modules():
     design = (root / "DESIGN.md").read_text()
     for mod in re.findall(r"`((?:bsp|dist|linalg|blocks|eig|model|report|util)/\w+\.py)`", design):
         assert (root / "src" / "repro" / mod).exists(), f"DESIGN.md cites missing {mod}"
+
+
+def test_serving_resilience_snippet_runs(tmp_path, monkeypatch):
+    """Execute the docs/serving.md §"Service-level resilience" block in
+    ``tmp_path``, where its journal lands."""
+    doc = (pathlib.Path(__file__).parent.parent / "docs" / "serving.md").read_text()
+    match = re.search(r"## Service-level resilience\n.*?```python\n(.*?)```", doc, re.DOTALL)
+    assert match, "the section must contain a python block"
+    monkeypatch.chdir(tmp_path)
+    ns: dict = {}
+    exec(match.group(1), ns)  # noqa: S102 — executing our own docs
+    report = ns["report"]
+    assert report.jobs == 12 and ns["service"].scheduling == "edf"
+    assert set(report.summary()["resilience"]["dispositions"]) == {"ok", "degraded", "error"}
+    assert (tmp_path / "serve_journal.jsonl").exists()

@@ -21,7 +21,7 @@ from repro.bsp import BSPMachine, RankGroup, collectives
 from repro.bsp.batch import ChargeLog
 from repro.bsp.counters import COUNTER_FIELDS, CounterArray
 from repro.bsp.kernels import sharded_axpy, sharded_dot, sharded_matvec
-from repro.faults import SCENARIOS, FaultPlan, FaultyMachine, machine_from_env
+from repro.faults import SCENARIOS, FaultPlan, FaultyMachine
 from repro.lint.verify import VerifiedMachine
 from tests.scalar_oracle import ScalarCounterStore, machine_on, scalar_delta, scalar_store
 
@@ -85,11 +85,11 @@ def test_engine_selection_and_store_types():
         assert not hasattr(ma, "engine")
 
 
-def test_scalar_store_block_covers_code_that_builds_its_own_machine(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+def test_scalar_store_block_covers_code_that_builds_its_own_machine():
     with scalar_store():
-        assert isinstance(machine_from_env(4).counters, ScalarCounterStore)
-    assert isinstance(machine_from_env(4).counters, CounterArray)
+        machine = VerifiedMachine.for_problem(4, 16, 0.5)
+    assert isinstance(machine.counters, ScalarCounterStore)
+    assert isinstance(VerifiedMachine.for_problem(4, 16, 0.5).counters, CounterArray)
 
 
 def test_unknown_engine_rejected():

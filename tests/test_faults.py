@@ -24,13 +24,13 @@ from repro.faults import (
     FaultSpec,
     FaultyMachine,
     RankFailure,
-    RecoveryPolicy,
     UnrecoverableFault,
-    machine_from_env,
     parse_faults,
 )
 from repro.faults.abft import abft_check
+from repro.faults.machine import BACKOFF_SUPERSTEPS
 from repro.faults.recovery import (
+    STAGE_RETRIES,
     guard_band,
     guard_tridiagonal,
     run_stage,
@@ -284,7 +284,7 @@ class TestRunStage:
             run_stage(machine, "bad", always_bad)
         # every allowed attempt was a recovery
         assert len(machine.faults.recoveries) == \
-            machine.faults.policy.max_retries + 1
+            STAGE_RETRIES + 1
 
     def test_rank_loss_without_reconfigure_is_unrecoverable(self):
         machine = self._machine(rank_failure_prob=1.0)
@@ -388,21 +388,38 @@ class TestFaultySpanExactness:
             assert ra == rs
 
 
-class TestEnvOptIn:
-    def test_unset_returns_plain_machine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        machine = machine_from_env(4)
-        assert type(machine) is BSPMachine
-        monkeypatch.setenv("REPRO_FAULTS", "0")
-        assert type(machine_from_env(4)) is BSPMachine
+def _solve_machine(monkeypatch, argv):
+    """The machine ``repro solve`` builds for ``argv``."""
+    import repro
+    from repro.cli import main
 
-    def test_env_scenario_and_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "message-drop:9")
-        machine = machine_from_env(4, spans=True)
+    seen = []
+    solve = repro.eigensolve_2p5d
+
+    def spy(machine, a, **kwargs):
+        seen.append(machine)
+        return solve(machine, a, **kwargs)
+
+    monkeypatch.setattr(repro, "eigensolve_2p5d", spy)
+    assert main(["solve", "--n", "16", "--p", "4", *argv]) == 0
+    (machine,) = seen
+    return machine
+
+
+class TestEnvOptIn:
+    """Faults are opted into by constructing a FaultyMachine (``repro
+    solve --faults``), never through the environment."""
+
+    def test_unset_returns_plain_machine(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_FAULTS", "message-drop:9")  # read by nothing
+        assert type(_solve_machine(monkeypatch, [])) is BSPMachine
+
+    def test_env_scenario_and_seed(self, monkeypatch, capsys):
+        machine = _solve_machine(monkeypatch, ["--faults", "message-drop:9"])
         assert isinstance(machine, FaultyMachine)
         assert machine.plan.spec.name == "message-drop"
         assert machine.plan.seed == 9
+        assert parse_faults("9") == (SCENARIOS["chaos"], 9)
 
     def test_policy_defaults(self):
-        policy = RecoveryPolicy()
-        assert policy.max_retries == 2 and policy.checkpoints
+        assert STAGE_RETRIES == 2 and BACKOFF_SUPERSTEPS == 1

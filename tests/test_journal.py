@@ -271,7 +271,7 @@ class TestServiceJournal:
         doc = read_journal(path)
         assert doc["submitted"] == 12
         assert doc["missing_terminals"] == []
-        assert set(doc["dispositions"]) <= {"ok", "degraded", "shed", "error"}
+        assert set(doc["dispositions"]) <= {"ok", "degraded", "error"}
 
     def test_workload_change_invalidates_journal(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -1,14 +1,16 @@
-"""Knob ratchet: the ``REPRO_*`` environment switches ``src/`` reads, the
-constructor switches of :class:`BSPMachine`, the observers that force a
-charge log to write through, the service's resilience policy sections, the
+"""Knob ratchet: the ``REPRO_*`` environment switches ``src/`` reads (none),
+the constructor switches of :class:`BSPMachine`, the observers that force a
+charge log to write through, the service's one setting (``scheduling``), the
 job journal's constructor, and the flags that must not come back: the
 counter-store selector (one store in ``src/``; the scalar one is
 ``tests/scalar_oracle.py``), the metrics gate's envelope (every gate is
-exact), hedged dispatch (one attempt per job in flight), the soak's
-``crash`` scenario (every scenario sweeps every crash point), the
-``repro lint`` sub-command (the numerics check is a tier-1 test), the
-service's process pool (every solve runs inline) and a second charge
-emission in the solver (only the charge log asks which mode it is in).
+exact), hedged dispatch (one attempt per job in flight), resilience and
+recovery policy objects and the soak's fault-seed base (each value they held
+is a module constant), the soak's ``crash`` scenario (every scenario sweeps
+every crash point), the ``repro lint`` sub-command (the numerics check is a
+tier-1 test), the service's process pool (every solve runs inline) and a
+second charge emission in the solver (only the charge log asks which mode
+it is in).
 
 Every switch is a code path the test matrix has to cover twice.  A new one
 fails here until it is added to the pinned set on purpose, and one that
@@ -17,7 +19,6 @@ goes away must be dropped from it, so the sets cannot grow unnoticed.
 
 import argparse
 import ast
-import dataclasses
 import inspect
 import pathlib
 import re
@@ -35,13 +36,13 @@ from repro.faults import FaultyMachine
 from repro.lint.verify import VerifiedMachine
 from repro.serve.bench import run_serve_suite, run_soak, run_telemetry_suite
 from repro.serve.journal import JobJournal
+from repro.serve.resilience import run_resilient
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
-#: name -> why it may exist
-ALLOWED = {
-    "REPRO_FAULTS": "opt-in fault scenario for machine_from_env (chaos tooling)",
-}
+#: name -> why it may exist (fault injection is opted into by constructing
+#: a FaultyMachine, e.g. through ``repro solve --faults``)
+ALLOWED: dict[str, str] = {}
 
 _NAME = re.compile(r"REPRO_[A-Z][A-Z0-9_]*")
 
@@ -80,7 +81,7 @@ def test_machine_constructor_switches_are_pinned():
     # the subclasses add only their own keyword-only configuration
     for cls, extra in (
         (VerifiedMachine, {"memory_bound_words"}),
-        (FaultyMachine, {"plan", "policy"}),
+        (FaultyMachine, {"plan"}),
     ):
         params = inspect.signature(cls).parameters
         assert set(params) - own == extra, cls.__name__
@@ -138,10 +139,23 @@ def test_src_exports_one_counter_store():
 
 
 def test_resilience_policy_sections_are_pinned():
-    fields = tuple(f.name for f in dataclasses.fields(repro.serve.ResiliencePolicy))
-    assert fields == ("retry", "quarantine", "admission", "scheduling")
-    assert "HedgePolicy" not in repro.serve.__all__
-    assert not hasattr(repro.serve, "HedgePolicy")
+    """The service's one setting is the dispatch order; retry, breaker and
+    fault-seed values are constants, and no policy object is exported."""
+    service = inspect.signature(repro.serve.EigenService).parameters
+    assert "scheduling" in service
+    assert not {"policy", "fault_seed0"} & set(service)
+    assert "scheduling" in inspect.signature(run_resilient).parameters
+    assert "fault_seed0" not in inspect.signature(run_soak).parameters
+    exported = set(repro.serve.__all__) | set(vars(repro.serve))
+    assert not [name for name in exported if name.endswith("Policy")]
+
+
+def test_soak_has_no_fault_seed_base(capsys):
+    """Each (job, attempt) fault seed is ``job_id + 1_000_003 * attempt``."""
+    with pytest.raises(SystemExit) as exc:  # argparse: unrecognized arguments
+        build_parser().parse_args(["serve-bench", "--fault-seed0", "1"])
+    assert exc.value.code == 2
+    assert "--fault-seed0" in capsys.readouterr().err
 
 
 def test_journal_takes_only_a_path():

@@ -42,7 +42,6 @@ from repro.obs import (
 from repro.serve import EigenService, MachinePool, TuningCache, mixed_workload
 from repro.obs.telemetry import EVENT_KINDS
 from repro.serve import bench as serve_bench
-from repro.serve.resilience import AdmissionPolicy, ResiliencePolicy
 from repro.trace import write_chrome_trace
 from repro.util.matrices import random_symmetric
 
@@ -272,18 +271,6 @@ class TestLifecycleEvents:
             for _, v in g.samples if g.name.endswith("/breaker")
         }
         assert 2 in codes  # open
-
-    def test_shed_jobs_emit_shed_events(self):
-        telemetry = Telemetry(capture_solver_spans=False)
-        pool = MachinePool(1, 8, PARAMS)
-        policy = ResiliencePolicy(admission=AdmissionPolicy(queue_limit=1))
-        service = EigenService(
-            pool, TuningCache(), telemetry=telemetry, policy=policy
-        )
-        report = service.run_workload(small_workload(jobs=12))
-        if report.shed_jobs:
-            assert len(telemetry.events_of("shed")) == report.shed_jobs
-            assert telemetry.series.counters["sheds"] == report.shed_jobs
 
 
 # ------------------------------------------------------------------ #

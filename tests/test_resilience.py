@@ -1,10 +1,10 @@
 """Tests for the service resilience layer (``repro.serve.resilience``).
 
 The event loop is exercised with synthetic rung/outcome callbacks — no
-eigensolves — so every mechanism (deadlines, retries, quarantine,
-shedding) is tested in isolation and in milliseconds.  The
-integration with real solves is covered by ``tests/test_serve.py`` and
-``tests/test_journal.py``.
+eigensolves — so every mechanism (deadlines, retries, quarantine) is
+tested in isolation and in milliseconds, at the loop's fixed constants.
+The integration with real solves is covered by ``tests/test_serve.py``
+and ``tests/test_journal.py``.
 """
 
 from __future__ import annotations
@@ -14,24 +14,27 @@ import math
 import numpy as np
 import pytest
 
+from repro.serve.cache import TuningCache
+from repro.serve.journal import JournalMismatch
 from repro.serve.pool import MachinePool
 from repro.serve.resilience import (
-    DEFAULT_POLICY,
+    BREAKER_COOLDOWN,
+    BREAKER_THRESHOLD,
+    RETRY_BUDGET,
     SERVICE_SCENARIOS,
     SLO_CLASSES,
-    AdmissionPolicy,
     AttemptOutcome,
-    QuarantinePolicy,
-    ResiliencePolicy,
-    RetryPolicy,
     Rung,
     ServiceScenario,
     SimJob,
     _hash01,
     deadline_for,
+    retry_delay,
     run_resilient,
     slo_summary,
 )
+from repro.serve.service import EigenService
+from repro.serve.workload import JobSpec, Workload
 
 from tests.helpers import happy_path_schedule
 
@@ -91,30 +94,41 @@ class TestPolicies:
         assert 0.4 < sum(draws) / len(draws) < 0.6  # roughly uniform
 
     def test_retry_backoff_grows_exponentially_with_bounded_jitter(self):
-        pol = RetryPolicy(backoff_base=100.0, backoff_factor=2.0, jitter=0.25)
-        d1, d2, d3 = (pol.delay(5, k) for k in (1, 2, 3))
-        assert 100.0 <= d1 <= 125.0
-        assert 200.0 <= d2 <= 250.0
-        assert 400.0 <= d3 <= 500.0
-        assert pol.delay(5, 1) == d1  # seeded, not sampled
+        d1, d2, d3 = (retry_delay(5, k) for k in (1, 2, 3))
+        assert 2.0e4 <= d1 <= 2.5e4
+        assert 4.0e4 <= d2 <= 5.0e4
+        assert 8.0e4 <= d3 <= 1.0e5
+        assert retry_delay(5, 1) == d1  # seeded, not sampled
 
     def test_scheduling_policy_validated(self):
         with pytest.raises(ValueError, match="fifo.*edf|edf.*fifo"):
-            ResiliencePolicy(scheduling="sjf")
+            EigenService(MachinePool(1, 1), TuningCache(), scheduling="sjf")
+        with pytest.raises(ValueError, match="fifo.*edf|edf.*fifo"):
+            run_resilient(
+                [SimJob(0, 0.0)], MachinePool(1, 1), rung_ladder, ok_outcome(),
+                scheduling="sjf",
+            )
 
-    def test_policy_fingerprint_distinguishes_configs(self):
-        a = ResiliencePolicy()
-        b = ResiliencePolicy(retry=RetryPolicy(budget=5))
-        assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() == ResiliencePolicy().fingerprint()
+    def test_policy_fingerprint_distinguishes_configs(self, tmp_path):
+        """The journal binds the dispatch order: a fifo journal resumed
+        under edf is refused, not blended."""
+        path = tmp_path / "j.jsonl"
+        workload = Workload([JobSpec(0, 8, 1, 0.0), JobSpec(1, 8, 2, 1.0)], {})
+        pool = MachinePool(1, 4)
+        EigenService(pool, TuningCache(), journal=path).run_workload(workload)
+        with pytest.raises(JournalMismatch):
+            EigenService(
+                pool, TuningCache(), scheduling="edf", journal=path
+            ).run_workload(workload)
 
     def test_deadlines_come_from_slo_class(self):
         assert deadline_for("interactive", 100.0) == pytest.approx(
             100.0 + SLO_CLASSES["interactive"].deadline
         )
         assert math.isinf(deadline_for("best-effort", 0.0))
-        # unknown class falls back to the default, never crashes
-        assert math.isfinite(deadline_for("nonsense", 0.0))
+        # an unknown class has no deadline: it is refused, not defaulted
+        with pytest.raises(KeyError):
+            deadline_for("nonsense", 0.0)
 
     def test_scenario_menu_covers_the_issue_scenarios(self):
         assert {"flaky-machine", "straggler", "poison-job"} <= set(SERVICE_SCENARIOS)
@@ -174,6 +188,46 @@ class TestHappyPath:
             )
 
 
+class TestJobValidation:
+    """A job the loop cannot serve as asked is refused where it enters:
+    a NaN arrival used to spin the loop forever, and a misspelled SLO
+    class was served under the batch deadline."""
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_arrival_rejected_at_construction(self, arrival):
+        with pytest.raises(ValueError, match="arrival must be finite"):
+            JobSpec(0, 8, 1, arrival)
+
+    def test_unknown_slo_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown SLO class 'interactve'"):
+            JobSpec(1, 8, 2, 0.0, slo="interactve")
+
+    @pytest.mark.parametrize(
+        "job, match",
+        [
+            ({"arrival": float("nan")}, "arrival must be finite"),
+            ({"slo": "interactve"}, "unknown SLO class"),
+        ],
+        ids=["nan-arrival", "unknown-slo"],
+    )
+    def test_workload_json_rejects_bad_jobs(self, job, match):
+        doc = {"jobs": [{"job_id": 0, "n": 8, "seed": 1, "arrival": 0.0, **job}]}
+        with pytest.raises(ValueError, match=match):
+            Workload.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "job, match",
+        [
+            (SimJob(0, float("inf")), "arrival must be finite"),
+            (SimJob(0, 0.0, slo="interactve"), "unknown SLO class"),
+        ],
+        ids=["inf-arrival", "unknown-slo"],
+    )
+    def test_loop_entry_rejects_bad_jobs(self, job, match):
+        with pytest.raises(ValueError, match=match):
+            run_resilient([job], MachinePool(1, 1), rung_ladder, ok_outcome())
+
+
 class TestRetries:
     def test_ladder_escalates_and_settles_degraded(self):
         fails_left = {0: 2}
@@ -199,13 +253,12 @@ class TestRetries:
         def outcome_for(job_id, rung, attempt, machine_id):
             return AttemptOutcome(ok=False, service_time=5.0)
 
-        policy = ResiliencePolicy(retry=RetryPolicy(budget=3))
         run = run_resilient(
-            [SimJob(0, 0.0)], MachinePool(1, 1), rung_ladder, outcome_for, policy
+            [SimJob(0, 0.0)], MachinePool(1, 1), rung_ladder, outcome_for
         )
         v = run.verdicts[0]
         assert v.disposition == "error"
-        assert v.attempts == 4  # primary + full budget, then stop
+        assert v.attempts == 1 + RETRY_BUDGET  # primary + full budget, then stop
         assert run.stats.dispositions["error"] == 1
 
     def test_same_plan_retry_success_stays_ok_not_degraded(self):
@@ -235,46 +288,41 @@ class TestQuarantine:
         )
         assert all(v.disposition in ("ok", "degraded") for v in run.verdicts.values())
         h0 = next(h for h in run.health if h["machine_id"] == 0)
-        assert h0["quarantines"] >= 1 and h0["failures"] >= 3
+        assert h0["quarantines"] >= 1 and h0["failures"] >= BREAKER_THRESHOLD
         assert run.stats.quarantines >= 1
         # once open, machine 0 stops receiving work: all wins on machine 1
         assert all(v.machine_id == 1 for v in run.verdicts.values())
 
     def test_half_open_probe_readmits_a_recovered_machine(self):
-        # machine 0 fails its first 3 attempts, then recovers
+        # machine 0 fails its first BREAKER_THRESHOLD attempts, then recovers
         attempts_on_0 = [0]
 
         def outcome_for(job_id, rung, attempt, machine_id):
             if machine_id == 0:
                 attempts_on_0[0] += 1
-                return AttemptOutcome(ok=attempts_on_0[0] > 3, service_time=10.0)
+                return AttemptOutcome(
+                    ok=attempts_on_0[0] > BREAKER_THRESHOLD, service_time=10.0
+                )
             return AttemptOutcome(ok=True, service_time=10.0)
 
-        policy = ResiliencePolicy(
-            quarantine=QuarantinePolicy(failure_threshold=3, cooldown=50.0),
-        )
+        # a burst that trips the breaker, then one past its cooldown; both
+        # keep machine 1 busy, so machine 0 is the only place left to probe
         jobs = [SimJob(i, float(i) * 5.0) for i in range(40)]
-        run = run_resilient(
-            jobs, MachinePool(2, 1), rung_ladder, outcome_for, policy
-        )
+        jobs += [SimJob(40 + i, BREAKER_COOLDOWN + float(i) * 5.0) for i in range(40)]
+        run = run_resilient(jobs, MachinePool(2, 1), rung_ladder, outcome_for)
         h0 = next(h for h in run.health if h["machine_id"] == 0)
-        assert h0["probes"] >= 1
+        assert h0["quarantines"] == 1 and h0["probes"] >= 1
         assert h0["state"] == "closed"  # the probe succeeded, breaker closed
+        # the breaker opened at the third failure's finish; the probe waited
+        # out the whole cooldown
+        opened = sorted(t.finish for t in run.trials if t.machine_id == 0)[
+            BREAKER_THRESHOLD - 1
+        ]
+        (probe,) = [t for t in run.trials if t.probe]
+        assert probe.start >= opened + BREAKER_COOLDOWN and probe.ok
         # after re-admission machine 0 serves real work again
         wins_on_0 = [v for v in run.verdicts.values() if v.machine_id == 0]
         assert len(wins_on_0) >= 1
-
-    def test_disabled_quarantine_never_opens(self):
-        def outcome_for(job_id, rung, attempt, machine_id):
-            return AttemptOutcome(ok=machine_id != 0, service_time=10.0)
-
-        policy = ResiliencePolicy(quarantine=QuarantinePolicy(enabled=False))
-        run = run_resilient(
-            [SimJob(i, float(i)) for i in range(10)], MachinePool(2, 1),
-            rung_ladder, outcome_for, policy,
-        )
-        assert run.stats.quarantines == 0
-        assert all(h["state"] == "closed" for h in run.health)
 
 
 class TestStragglers:
@@ -294,35 +342,6 @@ class TestStragglers:
         assert_one_attempt_in_flight(run)
 
 
-class TestAdmission:
-    def test_overload_sheds_instead_of_queueing_unboundedly(self):
-        policy = ResiliencePolicy(admission=AdmissionPolicy(queue_limit=2))
-        # 10 jobs arrive at once onto one slow 1-rank machine
-        jobs = [SimJob(i, 0.0) for i in range(10)]
-        run = run_resilient(
-            jobs, MachinePool(1, 1), rung_ladder, ok_outcome(100.0), policy
-        )
-        shed = [v for v in run.verdicts.values() if v.disposition == "shed"]
-        served = [v for v in run.verdicts.values() if v.disposition == "ok"]
-        assert len(shed) > 0 and len(served) > 0
-        assert len(shed) + len(served) == 10
-        assert run.stats.shed == len(shed)
-        # shed rows appear in the schedule but not in latency percentiles
-        rows = {r.job_id: r for r in run.schedule.jobs}
-        assert all(rows[v.job_id].disposition == "shed" for v in shed)
-        assert len(run.schedule.latencies()) == len(served)
-        # a shed job never hits its deadline
-        assert all(not v.deadline_hit for v in shed)
-
-    def test_unbounded_queue_never_sheds(self):
-        run = run_resilient(
-            [SimJob(i, 0.0) for i in range(10)], MachinePool(1, 1),
-            rung_ladder, ok_outcome(100.0),
-        )
-        assert run.stats.shed == 0
-        assert all(v.disposition == "ok" for v in run.verdicts.values())
-
-
 class TestDeadlinesAndEDF:
     def test_edf_prioritizes_urgent_class_over_arrival_order(self):
         # batch job arrives first, interactive second, both before the
@@ -334,9 +353,8 @@ class TestDeadlinesAndEDF:
         ]
         starts = {}
         for scheduling in ("fifo", "edf"):
-            policy = ResiliencePolicy(scheduling=scheduling)
             run = run_resilient(
-                jobs, MachinePool(1, 1), rung_ladder, ok_outcome(50.0), policy
+                jobs, MachinePool(1, 1), rung_ladder, ok_outcome(50.0), scheduling
             )
             starts[scheduling] = {
                 v.job_id: v.start for v in run.verdicts.values()
@@ -398,7 +416,7 @@ class TestDeterminismAndInvariants:
         assert len(run.verdicts) == 50
         assert sum(run.stats.dispositions.values()) == 50
         assert all(
-            v.disposition in ("ok", "degraded", "shed", "error")
+            v.disposition in ("ok", "degraded", "error")
             for v in run.verdicts.values()
         )
         # every schedule row carries a terminal disposition (satellite: no

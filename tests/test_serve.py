@@ -10,6 +10,7 @@ import pytest
 
 from repro.bsp.params import MachineParams
 from repro.cli import main
+from repro.obs.telemetry import Telemetry
 from repro.serve import (
     EigenService,
     MachinePool,
@@ -219,9 +220,8 @@ class TestService:
 
     def test_faulted_jobs_never_silently_wrong(self):
         pool = MachinePool(2, 8, PARAMS)
-        service = EigenService(
-            pool, TuningCache(), faults="chaos", fault_seed0=100
-        )
+        telemetry = Telemetry()  # captures each solve's spans, recovery included
+        service = EigenService(pool, TuningCache(), faults="chaos", telemetry=telemetry)
         report = service.run_workload(small_workload(jobs=6, seed=13))
         assert report.jobs == 6
         for r in report.results:
@@ -230,6 +230,12 @@ class TestService:
                 assert reference_spectrum_error(a, r.eigenvalues) < 1e-6
             else:
                 assert r.error_type  # typed, never a bare failure
+        # not vacuous: the faults fired, and a solve recovered or a job failed typed
+        recovered = [
+            ctx for ctx, solve in telemetry.solver.items()
+            if any(e["name"] == "recovery" for e in solve["events"])
+        ]
+        assert recovered or report.error_jobs
 
     def test_escalation_ladder_ends_replicated(self):
         """The retry ladder: primary → same-plan → grid-shrink → replicated."""
@@ -357,7 +363,7 @@ class TestSoak:
         assert doc["silent_wrong"] == []
         assert doc["no_job_lost"] is True
         assert doc["deterministic"] is True and doc["crash_failures"] == []
-        assert doc["ok"] + doc["typed_errors"] + doc["shed"] == doc["jobs"]
+        assert doc["ok"] + doc["typed_errors"] == doc["jobs"]
 
     def test_soak_rejects_unknown_scenario(self, tmp_path):
         with pytest.raises(ValueError, match="unknown soak scenario"):
