@@ -44,6 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bsp import BSPMachine, collectives
+from repro.bsp.pattern import uniform
 from repro.bsp.counters import CostReport
 
 #: committed baseline filename at the repo root
@@ -160,7 +161,7 @@ def charging_workload(machine: BSPMachine, iters: int) -> CostReport:
     for _ in range(iters):
         machine.charge_flops(world, 10.0)
         machine.charge_flops_batch(world, weights)
-        machine.charge_comm_batch(world, 4.0, 4.0)
+        machine.charge_comm_batch(world, 4.0, 4.0, pattern=uniform(p))
         collectives.allreduce(machine, world, 64.0)
         for grp in quads:
             collectives.bcast(machine, grp, 32.0)

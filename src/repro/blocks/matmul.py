@@ -26,12 +26,14 @@ import numpy as np
 from repro.bsp.group import RankGroup
 from repro.bsp.kernels import local_matmul
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import Pattern, halves, uniform
 
 
-def _charge_split(machine: BSPMachine, group: RankGroup, words_per_rank: float) -> None:
+def _charge_split(machine: BSPMachine, group: RankGroup, words_per_rank: float,
+                  pattern: Pattern) -> None:
     """Charge an operand re-spreading step: each rank sends and receives
-    ``words_per_rank`` words, one superstep."""
-    machine.charge_comm_batch(group, words_per_rank, words_per_rank)
+    ``words_per_rank`` words over ``pattern``, one superstep."""
+    machine.charge_comm_batch(group, words_per_rank, words_per_rank, pattern=pattern)
     machine.superstep(group, 1)
 
 
@@ -60,29 +62,29 @@ def _rec(
         # Split m: B becomes twice as dense per rank.
         extra = n * k / g
         if bfs_ok(extra) or g == 1:
-            _charge_split(machine, group, extra)
+            _charge_split(machine, group, extra, halves(g))
             g1, g2 = group.split(2)
             c1 = _rec(machine, a[: m // 2], b, g1, memory_words)
             c2 = _rec(machine, a[m // 2 :], b, g2, memory_words)
             return np.vstack([c1, c2])
         # DFS: both halves on the full group, operands restreamed each pass.
-        _charge_split(machine, group, (m * n / 2 + n * k) / g)
+        _charge_split(machine, group, (m * n / 2 + n * k) / g, uniform(g))
         c1 = _rec(machine, a[: m // 2], b, group, memory_words)
-        _charge_split(machine, group, (m * n / 2 + n * k) / g)
+        _charge_split(machine, group, (m * n / 2 + n * k) / g, uniform(g))
         c2 = _rec(machine, a[m // 2 :], b, group, memory_words)
         return np.vstack([c1, c2])
     if k >= n:
         # Split k: A becomes twice as dense per rank.
         extra = m * n / g
         if bfs_ok(extra):
-            _charge_split(machine, group, extra)
+            _charge_split(machine, group, extra, halves(g))
             g1, g2 = group.split(2)
             c1 = _rec(machine, a, b[:, : k // 2], g1, memory_words)
             c2 = _rec(machine, a, b[:, k // 2 :], g2, memory_words)
             return np.hstack([c1, c2])
-        _charge_split(machine, group, (m * n + n * k / 2) / g)
+        _charge_split(machine, group, (m * n + n * k / 2) / g, uniform(g))
         c1 = _rec(machine, a, b[:, : k // 2], group, memory_words)
-        _charge_split(machine, group, (m * n + n * k / 2) / g)
+        _charge_split(machine, group, (m * n + n * k / 2) / g, uniform(g))
         c2 = _rec(machine, a, b[:, k // 2 :], group, memory_words)
         return np.hstack([c1, c2])
     # Split n (inner): partial C's must be summed across the halves.
@@ -92,14 +94,14 @@ def _rec(
         c1 = _rec(machine, a[:, : n // 2], b[: n // 2], g1, memory_words)
         c2 = _rec(machine, a[:, n // 2 :], b[n // 2 :], g2, memory_words)
         per_rank = m * k / g
-        machine.charge_comm_batch(group, per_rank, per_rank)
+        machine.charge_comm_batch(group, per_rank, per_rank, pattern=halves(g))
         machine.charge_flops(group, per_rank)
         machine.superstep(group, 1)
         return c1 + c2
     # DFS over n: sequential partial sums on the whole group.
-    _charge_split(machine, group, (m * n + n * k) / (2 * g))
+    _charge_split(machine, group, (m * n + n * k) / (2 * g), uniform(g))
     c1 = _rec(machine, a[:, : n // 2], b[: n // 2], group, memory_words)
-    _charge_split(machine, group, (m * n + n * k) / (2 * g))
+    _charge_split(machine, group, (m * n + n * k) / (2 * g), uniform(g))
     c2 = _rec(machine, a[:, n // 2 :], b[n // 2 :], group, memory_words)
     machine.charge_flops(group, m * k / g)
     return c1 + c2
@@ -132,7 +134,7 @@ def carma_matmul(
     with machine.span("carma", group=group):
         if charge_redistribution and group.size > 1:
             per_rank = (m * n + n * k) / group.size
-            machine.charge_comm_batch(group, per_rank, per_rank)
+            machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(group.size))
             machine.superstep(group, 1)
         c = _rec(machine, a, b, group, memory_words)
         if machine.faults.enabled:

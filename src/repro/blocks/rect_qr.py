@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import uniform
 from repro.blocks.matmul import carma_matmul
 from repro.blocks.square_qr import square_qr
 from repro.blocks.square_qr_25d import square_qr_25d
@@ -115,7 +116,7 @@ def rect_qr(
     with machine.span("rect_qr", group=group):
         if charge_redistribution and group.size > 1:
             per_rank = m * n / group.size
-            machine.charge_comm_batch(group, per_rank, per_rank)
+            machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(group.size))
             machine.superstep(group, 1)
         q_thin, r = _rect_qr_thin(machine, group, a, qmax, delta, base25d, tag)
         return reconstruct_householder(machine, group, q_thin, r)

@@ -19,6 +19,7 @@ import numpy as np
 from repro.bsp.group import RankGroup
 from repro.bsp.kernels import matmul_flops
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import uniform
 from repro.blocks.tsqr import tsqr
 from repro.linalg.householder import apply_block_reflector_left
 
@@ -34,7 +35,7 @@ def _charged_trailing_update(
     machine.charge_flops(group, 2.0 * matmul_flops(rows, nb, cols) / g)
     if g > 1:
         per_rank = (rows + cols) * nb / np.sqrt(g)
-        machine.charge_comm_batch(group, per_rank, per_rank)
+        machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(g))
     machine.superstep(group, 2)
     machine.mem_stream(group[0], float(rows * nb + nb * cols + rows * cols) / g)
 

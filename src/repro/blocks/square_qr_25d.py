@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import grid_fiber
 from repro.blocks.streaming import streaming_matmul
 from repro.blocks.tsqr import tsqr
 from repro.dist.grid import ProcGrid, factor_2p5d
@@ -84,7 +85,7 @@ def square_qr_25d(
     with machine.span("sqr25d", group=ggroup):
         # Replicate A onto every layer (one fiber allgather).
         share = float(m * n) / (q * q)
-        machine.charge_comm_batch(ggroup, share, share)
+        machine.charge_comm_batch(ggroup, share, share, pattern=grid_fiber(grid))
         machine.superstep(ggroup, 1)
         machine.note_memory(ggroup, 2 * share)
 
@@ -119,7 +120,7 @@ def square_qr_25d(
             t[j0:j1, j0:j1] = tp
             # Replicate the new panel of U over the layers.
             rep = float(up.size) / (q * q)
-            machine.charge_comm_batch(ggroup, rep, rep)
+            machine.charge_comm_batch(ggroup, rep, rep, pattern=grid_fiber(grid))
             machine.superstep(ggroup, 1)
     r = np.triu(a[:n, :])
     return u, t, r

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import grid_col, grid_row, uniform
 from repro.dist.grid import ProcGrid
 
 
@@ -64,7 +65,7 @@ def streaming_matmul(
         # Line 4: redistribute B so each rank owns its k/(z·q) column slivers.
         if charge_b_redistribution and p > 1:
             per_rank = n * k / p
-            machine.charge_comm_batch(group, per_rank, per_rank)
+            machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(p))
             machine.superstep(group, 1)
 
         # The numerical product (identical to the sum of the per-fiber partials).
@@ -80,7 +81,8 @@ def streaming_matmul(
         for h in range(w):
             # Line 9: gather B_jh onto each rank (recv one block; by symmetry the
             # send side of all concurrent gathers is the same volume per rank).
-            machine.charge_comm_batch(group, b_block_words, b_block_words)
+            # B_jh is shared by the ranks of grid column j in its layer.
+            machine.charge_comm_batch(group, b_block_words, b_block_words, pattern=grid_col(grid))
             # Line 10: local multiply against the resident A block.
             machine.charge_flops(group, 2.0 * blk_m * blk_n * blk_k)
             for idx, rank in enumerate(group):
@@ -93,7 +95,7 @@ def streaming_matmul(
             # (q participants — this is the j-summation of Algorithm III.1).
             if q > 1:
                 rs = c_block_words * (q - 1) / q
-                machine.charge_comm_batch(group, rs, rs)
+                machine.charge_comm_batch(group, rs, rs, pattern=grid_row(grid))
                 machine.charge_flops(group, rs)
             machine.superstep(group, 2)
         if machine.faults.enabled:

@@ -19,6 +19,7 @@ import numpy as np
 from repro.bsp.group import RankGroup
 from repro.bsp.kernels import local_matmul, qr_flops
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import pairs, tree_level, uniform
 from repro.linalg.householder import compact_wy_qr, expand_q
 from repro.linalg.reconstruct import householder_reconstruct
 from repro.util.intlog import chunk_offsets, split_evenly
@@ -49,7 +50,7 @@ def reconstruct_householder(
             # Q's rows never move: the LU runs on the n×n top block and each
             # rank forms its rows of U = Y·W₁⁻¹ locally after a W₁ broadcast.
             per_rank = n * n / np.sqrt(g)
-            machine.charge_comm_batch(group, per_rank, per_rank)
+            machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(g))
             machine.superstep(group, max(1, int(np.ceil(np.log2(g)))))
         machine.mem_stream(group[0], float(u.size + t.size))
     return u, t, r_signed
@@ -104,7 +105,7 @@ def tsqr_thin(
             level_qs: list[np.ndarray | None] = []
             for k in range(0, len(nodes) - 1, 2):
                 (ra, ia), (rb, ib) = nodes[k], nodes[k + 1]
-                machine.charge_comm(sends={grp[ib]: tri_words}, recvs={grp[ia]: tri_words})
+                machine.charge_comm(grp[ib], tri_words, grp[ia], tri_words, pattern=pairs(1))
                 stacked = np.vstack([ra, rb])
                 u, t, r = compact_wy_qr(stacked)
                 machine.charge_flops(grp[ia], qr_flops(2 * n, n))
@@ -137,10 +138,11 @@ def tsqr_thin(
                 zi += 1
             zs = new_zs
         # Communication of the downward pass: one n×n block per tree edge,
-        # charged uniformly (each rank touches O(1) edges per level).
+        # charged uniformly (each rank touches O(1) edges per level), on the
+        # leaf-level edges, where every rank has one.
         if p_eff > 1:
             per_rank = float(n * n)
-            machine.charge_comm_batch(grp, per_rank, per_rank)
+            machine.charge_comm_batch(grp, per_rank, per_rank, pattern=tree_level(p_eff, 0))
             machine.superstep(grp, max(1, int(np.ceil(np.log2(p_eff)))))
 
         q_blocks = []

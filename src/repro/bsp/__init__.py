@@ -23,7 +23,7 @@ from repro.bsp.counters import CostReport, CounterArray, RankSlot
 from repro.bsp.cache import CacheModel
 from repro.bsp.machine import BSPMachine
 from repro.bsp.group import RankGroup
-from repro.bsp import collectives
+from repro.bsp import collectives, pattern
 
 __all__ = [
     "MachineParams",
@@ -34,4 +34,5 @@ __all__ = [
     "BSPMachine",
     "RankGroup",
     "collectives",
+    "pattern",
 ]

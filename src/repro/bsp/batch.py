@@ -25,7 +25,7 @@ and CA-SBR, :mod:`repro.eig.ca_sbr`) are written once against a
 the executing group — never on operand values or cache state — so one
 recording per (kernel, shapes, group) serves every machine.  A tape is
 recorded at the *hook boundary*: the ordered stream of counter-store calls,
-``metrics.on_*`` calls (with their exact wire patterns) and span
+``metrics.on_*`` calls (with their named wire patterns) and span
 opens/closes the kernel makes on a scratch machine.  A write-through replay
 re-issues that stream against the live machine; a deferred replay appends
 its counter-store subset, pre-flattened to one array pair per field
@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import Pattern, all_to_all, pairs
 from repro.trace.spans import SpanHandle
 from repro.util.lru import ByteLRU
 
@@ -99,14 +100,21 @@ def _nonneg(event: _Event | None, label: str) -> _Event | tuple[None, None]:
     return event
 
 
+def _barriers(machine: BSPMachine, ranks: np.ndarray, counts: np.ndarray) -> None:
+    """End ``counts[i]`` supersteps on ``ranks[i]``: one barrier per distinct
+    count, over its ranks in entry order (a repeated rank counts again)."""
+    for count in dict.fromkeys(counts.tolist()):
+        machine.superstep(ranks[counts == count].tolist(), count)
+
+
 class ChargeLog:
     """Ordered charge events of one stage, deferred or written through.
 
     Method names mirror the :class:`BSPMachine` charging primitives.
-    ``ranks`` is a :class:`RankGroup` or a single rank.  A step-indexed
-    append (below) — and on a deferred log any append — also takes a raw
-    ``int64`` index array (repeats allowed) with per-index amounts; bounds
-    are then the caller's responsibility.
+    ``ranks`` is a :class:`RankGroup`, a single rank, or a raw ``int64``
+    index array (repeats allowed) with per-index amounts; either flush mode
+    charges every form identically (on a deferred log, bounds are the
+    caller's responsibility).
 
     ``step=`` (an index array aligned with ``ranks``) appends a whole
     schedule at once: entry ``i`` belongs to program step ``step[i]``.
@@ -136,25 +144,32 @@ class ChargeLog:
             self._steps.append(("flops", np.asarray(step), (_event(ranks, amount),)))
         elif self.deferred:
             self._flops.append(_event(ranks, amount))
+        elif np.ndim(amount):
+            self.machine.charge_flops_batch(ranks, amount)
         else:
             self.machine.charge_flops(ranks, amount)
 
     def charge_comm(
-        self, senders: Any, sent: Any, receivers: Any, recvd: Any, *, step: Any = None
+        self, senders: Any, sent: Any, receivers: Any, recvd: Any, *, pattern: Pattern,
+        step: Any = None,
     ) -> None:
         """Each of ``senders`` sends ``sent`` words, each of ``receivers``
-        receives ``recvd`` (with ``step``: sender ``i`` and receiver ``i``
-        in step ``step[i]``)."""
+        receives ``recvd``, over the wire ``pattern`` (see
+        :meth:`BSPMachine.charge_comm`).  With ``step``, sender ``i`` and
+        receiver ``i`` are one pair in step ``step[i]``, and ``pattern``
+        must say so: it is :func:`~repro.bsp.pattern.pairs` of the entries."""
+        if not isinstance(pattern, Pattern):
+            raise TypeError(f"a comm charge names its wire pattern (repro.bsp.pattern), got {pattern!r}")
         if step is not None:
             events = (_event(senders, sent), _event(receivers, recvd))
+            if pattern is not pairs(events[0][0].size):
+                raise ValueError("a step-indexed comm append pairs sender i with receiver i")
             self._steps.append(("comm", np.asarray(step), events))
         elif self.deferred:
             self._sent.append(_event(senders, sent))
             self._recv.append(_event(receivers, recvd))
         else:
-            self.machine.charge_comm(
-                sends=dict.fromkeys(senders, sent), recvs=dict.fromkeys(receivers, recvd)
-            )
+            self.machine.charge_comm(senders, sent, receivers, recvd, pattern=pattern)
 
     def mem_stream(self, ranks: Any, words: Any, *, step: Any = None) -> None:
         if step is not None:
@@ -169,13 +184,16 @@ class ChargeLog:
             self._steps.append(("ss", np.asarray(step), (_event(ranks, count, np.int64),)))
         elif self.deferred:
             self._ss.append(_event(ranks, count, np.int64))
+        elif np.ndim(count):
+            _barriers(self.machine, *_event(ranks, count, np.int64))
         else:
             self.machine.superstep(ranks, count)
 
     def transfer(self, src: RankGroup, dst: RankGroup, words: float) -> None:
         """``src`` ships ``words`` words to ``dst`` in equal shares, one
         superstep over both groups (a band window fetch or write-back)."""
-        self.charge_comm(src, words / src.size, dst, words / dst.size)
+        self.charge_comm(src, words / src.size, dst, words / dst.size,
+                         pattern=all_to_all(src.size, dst.size))
         if self.deferred:
             self._ss.append(_event(np.union1d(src.indices(), dst.indices()), 1, np.int64))
         else:
@@ -234,29 +252,29 @@ class ChargeLog:
 
     def _write_steps(self, steps: list[_Step]) -> None:
         """Issue the step-indexed appends through the machine, one
-        (step, append) at a time."""
+        (step, append) at a time, each entry charged as the deferred flush
+        would (repeated ranks accumulate)."""
         calls = []
         for a, (kind, keys, events) in enumerate(steps):
-            cols = [column.tolist() for event in events for column in event]
             entries: dict[int, list[int]] = {}
             for i, s in enumerate(keys.tolist()):
                 entries.setdefault(s, []).append(i)
-            calls += [(s, a, kind, cols, at) for s, at in entries.items()]
+            calls += [(s, a, kind, events, np.array(at)) for s, at in entries.items()]
         machine = self.machine
-        for _s, _a, kind, cols, at in sorted(calls, key=lambda call: call[:2]):
+        for _s, _a, kind, events, at in sorted(calls, key=lambda call: call[:2]):
+            (ranks, amount), *rest = events
             if kind == "flops":
-                for i in at:
-                    machine.charge_flops(cols[0][i], cols[1][i])
+                for r, f in zip(ranks[at].tolist(), amount[at].tolist()):
+                    machine.charge_flops(r, f)
             elif kind == "mem":
-                for i in at:
-                    machine.mem_stream(cols[0][i], cols[1][i])
+                for r, w in zip(ranks[at].tolist(), amount[at].tolist()):
+                    machine.mem_stream(r, w)
             elif kind == "comm":
-                machine.charge_comm(
-                    sends={cols[0][i]: cols[1][i] for i in at},
-                    recvs={cols[2][i]: cols[3][i] for i in at},
-                )
+                (receivers, recvd), = rest
+                machine.charge_comm(ranks[at], amount[at], receivers[at], recvd[at],
+                                    pattern=pairs(at.size))
             else:
-                machine.superstep(RankGroup(tuple(cols[0][i] for i in at)), cols[1][at[0]])
+                _barriers(machine, ranks[at], amount[at])
 
     def flush(self) -> None:
         """Apply all buffered events, clear the log, and let the machine

@@ -22,12 +22,13 @@ equivalence suite compares every charging path against, bit for bit.
 Batched entry points (:meth:`charge_flops_batch`, :meth:`charge_comm_batch`,
 :meth:`charge_comm_matrix`, :meth:`mem_stream_group`) let collectives and
 sharded kernels charge a whole group — uniformly, per-rank weighted, or from
-a g×g transfer matrix — without building Python dicts in inner loops.
+a g×g transfer matrix — without Python loops.  Every comm charge names its
+wire pattern (:mod:`repro.bsp.pattern`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from repro.bsp.cache import CacheModel
 from repro.bsp.counters import CostReport, CounterArray
 from repro.bsp.group import RankGroup
 from repro.bsp.params import MachineParams
+from repro.bsp.pattern import Pattern, explicit
 from repro.trace.spans import NULL_SPAN, SpanHandle, SpanRecorder
 from repro.util.validation import check_positive_int
 
@@ -176,94 +178,69 @@ class BSPMachine:
             raise ValueError("flops must be nonnegative")
         self.counters.add_flops(idx, float(amounts[0]) if isinstance(idx, int) else amounts, unique=unique)
 
-    def charge_comm(
-        self,
-        sends: Mapping[int, float] | None = None,
-        recvs: Mapping[int, float] | None = None,
-        pairs: Iterable[tuple[int, int, float]] | None = None,
-    ) -> None:
-        """Charge horizontal word counts: ``sends[r]`` words sent by rank r, etc.
+    def charge_comm(self, senders, sent, receivers, recvd, *, pattern: Pattern) -> None:
+        """Charge horizontal words: each of ``senders`` sends ``sent``, each
+        of ``receivers`` receives ``recvd``.
 
-        ``pairs`` optionally carries the exact (src, dst, words) wire
-        pattern behind the marginals for the metrics heatmap; it charges
-        nothing and is ignored unless metrics are enabled.
+        A side is a :class:`RankGroup`, a rank or an index array (a repeated
+        rank is charged once per entry, in entry order), or None for nothing;
+        its words are a scalar or one amount per entry.  ``pattern`` names
+        who sends to whom over those entries (:mod:`repro.bsp.pattern`); it
+        charges nothing and only the metrics layer reads it, but a charge
+        without one raises :class:`TypeError`.
         """
-        s_idx = s_w = r_idx = r_w = None
-        if sends:
-            s_idx = np.fromiter(sends.keys(), dtype=np.int64, count=len(sends))
-            s_w = np.fromiter(sends.values(), dtype=np.float64, count=len(sends))
-            if s_w.min() < 0:
-                raise ValueError("sent words must be nonnegative")
-            if s_idx.min() < 0 or s_idx.max() >= self.p:
-                self._check_rank(int(s_idx.min() if s_idx.min() < 0 else s_idx.max()))
-        if recvs:
-            r_idx = np.fromiter(recvs.keys(), dtype=np.int64, count=len(recvs))
-            r_w = np.fromiter(recvs.values(), dtype=np.float64, count=len(recvs))
-            if r_w.min() < 0:
-                raise ValueError("received words must be nonnegative")
-            if r_idx.min() < 0 or r_idx.max() >= self.p:
-                self._check_rank(int(r_idx.min() if r_idx.min() < 0 else r_idx.max()))
-        if s_idx is not None or r_idx is not None:
-            self.counters.add_comm(s_idx, s_w, r_idx, r_w)
-            if self.metrics.enabled:
-                self.metrics.on_comm(s_idx, s_w, r_idx, r_w, pairs=pairs)
+        self._charge_comm(senders, sent, receivers, recvd, pattern)
 
-    def charge_comm_batch(
-        self,
-        group: RankGroup | Iterable[int],
-        sent_each=None,
-        recv_each=None,
-        pairs=None,
-    ) -> None:
-        """Charge send/recv words across ``group`` in one vector op.
+    def charge_comm_batch(self, group: RankGroup | Iterable[int] | int, sent_each=None,
+                          recv_each=None, *, pattern: Pattern) -> None:
+        """Charge send/recv words across ``group`` in one vector op: the
+        group charged against itself, ``pattern`` over its positions.
 
-        ``sent_each``/``recv_each`` are either scalars (the uniform per-rank
-        word count — the common collective case) or 1-D arrays aligned with
-        the group's rank order.  ``None`` skips that direction.  ``pairs``
-        optionally carries the exact zero-diagonal g×g wire pattern (group
-        positions) for the metrics heatmap; it charges nothing and is
-        ignored unless metrics are enabled.
+        ``sent_each``/``recv_each`` are scalars (the uniform per-rank word
+        count) or 1-D arrays aligned with the group's rank order; ``None``
+        skips that direction.
         """
-        if sent_each is None and recv_each is None:
-            return
-        idx, unique = self._resolve(group)
-        if not unique:
+        self._charge_comm(group, sent_each, group, recv_each, pattern, distinct=True)
+
+    def _charge_comm(self, senders, sent, receivers, recvd, pattern: Pattern,
+                     distinct: bool = False) -> None:
+        if not isinstance(pattern, Pattern):
+            raise TypeError(f"a comm charge names its wire pattern (repro.bsp.pattern), got {pattern!r}")
+        s_idx, s_w, s_unique = self._comm_side(senders, sent, "sent")
+        r_idx, r_w, r_unique = self._comm_side(receivers, recvd, "received")
+        if distinct and not (s_unique and r_unique):
             raise ValueError("charge_comm_batch requires distinct ranks (use a RankGroup)")
-
-        def _prep(words, label):
-            if words is None:
-                return None
-            if np.ndim(words) == 0:
-                if float(words) < 0:
-                    raise ValueError(f"{label} words must be nonnegative")
-                return float(words)
-            arr = np.asarray(words, dtype=np.float64)
-            size = 1 if isinstance(idx, int) else idx.size
-            if arr.ndim != 1 or arr.size != size:
-                raise ValueError(f"{label} words must be a 1-D array aligned with the group")
-            if arr.size and arr.min() < 0:
-                raise ValueError(f"{label} words must be nonnegative")
-            return arr
-
-        sent = _prep(sent_each, "sent")
-        recvd = _prep(recv_each, "received")
-        self.counters.add_comm(
-            idx if sent is not None else None,
-            sent,
-            idx if recvd is not None else None,
-            recvd,
-        )
+        if s_idx is None and r_idx is None:
+            return
+        self.counters.add_comm(s_idx, s_w, r_idx, r_w, unique=s_unique and r_unique)
         if self.metrics.enabled:
-            self.metrics.on_comm_batch(idx, sent, recvd, pairs=pairs)
+            self.metrics.on_comm(s_idx, s_w, r_idx, r_w, pattern)
+
+    def _comm_side(self, ranks, words, label: str):
+        """``(idx, amount, unique)`` of one side of a comm charge."""
+        if ranks is None or words is None:
+            return None, None, True
+        idx, unique = self._resolve(ranks)
+        if np.ndim(words) == 0:
+            if float(words) < 0:
+                raise ValueError(f"{label} words must be nonnegative")
+            return idx, float(words), unique
+        amount = np.asarray(words, dtype=np.float64)
+        size = 1 if isinstance(idx, int) else idx.size
+        if amount.ndim != 1 or amount.size != size:
+            raise ValueError(f"{label} words must be a 1-D array aligned with the ranks")
+        if amount.size and amount.min() < 0:
+            raise ValueError(f"{label} words must be nonnegative")
+        return idx, float(amount[0]) if isinstance(idx, int) else amount, unique
 
     def charge_comm_matrix(self, group: RankGroup, matrix) -> None:
         """Charge a g×g transfer matrix over ``group`` in one vector op.
 
         ``matrix[i, j]`` is the word count moved from ``group[i]`` to
         ``group[j]``; diagonal entries are local copies and free.  Row sums
-        are charged as sends, column sums as receives — the batched
-        equivalent of an ``alltoall`` transfer dict.  Does not end a
-        superstep (callers batch, as with :func:`~repro.bsp.collectives.p2p`).
+        are charged as sends, column sums as receives, and the matrix is its
+        own (:func:`~repro.bsp.pattern.explicit`) wire pattern.  Does not end
+        a superstep.
         """
         idx, unique = self._resolve(group)
         if isinstance(idx, int):
@@ -282,7 +259,8 @@ class BSPMachine:
         recvs = off.sum(axis=0)
         self.counters.add_comm(idx, sends, idx, recvs)
         if self.metrics.enabled:
-            self.metrics.on_comm_matrix(idx, off, sends, recvs)
+            src, dst = np.nonzero(off)
+            self.metrics.on_comm(idx, sends, idx, recvs, explicit((g, g), src, dst, off[src, dst]))
 
     def superstep(self, group: RankGroup | Iterable[int] | None = None, count: int = 1) -> None:
         """End ``count`` supersteps for the given group (default: all ranks)."""
@@ -313,12 +291,13 @@ class BSPMachine:
             raise ValueError("words must be nonnegative")
         self.counters.add_mem_traffic(self._check_rank(rank), words)
 
-    def mem_stream_group(self, ranks: RankGroup | Iterable[int], words_each: float) -> None:
-        """Charge ``words_each`` streamed words to every rank in the group.
+    def mem_stream_group(self, ranks: RankGroup | Iterable[int], words_each) -> None:
+        """Charge ``words_each`` streamed words (a scalar, or one amount per
+        rank) to every rank in the group.
 
         The batched sibling of :meth:`mem_stream` used by sharded kernels.
         """
-        if words_each < 0:
+        if np.size(words_each) and np.min(words_each) < 0:
             raise ValueError("words must be nonnegative")
         idx, unique = self._resolve(ranks)
         self.counters.add_mem_traffic(idx, words_each, unique=unique)

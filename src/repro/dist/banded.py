@@ -18,6 +18,7 @@ import numpy as np
 from repro.bsp.batch import ChargeLog
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import explicit, fan_in
 from repro.util.intlog import chunk_offsets, split_evenly
 from repro.util.validation import check_symmetric
 
@@ -118,15 +119,11 @@ class DistBandMatrix:
 
     def gather(self, target: int, tag: str = "band_gather") -> np.ndarray:
         """Collect the whole band on one rank (end of Algorithm IV.3)."""
-        per_rank_cols = np.diff(self._col_starts)
-        sends = {
-            r: float((self.b + 1) * per_rank_cols[k])
-            for k, r in enumerate(self.group)
-            if r != target
-        }
-        recvs = {target: float(sum(sends.values()))}
+        senders = self._ranks_arr != target
+        sent = ((self.b + 1) * np.diff(self._col_starts)[senders]).astype(np.float64)
         group = RankGroup(tuple(dict.fromkeys(list(self.group) + [target])))
-        self.machine.charge_comm(sends=sends, recvs=recvs)
+        self.machine.charge_comm(self._ranks_arr[senders], sent, target, float(sent.sum()),
+                                 pattern=fan_in(int(senders.sum())))
         self.machine.superstep(group, 1)
         self.machine.note_memory(target, float(self.words))
         if self.machine.faults.enabled:
@@ -153,11 +150,13 @@ class DistBandMatrix:
         dst = new._ranks_arr[np.searchsorted(new_starts, cols, side="right") - 1]
         mask = src != dst
         w = float(self.b + 1)
-        src_ranks, src_counts = np.unique(src[mask], return_counts=True)
-        dst_ranks, dst_counts = np.unique(dst[mask], return_counts=True)
-        sends = {int(r): float(k) * w for r, k in zip(src_ranks, src_counts)}
-        recvs = {int(r): float(k) * w for r, k in zip(dst_ranks, dst_counts)}
+        src_ranks, src_at, src_counts = np.unique(src[mask], return_inverse=True, return_counts=True)
+        dst_ranks, dst_at, dst_counts = np.unique(dst[mask], return_inverse=True, return_counts=True)
         involved = RankGroup(tuple(dict.fromkeys(list(self.group) + list(new_group))))
-        self.machine.charge_comm(sends=sends, recvs=recvs)
+        # every moved column goes from its old owner to its new one
+        self.machine.charge_comm(
+            src_ranks, src_counts * w, dst_ranks, dst_counts * w,
+            pattern=explicit((src_ranks.size, dst_ranks.size), src_at, dst_at),
+        )
         self.machine.superstep(involved, 1)
         return new

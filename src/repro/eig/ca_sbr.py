@@ -30,6 +30,7 @@ import numpy as np
 from repro.bsp.batch import ChargeLog
 from repro.bsp.kernels import matmul_flops, qr_flops
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import pairs
 from repro.dist.banded import DistBandMatrix
 from repro.eig.schedule import chase_step_arrays
 from repro.linalg.sbr import apply_chase_step, chase_steps
@@ -55,7 +56,7 @@ def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBan
         log.mem_stream(owner, nc * nr + nr * ncols, step=step)
         # Boundary crossing: the O(b²) window state is handed over and the
         # pair synchronizes.
-        log.charge_comm(prev, words, owner[hand], words, step=hand)
+        log.charge_comm(prev, words, owner[hand], words, step=hand, pattern=pairs(hand.size))
         log.superstep(np.concatenate([prev, owner[hand]]), 1, step=np.concatenate([hand, hand]))
         log.flush()
     for s in chase_steps(n, b, h):

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import uniform
 from repro.dist.banded import DistBandMatrix
 from repro.dist.grid import ProcGrid
 from repro.eig.ca_sbr import band_to_tridiagonal_1d
@@ -67,6 +68,6 @@ def eigensolve_elpa_like(
         evals = sturm_bisection_eigenvalues(d, e)
         with machine.span("bisection"):
             machine.charge_flops(machine.world, 64.0 * 5.0 * n * n / p)
-            machine.charge_comm_batch(machine.world, float(n), float(n))
+            machine.charge_comm_batch(machine.world, float(n), float(n), pattern=uniform(p))
             machine.superstep(machine.world, 2)
     return evals

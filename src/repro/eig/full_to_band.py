@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.bsp.kernels import qr_flops
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import grid_fiber
 from repro.blocks.matmul import carma_matmul
 from repro.blocks.rect_qr import rect_qr
 from repro.blocks.streaming import streaming_matmul
@@ -80,7 +81,7 @@ def full_to_band_2p5d(
         share = float(n * n) / (q * q)
         with machine.span("replicate", group=group):
             if p > 1:
-                machine.charge_comm_batch(group, share, share)
+                machine.charge_comm_batch(group, share, share, pattern=grid_fiber(grid))
                 machine.superstep(group, 1)
         machine.note_memory(group, 3 * share)  # A + U + V replicas
 
@@ -152,7 +153,7 @@ def full_to_band_2p5d(
             # ---- line 10: replicate U1 and V1 over all layers ------------------
             rep = float(u1.size + v1.size) / (q * q)
             with machine.span("replicate_UV", group=group):
-                machine.charge_comm_batch(group, rep, rep)
+                machine.charge_comm_batch(group, rep, rep, pattern=grid_fiber(grid))
                 machine.superstep(group, 1)
 
             # ---- assemble the banded output ------------------------------------

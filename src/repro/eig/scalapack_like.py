@@ -14,10 +14,13 @@ and allreduce along grid rows/columns, trailing-matrix flops and streaming.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.bsp.kernels import sharded_axpy, sharded_dot, sharded_matvec, sharded_rank2_update
 from repro.bsp.machine import BSPMachine
+from repro.bsp.pattern import grid_lines, uniform
 from repro.linalg.householder import householder_vector
 from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.validation import check_symmetric
@@ -33,6 +36,9 @@ def tridiagonalize_scalapack_like(
     group = machine.world
     sqrt_p = max(1.0, np.sqrt(p))
     log_p = max(1.0, np.log2(p))
+    # the wire patterns run on the squarest pr×pc process grid (pr·pc = p)
+    pr = max(d for d in range(1, math.isqrt(p) + 1) if p % d == 0)
+    shape = (pr, p // pr)
 
     with machine.span("tridiag", group=group):
         for j in range(n - 2):
@@ -42,12 +48,12 @@ def tridiagonalize_scalapack_like(
             # Column broadcast of v along the grid (row + column phases).
             per_rank = 2.0 * nbar / sqrt_p
             if p > 1:
-                machine.charge_comm_batch(group, per_rank, per_rank)
+                machine.charge_comm_batch(group, per_rank, per_rank, pattern=grid_lines(shape, (0, 1)))
             # w = τ·A v (trailing matvec): flops and streaming split over ranks.
             w = sharded_matvec(machine, group, a[j + 1 :, j + 1 :], v, scale=tau)
-            # allreduce of the partial w segments.
+            # allreduce of the partial w segments along the grid rows.
             if p > 1:
-                machine.charge_comm_batch(group, per_rank, per_rank)
+                machine.charge_comm_batch(group, per_rank, per_rank, pattern=grid_lines(shape, (1,)))
             machine.superstep(group, 3)
             if tau != 0.0:
                 # w ← w − ½τ(wᵀv)v, then the rank-2 symmetric update
@@ -75,6 +81,6 @@ def eigensolve_scalapack_like(machine: BSPMachine, a: np.ndarray, tag: str = "sc
         evals = sturm_bisection_eigenvalues(d, e)
         with machine.span("bisection"):
             machine.charge_flops(machine.world, 64.0 * 5.0 * n * n / machine.p)
-            machine.charge_comm_batch(machine.world, float(n), float(n))
+            machine.charge_comm_batch(machine.world, float(n), float(n), pattern=uniform(machine.p))
             machine.superstep(machine.world, 2)
     return evals

@@ -3,9 +3,12 @@
 ``tests/data/chase_observed_digests.json`` holds these digests as captured
 at the last commit that still had the per-step chase path: real ``rect_qr``
 / ``carma_matmul`` calls per chase step on a ``spans=True, metrics=True``
-machine.  ``tests/test_chase_batch.py`` asserts the single chase loop
-reproduces them; regenerate (``PYTHONPATH=src python tests/chase_digests.py``)
-only when a charge legitimately changes.
+machine.  The ``metrics`` digests were re-captured once since, when every
+comm charge began to name its wire pattern (the heat map stopped being
+fitted; no counter, span or spectrum digest moved).
+``tests/test_chase_batch.py`` asserts the single chase loop reproduces
+them; regenerate (``PYTHONPATH=src python tests/chase_digests.py``) only
+when a charge legitimately changes.
 """
 
 from __future__ import annotations

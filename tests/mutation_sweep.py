@@ -41,10 +41,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SITE_DIRS = ("blocks", "dist", "eig")
-#: argument positions of the charged amounts, per charging call (``charge_comm``:
-#: the charge log's positional form; the machine's ``sends=`` / ``recvs=``
-#: dicts are halved value by value; other keywords, such as the log's
-#: ``step=``, are left alone)
+#: argument positions of the charged amounts, per charging call (keywords —
+#: ``pattern=``, the log's ``step=`` — are left alone)
 AMOUNTS = {
     "charge_flops": (1,), "charge_flops_batch": (1,), "charge_comm": (1, 3),
     "charge_comm_batch": (1, 2), "charge_comm_matrix": (1,), "superstep": (),
@@ -123,14 +121,8 @@ def mutants(sites: list[Site]) -> list[Mutant]:
 def _halved(statement: str) -> str:
     stmt = ast.parse(statement).body[0]
     call = stmt.value
-    dicts = [kw for kw in call.keywords if kw.arg in ("sends", "recvs")]
-    for kw in dicts:  # machine.charge_comm(sends={...}, recvs={...})
-        kw.value = ast.parse(
-            f"{{r: w * 0.5 for r, w in ({ast.unparse(kw.value)}).items()}}", mode="eval"
-        ).body
-    if not dicts:
-        for i in AMOUNTS[_callee(call)]:
-            call.args[i] = ast.BinOp(call.args[i], ast.Mult(), ast.Constant(0.5))
+    for i in AMOUNTS[_callee(call)]:
+        call.args[i] = ast.BinOp(call.args[i], ast.Mult(), ast.Constant(0.5))
     return ast.unparse(stmt)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bsp import BSPMachine, MachineParams, RankGroup
 from repro.bsp.params import BANDWIDTH_BOUND, LATENCY_BOUND
+from repro.bsp.pattern import explicit, pairs
 from tests.scalar_oracle import RankCounters, aggregate
 
 
@@ -92,7 +93,7 @@ class TestMachine:
 
     def test_charge_comm(self):
         m = BSPMachine(3)
-        m.charge_comm(sends={0: 10.0}, recvs={2: 10.0})
+        m.charge_comm(0, 10.0, 2, 10.0, pattern=pairs(1))
         assert m.counters[0].words_sent == 10.0
         assert m.counters[2].words_recv == 10.0
         assert m.cost().W == 10.0
@@ -102,7 +103,7 @@ class TestMachine:
         with pytest.raises(ValueError):
             m.charge_flops(0, -1.0)
         with pytest.raises(ValueError):
-            m.charge_comm(sends={0: -1.0})
+            m.charge_comm(0, -1.0, None, None, pattern=explicit((1, 0), [], []))
 
     def test_rejects_bad_rank(self):
         m = BSPMachine(2)

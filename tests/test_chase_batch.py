@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import report_mismatches
+from repro.bench import per_rank_arrays, report_mismatches
 from repro.blocks.matmul import carma_matmul
 from repro.blocks.rect_qr import rect_qr
 from repro.bsp import BSPMachine, RankGroup
 from repro.bsp import batch
 from repro.bsp.batch import _TAPE_CACHE, ChargeLog, FlatTape, KernelTape, needs_program_order
+from repro.bsp.pattern import all_to_all, fan_in, pairs, uniform
 from repro.dist.banded import DistBandMatrix
 from repro.eig import eigensolve_2p5d
 from repro.eig.band_to_band import band_to_band_2p5d
@@ -34,7 +35,6 @@ from repro.eig.schedule import chase_step_arrays, pipeline_schedule, wave_sizes
 from repro.faults import SCENARIOS, FaultPlan, FaultyMachine
 from repro.linalg.sbr import chase_steps
 from repro.lint.verify import BSPDisciplineError, VerifiedMachine
-from repro.metrics.collector import _FLOW_MEMO
 from repro.util.lru import ByteLRU
 from repro.util.matrices import random_banded_symmetric, random_symmetric
 from tests import chase_digests
@@ -97,7 +97,7 @@ def _direct_workload(machine: BSPMachine) -> None:
     w = machine.world
     machine.charge_flops_batch(w, np.linspace(1.0, 2.0, w.size))
     machine.charge_flops(2, 7.0)
-    machine.charge_comm(sends={0: 5.0, 1: 3.0}, recvs={2: 8.0})
+    machine.charge_comm([0, 1], [5.0, 3.0], 2, 8.0, pattern=fan_in(2))
     machine.mem_stream(1, 11.0)
     machine.superstep(w, 1)
     machine.superstep([0, 3], 2)
@@ -108,11 +108,28 @@ def _logged_workload(machine: BSPMachine) -> None:
     log = ChargeLog(machine)
     log.charge_flops(w.indices(), np.linspace(1.0, 2.0, w.size))
     log.charge_flops(2, 7.0)
-    log.charge_comm(np.array([0, 1]), np.array([5.0, 3.0]), np.array([2]), 8.0)
+    log.charge_comm(np.array([0, 1]), np.array([5.0, 3.0]), np.array([2]), 8.0, pattern=fan_in(2))
     log.mem_stream(1, 11.0)
     log.superstep(w.indices(), 1)
     log.superstep(np.array([0, 3]), 2)
     log.flush()
+
+
+#: one append each, in the forms a deferred log has always accepted
+_APPEND_FORMS = {
+    "comm between two ints": lambda log: log.charge_comm(0, 5.0, 1, 5.0, pattern=pairs(1)),
+    "flops array": lambda log: log.charge_flops(np.array([1, 1, 2]), np.array([0.1, 0.2, 0.3])),
+    "stream array": lambda log: log.mem_stream(np.array([3, 3]), np.array([0.1, 0.7])),
+    "comm arrays": lambda log: log.charge_comm(
+        np.array([0, 1, 0]), np.array([5.0, 3.0, 0.7]), np.array([2, 2]), 4.35,
+        pattern=all_to_all(3, 2)),
+    "repeated sender in a step": lambda log: log.charge_comm(
+        np.array([0, 0, 2]), np.array([1.0, 2.0, 0.5]), np.array([1, 3, 1]), np.array([1.0, 2.0, 0.5]),
+        step=[0, 0, 1], pattern=pairs(3)),
+    "superstep counts": lambda log: log.superstep(np.array([0, 3, 0]), np.array([2, 1, 3])),
+    "stepped superstep counts": lambda log: log.superstep(
+        np.array([0, 3, 0, 1]), np.array([2, 1, 3, 1]), step=[0, 0, 0, 1]),
+}
 
 
 class TestChargeLog:
@@ -158,7 +175,7 @@ class TestChargeLog:
         with pytest.raises(ValueError, match="nonnegative"):
             log.flush()
         log = ChargeLog(machine)
-        log.charge_comm(np.array([0]), -2.0, np.array([1]), 2.0)
+        log.charge_comm(np.array([0]), -2.0, np.array([1]), 2.0, pattern=pairs(1))
         with pytest.raises(ValueError, match="nonnegative"):
             log.flush()
 
@@ -177,7 +194,7 @@ class TestChargeLog:
                 direct.charge_flops(owner[s], mm[s])
                 direct.mem_stream(owner[s], 3.0)
                 if s == 1:  # the bulge crosses from rank 1 to rank 2
-                    direct.charge_comm(sends={1: 4.0}, recvs={2: 4.0})
+                    direct.charge_comm(1, 4.0, 2, 4.0, pattern=pairs(1))
                     direct.superstep(RankGroup((1, 2)), 1)
         logged = BSPMachine(4, **kwargs)
         log = ChargeLog(logged)
@@ -186,7 +203,7 @@ class TestChargeLog:
             log.charge_flops(np.array(owner), np.array(qr), step=steps)
             log.charge_flops(np.array(owner), np.array(mm), step=steps)
             log.mem_stream(np.array(owner), 3.0, step=steps)
-            log.charge_comm(np.array([1]), 4.0, np.array([2]), 4.0, step=[1])
+            log.charge_comm(np.array([1]), 4.0, np.array([2]), 4.0, step=[1], pattern=pairs(1))
             log.superstep(np.array([1, 2]), 1, step=[1, 1])
             log.flush()
         flops = logged.counters.field_array("flops")
@@ -195,6 +212,26 @@ class TestChargeLog:
         assert report_mismatches(direct.cost(), logged.cost()) == []
         if observed:
             assert _observable_state(direct) == _observable_state(logged)
+
+    @pytest.mark.parametrize("form", sorted(_APPEND_FORMS))
+    def test_write_through_charges_every_deferred_append_identically(self, form):
+        """Whatever a deferred log accepts, a write-through log (an observed
+        machine) accepts too and lands on the same counter bytes: int ranks,
+        per-rank amount arrays with repeated ranks, a repeated sender within
+        one step, per-entry superstep counts."""
+        counters = []
+        for observed in (False, True):
+            machine = BSPMachine(4, spans=observed, metrics=observed)
+            machine.charge_flops(machine.world, 0.1)  # prior sums make the order matter
+            machine.charge_comm_batch(machine.world, 1e16, 1e16, pattern=uniform(4))
+            machine.mem_stream_group(machine.world, 0.1)
+            log = ChargeLog(machine)
+            assert log.deferred is not observed
+            _APPEND_FORMS[form](log)
+            log.flush()
+            counters.append(per_rank_arrays(machine.cost()))
+        deferred, written = counters
+        assert {k: v.tobytes() for k, v in deferred.items()} == {k: v.tobytes() for k, v in written.items()}
 
     def test_flush_clears_pending_events(self):
         machine = BSPMachine(2)
@@ -346,10 +383,10 @@ class TestEngineResolution:
         m = VerifiedMachine(4)
         log = ChargeLog(m)
         assert log.deferred
-        log.charge_comm(m.world.take(2), 5.0, m.world.take(2), 5.0)
+        log.charge_comm(m.world.take(2), 5.0, m.world.take(2), 5.0, pattern=uniform(2))
         log.flush()
         assert m.checks_run == 1
-        log.charge_comm(m.world.take(1), 5.0, m.world.take(1), 1.0)  # books one side short
+        log.charge_comm(m.world.take(1), 5.0, m.world.take(1), 1.0, pattern=pairs(1))  # books one side short
         with pytest.raises(BSPDisciplineError, match="conservation violation at flush"):
             log.flush()
 
@@ -461,18 +498,14 @@ class TestPipelineIdentity:
 
     @pytest.mark.parametrize("config", chase_digests.CONFIGS, ids=lambda c: chase_digests.config_key(*c))
     def test_golden_digests_hold_with_a_warm_memo_and_after_reset(self, config):
-        """The digests do not depend on what the process has already fitted:
-        a repeated observed solve — on a reset machine — replays every wire
-        pattern from the memo (zero IPF fits, a wall-clock-free perf guard)
-        and lands on the same bytes."""
+        """The digests do not depend on what the process has already
+        recorded: a repeated observed solve — on a reset machine, kernel
+        tapes warm — lands on the same bytes."""
         golden = json.loads(chase_digests.DATA.read_text())[chase_digests.config_key(*config)]
         machine = BSPMachine(config[1], spans=True, metrics=True)
         assert chase_digests.observed_run_digests(*config, machine=machine) == golden
-        fits = _FLOW_MEMO.misses
         machine.reset()
         assert chase_digests.observed_run_digests(*config, machine=machine) == golden
-        assert _FLOW_MEMO.misses == fits
-        assert _FLOW_MEMO.hits > 0
 
         # an unchanged per-rank memory vector is one shared array, not a copy per sample
         series = machine.cost().metrics().series

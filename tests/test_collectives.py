@@ -1,12 +1,13 @@
 """Tests for the BSP collectives' cost conventions.
 
 Each collective must charge the two-phase bandwidth-optimal pattern
-(every rank moves O(w), never O(g·w)) and O(1) supersteps.
+(every rank moves O(w), never O(g·w)) and O(1) supersteps.  (The other wire
+shapes are named patterns of a plain comm charge: ``tests/test_metrics.py``.)
 """
 
 import pytest
 
-from repro.bsp import BSPMachine, RankGroup, collectives
+from repro.bsp import BSPMachine, RankGroup, collectives, pattern
 
 
 def group(*ranks):
@@ -38,19 +39,6 @@ class TestBcast:
             collectives.bcast(m, m.world, words=-1.0)
 
 
-class TestReduce:
-    def test_charges_combining_flops(self):
-        m = BSPMachine(4)
-        collectives.reduce(m, m.world, words=400.0)
-        assert m.counters[0].flops == pytest.approx(300.0)
-        assert m.cost().S == 2
-
-    def test_no_cost_for_singleton(self):
-        m = BSPMachine(4)
-        collectives.reduce(m, group(1), words=50.0)
-        assert m.cost().W == 0
-
-
 class TestAllreduceAndFriends:
     def test_allreduce_symmetric_charges(self):
         m = BSPMachine(4)
@@ -58,60 +46,12 @@ class TestAllreduceAndFriends:
         sent = {m.counters[r].words_sent for r in range(4)}
         assert len(sent) == 1  # perfectly symmetric
 
-    def test_reduce_scatter(self):
-        m = BSPMachine(4)
-        collectives.reduce_scatter(m, m.world, words_total=400.0)
-        assert m.counters[0].words_sent == pytest.approx(300.0)
-        assert m.cost().S == 1
-
-    def test_allgather(self):
-        m = BSPMachine(4)
-        collectives.allgather(m, m.world, words_each=10.0)
-        assert m.counters[2].words_recv == pytest.approx(30.0)
-        assert m.cost().S == 1
-
-
-class TestGatherScatter:
-    def test_gather_root_receives_everything(self):
-        m = BSPMachine(4)
-        collectives.gather(m, m.world, words_each=10.0, root=0)
-        assert m.counters[0].words_recv == pytest.approx(30.0)
-        assert m.counters[0].words_sent == 0.0
-        assert m.counters[1].words_sent == pytest.approx(10.0)
-
-    def test_scatter_is_dual_of_gather(self):
-        m = BSPMachine(4)
-        collectives.scatter(m, m.world, words_each=10.0, root=0)
-        assert m.counters[0].words_sent == pytest.approx(30.0)
-        assert m.counters[3].words_recv == pytest.approx(10.0)
-
-
-class TestAlltoall:
-    def test_charges_per_pair(self):
-        m = BSPMachine(4)
-        collectives.alltoall(m, m.world, {(0, 1): 5.0, (2, 3): 7.0, (1, 1): 100.0})
-        assert m.counters[0].words_sent == 5.0
-        assert m.counters[1].words_recv == 5.0
-        assert m.counters[3].words_recv == 7.0
-        # self-transfers are local and free
-        assert m.counters[1].words_sent == 0.0
-        assert m.cost().S == 1
-
-    def test_rejects_transfers_outside_group(self):
-        m = BSPMachine(4)
-        with pytest.raises(ValueError, match="outside group"):
-            collectives.alltoall(m, group(0, 1), {(0, 3): 1.0})
-
 
 class TestP2P:
     def test_charges_both_ends_no_superstep(self):
+        """A point-to-point transfer is a plain comm charge with one pair."""
         m = BSPMachine(4)
-        collectives.p2p(m, 0, 3, 42.0)
+        m.charge_comm(0, 42.0, 3, 42.0, pattern=pattern.pairs(1))
         assert m.counters[0].words_sent == 42.0
         assert m.counters[3].words_recv == 42.0
         assert m.cost().S == 0  # caller batches supersteps
-
-    def test_self_send_free(self):
-        m = BSPMachine(4)
-        collectives.p2p(m, 1, 1, 42.0)
-        assert m.cost().W == 0

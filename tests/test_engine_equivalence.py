@@ -17,10 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bsp import BSPMachine, RankGroup, collectives
+from repro.bsp import BSPMachine, RankGroup, collectives, pattern
 from repro.bsp.batch import ChargeLog
 from repro.bsp.counters import COUNTER_FIELDS, CounterArray
 from repro.bsp.kernels import sharded_axpy, sharded_dot, sharded_matvec
+from repro.dist.grid import ProcGrid
 from repro.faults import SCENARIOS, FaultPlan, FaultyMachine
 from repro.lint.verify import VerifiedMachine
 from tests.scalar_oracle import ScalarCounterStore, machine_on, scalar_delta, scalar_store
@@ -119,21 +120,22 @@ def test_counters_preserve_rankcounters_view():
 
 
 # ------------------------------------------------------------------ #
-# collectives
+# collectives, and the wire shapes the machine charges directly
 
 COLLECTIVE_CASES = [
     lambda m: collectives.bcast(m, m.world, 144.0),
     lambda m: collectives.bcast(m, m.world, 144.0, root=5),
-    lambda m: collectives.reduce(m, m.world, 80.0, root=3),
+    lambda m: m.charge_comm_batch(m.world, 70.0, 70.0, pattern=pattern.halves(8)),
     lambda m: collectives.allreduce(m, m.world, 96.0),
-    lambda m: collectives.reduce_scatter(m, m.world, 64.0),
-    lambda m: collectives.allgather(m, m.world, 12.0),
-    lambda m: collectives.gather(m, m.world, 10.0, root=2),
-    lambda m: collectives.scatter(m, m.world, 10.0, root=6),
-    lambda m: collectives.alltoall(
-        m, m.world, {(0, 1): 5.0, (1, 0): 3.0, (2, 7): 11.0, (3, 3): 9.0}
-    ),
-    lambda m: collectives.p2p(m, 0, 7, 42.0),
+    lambda m: m.charge_comm_batch(m.world, 56.0, 56.0, pattern=pattern.uniform(8)),
+    lambda m: m.charge_comm_batch(
+        m.world, 12.0, 12.0, pattern=pattern.grid_row(ProcGrid(m, (2, 2, 2)))),
+    lambda m: m.charge_comm([0, 1, 3, 4, 5, 6, 7], 10.0, 2, 70.0, pattern=pattern.fan_in(7)),
+    lambda m: m.charge_comm(
+        6, 70.0, [0, 1, 2, 3, 4, 5, 7], 10.0, pattern=pattern.explicit((1, 7), [0] * 7, range(7))),
+    lambda m: m.charge_comm(
+        [0, 1, 2], [5.0, 3.0, 11.0], [1, 0, 7], [5.0, 3.0, 11.0], pattern=pattern.pairs(3)),
+    lambda m: m.charge_comm(0, 42.0, 7, 42.0, pattern=pattern.pairs(1)),
 ]
 
 
@@ -147,7 +149,7 @@ def test_collectives_on_subgroups_identical():
         for grp in m.world.split(4):
             collectives.bcast(m, grp, 33.0)
             collectives.allreduce(m, grp, 17.0)
-            collectives.reduce(m, grp, 9.0)
+            m.charge_comm_batch(grp, 9.0, 9.0, pattern=pattern.tree_level(grp.size, 0))
         m.superstep(m.world)
 
     run_on_both(16, workload)
@@ -157,13 +159,14 @@ def test_alltoall_matrix_identical():
     mat = np.fromfunction(lambda i, j: (3.0 * i + j) % 5.0, (8, 8))
 
     def workload(m):
-        collectives.alltoall_matrix(m, m.world, mat)
+        m.charge_comm_matrix(m.world, mat)
 
     ma, ms = run_on_both(8, workload)
-    # and it matches the dict-based alltoall of the same transfers
+    # and it matches the entry-form charge of the same transfers
     md = BSPMachine(8)
-    transfers = {(i, j): float(mat[i, j]) for i in range(8) for j in range(8) if mat[i, j]}
-    collectives.alltoall(md, md.world, transfers)
+    src, dst = np.nonzero(mat * (1 - np.eye(8)))
+    words = mat[src, dst]
+    md.charge_comm(src, words, dst, words, pattern=pattern.pairs(src.size))
     assert md.cost().words == ma.cost().words
     assert md.cost().supersteps == ma.cost().supersteps
 
@@ -180,9 +183,9 @@ def test_charge_comm_batch_scalar_and_array_identical():
     sends = np.arange(8, dtype=np.float64)
 
     def workload(m):
-        m.charge_comm_batch(m.world, 6.0, 6.0)
-        m.charge_comm_batch(m.world, sends, sends[::-1].copy())
-        m.charge_comm_batch(m.world, None, 2.0)
+        m.charge_comm_batch(m.world, 6.0, 6.0, pattern=pattern.uniform(8))
+        m.charge_comm_batch(m.world, sends, sends[::-1].copy(), pattern=pattern.uniform(8))
+        m.charge_comm_batch(m.world, None, 2.0, pattern=pattern.explicit((0, 8), [], []))
 
     run_on_both(8, workload)
 
@@ -272,21 +275,21 @@ def _logged(m: BSPMachine) -> None:
     log = ChargeLog(m)
     log.charge_flops(w, 2.5)
     log.charge_flops(2, 7.0)
-    log.charge_comm(w.take(2), 5.0, RankGroup((2, 3)), 5.0)
+    log.charge_comm(w.take(2), 5.0, RankGroup((2, 3)), 5.0, pattern=pattern.pairs(2))
     log.mem_stream(w.take(3), 11.0)
     log.transfer(w.take(2), RankGroup((1, 2, 3)), 12.0)
     log.superstep(w, 1)
     # a step-indexed schedule: it lands at the flush, in step order, either way
     log.charge_flops(np.array([1, 2, 1]), np.array([0.5, 0.25, 0.125]), step=[1, 0, 0])
-    log.charge_comm(np.array([0, 3]), 1.5, np.array([1, 2]), 1.5, step=[1, 0])
+    log.charge_comm(np.array([0, 3]), 1.5, np.array([1, 2]), 1.5, step=[1, 0], pattern=pattern.pairs(2))
     log.superstep(np.array([0, 1, 2, 3]), 1, step=[1, 1, 0, 0])
+    # raw index arrays with repeated ranks and per-index amounts, no step
+    log.charge_flops(np.array([1, 1, 2]), np.array([0.1, 0.2, 0.3]))
+    log.charge_comm(np.array([0, 1, 0]), np.array([5.0, 3.0, 0.7]), np.array([2, 2]), 4.35,
+                    pattern=pattern.all_to_all(3, 2))
+    log.mem_stream(np.array([3, 3]), 0.1)
+    log.superstep(np.array([0, 3, 0]), np.array([2, 1, 3], dtype=np.int64))
     if log.deferred:
-        # raw index arrays with repeated ranks and per-index amounts, no
-        # step (only a deferred log accepts them)
-        log.charge_flops(np.array([1, 1, 2]), np.array([0.1, 0.2, 0.3]))
-        log.charge_comm(np.array([0, 1, 0]), np.array([5.0, 3.0, 0.7]), np.array([2, 2]), 4.35)
-        log.mem_stream(np.array([3, 3]), 0.1)
-        log.superstep(np.array([0, 3, 0]), np.array([2, 1, 3], dtype=np.int64))
         log._note.append((np.array([1, 1, 2]), np.array([9.0, 4.0, 6.0])))  # as a tape replay does
     log.flush()
 

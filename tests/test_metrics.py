@@ -1,9 +1,10 @@
 """Tests for the per-rank metrics layer (repro.metrics).
 
 The tentpole invariant is *conservation*: the rank-to-rank word matrix
-plus the unpaired residuals must reproduce the counter store's per-rank
-sent/recv totals bit-exactly, for every collective, every sharded kernel,
-on the live store and on the scalar oracle, and under injected faults.
+plus the unpaired (self-addressed) words must reproduce the counter store's
+per-rank sent/recv totals, for every collective and named wire pattern,
+every sharded kernel, on the live store and on the scalar oracle, and under
+injected faults.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bsp import BSPMachine, RankGroup, collectives
+from repro.bsp import BSPMachine, RankGroup, collectives, pattern
 from repro.bsp.machine import NO_METRICS
+from repro.dist.grid import ProcGrid
+from repro.eig import SOLVERS
 from repro.metrics import build_metrics_doc, check_metrics
 from repro.model.bounds import memory_bound_words
 from repro.util import random_symmetric
@@ -42,7 +45,10 @@ def group(*ranks) -> RankGroup:
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestCollectiveConservation:
-    """Every collective's comm matrix reproduces the counters bit-exactly."""
+    """Every collective, and every wire shape a charge can name, lands on
+    the comm matrix exactly as named and reproduces the counters
+    bit-exactly.  (The shapes keep the names of the collectives that once
+    charged them.)"""
 
     def test_bcast(self, engine):
         m = metered(8, engine)
@@ -52,65 +58,80 @@ class TestCollectiveConservation:
         # the root forwards a share to every other member; nobody self-sends
         assert (np.diag(s.words_matrix) == 0.0).all()
         for r in (0, 2, 7):
-            assert s.words_matrix[5, r] > 0.0
+            assert s.words_matrix[5, r] == pytest.approx(2 * 801.0 / 4)
+            assert s.words_matrix[r, 5] == pytest.approx(801.0 / 4)
 
     def test_reduce(self, engine):
+        """Reduce-scatter over the group, then the shares fan in to the root."""
         m = metered(8, engine)
-        collectives.reduce(m, group(1, 3, 4, 6), words=600.0, root=3)
+        g = group(1, 3, 4, 6)
+        m.charge_comm_batch(g, 450.0, 450.0, pattern=pattern.uniform(4))
+        m.charge_comm([1, 4, 6], 150.0, 3, 450.0, pattern=pattern.fan_in(3))
         assert_conserved(m)
         s = snap_of(m)
         for r in (1, 4, 6):
-            assert s.words_matrix[r, 3] > 0.0
+            assert s.words_matrix[r, 3] == pytest.approx(300.0)
+            assert s.words_matrix[3, r] == pytest.approx(150.0)
 
     def test_allreduce(self, engine):
         m = metered(8, engine)
         collectives.allreduce(m, group(0, 1, 2, 3, 4), words=123.0)
         assert_conserved(m)
+        assert snap_of(m).total_messages == 5 * 4
 
     def test_reduce_scatter(self, engine):
+        """Along the rows of a 2×2×2 grid: q − 1 = 1 peer, not p − 1."""
         m = metered(8, engine)
-        collectives.reduce_scatter(m, group(2, 3, 6, 7), words_total=444.0)
+        grid = ProcGrid(m, (2, 2, 2))
+        m.charge_comm_batch(grid.group(), 37.0, 37.0, pattern=pattern.grid_row(grid))
         assert_conserved(m)
+        s = snap_of(m)
+        assert s.total_messages == 8
+        assert s.words_matrix[0, 2] == 37.0 and s.words_matrix[0, 1] == 0.0
 
     def test_allgather(self, engine):
+        """Along the fibers of a 2×2×2 grid (its two layers)."""
         m = metered(8, engine)
-        collectives.allgather(m, group(0, 4, 5), words_each=37.0)
+        grid = ProcGrid(m, (2, 2, 2))
+        m.charge_comm_batch(grid.group(), 25.0, 25.0, pattern=pattern.grid_fiber(grid))
         assert_conserved(m)
+        s = snap_of(m)
+        assert s.words_matrix[0, 1] == 25.0 and s.words_matrix[0, 2] == 0.0
 
     def test_gather(self, engine):
         m = metered(8, engine)
-        collectives.gather(m, group(1, 2, 5), words_each=11.0, root=2)
+        m.charge_comm([1, 5], 11.0, 2, 22.0, pattern=pattern.fan_in(2))
         assert_conserved(m)
         s = snap_of(m)
-        assert s.words_matrix[1, 2] > 0.0 and s.words_matrix[5, 2] > 0.0
+        assert s.words_matrix[1, 2] == 11.0 and s.words_matrix[5, 2] == 11.0
         assert s.words_matrix[2].sum() == 0.0  # the root sends nothing
 
     def test_scatter(self, engine):
         m = metered(8, engine)
-        collectives.scatter(m, group(0, 3, 6), words_each=13.0, root=6)
+        m.charge_comm(6, 26.0, [0, 3], 13.0, pattern=pattern.all_to_all(1, 2))
         assert_conserved(m)
         s = snap_of(m)
-        assert s.words_matrix[6, 0] > 0.0 and s.words_matrix[6, 3] > 0.0
+        assert s.words_matrix[6, 0] == 13.0 and s.words_matrix[6, 3] == 13.0
         assert s.words_matrix[:, 6].sum() == 0.0  # the root receives nothing
 
     def test_alltoall(self, engine):
         m = metered(8, engine)
-        collectives.alltoall(
-            m, group(0, 1, 2, 3),
-            {(0, 1): 10.0, (1, 2): 20.0, (2, 0): 5.0, (3, 3): 99.0, (0, 3): 7.0},
+        m.charge_comm(
+            [0, 1, 2], [17.0, 20.0, 5.0], [1, 3, 2, 0], [10.0, 7.0, 20.0, 5.0],
+            pattern=pattern.explicit((3, 4), [0, 0, 1, 2], [0, 1, 2, 3], [10.0, 7.0, 20.0, 5.0]),
         )
         assert_conserved(m)
         s = snap_of(m)
-        # the (src, dst, w) triples are recorded exactly
-        assert s.words_matrix[0, 1] == 10.0
-        assert s.words_matrix[1, 2] == 20.0
-        assert s.words_matrix[3, 3] == 0.0  # local transfers are free
+        # the named cells, with their weights
+        assert s.words_matrix[0, 1] == 10.0 and s.words_matrix[0, 3] == 7.0
+        assert s.words_matrix[1, 2] == 20.0 and s.words_matrix[2, 0] == 5.0
+        assert s.total_messages == 4
 
     def test_alltoall_matrix(self, engine):
         m = metered(8, engine)
         g = group(0, 2, 4, 6)
         mat = np.arange(16, dtype=np.float64).reshape(4, 4) * 3.0
-        collectives.alltoall_matrix(m, g, mat)
+        m.charge_comm_matrix(g, mat)
         assert_conserved(m)
         s = snap_of(m)
         off = mat.copy()
@@ -119,7 +140,7 @@ class TestCollectiveConservation:
 
     def test_p2p(self, engine):
         m = metered(8, engine)
-        collectives.p2p(m, 3, 5, words=42.0)
+        m.charge_comm(3, 42.0, 5, 42.0, pattern=pattern.pairs(1))
         assert_conserved(m)
         s = snap_of(m)
         assert s.words_matrix[3, 5] == 42.0
@@ -129,20 +150,94 @@ class TestCollectiveConservation:
     def test_every_collective_in_one_run(self, engine):
         m = metered(8, engine)
         collectives.bcast(m, m.world, words=800.0)
-        collectives.reduce(m, m.world, words=800.0)
         collectives.allreduce(m, group(0, 1, 2), words=90.0)
-        collectives.reduce_scatter(m, m.world, words_total=640.0)
-        collectives.allgather(m, group(4, 5, 6, 7), words_each=25.0)
-        collectives.gather(m, m.world, words_each=10.0, root=7)
-        collectives.scatter(m, m.world, words_each=10.0, root=0)
-        collectives.alltoall(m, group(0, 3, 6), {(0, 3): 5.0, (6, 0): 8.0})
-        collectives.alltoall_matrix(m, group(1, 2), [[0.0, 4.0], [6.0, 0.0]])
-        collectives.p2p(m, 7, 0, words=3.0)
+        m.charge_comm_batch(m.world, 30.0, 30.0, pattern=pattern.halves(8))
+        m.charge_comm_batch(group(4, 5, 6), 9.0, 9.0, pattern=pattern.halves(3))
+        m.charge_comm_batch(group(1, 3, 5, 7, 0), 8.0, 8.0, pattern=pattern.tree_level(5, 1))
+        m.charge_comm([0, 1, 2, 3, 4, 5, 6], 10.0, 7, 70.0, pattern=pattern.fan_in(7))
+        m.charge_comm(RankGroup((0, 3)), 6.0, RankGroup((3, 6, 1)), 4.0,
+                      pattern=pattern.all_to_all(2, 3))
+        m.charge_comm_matrix(group(1, 2), [[0.0, 4.0], [6.0, 0.0]])
+        m.charge_comm(7, 3.0, 0, 3.0, pattern=pattern.pairs(1))
         assert_conserved(m)
         s = snap_of(m)
         # the mirror accumulators repeat the store's adds -> bit-exact
         assert np.array_equal(s.sent_words, m.counters.field_array("words_sent"))
         assert np.array_equal(s.recv_words, m.counters.field_array("words_recv"))
+        # only named self-cells are unpaired: the odd middle of halves(3)
+        # (rank 5), tree level 1's partnerless position 4 (rank 0) and rank
+        # 3 shipping a share to itself
+        assert s.unpaired_sent.tolist() == [8.0, 0, 0, 2.0, 0, 9.0, 0, 0]
+        assert np.array_equal(s.unpaired_recv, s.unpaired_sent)
+
+
+def test_self_addressed_cells_book_to_unpaired():
+    """A cell whose sender and receiver are one rank is that rank's own
+    traffic: booked to ``unpaired_*`` on both sides, never dropped."""
+    m = metered(4)
+    m.charge_comm([0, 1], [3.0, 2.0], [0, 2], [3.0, 2.0], pattern=pattern.pairs(2))
+    assert_conserved(m)
+    s = snap_of(m)
+    assert s.unpaired_sent.tolist() == [3.0, 0.0, 0.0, 0.0]
+    assert s.unpaired_recv.tolist() == [3.0, 0.0, 0.0, 0.0]
+    assert s.words_matrix[1, 2] == 2.0 and s.words_matrix.sum() == 2.0
+    assert s.total_messages == 1
+
+
+def test_charge_without_a_pattern_raises():
+    m = metered(4)
+    with pytest.raises(TypeError, match="pattern"):
+        m.charge_comm_batch(m.world, 1.0, 1.0)
+    with pytest.raises(TypeError, match="wire pattern"):
+        m.charge_comm(0, 1.0, 1, 1.0, pattern=None)
+    with pytest.raises(ValueError, match="does not fit"):
+        m.charge_comm_batch(m.world, 1.0, 1.0, pattern=pattern.uniform(3))
+
+
+def test_a_mismatched_pattern_is_reported_not_repaired():
+    """Words a pattern does not route are a conservation problem, not an
+    unpaired residual."""
+    m = metered(4)
+    both_to_rank_2 = pattern.explicit((2, 2), [0, 1], [0, 0])
+    m.charge_comm([0, 1], 5.0, [2, 3], 5.0, pattern=both_to_rank_2)
+    problems = m.metrics.verify_conservation(m.counters)
+    assert any("column sums" in p for p in problems)
+    assert snap_of(m).unpaired_recv.sum() == 0.0
+
+
+# --------------------------------------------------------------------- #
+# every solver charge names a pattern that routes exactly its words
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0 / 3.0], ids=["d0.50", "d0.67"])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_charge_names_a_consistent_pattern(solver, delta, monkeypatch):
+    """Per comm charge of a whole solve: the pattern fits the charged
+    entries, its cells stay inside them, and its row / column sums are the
+    charged words of each sender / receiver (rtol 1e-12) — so no word is
+    dropped and none is invented."""
+    from repro.metrics.collector import MetricsCollector, _entries
+
+    checked = []
+    hook = MetricsCollector.on_comm
+
+    def on_comm(self, s_idx, s_w, r_idx, r_w, wire):
+        (senders, sent), (receivers, recvd) = _entries(s_idx, s_w), _entries(r_idx, r_w)
+        assert wire.shape == (senders.size, receivers.size), wire
+        rows, cols, share = wire.cells()
+        assert rows.size == 0 or (0 <= rows.min() and rows.max() < senders.size
+                                  and 0 <= cols.min() and cols.max() < receivers.size)
+        words = sent[rows] * share
+        np.testing.assert_allclose(np.bincount(rows, words, senders.size), sent, rtol=1e-12)
+        np.testing.assert_allclose(np.bincount(cols, words, receivers.size), recvd, rtol=1e-12)
+        checked.append(sent.sum())
+        hook(self, s_idx, s_w, r_idx, r_w, wire)
+
+    monkeypatch.setattr(MetricsCollector, "on_comm", on_comm)
+    m = metered(16)
+    SOLVERS[solver](m, random_symmetric(96, seed=3), delta)
+    assert_conserved(m)
+    assert sum(checked) == pytest.approx(m.cost().metrics().total_words, rel=1e-12)
 
 
 # --------------------------------------------------------------------- #
@@ -276,7 +371,7 @@ def test_imbalance_ignores_idle_ranks():
 
 def test_flop_imbalance_alias():
     m = metered(4)
-    collectives.reduce(m, m.world, words=400.0)
+    collectives.allreduce(m, m.world, words=400.0)
     report = m.cost()
     assert report.flop_imbalance == report.imbalance("flops")
 

@@ -55,7 +55,7 @@ def test_mutations_are_source_edits():
             for kind in ("drop", "halve", "insert_linalg")}
     assert line["drop"] == "pass"
     assert line["halve"] == (
-        "self.machine.charge_comm(sends={r: w * 0.5 for r, w in sends.items()}, "
-        "recvs={r: w * 0.5 for r, w in recvs.items()})"
+        "self.machine.charge_comm(self._ranks_arr[senders], sent * 0.5, target, "
+        "float(sent.sum()) * 0.5, pattern=fan_in(int(senders.sum())))"
     )
     assert line["insert_linalg"] == sweep.INSERTS["insert_linalg"]

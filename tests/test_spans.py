@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench import per_rank_arrays, report_mismatches
 from repro.bsp import BSPMachine, collectives
+from repro.bsp.pattern import explicit, uniform
 from repro.trace import NULL_SPAN, SPAN_FIELDS, UNTRACED, chrome_trace, write_chrome_trace
 
 from .conftest import MACHINE_CLS
@@ -31,7 +32,7 @@ def _workload(machine: BSPMachine) -> None:
             collectives.allreduce(machine, world, 16.0)
         machine.charge_flops(world, 8.0)
         machine.superstep(world)
-    machine.charge_comm_batch(world, 2.0, 2.0)  # after -> untraced
+    machine.charge_comm_batch(world, 2.0, 2.0, pattern=uniform(world.size))  # after -> untraced
     machine.superstep(world)
 
 
@@ -168,7 +169,7 @@ class TestVerifiedSpans:
         machine = VerifiedMachine(4, spans=True)
         with pytest.raises(BSPDisciplineError, match=r"span\(lossy\)"):
             with machine.span("lossy"):
-                machine.charge_comm(sends={0: 64.0})  # nothing received
+                machine.charge_comm(0, 64.0, None, None, pattern=explicit((1, 0), [], []))  # nothing received
 
 
 class TestReset:

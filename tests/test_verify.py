@@ -13,6 +13,7 @@ import pytest
 
 from repro import BSPMachine, eigensolve_2p5d
 from repro.bsp.group import RankGroup
+from repro.bsp.pattern import explicit, pairs
 from repro.bsp.kernels import sharded_axpy, sharded_dot, sharded_matvec, sharded_rank2_update
 from repro.eig.scalapack_like import eigensolve_scalapack_like
 from repro.lint import BSPDisciplineError, VerifiedMachine
@@ -43,19 +44,19 @@ class TestMemoryBound:
 class TestInvariantViolations:
     def test_conservation_mismatch_raises_at_superstep(self):
         m = VerifiedMachine(4)
-        m.charge_comm(sends={0: 10.0})  # receive side never booked
+        m.charge_comm(0, 10.0, None, None, pattern=explicit((1, 0), [], []))  # receive side never booked
         with pytest.raises(BSPDisciplineError, match="conservation"):
             m.superstep()
 
     def test_balanced_exchange_passes(self):
         m = VerifiedMachine(4)
-        m.charge_comm(sends={0: 10.0}, recvs={1: 10.0})
+        m.charge_comm(0, 10.0, 1, 10.0, pattern=pairs(1))
         m.superstep()
         assert m.checks_run == 1
 
     def test_cost_snapshot_also_verifies(self):
         m = VerifiedMachine(2)
-        m.charge_comm(recvs={1: 5.0})
+        m.charge_comm(None, None, 1, 5.0, pattern=explicit((0, 1), [], []))
         with pytest.raises(BSPDisciplineError, match="conservation"):
             m.cost()
 
@@ -81,7 +82,7 @@ class TestInvariantViolations:
 
     def test_reset_clears_verifier_state(self):
         m = VerifiedMachine(2)
-        m.charge_comm(sends={0: 4.0}, recvs={1: 4.0})
+        m.charge_comm(0, 4.0, 1, 4.0, pattern=pairs(1))
         m.superstep()
         m.reset()
         assert m.cost().W == 0.0
