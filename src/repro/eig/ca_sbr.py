@@ -14,9 +14,13 @@ per-rank maxima match the lemma).  CA-SBR is both the third row of Table I
 
 A halving's charges depend only on (n, b, h) and the column ownership, so
 they are computed once for the whole chase schedule
-(:func:`repro.eig.schedule.chase_step_arrays`) and appended to a
+(:func:`repro.linalg.sbr.chase_step_arrays`) and appended to a
 :class:`~repro.bsp.batch.ChargeLog` keyed by chase step; the log lands
 them in one flush, step by step when an observer needs program order.
+The numerics then run one pipeline phase at a time
+(:func:`repro.linalg.sbr.chase_waves`): each phase is one stacked QR
+and one stacked two-sided update, bit-identical to the chase steps in
+panel-major order, so the host's execution order moves no charge.
 
 ``band_to_tridiagonal_1d`` runs the same machinery with h = 1, which is
 Lang's parallel band-to-tridiagonal algorithm — the second stage of the
@@ -32,12 +36,12 @@ from repro.bsp.kernels import matmul_flops, qr_flops
 from repro.bsp.machine import BSPMachine
 from repro.bsp.pattern import pairs
 from repro.dist.banded import DistBandMatrix
-from repro.eig.schedule import chase_step_arrays
-from repro.linalg.sbr import apply_chase_step, chase_steps
+from repro.linalg.sbr import apply_chase_step, chase_step_arrays, chase_waves
 
 
 def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBandMatrix:
-    """Drive all chase steps with 1-D column ownership and boundary syncs."""
+    """Charge all chase steps with 1-D column ownership and boundary syncs,
+    then run them phase by phase."""
     n, b = band.n, band.b
     arr = chase_step_arrays(n, b, h)
     nr, ncols, nc = (arr[f].astype(np.float64) for f in ("nr", "ncols", "nc"))
@@ -59,8 +63,8 @@ def _run_chases_1d(machine: BSPMachine, band: DistBandMatrix, h: int) -> DistBan
         log.charge_comm(prev, words, owner[hand], words, step=hand, pattern=pairs(hand.size))
         log.superstep(np.concatenate([prev, owner[hand]]), 1, step=np.concatenate([hand, hand]))
         log.flush()
-    for s in chase_steps(n, b, h):
-        apply_chase_step(band.data, s)
+    for wave in chase_waves(n, b, h):
+        apply_chase_step(band.data, wave)
     band.data[:] = (band.data + band.data.T) / 2.0
     return DistBandMatrix(machine, band.data, h, band.group)
 

@@ -20,9 +20,10 @@ from repro.dist.grid import ProcGrid
 from repro.eig.ca_sbr import ca_sbr_reduce
 from repro.eig.driver import finish_sequential
 from repro.eig.full_to_band import full_to_band_2p5d
-from repro.util.validation import check_symmetric
+from repro.util.validation import check_symmetric, scaled_to_safe_range
 
 
+@scaled_to_safe_range
 def eigensolve_ca_sbr(
     machine: BSPMachine, a: np.ndarray, b: int | None = None, tag: str = "ca_sbr"
 ) -> np.ndarray:

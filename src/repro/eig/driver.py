@@ -40,7 +40,7 @@ from repro.linalg.band_tridiag import band_to_tridiagonal_storage, extract_band
 from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.model.tuning import replan_delta
 from repro.util.intlog import next_power_of_two
-from repro.util.validation import check_symmetric, frobenius_norm
+from repro.util.validation import check_symmetric, frobenius_norm, scaled_to_safe_range
 
 
 def finish_sequential(
@@ -117,6 +117,7 @@ def default_initial_bandwidth(n: int, p: int, delta: float) -> int:
     return pow2 if pow2 == b else pow2 // 2
 
 
+@scaled_to_safe_range
 def eigensolve_2p5d(
     machine: BSPMachine,
     a: np.ndarray,

@@ -25,7 +25,7 @@ from repro.dist.grid import ProcGrid
 from repro.eig.ca_sbr import band_to_tridiagonal_1d
 from repro.eig.full_to_band import full_to_band_2p5d
 from repro.linalg.tridiag import sturm_bisection_eigenvalues
-from repro.util.validation import check_symmetric
+from repro.util.validation import check_symmetric, scaled_to_safe_range
 
 
 def default_elpa_bandwidth(machine: BSPMachine, n: int) -> int:
@@ -40,6 +40,7 @@ def default_elpa_bandwidth(machine: BSPMachine, n: int) -> int:
     return int(np.clip(b, 2, max(2, n // 4)))
 
 
+@scaled_to_safe_range
 def eigensolve_elpa_like(
     machine: BSPMachine, a: np.ndarray, b: int | None = None, tag: str = "elpa"
 ) -> np.ndarray:

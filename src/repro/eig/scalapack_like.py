@@ -23,7 +23,7 @@ from repro.bsp.machine import BSPMachine
 from repro.bsp.pattern import grid_lines, uniform
 from repro.linalg.householder import householder_vector
 from repro.linalg.tridiag import sturm_bisection_eigenvalues
-from repro.util.validation import check_symmetric
+from repro.util.validation import check_symmetric, scaled_to_safe_range
 
 
 def tridiagonalize_scalapack_like(
@@ -68,6 +68,7 @@ def tridiagonalize_scalapack_like(
     return np.diag(a).copy(), np.diag(a, -1).copy()
 
 
+@scaled_to_safe_range
 def eigensolve_scalapack_like(machine: BSPMachine, a: np.ndarray, tag: str = "scalapack") -> np.ndarray:
     """Eigenvalues via direct tridiagonalization + Sturm bisection.
 

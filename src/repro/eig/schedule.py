@@ -10,7 +10,11 @@ This module derives the schedule from the shared
 :func:`repro.linalg.sbr.chase_steps` enumeration (so the diagram is provably
 the schedule the reduction actually executes) and computes the quantities
 Lemma IV.3's proof reasons about: number of phases, maximum concurrency, and
-which processor group Π̂_j executes each step.
+which processor group Π̂_j executes each step.  The host executes the same
+phases: :func:`repro.linalg.sbr.chase_waves` (re-exported here) hands
+:func:`repro.linalg.sbr.apply_chase_step` one phase at a time, and
+``schedule_checks`` verifies the footprint rule that makes a phase safe to
+run as all its QRs, then all its updates.
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.sbr import ChaseStep, chase_steps
+# chase_step_arrays, phase_steps and chase_waves live beside the enumeration
+# they vectorize; they are re-exported here with the rest of the schedule
+from repro.linalg.sbr import (  # noqa: F401
+    ChaseStep,
+    chase_step_arrays,
+    chase_steps,
+    chase_waves,
+    phase_steps,
+)
 
 
 @dataclass(frozen=True)
@@ -41,46 +53,11 @@ class PipelinePhase:
 
 def pipeline_schedule(n: int, b: int, h: int) -> list[PipelinePhase]:
     """The full pipeline: one entry per phase, in execution order."""
-    buckets: dict[int, list[ChaseStep]] = {}
-    for s in chase_steps(n, b, h):
-        buckets.setdefault(s.phase, []).append(s)
+    steps = chase_steps(n, b, h)
     return [
-        PipelinePhase(phase=ph, steps=tuple(sorted(buckets[ph], key=lambda s: s.i)))
-        for ph in sorted(buckets)
+        PipelinePhase(phase=steps[idx[0]].phase, steps=tuple(steps[s] for s in idx))
+        for idx in phase_steps(n, b, h)
     ]
-
-
-def chase_step_arrays(n: int, b: int, h: int) -> dict[str, np.ndarray]:
-    """Vectorized view of :func:`repro.linalg.sbr.chase_steps`.
-
-    Returns one int64 array per :class:`~repro.linalg.sbr.ChaseStep` field
-    (plus ``phase``), in the same panel-major order — field ``f`` of step
-    ``s`` is ``arrays[f][s]``.  The batched chase engines charge whole
-    schedules from these arrays instead of looping over step objects;
-    equality with the per-step enumeration is pinned by tests.
-    """
-    if not 1 <= h < b < n:
-        raise ValueError(f"need 1 <= h < b < n, got h={h}, b={b}, n={n}")
-    n_panels = -(-n // h) - 1  # ceil(n/h) − 1
-    i_panel = np.arange(1, n_panels + 1, dtype=np.int64)
-    # Chases per panel: the j ≥ 1 with i·h + (j−1)·b < n.
-    counts = -(-(n - i_panel * h) // b)
-    total = int(counts.sum())
-    i_arr = np.repeat(i_panel, counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    j_arr = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + 1
-    oqr_r = i_arr * h + (j_arr - 1) * b
-    oqr_c = np.where(j_arr == 1, oqr_r - h, oqr_r - b)
-    nr = np.minimum(n - oqr_r, b)
-    ncols = np.minimum(h, n - oqr_c)
-    oup_c = oqr_c + h
-    nc = np.maximum(0, np.minimum(n - oup_c, h + 3 * b))
-    ov = oqr_r - oup_c
-    phase = j_arr + 2 * (i_arr - 1)
-    return {
-        "i": i_arr, "j": j_arr, "oqr_r": oqr_r, "oqr_c": oqr_c, "nr": nr,
-        "ncols": ncols, "oup_c": oup_c, "nc": nc, "ov": ov, "phase": phase,
-    }
 
 
 def wave_sizes(n: int, b: int, h: int) -> np.ndarray:
@@ -118,7 +95,12 @@ def schedule_checks(n: int, b: int, h: int) -> dict[str, bool]:
       (the bulge-handoff invariant derived in :mod:`repro.linalg.sbr`);
     * steps of one phase map to pairwise-distinct processor groups under
       :func:`group_of_step` (no same-phase collision — the invariant the
-      ⌈n/b⌉ group count exists to preserve).
+      ⌈n/b⌉ group count exists to preserve);
+    * ``waves_two_stage_safe``: a phase may run as all its QRs, then all its
+      updates (what :func:`repro.linalg.sbr.apply_chase_step` does).  For
+      same-phase steps A before B in panel order, B's QR cells miss A's
+      update window, and QR cells and update windows are each pairwise
+      disjoint — mirrors included, so each step's footprint is symmetric.
     """
     sched = pipeline_schedule(n, b, h)
     disjoint = True
@@ -142,4 +124,40 @@ def schedule_checks(n: int, b: int, h: int) -> dict[str, bool]:
         gids = [group_of_step(s, n, b) for s in ph.steps]
         if len(set(gids)) != len(gids):
             groups_ok = False
-    return {"phases_disjoint": disjoint, "bulge_handoff": handoff, "groups_disjoint": groups_ok}
+    return {
+        "phases_disjoint": disjoint, "bulge_handoff": handoff, "groups_disjoint": groups_ok,
+        "waves_two_stage_safe": _waves_two_stage_safe(n, b, h),
+    }
+
+
+def _waves_two_stage_safe(n: int, b: int, h: int) -> bool:
+    """The footprint rule of :func:`schedule_checks`, one phase at a time.
+
+    A step's QR touches rows×cols and its mirror; its update reads and
+    writes rows×window and window×rows.  Each footprint is two rectangles,
+    (r0, r1, c0, c1) half-open, so two footprints meet iff one rectangle of
+    each overlaps.
+    """
+    arr = chase_step_arrays(n, b, h)
+    rows = np.stack([arr["oqr_r"], arr["oqr_r"] + arr["nr"]], axis=1)
+    cols = np.stack([arr["oqr_c"], arr["oqr_c"] + arr["ncols"]], axis=1)
+    window = np.stack([arr["oup_c"], arr["oup_c"] + arr["nc"]], axis=1)
+
+    def footprint(a: np.ndarray, c: np.ndarray) -> np.ndarray:  # (steps, 2 rects, 4)
+        return np.stack([np.concatenate([a, c], axis=1), np.concatenate([c, a], axis=1)], axis=1)
+
+    def meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # (steps, steps): x[s] ∩ y[t] ≠ ∅
+        x, y = x[:, None, :, None, :], y[None, :, None, :, :]
+        hit = ((x[..., 0] < y[..., 1]) & (y[..., 0] < x[..., 1])
+               & (x[..., 2] < y[..., 3]) & (y[..., 2] < x[..., 3]))
+        return hit.any(axis=(2, 3))
+
+    qr, up = footprint(rows, cols), footprint(rows, window)
+    for idx in phase_steps(n, b, h):
+        q, u = qr[idx], up[idx]
+        later = np.triu(np.ones((idx.size, idx.size), dtype=bool), 1)  # [A, B]: A before B
+        others = ~np.eye(idx.size, dtype=bool)
+        if ((meets(u, q) & later).any() or (meets(q, q) & others).any()
+                or (meets(u, u) & others).any()):
+            return False
+    return True

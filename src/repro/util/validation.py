@@ -12,6 +12,9 @@ checking from under-counted computing.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 
 
@@ -59,6 +62,38 @@ def check_symmetric(a: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> 
     if np.abs(a - a.T).max(initial=0.0) > tol * frobenius_norm(a):
         raise ValueError(f"{name} is not symmetric to tolerance {tol}")
     return a
+
+
+_SAFMIN, _EPS = np.finfo(np.float64).tiny, np.finfo(np.float64).eps
+#: LAPACK ``dsyev``'s safe range for max|aᵢⱼ|, [√(safmin/ε), √(ε/safmin)]
+#: ≈ [1e-146, 1e146]: inside it no square a reflector norm or the Sturm
+#: recurrence forms under- or overflows
+SAFE_RANGE = (float(np.sqrt(_SAFMIN / _EPS)), float(np.sqrt(_EPS / _SAFMIN)))
+
+
+def scaled_to_safe_range(solver):
+    """Decorate an eigensolver ``solver(machine, a, …)`` the way ``dsyev``
+    guards its input: a finite ``a`` whose largest entry lies outside
+    :data:`SAFE_RANGE` is scaled by a power of two to magnitude ~1, and the
+    eigenvalues — the returned array, or a result's ``eigenvalues`` — are
+    scaled back; a power of two changes no bit of an entry that stays in
+    the normal range.  In-range inputs pass through untouched.  The scan, like :func:`check_symmetric`'s, is not charged,
+    so simulated costs stay input-independent.
+    """
+
+    @functools.wraps(solver)
+    def solve(machine, a, *args, **kwargs):
+        a = np.asarray(a, dtype=np.float64)
+        amax = float(np.maximum(a.max(initial=0.0), -a.min(initial=0.0)))  # NaN-propagating
+        if not np.isfinite(amax) or amax == 0.0 or SAFE_RANGE[0] <= amax <= SAFE_RANGE[1]:
+            return solver(machine, a, *args, **kwargs)
+        exp = int(np.frexp(amax)[1])  # amax = f·2^exp with f ∈ [1/2, 1)
+        out = solver(machine, np.ldexp(a, -exp), *args, **kwargs)
+        if isinstance(out, np.ndarray):
+            return np.ldexp(out, exp)
+        return dataclasses.replace(out, eigenvalues=np.ldexp(out.eigenvalues, exp))
+
+    return solve
 
 
 def check_banded(a: np.ndarray, bandwidth: int, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:

@@ -14,7 +14,7 @@ from repro.eig import (
 )
 from repro.eig.driver import default_initial_bandwidth, finish_sequential
 from repro.dist.banded import DistBandMatrix
-from repro.util.validation import reference_spectrum_error
+from repro.util.validation import reference_spectrum_error, scaled_to_safe_range
 from repro.util.matrices import (
     random_banded_symmetric,
     random_spectrum_symmetric,
@@ -138,23 +138,68 @@ class TestSolverBoundary:
             solve_by_name(name, m, a)
         assert m.cost() == BSPMachine(4).cost()
 
+    def test_in_range_input_is_passed_through_untouched(self):
+        """Scaling is only for out-of-range inputs: anything else reaches the
+        solver as the very same array, so every pinned document stays put."""
+        seen = []
+
+        @scaled_to_safe_range
+        def spy(machine, a):
+            seen.append(a)
+            return np.ones(a.shape[0])
+
+        for scale in (1e-145, 1.0, 1e145):
+            a = scale * random_symmetric(16, seed=3)
+            assert (spy(None, a) == 1.0).all()
+            assert seen[-1] is a
+        a = 1e-150 * random_symmetric(16, seed=3)
+        exp = int(np.frexp(np.abs(a).max())[1])
+        assert (spy(None, a) == np.ldexp(1.0, exp)).all()  # eigenvalues scaled back
+        assert (seen[-1] == np.ldexp(a, -exp)).all()  # by an exact power of two
+        assert 0.5 <= np.abs(seen[-1]).max() < 1.0
+
+    def test_scaling_leaves_costs_alone(self):
+        a = random_symmetric(16, seed=3)
+        costs = [solve_by_name("eig2p5d", BSPMachine(4), s * a).cost for s in (1.0, 1e-200, 1e200)]
+        assert costs[0] == costs[1] == costs[2]
+
     def test_tiny_norm_symmetric_input_is_solved(self):
         a = 1e-12 * random_symmetric(16, seed=4)
         res = solve_by_name("eig2p5d", BSPMachine(4), a)
         assert eig_err(a, res.eigenvalues) < 1e-8 * 1e-12
 
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e150])
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 1e-200, 1e-160, 1e-150, 1e-20, 1.0, 1e150, 1e160, 1e200, 1e300]
+    )
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_accuracy_scales_with_the_matrix(self, name, scale):
         """Backward-error gate at every magnitude: the Gershgorin pad (and
         with it the bisection's stopping width) used to be absolute below
-        norm 1, returning a spectrum off by 2e6·n·ε·‖A‖₂ at scale 1e-20."""
+        norm 1, returning a spectrum off by 2e6·n·ε·‖A‖₂ at scale 1e-20.
+        Outside LAPACK's safe range the solvers squared entries into under-
+        or overflow — τ = 0 reflectors, e² = 0 in the Sturm recurrence — and
+        returned all-zero spectra at 1e-170, or a non-finite-tridiagonal
+        error at 1e160; every public eigensolver now scales such inputs
+        first, so the dispatcher and the table entries both get it."""
         a = scale * random_symmetric(16, seed=3)
-        res = solve_by_name(name, BSPMachine(4), a, 0.5)
         ref = np.linalg.eigvalsh(a)
         bound = 4.0 * 16 * np.finfo(np.float64).eps * np.abs(ref).max()
-        assert np.abs(np.sort(res.eigenvalues) - ref).max() <= bound
+        for res in (solve_by_name(name, BSPMachine(4), a, 0.5), SOLVERS[name](BSPMachine(4), a, 0.5)):
+            assert np.abs(np.sort(res.eigenvalues) - ref).max() <= bound
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize(
+        "solve",
+        [eigensolve_2p5d, eigensolve_ca_sbr, eigensolve_elpa_like, eigensolve_scalapack_like],
+    )
+    def test_public_solvers_scale_extreme_inputs(self, solve, scale):
+        a = scale * random_symmetric(16, seed=3)
+        out = solve(BSPMachine(4), a)
+        evals = getattr(out, "eigenvalues", out)
+        ref = np.linalg.eigvalsh(a)
+        bound = 4.0 * 16 * np.finfo(np.float64).eps * np.abs(ref).max()
+        assert np.abs(np.sort(evals) - ref).max() <= bound
 
 
 class TestFinishSequential:

@@ -12,6 +12,7 @@ from repro.linalg.sbr import (
     full_to_band_seq,
     tridiagonalize_band_seq,
 )
+from repro.eig.schedule import chase_waves
 from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.matrices import random_banded_symmetric, random_symmetric
 from repro.util.validation import matrix_bandwidth
@@ -86,8 +87,9 @@ class TestBandReduce:
     def test_single_chase_step_preserves_eigenvalues(self):
         a = random_banded_symmetric(20, 4, seed=2)
         b_mat = a.copy()
-        step = chase_steps(20, 4, 2)[0]
-        apply_chase_step(b_mat, step)
+        wave = chase_waves(20, 4, 2)[0]  # phase 1: the one step (1, 1)
+        assert [(run.oqr_r, run.count) for run in wave] == [(chase_steps(20, 4, 2)[0].oqr_r, 1)]
+        apply_chase_step(b_mat, wave)
         b_mat = (b_mat + b_mat.T) / 2
         assert eig_err(a, b_mat) < 1e-11
 
