@@ -9,7 +9,11 @@ Householder reconstruction (Corollary III.7) converts it to one compact-WY
 pair ``(U, T)`` — the representation the eigensolvers aggregate.
 
 All tree nodes perform *real* factorizations of the actual data, so the
-returned factors are bit-for-bit those of the distributed algorithm.
+returned factors are bit-for-bit those of the distributed algorithm.  The
+eigensolver stages use the kernel (inside ``rect_qr``) for its charges:
+recorded once per shape onto a kernel tape (:mod:`repro.bsp.batch`) and,
+under fault injection, run live on the real panel.  Their panels' factors
+come from one sequential compact-WY QR.
 """
 
 from __future__ import annotations

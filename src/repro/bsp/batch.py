@@ -21,15 +21,19 @@ and CA-SBR, :mod:`repro.eig.ca_sbr`) are written once against a
     emits it) is held until the flush and issued step by step.
 
 :class:`KernelTape` memoizes what the parallel kernels (``rect_qr``,
-``carma_matmul``) emit.  Their charges depend only on operand shapes and
-the executing group — never on operand values or cache state — so one
-recording per (kernel, shapes, group) serves every machine.  A tape is
-recorded at the *hook boundary*: the ordered stream of counter-store calls,
-``metrics.on_*`` calls (with their named wire patterns) and span
-opens/closes the kernel makes on a scratch machine.  A write-through replay
-re-issues that stream against the live machine; a deferred replay appends
-its counter-store subset, pre-flattened to one array pair per field
-(:class:`FlatTape`).
+``carma_matmul``) charge, for the two stages that do their numerics
+locally: full-to-band (:mod:`repro.eig.full_to_band`: one rect-QR and four
+CARMA products per panel) and band-to-band (both per chase step).  A
+kernel's charges depend only on operand shapes, the executing group and
+its charging keyword arguments — never on operand values or cache state —
+so one recording per such key serves every machine.  A tape is
+recorded at the *hook boundary* of a scratch machine: per counter field,
+the (rank, amount) entries of every counter-store call in program order
+(one growing buffer each, rank indices narrowed to the smallest integer
+dtype), and — only when a write-through log asked for it — the *ordering
+points* at which a metrics hook or a span open/close saw the stream.  A
+deferred replay appends the fields; a write-through replay lands them in
+segments cut at those points and re-issues each hook (:class:`FlatTape`).
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ _Event = tuple[np.ndarray, np.ndarray]
 
 #: one step-indexed append: (kind, step of each entry, its events)
 _Step = tuple[str, np.ndarray, tuple[_Event, ...]]
-
-#: bytes of the tuple and argument containers of one recorded hook event
-#: (what a tape retains per event besides its array arguments)
-_EVENT_OVERHEAD = 200
 
 
 def needs_program_order(machine: BSPMachine) -> bool:
@@ -200,38 +200,48 @@ class ChargeLog:
             self.machine.superstep(RankGroup(tuple(dict.fromkeys(src.ranks + dst.ranks))), 1)
 
     def replay(self, tape: "FlatTape") -> None:
-        """Append a recorded kernel's charges (see :class:`KernelTape`)."""
+        """Append a recorded kernel's charges (see :class:`KernelTape`).
+
+        Deferred: each field joins the pending events.  Write-through: the
+        fields land on the live store in program-order segments, cut at
+        the tape's ordering points — a span open or close and a metrics
+        superstep sample read the store, so everything before them lands
+        first; a metrics comm charge reads only its own entries."""
         if self.deferred:
-            if tape.flops is not None:
-                self._flops.append(tape.flops)
-            if tape.sent is not None:
-                self._sent.append(tape.sent)
-            if tape.recv is not None:
-                self._recv.append(tape.recv)
-            if tape.mem is not None:
-                self._mem.append(tape.mem)
-            if tape.ss is not None:
-                self._ss.append(tape.ss)
-            if tape.note is not None:
-                self._note.append(tape.note)
+            for name, pending in zip(_FIELDS, (self._flops, self._sent, self._recv,
+                                               self._mem, self._ss, self._note)):
+                event = getattr(tape, name)
+                if event is not None:
+                    pending.append(event)
             return
-        if tape.events is None:
-            raise RuntimeError("tape was recorded for a deferred log; it kept no hook events")
+        if tape.points is None:
+            raise RuntimeError("tape was recorded for a deferred log; it kept no ordering points")
         machine = self.machine
-        observers = {"counters": machine.counters}
-        if machine.metrics.enabled:
-            observers["metrics"] = machine.metrics
+        spans, metrics = machine.spans.enabled, machine.metrics.enabled
+        fields = _Fields(machine.counters, tape)
+        payloads = iter(tape.payloads)
         open_spans: list[SpanHandle] = []
-        for channel, method, args, kwargs in tape.events:
-            if channel == "spans":  # through machine.span: a no-op handle when spans are off
-                if method == "open":
-                    open_spans.append(machine.span(*args).__enter__())
-                else:
-                    open_spans.pop().__exit__(None, None, None)
-            elif channel in observers:
-                if method == "on_superstep":  # its argument is the live store
-                    args = (machine.counters,)
-                getattr(observers[channel], method)(*args, **kwargs)
+        for kind, *rest in tape.points.tolist():
+            ends = rest[: len(_FIELDS)]
+            if kind == _COMM:
+                pattern = next(payloads)
+                if metrics:
+                    s_start, r_start = rest[len(_FIELDS) :]
+                    machine.metrics.on_comm(*fields.entries(1, s_start, ends[1]),
+                                            *fields.entries(2, r_start, ends[2]), pattern)
+            elif kind == _SUPERSTEP:
+                if metrics:
+                    fields.land(ends)
+                    machine.metrics.on_superstep(machine.counters)
+            elif kind == _OPEN:
+                name, group = next(payloads)
+                if spans:
+                    fields.land(ends)
+                    open_spans.append(machine.span(name, group).__enter__())
+            elif spans:
+                fields.land(ends)
+                open_spans.pop().__exit__(None, None, None)
+        fields.land(fields.sizes)
 
     def _defer_steps(self, steps: list[_Step]) -> None:
         """Buffer the step-indexed appends after the other events of their
@@ -310,109 +320,234 @@ class ChargeLog:
         self.machine.verify("flush")
 
 
-#: counter-store method -> FlatTape field (anything else a kernel calls on
-#: the store — the order-sensitive add/release memory pair — cannot be taped)
-_STORE_FIELDS = {
-    "add_flops": ("flops", np.float64),
-    "add_mem_traffic": ("mem", np.float64),
-    "add_supersteps": ("ss", np.int64),
-    "note_memory": ("note", np.float64),
-}
+#: a tape's counter fields, in the order its ordering points record their ends
+_FIELDS = ("flops", "sent", "recv", "mem", "ss", "note")
+
+#: ordering-point kinds of a write-through tape, and the width of a point's
+#: row: its kind, the six field ends, and a comm charge's sent / recv start
+_OPEN, _CLOSE, _SUPERSTEP, _COMM = range(4)
+_ROW = 1 + len(_FIELDS) + 2
+
+#: bytes one payload of an ordering point retains (a span's name and group
+#: tuple, or a reference to a comm charge's memoised wire pattern)
+_PAYLOAD_OVERHEAD = 100
 
 
-class FlatTape:
-    """One recorded kernel call: its hook-level event stream, plus the
-    counter-store subset flattened to one array pair per field.
-
-    ``events`` holds ``(channel, method, args, kwargs)`` tuples in program
-    order, ``channel`` naming the observer the call went to (``"counters"``,
-    ``"metrics"``, ``"spans"``).  The flattened fields keep
-    per-field order; cross-field interleaving carries no information for a
-    deferred flush (each counter field accumulates independently).
-    """
-
-    __slots__ = ("events", "flops", "sent", "recv", "mem", "ss", "note")
-
-    def __init__(self, events: list[tuple]):
-        self.events: list[tuple] | None = events
-        fields: dict[str, list[_Event]] = {name: [] for name in self.__slots__[1:]}
-        for channel, method, args, _kwargs in events:
-            if channel != "counters":
-                continue
-            if method == "add_comm":
-                if args[0] is not None:
-                    fields["sent"].append(_event(args[0], args[1]))
-                if args[2] is not None:
-                    fields["recv"].append(_event(args[2], args[3]))
-            elif method in _STORE_FIELDS:
-                name, dtype = _STORE_FIELDS[method]
-                fields[name].append(_event(args[0], args[1], dtype))
-            else:
-                raise RuntimeError(f"taped kernels must not call {method}")
-        self.flops = _concat(fields["flops"])
-        self.sent = _concat(fields["sent"])
-        self.recv = _concat(fields["recv"])
-        self.mem = _concat(fields["mem"])
-        self.ss = _concat(fields["ss"])
-        self.note = _concat(fields["note"])
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes this tape retains: the flattened fields plus, while they
-        are kept, the array arguments of the hook events."""
-        total = 0
-        for name in self.__slots__[1:]:
-            field = getattr(self, name)
-            if field is not None:
-                total += field[0].nbytes + field[1].nbytes
-        for _channel, _method, args, kwargs in self.events or ():
-            total += _EVENT_OVERHEAD
-            total += sum(a.nbytes for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray))
-        return total
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """Nonnegative integers in the smallest dtype that holds them (a copy)."""
+    return a.astype(np.min_scalar_type(int(a.max()))) if a.size else a.copy()
 
 
-class _HookRecorder(SpanHandle):
-    """Stand-in for one observer of a scratch machine (counter store,
-    metrics or spans): records every call made on it."""
+class _Column:
+    """A growing 1-D array: appends land in program order, capacity doubles."""
+
+    __slots__ = ("data", "size")
+
+    def __init__(self, dtype: type):
+        self.data = np.empty(64, dtype=dtype)
+        self.size = 0
+
+    def extend(self, values: Any, count: int) -> None:
+        end = self.size + count
+        if end > self.data.size:
+            grown = np.empty(max(end, 2 * self.data.size), dtype=self.data.dtype)
+            grown[: self.size] = self.data[: self.size]
+            self.data = grown
+        self.data[self.size : end] = values
+        self.size = end
+
+    def view(self) -> np.ndarray:
+        return self.data[: self.size]
+
+
+class _StoreRecorder:
+    """Counter store of the scratch machine a kernel is recorded on: each
+    charge's (rank, amount) entries append, in program order, to their
+    field's columns.  Any other store call (the order-sensitive add/release
+    memory pair) cannot be taped."""
+
+    def __init__(self) -> None:
+        self.fields = {
+            name: (_Column(np.int64), _Column(np.int64 if name == "ss" else np.float64))
+            for name in _FIELDS
+        }
+        self.comm_start = (0, 0)  # sent / recv entries before the last add_comm
+
+    def _append(self, name: str, idx: Any, amount: Any) -> None:
+        ranks, amounts = self.fields[name]
+        count = 1 if np.ndim(idx) == 0 else len(idx)
+        ranks.extend(idx, count)
+        amounts.extend(amount, count)
+
+    def ends(self) -> list[int]:
+        return [ranks.size for ranks, _ in self.fields.values()]
+
+    def add_flops(self, idx: Any, amount: Any, unique: bool = True) -> None:
+        self._append("flops", idx, amount)
+
+    def add_comm(self, send_idx: Any = None, sent: Any = None, recv_idx: Any = None,
+                 recvd: Any = None, unique: bool = True) -> None:
+        self.comm_start = (self.fields["sent"][0].size, self.fields["recv"][0].size)
+        if send_idx is not None:
+            self._append("sent", send_idx, sent)
+        if recv_idx is not None:
+            self._append("recv", recv_idx, recvd)
+
+    def add_supersteps(self, idx: Any, count: Any, unique: bool = True) -> None:
+        self._append("ss", idx, count)
+
+    def add_mem_traffic(self, idx: Any, words: Any, unique: bool = True) -> None:
+        self._append("mem", idx, words)
+
+    def note_memory(self, idx: Any, words_each: Any, unique: bool = True) -> None:
+        self._append("note", idx, words_each)
+
+    def __getattr__(self, method: str) -> Any:
+        raise RuntimeError(f"taped kernels must not call {method}")
+
+
+class _ObserverRecorder(SpanHandle):
+    """Metrics collector and span recorder of the scratch machine, for a
+    tape a write-through log replays: each call becomes an ordering point —
+    its kind, the length of every counter field at that moment, and for a
+    comm charge where its entries start — with the span name and group or
+    the wire pattern kept aside."""
 
     enabled = True
 
-    def __init__(self, channel: str, events: list[tuple]):
-        self._channel = channel
-        self._events = events
+    def __init__(self, store: _StoreRecorder):
+        self.store = store
+        self.points = _Column(np.int64)
+        self.payloads: list[Any] = []
 
-    def __getattr__(self, method: str) -> Callable[..., None]:
-        def record(*args: Any, **kwargs: Any) -> None:
-            self._events.append((self._channel, method, args, kwargs))
+    def _point(self, kind: int, start: tuple[int, int] = (0, 0)) -> None:
+        self.points.extend([kind, *self.store.ends(), *start], _ROW)
 
-        return record
+    def on_comm(self, s_idx: Any, s_w: Any, r_idx: Any, r_w: Any, pattern: Pattern) -> None:
+        self._point(_COMM, self.store.comm_start)
+        self.payloads.append(pattern)
+
+    def on_superstep(self, store: Any) -> None:
+        self._point(_SUPERSTEP)
 
     # the span recorder's ``handle`` returns a context manager: this object
-    def handle(self, name: str, group: object = None) -> "_HookRecorder":
-        self._events.append((self._channel, "open", (name, group), {}))
+    def handle(self, name: str, group: object = None) -> "_ObserverRecorder":
+        self._point(_OPEN)
+        self.payloads.append((name, group))
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        self._events.append((self._channel, "close", (), {}))
+        self._point(_CLOSE)
         return False
 
 
+class FlatTape:
+    """One recorded kernel call: per counter field, its (rank, amount)
+    entries in program order, rank indices in the smallest integer dtype
+    that holds them; plus, for a write-through replay, the ordering points
+    at which an observer saw the call stream.
+
+    ``points`` is ``None`` on a tape recorded for a deferred log (it only
+    appends the fields), else one row per observer call: ``(kind, ends of
+    the six fields, sent / recv start of a comm charge)``, with the span
+    names and groups and the wire patterns in ``payloads``.  Between two
+    points the fields are independent, so each lands with one ordered
+    ``np.add.at`` — per rank, the additions of the live call stream.
+    """
+
+    __slots__ = ("flops", "sent", "recv", "mem", "ss", "note", "points", "payloads")
+
+    flops: _Event | None
+    sent: _Event | None
+    recv: _Event | None
+    mem: _Event | None
+    ss: _Event | None
+    note: _Event | None
+
+    def __init__(self, store: _StoreRecorder, observer: _ObserverRecorder | None):
+        for name, (ranks, amounts) in store.fields.items():
+            event = None
+            if ranks.size:
+                event = (_narrow(ranks.view()), amounts.view().copy())
+            setattr(self, name, event)
+        self.points: np.ndarray | None = None
+        self.payloads: list[Any] = []
+        if observer is not None:
+            self.points = _narrow(observer.points.view()).reshape(-1, _ROW)
+            self.payloads = observer.payloads
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this tape retains: its field arrays, ordering points and
+        their payloads."""
+        events = [getattr(self, name) for name in _FIELDS]
+        total = sum(a.nbytes for event in events if event is not None for a in event)
+        if self.points is not None:
+            total += self.points.nbytes + _PAYLOAD_OVERHEAD * len(self.payloads)
+        return total
+
+
 #: byte cap of the process-wide tape cache (least recently used tapes are
-#: evicted and re-recorded on their next use).  The repo benchmark's solve
-#: workloads hold < 2 MB of tapes each and an observed p = 256 solve ≈ 20 MB,
-#: so after a warm-up op everything replays; an ``EigenService`` process that
-#: keeps meeting new shapes stops growing here.
+#: evicted and re-recorded on their next use).  Full-to-band and band-to-band
+#: tapes together hold 2.5 MB after a plain n = 512, p = 256 solve and 4.0 MB
+#: after an observed one (0.4 / 0.7 MB at n = 256, p = 64), so after a warm-up
+#: op everything replays; an ``EigenService`` process that keeps meeting new
+#: shapes stops growing here.
 _TAPE_CACHE_BYTES = 64 << 20
 
 # Recorded tapes are reusable across KernelTape instances (and hence across
-# band-to-band stages and solves): the key pins everything a kernel's event
-# stream depends on — machine size and parameters, kernel, operand shapes,
-# and the executing group's exact rank tuple.
+# stages and solves): the key pins everything a kernel's charges depend on —
+# machine size and parameters, kernel, operand shapes, the executing group's
+# exact rank tuple, and every keyword argument but ``tag``.
 _TAPE_CACHE = ByteLRU(_TAPE_CACHE_BYTES)
 
 
+class _Fields:
+    """A tape's fields as a write-through replay lands them on the live
+    ``store``: rank indices widened to ``intp`` for the replay (``np.add.at``
+    runs its fast path on them), ``landed`` entries of each field already
+    added."""
+
+    def __init__(self, store: Any, tape: FlatTape):
+        self.tape = tape
+        self.events: list[Any] = [None if e is None else (e[0].astype(np.intp), e[1])
+                                  for e in (getattr(tape, name) for name in _FIELDS)]
+        self.sizes = [0 if e is None else e[0].size for e in self.events]
+        self.landed = [0] * len(_FIELDS)
+        self.adders: tuple[Callable[..., None], ...] = (
+            store.add_flops,
+            lambda idx, words, unique: store.add_comm(idx, words, None, None, unique=unique),
+            lambda idx, words, unique: store.add_comm(None, None, idx, words, unique=unique),
+            store.add_mem_traffic,
+            store.add_supersteps,
+            store.note_memory,
+        )
+
+    def entries(self, field: int, start: int, end: int) -> tuple[Any, Any]:
+        """One side of a taped comm charge as its metrics hook received it
+        (the ranks a fresh array: the hook keeps them until its next fold,
+        which must not pin this replay's widened copy)."""
+        event = getattr(self.tape, _FIELDS[field])
+        if event is None or start == end:
+            return None, None
+        return event[0][start:end].astype(np.int64), event[1][start:end]
+
+    def land(self, ends: list[int]) -> None:
+        """Add every field's entries up to ``ends`` — one unbuffered,
+        ordered ``np.add.at`` each — to the store."""
+        landed = self.landed
+        if ends == landed:
+            return
+        for i, end in enumerate(ends):
+            start = landed[i]
+            if start != end:
+                idx, amount = self.events[i]
+                self.adders[i](idx[start:end], amount[start:end], unique=False)
+                landed[i] = end
+
+
 class KernelTape:
-    """Shape-keyed memo of kernel event streams, replayed into a ChargeLog."""
+    """Shape-keyed memo of kernel charge streams, replayed into a ChargeLog."""
 
     def __init__(self, log: ChargeLog):
         self.log = log
@@ -420,39 +555,46 @@ class KernelTape:
         self._key = (log.machine.p, repr(log.machine.params))
 
     def _record(self, kernel: Callable[..., object], *args: Any, **kwargs: Any) -> FlatTape:
-        """Run ``kernel(scratch, *args, **kwargs)`` with every observer of
-        the scratch machine recording."""
+        """Run ``kernel(scratch, *args, **kwargs)`` on a scratch machine whose
+        counter store records; for a write-through log its metrics and
+        span recorder record the ordering points as well."""
         machine = self.log.machine
         if self._scratch is None:
             self._scratch = BSPMachine(machine.p, params=machine.params)
         scratch: Any = self._scratch
-        events: list[tuple] = []
-        for channel in ("counters", "metrics", "spans"):
-            setattr(scratch, channel, _HookRecorder(channel, events))
-        kernel(scratch, *args, **kwargs)
-        tape = FlatTape(events)
-        if self.log.deferred:
-            tape.events = None  # only a write-through replay reads them (~20 MB at p = 256)
-        return tape
+        quiet = (scratch.spans, scratch.metrics)
+        store = _StoreRecorder()
+        observer = None if self.log.deferred else _ObserverRecorder(store)
+        scratch.counters = store
+        if observer is not None:
+            scratch.spans = scratch.metrics = observer
+        try:
+            kernel(scratch, *args, **kwargs)
+        finally:
+            scratch.spans, scratch.metrics = quiet
+        return FlatTape(store, observer)
 
     def run(self, kernel: Callable[..., object], group: RankGroup, operands: tuple, **kwargs: Any) -> None:
         """Charge ``kernel(machine, group, *operands, **kwargs)`` to the log.
 
-        ``kernel`` is ``rect_qr`` or ``carma_matmul`` (operands already in
-        the kernel's layout, so no redistribution is charged); its result
-        is not used — the chase loop does the numerics directly.
-        ``kwargs`` (``rect_qr``'s ``tag``) are not part of the tape's key,
-        so they must not change what the kernel charges.  Under fault
+        ``kernel`` is ``rect_qr`` or ``carma_matmul``; its result is not
+        used — the caller does the numerics directly.  ``kwargs`` go to the
+        kernel (``charge_redistribution`` defaults to False: the operands
+        are already in the kernel's layout) and, all but ``tag`` (a label
+        no charge reads), into the tape's key: ``rect_qr``'s ``delta`` and
+        ``charge_redistribution`` change what it charges.  Under fault
         injection the real kernel runs on the real operands, so drop /
         corrupt / ABFT sites and the seeded RNG stream are untouched.
         """
+        kwargs = {"charge_redistribution": False, **kwargs}
         machine = self.log.machine
         if machine.faults.enabled:
-            kernel(machine, group, *operands, charge_redistribution=False, **kwargs)
+            kernel(machine, group, *operands, **kwargs)
             return
-        key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks)
+        key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks,
+               tuple(sorted((k, v) for k, v in kwargs.items() if k != "tag")))
         tape = _TAPE_CACHE.get(key)
-        if tape is None or (tape.events is None and not self.log.deferred):
-            tape = self._record(kernel, group, *operands, charge_redistribution=False, **kwargs)
+        if tape is None or (tape.points is None and not self.log.deferred):
+            tape = self._record(kernel, group, *operands, **kwargs)
             _TAPE_CACHE.put(key, tape, tape.nbytes)
         self.log.replay(tape)

@@ -57,6 +57,10 @@ _MAX_SAMPLES = 2048
 #: without waiting for a read; bounds the fold's temporaries to a few MB
 _FOLD_ADDITIONS = 1 << 14
 
+#: the reductions behind ``ndarray.max`` / ``any`` / ``all``, without their
+#: Python-level wrappers (the superstep hook runs once per barrier)
+_max, _any, _all = np.maximum.reduce, np.logical_or.reduce, np.logical_and.reduce
+
 _NO_RANKS = np.empty(0, dtype=np.int64)
 _NO_RANKS.setflags(write=False)
 _NO_WORDS = np.empty(0)
@@ -68,7 +72,7 @@ def _entries(idx, words) -> tuple[np.ndarray, np.ndarray]:
     words copied: they are read at the fold)."""
     if idx is None:
         return _NO_RANKS, _NO_WORDS
-    ranks = np.atleast_1d(idx)
+    ranks = idx if isinstance(idx, np.ndarray) and idx.ndim == 1 else np.atleast_1d(idx)
     if np.ndim(words) == 0:
         return ranks, np.full(ranks.size, float(words))
     return ranks, np.array(words, dtype=np.float64)
@@ -256,7 +260,7 @@ class MetricsCollector:
         cur = np.asarray(store.field_array("current_memory_words"), dtype=np.float64)
         self.supersteps_seen += 1
         grew = cur > self.watermark_words
-        if grew.any():
+        if _any(grew):
             self.watermark_superstep[grew] = self.supersteps_seen
             self.watermark_words = np.maximum(self.watermark_words, cur)
         if (self.supersteps_seen - 1) % self._stride == 0:
@@ -264,7 +268,7 @@ class MetricsCollector:
             # the memory vector rarely moves between samples: share the
             # previous sample's array while the content is unchanged
             memory = self.series[-1][1] if self.series else None
-            if memory is None or not np.array_equal(memory, cur):
+            if memory is None or not _all(memory == cur):
                 memory = cur.copy()
             self.series.append((self._model_time(store), memory, sent.copy()))
             if len(self.series) > _MAX_SAMPLES:
@@ -279,10 +283,10 @@ class MetricsCollector:
         sent = np.asarray(store.field_array("words_sent"), dtype=np.float64)
         recv = np.asarray(store.field_array("words_recv"), dtype=np.float64)
         return self._params.time(
-            float(np.asarray(store.field_array("flops")).max()),
-            float((sent + recv).max()),
-            float(np.asarray(store.field_array("mem_traffic")).max()),
-            float(np.asarray(store.field_array("supersteps")).max()),
+            float(_max(np.asarray(store.field_array("flops")))),
+            float(_max(sent + recv)),
+            float(_max(np.asarray(store.field_array("mem_traffic")))),
+            float(_max(np.asarray(store.field_array("supersteps")))),
         )
 
     def verify_conservation(self, store) -> list:

@@ -291,11 +291,63 @@ class TestKernelTape:
         log = ChargeLog(m)
         operands = (rng.standard_normal((12, 12)), rng.standard_normal((12, 6)))
         KernelTape(log).run(carma_matmul, m.world, operands)
-        key = ((m.p, repr(m.params)), "carma_matmul", ((12, 12), (12, 6)), m.world.ranks)
+        key = ((m.p, repr(m.params)), "carma_matmul", ((12, 12), (12, 6)), m.world.ranks,
+               (("charge_redistribution", False),))
         first = _TAPE_CACHE.get(key)
         KernelTape(log).run(carma_matmul, m.world, operands)
         assert _TAPE_CACHE.get(key) is first
         assert isinstance(first, FlatTape)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("first, second", [
+        ({"delta": 0.5}, {"delta": 2.0 / 3.0}),
+        ({"charge_redistribution": True}, {"charge_redistribution": False}),
+    ], ids=["delta", "charge_redistribution"])
+    def test_charging_kwargs_key_their_own_tapes(self, first, second, observed, rng, monkeypatch):
+        """``rect_qr``'s ``delta`` (its base-case rank cap) and
+        ``charge_redistribution`` change what it charges: the same shapes
+        and group record one tape per value, and each replay — cold, then
+        warm after the other value's — is a direct call on a fresh machine,
+        byte for byte.  ``tag`` is no part of the key."""
+        cache = ByteLRU(1 << 30)
+        monkeypatch.setattr(batch, "_TAPE_CACHE", cache)
+        kwargs = {"spans": True, "metrics": True} if observed else {}
+        a = rng.standard_normal((64, 8))  # p = 8: δ moves the base-case groups
+
+        states = []
+        for charging in (first, second, first, second):
+            direct = BSPMachine(8, **kwargs)
+            rect_qr(direct, direct.world, a, **{"charge_redistribution": False, **charging}, tag="d")
+            m = BSPMachine(8, **kwargs)
+            log = ChargeLog(m)
+            KernelTape(log).run(rect_qr, m.world, (a,), tag=f"t{len(states)}", **charging)
+            log.flush()
+            assert report_mismatches(direct.cost(), m.cost()) == []
+            if observed:
+                assert _observable_state(direct) == _observable_state(m)
+            states.append(per_rank_arrays(m.cost()))
+        assert len(cache) == 2 and cache.misses == 2 and cache.hits == 2
+        assert any(not np.array_equal(states[0][f], states[1][f]) for f in states[0])
+
+    def test_fault_path_forwards_charge_redistribution(self, rng, monkeypatch):
+        """A fault-injecting machine runs the kernel live with the caller's
+        kwargs: with redistribution charged it is the direct call that
+        charges it, and it differs from the one that does not."""
+        import repro.faults.abft as abft
+
+        monkeypatch.setattr(abft, "abft_check", lambda *args, **kwargs: None)
+        a = rng.standard_normal((64, 8))
+        reports = []
+        for redistribute in (True, False):
+            direct = BSPMachine(8)
+            rect_qr(direct, direct.world, a, charge_redistribution=redistribute)
+            faulty = FaultyMachine(8, plan=FaultPlan(SCENARIOS["clean"], seed=0))
+            log = ChargeLog(faulty)
+            KernelTape(log).run(rect_qr, faulty.world, (a,), charge_redistribution=redistribute)
+            log.flush()
+            assert report_mismatches(direct.cost(), faulty.cost()) == []
+            reports.append(faulty.cost())
+        assert report_mismatches(*reports) != []
 
     @pytest.mark.parametrize("observed", [False, True])
     def test_cache_evicts_and_re_records_identically(self, observed, rng, monkeypatch):
@@ -490,9 +542,10 @@ class TestPipelineIdentity:
 
     @pytest.mark.parametrize("config", chase_digests.CONFIGS, ids=lambda c: chase_digests.config_key(*c))
     def test_observed_run_reproduces_perstep_golden_digests(self, config):
-        """Span events, span buckets, the metrics snapshot, per-rank counters
-        and the spectrum all digest to what the deleted per-step path
-        produced (real rect_qr / carma calls per step)."""
+        """Span events, span buckets, the metrics snapshot and per-rank
+        counters all digest to what the deleted per-step path produced (real
+        rect_qr / carma calls per step); the spectrum to its re-pinned value
+        (see ``tests/chase_digests.py``)."""
         golden = json.loads(chase_digests.DATA.read_text())[chase_digests.config_key(*config)]
         assert chase_digests.observed_run_digests(*config) == golden
 
