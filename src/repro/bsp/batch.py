@@ -32,8 +32,13 @@ the (rank, amount) entries of every counter-store call in program order
 (one growing buffer each, rank indices narrowed to the smallest integer
 dtype), and — only when a write-through log asked for it — the *ordering
 points* at which a metrics hook or a span open/close saw the stream.  A
-deferred replay appends the fields; a write-through replay lands them in
-segments cut at those points and re-issues each hook (:class:`FlatTape`).
+deferred replay appends the fields.  A write-through replay is bulk too:
+each field lands once, and the span recorder and the metrics collector
+take every ordering point in one call each, with the counter state the
+live stream had there — exact per-rank running sums of the tape's entries
+seeded with the live store (:class:`_ReplayPlan`).  ``tests/replay_oracle.py``
+keeps the per-point replay (land up to each point, fire its hook) that it
+reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
 from repro.bsp.pattern import Pattern, all_to_all, pairs
-from repro.trace.spans import SpanHandle
+from repro.trace.spans import SPAN_FIELDS, STATE_FIELDS, SpanHandle
 from repro.util.lru import ByteLRU
 
 #: one buffered charge: (rank indices, per-index amounts)
@@ -92,12 +97,26 @@ def _concat(events: list[_Event]) -> _Event | None:
     )
 
 
-def _nonneg(event: _Event | None, label: str) -> _Event | tuple[None, None]:
-    if event is None:
-        return None, None
-    if event[1].size and event[1].min() < 0:
+def _nonneg(event: _Event | None, label: str) -> _Event | None:
+    if event is not None and event[1].size and event[1].min() < 0:
         raise ValueError(f"{label} must be nonnegative")
     return event
+
+
+def _land(counters: Any, flops: _Event | None, sent: _Event | None, recv: _Event | None,
+          mem: _Event | None, ss: _Event | None, note: _Event | None) -> None:
+    """Add each counter field's events to the store: one unbuffered,
+    ordered ``np.add.at`` (``np.maximum.at`` for memory notes) per field."""
+    if flops is not None:
+        counters.add_flops(*flops, unique=False)
+    if sent is not None or recv is not None:
+        counters.add_comm(*(sent or (None, None)), *(recv or (None, None)), unique=False)
+    if mem is not None:
+        counters.add_mem_traffic(*mem, unique=False)
+    if ss is not None:
+        counters.add_supersteps(*ss, unique=False)
+    if note is not None:
+        counters.note_memory(*note, unique=False)
 
 
 def _barriers(machine: BSPMachine, ranks: np.ndarray, counts: np.ndarray) -> None:
@@ -202,11 +221,10 @@ class ChargeLog:
     def replay(self, tape: "FlatTape") -> None:
         """Append a recorded kernel's charges (see :class:`KernelTape`).
 
-        Deferred: each field joins the pending events.  Write-through: the
-        fields land on the live store in program-order segments, cut at
-        the tape's ordering points — a span open or close and a metrics
-        superstep sample read the store, so everything before them lands
-        first; a metrics comm charge reads only its own entries."""
+        Deferred: each field joins the pending events.  Write-through: each
+        field lands at once, as a flush lands it; the observers take the
+        ordering points in one call each, with the states the live stream
+        had there (:meth:`_ReplayPlan.states`); the machine verifies once."""
         if self.deferred:
             for name, pending in zip(_FIELDS, (self._flops, self._sent, self._recv,
                                                self._mem, self._ss, self._note)):
@@ -214,34 +232,18 @@ class ChargeLog:
                 if event is not None:
                     pending.append(event)
             return
-        if tape.points is None:
+        plan = tape.plan
+        if plan is None:
             raise RuntimeError("tape was recorded for a deferred log; it kept no ordering points")
         machine = self.machine
         spans, metrics = machine.spans.enabled, machine.metrics.enabled
-        fields = _Fields(machine.counters, tape)
-        payloads = iter(tape.payloads)
-        open_spans: list[SpanHandle] = []
-        for kind, *rest in tape.points.tolist():
-            ends = rest[: len(_FIELDS)]
-            if kind == _COMM:
-                pattern = next(payloads)
-                if metrics:
-                    s_start, r_start = rest[len(_FIELDS) :]
-                    machine.metrics.on_comm(*fields.entries(1, s_start, ends[1]),
-                                            *fields.entries(2, r_start, ends[2]), pattern)
-            elif kind == _SUPERSTEP:
-                if metrics:
-                    fields.land(ends)
-                    machine.metrics.on_superstep(machine.counters)
-            elif kind == _OPEN:
-                name, group = next(payloads)
-                if spans:
-                    fields.land(ends)
-                    open_spans.append(machine.span(name, group).__enter__())
-            elif spans:
-                fields.land(ends)
-                open_spans.pop().__exit__(None, None, None)
-        fields.land(fields.sizes)
+        at_spans, at_samples = plan.states(machine.counters, spans, metrics)
+        _land(machine.counters, *(getattr(tape, name) for name in _FIELDS))
+        if metrics:
+            machine.metrics.on_replay(plan.comms, at_samples)
+        if spans:
+            machine.spans.replay(plan.marks, at_spans[:, : len(SPAN_FIELDS)])
+        machine.verify("kernel tape replay")
 
     def _defer_steps(self, steps: list[_Step]) -> None:
         """Buffer the step-indexed appends after the other events of their
@@ -298,23 +300,15 @@ class ChargeLog:
         steps, self._steps = self._steps, []
         if steps:
             (self._defer_steps if self.deferred else self._write_steps)(steps)
-        counters = self.machine.counters
-        flops = _nonneg(_concat(self._flops), "flops")
-        sent = _nonneg(_concat(self._sent), "sent words")
-        recv = _nonneg(_concat(self._recv), "received words")
-        mem = _nonneg(_concat(self._mem), "words")
-        steps = _concat(self._ss)
-        note = _concat(self._note)
-        if flops[0] is not None:
-            counters.add_flops(*flops, unique=False)
-        if sent[0] is not None or recv[0] is not None:
-            counters.add_comm(*sent, *recv, unique=False)
-        if mem[0] is not None:
-            counters.add_mem_traffic(*mem, unique=False)
-        if steps is not None:
-            counters.add_supersteps(*steps, unique=False)
-        if note is not None:
-            counters.note_memory(*note, unique=False)
+        _land(
+            self.machine.counters,
+            _nonneg(_concat(self._flops), "flops"),
+            _nonneg(_concat(self._sent), "sent words"),
+            _nonneg(_concat(self._recv), "received words"),
+            _nonneg(_concat(self._mem), "words"),
+            _concat(self._ss),
+            _concat(self._note),
+        )
         for events in (self._flops, self._sent, self._recv, self._mem, self._ss, self._note):
             events.clear()
         self.machine.verify("flush")
@@ -450,12 +444,11 @@ class FlatTape:
     ``points`` is ``None`` on a tape recorded for a deferred log (it only
     appends the fields), else one row per observer call: ``(kind, ends of
     the six fields, sent / recv start of a comm charge)``, with the span
-    names and groups and the wire patterns in ``payloads``.  Between two
-    points the fields are independent, so each lands with one ordered
-    ``np.add.at`` — per rank, the additions of the live call stream.
+    names and groups and the wire patterns in ``payloads``; ``plan`` is
+    what a bulk replay derives from them.
     """
 
-    __slots__ = ("flops", "sent", "recv", "mem", "ss", "note", "points", "payloads")
+    __slots__ = ("flops", "sent", "recv", "mem", "ss", "note", "points", "payloads", "plan")
 
     flops: _Event | None
     sent: _Event | None
@@ -464,7 +457,7 @@ class FlatTape:
     ss: _Event | None
     note: _Event | None
 
-    def __init__(self, store: _StoreRecorder, observer: _ObserverRecorder | None):
+    def __init__(self, store: _StoreRecorder, observer: _ObserverRecorder | None, p: int):
         for name, (ranks, amounts) in store.fields.items():
             event = None
             if ranks.size:
@@ -472,19 +465,122 @@ class FlatTape:
             setattr(self, name, event)
         self.points: np.ndarray | None = None
         self.payloads: list[Any] = []
+        self.plan: _ReplayPlan | None = None
         if observer is not None:
             self.points = _narrow(observer.points.view()).reshape(-1, _ROW)
             self.payloads = observer.payloads
+            self.plan = _ReplayPlan(self, p)
 
     @property
     def nbytes(self) -> int:
-        """Bytes this tape retains: its field arrays, ordering points and
-        their payloads."""
+        """Bytes this tape retains: its field arrays, ordering points, their
+        payloads and its replay plan."""
         events = [getattr(self, name) for name in _FIELDS]
         total = sum(a.nbytes for event in events if event is not None for a in event)
-        if self.points is not None:
-            total += self.points.nbytes + _PAYLOAD_OVERHEAD * len(self.payloads)
+        if self.plan is not None:
+            total += self.points.nbytes + _PAYLOAD_OVERHEAD * len(self.payloads) + self.plan.nbytes
         return total
+
+
+class _ReplayPlan:
+    """A write-through tape's ordering points, prepared for bulk replay.
+
+    A rank's counter state at a point is its live value followed by its
+    entries before the point, added in program order.  ``template`` holds
+    one column per (field, rank) the tape touches: its entries from row 1
+    on, then +0.0 padding.  :meth:`states` seeds row 0 with the live store
+    and runs ``np.add.accumulate`` down the columns (``np.maximum.accumulate``
+    for memory notes): the very IEEE additions ``np.add.at`` makes.  Row
+    ``c`` holds from the point that sees entry ``c`` for ``runs[u, c]``
+    points (span points, then superstep samples in a second table), so one
+    ``np.repeat`` lays out every point's state.  ``marks``: the span opens
+    ``(name, group)`` and closes ``None``; ``comms``: the comm charges."""
+
+    __slots__ = ("p", "rows", "dest", "template", "runs", "sizes", "notes", "marks", "comms")
+
+    def __init__(self, tape: FlatTape, p: int):
+        assert tape.points is not None
+        points = tape.points.astype(np.intp)
+        kinds = points[:, 0].tolist()
+        payloads = iter(tape.payloads)
+        items = [next(payloads) if kind in (_OPEN, _COMM) else None for kind in kinds]
+        self.p = p
+        self.marks = [item for item, kind in zip(items, kinds) if kind in (_OPEN, _CLOSE)]
+        self.comms = _comm_block(tape, points[points[:, 0] == _COMM],
+                                 [item for item, kind in zip(items, kinds) if kind == _COMM])
+
+        # every entry's column (field * p + rank) and its row in that column
+        events = [(i, event) for i, event in enumerate(getattr(tape, f) for f in _FIELDS) if event]
+        column = np.concatenate([i * p + event[0].astype(np.intp) for i, event in events]
+                                or [np.empty(0, np.intp)])
+        self.rows, slot = np.unique(column, return_inverse=True)
+        order = np.argsort(slot, kind="stable")
+        row = np.empty_like(slot)
+        row[order] = np.arange(slot.size) - np.searchsorted(slot[order], slot[order]) + 1
+        self.notes = int(np.searchsorted(self.rows, (len(_FIELDS) - 1) * p))
+        self.dest = self.rows % p * len(_FIELDS) + self.rows // p  # its (rank, field) slot
+        width = int(row.max(initial=0)) + 1
+        self.template = np.zeros((width, self.rows.size))
+        self.template[row, slot] = np.concatenate([event[1] for _, event in events] or [[]])
+        self.runs, self.sizes = [], []
+        for at in (np.isin(points[:, 0], (_OPEN, _CLOSE)), points[:, 0] == _SUPERSTEP):
+            ends = points[at, 1 : 1 + len(_FIELDS)]
+            first = [np.searchsorted(ends[:, i], np.arange(len(event[0])), side="right")
+                     for i, event in events]
+            bounds = np.full((self.rows.size, width + 1), len(ends), dtype=np.intp)
+            bounds[:, 0] = 0
+            bounds[slot, row] = np.concatenate(first or [[]])
+            self.runs.append(_narrow(np.diff(bounds, axis=1)))
+            self.sizes.append(len(ends))
+
+    @property
+    def nbytes(self) -> int:
+        block = sum(a.nbytes for side in self.comms or () for a in side)
+        return 2 * self.rows.nbytes + self.template.nbytes + sum(r.nbytes for r in self.runs) + block
+
+    def states(self, store: Any, *wanted: bool) -> list[np.ndarray | None]:
+        """The counter state at the span points and at the superstep
+        samples (those ``wanted``), each ``(rank, field, point)`` over
+        :data:`STATE_FIELDS`, with ``store`` holding the state before the
+        tape."""
+        live = np.array([store.field_array(f) for f in STATE_FIELDS], dtype=np.float64)
+        acc = self.template.copy()
+        acc[0] = live.ravel()[self.rows]
+        np.add.accumulate(acc[:, : self.notes], axis=0, out=acc[:, : self.notes])
+        np.maximum.accumulate(acc[:, self.notes :], axis=0, out=acc[:, self.notes :])
+        acc = acc.T.ravel()
+        out: list[np.ndarray | None] = []
+        for runs, count, want in zip(self.runs, self.sizes, wanted):
+            if not want:
+                out.append(None)
+                continue
+            states = np.empty((self.p, len(STATE_FIELDS), count))
+            if self.dest.size < live.size:  # untouched ranks keep their live state
+                states[:] = live.T[:, :, None]
+            touched = np.repeat(acc, runs.ravel()).reshape(self.dest.size, count)
+            states.reshape(live.size, count)[self.dest] = touched
+            out.append(states)
+        return out
+
+
+def _comm_block(tape: FlatTape, points: np.ndarray, patterns: list) -> tuple | None:
+    """A tape's comm charges as one metrics block ``(sent, recv, cells)``.
+    Every comm charge of a kernel fires its metrics hook, so each side of
+    the block is the tape's whole field (ranks as fresh ``int64``: the
+    collector holds them until its next fold); each charge's pattern cells
+    shift to where its entries start."""
+    if not patterns:
+        return None
+    sides = [(np.empty(0, np.int64), np.empty(0)) if e is None else (e[0].astype(np.int64), e[1])
+             for e in (tape.sent, tape.recv)]
+    cells = []
+    for (s0, r0), (s1, r1), pattern in zip(points[:, -2:].tolist(), points[:, 2:4].tolist(), patterns):
+        if pattern.shape != (s1 - s0, r1 - r0):
+            raise ValueError(f"{pattern!r} does not fit a taped charge of {s1 - s0} senders "
+                             f"and {r1 - r0} receivers")
+        rows, cols, share = pattern.cells()
+        cells.append((rows + s0, cols + r0, share))
+    return sides[0], sides[1], tuple(np.concatenate(part) for part in zip(*cells))
 
 
 #: byte cap of the process-wide tape cache (least recently used tapes are
@@ -500,50 +596,6 @@ _TAPE_CACHE_BYTES = 64 << 20
 # machine size and parameters, kernel, operand shapes, the executing group's
 # exact rank tuple, and every keyword argument but ``tag``.
 _TAPE_CACHE = ByteLRU(_TAPE_CACHE_BYTES)
-
-
-class _Fields:
-    """A tape's fields as a write-through replay lands them on the live
-    ``store``: rank indices widened to ``intp`` for the replay (``np.add.at``
-    runs its fast path on them), ``landed`` entries of each field already
-    added."""
-
-    def __init__(self, store: Any, tape: FlatTape):
-        self.tape = tape
-        self.events: list[Any] = [None if e is None else (e[0].astype(np.intp), e[1])
-                                  for e in (getattr(tape, name) for name in _FIELDS)]
-        self.sizes = [0 if e is None else e[0].size for e in self.events]
-        self.landed = [0] * len(_FIELDS)
-        self.adders: tuple[Callable[..., None], ...] = (
-            store.add_flops,
-            lambda idx, words, unique: store.add_comm(idx, words, None, None, unique=unique),
-            lambda idx, words, unique: store.add_comm(None, None, idx, words, unique=unique),
-            store.add_mem_traffic,
-            store.add_supersteps,
-            store.note_memory,
-        )
-
-    def entries(self, field: int, start: int, end: int) -> tuple[Any, Any]:
-        """One side of a taped comm charge as its metrics hook received it
-        (the ranks a fresh array: the hook keeps them until its next fold,
-        which must not pin this replay's widened copy)."""
-        event = getattr(self.tape, _FIELDS[field])
-        if event is None or start == end:
-            return None, None
-        return event[0][start:end].astype(np.int64), event[1][start:end]
-
-    def land(self, ends: list[int]) -> None:
-        """Add every field's entries up to ``ends`` — one unbuffered,
-        ordered ``np.add.at`` each — to the store."""
-        landed = self.landed
-        if ends == landed:
-            return
-        for i, end in enumerate(ends):
-            start = landed[i]
-            if start != end:
-                idx, amount = self.events[i]
-                self.adders[i](idx[start:end], amount[start:end], unique=False)
-                landed[i] = end
 
 
 class KernelTape:
@@ -572,7 +624,7 @@ class KernelTape:
             kernel(scratch, *args, **kwargs)
         finally:
             scratch.spans, scratch.metrics = quiet
-        return FlatTape(store, observer)
+        return FlatTape(store, observer, machine.p)
 
     def run(self, kernel: Callable[..., object], group: RankGroup, operands: tuple, **kwargs: Any) -> None:
         """Charge ``kernel(machine, group, *operands, **kwargs)`` to the log.
@@ -594,7 +646,7 @@ class KernelTape:
         key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks,
                tuple(sorted((k, v) for k, v in kwargs.items() if k != "tag")))
         tape = _TAPE_CACHE.get(key)
-        if tape is None or (tape.points is None and not self.log.deferred):
+        if tape is None or (tape.plan is None and not self.log.deferred):
             tape = self._record(kernel, group, *operands, **kwargs)
             _TAPE_CACHE.put(key, tape, tape.nbytes)
         self.log.replay(tape)

@@ -13,8 +13,8 @@ on, at every superstep barrier and at every :meth:`cost` snapshot:
   :func:`repro.model.bounds.memory_bound_words`.
 
 Violations raise :class:`BSPDisciplineError` at the *first* barrier that
-observes them (or, on a span-enabled machine, at the close of the span
-that caused them), and name that barrier or span in the message.
+observes them (or, on a span-enabled machine, at the close of the span —
+or the kernel-tape replay — that caused them), and name it in the message.
 Enable in tests with ``REPRO_VERIFY=1`` (see ``tests/conftest.py``) and on
 the CLI with ``repro solve --verify`` / ``repro run --verify``.
 """

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.bsp.params import MachineParams
 from repro.bsp.pattern import Pattern
+from repro.trace.spans import STATE_FIELDS, model_time
 
 #: decimated memory/traffic time-series cap (halved + re-strided when hit)
 _MAX_SAMPLES = 2048
@@ -145,8 +146,9 @@ def _folded(name: str) -> property:
 class MetricsCollector:
     """Live per-rank telemetry of one machine (``machine.metrics``).
 
-    Fed exclusively by :class:`~repro.bsp.machine.BSPMachine`'s charging
-    primitives; with metrics off the machine holds the shared
+    Fed by :class:`~repro.bsp.machine.BSPMachine`'s charging primitives
+    and, a replayed kernel tape at a time, by :meth:`on_replay`; with
+    metrics off the machine holds the shared
     :data:`~repro.bsp.machine.NO_METRICS` no-op instead and every
     instrumented site costs a single attribute read.
 
@@ -264,30 +266,65 @@ class MetricsCollector:
             self.watermark_superstep[grew] = self.supersteps_seen
             self.watermark_words = np.maximum(self.watermark_words, cur)
         if (self.supersteps_seen - 1) % self._stride == 0:
-            sent = np.asarray(store.field_array("words_sent"), dtype=np.float64)
-            # the memory vector rarely moves between samples: share the
-            # previous sample's array while the content is unchanged
-            memory = self.series[-1][1] if self.series else None
-            if memory is None or not _all(memory == cur):
-                memory = cur.copy()
-            self.series.append((self._model_time(store), memory, sent.copy()))
-            if len(self.series) > _MAX_SAMPLES:
-                self.series = self.series[::2]
-                self._stride *= 2
+            self._append(np.array([store.field_array(f) for f in STATE_FIELDS], dtype=np.float64).T[:, :, None])
+
+    def on_replay(self, comms, states: np.ndarray) -> None:
+        """Mirror a replayed kernel tape: its comm charges as one pending
+        block ``(sent, recv, cells)`` (or ``None``), and a superstep sample
+        at each counter state ``states[:, :, k]`` (:data:`STATE_FIELDS`) —
+        bit-identical to :meth:`on_comm` / :meth:`on_superstep` at each."""
+        if comms is not None:
+            sent, recv, cells = comms
+            self._pending_sent.append(sent)
+            self._pending_recv.append(recv)
+            self._pending.append(cells)
+            self._pending_additions += cells[0].size + sent[0].size + recv[0].size
+            if self._pending_additions >= _FOLD_ADDITIONS:
+                self._fold()
+        memory, count, seen = states[:, -1], states.shape[2], self.supersteps_seen
+        if not count:
+            return
+        # the last superstep a rank's watermark grew at is the first at
+        # which its memory reached its peak
+        peak = _max(memory, axis=1)
+        grew = peak > self.watermark_words
+        if _any(grew):
+            self.watermark_superstep[grew] = seen + 1 + memory.argmax(axis=1)[grew]
+            self.watermark_words = np.maximum(self.watermark_words, peak)
+        self.supersteps_seen += count
+        # sample k is taken iff (seen + k) % stride == 0, and the stride
+        # doubles whenever the series outgrows _MAX_SAMPLES
+        k = 0
+        while k < count:
+            take = range(k + (-(seen + k)) % self._stride, count, self._stride)
+            take = take[: _MAX_SAMPLES + 1 - len(self.series)]
+            if not take:
+                break
+            self._append(states[:, :, take.start : take.stop : take.step])
+            k = take[-1] + 1
+
+    def _append(self, states: np.ndarray) -> None:
+        """A series sample per state ``states[:, :, k]``; past
+        ``_MAX_SAMPLES`` the series halves and the stride doubles."""
+        # the memory vector rarely moves between samples: share the
+        # previous sample's array while the content is unchanged
+        cur = states[:, -1]
+        moved = [True, *_any(cur[:, 1:] != cur[:, :-1], axis=0).tolist()] if cur.shape[1] > 1 else [True]
+        if self.series and _all(self.series[-1][1] == cur[:, 0]):
+            moved[0] = False
+            memory = self.series[-1][1]
+        times = model_time(self._params, states[:, :-1])
+        # one array per sample: a halving must free the samples it drops
+        for k, (time, new) in enumerate(zip(times, moved)):
+            if new:
+                memory = cur[:, k].copy()
+            self.series.append((time, memory, states[:, 1, k].copy()))
+        if len(self.series) > _MAX_SAMPLES:
+            self.series = self.series[::2]
+            self._stride *= 2
 
     # ------------------------------------------------------------------ #
     # verification and snapshots
-
-    def _model_time(self, store) -> float:
-        """Modeled critical-path time of the store's current state."""
-        sent = np.asarray(store.field_array("words_sent"), dtype=np.float64)
-        recv = np.asarray(store.field_array("words_recv"), dtype=np.float64)
-        return self._params.time(
-            float(_max(np.asarray(store.field_array("flops")))),
-            float(_max(sent + recv)),
-            float(_max(np.asarray(store.field_array("mem_traffic")))),
-            float(_max(np.asarray(store.field_array("supersteps")))),
-        )
 
     def verify_conservation(self, store) -> list:
         """Check the conservation invariant against the live counter store.

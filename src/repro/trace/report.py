@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bsp.counters import gini_of, imbalance_of
 from repro.bsp.params import MachineParams
-from repro.trace.spans import SPAN_FIELDS, UNTRACED
+from repro.trace.spans import SPAN_FIELDS, UNTRACED, field_arrays
 
 if TYPE_CHECKING:
     from repro.trace.spans import SpanRecorder
@@ -181,13 +181,13 @@ class SpanBreakdown:
 def build_breakdown(recorder: "SpanRecorder") -> SpanBreakdown:
     """Assemble a :class:`SpanBreakdown` from a (flushed) recorder."""
     params: MachineParams = recorder._params
-    global_arrays = {f: recorder._mark[f].copy() for f in SPAN_FIELDS}
+    global_arrays = field_arrays(recorder._mark)
 
     order = [p for p in recorder._buckets if p != UNTRACED]
     per_rank: dict[str, dict[str, np.ndarray]] = {}
     attributed = {f: np.zeros_like(global_arrays[f]) for f in SPAN_FIELDS}
     for path in order:
-        arrays = {f: recorder._buckets[path][f].copy() for f in SPAN_FIELDS}
+        arrays = field_arrays(recorder._buckets[path])
         per_rank[path] = arrays
         for f in SPAN_FIELDS:
             attributed[f] = attributed[f] + arrays[f]

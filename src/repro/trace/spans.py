@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import TracebackType
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -52,8 +52,14 @@ SPAN_FIELDS: tuple[str, ...] = (
     "supersteps",
 )
 
+#: the counter state a replayed kernel tape hands its observers per point:
+#: the span fields, then the live memory footprint a superstep sample reads
+STATE_FIELDS: tuple[str, ...] = (*SPAN_FIELDS, "current_memory_words")
+
 #: bucket receiving charges issued while no span is open
 UNTRACED = "(untraced)"
+
+_max = np.maximum.reduce  # ndarray.max without its Python-level wrapper
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,12 @@ class SpanHandle:
 NULL_SPAN = SpanHandle()
 
 
+def _group_fields(group: object) -> tuple[int | None, tuple | None]:
+    """A span's group as its event records it: (size, absolute ranks)."""
+    size, ranks = getattr(group, "size", None), getattr(group, "ranks", None)
+    return None if size is None else int(size), None if ranks is None else tuple(ranks)
+
+
 class _Span(SpanHandle):
     """Live span handle bound to a recorder."""
 
@@ -192,14 +204,24 @@ class _OpenSpan:
         self.group_size = group_size
         self.ranks = ranks
         self.ts_open = ts_open
-        self.excl = _zero_arrays(p)
+        self.excl = np.zeros((p, len(SPAN_FIELDS)))
 
 
-def _zero_arrays(p: int) -> dict[str, np.ndarray]:
-    return {
-        f: np.zeros(p, dtype=np.int64 if f == "supersteps" else np.float64)
-        for f in SPAN_FIELDS
-    }
+def model_time(params: MachineParams, state: np.ndarray) -> Any:
+    """Modeled critical-path time γF + βW + νQ + αS of a counter state
+    ``state[rank, field]`` (fields in :data:`SPAN_FIELDS` order) from its
+    maxima over ranks, as a float — or of states ``state[rank, field, k]``,
+    as a list."""
+    peaks = _max(state, axis=0).tolist()
+    words = _max(state[:, 1] + state[:, 2], axis=0).tolist()
+    if state.ndim == 2:
+        return params.time(peaks[0], words, peaks[3], peaks[4])
+    return [params.time(*point) for point in zip(peaks[0], words, peaks[3], peaks[4])]
+
+
+def field_arrays(state: np.ndarray) -> dict[str, np.ndarray]:
+    """A ``(rank, field)`` state as per-field arrays (copies; S as int64)."""
+    return {f: col.astype(np.int64 if f == "supersteps" else np.float64) for f, col in zip(SPAN_FIELDS, state.T)}
 
 
 class SpanRecorder:
@@ -217,59 +239,78 @@ class SpanRecorder:
         self.p = len(store)  # type: ignore[arg-type]
         self.events: list[SpanEvent] = []
         self._stack: list[_OpenSpan] = []
-        #: per-path per-field per-rank exclusive sums, in first-open order
-        self._buckets: dict[str, dict[str, np.ndarray]] = {}
+        #: per-path ``(rank, field)`` exclusive sums, in first-open order
+        self._buckets: dict[str, np.ndarray] = {}
         self._calls: dict[str, int] = {}
         #: chronological re-accumulation of every attributed segment delta;
         #: bit-equality with the live store is the no-orphan guarantee
-        self._chron = _zero_arrays(self.p)
-        self._mark = self._snapshot()
+        self._chron = np.zeros((self.p, len(SPAN_FIELDS)))
+        self._mark = self._now()
 
     # -------------------------------------------------------------- #
     # store access
 
-    def _field_now(self, name: str) -> np.ndarray:
-        return np.asarray(self._store.field_array(name))  # type: ignore[attr-defined]
+    def _now(self) -> np.ndarray:
+        """The live ``(rank, field)`` state (a float64 copy: S is exact)."""
+        store: Any = self._store
+        return np.array([store.field_array(f) for f in SPAN_FIELDS], dtype=np.float64).T
 
-    def _snapshot(self) -> dict[str, np.ndarray]:
-        return {f: self._field_now(f).copy() for f in SPAN_FIELDS}
-
-    def _model_time(self, arrays: dict[str, np.ndarray]) -> float:
-        """Modeled critical-path time of a counter state (monotone in it)."""
-        words = arrays["words_sent"] + arrays["words_recv"]
-        return self._params.time(
-            float(arrays["flops"].max()),
-            float(words.max()),
-            float(arrays["mem_traffic"].max()),
-            float(arrays["supersteps"].max()),
-        )
-
-    def _bucket(self, path: str) -> dict[str, np.ndarray]:
+    def _bucket(self, path: str) -> np.ndarray:
         bucket = self._buckets.get(path)
         if bucket is None:
-            bucket = self._buckets[path] = _zero_arrays(self.p)
+            bucket = self._buckets[path] = np.zeros((self.p, len(SPAN_FIELDS)))
             self._calls.setdefault(path, 0)
         return bucket
 
     # -------------------------------------------------------------- #
     # attribution core
 
-    def flush(self) -> dict[str, np.ndarray]:
-        """Attribute the counters-since-mark segment to the innermost open
-        span (or the untraced bucket) and advance the watermark.  Returns
-        the current counter arrays (copies)."""
+    def _attribute(self, delta: np.ndarray) -> None:
+        """Add one segment delta to the chronological sum, the innermost
+        open span's bucket and exclusive sums (or the untraced bucket)."""
         target = self._stack[-1] if self._stack else None
         bucket = self._bucket(target.path if target else UNTRACED)
-        now: dict[str, np.ndarray] = {}
-        for f in SPAN_FIELDS:
-            cur = self._field_now(f).copy()
-            d = cur - self._mark[f]
-            self._chron[f] += d
-            bucket[f] += d
-            if target is not None:
-                target.excl[f] += d
-            self._mark[f] = cur
-            now[f] = cur
+        self._chron += delta
+        bucket += delta
+        if target is not None:
+            target.excl += delta
+
+    def _push(self, name: str, group_size: int | None, ranks: tuple | None, ts: float) -> None:
+        parent = self._stack[-1].path if self._stack else ""
+        path = f"{parent}/{name}" if parent else name
+        self._bucket(path)  # register in first-open order for stable reports
+        self._stack.append(_OpenSpan(path, name, len(self._stack), group_size, ts, self.p, ranks))
+
+    def _emit(self, closed: list[tuple[_OpenSpan, float]]) -> None:
+        """Record the :class:`SpanEvent` of each ``(span, close time)``, in order."""
+        excl = np.array([span.excl for span, _ in closed])
+        peaks = _max(excl, axis=1).tolist()
+        words = _max(excl[:, :, 1] + excl[:, :, 2], axis=1).tolist()
+        for (span, ts_close), peak, w in zip(closed, peaks, words):
+            self._calls[span.path] = self._calls.get(span.path, 0) + 1
+            self.events.append(
+                SpanEvent(
+                    path=span.path,
+                    name=span.name,
+                    depth=span.depth,
+                    group_size=span.group_size,
+                    ts=span.ts_open,
+                    dur=ts_close - span.ts_open,
+                    flops=peak[0],
+                    words=w,
+                    mem_traffic=peak[3],
+                    supersteps=int(peak[4]),
+                    ranks=span.ranks,
+                )
+            )
+
+    def flush(self) -> np.ndarray:
+        """Attribute the counters-since-mark segment to the innermost open
+        span (or the untraced bucket) and advance the watermark.  Returns
+        the current ``(rank, field)`` counter state."""
+        now = self._now()
+        self._attribute(now - self._mark)
+        self._mark = now
         return now
 
     def open(
@@ -278,49 +319,40 @@ class SpanRecorder:
         """Open a span; subsequent charges attribute to it until a child
         opens or it closes."""
         now = self.flush()
-        parent = self._stack[-1].path if self._stack else ""
-        path = f"{parent}/{name}" if parent else name
-        self._bucket(path)  # register in first-open order for stable reports
-        self._stack.append(
-            _OpenSpan(
-                path, name, len(self._stack), group_size, self._model_time(now), self.p, ranks
-            )
-        )
+        self._push(name, group_size, ranks, model_time(self._params, now))
 
     def close(self) -> None:
         """Close the innermost span and emit its :class:`SpanEvent`."""
         if not self._stack:
             raise RuntimeError("span close without a matching open")
         now = self.flush()
-        span = self._stack.pop()
-        self._calls[span.path] = self._calls.get(span.path, 0) + 1
-        words = span.excl["words_sent"] + span.excl["words_recv"]
-        self.events.append(
-            SpanEvent(
-                path=span.path,
-                name=span.name,
-                depth=span.depth,
-                group_size=span.group_size,
-                ts=span.ts_open,
-                dur=self._model_time(now) - span.ts_open,
-                flops=float(span.excl["flops"].max()),
-                words=float(words.max()),
-                mem_traffic=float(span.excl["mem_traffic"].max()),
-                supersteps=int(span.excl["supersteps"].max()),
-                ranks=span.ranks,
-            )
-        )
+        self._emit([(self._stack.pop(), model_time(self._params, now))])
+
+    def replay(self, marks: list, states: np.ndarray) -> None:
+        """A replayed kernel tape's span opens (``marks[k]`` its ``(name,
+        group)``) and closes (``None``), the counter state at each being
+        ``states[:, :, k]``: bit-identical to a :meth:`handle` there."""
+        if not marks:
+            return
+        points = states.transpose(2, 0, 1)
+        deltas = np.empty(points.shape)
+        np.subtract(points[0], self._mark, out=deltas[0])
+        np.subtract(points[1:], points[:-1], out=deltas[1:])
+        closed = []
+        for mark, delta, ts in zip(marks, deltas, model_time(self._params, states)):
+            self._attribute(delta)
+            if mark is None:
+                closed.append((self._stack.pop(), ts))
+            else:
+                name, group = mark
+                self._push(name, *_group_fields(group), ts)
+        self._mark = points[-1].copy()
+        if closed:
+            self._emit(closed)
 
     def handle(self, name: str, group: object = None) -> SpanHandle:
         """A context-manager handle for one span instance."""
-        size = getattr(group, "size", None)
-        ranks = getattr(group, "ranks", None)
-        return _Span(
-            self,
-            name,
-            int(size) if size is not None else None,
-            tuple(ranks) if ranks is not None else None,
-        )
+        return _Span(self, name, *_group_fields(group))
 
     # -------------------------------------------------------------- #
     # lifecycle and checks
@@ -340,17 +372,16 @@ class SpanRecorder:
         self._stack.clear()
         self._buckets.clear()
         self._calls.clear()
-        self._chron = _zero_arrays(self.p)
-        self._mark = self._snapshot()
+        self._chron = np.zeros((self.p, len(SPAN_FIELDS)))
+        self._mark = self._now()
 
     def verify_attribution(self) -> list[str]:
         """Fields where the chronologically re-accumulated span deltas are
         not bit-identical to the live counters ([] = exact attribution:
         nothing double-charged, nothing orphaned)."""
-        self.flush()
-        return [
-            f for f in SPAN_FIELDS if not np.array_equal(self._chron[f], self._field_now(f))
-        ]
+        now = self.flush()
+        return [f for f, chron, live in zip(SPAN_FIELDS, self._chron.T, now.T)
+                if not np.array_equal(chron, live)]
 
     def breakdown(self) -> "SpanBreakdown":
         """Build the per-span cost breakdown (see :mod:`repro.trace.report`)."""

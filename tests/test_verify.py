@@ -156,3 +156,15 @@ class TestPipelineUnderVerification:
         cp, cv = plain.cost(), verified.cost()
         assert (cp.F, cp.W, cp.Q, cp.S) == (cv.F, cv.W, cv.Q, cv.S)
         np.testing.assert_allclose(res_p.eigenvalues, res_v.eigenvalues)
+
+
+@pytest.mark.xfail(raises=BSPDisciplineError, strict=True,
+                   reason="known defect (ROADMAP 3(d)): factor_2p5d gives a squarefree p "
+                          "a 1x1xp grid, so A is replicated whole on every rank")
+def test_verified_run_on_a_squarefree_p(capsys):
+    """``repro run --verify --n 64 --p 3`` peaks at 4n² = 16 384 words per
+    rank against the Theorem IV.4 budget M = 16 289.2.  Fixing the grid
+    makes this pass, and the strict xfail then fails until this mark goes."""
+    from repro.cli import main
+
+    assert main(["run", "--verify", "--n", "64", "--p", "3"]) == 0
