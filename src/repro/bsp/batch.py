@@ -50,6 +50,7 @@ import numpy as np
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
 from repro.bsp.pattern import Pattern, all_to_all, pairs
+from repro.metrics.collector import comm_block
 from repro.trace.spans import SPAN_FIELDS, STATE_FIELDS, SpanHandle
 from repro.util.lru import ByteLRU
 
@@ -506,8 +507,8 @@ class _ReplayPlan:
         items = [next(payloads) if kind in (_OPEN, _COMM) else None for kind in kinds]
         self.p = p
         self.marks = [item for item, kind in zip(items, kinds) if kind in (_OPEN, _CLOSE)]
-        self.comms = _comm_block(tape, points[points[:, 0] == _COMM],
-                                 [item for item, kind in zip(items, kinds) if kind == _COMM])
+        self.comms = comm_block(tape.sent, tape.recv, points[points[:, 0] == _COMM, -2:],
+                                [item for item, kind in zip(items, kinds) if kind == _COMM])
 
         # every entry's column (field * p + rank) and its row in that column
         events = [(i, event) for i, event in enumerate(getattr(tape, f) for f in _FIELDS) if event]
@@ -563,32 +564,13 @@ class _ReplayPlan:
         return out
 
 
-def _comm_block(tape: FlatTape, points: np.ndarray, patterns: list) -> tuple | None:
-    """A tape's comm charges as one metrics block ``(sent, recv, cells)``.
-    Every comm charge of a kernel fires its metrics hook, so each side of
-    the block is the tape's whole field (ranks as fresh ``int64``: the
-    collector holds them until its next fold); each charge's pattern cells
-    shift to where its entries start."""
-    if not patterns:
-        return None
-    sides = [(np.empty(0, np.int64), np.empty(0)) if e is None else (e[0].astype(np.int64), e[1])
-             for e in (tape.sent, tape.recv)]
-    cells = []
-    for (s0, r0), (s1, r1), pattern in zip(points[:, -2:].tolist(), points[:, 2:4].tolist(), patterns):
-        if pattern.shape != (s1 - s0, r1 - r0):
-            raise ValueError(f"{pattern!r} does not fit a taped charge of {s1 - s0} senders "
-                             f"and {r1 - r0} receivers")
-        rows, cols, share = pattern.cells()
-        cells.append((rows + s0, cols + r0, share))
-    return sides[0], sides[1], tuple(np.concatenate(part) for part in zip(*cells))
-
-
 #: byte cap of the process-wide tape cache (least recently used tapes are
 #: evicted and re-recorded on their next use).  Full-to-band and band-to-band
-#: tapes together hold 2.5 MB after a plain n = 512, p = 256 solve and 4.0 MB
-#: after an observed one (0.4 / 0.7 MB at n = 256, p = 64), so after a warm-up
-#: op everything replays; an ``EigenService`` process that keeps meeting new
-#: shapes stops growing here.
+#: tapes declare 2.5 MB after a plain n = 512, p = 256 solve and 23.3 MB after
+#: an observed one, 19.4 MB of it replay plans, mostly comm blocks' pattern
+#: cells (0.4 / 2.6 MB at n = 256, p = 64; a write-through tape also serves a
+#: deferred log), so after a warm-up op everything replays; an
+#: ``EigenService`` process that keeps meeting new shapes stops growing here.
 _TAPE_CACHE_BYTES = 64 << 20
 
 # Recorded tapes are reusable across KernelTape instances (and hence across

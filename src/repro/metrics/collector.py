@@ -127,6 +127,32 @@ class MetricsSnapshot:
         return list(self.conservation_problems)
 
 
+def _check_fit(pattern: Pattern, senders: int, receivers: int) -> None:
+    if pattern.shape != (senders, receivers):
+        raise ValueError(
+            f"{pattern!r} does not fit a charge of {senders} senders and {receivers} receivers"
+        )
+
+
+def comm_block(sent, recv, starts: np.ndarray, patterns: list) -> tuple | None:
+    """Comm charges made back to back, as one pending block for
+    :meth:`MetricsCollector.on_replay`: ``sent`` / ``recv`` are the
+    ``(ranks, words)`` of all their entries on each side (or ``None``),
+    ``starts[i]`` where charge ``i``'s entries start on each side and
+    ``patterns[i]`` its wire pattern.  Built once per recording, so the
+    ranks are stored as ``int64``, the fold's index dtype."""
+    if not patterns:
+        return None
+    sides = [(_NO_RANKS, _NO_WORDS) if e is None else (e[0].astype(np.int64), e[1]) for e in (sent, recv)]
+    sizes = np.diff(np.vstack([starts, [side[0].size for side in sides]]), axis=0)
+    cells = []
+    for (s0, r0), (senders, receivers), pattern in zip(starts.tolist(), sizes.tolist(), patterns):
+        _check_fit(pattern, senders, receivers)
+        rows, cols, share = pattern.cells()
+        cells.append((rows + s0, cols + r0, share))
+    return sides[0], sides[1], tuple(np.concatenate(part) for part in zip(*cells))
+
+
 def _offsets(arrays) -> np.ndarray:
     """Where each of ``arrays`` starts in their concatenation."""
     sizes = np.fromiter(map(len, arrays), dtype=np.intp, count=len(arrays))
@@ -243,12 +269,10 @@ class MetricsCollector:
         receiver entries) land on the matrix at the next fold.
         """
         sent, recv = _entries(s_idx, s_w), _entries(r_idx, r_w)
-        if pattern.shape != (sent[0].size, recv[0].size):
-            raise ValueError(
-                f"{pattern!r} does not fit a charge of {sent[0].size} senders "
-                f"and {recv[0].size} receivers"
-            )
-        cells = pattern.cells()
+        _check_fit(pattern, sent[0].size, recv[0].size)
+        self._book(sent, recv, pattern.cells())
+
+    def _book(self, sent, recv, cells) -> None:
         self._pending_sent.append(sent)
         self._pending_recv.append(recv)
         self._pending.append(cells)
@@ -270,17 +294,11 @@ class MetricsCollector:
 
     def on_replay(self, comms, states: np.ndarray) -> None:
         """Mirror a replayed kernel tape: its comm charges as one pending
-        block ``(sent, recv, cells)`` (or ``None``), and a superstep sample
+        block (:func:`comm_block`, or ``None``), and a superstep sample
         at each counter state ``states[:, :, k]`` (:data:`STATE_FIELDS`) —
         bit-identical to :meth:`on_comm` / :meth:`on_superstep` at each."""
         if comms is not None:
-            sent, recv, cells = comms
-            self._pending_sent.append(sent)
-            self._pending_recv.append(recv)
-            self._pending.append(cells)
-            self._pending_additions += cells[0].size + sent[0].size + recv[0].size
-            if self._pending_additions >= _FOLD_ADDITIONS:
-                self._fold()
+            self._book(*comms)
         memory, count, seen = states[:, -1], states.shape[2], self.supersteps_seen
         if not count:
             return

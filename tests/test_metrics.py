@@ -9,6 +9,8 @@ injected faults.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,19 @@ def metered(p: int, engine: str = "array", **kwargs) -> BSPMachine:
 
 def snap_of(machine: BSPMachine):
     return machine.cost().metrics()
+
+
+def snapshot_bytes(snap) -> dict:
+    """Every field of a metrics snapshot, arrays as (dtype, shape, bytes)."""
+
+    def raw(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, np.ascontiguousarray(value).tobytes()
+        if isinstance(value, (list, tuple)):
+            return [raw(v) for v in value]
+        return repr(value)
+
+    return {f.name: raw(getattr(snap, f.name)) for f in fields(snap)}
 
 
 def assert_conserved(machine: BSPMachine) -> None:
@@ -235,14 +250,24 @@ def test_every_charge_names_a_consistent_pattern(solver, delta, monkeypatch):
         hook(self, s_idx, s_w, r_idx, r_w, wire)
 
     monkeypatch.setattr(MetricsCollector, "on_comm", on_comm)
+    a = random_symmetric(96, seed=3)
     m = metered(16)
     # a bulk tape replay books its charges as one block; the per-point
-    # replay it is byte-identical to (tests/test_bulk_replay.py) issues
-    # them one hook call each, so every pattern passes through the check
+    # replay (tests/replay_oracle.py) issues them one hook call each, so
+    # every pattern passes through the check
     with replay_oracle.installed():
-        SOLVERS[solver](m, random_symmetric(96, seed=3), delta)
+        SOLVERS[solver](m, a, delta)
     assert_conserved(m)
     assert sum(checked) == pytest.approx(m.cost().metrics().total_words, rel=1e-12)
+
+    # the same solve on the shipped bulk path conserves the same words and
+    # leaves a byte-identical snapshot
+    monkeypatch.undo()
+    bulk = metered(16)
+    SOLVERS[solver](bulk, a, delta)
+    assert_conserved(bulk)
+    assert sum(checked) == pytest.approx(bulk.cost().metrics().total_words, rel=1e-12)
+    assert snapshot_bytes(snap_of(bulk)) == snapshot_bytes(snap_of(m))
 
 
 # --------------------------------------------------------------------- #
