@@ -59,8 +59,10 @@ def main() -> None:
         measured[delta] = (c, mach.cost())
     rows = []
     for name, params in PROFILES.items():
-        t_2d = measured[0.5][1].time(params)
-        t_rep = measured[2.0 / 3.0][1].time(params)
+        t_2d, t_rep = (
+            params.time(r.flops, r.words, r.mem_traffic, r.supersteps)
+            for r in (measured[0.5][1], measured[2.0 / 3.0][1])
+        )
         rows.append([name, t_2d, t_rep, "replicated" if t_rep < t_2d else "2-D"])
     print(format_table(
         ["machine", "T at c=1", f"T at c={measured[2/3][0]}", "winner"],

@@ -33,7 +33,8 @@ def main() -> None:
     print("measured BSP cost per stage (max over ranks):")
     print(result.stage_summary())
     print()
-    t = result.cost.time(machine.params)
+    c = result.cost
+    t = machine.params.time(c.flops, c.words, c.mem_traffic, c.supersteps)
     print(f"modeled execution time on the default machine: {t:.4g} "
           f"(gamma*F + beta*W + nu*Q + alpha*S)")
 

@@ -96,44 +96,6 @@ COST_FIELDS = (
     "total_mem_traffic",
 )
 
-_PER_RANK_FIELDS = (
-    "flops",
-    "words_sent",
-    "words_recv",
-    "mem_traffic",
-    "supersteps",
-    "peak_memory_words",
-)
-
-
-# ------------------------------------------------------------------ #
-# report comparison
-
-def per_rank_arrays(report: CostReport) -> dict[str, np.ndarray]:
-    """Per-rank counter arrays of a report."""
-    return {name: report.per_rank.field_array(name) for name in _PER_RANK_FIELDS}
-
-
-def report_mismatches(a: CostReport, b: CostReport) -> list[str]:
-    """Ways two cost reports differ, bit-for-bit ([] means identical)."""
-    issues: list[str] = []
-    if a.p != b.p:
-        return [f"p differs: {a.p} != {b.p}"]
-    for name in COST_FIELDS:
-        va, vb = getattr(a, name), getattr(b, name)
-        if va != vb:
-            issues.append(f"{name} differs: {va!r} != {vb!r}")
-    pa, pb = per_rank_arrays(a), per_rank_arrays(b)
-    for name in _PER_RANK_FIELDS:
-        if not np.array_equal(pa[name], pb[name]):
-            bad = int(np.argmax(pa[name] != pb[name]))
-            issues.append(
-                f"per-rank {name} differs first at rank {bad}: "
-                f"{pa[name][bad]!r} != {pb[name][bad]!r}"
-            )
-    return issues
-
-
 def cost_dict(report: CostReport) -> dict[str, float]:
     """JSON-serializable aggregate cost of a report."""
     out = {name: getattr(report, name) for name in COST_FIELDS}

@@ -19,7 +19,7 @@ cheaper to collect).
 """
 
 from repro.bsp.params import MachineParams
-from repro.bsp.counters import CostReport, CounterArray, RankSlot
+from repro.bsp.counters import CostReport, CounterArray
 from repro.bsp.cache import CacheModel
 from repro.bsp.machine import BSPMachine
 from repro.bsp.group import RankGroup
@@ -29,7 +29,6 @@ __all__ = [
     "MachineParams",
     "CostReport",
     "CounterArray",
-    "RankSlot",
     "CacheModel",
     "BSPMachine",
     "RankGroup",

@@ -16,8 +16,8 @@ the algorithms in this repo:
 We model the cache at whole-dataset granularity (the same granularity the
 lemmas reason at): an LRU over named datasets with capacity ``H`` words.
 ``access(key, words)`` returns the number of words that had to be moved in
-from memory (0 on a hit) and charges evictions are free (write-back of clean
-data is not modeled; dirty write-backs are charged by ``write``).
+from memory (0 on a hit); evictions are free (write-backs are not modeled:
+a kernel's output is charged as streamed traffic).
 """
 
 from __future__ import annotations
@@ -56,16 +56,6 @@ class CacheModel:
         self._entries[key] = words
         self._used += words
 
-    # -- public API --------------------------------------------------------
-
-    def contains(self, key: object) -> bool:
-        """True iff the dataset is currently resident."""
-        return key in self._entries
-
-    @property
-    def used_words(self) -> float:
-        return self._used
-
     def access(self, key: object, words: float) -> float:
         """Read a dataset into cache; return words moved from memory.
 
@@ -97,21 +87,3 @@ class CacheModel:
             return delta
         self._insert(key, words)
         return words
-
-    def write(self, key: object, words: float) -> float:
-        """Produce/overwrite a dataset; return words written back to memory.
-
-        We charge the write-back immediately (write-through at dataset
-        granularity), and the produced data is left resident so an immediate
-        re-read is free.
-        """
-        if words < 0:
-            raise ValueError("words must be nonnegative")
-        if key in self._entries:
-            self._used -= self._entries.pop(key)
-        self._insert(key, words)
-        return words
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._used = 0.0

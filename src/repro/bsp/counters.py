@@ -7,10 +7,8 @@ tests and benchmarks.
 
 :class:`CounterArray` is the one counter store: a numpy ``float64`` (or
 ``int64`` for S) array per quantity, one slot per rank, so charging a whole
-:class:`~repro.bsp.group.RankGroup` is a single fancy-indexed slice op.
-``machine.counters[r]`` hands back a :class:`RankSlot` view with a per-rank
-attribute API (``counters[r].flops`` readable and writable) without per-rank
-Python objects.
+:class:`~repro.bsp.group.RankGroup` is a single fancy-indexed slice op;
+one rank's count is an array element (``machine.counters.flops[r]``).
 
 All *values* charged are computed by the machine/collective layer before
 they reach the store; the store only accumulates.  That is what lets the
@@ -24,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from repro.bsp.params import MachineParams
 
 #: per-rank quantities accepted by :meth:`CostReport.imbalance` /
 #: :meth:`CostReport.gini`: the raw counter fields plus the derived
@@ -155,10 +151,6 @@ class CostReport:
     def M(self) -> float:  # noqa: N802
         return self.peak_memory_words
 
-    def time(self, params: MachineParams) -> float:
-        """Modeled execution time on a machine with the given parameters."""
-        return params.time(self.flops, self.words, self.mem_traffic, self.supersteps)
-
     def with_spans(self, breakdown: object) -> "CostReport":
         """Copy of this report carrying a per-span breakdown."""
         return replace(self, span_breakdown=breakdown)
@@ -259,85 +251,6 @@ COUNTER_FIELDS: tuple[str, ...] = (
 )
 
 
-class RankSlot:
-    """Mutable view of one rank's slot in a :class:`CounterArray`.
-
-    One attribute per :data:`COUNTER_FIELDS` quantity, readable and
-    assignable (tests use assignment to fault-inject counter decreases),
-    writing through to the backing arrays.
-    """
-
-    __slots__ = ("_store", "_i")
-
-    def __init__(self, store: "CounterArray", i: int):
-        self._store = store
-        self._i = i
-
-    @property
-    def flops(self) -> float:
-        return float(self._store.flops[self._i])
-
-    @flops.setter
-    def flops(self, v: float) -> None:
-        self._store.flops[self._i] = v
-
-    @property
-    def words_sent(self) -> float:
-        return float(self._store.words_sent[self._i])
-
-    @words_sent.setter
-    def words_sent(self, v: float) -> None:
-        self._store.words_sent[self._i] = v
-
-    @property
-    def words_recv(self) -> float:
-        return float(self._store.words_recv[self._i])
-
-    @words_recv.setter
-    def words_recv(self, v: float) -> None:
-        self._store.words_recv[self._i] = v
-
-    @property
-    def mem_traffic(self) -> float:
-        return float(self._store.mem_traffic[self._i])
-
-    @mem_traffic.setter
-    def mem_traffic(self, v: float) -> None:
-        self._store.mem_traffic[self._i] = v
-
-    @property
-    def supersteps(self) -> int:
-        return int(self._store.supersteps[self._i])
-
-    @supersteps.setter
-    def supersteps(self, v: int) -> None:
-        self._store.supersteps[self._i] = v
-
-    @property
-    def peak_memory_words(self) -> float:
-        return float(self._store.peak_memory_words[self._i])
-
-    @peak_memory_words.setter
-    def peak_memory_words(self, v: float) -> None:
-        self._store.peak_memory_words[self._i] = v
-
-    @property
-    def current_memory_words(self) -> float:
-        return float(self._store.current_memory_words[self._i])
-
-    @current_memory_words.setter
-    def current_memory_words(self, v: float) -> None:
-        self._store.current_memory_words[self._i] = v
-
-    @property
-    def words(self) -> float:
-        return self.words_sent + self.words_recv
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in COUNTER_FIELDS)
-        return f"RankSlot({fields})"
-
-
 class CounterArray:
     """Vectorized per-rank counter store: one array slot per rank.
 
@@ -370,18 +283,8 @@ class CounterArray:
         self.peak_memory_words = np.zeros(p)
         self.current_memory_words = np.zeros(p)
 
-    # -- sequence protocol (per-rank views) ----------------------------- #
-
     def __len__(self) -> int:
         return self.p
-
-    def __getitem__(self, rank: int) -> RankSlot:
-        if not -self.p <= rank < self.p:
-            raise IndexError(f"rank {rank} out of range for p={self.p}")
-        return RankSlot(self, rank % self.p)
-
-    def __iter__(self):
-        return (RankSlot(self, i) for i in range(self.p))
 
     # -- accumulation primitives ---------------------------------------- #
     # ``idx`` is an int or an int64 ndarray; ``amount`` a float or an
@@ -434,35 +337,6 @@ class CounterArray:
             cur[idx] = max(cur[idx], words_each)
             self.peak_memory_words[idx] = max(self.peak_memory_words[idx], cur[idx])
 
-    def add_memory(self, idx, words_each, unique: bool = True) -> None:
-        cur = self.current_memory_words
-        if unique:
-            cur[idx] += words_each
-        else:
-            # duplicate indices with non-negative grants: the footprint only
-            # grows across the occurrences, so the final value is the running
-            # maximum and one end-of-batch peak update is loop-exact.  (The
-            # machine layer falls back to a loop for negative grants.)
-            np.add.at(cur, idx, words_each)
-        if isinstance(idx, np.ndarray):
-            self.peak_memory_words[idx] = np.maximum(self.peak_memory_words[idx], cur[idx])
-        else:
-            self.peak_memory_words[idx] = max(self.peak_memory_words[idx], cur[idx])
-
-    def release_memory(self, idx, words_each, unique: bool = True) -> None:
-        cur = self.current_memory_words
-        if isinstance(idx, np.ndarray):
-            if unique:
-                cur[idx] = np.maximum(0.0, cur[idx] - words_each)
-            else:
-                # non-negative releases: once clamped to zero a slot stays
-                # clamped under further releases, so subtract-then-clamp at
-                # the end matches the per-occurrence loop exactly
-                np.subtract.at(cur, idx, words_each)
-                np.maximum.at(cur, idx, 0.0)
-        else:
-            cur[idx] = max(0.0, cur[idx] - words_each)
-
     # -- snapshots and reports ------------------------------------------ #
 
     def field_array(self, name: str) -> np.ndarray:
@@ -478,10 +352,6 @@ class CounterArray:
         for name in COUNTER_FIELDS:
             setattr(out, name, getattr(self, name).copy())
         return out
-
-    def reset(self) -> None:
-        for name in COUNTER_FIELDS:
-            getattr(self, name).fill(0)
 
     def report(self) -> CostReport:
         """Aggregate this store: maxima and totals over ranks, plus a snapshot."""
@@ -520,4 +390,3 @@ class CounterArray:
 
     def __repr__(self) -> str:
         return f"CounterArray(p={self.p})"
-

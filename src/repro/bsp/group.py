@@ -72,13 +72,6 @@ class RankGroup:
             object.__setattr__(self, "_pos", pos)
         return pos
 
-    @staticmethod
-    def contiguous(start: int, count: int) -> "RankGroup":
-        """Group of ranks ``start, start+1, ..., start+count-1``."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return RankGroup(tuple(range(start, start + count)))
-
     @property
     def size(self) -> int:
         return len(self.ranks)

@@ -34,14 +34,6 @@ def _read(machine: BSPMachine, rank: int, array: np.ndarray, key: object | None)
         machine.mem_read(rank, key, words)
 
 
-def _write(machine: BSPMachine, rank: int, array: np.ndarray, key: object | None) -> None:
-    words = float(array.size)
-    if key is None:
-        machine.mem_stream(rank, words)
-    else:
-        machine.mem_write(rank, key, words)
-
-
 def matmul_flops(m: int, n: int, k: int) -> float:
     """Flop count of an m×n by n×k product (multiply + add).
 
@@ -65,7 +57,6 @@ def local_matmul(
     b: np.ndarray,
     a_key: object | None = None,
     b_key: object | None = None,
-    out_key: object | None = None,
     accumulate: np.ndarray | None = None,
     transpose_a: bool = False,
     transpose_b: bool = False,
@@ -88,60 +79,11 @@ def local_matmul(
     if accumulate is not None:
         accumulate += c
         machine.mem_stream(rank, float(c.size))  # read old output
-        _write(machine, rank, accumulate, out_key)
+        machine.mem_stream(rank, float(accumulate.size))  # write the output
         machine.charge_flops(rank, float(c.size))  # the additions
         return accumulate
-    _write(machine, rank, c, out_key)
+    machine.mem_stream(rank, float(c.size))  # write the output
     return c
-
-
-def local_qr(
-    machine: BSPMachine,
-    rank: int,
-    a: np.ndarray,
-    a_key: object | None = None,
-    mode: str = "reduced",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR of a local m×n matrix (m >= n) on ``rank``.
-
-    Returns ``(Q, R)`` with Q of shape m×n and R upper-triangular n×n.
-    The numerics use :func:`repro.linalg.qr.householder_qr`; cost is charged
-    per Lemma III.4 (sequential CAQR attains Q = O(mn)).
-    """
-    from repro.linalg.qr import householder_qr  # late import: avoid cycle
-
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"local_qr requires m >= n, got {a.shape}")
-    q, r = householder_qr(a, mode=mode)
-    machine.charge_flops(rank, qr_flops(m, n))
-    _read(machine, rank, a, a_key)
-    machine.mem_stream(rank, float(q.size + r.size))  # write Q and R
-    return q, r
-
-
-def local_qr_householder(
-    machine: BSPMachine,
-    rank: int,
-    a: np.ndarray,
-    a_key: object | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder-form QR on ``rank``: returns ``(U, T, R)``.
-
-    ``Q = I − U T Uᵀ`` with U unit-lower-trapezoidal m×n and T upper-
-    triangular n×n (compact WY form), the representation the eigensolvers
-    aggregate (Section IV).
-    """
-    from repro.linalg.householder import compact_wy_qr  # late import
-
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"local_qr_householder requires m >= n, got {a.shape}")
-    u, t, r = compact_wy_qr(a)
-    machine.charge_flops(rank, qr_flops(m, n) + 2.0 * m * n * n)  # QR + forming T
-    _read(machine, rank, a, a_key)
-    machine.mem_stream(rank, float(u.size + t.size + r.size))
-    return u, t, r
 
 
 # ---------------------------------------------------------------------- #

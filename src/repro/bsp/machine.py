@@ -77,9 +77,6 @@ class NoMetrics:
 
     enabled: bool = False
 
-    def reset(self) -> None:
-        """No telemetry to clear."""
-
 
 #: shared no-op metrics layer (cf. NO_FAULTS, NULL_SPAN)
 NO_METRICS = NoMetrics()
@@ -280,11 +277,6 @@ class BSPMachine:
         moved = self.caches[self._check_rank(rank)].access(key, words)
         self.counters.add_mem_traffic(rank, moved)
 
-    def mem_write(self, rank: int, key: object, words: float) -> None:
-        """Rank produces a dataset; charges its write-back to memory."""
-        moved = self.caches[self._check_rank(rank)].write(key, words)
-        self.counters.add_mem_traffic(rank, moved)
-
     def mem_stream(self, rank: int, words: float) -> None:
         """Charge uncacheable streaming traffic (always moves)."""
         if words < 0:
@@ -317,32 +309,6 @@ class BSPMachine:
         idx, unique = self._resolve(ranks)
         # max-based: duplicates are order-insensitive either way
         self.counters.note_memory(idx, words_each, unique=unique)
-
-    def add_memory(
-        self, ranks: RankGroup | Iterable[int] | int, words_each: float | np.ndarray
-    ) -> None:
-        """Increase each rank's live footprint by ``words_each`` words."""
-        idx, unique = self._resolve(ranks)
-        if not unique and np.min(words_each) < 0:
-            # negative grants: per-occurrence peak order matters, keep the loop
-            each = np.broadcast_to(np.asarray(words_each, dtype=np.float64), idx.shape)
-            for r, w in zip(idx.tolist(), each.tolist()):
-                self.counters.add_memory(r, w)
-            return
-        self.counters.add_memory(idx, words_each, unique=unique)
-
-    def release_memory(
-        self, ranks: RankGroup | Iterable[int] | int, words_each: float | np.ndarray
-    ) -> None:
-        """Decrease each rank's live footprint (never below zero)."""
-        idx, unique = self._resolve(ranks)
-        if not unique and np.min(words_each) < 0:
-            # negative releases: per-occurrence clamp order matters, keep the loop
-            each = np.broadcast_to(np.asarray(words_each, dtype=np.float64), idx.shape)
-            for r, w in zip(idx.tolist(), each.tolist()):
-                self.counters.release_memory(r, w)
-            return
-        self.counters.release_memory(idx, words_each, unique=unique)
 
     # ------------------------------------------------------------------ #
     # span tracing (see repro.trace)
@@ -381,18 +347,6 @@ class BSPMachine:
         """Re-check cumulative accounting invariants; a plain machine has
         none (:class:`repro.lint.verify.VerifiedMachine` overrides this).
         :meth:`repro.bsp.batch.ChargeLog.flush` calls it after every flush."""
-
-    def reset(self) -> None:
-        """Zero all accounting state: counters, caches, spans, metrics.
-
-        The store resets *in place* (held per-rank views stay live), so a
-        reset machine is indistinguishable from a fresh one — see the reset
-        regression tests.
-        """
-        self.counters.reset()
-        self.caches = [CacheModel(self.params.cache_words) for _ in range(self.p)]
-        self.spans.reset()
-        self.metrics.reset()
 
     def __repr__(self) -> str:
         return f"BSPMachine(p={self.p}, params={self.params})"

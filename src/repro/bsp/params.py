@@ -11,7 +11,7 @@ Parameters mirror the paper's architectural model:
 * ``alpha``  (α) — time per (global) synchronization.
 
 The paper's simplifying assumptions are ``γ ≤ β``, ``ν ≤ β`` and
-``ν ≤ γ·√H``; :meth:`MachineParams.validate_paper_assumptions` checks them.
+``ν ≤ γ·√H``.
 """
 
 from __future__ import annotations
@@ -44,15 +44,6 @@ class MachineParams:
                 raise ValueError(f"{name} must be nonnegative")
         if self.memory_words <= 0 or self.cache_words <= 0:
             raise ValueError("memory_words and cache_words must be positive")
-
-    def validate_paper_assumptions(self) -> None:
-        """Raise ValueError if the Section II assumptions do not hold."""
-        if self.gamma > self.beta:
-            raise ValueError(f"paper assumes gamma <= beta (got {self.gamma} > {self.beta})")
-        if self.nu > self.beta:
-            raise ValueError(f"paper assumes nu <= beta (got {self.nu} > {self.beta})")
-        if math.isfinite(self.cache_words) and self.nu > self.gamma * math.sqrt(self.cache_words):
-            raise ValueError("paper assumes nu <= gamma * sqrt(H)")
 
     def fingerprint(self) -> str:
         """Stable text form of every cost parameter, for cache keys.

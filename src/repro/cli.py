@@ -414,12 +414,12 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.model.table1 import render_table1, table1_numeric
     from repro.report.tables import format_table
 
-    print(render_table1())
-    print()
     rows = [
         [name, cost.W, cost.Q, cost.S]
         for name, cost in table1_numeric(args.n, args.p, args.delta).items()
     ]
+    print(render_table1())
+    print()
     print(format_table(
         ["algorithm", "W", "Q", "S"],
         rows,

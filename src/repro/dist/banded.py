@@ -48,13 +48,6 @@ class DistBandMatrix:
         """Total stored words of the band."""
         return (self.b + 1) * self.n
 
-    def owner_of_col(self, j: int) -> int:
-        """Rank owning column j."""
-        if not 0 <= j < self.n:
-            raise IndexError(f"column {j} out of range")
-        blk = int(np.searchsorted(self._col_starts, j, side="right") - 1)
-        return self.group[blk]
-
     def owners_of_cols(self, j0: int, j1: int) -> RankGroup:
         """Distinct ranks owning columns [j0, j1)."""
         if j1 <= j0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bsp.group import RankGroup
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_delta, check_positive_int
 
 
 def factor_2p5d(p: int, delta: float) -> tuple[int, int]:
@@ -23,8 +23,7 @@ def factor_2p5d(p: int, delta: float) -> tuple[int, int]:
     (√p, 1); δ = 2/3 gives (p^{1/3}, p^{1/3}).
     """
     check_positive_int(p, "p")
-    if not 0.5 <= delta <= 2.0 / 3.0 + 1e-12:
-        raise ValueError(f"delta must be in [1/2, 2/3], got {delta}")
+    check_delta(delta)
     target_c = p ** (2.0 * delta - 1.0)
     best: tuple[float, int, int] | None = None
     for c in range(1, p + 1):
@@ -92,26 +91,6 @@ class ProcGrid:
     # ------------------------------------------------------------------ #
     # views
 
-    def layer(self, l: int) -> "ProcGrid":
-        """The 2-D layer Π[:, :, l] of a 3-D grid."""
-        if self.ndim != 3:
-            raise ValueError("layer() requires a 3-D grid")
-        q0, q1, c = self.shape
-        if not 0 <= l < c:
-            raise ValueError(f"layer {l} out of range [0, {c})")
-        sel = tuple(self.rank_at(i, j, l) for i in range(q0) for j in range(q1))
-        return ProcGrid(self.machine, (q0, q1), RankGroup(sel))
-
-    def layers(self) -> list["ProcGrid"]:
-        """All 2-D layers of a 3-D grid."""
-        return [self.layer(l) for l in range(self.shape[2])]
-
-    def fiber(self, i: int, j: int) -> RankGroup:
-        """The ranks Π[i, j, :] across layers (replication fiber)."""
-        if self.ndim != 3:
-            raise ValueError("fiber() requires a 3-D grid")
-        return RankGroup(tuple(self.rank_at(i, j, l) for l in range(self.shape[2])))
-
     def subgrid(self, *slices: slice) -> "ProcGrid":
         """A rectangular sub-grid, e.g. Π[:, 0:z, :] of Algorithm IV.1."""
         if len(slices) != self.ndim:
@@ -122,18 +101,6 @@ class ProcGrid:
         sel = tuple(self.rank_at(*row) for row in flat_coords)
         new_shape = tuple(len(a) for a in axes)
         return ProcGrid(self.machine, new_shape, RankGroup(sel))
-
-    def row_group(self, i: int) -> RankGroup:
-        """Ranks of grid row i (2-D grids)."""
-        if self.ndim != 2:
-            raise ValueError("row_group() requires a 2-D grid")
-        return RankGroup(tuple(self.rank_at(i, j) for j in range(self.shape[1])))
-
-    def col_group(self, j: int) -> RankGroup:
-        """Ranks of grid column j (2-D grids)."""
-        if self.ndim != 2:
-            raise ValueError("col_group() requires a 2-D grid")
-        return RankGroup(tuple(self.rank_at(i, j) for i in range(self.shape[0])))
 
     def __repr__(self) -> str:
         return f"ProcGrid(shape={self.shape}, ranks=[{self.ranks[0]}..{self.ranks[-1]}])"

@@ -46,10 +46,6 @@ class PipelinePhase:
         """The (panel, chase) pairs of this phase — Figure 2's labels."""
         return {(s.i, s.j) for s in self.steps}
 
-    @property
-    def concurrency(self) -> int:
-        return len(self.steps)
-
 
 def pipeline_schedule(n: int, b: int, h: int) -> list[PipelinePhase]:
     """The full pipeline: one entry per phase, in execution order."""
@@ -58,16 +54,6 @@ def pipeline_schedule(n: int, b: int, h: int) -> list[PipelinePhase]:
         PipelinePhase(phase=steps[idx[0]].phase, steps=tuple(steps[s] for s in idx))
         for idx in phase_steps(n, b, h)
     ]
-
-
-def wave_sizes(n: int, b: int, h: int) -> np.ndarray:
-    """Concurrent step count of each pipeline phase (phases 1..max, dense).
-
-    ``wave_sizes(...)[ph-1]`` is the width of Figure 2's row ``ph`` — the
-    number of disjoint-group chase steps the pipeline runs at once.
-    """
-    phase = chase_step_arrays(n, b, h)["phase"]
-    return np.bincount(phase)[1:]
 
 
 def group_of_step(step: ChaseStep, n: int, b: int) -> int:

@@ -1,8 +1,8 @@
 """Sequential dense/banded linear algebra written from scratch.
 
 This package is the numerical substrate of the reproduction: Householder
-transformations and their compact-WY aggregation, blocked QR, non-pivoted LU
-(for Householder reconstruction), successive band reduction via bulge
+transformations and their compact-WY aggregation, non-pivoted LU (for
+Householder reconstruction), successive band reduction via bulge
 chasing, band → tridiagonal reduction, and Sturm-bisection tridiagonal
 eigenvalues.
 
@@ -16,26 +16,13 @@ from repro.linalg.householder import (
     compact_wy_qr,
     householder_vector,
 )
-from repro.linalg.qr import blocked_qr, householder_qr
-from repro.linalg.lu import lu_nopivot
-from repro.linalg.tridiag import (
-    eigenvalue_count_below,
-    sturm_bisection_eigenvalues,
-)
-from repro.linalg.sbr import band_reduce_seq, full_to_band_seq, tridiagonalize_band_seq
+from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.linalg.reconstruct import householder_reconstruct
 
 __all__ = [
     "apply_block_reflector_left",
     "compact_wy_qr",
     "householder_vector",
-    "blocked_qr",
-    "householder_qr",
-    "lu_nopivot",
-    "eigenvalue_count_below",
     "sturm_bisection_eigenvalues",
-    "band_reduce_seq",
-    "full_to_band_seq",
-    "tridiagonalize_band_seq",
     "householder_reconstruct",
 ]

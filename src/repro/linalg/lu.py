@@ -13,31 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def lu_nopivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a square matrix as ``A = L U`` with unit-lower L, upper U.
-
-    Raises ``ZeroDivisionError`` if a zero pivot is encountered — callers
-    (Householder reconstruction) arrange diagonal dominance so this cannot
-    happen for valid inputs.
-    """
-    a = np.array(a, dtype=np.float64)
-    n, n2 = a.shape
-    if n != n2:
-        raise ValueError(f"lu_nopivot requires a square matrix, got {a.shape}")
-    for k in range(n - 1):
-        piv = a[k, k]
-        if piv == 0.0:
-            raise ZeroDivisionError(f"zero pivot at step {k} in non-pivoted LU")
-        a[k + 1 :, k] /= piv
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    if n > 0 and a[n - 1, n - 1] == 0.0:
-        # Singular but factorization completed; U carries the zero.
-        pass
-    lo = np.tril(a, -1) + np.eye(n)
-    up = np.triu(a)
-    return lo, up
-
-
 def modified_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Modified LU for Householder reconstruction (Ballard et al. IPDPS'14).
 

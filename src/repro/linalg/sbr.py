@@ -1,10 +1,9 @@
-"""Sequential successive band reduction (SBR) via bulge chasing.
+"""Successive band reduction (SBR) via bulge chasing.
 
-This module is the numerical reference for Section IV: a dense-to-banded
-panel reduction (the sequential analogue of Algorithm IV.1) and a
-banded-to-banded reduction following Algorithm IV.2's index algebra exactly
-(the same :func:`chase_steps` drives the parallel version and the Figure 2
-schedule reproduction).
+Algorithm IV.2's index algebra (:func:`chase_steps`, which drives the
+parallel stages and the Figure 2 schedule reproduction) and the engine that
+applies its steps.  The sequential dense-I/O references of Algorithms IV.1
+and IV.2 are ``tests/sbr_oracle.py``.
 
 Index conventions (0-indexed; the paper is 1-indexed):
 
@@ -41,7 +40,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.linalg.householder import compact_wy_qr_general
-from repro.util.validation import check_symmetric
 
 
 @dataclass(frozen=True)
@@ -240,61 +238,3 @@ def apply_chase_step(b_mat: np.ndarray, wave: ChaseWave) -> None:
         v[:, vrows, :] += 0.5 * (u @ (t.transpose(0, 2, 1) @ (ut @ w[:, vrows, :])))
         rows_up += u @ v.transpose(0, 2, 1)
         up_rows += v @ ut
-
-
-def band_reduce_seq(a: np.ndarray, b: int, h: int) -> np.ndarray:
-    """Reduce a symmetric band-``b`` matrix to band-width ``h`` (dense I/O).
-
-    Sequential reference implementation of Algorithm IV.2: same eigenvalues,
-    band-width ``h`` on exit.
-    """
-    a = check_symmetric(a).copy()
-    for wave in chase_waves(a.shape[0], b, h):
-        apply_chase_step(a, wave)
-    # Symmetrize to scrub roundoff asymmetry accumulated by the updates.
-    a = (a + a.T) / 2.0
-    return a
-
-
-def full_to_band_seq(a: np.ndarray, b: int) -> np.ndarray:
-    """Reduce a dense symmetric matrix to band-width ``b``.
-
-    Right-looking sequential reference for Algorithm IV.1: panel QR of the
-    sub-diagonal block, then the rank-2b two-sided update of Eqn IV.1 on the
-    trailing matrix.
-    """
-    a = check_symmetric(a).copy()
-    n = a.shape[0]
-    if b < 1 or b >= n:
-        raise ValueError(f"band-width must be in [1, n-1], got {b}")
-    for c0 in range(0, n, b):
-        r0 = c0 + b
-        if r0 >= n:
-            break
-        w = min(b, n - c0)
-        u, t, r = compact_wy_qr_general(a[r0:, c0 : c0 + w])
-        blk = np.zeros((n - r0, w))
-        blk[: r.shape[0], :] = r
-        a[r0:, c0 : c0 + w] = blk
-        a[c0 : c0 + w, r0:] = blk.T
-        # Trailing two-sided update (Eqn IV.1) on A[r0:, r0:].
-        x = a[r0:, r0:]
-        wmat = x @ (u @ t)
-        v = 0.5 * (u @ (t.T @ (u.T @ wmat))) - wmat
-        a[r0:, r0:] = x + u @ v.T + v @ u.T
-    return (a + a.T) / 2.0
-
-
-def tridiagonalize_band_seq(a: np.ndarray, b: int) -> np.ndarray:
-    """Reduce a symmetric band-``b`` matrix all the way to tridiagonal.
-
-    Halves the band-width repeatedly (the multi-stage strategy of
-    Algorithm IV.3) and finishes with a direct ``h=1`` reduction.
-    """
-    a = check_symmetric(a).copy()
-    cur = b
-    while cur > 1:
-        nxt = max(1, cur // 2)
-        a = band_reduce_seq(a, cur, nxt)
-        cur = nxt
-    return a

@@ -81,19 +81,14 @@ def _sturm_counter(d: np.ndarray, e: np.ndarray, m: int) -> Callable[[np.ndarray
     return count
 
 
-def eigenvalue_count_below(d: np.ndarray, e: np.ndarray, x: np.ndarray | float) -> np.ndarray:
-    """Count eigenvalues of tridiag(d, e) strictly below each shift in ``x``.
-
-    Vectorized over shifts; always returns an array (shape ``(1,)`` for a
-    scalar ``x``).  See :func:`_sturm_counter` for the recurrence.
-    """
-    d, e = _validate_tridiag(d, e)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return _sturm_counter(d, e, xs.size)(xs.ravel()).reshape(xs.shape)
-
-
 def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """:func:`gershgorin_interval` of an already validated (d, e)."""
+    """An interval guaranteed to contain every eigenvalue of a validated
+    (d, e).
+
+    Padded by 1e-12 of its own magnitude, so the bracket (and the bisection
+    tolerance derived from it) scales with the matrix; the zero matrix gets
+    the degenerate interval (0, 0).
+    """
     radius = np.zeros_like(d)
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
@@ -101,16 +96,6 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     hi = float(np.max(d + radius))
     pad = 1e-12 * max(abs(lo), abs(hi))
     return lo - pad, hi + pad
-
-
-def gershgorin_interval(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """Return an interval guaranteed to contain all eigenvalues.
-
-    Padded by 1e-12 of its own magnitude, so the bracket (and the bisection
-    tolerance derived from it) scales with the matrix; the zero matrix gets
-    the degenerate interval (0, 0).
-    """
-    return _gershgorin(*_validate_tridiag(d, e))
 
 
 def _levels_per_pass(n: int) -> int:
@@ -196,8 +181,3 @@ def sturm_bisection_eigenvalues(
         sweeps += k
         lows[0], highs[-1] = lower[-1], upper[-1]
     raise RuntimeError(f"Sturm bisection did not converge in {max_iter} sweeps")
-
-
-def tridiagonal_from_dense(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (diagonal, subdiagonal) from a dense tridiagonal matrix."""
-    return np.diag(t).copy(), np.diag(t, -1).copy()

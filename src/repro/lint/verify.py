@@ -135,10 +135,6 @@ class VerifiedMachine(BSPMachine):
             return inner
         return _VerifiedSpan(self, inner, name)
 
-    def reset(self) -> None:
-        super().reset()
-        self._watermarks = self.counters.snapshot()
-
     # -------------------------------------------------------------- #
     # the invariants
 

@@ -122,10 +122,6 @@ class MetricsSnapshot:
             (int(i // p), int(i % p), float(flat[i])) for i in order if flat[i] > 0
         ]
 
-    def verify(self) -> list:
-        """Conservation problems found at snapshot time ([] = all held)."""
-        return list(self.conservation_problems)
-
 
 def _check_fit(pattern: Pattern, senders: int, receivers: int) -> None:
     if pattern.shape != (senders, receivers):
@@ -410,22 +406,6 @@ class MetricsCollector:
             series=tuple(self.series),
             conservation_problems=tuple(self.verify_conservation(store)),
         )
-
-    def reset(self) -> None:
-        """Zero all telemetry in place (called by ``BSPMachine.reset``)."""
-        for pending in (self._pending, self._pending_sent, self._pending_recv):
-            pending.clear()
-        self._pending_additions = 0
-        for accumulator in (
-            self._words_matrix, self._messages_matrix, self._sent_words, self._recv_words,
-            self._sent_messages, self._recv_messages, self._unpaired_sent, self._unpaired_recv,
-        ):
-            accumulator.fill(0)
-        self.watermark_words.fill(0.0)
-        self.watermark_superstep.fill(0)
-        self.supersteps_seen = 0
-        self.series.clear()
-        self._stride = 1
 
     def __repr__(self) -> str:
         return (

@@ -77,18 +77,6 @@ class LatencySketch:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "LatencySketch") -> None:
-        """Fold ``other``'s observations into this sketch (same accuracy)."""
-        if other.gamma != self.gamma:
-            raise ValueError("cannot merge sketches with different accuracies")
-        for k, c in other.buckets.items():
-            self.buckets[k] = self.buckets.get(k, 0) + c
-        self.zero_count += other.zero_count
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def as_dict(self) -> dict:
         """JSON document: bucket map keyed by stringified index (sorted),
         plus summary stats and canonical quantiles."""
@@ -108,18 +96,6 @@ class LatencySketch:
             },
             "buckets": {str(k): self.buckets[k] for k in sorted(self.buckets)},
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LatencySketch":
-        sk = cls(rel_accuracy=float(doc["rel_accuracy"]))
-        sk.count = int(doc["count"])
-        sk.zero_count = int(doc["zero_count"])
-        sk.total = float(doc["total"])
-        if sk.count:
-            sk.min = float(doc["min"])
-            sk.max = float(doc["max"])
-        sk.buckets = {int(k): int(c) for k, c in doc["buckets"].items()}
-        return sk
 
     def __repr__(self) -> str:
         return (

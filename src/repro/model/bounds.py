@@ -1,13 +1,11 @@
-"""Communication lower bounds cited by the paper (Section I).
+"""The communication lower bound cited by the paper (Section I) and the
+per-rank memory budget of Theorem IV.4.
 
 * the memory-dependent bound of Ballard–Demmel–Holtz–Schwartz [8]:
-  ``W = Ω(n³/(p·√M))`` for O(n³)-work dense linear algebra, and
-* the communication–synchronization trade-off of Solomonik–Carson–
-  Knight–Demmel [9]: ``W·S = Ω(n²)``.
-
-The 2.5D eigensolver attains both (up to log factors) along the whole
-δ ∈ [1/2, 2/3] range — the tests verify that the model costs touch the
-bounds and the benches verify the measured costs track them.
+  ``W = Ω(n³/(p·√M))`` for O(n³)-work dense linear algebra, which the
+  2.5D eigensolver attains (up to log factors) along the whole
+  δ ∈ [1/2, 2/3] range;
+* :func:`memory_bound_words`, the footprint the verifier enforces.
 """
 
 from __future__ import annotations
@@ -20,13 +18,6 @@ def memory_dependent_lower_bound(n: int, p: int, memory_words: float) -> float:
     if memory_words <= 0:
         raise ValueError("memory_words must be positive")
     return n**3 / (p * math.sqrt(memory_words))
-
-
-def synchronization_tradeoff_lower_bound(n: int, words: float) -> float:
-    """Least S compatible with a given W: S = Ω(n²/W)."""
-    if words <= 0:
-        raise ValueError("words must be positive")
-    return n * n / words
 
 
 def memory_bound_words(n: int, p: int, delta: float, slack: float = 8.0) -> float:
@@ -46,14 +37,3 @@ def memory_bound_words(n: int, p: int, delta: float, slack: float = 8.0) -> floa
         raise ValueError("slack must be positive")
     leading = n * n / p ** (2.0 * (1.0 - delta))
     return slack * (leading + n + p)
-
-
-def attains_memory_bound(n: int, p: int, delta: float, slack: float = 4.0) -> bool:
-    """Does W = n²/p^δ attain Ω(n³/(p√M)) with M = n²/p^{2(1−δ)}?
-
-    Exact algebra: n³/(p·√(n²/p^{2(1−δ)})) = n²·p^{1−δ}/p = n²/p^δ — yes,
-    with unit constant; ``slack`` allows for the implementation's constants.
-    """
-    w = n * n / p**delta
-    lower = memory_dependent_lower_bound(n, p, n * n / p ** (2.0 * (1.0 - delta)))
-    return lower <= w <= slack * lower or w >= lower

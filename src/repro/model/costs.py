@@ -32,10 +32,6 @@ class AsymptoticCost:
     memory: float  # M per processor
 
     @property
-    def F(self) -> float:  # noqa: N802
-        return self.flops
-
-    @property
     def W(self) -> float:  # noqa: N802
         return self.words
 
@@ -92,18 +88,6 @@ def streaming_mm_cost(m: int, n: int, k: int, p: int, delta: float, w: float = 1
         mem_traffic=(m * k + n * k) / pd + extra_q,
         supersteps=w,
         memory=m * n / q**2 + (m * k + n * k) / (w * pd),
-    )
-
-
-def square_qr_cost(n: int, p: int, delta: float) -> AsymptoticCost:
-    """Lemma III.5: QR of an n×n matrix (Tiskin-style)."""
-    pd = p**delta
-    return AsymptoticCost(
-        flops=2.0 * n**3 / p,
-        words=n * n / pd,
-        mem_traffic=n * n / pd,
-        supersteps=pd,
-        memory=(n / p ** (1.0 - delta)) ** 2,
     )
 
 

@@ -16,6 +16,7 @@ from repro.model.costs import (
     elpa_cost,
     scalapack_cost,
 )
+from repro.util.validation import check_delta, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -75,4 +76,7 @@ def render_table1() -> str:
 
 def table1_numeric(n: int, p: int, delta: float = 2.0 / 3.0) -> dict[str, AsymptoticCost]:
     """Evaluate every Table I row at concrete parameters."""
+    check_positive_int(n, "n")
+    check_positive_int(p, "p")
+    check_delta(delta)
     return {row.algorithm: row.evaluate(n, p, delta) for row in TABLE1_ROWS}

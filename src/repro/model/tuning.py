@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.bsp.params import MachineParams
 from repro.model.costs import delta_to_c, eigensolver_2p5d_cost
+from repro.util.validation import check_positive_int
 
 
 def delta_grid(samples: int, lo: float = 0.5, hi: float = 2.0 / 3.0) -> list[float]:
@@ -48,6 +49,8 @@ def best_delta(n: int, p: int, params: MachineParams) -> tuple[float, float]:
     Raises ``ValueError`` if even δ = 1/2 (the 2-D footprint n²/p) does not
     fit in memory — the problem is simply too large for the machine.
     """
+    check_positive_int(n, "n")
+    check_positive_int(p, "p")
     cands = feasible_deltas(n, p, params.memory_words)
     if not cands:
         raise ValueError(
@@ -77,6 +80,8 @@ def replan_delta(n: int, p: int, params: MachineParams) -> float:
 
 def tuning_table(n: int, p: int, params: MachineParams, samples: int = 9) -> list[dict]:
     """Sweep δ and report (δ, c, memory, predicted component times)."""
+    check_positive_int(n, "n")
+    check_positive_int(p, "p")
     rows = []
     for d in delta_grid(samples):
         cost = eigensolver_2p5d_cost(n, p, d, cache_words=params.cache_words)

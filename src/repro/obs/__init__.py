@@ -22,7 +22,6 @@ from repro.obs.telemetry import (
     NO_TELEMETRY,
     NoTelemetry,
     Telemetry,
-    read_event_log,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "build_telemetry_doc",
     "check_telemetry",
     "merged_trace",
-    "read_event_log",
     "render_telemetry",
     "write_dash",
     "write_merged_trace",

@@ -34,7 +34,6 @@ and pinned traces).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Iterable
 
 from repro.metrics.sketch import LatencySketch
@@ -57,7 +56,8 @@ EVENT_KINDS = (
 
 
 class NoTelemetry:
-    """Inert telemetry: every hook is a no-op (the default everywhere)."""
+    """Inert telemetry (the default everywhere): the hooks callers make
+    without checking ``enabled`` are no-ops."""
 
     __slots__ = ()
     enabled = False
@@ -67,17 +67,6 @@ class NoTelemetry:
         pass
 
     def counter(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def gauge(self, name: str, t: float, value: float) -> None:
-        pass
-
-    def observe_latency(self, slo: str, value: float) -> None:
-        pass
-
-    def attach_solver_spans(
-        self, job: str, attempt: int, p: int, events: Iterable[dict]
-    ) -> None:
         pass
 
     def __repr__(self) -> str:
@@ -159,12 +148,6 @@ class Telemetry:
         the byte-comparable determinism artifact."""
         return [json.dumps(e, sort_keys=True) for e in self.events]
 
-    def write_event_log(self, path: Path | str) -> Path:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("".join(line + "\n" for line in self.event_log_lines()))
-        return out
-
     def attempt_spans(self) -> list[dict]:
         """Service-level attempt spans derived from dispatch events: one
         per (job, attempt, kind) with machine placement and [start, finish]
@@ -195,14 +178,3 @@ class Telemetry:
             f"Telemetry(events={len(self.events)}, "
             f"gauges={len(self.series.gauges)}, solver={len(self.solver)})"
         )
-
-
-def read_event_log(path: Path | str) -> list[dict]:
-    """Load a JSONL event log written by :meth:`Telemetry.write_event_log`."""
-    events = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events

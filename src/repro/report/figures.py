@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.eig.schedule import pipeline_schedule
+from repro.util.validation import check_positive_int
 
 
 def render_figure1(n_panels: int = 6, step: int = 3, cell: int = 2) -> str:
@@ -70,6 +71,8 @@ def render_figure2(n: int = 48, b: int = 8, k: int = 2, phases: tuple[int, int] 
     chase step's QR block with its group digit and its update window with
     ``v`` (the matrix V of that iteration, as in the paper's caption).
     """
+    for value, name in ((n, "n"), (b, "b"), (k, "k")):
+        check_positive_int(value, name)
     h = b // k
     sched = {ph.phase: ph for ph in pipeline_schedule(n, b, h)}
     panels = []

@@ -168,9 +168,6 @@ class TuningCache:
         self.entries[key] = value
         return value
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 # ------------------------------------------------------------------ #
 # memoized planning entry points

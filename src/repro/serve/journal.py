@@ -200,10 +200,6 @@ class JobJournal:
     # -------------------------------------------------------------- #
     # invariants / teardown
 
-    def missing_terminals(self) -> list[int]:
-        """Submitted job ids without a terminal record ([] = no job lost)."""
-        return sorted(j for j in self.submitted if j not in self.terminals)
-
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()

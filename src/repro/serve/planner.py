@@ -15,7 +15,6 @@ genuine, per-shape scheduling decision, and a cached one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.bsp.params import MachineParams
 from repro.serve.cache import TuningCache, cache_key, cached_best_delta
@@ -33,21 +32,6 @@ class Plan:
     delta: float
     predicted_time: float
     algorithm: str = DEFAULT_ALGORITHM
-
-    @property
-    def regime(self) -> str:
-        """``replicated`` (sequential solve on one rank) or ``grid``."""
-        return "replicated" if self.p == 1 else "grid"
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "delta": self.delta,
-            "predicted_time": self.predicted_time,
-            "algorithm": self.algorithm,
-            "regime": self.regime,
-        }
 
 
 def candidate_ranks(n: int, p_max: int) -> list[int]:

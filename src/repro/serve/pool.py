@@ -26,9 +26,6 @@ class PoolMachine:
     p: int
     params: MachineParams
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"machine_id": self.machine_id, "p": self.p}
-
 
 class MachinePool:
     """A fleet of simulated machines with a shared parameter profile.
@@ -59,10 +56,6 @@ class MachinePool:
             PoolMachine(i, r, self.params) for i, r in enumerate(per_machine)
         ]
 
-    def machine(self, machine_id: int) -> PoolMachine:
-        """Look up one machine by id (ids are dense, 0-based)."""
-        return self.machines[machine_id]
-
     def track_label(self, machine_id: int) -> str:
         """Display name of one machine's telemetry track (Perfetto/dash)."""
         m = self.machines[machine_id]
@@ -76,9 +69,6 @@ class MachinePool:
     def max_ranks(self) -> int:
         """Ranks of the largest machine — the planner's p_max ceiling."""
         return max(m.p for m in self.machines)
-
-    def __len__(self) -> int:
-        return len(self.machines)
 
     def __iter__(self):
         return iter(self.machines)

@@ -84,9 +84,6 @@ class SLOClass:
     name: str
     deadline: float
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "deadline": self.deadline}
-
 
 #: the shipped SLO menu.  Budgets are calibrated against the pinned
 #: serve-bench profile (sim latency p50 ≈ 2e5, p99 ≈ 1e7): "interactive"

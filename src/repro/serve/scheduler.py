@@ -36,10 +36,6 @@ class ScheduledJob:
         """Arrival-to-completion time (queue wait + service)."""
         return self.finish - self.arrival
 
-    @property
-    def queue_wait(self) -> float:
-        return self.start - self.arrival
-
 
 @dataclass
 class Schedule:

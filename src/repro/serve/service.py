@@ -119,13 +119,6 @@ class JobResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    @property
-    def disposition(self) -> str:
-        """Terminal disposition (``ok | degraded | error``)."""
-        if self.status == "ok":
-            return "degraded" if self.degraded else "ok"
-        return self.status
-
 
 @dataclass
 class ServeReport:

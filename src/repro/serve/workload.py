@@ -49,7 +49,7 @@ class JobSpec:
     :data:`repro.serve.resilience.SLO_CLASSES`); it sets the job's
     simulated-time deadline and its priority under EDF scheduling.  A
     non-finite ``arrival`` or an unknown ``slo`` raises ValueError here,
-    the boundary every job crosses (``Workload.from_json`` included).
+    the boundary every job crosses.
     """
 
     job_id: int
@@ -97,30 +97,11 @@ class Workload:
             "jobs": [job.as_dict() for job in self.jobs],
         }
 
-    @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "Workload":
-        jobs = [
-            JobSpec(
-                job_id=int(j["job_id"]),
-                n=int(j["n"]),
-                seed=int(j["seed"]),
-                arrival=float(j["arrival"]),
-                tag=str(j.get("tag", "")),
-                slo=str(j.get("slo", "batch")),
-            )
-            for j in doc["jobs"]
-        ]
-        return cls(jobs=jobs, descriptor=dict(doc.get("descriptor", {})))
-
     def write(self, path: str | Path) -> Path:
         out = Path(path)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n")
         return out
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Workload":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 def _finalize(

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.bsp.counters import gini_of, imbalance_of
 from repro.bsp.params import MachineParams
 from repro.trace.spans import SPAN_FIELDS, UNTRACED, field_arrays
 
@@ -50,14 +49,6 @@ class SpanCost:
     time: float
     share: float
 
-    @property
-    def depth(self) -> int:
-        return self.path.count("/")
-
-    @property
-    def name(self) -> str:
-        return self.path.rsplit("/", 1)[-1]
-
 
 @dataclass(frozen=True)
 class SpanBreakdown:
@@ -83,54 +74,9 @@ class SpanBreakdown:
     def total_time(self) -> float:
         return sum(r.time for r in self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, path: str) -> SpanCost:
-        for r in self.rows:
-            if r.path == path:
-                return r
-        raise KeyError(f"no span with path {path!r}")
-
-    def paths(self) -> list[str]:
-        return [r.path for r in self.rows]
-
     def by_time(self) -> list[SpanCost]:
         """Rows sorted by modeled time, descending — the critical path."""
         return sorted(self.rows, key=lambda r: r.time, reverse=True)
-
-    def rank_values(self, path: str, fld: str = "flops") -> np.ndarray:
-        """Per-rank exclusive values of one span path (``"words"`` derives
-        sent + received)."""
-        arrays = self.per_rank[path]
-        if fld == "words":
-            return arrays["words_sent"] + arrays["words_recv"]
-        if fld not in SPAN_FIELDS:
-            raise ValueError(f"unknown span field {fld!r}; expected one of {SPAN_FIELDS}")
-        return arrays[fld]
-
-    def active_ranks(self, path: str) -> np.ndarray:
-        """Mask of ranks that this span path actually charged."""
-        arrays = self.per_rank[path]
-        mask = np.zeros(self.p, dtype=bool)
-        for f in SPAN_FIELDS:
-            mask |= arrays[f] != 0
-        return mask
-
-    def imbalance(self, path: str, fld: str = "flops") -> float:
-        """max/mean of one span's per-rank quantity over the ranks it
-        charged (1.0 = balanced) — same convention as
-        :meth:`repro.bsp.counters.CostReport.imbalance`, so small-group
-        spans on a big machine report their own skew, not the idle ranks."""
-        return imbalance_of(self.rank_values(path, fld), self.active_ranks(path))
-
-    def gini(self, path: str, fld: str = "flops") -> float:
-        """Gini coefficient of one span's per-rank quantity over the ranks
-        it charged (0 = perfectly equal)."""
-        return gini_of(self.rank_values(path, fld), self.active_ranks(path))
 
     def verify_exact(self) -> list[str]:
         """Fields whose per-rank row sums are not bit-identical to the

@@ -365,16 +365,6 @@ class SpanRecorder:
     def open_paths(self) -> list[str]:
         return [s.path for s in self._stack]
 
-    def reset(self) -> None:
-        """Drop all spans, events and buckets; re-mark from the (freshly
-        reset) store.  Called by :meth:`BSPMachine.reset`."""
-        self.events.clear()
-        self._stack.clear()
-        self._buckets.clear()
-        self._calls.clear()
-        self._chron = np.zeros((self.p, len(SPAN_FIELDS)))
-        self._mark = self._now()
-
     def verify_attribution(self) -> list[str]:
         """Fields where the chronologically re-accumulated span deltas are
         not bit-identical to the live counters ([] = exact attribution:

@@ -8,36 +8,11 @@ the algorithm modules stay readable.
 from __future__ import annotations
 
 
-def ceil_div(a: int, b: int) -> int:
-    """Return ``ceil(a / b)`` for nonnegative ``a`` and positive ``b``."""
-    if b <= 0:
-        raise ValueError(f"ceil_div divisor must be positive, got {b}")
-    if a < 0:
-        raise ValueError(f"ceil_div numerator must be nonnegative, got {a}")
-    return -(-a // b)
-
-
 def next_power_of_two(x: int) -> int:
     """Return the smallest power of two >= ``x`` (for positive ``x``)."""
     if x <= 0:
         raise ValueError(f"next_power_of_two requires positive x, got {x}")
     return 1 << (x - 1).bit_length()
-
-
-def ilog2(x: int) -> int:
-    """Return ``floor(log2 x)`` for positive integer ``x``."""
-    if x <= 0:
-        raise ValueError(f"ilog2 requires positive x, got {x}")
-    return x.bit_length() - 1
-
-
-def next_multiple(x: int, m: int) -> int:
-    """Return the smallest multiple of ``m`` >= ``x``."""
-    if m <= 0:
-        raise ValueError(f"next_multiple requires positive m, got {m}")
-    if x <= 0:
-        return m
-    return ceil_div(x, m) * m
 
 
 def split_evenly(n: int, parts: int) -> list[int]:

@@ -53,9 +53,3 @@ class ByteLRU:
         while self.nbytes > self.cap_bytes:
             _, (_, size) = self._entries.popitem(last=False)
             self.nbytes -= size
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries

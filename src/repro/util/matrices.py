@@ -65,21 +65,6 @@ def random_spectrum_symmetric(
     return (q * d) @ q.T  # cost: free(test-matrix generation on the host, before any machine exists)
 
 
-def wilkinson(n: int) -> np.ndarray:
-    """Return the Wilkinson W_n tridiagonal matrix (clustered eigenvalues).
-
-    A classic stress test for symmetric eigensolvers: pairs of eigenvalues
-    agree to many digits.
-    """
-    n = check_positive_int(n, "n")
-    m = (n - 1) / 2.0
-    diag = np.abs(np.arange(n) - m)
-    a = np.diag(diag)
-    off = np.ones(n - 1)
-    a += np.diag(off, 1) + np.diag(off, -1)
-    return a
-
-
 def clustered_spectrum(n: int, n_clusters: int = 4, spread: float = 1e-8,
                        seed: int | np.random.Generator | None = 0) -> np.ndarray:
     """Return ``n`` eigenvalues grouped in ``n_clusters`` tight clusters."""

@@ -27,12 +27,11 @@ def check_positive_int(value: int, name: str) -> int:
     return int(value)
 
 
-def check_power_of_two(value: int, name: str) -> int:
-    """Validate that ``value`` is a positive power of two."""
-    value = check_positive_int(value, name)
-    if value & (value - 1):
-        raise ValueError(f"{name} must be a power of two, got {value}")
-    return value
+def check_delta(delta: float) -> float:
+    """Validate the replication exponent δ ∈ [1/2, 2/3] of the 2.5D algorithms."""
+    if not 0.5 <= delta <= 2.0 / 3.0 + 1e-12:
+        raise ValueError(f"delta must be in [1/2, 2/3], got {delta}")
+    return delta
 
 
 def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -46,7 +46,7 @@ SITE_DIRS = ("blocks", "dist", "eig")
 AMOUNTS = {
     "charge_flops": (1,), "charge_flops_batch": (1,), "charge_comm": (1, 3),
     "charge_comm_batch": (1, 2), "charge_comm_matrix": (1,), "superstep": (),
-    "mem_stream": (1,), "mem_stream_group": (1,), "mem_read": (2,), "mem_write": (2,),
+    "mem_stream": (1,), "mem_stream_group": (1,), "mem_read": (2,),
     "transfer": (2,),
 }
 INSERTS = {

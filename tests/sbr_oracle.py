@@ -5,13 +5,20 @@ engine.
 One chase step at a time, in panel-major order, each a 2-D compact-WY QR
 built one reflector at a time from scalar Householder vectors: slow, and
 obviously Algorithm IV.2's lines 16–22.
+
+Also the sequential dense-I/O references of Section IV the tests compare
+the parallel stages against: :func:`band_reduce_seq` (Algorithm IV.2 on the
+wave engine), :func:`full_to_band_seq` (Algorithm IV.1) and
+:func:`tridiagonalize_band_seq` (repeated halving to tridiagonal).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg import householder, sbr
 from repro.linalg.sbr import ChaseStep, chase_steps
+from repro.util.validation import check_symmetric
 
 
 def householder_vector(x: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -82,3 +89,61 @@ def chase_all(b_mat: np.ndarray, b: int, h: int) -> np.ndarray:
     for step in chase_steps(b_mat.shape[0], b, h):
         apply_chase_step(b_mat, step)
     return b_mat
+
+
+def band_reduce_seq(a: np.ndarray, b: int, h: int) -> np.ndarray:
+    """Reduce a symmetric band-``b`` matrix to band-width ``h`` (dense I/O).
+
+    Sequential reference implementation of Algorithm IV.2: same eigenvalues,
+    band-width ``h`` on exit.
+    """
+    a = check_symmetric(a).copy()
+    for wave in sbr.chase_waves(a.shape[0], b, h):
+        sbr.apply_chase_step(a, wave)
+    # Symmetrize to scrub roundoff asymmetry accumulated by the updates.
+    a = (a + a.T) / 2.0
+    return a
+
+
+def full_to_band_seq(a: np.ndarray, b: int) -> np.ndarray:
+    """Reduce a dense symmetric matrix to band-width ``b``.
+
+    Right-looking sequential reference for Algorithm IV.1: panel QR of the
+    sub-diagonal block, then the rank-2b two-sided update of Eqn IV.1 on the
+    trailing matrix.
+    """
+    a = check_symmetric(a).copy()
+    n = a.shape[0]
+    if b < 1 or b >= n:
+        raise ValueError(f"band-width must be in [1, n-1], got {b}")
+    for c0 in range(0, n, b):
+        r0 = c0 + b
+        if r0 >= n:
+            break
+        w = min(b, n - c0)
+        u, t, r = householder.compact_wy_qr_general(a[r0:, c0 : c0 + w])
+        blk = np.zeros((n - r0, w))
+        blk[: r.shape[0], :] = r
+        a[r0:, c0 : c0 + w] = blk
+        a[c0 : c0 + w, r0:] = blk.T
+        # Trailing two-sided update (Eqn IV.1) on A[r0:, r0:].
+        x = a[r0:, r0:]
+        wmat = x @ (u @ t)
+        v = 0.5 * (u @ (t.T @ (u.T @ wmat))) - wmat
+        a[r0:, r0:] = x + u @ v.T + v @ u.T
+    return (a + a.T) / 2.0
+
+
+def tridiagonalize_band_seq(a: np.ndarray, b: int) -> np.ndarray:
+    """Reduce a symmetric band-``b`` matrix all the way to tridiagonal.
+
+    Halves the band-width repeatedly (the multi-stage strategy of
+    Algorithm IV.3) and finishes with a direct ``h=1`` reduction.
+    """
+    a = check_symmetric(a).copy()
+    cur = b
+    while cur > 1:
+        nxt = max(1, cur // 2)
+        a = band_reduce_seq(a, cur, nxt)
+        cur = nxt
+    return a

@@ -71,6 +71,14 @@ def _as_counter_array(per_rank: list[RankCounters]) -> CounterArray:
     return out
 
 
+def _ranks(store: CounterArray) -> list[RankCounters]:
+    """One :class:`RankCounters` per rank of an array store."""
+    return [
+        RankCounters(**{name: store.field_array(name)[r].item() for name in COUNTER_FIELDS})
+        for r in range(store.p)
+    ]
+
+
 def aggregate(per_rank: list[RankCounters]) -> CostReport:
     """Build a :class:`CostReport` from per-rank counters."""
     if not per_rank:
@@ -108,7 +116,7 @@ def scalar_delta(newer: CostReport, older: CostReport) -> CostReport:
             supersteps=a.supersteps - b.supersteps,
             peak_memory_words=a.peak_memory_words,
         )
-        for a, b in zip(newer.per_rank, older.per_rank)
+        for a, b in zip(_ranks(newer.per_rank), _ranks(older.per_rank))
     ])
 
 
@@ -134,16 +142,8 @@ class ScalarCounterStore:
         self.p = p
         self._counters: list[RankCounters] = [RankCounters() for _ in range(p)]
 
-    # -- sequence protocol ---------------------------------------------- #
-
     def __len__(self) -> int:
         return self.p
-
-    def __getitem__(self, rank: int) -> RankCounters:
-        return self._counters[rank]
-
-    def __iter__(self):
-        return iter(self._counters)
 
     # -- accumulation primitives ---------------------------------------- #
 
@@ -182,17 +182,6 @@ class ScalarCounterStore:
             c.current_memory_words = max(c.current_memory_words, w)
             c.peak_memory_words = max(c.peak_memory_words, c.current_memory_words)
 
-    def add_memory(self, idx, words_each, unique: bool = True) -> None:
-        for i, w in _amounts(idx, words_each):
-            c = self._counters[i]
-            c.current_memory_words += w
-            c.peak_memory_words = max(c.peak_memory_words, c.current_memory_words)
-
-    def release_memory(self, idx, words_each, unique: bool = True) -> None:
-        for i, w in _amounts(idx, words_each):
-            c = self._counters[i]
-            c.current_memory_words = max(0.0, c.current_memory_words - w)
-
     # -- snapshots and reports ------------------------------------------ #
 
     def field_array(self, name: str) -> np.ndarray:
@@ -207,21 +196,6 @@ class ScalarCounterStore:
         out.p = self.p
         out._counters = [c.copy() for c in self._counters]
         return out
-
-    def reset(self) -> None:
-        # Zero IN PLACE, mirroring CounterArray.reset()'s fill(0): replacing
-        # the list (the old behavior) left previously handed-out
-        # RankCounters references pointing at pre-reset state, so code
-        # holding a per-rank view diverged between the engines after a
-        # mid-run reset.
-        for c in self._counters:
-            c.flops = 0.0
-            c.words_sent = 0.0
-            c.words_recv = 0.0
-            c.mem_traffic = 0.0
-            c.supersteps = 0
-            c.peak_memory_words = 0.0
-            c.current_memory_words = 0.0
 
     def report(self) -> CostReport:
         return aggregate(self._counters)

@@ -1,6 +1,7 @@
 """The Sturm recurrence as it was before ``repro.linalg.tridiag`` hoisted
 its loop invariants and counted several bisection levels per pass — kept
-as the bit-for-bit oracle of the lean one.
+as the bit-for-bit oracle of the lean one, with the Gershgorin bracket
+both bisect from.
 
 Per row and per sweep it recomputes e², the pivot guard and the sign count
 with fresh temporaries, and it bisects one level per sweep: slow, and
@@ -11,7 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.tridiag import gershgorin_interval
+from repro.linalg import tridiag
+
+
+def gershgorin_interval(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """The solver's padded Gershgorin bracket of tridiag(d, e), after its
+    input checks."""
+    return tridiag._gershgorin(*tridiag._validate_tridiag(d, e))
 
 
 def count_below(d: np.ndarray, e: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ class TestBandToBand2p5d:
         mach, a, band = make_band(8, 64, 16)
         band_to_band_2p5d(mach, band, k=2)
         # Every rank participated in some group's chases.
-        assert all(mach.counters[r].supersteps > 0 for r in range(8))
+        assert all(mach.counters.supersteps[r] > 0 for r in range(8))
 
     def test_repeated_halving(self):
         mach, a, band = make_band(4, 48, 8)
@@ -108,4 +108,4 @@ class TestCASBR:
     def test_flops_concentrated_on_column_owners(self):
         mach, a, band = make_band(4, 64, 8)
         ca_sbr_halve(mach, band)
-        assert all(mach.counters[r].flops > 0 for r in range(4))
+        assert all(mach.counters.flops[r] > 0 for r in range(4))

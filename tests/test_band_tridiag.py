@@ -11,8 +11,9 @@ from repro.linalg.band_tridiag import (
     band_to_tridiagonal_storage,
     extract_band,
 )
-from repro.linalg.sbr import band_reduce_seq
 from repro.util.matrices import random_banded_symmetric
+
+from tests.sbr_oracle import band_reduce_seq
 
 EPS = np.finfo(np.float64).eps
 #: backward-error budget in multiples of n·ε·‖A‖₂ (worst seen over 3000 random (n, b, seed): 1.4)

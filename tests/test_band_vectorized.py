@@ -18,12 +18,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.bench import report_mismatches
 from repro.bsp import BSPMachine, RankGroup
 from repro.dist.banded import DistBandMatrix
 from repro.linalg.band_tridiag import band_to_tridiagonal_storage, extract_band
 from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.matrices import random_banded_symmetric
+
+from tests.helpers import report_mismatches
 from tests.scalar_oracle import ENGINES, machine_on
 
 
@@ -34,8 +35,8 @@ class TestRedistributeRagged:
         recvs: dict[int, float] = {}
         w = float(old.b + 1)
         for j in range(old.n):
-            src = old.owner_of_col(j)
-            dst = new.owner_of_col(j)
+            src = old.owners_of_cols(j, j + 1)[0]
+            dst = new.owners_of_cols(j, j + 1)[0]
             if src != dst:
                 sends[src] = sends.get(src, 0.0) + w
                 recvs[dst] = recvs.get(dst, 0.0) + w

@@ -12,6 +12,7 @@ import numpy as np
 from repro import bench, cli
 from repro.bsp import BSPMachine
 from repro.bsp.counters import CounterArray
+from tests.helpers import per_rank_arrays, report_mismatches
 from tests.scalar_oracle import machine_on, scalar_store
 
 
@@ -26,12 +27,12 @@ def small_suite_results():
 class TestReportComparison:
     def test_identical_reports_have_no_mismatches(self):
         report_a, report_s = small_suite_results()
-        assert bench.report_mismatches(report_a, report_s) == []
+        assert report_mismatches(report_a, report_s) == []
 
     def test_per_rank_arrays_cover_both_engines(self):
         report_a, report_s = small_suite_results()
-        arrays_a = bench.per_rank_arrays(report_a)
-        arrays_s = bench.per_rank_arrays(report_s)
+        arrays_a = per_rank_arrays(report_a)
+        arrays_s = per_rank_arrays(report_s)
         # one representation: the oracle's report is CounterArray-backed too
         assert isinstance(report_a.per_rank, CounterArray)
         assert isinstance(report_s.per_rank, CounterArray)
@@ -45,14 +46,14 @@ class TestReportComparison:
         machine = BSPMachine(16)
         bench.charging_workload(machine, 2)
         machine.counters.field_array("flops")[3] += 1.0
-        issues = bench.report_mismatches(machine.cost(), report_s)
+        issues = report_mismatches(machine.cost(), report_s)
         assert any("rank 3" in issue for issue in issues)
         assert any("flops" in issue for issue in issues)
 
     def test_p_mismatch_short_circuits(self):
         report_a, _ = small_suite_results()
         other = BSPMachine(8).cost()
-        assert bench.report_mismatches(report_a, other) == ["p differs: 16 != 8"]
+        assert report_mismatches(report_a, other) == ["p differs: 16 != 8"]
 
 
 #: every wall-clock field a results document records
@@ -258,7 +259,7 @@ class TestScalingSuite:
         ra, _ = bench.run_scaling_point(64, 8, 2.0 / 3.0)
         with scalar_store():  # the point builds its own machine
             rs, _ = bench.run_scaling_point(64, 8, 2.0 / 3.0)
-        assert bench.report_mismatches(ra, rs) == []
+        assert report_mismatches(ra, rs) == []
 
     def test_scaling_case_gates_exponents(self, monkeypatch):
         """A tiny grid still fits W with unit slope; a sabotaged tolerance

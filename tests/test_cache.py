@@ -11,12 +11,6 @@ class TestBasics:
         c = CacheModel(1000)
         assert c.access("a", 100) == 100
         assert c.access("a", 100) == 0
-        assert c.contains("a")
-
-    def test_write_charges_and_leaves_resident(self):
-        c = CacheModel(1000)
-        assert c.write("out", 50) == 50
-        assert c.access("out", 50) == 0
 
     def test_eviction_is_lru(self):
         c = CacheModel(100)
@@ -24,14 +18,14 @@ class TestBasics:
         c.access("b", 40)  # fills the cache
         c.access("a", 60)  # refresh a
         c.access("c", 40)  # must evict b (LRU), not a
-        assert c.contains("a")
-        assert not c.contains("b")
+        assert c.access("a", 60) == 0
+        assert c.access("b", 40) == 40
 
     def test_oversized_dataset_streams(self):
         c = CacheModel(10)
         assert c.access("huge", 100) == 100
         assert c.access("huge", 100) == 100  # never resident
-        assert c.used_words == 0
+        assert c.access("small", 10) == 10 and c.access("small", 10) == 0
 
     def test_growth_charges_only_delta(self):
         c = CacheModel(1000)
@@ -40,24 +34,18 @@ class TestBasics:
         assert c.access("a", 200) == 100
 
     def test_shrink_is_a_free_subset_hit(self):
-        c = CacheModel(1000)
+        c = CacheModel(100)
         c.access("a", 100)
         assert c.access("a", 60) == 0
-        # ...and the freed capacity is actually released.
-        assert c.used_words == 60
+        # ...and the freed capacity is actually released: b fits beside a
+        assert c.access("b", 40) == 40
+        assert c.access("a", 60) == 0
 
     def test_growth_past_capacity_streams_delta(self):
         c = CacheModel(150)
         c.access("a", 100)
         assert c.access("a", 200) == 100  # delta charged
-        assert not c.contains("a")  # too big to stay resident
-        assert c.access("a", 200) == 200  # subsequent full stream
-
-    def test_clear(self):
-        c = CacheModel(100)
-        c.access("a", 10)
-        c.clear()
-        assert c.used_words == 0
+        assert c.access("a", 200) == 200  # too big to stay resident: full stream
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -65,8 +53,6 @@ class TestBasics:
         c = CacheModel(10)
         with pytest.raises(ValueError):
             c.access("a", -1)
-        with pytest.raises(ValueError):
-            c.write("a", -1)
 
 
 class TestCapacityInvariant:
@@ -82,7 +68,7 @@ class TestCapacityInvariant:
         c = CacheModel(1000)
         for key, words in ops:
             c.access(key, words)
-            assert c.used_words <= 1000 + 1e-9
+            assert c._used <= 1000 + 1e-9
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)

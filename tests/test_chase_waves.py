@@ -20,9 +20,10 @@ from repro.dist.banded import DistBandMatrix
 from repro.eig.ca_sbr import band_to_tridiagonal_1d, ca_sbr_reduce
 from repro.eig.schedule import chase_step_arrays, chase_waves, phase_steps, schedule_checks
 from repro.linalg.householder import compact_wy_qr, compact_wy_qr_general, householder_vector
-from repro.linalg.sbr import apply_chase_step, band_reduce_seq, chase_steps
+from repro.linalg.sbr import apply_chase_step, chase_steps
 from repro.util.matrices import random_banded_symmetric
 from tests import sbr_oracle
+from tests.sbr_oracle import band_reduce_seq
 
 NS = (8, 16, 37, 64, 97, 130, 256)
 #: (b, h): halvings, k = 3, Lang's h = 1, a wide band, and the shapes

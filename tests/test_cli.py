@@ -19,6 +19,27 @@ class TestSolve:
         assert "c=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--p", "0"],
+        ["tune", "--p", "0"],
+        ["figure2", "--k", "0"],
+        ["table1", "--delta", "2"],
+        ["table1", "--n", "0"],
+        ["tune", "--n", "-5"],
+    ],
+    ids=" ".join,
+)
+def test_model_commands_reject_impossible_instances(argv, capsys):
+    """Sizes must be positive and δ in [1/2, 2/3]: a one-line error and exit
+    2, never a traceback or a table for an instance that cannot exist."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: error:")
+    assert captured.out == ""
+
+
 class TestTable1:
     def test_prints_symbolic_and_numeric(self, capsys):
         rc = main(["table1", "--n", "4096", "--p", "256"])

@@ -25,9 +25,10 @@ def test_cost_model_attribution_snippet_runs():
     ns: dict = {}
     exec(match.group(1), ns)  # noqa: S102 — executing our own docs
     spans = ns["spans"]
-    assert spans.paths()[:2] == ["reduction", "reduction/allreduce"]
+    assert [row.path for row in spans.rows][:2] == ["reduction", "reduction/allreduce"]
     assert spans.verify_exact() == []
-    assert spans["reduction"].flops == 16.0 and spans["reduction/allreduce"].words > 0
+    rows = ns["rows"]
+    assert rows["reduction"].flops == 16.0 and rows["reduction/allreduce"].words > 0
 
 
 def test_package_docstring_snippet_runs():

@@ -56,26 +56,6 @@ class TestProcGrid:
         with pytest.raises(ValueError):
             ProcGrid(m, (3, 3))  # needs 9 > 8 ranks
 
-    def test_layer_and_fiber(self):
-        m = BSPMachine(8)
-        g = ProcGrid(m, (2, 2, 2))
-        l0 = g.layer(0)
-        l1 = g.layer(1)
-        assert l0.shape == (2, 2)
-        assert set(l0.group()) | set(l1.group()) == set(range(8))
-        assert set(l0.group()) & set(l1.group()) == set()
-        fiber = g.fiber(1, 1)
-        assert fiber.size == 2
-        assert set(fiber) == {g.rank_at(1, 1, 0), g.rank_at(1, 1, 1)}
-
-    def test_layers_cover_grid(self):
-        m = BSPMachine(27)
-        g = ProcGrid(m, (3, 3, 3))
-        all_ranks = set()
-        for layer in g.layers():
-            all_ranks |= set(layer.group())
-        assert all_ranks == set(range(27))
-
     def test_subgrid(self):
         m = BSPMachine(16)
         g = ProcGrid(m, (2, 2, 4))
@@ -83,14 +63,3 @@ class TestProcGrid:
         assert sub.shape == (2, 1, 4)
         assert sub.size == 8
         assert all(r in g.group() for r in sub.group())
-
-    def test_row_col_groups(self):
-        m = BSPMachine(6)
-        g = ProcGrid(m, (2, 3))
-        assert g.row_group(1).ranks == (3, 4, 5)
-        assert g.col_group(2).ranks == (2, 5)
-
-    def test_layer_requires_3d(self):
-        m = BSPMachine(4)
-        with pytest.raises(ValueError):
-            ProcGrid(m, (2, 2)).layer(0)

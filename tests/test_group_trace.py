@@ -4,10 +4,12 @@ import pytest
 
 from repro.bsp import BSPMachine, RankGroup, collectives
 
+from tests.helpers import span_rows
+
 
 class TestRankGroup:
     def test_contiguous(self):
-        g = RankGroup.contiguous(2, 3)
+        g = RankGroup(tuple(range(2, 5)))
         assert g.ranks == (2, 3, 4)
         assert g.root == 2
 
@@ -18,21 +20,21 @@ class TestRankGroup:
             RankGroup((1, 1))
 
     def test_split_even(self):
-        parts = RankGroup.contiguous(0, 8).split(4)
+        parts = RankGroup(tuple(range(8))).split(4)
         assert [p.size for p in parts] == [2, 2, 2, 2]
         assert parts[1].ranks == (2, 3)
 
     def test_split_ragged(self):
-        parts = RankGroup.contiguous(0, 7).split(3)
+        parts = RankGroup(tuple(range(7))).split(3)
         assert [p.size for p in parts] == [3, 2, 2]
         assert sum((p.ranks for p in parts), ()) == tuple(range(7))
 
     def test_split_rejects_too_many_parts(self):
         with pytest.raises(ValueError, match="cannot split"):
-            RankGroup.contiguous(0, 2).split(3)
+            RankGroup(tuple(range(2))).split(3)
 
     def test_take(self):
-        g = RankGroup.contiguous(4, 4)
+        g = RankGroup(tuple(range(4, 8)))
         assert g.take(2).ranks == (4, 5)
         with pytest.raises(ValueError):
             g.take(5)
@@ -66,12 +68,14 @@ class TestSpanPattern:
             ("setup", (0, 1, 2, 3)),
         ]
         bd = m.cost().by_span()
-        bcast, setup = bd["setup/bcast"], bd["setup"]
+        rows = span_rows(bd)
+        bcast, setup = rows["setup/bcast"], rows["setup"]
         assert (bcast.calls, setup.calls) == (1, 1)
         # two-phase broadcast of 12 words on g = 4 (share = 3): the root
         # sends 2·3 shares and receives 3; every other rank sends 3 shares
         # and receives 4 — exactly, per rank and in total
-        assert bd.rank_values("setup/bcast", "words").tolist() == [27.0, 21.0, 21.0, 21.0]
+        arrays = bd.per_rank["setup/bcast"]
+        assert (arrays["words_sent"] + arrays["words_recv"]).tolist() == [27.0, 21.0, 21.0, 21.0]
         assert (bcast.words, bcast.total_words, bcast.supersteps) == (27.0, 90.0, 2)
         # the explicit barrier is setup's own; it moved no words
         assert (setup.words, setup.supersteps) == (0.0, 1)

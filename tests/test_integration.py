@@ -12,10 +12,9 @@ from repro.util.matrices import (
     clustered_spectrum,
     random_spectrum_symmetric,
     random_symmetric,
-    wilkinson,
 )
 
-from tests.helpers import eig_err
+from tests.helpers import eig_err, wilkinson
 
 
 class TestMatrixZoo:

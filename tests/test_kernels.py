@@ -6,8 +6,6 @@ import pytest
 from repro.bsp import BSPMachine, MachineParams
 from repro.bsp.kernels import (
     local_matmul,
-    local_qr,
-    local_qr_householder,
     matmul_flops,
     qr_flops,
 )
@@ -29,9 +27,9 @@ class TestLocalMatmul:
         b = rng.standard_normal((4, 5))
         c = local_matmul(m, 1, a, b)
         assert np.abs(c - a @ b).max() < 1e-12
-        assert m.counters[1].flops == matmul_flops(6, 4, 5)
-        assert m.counters[0].flops == 0.0
-        assert m.counters[1].mem_traffic > 0
+        assert m.counters.flops[1] == matmul_flops(6, 4, 5)
+        assert m.counters.flops[0] == 0.0
+        assert m.counters.mem_traffic[1] > 0
 
     def test_transpose_flags(self, rng):
         m = BSPMachine(1)
@@ -59,28 +57,7 @@ class TestLocalMatmul:
         a = rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8))
         local_matmul(m, 0, a, b, a_key="A", b_key="B")
-        q1 = m.counters[0].mem_traffic
+        q1 = m.counters.mem_traffic[0]
         local_matmul(m, 0, a, b, a_key="A", b_key="B")
-        q2 = m.counters[0].mem_traffic - q1
+        q2 = m.counters.mem_traffic[0] - q1
         assert q2 < q1  # operand reads became hits
-
-
-class TestLocalQR:
-    def test_qr_and_charges(self, rng):
-        m = BSPMachine(1)
-        a = rng.standard_normal((10, 4))
-        q, r = local_qr(m, 0, a)
-        assert np.abs(q @ r - a).max() < 1e-11
-        assert m.counters[0].flops == pytest.approx(qr_flops(10, 4))
-
-    def test_qr_rejects_wide(self, rng):
-        m = BSPMachine(1)
-        with pytest.raises(ValueError):
-            local_qr(m, 0, rng.standard_normal((3, 5)))
-
-    def test_householder_form(self, rng):
-        m = BSPMachine(1)
-        a = rng.standard_normal((12, 5))
-        u, t, r = local_qr_householder(m, 0, a)
-        q = np.eye(12, 5) - u @ (t @ u[:5, :].T)
-        assert np.abs(q @ r - a).max() < 1e-11

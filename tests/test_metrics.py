@@ -377,15 +377,6 @@ def test_metrics_do_not_change_the_cost_report(engine):
     assert r_plain == r_metered  # metrics_data is compare=False; costs equal
 
 
-def test_reset_clears_the_collector():
-    m = metered(4)
-    collectives.bcast(m, m.world, words=100.0)
-    m.reset()
-    s = snap_of(m)
-    assert s.total_words == 0.0
-    assert s.words_matrix.sum() == 0.0
-
-
 # --------------------------------------------------------------------- #
 # imbalance statistics
 

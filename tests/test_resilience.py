@@ -211,9 +211,8 @@ class TestJobValidation:
         ids=["nan-arrival", "unknown-slo"],
     )
     def test_workload_json_rejects_bad_jobs(self, job, match):
-        doc = {"jobs": [{"job_id": 0, "n": 8, "seed": 1, "arrival": 0.0, **job}]}
         with pytest.raises(ValueError, match=match):
-            Workload.from_json(doc)
+            JobSpec(**{"job_id": 0, "n": 8, "seed": 1, "arrival": 0.0, **job})
 
     @pytest.mark.parametrize(
         "job, match",

@@ -5,19 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg.sbr import (
-    apply_chase_step,
-    band_reduce_seq,
-    chase_steps,
-    full_to_band_seq,
-    tridiagonalize_band_seq,
-)
+from repro.linalg.sbr import apply_chase_step, chase_steps
 from repro.eig.schedule import chase_waves
 from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.matrices import random_banded_symmetric, random_symmetric
 from repro.util.validation import matrix_bandwidth
 
 from tests.helpers import eig_err
+from tests.sbr_oracle import band_reduce_seq, full_to_band_seq, tridiagonalize_band_seq
 
 
 class TestChaseSteps:

@@ -11,7 +11,7 @@ from repro.linalg.sbr import chase_steps
 
 
 def _max_concurrency(n, b, h):
-    return max(ph.concurrency for ph in pipeline_schedule(n, b, h))
+    return max(len(ph.steps) for ph in pipeline_schedule(n, b, h))
 
 
 class TestFigure2:
@@ -46,7 +46,7 @@ class TestStructure:
 
     def test_schedule_covers_all_steps(self):
         n, b, h = 48, 8, 4
-        total = sum(ph.concurrency for ph in pipeline_schedule(n, b, h))
+        total = sum(len(ph.steps) for ph in pipeline_schedule(n, b, h))
         assert total == len(chase_steps(n, b, h))
 
     def test_max_concurrency_grows_with_matrix(self):

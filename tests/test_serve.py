@@ -15,7 +15,6 @@ from repro.serve import (
     EigenService,
     MachinePool,
     TuningCache,
-    Workload,
     mixed_workload,
     plan_job,
     scf_trace,
@@ -86,9 +85,7 @@ class TestWorkload:
     def test_json_round_trip(self, tmp_path):
         w = mixed_workload(total_jobs=20, seed=9, scf_iterations=2)
         path = w.write(tmp_path / "trace.json")
-        again = Workload.load(path)
-        assert again.jobs == w.jobs
-        assert again.descriptor == w.descriptor
+        assert json.loads(path.read_text()) == json.loads(json.dumps(w.to_json()))
 
     def test_total_smaller_than_scf_trace_rejected(self):
         with pytest.raises(ValueError, match="smaller than the SCF trace"):
@@ -126,7 +123,7 @@ class TestScheduler:
         for j in sched.jobs:
             assert j.start >= j.arrival
             assert j.finish - j.start == pytest.approx(5.0)
-            assert j.latency == pytest.approx(j.queue_wait + 5.0)
+            assert j.latency == pytest.approx(j.start - j.arrival + 5.0)
 
     def test_small_jobs_share_one_machine(self):
         pool = self.make_pool(machines=2, p=8)
@@ -179,8 +176,8 @@ class TestService:
         small, _ = plan_job(cache, 8, 16, PARAMS)
         large, _ = plan_job(cache, 96, 16, PARAMS)
         assert small.p < large.p
-        assert small.regime == "replicated"
-        assert large.p == 16 and large.regime == "grid"
+        assert small.p == 1  # replicated: a sequential solve on one rank
+        assert large.p == 16
 
     def test_served_spectra_byte_identical_to_single_shot(self):
         pool = MachinePool(2, 8, PARAMS)

@@ -13,13 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench import per_rank_arrays, report_mismatches
 from repro.bsp import BSPMachine, collectives
 from repro.bsp.pattern import explicit, uniform
 from repro.trace import NULL_SPAN, SPAN_FIELDS, UNTRACED, chrome_trace, write_chrome_trace
 
 from .conftest import MACHINE_CLS
 from .scalar_oracle import ENGINES, machine_on
+from tests.helpers import per_rank_arrays, report_mismatches, span_rows
 
 
 def _workload(machine: BSPMachine) -> None:
@@ -42,15 +42,15 @@ class TestSpanRecorder:
         machine = machine_on(engine, 4, spans=True)
         _workload(machine)
         bd = machine.cost().by_span()
-        paths = set(bd.paths())
+        rows = span_rows(bd)
         # allreduce opens its own span nested under outer/inner.
-        assert {"outer", "outer/inner", "outer/inner/allreduce", UNTRACED} <= paths
+        assert {"outer", "outer/inner", "outer/inner/allreduce", UNTRACED} <= set(rows)
         # outer's exclusive flops: 7 + 8 per rank (inner's excluded).
-        outer = bd["outer"]
+        outer = rows["outer"]
         assert outer.flops == 15.0
-        assert bd["outer/inner"].flops == 0.0  # allreduce did the charging
-        assert bd["outer/inner/allreduce"].flops > 0.0
-        assert bd[UNTRACED].flops == 3.0
+        assert rows["outer/inner"].flops == 0.0  # allreduce did the charging
+        assert rows["outer/inner/allreduce"].flops > 0.0
+        assert rows[UNTRACED].flops == 3.0
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_breakdown_is_bit_exact(self, engine):
@@ -63,8 +63,9 @@ class TestSpanRecorder:
         # Row-ordered per-rank sums telescope to the report's arrays exactly.
         ranks = per_rank_arrays(report)
         for field in SPAN_FIELDS:
-            total = bd.per_rank[bd.paths()[0]][field].copy()
-            for path in bd.paths()[1:]:
+            first, *rest = span_rows(bd)
+            total = bd.per_rank[first][field].copy()
+            for path in rest:
                 total = total + bd.per_rank[path][field]
             assert np.array_equal(total.astype(np.float64), ranks[field]), field
 
@@ -75,7 +76,7 @@ class TestSpanRecorder:
             _workload(machine)
             rows[engine] = machine.cost().by_span()
         a, s = rows["array"], rows["scalar"]
-        assert a.paths() == s.paths()
+        assert list(span_rows(a)) == list(span_rows(s))
         for ra, rs in zip(a.rows, s.rows):
             assert ra == rs
 
@@ -92,7 +93,7 @@ class TestSpanRecorder:
                 raise ValueError("boom")
         assert machine.spans.depth == 0
         bd = machine.cost().by_span()
-        assert bd["doomed"].flops == 1.0
+        assert span_rows(bd)["doomed"].flops == 1.0
 
     def test_span_share_sums_to_one(self):
         machine = BSPMachine(4, spans=True)
@@ -161,7 +162,7 @@ class TestVerifiedSpans:
         with machine.span("ok"):
             machine.charge_flops(machine.world, 1.0)
         assert machine.checks_run > before
-        assert machine.cost().by_span()["ok"].flops == 1.0
+        assert span_rows(machine.cost().by_span())["ok"].flops == 1.0
 
     def test_violation_is_pinned_to_the_span(self):
         from repro.lint.verify import BSPDisciplineError, VerifiedMachine
@@ -170,36 +171,6 @@ class TestVerifiedSpans:
         with pytest.raises(BSPDisciplineError, match=r"span\(lossy\)"):
             with machine.span("lossy"):
                 machine.charge_comm(0, 64.0, None, None, pattern=explicit((1, 0), [], []))  # nothing received
-
-
-class TestReset:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_reset_restores_engine_state(self, engine):
-        """Regression: ScalarCounterStore.reset() replaced its rank list, so
-        previously handed-out RankCounters kept pre-reset values and the two
-        engines diverged after any mid-run reset."""
-        machine = machine_on(engine, 4, spans=True)
-        held = machine.counters[0]  # per-rank view taken BEFORE the reset
-        _workload(machine)
-        assert held.flops > 0.0
-        machine.reset()
-        assert held.flops == 0.0
-        assert held.supersteps == 0
-        assert machine.spans.events == [] and machine.spans.depth == 0
-
-    def test_rerun_after_reset_is_bit_identical_across_engines(self):
-        reports = {}
-        for engine in ENGINES:
-            machine = machine_on(engine, 4, spans=True)
-            _ = machine.counters[0]  # hold a view across the reset
-            _workload(machine)
-            machine.reset()
-            _workload(machine)
-            reports[engine] = machine.cost()
-        assert report_mismatches(reports["array"], reports["scalar"]) == []
-        fresh = BSPMachine(4, spans=True)
-        _workload(fresh)
-        assert report_mismatches(reports["array"], fresh.cost()) == []
 
 
 class TestDriverProperty:
@@ -231,7 +202,8 @@ class TestDriverProperty:
         assert machine.spans.verify_attribution() == []
         # The row-ordered per-rank sums telescope to the report's totals
         # exactly (same np.sum over bit-identical arrays).
-        total = bd.per_rank[bd.paths()[0]]["flops"].copy()
-        for path in bd.paths()[1:]:
+        first, *rest = span_rows(bd)
+        total = bd.per_rank[first]["flops"].copy()
+        for path in rest:
             total = total + bd.per_rank[path]["flops"]
         assert float(np.sum(total)) == report.total_flops

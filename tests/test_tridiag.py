@@ -8,18 +8,32 @@ from hypothesis import given, settings, strategies as st
 
 from repro.linalg.tridiag import (
     _levels_per_pass,
-    eigenvalue_count_below,
-    gershgorin_interval,
+    _sturm_counter,
+    _validate_tridiag,
     sturm_bisection_eigenvalues,
-    tridiagonal_from_dense,
 )
-from repro.util.matrices import wilkinson, clustered_spectrum, random_spectrum_symmetric
+from repro.util.matrices import clustered_spectrum, random_spectrum_symmetric
 
 from tests import sturm_oracle
+from tests.helpers import wilkinson
+from tests.sturm_oracle import gershgorin_interval
 
 
 def tridiag_dense(d, e):
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def tridiagonal_from_dense(t):
+    """(diagonal, subdiagonal) of a dense tridiagonal matrix."""
+    return np.diag(t).copy(), np.diag(t, -1).copy()
+
+
+def eigenvalue_count_below(d, e, x):
+    """The solver's Sturm count of tridiag(d, e) strictly below each shift
+    in ``x``, after its input checks (always an array)."""
+    d, e = _validate_tridiag(d, e)
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return _sturm_counter(d, e, xs.size)(xs.ravel()).reshape(xs.shape)
 
 
 class TestSturmCount:

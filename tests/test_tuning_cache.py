@@ -119,7 +119,7 @@ class TestPersistence:
 class TestRecovery:
     def test_missing_file_is_a_cold_start(self, tmp_path):
         cache = TuningCache(tmp_path / "absent.json")
-        assert len(cache) == 0
+        assert len(cache.entries) == 0
         assert cache.stats.load_failures == 0
 
     def test_truncated_store_recovers_empty(self, tmp_path):
@@ -131,7 +131,7 @@ class TestRecovery:
         path.write_text(blob[: len(blob) // 2])  # torn write / disk-full
 
         cache = TuningCache(path)
-        assert len(cache) == 0
+        assert len(cache.entries) == 0
         assert cache.stats.load_failures == 1
         # still fully usable: plans fresh, then persists a clean store
         cached_best_delta(cache, 48, 8, make_params())
@@ -151,7 +151,7 @@ class TestRecovery:
         path = tmp_path / "cache.json"
         path.write_text(blob)
         cache = TuningCache(path)
-        assert len(cache) == 0
+        assert len(cache.entries) == 0
         assert cache.stats.load_failures + cache.stats.stale_drops == 1
 
     def test_model_fingerprint_change_discards_store(self, tmp_path):
@@ -162,7 +162,7 @@ class TestRecovery:
         old.save()
 
         cache = TuningCache(path)  # current model fingerprint
-        assert len(cache) == 0
+        assert len(cache.entries) == 0
         assert cache.stats.stale_drops == 1
         assert cache.stats.load_failures == 0
 

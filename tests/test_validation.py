@@ -10,17 +10,17 @@ from repro.util.matrices import (
     random_orthogonal,
     random_spectrum_symmetric,
     random_symmetric,
-    wilkinson,
 )
 from repro.util.validation import (
     check_banded,
     check_positive_int,
-    check_power_of_two,
     check_square,
     check_symmetric,
     frobenius_norm,
     matrix_bandwidth,
 )
+
+from tests.helpers import wilkinson
 
 
 class TestCheckers:
@@ -35,11 +35,6 @@ class TestCheckers:
     def test_positive_int_rejects_float(self):
         with pytest.raises(TypeError):
             check_positive_int(3.0, "x")
-
-    def test_power_of_two(self):
-        assert check_power_of_two(8, "p") == 8
-        with pytest.raises(ValueError, match="power of two"):
-            check_power_of_two(6, "p")
 
     def test_square_rejects_rect(self):
         with pytest.raises(ValueError, match="square"):

@@ -76,17 +76,9 @@ class TestInvariantViolations:
         m = VerifiedMachine(2)
         m.charge_flops(m.world, 50.0)
         m.superstep()
-        m.counters[0].flops = 1.0  # someone "un-charged" work
+        m.counters.flops[0] = 1.0  # someone "un-charged" work
         with pytest.raises(BSPDisciplineError, match="monotonicity"):
             m.superstep()
-
-    def test_reset_clears_verifier_state(self):
-        m = VerifiedMachine(2)
-        m.charge_comm(0, 4.0, 1, 4.0, pattern=pairs(1))
-        m.superstep()
-        m.reset()
-        assert m.cost().W == 0.0
-        m.superstep()  # the watermarks were wiped with the counters: no monotonicity error
 
 
 class TestShardedKernels:
@@ -99,9 +91,9 @@ class TestShardedKernels:
         v = np.ones(4)
         y = sharded_matvec(m, group, a, v, scale=2.0)
         np.testing.assert_allclose(y, 2.0 * (a @ v))
-        assert m.counters[0].flops == pytest.approx(2 * 3 * 4 / 2)
-        assert m.counters[0].mem_traffic == pytest.approx(3 * 4 / 2)
-        assert m.counters[2].flops == 0.0  # outside the group
+        assert m.counters.flops[0] == pytest.approx(2 * 3 * 4 / 2)
+        assert m.counters.mem_traffic[0] == pytest.approx(3 * 4 / 2)
+        assert m.counters.flops[2] == 0.0  # outside the group
 
     def test_dot_axpy_rank2_consistency(self):
         m = BSPMachine(2)
@@ -117,7 +109,7 @@ class TestShardedKernels:
         expect = a - np.outer(v, y) - np.outer(y, v)
         sharded_rank2_update(m, group, a, v, y)
         np.testing.assert_allclose(a, expect)
-        assert all(c.flops > 0 for c in m.counters)
+        assert (m.counters.flops > 0).all()
 
     def test_shape_mismatch_rejected(self):
         m = BSPMachine(2)
