@@ -51,8 +51,11 @@ def finish_sequential(
     Charges ``root`` the sequential band→tridiagonal work (O(n·b²) flops,
     O(n·b·log b) streaming) and the Sturm bisection (O(n²) per sweep).
     Both charges are analytic — functions of (n, b) alone — so how
-    ``repro.linalg`` carries the two steps out on the host (Givens sweeps
-    or a Householder chase, by band-width) never shows in a cost report.
+    ``repro.linalg`` carries the two steps out on the host never shows in
+    a cost report: Givens sweeps up to b = 5 and a Householder chase in
+    stacked pipeline phases above, then Sturm multisection over the
+    distinct brackets with the tiny-pivot guard only where a pivot needs
+    it.
     Under fault injection the gathered band and the extracted tridiagonal
     are both guarded (the gather may corrupt the live band — the caller's
     checkpoint restores it on retry).

@@ -16,36 +16,51 @@ float arithmetic beats any numpy call.  Working storage is the band plus
 one bulge diagonal, (b+2)·n words.
 
 **b ≥ 6 — Householder bulge chase (Lang's band→tridiagonal, the h = 1 case
-of Algorithm IV.2).**  The index algebra is that of
-``repro.linalg.sbr.chase_steps(n, b, 1)``: panel i eliminates column i−1
-below its subdiagonal with one reflector of length ≤ b, and every b rows
-further down another reflector removes the first column of the bulge the
-previous one made.  n²/2b steps, each one gemv and one rank-1 update on a
-b×3b row block — O(b²) numpy work per step instead of O(b) interpreter work
-per rotation.  Working storage is (4b−1)·n words, both triangles out to
-distance 2b−1.  That is the reach of the lower triangle because a
-reflector on rows [r, r+b) fills the block below them out to distance 2b−1
-until the next step cuts it back; the upper triangle is carried too so that
-a whole row block [left | diagonal | right] is one dense-looking view
-(column j of A is row j of the buffer, so a view with column stride
-``width − 1`` walks along rows of A — LAPACK's ``lda = ldab − 1`` idiom)
-and one gemv covers what would otherwise be three blocks in two layouts.
+of Algorithm IV.2), in stacked pipeline phases.**  The index algebra is
+that of ``repro.linalg.sbr.chase_steps(n, b, 1)``: panel i eliminates
+column i−1 below its subdiagonal with one reflector of length ≤ b, and
+every b rows further down another reflector removes the first column of
+the bulge the previous one made.  n²/2b steps, each one gemv and one
+rank-1 update on a b×3b row block.  They run in the pipeline phases of
+``sbr.chase_waves(n, b, 1)`` — every reflector of a phase, then every
+update, with the same-shape steps of a phase (a *run*, 2b − 1 rows and
+columns apart) as one strided stack — so a phase of s steps costs the
+numpy calls of one step, not s times them.  Each stacked call does per
+step what one step alone does (``math.hypot``, a gemv, a dot), so the
+result is bit-identical to the one-step-at-a-time loop kept in
+``tests/band_tridiag_oracle.py``; where n ≤ 2b every phase is one step.
+Working storage is (4b−1)·n words, both triangles out to distance 2b−1.
+That is the reach of the lower triangle because a reflector on rows
+[r, r+b) fills the block below them out to distance 2b−1 until the next
+step cuts it back; the upper triangle is carried too so that a whole row
+block [left | diagonal | right] is one dense-looking view (column j of A
+is row j of the buffer, so a view with column stride ``width − 1`` walks
+along rows of A — LAPACK's ``lda = ldab − 1`` idiom) and one gemv covers
+what would otherwise be three blocks in two layouts.
 
-Measured crossover, host ms per call with either routine forced (a
-constant, not an option: the benchmark's ``chase_large`` /
-``chase_observed`` gather at b = 2 / 4, ``finish_wide`` at b = 24)::
+Measured crossover, host ms per call with each routine forced (median of
+9 interleaved calls, one BLAS thread, a 2-core x86-64 container; the
+switch is a constant, not an option: the benchmark's ``chase_large`` /
+``chase_observed`` gather at b = 2 / 4, ``finish_wide`` at b = 24).  The
+per-step column is the one-step-at-a-time chase of
+``tests/band_tridiag_oracle.py``::
 
-    (n, b)       Givens   Householder
-    (512,  2)      77        603
-    (256,  4)      49         88
-    ( 64,  5)       3.5        4.5
-    (256,  5)      62         75
-    ( 64,  6)       4.3        4.0
-    (256,  6)      73         51
-    (256,  8)      93         50
-    ( 48, 12)       3.9        1.5
-    ( 32, 16)       1.8        0.6
-    (384, 24)     526         55
+    (n, b)       Givens   Householder   Householder
+                            per step       waves
+    (512,  2)     166         1530          193
+    (256,  4)      94          207           64
+    ( 64,  5)       7.5         11.0          9.4
+    (256,  5)     116          156           52
+    ( 64,  6)       8.3          8.3          8.0
+    (256,  6)     107          124           55
+    (256,  8)     192          102           52
+    ( 48, 12)       8.0          3.1          3.3
+    ( 32, 16)       3.8          1.3          1.4
+    (384, 24)    1081          115           90
+
+With the waves the crossover sits lower at large n — the chase wins from
+b = 4 at n = 256 — but not at n = 64, b = 5 or at b = 2; the switch stays
+at 5 because moving it changes the b = 4–5 spectra (rounding level).
 
 Lower-band storage convention (what :func:`extract_band` produces):
 ``data[d, j] = A[j+d, j]`` for ``d ∈ [0, b]``.
@@ -55,9 +70,11 @@ Lower-band storage convention (what :func:`extract_band` produces):
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+
+from repro.linalg.sbr import chase_waves
 
 #: widest band the Givens sweeps take (see the crossover table above)
 GIVENS_MAX_BANDWIDTH = 5
@@ -149,49 +166,116 @@ def _givens_sweeps(data: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(wl[0]), np.array(wl[1][: n - 1])
 
 
+def _spans(ts: list[int]) -> list[tuple[int, int]]:
+    """The maximal runs of consecutive integers in the ascending ``ts``, as
+    half-open (lo, hi)."""
+    cuts = [i for i in range(1, len(ts)) if ts[i] != ts[i - 1] + 1]
+    return [(ts[lo], ts[hi - 1] + 1) for lo, hi in zip([0, *cuts], [*cuts, len(ts)])] if ts else []
+
+
+@lru_cache(maxsize=64)
+def _chase_frames(n: int, b: int) -> tuple[tuple[tuple, ...], ...]:
+    """The runs of :func:`~repro.linalg.sbr.chase_waves` (n, b, 1), phase by
+    phase, as the views :func:`_householder_chase` takes of its band buffer:
+    ``(shape, offset, strides, rows, diag)`` of each run's stack of frames.
+
+    A step's frame is the square A[c:c+size, c:c+size] from its column
+    c = r − lag, whose rows r … r+nr and columns c+1 … min(n, r+2b) − 1 are
+    the rows' whole nonzero extent (``rows`` and, shifted one left past
+    column c, ``diag`` locate the reflector's rows and columns in it).  A
+    run of one step is its frame alone, not a stack of one.  Steps with a
+    one-row reflector (the identity) are left out.  Cached, as the waves
+    are.
+    """
+    kd = 2 * b - 1
+    width = 2 * kd + 1
+    # A[i, j] is word kd + i + j·(width − 1) of the buffer
+    s0, s1 = 8, 8 * (width - 1)
+    # one object per distinct view shape and per distinct (rows, diag) pair
+    views: dict[tuple, tuple] = {}
+    slices: dict[tuple, tuple] = {}
+    phases = []
+    for wave in chase_waves(n, b, 1):
+        runs = []
+        for run in wave:
+            if run.nr < 2:
+                continue
+            c = run.oqr_r - run.lag
+            size = min(n - c, run.lag + 2 * b)
+            stack = (run.count,) if run.count > 1 else ()
+            shape, strides = views.setdefault(
+                (*stack, size), ((*stack, size, size), (run.stride * (s0 + s1), s0, s1)[-2 - len(stack) :]))
+            rows, diag = slices.setdefault(
+                (run.lag, run.nr), (slice(run.lag, run.lag + run.nr), slice(run.lag - 1, run.lag - 1 + run.nr)))
+            runs.append((shape, (kd + c * width) * 8, strides, rows, diag))
+        phases.append(tuple(runs))
+    return tuple(phases)
+
+
 def _householder_chase(data: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonalize by the h = 1 bulge chase, one reflector per step."""
+    """Tridiagonalize by the h = 1 bulge chase, one pipeline phase at a time.
+
+    The steps are those of ``chase_steps(n, b, 1)`` and run in the phases
+    of :func:`~repro.linalg.sbr.chase_waves` (n, b, 1): every reflector of
+    a phase first, then every update.  That is panel-major order's result
+    because each step's window here is a subset of its ``chase_steps``
+    window, for which ``waves_two_stage_safe`` holds.  A run of same-shape
+    steps is one strided view of the band buffer (:func:`_chase_frames`),
+    and each stacked call does per step the arithmetic of one step alone —
+    ``math.hypot`` on the tail, the gemv of ``np.vecmat``, the dot of
+    ``np.vecdot`` — so the result is bit-identical to one step at a time
+    (``tests/band_tridiag_oracle.py``).
+    """
     n = data.shape[1]
     kd = 2 * b - 1  # reach of the transient bulge
-    width = 2 * kd + 1
-    buf = np.zeros((n, width))  # buf[j, kd + i − j] = A[i, j]
+    buf = np.zeros((n, 2 * kd + 1))  # buf[j, kd + i − j] = A[i, j]
     for d in range(b + 1):
         buf[: n - d, kd + d] = data[d, : n - d]
         buf[d:, kd - d] = data[d, : n - d]
-    # a[i, j] = A[i, j] wherever |i − j| ≤ kd; nothing else is ever indexed.
-    a = as_strided(buf.ravel()[kd:], (n, n), (buf.itemsize, buf.itemsize * (width - 1)))
-    for i in range(1, n - 1):
-        c = i - 1
-        for r in range(i, n - 1, b):
-            # Reflector H = I − τ·v·vᵀ (v[0] = 1) taking x = A[r:r+nr, c] to
-            # β·e₁; the norm goes through hypot, so nothing is squared.
-            nr = min(b, n - r)
-            x = a[r : r + nr, c]
-            xnorm = math.hypot(*x[1:].tolist())
-            if xnorm != 0.0:
-                alpha = float(x[0])
-                beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
-                tau = (beta - alpha) / beta
-                v = x / (alpha - beta)
-                v[0] = 1.0
-                x[1:] = 0.0
-                x[0] = beta
-                a[c, r : r + nr] = x
-                # H·A·H = A − v·wᵀ − w·vᵀ on the rows' whole nonzero extent,
-                # with p = τ·A·v and w = p − (τ/2)(pᵀv)·v.
-                hi = min(n, r + 2 * b)
-                block = a[r : r + nr, c + 1 : hi]
-                w = v @ block
-                w *= tau
-                diag = slice(r - c - 1, r - c - 1 + nr)
-                wd = w[diag]
-                wd -= (0.5 * tau * float(wd @ v)) * v
-                update = np.outer(v, w)
-                sym = update[:, diag]
-                sym += sym.T  # v·wᵀ + w·vᵀ: the diagonal block stays exactly symmetric
-                block -= update
-                a[c + 1 : hi, r : r + nr] = block.T
-            c = r
+    for runs in _chase_frames(n, b):
+        updates = []
+        for shape, offset, strides, rows, diag in runs:
+            frames = np.ndarray(shape, float, buf, offset, strides)
+            x = frames[..., rows, 0]
+            # Reflector H = I − τ·v·vᵀ (v[0] = 1) taking each x = A[r:r+nr, c]
+            # to β·e₁; the norm goes through hypot, so nothing is squared.
+            # A zero tail needs none: the steps with one split the run.
+            live, scalars = [], []
+            for t, (alpha, *tail) in enumerate(x.tolist() if x.ndim > 1 else [x.tolist()]):
+                xnorm = math.hypot(*tail)
+                if xnorm != 0.0:
+                    beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+                    tau = (beta - alpha) / beta
+                    live.append(t)
+                    scalars.append((alpha - beta, beta, tau, 0.5 * tau))
+            if x.ndim == 1:  # one step: Python-float scalars, the calls of a step alone
+                pieces = [(frames, x, scalars[0])] if live else []
+            else:
+                pieces, done = [], 0
+                for lo, hi in _spans(live):
+                    sc = np.array(scalars[done : done + hi - lo])  # a row per step
+                    done += hi - lo
+                    pieces.append((frames[lo:hi], x[lo:hi], (sc[:, :1], sc[:, 1], sc[:, 2:3], sc[:, 3])))
+            for f, xs, (scale, beta, tau, half_tau) in pieces:
+                v = xs / scale
+                v[..., 0] = 1.0
+                xs[..., 1:] = 0.0
+                xs[..., 0] = beta
+                f[..., 0, rows] = xs
+                updates.append((f, rows, diag, v, tau, half_tau))
+        for f, rows, diag, v, tau, half_tau in updates:
+            # H·A·H = A − v·wᵀ − w·vᵀ on the rows' whole nonzero extent,
+            # with p = τ·A·v and w = p − (τ/2)(pᵀv)·v.
+            block = f[..., rows, 1:]
+            w = np.vecmat(v, block)
+            w *= tau
+            wd = w[..., diag]
+            wd -= (half_tau * np.vecdot(wd, v))[..., None] * v
+            update = (w[..., :, None] * v[..., None, :]).swapaxes(-1, -2)  # laid out as the block
+            sym = update[..., diag]
+            sym += sym.swapaxes(-1, -2).copy()  # v·wᵀ + w·vᵀ: the diagonal block stays exactly symmetric
+            block -= update
+            f[..., 1:, rows] = block.swapaxes(-1, -2)
     return buf[:, kd].copy(), buf[: n - 1, kd + 1].copy()
 
 

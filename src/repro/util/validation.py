@@ -70,6 +70,16 @@ _SAFMIN, _EPS = np.finfo(np.float64).tiny, np.finfo(np.float64).eps
 SAFE_RANGE = (float(np.sqrt(_SAFMIN / _EPS)), float(np.sqrt(_EPS / _SAFMIN)))
 
 
+def safe_range_exponent(amax: float) -> int:
+    """The power of two an input whose largest magnitude is ``amax`` is
+    scaled down by to land in :data:`SAFE_RANGE` (``amax`` = f·2^exp with
+    f ∈ [1/2, 1)); 0 — no scaling — for a zero, non-finite or in-range
+    ``amax``."""
+    if not np.isfinite(amax) or amax == 0.0 or SAFE_RANGE[0] <= amax <= SAFE_RANGE[1]:
+        return 0
+    return int(np.frexp(amax)[1])
+
+
 def scaled_to_safe_range(solver):
     """Decorate an eigensolver ``solver(machine, a, …)`` the way ``dsyev``
     guards its input: a finite ``a`` whose largest entry lies outside
@@ -84,9 +94,9 @@ def scaled_to_safe_range(solver):
     def solve(machine, a, *args, **kwargs):
         a = np.asarray(a, dtype=np.float64)
         amax = float(np.maximum(a.max(initial=0.0), -a.min(initial=0.0)))  # NaN-propagating
-        if not np.isfinite(amax) or amax == 0.0 or SAFE_RANGE[0] <= amax <= SAFE_RANGE[1]:
+        exp = safe_range_exponent(amax)
+        if not exp:
             return solver(machine, a, *args, **kwargs)
-        exp = int(np.frexp(amax)[1])  # amax = f·2^exp with f ∈ [1/2, 1)
         out = solver(machine, np.ldexp(a, -exp), *args, **kwargs)
         if isinstance(out, np.ndarray):
             return np.ldexp(out, exp)

@@ -1,11 +1,12 @@
 """The Sturm recurrence as it was before ``repro.linalg.tridiag`` hoisted
-its loop invariants and counted several bisection levels per pass — kept
-as the bit-for-bit oracle of the lean one, with the Gershgorin bracket
-both bisect from.
+its loop invariants, counted several bisection levels of each distinct
+bracket per pass and guarded only the pivots that need it — kept as the
+bit-for-bit oracle of the lean one, with the Gershgorin bracket both
+bisect from.
 
 Per row and per sweep it recomputes e², the pivot guard and the sign count
-with fresh temporaries, and it bisects one level per sweep: slow, and
-obviously the textbook algorithm.
+with fresh temporaries, guards every pivot, and bisects every bracket one
+level per sweep: slow, and obviously the textbook algorithm.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.linalg import tridiag
 from repro.linalg.tridiag import (
     _levels_per_pass,
     _sturm_counter,
@@ -33,7 +34,8 @@ def eigenvalue_count_below(d, e, x):
     in ``x``, after its input checks (always an array)."""
     d, e = _validate_tridiag(d, e)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return _sturm_counter(d, e, xs.size)(xs.ravel()).reshape(xs.shape)
+    with np.errstate(all="ignore"):  # as the solver calls it
+        return _sturm_counter(d, e)(xs.ravel()).reshape(xs.shape)
 
 
 class TestSturmCount:
@@ -140,6 +142,24 @@ class TestBisection:
         got = sturm_bisection_eigenvalues(d, e)
         assert np.abs(got - ref).max() <= 4 * 16 * np.finfo(float).eps * np.abs(ref).max()
 
+    @pytest.mark.parametrize("d,e", [
+        (np.full(5, 1e300), np.full(4, 1e300)),    # e² overflows
+        (np.full(5, 1e-310), np.full(4, 1e-310)),  # subnormal: e² underflows to 0
+        (np.array([1e308, -1e308, 1e308]), np.array([1e308, 1e308])),  # the Gershgorin bound overflows
+    ], ids=["1e300", "1e-310", "1e308"])
+    def test_outside_the_safe_range_is_scaled(self, d, e):
+        import scipy.linalg
+
+        ref = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+        got = sturm_bisection_eigenvalues(d, e)
+        assert np.abs(got - ref).max() <= 4 * d.size * np.finfo(float).eps * np.abs(ref).max()
+
+    def test_in_range_input_is_not_scaled(self, rng, monkeypatch):
+        d, e = rng.standard_normal(9), rng.standard_normal(8)
+        want = sturm_bisection_eigenvalues(d, e)
+        monkeypatch.setattr(np, "ldexp", None)  # any scaling would fail
+        assert sturm_bisection_eigenvalues(d, e).tobytes() == want.tobytes()
+
     def test_gershgorin_pad_is_relative(self):
         assert gershgorin_interval(np.zeros(5), np.zeros(4)) == (0.0, 0.0)
         assert np.array_equal(sturm_bisection_eigenvalues(np.zeros(5), np.zeros(4)), np.zeros(5))
@@ -176,9 +196,46 @@ def _oracle_cases():
         yield f"gaussian-{n}x{scale:.0e}", scale * r.standard_normal(n), scale * r.standard_normal(n - 1)
     for n in (8, 171):
         yield f"zero-{n}", np.zeros(n), np.zeros(n - 1)
+    # A zero coupling e[r−1] makes the pivot of row r exactly 0 at the shift
+    # x = d[r], which the count test below includes: a tiny pivot at a chosen
+    # row.  There the pass runs 41 + n shifts, so a block holds
+    # 2¹⁴ // (41 + n) rows (48 at n = 300) and the pass spans several.
+    n = 300
+    rows_per_block = 2**14 // (41 + n)
+    for name, row in (("first-row", 3 * rows_per_block), ("mid-block", 5 * rows_per_block + 7)):
+        r = np.random.default_rng(row)
+        d, e = r.standard_normal(n), r.standard_normal(n - 1)
+        e[row - 1] = 0.0
+        yield f"tiny-pivot-{name}-{n}", d, e
+    a = random_spectrum_symmetric(clustered_spectrum(384, 4, 1e-8, 11), 11)  # finish_wide's matrix, seed 11
+    yield ("clustered-384", *_tridiagonal_of(a))
+    r = np.random.default_rng(512)
+    yield "gaussian-512", r.standard_normal(512), r.standard_normal(511)
 
 
 _ORACLE_CASES = list(_oracle_cases())
+_ORACLE = {name: (d, e) for name, d, e in _ORACLE_CASES}
+
+
+def _pass_sizes(d, e):
+    """The number of shifts each recurrence pass of the solver counts."""
+    sizes = []
+    make_counter = tridiag._sturm_counter
+
+    def counter(*args):
+        count = make_counter(*args)
+
+        def counted(xs):
+            sizes.append(xs.size)
+            return count(xs)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tridiag, "_sturm_counter", counter)
+        want = sturm_oracle.bisection_eigenvalues(d, e)
+        assert tridiag.sturm_bisection_eigenvalues(d, e).tobytes() == want.tobytes()
+    return sizes
 
 
 @pytest.mark.parametrize("d,e", [c[1:] for c in _ORACLE_CASES], ids=[c[0] for c in _ORACLE_CASES])
@@ -204,8 +261,34 @@ class TestMultisection:
     of one-level bisection, including where ``tol`` / ``max_iter`` stop it."""
 
     def test_levels_change_at_the_depth_boundaries(self):
-        assert [_levels_per_pass(n) for n in _DEPTH_BOUNDARIES] == [6, 5, 5, 4, 4, 3, 3, 2, 2, 1]
-        assert _levels_per_pass(2) == 8 and _levels_per_pass(4096) == 1
+        """k is the largest with u·(2^k − 1) ≤ 512 for u distinct brackets;
+        with all n distinct (u = n) it is the one-bracket-per-eigenvalue
+        table."""
+        assert [_levels_per_pass(u) for u in _DEPTH_BOUNDARIES] == [6, 5, 5, 4, 4, 3, 3, 2, 2, 1]
+        assert _levels_per_pass(1) == 9 and _levels_per_pass(2) == 8 and _levels_per_pass(4096) == 1
+        for u in range(1, 600):
+            k = _levels_per_pass(u)
+            assert k == 1 or u * (2**k - 1) <= 512 < u * (2 ** (k + 1) - 1)
+
+    @pytest.mark.parametrize("n", [8, 74, 200])
+    def test_a_pass_counts_the_distinct_brackets(self, n):
+        """Every pass counts u·(2^k − 1) midpoints for its u distinct
+        brackets — the first pass one bracket's 511 (all n start on the
+        Gershgorin interval) — and the spectrum is the one-level oracle's."""
+        r = np.random.default_rng(n)
+        d, e = r.standard_normal(n), r.standard_normal(n - 1)
+        sizes = _pass_sizes(d, e)
+        assert sizes[0] == 511
+        assert all(any(m == u * (2 ** _levels_per_pass(u) - 1) for u in range(1, n + 1)) for m in sizes)
+
+    @pytest.mark.parametrize("name,d,e,most", [
+        # one bracket per eigenvalue took 51, 52 and 9 passes
+        ("clustered-384", *_ORACLE["clustered-384"], 22),
+        ("gaussian-512", *_ORACLE["gaussian-512"], 45),
+        ("gaussian-8", *_ORACLE["gaussian-8"], 9),
+    ])
+    def test_pass_counts(self, name, d, e, most):
+        assert len(_pass_sizes(d, e)) <= most
 
     @pytest.mark.parametrize("n", [8, 17, 74])
     def test_loop_controls_match_the_oracle(self, n):
