@@ -191,9 +191,6 @@ def _chase_frames(n: int, b: int) -> tuple[tuple[tuple, ...], ...]:
     width = 2 * kd + 1
     # A[i, j] is word kd + i + j·(width − 1) of the buffer
     s0, s1 = 8, 8 * (width - 1)
-    # one object per distinct view shape and per distinct (rows, diag) pair
-    views: dict[tuple, tuple] = {}
-    slices: dict[tuple, tuple] = {}
     phases = []
     for wave in chase_waves(n, b, 1):
         runs = []
@@ -202,12 +199,9 @@ def _chase_frames(n: int, b: int) -> tuple[tuple[tuple, ...], ...]:
                 continue
             c = run.oqr_r - run.lag
             size = min(n - c, run.lag + 2 * b)
-            stack = (run.count,) if run.count > 1 else ()
-            shape, strides = views.setdefault(
-                (*stack, size), ((*stack, size, size), (run.stride * (s0 + s1), s0, s1)[-2 - len(stack) :]))
-            rows, diag = slices.setdefault(
-                (run.lag, run.nr), (slice(run.lag, run.lag + run.nr), slice(run.lag - 1, run.lag - 1 + run.nr)))
-            runs.append((shape, (kd + c * width) * 8, strides, rows, diag))
+            stack = ((run.count,), (run.stride * (s0 + s1),)) if run.count > 1 else ((), ())
+            runs.append(((*stack[0], size, size), (kd + c * width) * 8, (*stack[1], s0, s1),
+                         slice(run.lag, run.lag + run.nr), slice(run.lag - 1, run.lag - 1 + run.nr)))
         phases.append(tuple(runs))
     return tuple(phases)
 
