@@ -8,7 +8,7 @@
 * ``eig_n96_p16`` — one full-pipeline :func:`repro.eig.eigensolve_2p5d`
   run at pinned (n, p, δ, seed);
 * ``eig_n512_p256`` — the same full pipeline at large pinned (n, p), the
-  instance class the deferred charge log exists for;
+  instance class the charge log's one-flush landing exists for;
 * ``scaling_exponents`` — a small pinned (n, p, δ) grid of band-to-band
   runs with the paper's band-width scaling b ≈ n/p^δ; the measured W and S
   are log-log–regressed against Lemma IV.3's closed forms and the fitted

@@ -1,48 +1,48 @@
-"""One charge vocabulary, two flush modes: ChargeLog and kernel tapes.
+"""One charge path: a ChargeLog records, its flush lands, kernel tapes replay.
 
-The bulge-chase stages (:func:`repro.eig.band_to_band.band_to_band_2p5d`
-and CA-SBR, :mod:`repro.eig.ca_sbr`) are written once against a
-:class:`ChargeLog`; the *log* decides how their charges land:
+The chase stages (:func:`repro.eig.band_to_band.band_to_band_2p5d` and
+CA-SBR, :mod:`repro.eig.ca_sbr`) and full-to-band write their charges to a
+:class:`ChargeLog`.  A log is a recorder (:class:`_Recorder`): per counter
+field, the (rank, amount) entries of every append in program order, one
+growing column each.  On a machine with spans, metrics or fault injection
+it also records the *ordering points* at which an observer sees the
+stream — one per comm append, one per barrier, and one per span open or
+close issued while the log holds entries (the span recorder hands those to
+the log: the live counters lack the entries before them).
 
-**deferred** (no observer needs program order — :func:`needs_program_order`)
-    Appends are buffered and :meth:`ChargeLog.flush` replays each counter
-    field with one ``np.add.at``.  ``np.add.at`` is unbuffered and applies
-    additions in index-array order, so every rank receives the identical
-    sequence of IEEE-754 additions the immediate path performs — the cost
-    report is byte-identical (``tests/scalar_oracle.py`` loops over the
-    same event arrays in the same order).  Superstep counts
-    are integers and memory notes running maxima, so batching those is
-    trivially exact.
+:meth:`ChargeLog.flush` lands the whole log.  Each counter field lands
+with one ``np.add.at``, which is unbuffered and applies additions in
+index-array order, so every rank receives the IEEE-754 additions of the
+per-call path and the cost report is byte-identical
+(``tests/scalar_oracle.py`` loops over the same entries in the same
+order).  The span recorder and the metrics collector take every ordering
+point in one call each, with the counter state the per-call stream had
+there: exact per-rank running sums of the log's entries, seeded with the
+live store (:func:`_states`).  ``tests/replay_oracle.py`` keeps the
+per-point flush (land up to each point, fire its hook) that this
+reproduces bit for bit.  The machine then verifies once; a plain machine
+records no points and skips the observers.
 
-**write-through** (spans, metrics or fault injection is live)
-    Every append is applied at once through the machine's own charging
-    primitives, so each observer's hooks fire in program order; a
-    step-indexed append (a whole schedule keyed by program step, as CA-SBR
-    emits it) is held until the flush and issued step by step.
+Fault injection draws at barriers and raises mid-stage, so a
+fault-injecting machine's log lands each append as soon as it is made,
+draws at every barrier in program order, and lands nothing past a barrier
+that raises.
 
 :class:`KernelTape` memoizes what the parallel kernels (``rect_qr``,
 ``carma_matmul``) charge, for the two stages that do their numerics
-locally: full-to-band (:mod:`repro.eig.full_to_band`: one rect-QR and four
-CARMA products per panel) and band-to-band (both per chase step).  A
-kernel's charges depend only on operand shapes, the executing group and
-its charging keyword arguments — never on operand values or cache state —
-so one recording per such key serves every machine.  A tape is
-recorded at the *hook boundary* of a scratch machine: per counter field,
-the (rank, amount) entries of every counter-store call in program order
-(one growing buffer each, rank indices narrowed to the smallest integer
-dtype), and — only when a write-through log asked for it — the *ordering
-points* at which a metrics hook or a span open/close saw the stream.  A
-deferred replay appends the fields.  A write-through replay is bulk too:
-each field lands once, and the span recorder and the metrics collector
-take every ordering point in one call each, with the counter state the
-live stream had there — exact per-rank running sums of the tape's entries
-seeded with the live store (:class:`_ReplayPlan`).  ``tests/replay_oracle.py``
-keeps the per-point replay (land up to each point, fire its hook) that it
-reproduces bit for bit.
+locally: full-to-band (one rect-QR and four CARMA products per panel) and
+band-to-band (both per chase step).  A kernel's charges depend only on
+operand shapes, the executing group and its charging keyword arguments —
+never on operand values or cache state — so one recording per such key
+serves every machine.  A tape is recorded on a scratch machine whose
+counter store, span recorder and metrics collector are one
+:class:`_Recorder`, the log's own format, so :meth:`ChargeLog.replay` only
+appends the tape's columns and its points, shifted.
 """
 
 from __future__ import annotations
 
+from functools import partialmethod
 from typing import Any, Callable
 
 import numpy as np
@@ -51,123 +51,163 @@ from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
 from repro.bsp.pattern import Pattern, all_to_all, pairs
 from repro.metrics.collector import comm_block
-from repro.trace.spans import SPAN_FIELDS, STATE_FIELDS, SpanHandle
+from repro.trace.spans import SPAN_FIELDS, STATE_FIELDS
 from repro.util.lru import ByteLRU
+
+#: a log's counter fields, in the order an ordering point records their ends
+_FIELDS = ("flops", "sent", "recv", "mem", "ss", "note")
+_FLOPS, _SENT, _RECV, _MEM, _SS, _NOTE = range(len(_FIELDS))
+
+#: what a flush names when an entry is negative, per field
+_LABELS = ("flops", "sent words", "received words", "words", "superstep count", "memory words")
+
+#: ordering-point kinds (span points first); a point's row is its kind and
+#: the six field ends
+_OPEN, _CLOSE, _SUPERSTEP, _COMM = range(4)
+_ROW = 1 + len(_FIELDS)
+
+#: counter-state words a flush lays out at once (a segment of its points)
+_SEGMENT_WORDS = 1 << 17
+
+#: ``ndarray.min`` / ``max`` without their Python wrappers (a log checks
+#: every field it lands)
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 #: one buffered charge: (rank indices, per-index amounts)
 _Event = tuple[np.ndarray, np.ndarray]
 
-#: one step-indexed append: (kind, step of each entry, its events)
-_Step = tuple[str, np.ndarray, tuple[_Event, ...]]
 
-
-def needs_program_order(machine: BSPMachine) -> bool:
-    """True iff an observer of ``machine`` must see each charge as it happens.
-
-    Span attribution, per-rank metrics and fault injection all hook
-    individual charging calls.  Cumulative-state checks
-    (:meth:`BSPMachine.verify`) do not: they run at the end of a flush.
-    Only the log asks: a stage writes each charge once, to a ChargeLog.
-    """
-    return machine.spans.enabled or machine.metrics.enabled or machine.faults.enabled
-
-
-def _as_idx(ranks: Any) -> np.ndarray:
+def _ranks(ranks: Any) -> Any:
+    """A rank spec as a column takes it: an int, or an index array."""
     if isinstance(ranks, RankGroup):
         return ranks.indices()
     if isinstance(ranks, (int, np.integer)):
-        return np.array([int(ranks)], dtype=np.int64)
+        return int(ranks)
     return np.asarray(ranks, dtype=np.int64)
 
 
-def _event(ranks: Any, amount: Any, dtype: type = np.float64) -> _Event:
-    idx = _as_idx(ranks)
-    if np.ndim(amount) == 0:
-        return idx, np.full(idx.size, amount, dtype=dtype)
-    return idx, np.asarray(amount, dtype=dtype)
+class _Column:
+    """A 1-D array appended to in program order: its chunks, joined on the
+    first read after an append (a chunk is read, never written)."""
+
+    __slots__ = ("dtype", "chunks", "size")
+
+    def __init__(self, dtype: type):
+        self.dtype = dtype
+        self.chunks: list[Any] = []
+        self.size = 0
+
+    def extend(self, values: Any, count: int) -> None:
+        if not (isinstance(values, np.ndarray) and values.ndim):
+            values = np.full(count, values, dtype=self.dtype)
+        self.chunks.append(values)
+        self.size += count
+
+    def view(self) -> np.ndarray:
+        if not self.chunks:
+            return np.empty(0, self.dtype)
+        if len(self.chunks) > 1 or self.chunks[0].dtype != self.dtype:
+            self.chunks = [np.concatenate(self.chunks).astype(self.dtype, copy=False)]
+        return self.chunks[0]
 
 
-def _concat(events: list[_Event]) -> _Event | None:
-    if not events:
-        return None
-    if len(events) == 1:
-        return events[0]
-    return (
-        np.concatenate([e[0] for e in events]),
-        np.concatenate([e[1] for e in events]),
-    )
+class _Recorder:
+    """A charge stream in program order: per counter field, the (rank,
+    amount) entries of every charge, one column each; and the ordering
+    points at which an observer sees the stream — a row of the point's kind
+    and every field's length there — each with its payload (a span's
+    ``(name, group size, ranks)``, a comm charge's wire pattern, else
+    ``None``).
 
+    A :class:`ChargeLog` appends to one, and so does a span recorder while
+    the log holds entries (:meth:`open` / :meth:`close`).  A
+    :class:`KernelTape` installs one as the counter store and metrics
+    collector of the scratch machine it records a kernel on, and as its
+    span recorder's log; any other store call (the order-sensitive
+    add/release memory pair) has no attribute to call.
+    """
 
-def _nonneg(event: _Event | None, label: str) -> _Event | None:
-    if event is not None and event[1].size and event[1].min() < 0:
-        raise ValueError(f"{label} must be nonnegative")
-    return event
+    enabled = True
 
+    def __init__(self) -> None:
+        self.columns = [(_Column(np.int64), _Column(np.int64 if f == _SS else np.float64))
+                        for f in range(len(_FIELDS))]
+        self.points = _Column(np.int64)
+        self.payloads: list[Any] = []
 
-def _land(counters: Any, flops: _Event | None, sent: _Event | None, recv: _Event | None,
-          mem: _Event | None, ss: _Event | None, note: _Event | None) -> None:
-    """Add each counter field's events to the store: one unbuffered,
-    ordered ``np.add.at`` (``np.maximum.at`` for memory notes) per field."""
-    if flops is not None:
-        counters.add_flops(*flops, unique=False)
-    if sent is not None or recv is not None:
-        counters.add_comm(*(sent or (None, None)), *(recv or (None, None)), unique=False)
-    if mem is not None:
-        counters.add_mem_traffic(*mem, unique=False)
-    if ss is not None:
-        counters.add_supersteps(*ss, unique=False)
-    if note is not None:
-        counters.note_memory(*note, unique=False)
+    def add(self, field: int, idx: Any, amount: Any, unique: bool = True) -> None:
+        ranks, amounts = self.columns[field]
+        count = 1 if isinstance(idx, (int, np.integer)) else len(idx)
+        ranks.extend(idx, count)
+        amounts.extend(amount, count)
 
+    def ends(self) -> list[int]:
+        return [ranks.size for ranks, _ in self.columns]
 
-def _barriers(machine: BSPMachine, ranks: np.ndarray, counts: np.ndarray) -> None:
-    """End ``counts[i]`` supersteps on ``ranks[i]``: one barrier per distinct
-    count, over its ranks in entry order (a repeated rank counts again)."""
-    for count in dict.fromkeys(counts.tolist()):
-        machine.superstep(ranks[counts == count].tolist(), count)
+    def point(self, kind: int, payload: Any = None) -> None:
+        self.points.extend([kind, *self.ends()], _ROW)
+        self.payloads.append(payload)
+
+    def events(self) -> list[_Event]:
+        return [(ranks.view(), amounts.view()) for ranks, amounts in self.columns]
+
+    # the counter-store calls of a recorded kernel (``unique`` changes nothing here)
+    add_flops = partialmethod(add, _FLOPS)
+    add_mem_traffic = partialmethod(add, _MEM)
+    add_supersteps = partialmethod(add, _SS)
+    note_memory = partialmethod(add, _NOTE)
+
+    def add_comm(self, send_idx: Any = None, sent: Any = None, recv_idx: Any = None,
+                 recvd: Any = None, unique: bool = True) -> None:
+        if send_idx is not None:
+            self.add(_SENT, send_idx, sent)
+        if recv_idx is not None:
+            self.add(_RECV, recv_idx, recvd)
+
+    # the metrics hooks, and the span recorder's calls
+    def on_comm(self, s_idx: Any, s_w: Any, r_idx: Any, r_w: Any, pattern: Pattern) -> None:
+        self.point(_COMM, pattern)
+
+    def on_superstep(self, store: Any) -> None:
+        self.point(_SUPERSTEP)
+
+    def open(self, name: str, group_size: int | None = None, ranks: tuple | None = None) -> None:
+        self.point(_OPEN, (name, group_size, ranks))
+
+    def close(self) -> None:
+        self.point(_CLOSE)
 
 
 class ChargeLog:
-    """Ordered charge events of one stage, deferred or written through.
+    """The charges of one stage, recorded in program order and landed by
+    :meth:`flush` (see the module docstring).
 
     Method names mirror the :class:`BSPMachine` charging primitives.
     ``ranks`` is a :class:`RankGroup`, a single rank, or a raw ``int64``
-    index array (repeats allowed) with per-index amounts; either flush mode
-    charges every form identically (on a deferred log, bounds are the
-    caller's responsibility).
+    index array (repeats allowed) with per-index amounts.  Ranks and amounts
+    are checked once per field when the log lands: a rank outside [0, p) or
+    a negative amount raises :class:`ValueError`, and nothing lands.
 
     ``step=`` (an index array aligned with ``ranks``) appends a whole
     schedule at once: entry ``i`` belongs to program step ``step[i]``.
-    Step-indexed appends land at :meth:`flush` in (step, append) order — a
-    deferred log adds them as one more ordered block per counter field; a
-    write-through log issues them one (step, append) at a time through the
-    machine's primitives, so every observer sees per-step program order.
-    The entries of one comm or superstep append that share a step form one
-    call (one set of messages; one barrier over those ranks, in entry order).
+    Step-indexed appends land at :meth:`flush`, after the log's other
+    entries, in (step, append) order.  The entries of one comm or superstep
+    append that share a step form one charge (one set of messages; one
+    barrier over those ranks, in entry order).
     """
 
-    __slots__ = ("machine", "deferred", "_flops", "_sent", "_recv", "_mem", "_ss", "_note", "_steps")
+    __slots__ = ("machine", "_rec", "_steps", "_observed")
 
     def __init__(self, machine: BSPMachine):
         self.machine = machine
-        self.deferred = not needs_program_order(machine)
-        self._flops: list[_Event] = []
-        self._sent: list[_Event] = []
-        self._recv: list[_Event] = []
-        self._mem: list[_Event] = []
-        self._ss: list[_Event] = []
-        self._note: list[_Event] = []
-        self._steps: list[_Step] = []
+        self._rec = _Recorder()
+        # step-indexed appends: (point kind or None, steps, entries)
+        self._steps: list[tuple[int | None, np.ndarray, tuple]] = []
+        # spans, metrics and fault draws read the ordering points
+        self._observed = machine.spans.enabled or machine.metrics.enabled or machine.faults.enabled
 
     def charge_flops(self, ranks: Any, amount: Any, *, step: Any = None) -> None:
-        if step is not None:
-            self._steps.append(("flops", np.asarray(step), (_event(ranks, amount),)))
-        elif self.deferred:
-            self._flops.append(_event(ranks, amount))
-        elif np.ndim(amount):
-            self.machine.charge_flops_batch(ranks, amount)
-        else:
-            self.machine.charge_flops(ranks, amount)
+        self._append(None, step, (_FLOPS, ranks, amount))
 
     def charge_comm(
         self, senders: Any, sent: Any, receivers: Any, recvd: Any, *, pattern: Pattern,
@@ -180,148 +220,235 @@ class ChargeLog:
         must say so: it is :func:`~repro.bsp.pattern.pairs` of the entries."""
         if not isinstance(pattern, Pattern):
             raise TypeError(f"a comm charge names its wire pattern (repro.bsp.pattern), got {pattern!r}")
-        if step is not None:
-            events = (_event(senders, sent), _event(receivers, recvd))
-            if pattern is not pairs(events[0][0].size):
-                raise ValueError("a step-indexed comm append pairs sender i with receiver i")
-            self._steps.append(("comm", np.asarray(step), events))
-        elif self.deferred:
-            self._sent.append(_event(senders, sent))
-            self._recv.append(_event(receivers, recvd))
-        else:
-            self.machine.charge_comm(senders, sent, receivers, recvd, pattern=pattern)
+        if step is not None and pattern is not pairs(np.size(_ranks(senders))):
+            raise ValueError("a step-indexed comm append pairs sender i with receiver i")
+        self._append(_COMM, step, (_SENT, senders, sent), (_RECV, receivers, recvd), payload=pattern)
 
     def mem_stream(self, ranks: Any, words: Any, *, step: Any = None) -> None:
-        if step is not None:
-            self._steps.append(("mem", np.asarray(step), (_event(ranks, words),)))
-        elif self.deferred:
-            self._mem.append(_event(ranks, words))
-        else:
-            self.machine.mem_stream_group(ranks, words)
+        self._append(None, step, (_MEM, ranks, words))
 
-    def superstep(self, ranks: Any, count: int = 1, *, step: Any = None) -> None:
+    def superstep(self, ranks: Any, count: Any = 1, *, step: Any = None) -> None:
+        """End ``count`` supersteps on ``ranks``: one barrier over them, in
+        entry order (per step, with ``step``)."""
+        self._append(_SUPERSTEP, step, (_SS, ranks, count))
+
+    def _append(self, kind: int | None, step: Any, *entries: tuple[int, Any, Any],
+                payload: Any = None) -> None:
+        """Record one append: each ``(field, ranks, amounts)`` of
+        ``entries``, then its ordering point of ``kind`` (if any)."""
         if step is not None:
-            self._steps.append(("ss", np.asarray(step), (_event(ranks, count, np.int64),)))
-        elif self.deferred:
-            self._ss.append(_event(ranks, count, np.int64))
-        elif np.ndim(count):
-            _barriers(self.machine, *_event(ranks, count, np.int64))
-        else:
-            self.machine.superstep(ranks, count)
+            self._steps.append((kind, np.asarray(step), entries))
+            return
+        for field, ranks, amount in entries:
+            self._rec.add(field, _ranks(ranks), amount)
+        if kind is not None and self._observed:
+            self._rec.point(kind, payload)
+        self._appended()
 
     def transfer(self, src: RankGroup, dst: RankGroup, words: float) -> None:
         """``src`` ships ``words`` words to ``dst`` in equal shares, one
         superstep over both groups (a band window fetch or write-back)."""
         self.charge_comm(src, words / src.size, dst, words / dst.size,
                          pattern=all_to_all(src.size, dst.size))
-        if self.deferred:
-            self._ss.append(_event(np.union1d(src.indices(), dst.indices()), 1, np.int64))
-        else:
-            self.machine.superstep(RankGroup(tuple(dict.fromkeys(src.ranks + dst.ranks))), 1)
+        self.superstep(np.fromiter(dict.fromkeys(src.ranks + dst.ranks), dtype=np.int64), 1)
 
     def replay(self, tape: "FlatTape") -> None:
-        """Append a recorded kernel's charges (see :class:`KernelTape`).
+        """Append a recorded kernel's charges (see :class:`KernelTape`): its
+        columns, and its ordering points shifted past the log's entries."""
+        rec = self._rec
+        if self._observed and tape.points.size:
+            rows = tape.points + np.array([0, *rec.ends()])
+            rec.points.extend(rows.ravel(), rows.size)
+            rec.payloads += tape.payloads
+        for (ranks, amounts), event in zip(rec.columns, tape.events):
+            if event is not None:
+                ranks.extend(event[0], len(event[0]))
+                amounts.extend(event[1], len(event[0]))
+        self._appended()
 
-        Deferred: each field joins the pending events.  Write-through: each
-        field lands at once, as a flush lands it; the observers take the
-        ordering points in one call each, with the states the live stream
-        had there (:meth:`_ReplayPlan.states`); the machine verifies once."""
-        if self.deferred:
-            for name, pending in zip(_FIELDS, (self._flops, self._sent, self._recv,
-                                               self._mem, self._ss, self._note)):
-                event = getattr(tape, name)
-                if event is not None:
-                    pending.append(event)
-            return
-        plan = tape.plan
-        if plan is None:
-            raise RuntimeError("tape was recorded for a deferred log; it kept no ordering points")
+    def _appended(self) -> None:
+        """A fault-injecting machine lands each append at once; otherwise
+        span opens and closes become this log's points until it lands."""
         machine = self.machine
-        spans, metrics = machine.spans.enabled, machine.metrics.enabled
-        at_spans, at_samples = plan.states(machine.counters, spans, metrics)
-        _land(machine.counters, *(getattr(tape, name) for name in _FIELDS))
-        if metrics:
-            machine.metrics.on_replay(plan.comms, at_samples)
-        if spans:
-            machine.spans.replay(plan.marks, at_spans[:, : len(SPAN_FIELDS)])
-        machine.verify("kernel tape replay")
-
-    def _defer_steps(self, steps: list[_Step]) -> None:
-        """Buffer the step-indexed appends after the other events of their
-        field, stably ordered by step."""
-        fields: dict[str, tuple[list[_Event], ...]] = {
-            "flops": (self._flops,), "comm": (self._sent, self._recv),
-            "mem": (self._mem,), "ss": (self._ss,),
-        }
-        for kind, targets in fields.items():
-            mine = [(keys, events) for k, keys, events in steps if k == kind]
-            if not mine:
-                continue
-            order = np.argsort(np.concatenate([keys for keys, _ in mine]), kind="stable")
-            for j, target in enumerate(targets):
-                idx = np.concatenate([events[j][0] for _, events in mine])
-                amount = np.concatenate([events[j][1] for _, events in mine])
-                target.append((idx[order], amount[order]))
-
-    def _write_steps(self, steps: list[_Step]) -> None:
-        """Issue the step-indexed appends through the machine, one
-        (step, append) at a time, each entry charged as the deferred flush
-        would (repeated ranks accumulate)."""
-        calls = []
-        for a, (kind, keys, events) in enumerate(steps):
-            entries: dict[int, list[int]] = {}
-            for i, s in enumerate(keys.tolist()):
-                entries.setdefault(s, []).append(i)
-            calls += [(s, a, kind, events, np.array(at)) for s, at in entries.items()]
-        machine = self.machine
-        for _s, _a, kind, events, at in sorted(calls, key=lambda call: call[:2]):
-            (ranks, amount), *rest = events
-            if kind == "flops":
-                for r, f in zip(ranks[at].tolist(), amount[at].tolist()):
-                    machine.charge_flops(r, f)
-            elif kind == "mem":
-                for r, w in zip(ranks[at].tolist(), amount[at].tolist()):
-                    machine.mem_stream(r, w)
-            elif kind == "comm":
-                (receivers, recvd), = rest
-                machine.charge_comm(ranks[at], amount[at], receivers[at], recvd[at],
-                                    pattern=pairs(at.size))
-            else:
-                _barriers(machine, ranks[at], amount[at])
+        if machine.faults.enabled:
+            self._land()
+        elif machine.spans.enabled:
+            machine.spans.log = self._rec
 
     def flush(self) -> None:
-        """Apply all buffered events, clear the log, and let the machine
-        re-check its cumulative invariants.
-
-        Step-indexed appends land after the log's other events.  Deferred:
-        one ``np.add.at`` per counter field, per-rank addition order equal
-        to append order (step order within the step-indexed block).  A
-        write-through log has only its step-indexed appends to issue.
-        """
-        steps, self._steps = self._steps, []
-        if steps:
-            (self._defer_steps if self.deferred else self._write_steps)(steps)
-        _land(
-            self.machine.counters,
-            _nonneg(_concat(self._flops), "flops"),
-            _nonneg(_concat(self._sent), "sent words"),
-            _nonneg(_concat(self._recv), "received words"),
-            _nonneg(_concat(self._mem), "words"),
-            _concat(self._ss),
-            _concat(self._note),
-        )
-        for events in (self._flops, self._sent, self._recv, self._mem, self._ss, self._note):
-            events.clear()
+        """Land every entry and ordering point, clear the log, and let the
+        machine re-check its cumulative invariants."""
+        if self._steps:
+            self._add_steps()
+        self._land()
         self.machine.verify("flush")
 
+    def _add_steps(self) -> None:
+        """Append the step-indexed block after the log's other entries, in
+        (step, append) order, with a comm point per (step, comm append) and
+        a barrier per (step, superstep append)."""
+        steps, self._steps = self._steps, []
+        rec, width = self._rec, len(steps)
+        base = rec.ends()
+        parts: list[list[tuple[np.ndarray, _Event]]] = [[] for _ in _FIELDS]
+        for a, (_kind, step, entries) in enumerate(steps):
+            key = step.astype(np.int64) * width + a
+            for field, ranks, amount in entries:
+                idx = np.atleast_1d(_ranks(ranks))
+                parts[field].append((key, (idx, np.broadcast_to(amount, idx.shape))))
+        keys: dict[int, np.ndarray] = {}
+        for field, chunks in enumerate(parts):
+            if chunks:
+                key = np.concatenate([k for k, _ in chunks])
+                order = np.argsort(key, kind="stable")
+                keys[field] = key[order]
+                rec.add(field, np.concatenate([e[0] for _, e in chunks])[order],
+                        np.concatenate([e[1] for _, e in chunks])[order])
+        if not self._observed:
+            return
+        marked = [(a, kind, *np.unique(step, return_counts=True))
+                  for a, (kind, step, _entries) in enumerate(steps) if kind is not None]
+        if not marked:
+            return
+        point = np.concatenate([groups.astype(np.int64) * width + a for a, _kind, groups, _counts in marked])
+        kinds = np.concatenate([np.full(groups.size, kind) for _a, kind, groups, _counts in marked])
+        payloads = [pairs(c) if kind == _COMM else None
+                    for _a, kind, _groups, counts in marked for c in counts.tolist()]
+        order = np.argsort(point)
+        point = point[order]
+        rows = np.empty((point.size, _ROW), dtype=np.int64)
+        rows[:, 0] = kinds[order]
+        for field, end in enumerate(base):
+            rows[:, 1 + field] = end + (np.searchsorted(keys[field], point, side="right")
+                                        if field in keys else 0)
+        rec.points.extend(rows.ravel(), rows.size)
+        rec.payloads += [payloads[i] for i in order.tolist()]
 
-#: a tape's counter fields, in the order its ordering points record their ends
-_FIELDS = ("flops", "sent", "recv", "mem", "ss", "note")
+    def _land(self) -> None:
+        """Check and land the recorded entries and points, and clear them;
+        on a fault-injecting machine draw at each barrier first."""
+        rec, self._rec, machine = self._rec, _Recorder(), self.machine
+        if machine.spans.log is rec:
+            machine.spans.log = None
+        # observers may keep views of these columns: the log starts new ones
+        events, points, payloads = rec.events(), rec.points.view().reshape(-1, _ROW), rec.payloads
+        for (ranks, amounts), label in zip(events, _LABELS):
+            if ranks.size:
+                low, high = _min(ranks), _max(ranks)
+                if low < 0 or high >= machine.p:
+                    raise ValueError(f"rank {low if low < 0 else high} out of range [0, {machine.p})")
+                if _min(amounts) < 0:
+                    raise ValueError(f"{label} must be nonnegative")
+        drawn = len(points)  # the points that land: all, unless a barrier raises
+        try:
+            if machine.faults.enabled:
+                ranks, start = events[_SS][0], 0
+                for drawn, (kind, *ends) in enumerate(points.tolist(), 1):
+                    if kind == _SUPERSTEP:
+                        machine.faults.at_barrier(ranks[start : ends[_SS]].tolist())
+                        start = ends[_SS]
+                drawn = len(points)
+        finally:
+            if drawn < len(points):  # nothing past the barrier that raised lands
+                ends = points[drawn - 1, 1:].tolist()
+                events = [(r[:end], a[:end]) for (r, a), end in zip(events, ends)]
+            _apply(machine, events, points[:drawn], payloads[:drawn])
 
-#: ordering-point kinds of a write-through tape, and the width of a point's
-#: row: its kind, the six field ends, and a comm charge's sent / recv start
-_OPEN, _CLOSE, _SUPERSTEP, _COMM = range(4)
-_ROW = 1 + len(_FIELDS) + 2
+
+def _add(store: Any, events: list[_Event]) -> None:
+    """Add each field's entries to the store: one unbuffered, ordered
+    ``np.add.at`` (``np.maximum.at`` for memory notes) per field."""
+    flops, sent, recv, mem, ss, note = events
+    if sent[0].size or recv[0].size:
+        store.add_comm(*sent, *recv, unique=False)
+    adders = (store.add_flops, store.add_mem_traffic, store.add_supersteps, store.note_memory)
+    for add, (idx, amount) in zip(adders, (flops, mem, ss, note)):
+        if idx.size:
+            add(idx, amount, unique=False)
+
+
+def _apply(machine: BSPMachine, events: list[_Event], points: np.ndarray, payloads: list) -> None:
+    """Add ``events`` to the machine's store, and hand its span recorder and
+    metrics collector the ordering ``points`` with the counter state at
+    each, a segment of points at a time (each segment's states are exact
+    running sums from the store as the previous segment left it)."""
+    store, spans, metrics = machine.counters, machine.spans, machine.metrics
+    if not len(points):
+        _add(store, events)
+        return
+    kinds = points[:, 0]
+    # span points take a state when spans are on, barriers when metrics are
+    wanted = np.nonzero(np.array([spans.enabled, spans.enabled, metrics.enabled, False])[kinds])[0]
+    comms = None
+    if metrics.enabled:
+        at = np.flatnonzero(kinds == _COMM)
+        if at.size:
+            ends = points[at][:, [1 + _SENT, 1 + _RECV]]
+            sides = [(ranks[:end], words[:end]) for (ranks, words), end in
+                     zip((events[_SENT], events[_RECV]), ends[-1].tolist())]
+            comms = comm_block(*sides, np.vstack([[0, 0], ends[:-1]]), [payloads[i] for i in at.tolist()])
+    segment = max(1, _SEGMENT_WORDS // (machine.p * len(STATE_FIELDS)))
+    landed = [0] * len(_FIELDS)
+    for lo in range(0, wanted.size, segment):
+        at = wanted[lo : lo + segment]
+        ends = points[at, 1:] - landed
+        part = [(r[s : s + e], a[s : s + e]) for (r, a), s, e in zip(events, landed, ends[-1].tolist())]
+        states, is_span = _states(store, part, ends, machine.p), kinds[at] != _SUPERSTEP
+        _add(store, part)
+        if metrics.enabled:
+            metrics.on_replay(comms, states[:, :, ~is_span])
+            comms = None
+        if spans.enabled:
+            spans.replay([payloads[i] for i in at[is_span].tolist()], states[:, : len(SPAN_FIELDS), is_span])
+        landed = [s + e for s, e in zip(landed, ends[-1].tolist())]
+    _add(store, [(r[s:], a[s:]) for (r, a), s in zip(events, landed)])
+    if comms is not None:
+        metrics.on_replay(comms, np.empty((machine.p, len(STATE_FIELDS), 0)))
+
+
+def _states(store: Any, events: list[_Event], ends: np.ndarray, p: int) -> np.ndarray:
+    """The counter state at each point (``ends[k, field]``: how many of
+    each field's ``events`` point ``k`` sees), as ``(rank, field, point)``
+    over :data:`STATE_FIELDS`, with ``store`` holding the state before
+    ``events``.
+
+    A rank's state at a point is its live value followed by its entries
+    before the point, added in program order.  ``acc`` holds one column per
+    (field, rank) the events touch: the live value, its entries from row 1
+    on, then padding, run through ``np.add.accumulate``
+    (``np.maximum.accumulate`` for memory notes) — the very IEEE additions
+    ``np.add.at`` makes.  Row ``c`` of a column holds from the point that
+    sees entry ``c`` to the one that sees entry ``c + 1`` (``bounds``), so
+    one ``np.repeat`` lays out every point's state.
+    """
+    present = [(f, event) for f, event in enumerate(events) if event[0].size]
+    column = np.concatenate([f * p + event[0] for f, event in present] or [np.empty(0, np.int64)])
+    cols, slot = np.unique(column, return_inverse=True)
+    order = np.argsort(slot, kind="stable")
+    row = np.empty_like(slot)
+    row[order] = np.arange(slot.size) - np.searchsorted(slot[order], slot[order]) + 1
+    notes = int(np.searchsorted(cols, _NOTE * p))
+    live = np.array([store.field_array(f) for f in STATE_FIELDS], dtype=np.float64)
+    width = int(row.max(initial=0)) + 1
+    acc = np.zeros((width, cols.size))
+    acc[0] = live.ravel()[cols]
+    acc[row, slot] = np.concatenate([event[1] for _, event in present] or [[]])
+    np.add.accumulate(acc[:, :notes], axis=0, out=acc[:, :notes])
+    np.maximum.accumulate(acc[:, notes:], axis=0, out=acc[:, notes:])
+    acc = acc.T.ravel()
+    dest = cols % p * len(STATE_FIELDS) + cols // p  # each column's (rank, field) slot
+    count = len(ends)
+    first = [np.searchsorted(ends[:, f], np.arange(event[0].size), side="right") for f, event in present]
+    bounds = np.full((cols.size, width + 1), count, dtype=np.intp)
+    bounds[:, 0] = 0
+    bounds[slot, row] = np.concatenate(first or [np.empty(0, np.intp)])
+    states = np.empty((p, len(STATE_FIELDS), count))
+    if dest.size < live.size:  # untouched ranks keep their live state
+        states[:] = live.T[:, :, None]
+    touched = np.repeat(acc, np.diff(bounds, axis=1).ravel()).reshape(dest.size, count)
+    states.reshape(live.size, count)[dest] = touched
+    return states
+
 
 #: bytes one payload of an ordering point retains (a span's name and group
 #: tuple, or a reference to a comm charge's memoised wire pattern)
@@ -333,244 +460,35 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.min_scalar_type(int(a.max()))) if a.size else a.copy()
 
 
-class _Column:
-    """A growing 1-D array: appends land in program order, capacity doubles."""
-
-    __slots__ = ("data", "size")
-
-    def __init__(self, dtype: type):
-        self.data = np.empty(64, dtype=dtype)
-        self.size = 0
-
-    def extend(self, values: Any, count: int) -> None:
-        end = self.size + count
-        if end > self.data.size:
-            grown = np.empty(max(end, 2 * self.data.size), dtype=self.data.dtype)
-            grown[: self.size] = self.data[: self.size]
-            self.data = grown
-        self.data[self.size : end] = values
-        self.size = end
-
-    def view(self) -> np.ndarray:
-        return self.data[: self.size]
-
-
-class _StoreRecorder:
-    """Counter store of the scratch machine a kernel is recorded on: each
-    charge's (rank, amount) entries append, in program order, to their
-    field's columns.  Any other store call (the order-sensitive add/release
-    memory pair) cannot be taped."""
-
-    def __init__(self) -> None:
-        self.fields = {
-            name: (_Column(np.int64), _Column(np.int64 if name == "ss" else np.float64))
-            for name in _FIELDS
-        }
-        self.comm_start = (0, 0)  # sent / recv entries before the last add_comm
-
-    def _append(self, name: str, idx: Any, amount: Any) -> None:
-        ranks, amounts = self.fields[name]
-        count = 1 if np.ndim(idx) == 0 else len(idx)
-        ranks.extend(idx, count)
-        amounts.extend(amount, count)
-
-    def ends(self) -> list[int]:
-        return [ranks.size for ranks, _ in self.fields.values()]
-
-    def add_flops(self, idx: Any, amount: Any, unique: bool = True) -> None:
-        self._append("flops", idx, amount)
-
-    def add_comm(self, send_idx: Any = None, sent: Any = None, recv_idx: Any = None,
-                 recvd: Any = None, unique: bool = True) -> None:
-        self.comm_start = (self.fields["sent"][0].size, self.fields["recv"][0].size)
-        if send_idx is not None:
-            self._append("sent", send_idx, sent)
-        if recv_idx is not None:
-            self._append("recv", recv_idx, recvd)
-
-    def add_supersteps(self, idx: Any, count: Any, unique: bool = True) -> None:
-        self._append("ss", idx, count)
-
-    def add_mem_traffic(self, idx: Any, words: Any, unique: bool = True) -> None:
-        self._append("mem", idx, words)
-
-    def note_memory(self, idx: Any, words_each: Any, unique: bool = True) -> None:
-        self._append("note", idx, words_each)
-
-    def __getattr__(self, method: str) -> Any:
-        raise RuntimeError(f"taped kernels must not call {method}")
-
-
-class _ObserverRecorder(SpanHandle):
-    """Metrics collector and span recorder of the scratch machine, for a
-    tape a write-through log replays: each call becomes an ordering point —
-    its kind, the length of every counter field at that moment, and for a
-    comm charge where its entries start — with the span name and group or
-    the wire pattern kept aside."""
-
-    enabled = True
-
-    def __init__(self, store: _StoreRecorder):
-        self.store = store
-        self.points = _Column(np.int64)
-        self.payloads: list[Any] = []
-
-    def _point(self, kind: int, start: tuple[int, int] = (0, 0)) -> None:
-        self.points.extend([kind, *self.store.ends(), *start], _ROW)
-
-    def on_comm(self, s_idx: Any, s_w: Any, r_idx: Any, r_w: Any, pattern: Pattern) -> None:
-        self._point(_COMM, self.store.comm_start)
-        self.payloads.append(pattern)
-
-    def on_superstep(self, store: Any) -> None:
-        self._point(_SUPERSTEP)
-
-    # the span recorder's ``handle`` returns a context manager: this object
-    def handle(self, name: str, group: object = None) -> "_ObserverRecorder":
-        self._point(_OPEN)
-        self.payloads.append((name, group))
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self._point(_CLOSE)
-        return False
-
-
 class FlatTape:
     """One recorded kernel call: per counter field, its (rank, amount)
-    entries in program order, rank indices in the smallest integer dtype
-    that holds them; plus, for a write-through replay, the ordering points
-    at which an observer saw the call stream.
+    entries in program order (``None`` if it has none), rank indices in the
+    smallest integer dtype that holds them; and its ordering points, one
+    row each (kind, the six field ends), with their payloads."""
 
-    ``points`` is ``None`` on a tape recorded for a deferred log (it only
-    appends the fields), else one row per observer call: ``(kind, ends of
-    the six fields, sent / recv start of a comm charge)``, with the span
-    names and groups and the wire patterns in ``payloads``; ``plan`` is
-    what a bulk replay derives from them.
-    """
+    __slots__ = ("events", "points", "payloads")
 
-    __slots__ = ("flops", "sent", "recv", "mem", "ss", "note", "points", "payloads", "plan")
-
-    flops: _Event | None
-    sent: _Event | None
-    recv: _Event | None
-    mem: _Event | None
-    ss: _Event | None
-    note: _Event | None
-
-    def __init__(self, store: _StoreRecorder, observer: _ObserverRecorder | None, p: int):
-        for name, (ranks, amounts) in store.fields.items():
-            event = None
-            if ranks.size:
-                event = (_narrow(ranks.view()), amounts.view().copy())
-            setattr(self, name, event)
-        self.points: np.ndarray | None = None
-        self.payloads: list[Any] = []
-        self.plan: _ReplayPlan | None = None
-        if observer is not None:
-            self.points = _narrow(observer.points.view()).reshape(-1, _ROW)
-            self.payloads = observer.payloads
-            self.plan = _ReplayPlan(self, p)
+    def __init__(self, rec: _Recorder):
+        self.events: list[_Event | None] = [
+            (_narrow(ranks), amounts.copy()) if ranks.size else None for ranks, amounts in rec.events()
+        ]
+        self.points = _narrow(rec.points.view()).reshape(-1, _ROW)
+        self.payloads = rec.payloads
 
     @property
     def nbytes(self) -> int:
-        """Bytes this tape retains: its field arrays, ordering points, their
-        payloads and its replay plan."""
-        events = [getattr(self, name) for name in _FIELDS]
-        total = sum(a.nbytes for event in events if event is not None for a in event)
-        if self.plan is not None:
-            total += self.points.nbytes + _PAYLOAD_OVERHEAD * len(self.payloads) + self.plan.nbytes
-        return total
-
-
-class _ReplayPlan:
-    """A write-through tape's ordering points, prepared for bulk replay.
-
-    A rank's counter state at a point is its live value followed by its
-    entries before the point, added in program order.  ``template`` holds
-    one column per (field, rank) the tape touches: its entries from row 1
-    on, then +0.0 padding.  :meth:`states` seeds row 0 with the live store
-    and runs ``np.add.accumulate`` down the columns (``np.maximum.accumulate``
-    for memory notes): the very IEEE additions ``np.add.at`` makes.  Row
-    ``c`` holds from the point that sees entry ``c`` for ``runs[u, c]``
-    points (span points, then superstep samples in a second table), so one
-    ``np.repeat`` lays out every point's state.  ``marks``: the span opens
-    ``(name, group)`` and closes ``None``; ``comms``: the comm charges."""
-
-    __slots__ = ("p", "rows", "dest", "template", "runs", "sizes", "notes", "marks", "comms")
-
-    def __init__(self, tape: FlatTape, p: int):
-        assert tape.points is not None
-        points = tape.points.astype(np.intp)
-        kinds = points[:, 0].tolist()
-        payloads = iter(tape.payloads)
-        items = [next(payloads) if kind in (_OPEN, _COMM) else None for kind in kinds]
-        self.p = p
-        self.marks = [item for item, kind in zip(items, kinds) if kind in (_OPEN, _CLOSE)]
-        self.comms = comm_block(tape.sent, tape.recv, points[points[:, 0] == _COMM, -2:],
-                                [item for item, kind in zip(items, kinds) if kind == _COMM])
-
-        # every entry's column (field * p + rank) and its row in that column
-        events = [(i, event) for i, event in enumerate(getattr(tape, f) for f in _FIELDS) if event]
-        column = np.concatenate([i * p + event[0].astype(np.intp) for i, event in events]
-                                or [np.empty(0, np.intp)])
-        self.rows, slot = np.unique(column, return_inverse=True)
-        order = np.argsort(slot, kind="stable")
-        row = np.empty_like(slot)
-        row[order] = np.arange(slot.size) - np.searchsorted(slot[order], slot[order]) + 1
-        self.notes = int(np.searchsorted(self.rows, (len(_FIELDS) - 1) * p))
-        self.dest = self.rows % p * len(_FIELDS) + self.rows // p  # its (rank, field) slot
-        width = int(row.max(initial=0)) + 1
-        self.template = np.zeros((width, self.rows.size))
-        self.template[row, slot] = np.concatenate([event[1] for _, event in events] or [[]])
-        self.runs, self.sizes = [], []
-        for at in (np.isin(points[:, 0], (_OPEN, _CLOSE)), points[:, 0] == _SUPERSTEP):
-            ends = points[at, 1 : 1 + len(_FIELDS)]
-            first = [np.searchsorted(ends[:, i], np.arange(len(event[0])), side="right")
-                     for i, event in events]
-            bounds = np.full((self.rows.size, width + 1), len(ends), dtype=np.intp)
-            bounds[:, 0] = 0
-            bounds[slot, row] = np.concatenate(first or [[]])
-            self.runs.append(_narrow(np.diff(bounds, axis=1)))
-            self.sizes.append(len(ends))
-
-    @property
-    def nbytes(self) -> int:
-        block = sum(a.nbytes for side in self.comms or () for a in side)
-        return 2 * self.rows.nbytes + self.template.nbytes + sum(r.nbytes for r in self.runs) + block
-
-    def states(self, store: Any, *wanted: bool) -> list[np.ndarray | None]:
-        """The counter state at the span points and at the superstep
-        samples (those ``wanted``), each ``(rank, field, point)`` over
-        :data:`STATE_FIELDS`, with ``store`` holding the state before the
-        tape."""
-        live = np.array([store.field_array(f) for f in STATE_FIELDS], dtype=np.float64)
-        acc = self.template.copy()
-        acc[0] = live.ravel()[self.rows]
-        np.add.accumulate(acc[:, : self.notes], axis=0, out=acc[:, : self.notes])
-        np.maximum.accumulate(acc[:, self.notes :], axis=0, out=acc[:, self.notes :])
-        acc = acc.T.ravel()
-        out: list[np.ndarray | None] = []
-        for runs, count, want in zip(self.runs, self.sizes, wanted):
-            if not want:
-                out.append(None)
-                continue
-            states = np.empty((self.p, len(STATE_FIELDS), count))
-            if self.dest.size < live.size:  # untouched ranks keep their live state
-                states[:] = live.T[:, :, None]
-            touched = np.repeat(acc, runs.ravel()).reshape(self.dest.size, count)
-            states.reshape(live.size, count)[self.dest] = touched
-            out.append(states)
-        return out
+        """Bytes this tape retains: its field arrays, ordering points and
+        their payloads."""
+        fields = sum(a.nbytes for event in self.events if event is not None for a in event)
+        return fields + self.points.nbytes + _PAYLOAD_OVERHEAD * len(self.payloads)
 
 
 #: byte cap of the process-wide tape cache (least recently used tapes are
 #: evicted and re-recorded on their next use).  Full-to-band and band-to-band
-#: tapes declare 2.5 MB after a plain n = 512, p = 256 solve and 23.3 MB after
-#: an observed one, 19.4 MB of it replay plans, mostly comm blocks' pattern
-#: cells (0.4 / 2.6 MB at n = 256, p = 64; a write-through tape also serves a
-#: deferred log), so after a warm-up op everything replays; an
-#: ``EigenService`` process that keeps meeting new shapes stops growing here.
+#: tapes declare 5.0 MiB after an n = 512, p = 256 solve, observed or not
+#: (2.5 MiB of field arrays, the rest ordering points and payloads), so
+#: after a warm-up op everything replays; an ``EigenService`` process that
+#: keeps meeting new shapes stops growing here.
 _TAPE_CACHE_BYTES = 64 << 20
 
 # Recorded tapes are reusable across KernelTape instances (and hence across
@@ -590,23 +508,21 @@ class KernelTape:
 
     def _record(self, kernel: Callable[..., object], *args: Any, **kwargs: Any) -> FlatTape:
         """Run ``kernel(scratch, *args, **kwargs)`` on a scratch machine whose
-        counter store records; for a write-through log its metrics and
-        span recorder record the ordering points as well."""
+        counter store, metrics collector and span recorder's log are one
+        recorder."""
         machine = self.log.machine
         if self._scratch is None:
-            self._scratch = BSPMachine(machine.p, params=machine.params)
+            self._scratch = BSPMachine(machine.p, params=machine.params, spans=True)
         scratch: Any = self._scratch
-        quiet = (scratch.spans, scratch.metrics)
-        store = _StoreRecorder()
-        observer = None if self.log.deferred else _ObserverRecorder(store)
-        scratch.counters = store
-        if observer is not None:
-            scratch.spans = scratch.metrics = observer
+        quiet = (scratch.counters, scratch.metrics)
+        rec = _Recorder()
+        scratch.counters = scratch.metrics = scratch.spans.log = rec
         try:
             kernel(scratch, *args, **kwargs)
         finally:
-            scratch.spans, scratch.metrics = quiet
-        return FlatTape(store, observer, machine.p)
+            scratch.counters, scratch.metrics = quiet
+            scratch.spans.log = None
+        return FlatTape(rec)
 
     def run(self, kernel: Callable[..., object], group: RankGroup, operands: tuple, **kwargs: Any) -> None:
         """Charge ``kernel(machine, group, *operands, **kwargs)`` to the log.
@@ -628,7 +544,7 @@ class KernelTape:
         key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks,
                tuple(sorted((k, v) for k, v in kwargs.items() if k != "tag")))
         tape = _TAPE_CACHE.get(key)
-        if tape is None or (tape.plan is None and not self.log.deferred):
+        if tape is None:
             tape = self._record(kernel, group, *operands, **kwargs)
             _TAPE_CACHE.put(key, tape, tape.nbytes)
         self.log.replay(tape)

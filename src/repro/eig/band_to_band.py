@@ -13,9 +13,10 @@ structure); each step charges only its own group's ranks, so the aggregated
 BSP cost reflects the pipeline's concurrency exactly.
 
 There is one chase loop.  It charges through a
-:class:`~repro.bsp.batch.ChargeLog`, and the log alone decides whether a
-charge lands at once (observed machines: spans, metrics, faults) or
-in one order-preserving flush — the loop never looks at the observers.
+:class:`~repro.bsp.batch.ChargeLog`, which lands the stage in one
+order-preserving flush and hands the observers the ordering points it
+recorded (the chase spans, each comm charge and barrier) — the loop never
+looks at the observers.
 
 Measured costs (Lemma IV.3, k = b/h):
 F = O(n²b/p), W = O(n^{1+δ} b^{1−δ}/p^δ), S = O(k^δ n^{1−δ} p^δ/b^{1−δ} ·log p).

@@ -16,7 +16,7 @@ A halving's charges depend only on (n, b, h) and the column ownership, so
 they are computed once for the whole chase schedule
 (:func:`repro.linalg.sbr.chase_step_arrays`) and appended to a
 :class:`~repro.bsp.batch.ChargeLog` keyed by chase step; the log lands
-them in one flush, step by step when an observer needs program order.
+them in one flush as one ordered block, observed or not.
 The numerics then run one pipeline phase at a time
 (:func:`repro.linalg.sbr.chase_waves`): each phase is one stacked QR
 and one stacked two-sided update, bit-identical to the chase steps in

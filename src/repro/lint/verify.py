@@ -14,7 +14,7 @@ on, at every superstep barrier and at every :meth:`cost` snapshot:
 
 Violations raise :class:`BSPDisciplineError` at the *first* barrier that
 observes them (or, on a span-enabled machine, at the close of the span —
-or the kernel-tape replay — that caused them), and name it in the message.
+or the charge-log flush — that caused them), and name it in the message.
 Enable in tests with ``REPRO_VERIFY=1`` (see ``tests/conftest.py``) and on
 the CLI with ``repro solve --verify`` / ``repro run --verify``.
 """

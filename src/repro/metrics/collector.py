@@ -130,23 +130,20 @@ def _check_fit(pattern: Pattern, senders: int, receivers: int) -> None:
         )
 
 
-def comm_block(sent, recv, starts: np.ndarray, patterns: list) -> tuple | None:
+def comm_block(sent, recv, starts: np.ndarray, patterns: list) -> tuple:
     """Comm charges made back to back, as one pending block for
     :meth:`MetricsCollector.on_replay`: ``sent`` / ``recv`` are the
-    ``(ranks, words)`` of all their entries on each side (or ``None``),
-    ``starts[i]`` where charge ``i``'s entries start on each side and
-    ``patterns[i]`` its wire pattern.  Built once per recording, so the
-    ranks are stored as ``int64``, the fold's index dtype."""
-    if not patterns:
-        return None
-    sides = [(_NO_RANKS, _NO_WORDS) if e is None else (e[0].astype(np.int64), e[1]) for e in (sent, recv)]
-    sizes = np.diff(np.vstack([starts, [side[0].size for side in sides]]), axis=0)
-    cells = []
-    for (s0, r0), (senders, receivers), pattern in zip(starts.tolist(), sizes.tolist(), patterns):
+    ``(ranks, words)`` of all their entries on each side (ranks as
+    ``int64``, the fold's index dtype), ``starts[i]`` where charge ``i``'s
+    entries start on each side and ``patterns[i]`` its wire pattern."""
+    sizes = np.diff(np.vstack([starts, [sent[0].size, recv[0].size]]), axis=0)
+    for (senders, receivers), pattern in zip(sizes.tolist(), patterns):
         _check_fit(pattern, senders, receivers)
-        rows, cols, share = pattern.cells()
-        cells.append((rows + s0, cols + r0, share))
-    return sides[0], sides[1], tuple(np.concatenate(part) for part in zip(*cells))
+    rows, cols, share = zip(*[pattern.cells() for pattern in patterns])
+    # each charge's cells index its own entries: shift them to the block's
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    rows_at, cols_at = np.repeat(starts, counts, axis=0).T
+    return sent, recv, (np.concatenate(rows) + rows_at, np.concatenate(cols) + cols_at, np.concatenate(share))
 
 
 def _offsets(arrays) -> np.ndarray:
@@ -169,7 +166,7 @@ class MetricsCollector:
     """Live per-rank telemetry of one machine (``machine.metrics``).
 
     Fed by :class:`~repro.bsp.machine.BSPMachine`'s charging primitives
-    and, a replayed kernel tape at a time, by :meth:`on_replay`; with
+    and, a flushed charge log at a time, by :meth:`on_replay`; with
     metrics off the machine holds the shared
     :data:`~repro.bsp.machine.NO_METRICS` no-op instead and every
     instrumented site costs a single attribute read.
@@ -279,20 +276,14 @@ class MetricsCollector:
     def on_superstep(self, store) -> None:
         """Sample per-rank memory at a superstep boundary (watermarks plus
         the decimated time series feeding the Perfetto counter tracks)."""
-        cur = np.asarray(store.field_array("current_memory_words"), dtype=np.float64)
-        self.supersteps_seen += 1
-        grew = cur > self.watermark_words
-        if _any(grew):
-            self.watermark_superstep[grew] = self.supersteps_seen
-            self.watermark_words = np.maximum(self.watermark_words, cur)
-        if (self.supersteps_seen - 1) % self._stride == 0:
-            self._append(np.array([store.field_array(f) for f in STATE_FIELDS], dtype=np.float64).T[:, :, None])
+        state = np.array([store.field_array(f) for f in STATE_FIELDS], dtype=np.float64)
+        self.on_replay(None, state.T[:, :, None])
 
     def on_replay(self, comms, states: np.ndarray) -> None:
-        """Mirror a replayed kernel tape: its comm charges as one pending
+        """Mirror a flushed charge log: its comm charges as one pending
         block (:func:`comm_block`, or ``None``), and a superstep sample
         at each counter state ``states[:, :, k]`` (:data:`STATE_FIELDS`) —
-        bit-identical to :meth:`on_comm` / :meth:`on_superstep` at each."""
+        bit-identical to :meth:`on_comm` / the sample at each barrier."""
         if comms is not None:
             self._book(*comms)
         memory, count, seen = states[:, -1], states.shape[2], self.supersteps_seen

@@ -82,8 +82,8 @@ class Telemetry:
 
     ``capture_solver_spans`` controls whether job solves run with span
     recording enabled (costs and spectra are byte-identical either way —
-    the same chase loop runs, its charge log written through instead of
-    deferred — but wall-clock is slower, so soak runs turn it off).
+    the same chase loop runs, and its charge log's flush also replays the
+    span points — but wall-clock is slower, so soak runs turn it off).
     """
 
     enabled = True

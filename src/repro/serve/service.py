@@ -225,9 +225,10 @@ def execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
     solve runs with span recording on and the outcome carries the solver's
     :class:`~repro.trace.spans.SpanEvent` tree as plain dicts under
     ``solver_spans``.  Costs, spectra, and service time are byte-identical
-    either way — span recording only observes (the same chase loop runs,
-    its charge log written through instead of deferred); the flag is
-    deliberately excluded from :func:`_memo_key`.
+    either way — span recording only observes (the same chase loop runs
+    and its charge log lands in the same flush, which also hands the span
+    recorder the log's ordering points); the flag is deliberately excluded
+    from :func:`_memo_key`.
     """
     from repro.faults.errors import FaultError
 

@@ -52,7 +52,7 @@ SPAN_FIELDS: tuple[str, ...] = (
     "supersteps",
 )
 
-#: the counter state a replayed kernel tape hands its observers per point:
+#: the counter state a charge log's flush hands its observers per point:
 #: the span fields, then the live memory footprint a superstep sample reads
 STATE_FIELDS: tuple[str, ...] = (*SPAN_FIELDS, "current_memory_words")
 
@@ -246,6 +246,10 @@ class SpanRecorder:
         #: bit-equality with the live store is the no-orphan guarantee
         self._chron = np.zeros((self.p, len(SPAN_FIELDS)))
         self._mark = self._now()
+        #: the recorder of a charge log that holds unlanded entries: span
+        #: opens and closes become its ordering points, since the live
+        #: counters lack those entries (see :mod:`repro.bsp.batch`)
+        self.log: Any = None
 
     # -------------------------------------------------------------- #
     # store access
@@ -318,20 +322,27 @@ class SpanRecorder:
     ) -> None:
         """Open a span; subsequent charges attribute to it until a child
         opens or it closes."""
+        if self.log is not None:
+            self.log.open(name, group_size, ranks)
+            return
         now = self.flush()
         self._push(name, group_size, ranks, model_time(self._params, now))
 
     def close(self) -> None:
         """Close the innermost span and emit its :class:`SpanEvent`."""
+        if self.log is not None:
+            self.log.close()
+            return
         if not self._stack:
             raise RuntimeError("span close without a matching open")
         now = self.flush()
         self._emit([(self._stack.pop(), model_time(self._params, now))])
 
     def replay(self, marks: list, states: np.ndarray) -> None:
-        """A replayed kernel tape's span opens (``marks[k]`` its ``(name,
-        group)``) and closes (``None``), the counter state at each being
-        ``states[:, :, k]``: bit-identical to a :meth:`handle` there."""
+        """A flushed charge log's span opens (``marks[k]`` its ``(name,
+        group size, ranks)``) and closes (``None``), the counter state at
+        each being ``states[:, :, k]``: bit-identical to an :meth:`open` /
+        :meth:`close` there."""
         if not marks:
             return
         points = states.transpose(2, 0, 1)
@@ -344,8 +355,7 @@ class SpanRecorder:
             if mark is None:
                 closed.append((self._stack.pop(), ts))
             else:
-                name, group = mark
-                self._push(name, *_group_fields(group), ts)
+                self._push(*mark, ts)
         self._mark = points[-1].copy()
         if closed:
             self._emit(closed)

@@ -63,7 +63,6 @@ REASONS = frozenset({
 #: ``tests/test_reachability.py`` holds it to a count that may only shrink
 ALLOWLIST: dict[str, str] = {
     "bench.py:_leaf": "error path",
-    "bsp/batch.py:_StoreRecorder.__getattr__": "error path",
     "cli.py:_fail": "error path",
     "eig/driver.py:eigensolve_2p5d.<locals>.loss_b2b": "fault recovery",
     "eig/driver.py:eigensolve_2p5d.<locals>.loss_sbr": "fault recovery",

@@ -12,9 +12,10 @@ run in a fresh subprocess (the working tree is never touched):
 
 A reach pre-pass replaces each site with ``raise SystemExit``; a site no
 config reaches is reported as unreached and its drop / halve mutants are
-not run.  Every config runs on a plain ``BSPMachine`` (deferred charge log)
-and on ``VerifiedMachine.for_problem(..., spans=True, metrics=True)``
-(write-through).  A mutant's gate is the first of :data:`GATES` that fires
+not run.  Every config runs on a plain ``BSPMachine`` (its charge logs
+record no ordering points) and on ``VerifiedMachine.for_problem(...,
+spans=True, metrics=True)`` (the same flush also hands the span recorder
+and the metrics collector every ordering point).  A mutant's gate is the first of :data:`GATES` that fires
 in any config; ``killers`` lists every gate that fired.
 
     PYTHONPATH=src python tests/mutation_sweep.py --out kill_matrix.json [--jobs 2]

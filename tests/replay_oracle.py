@@ -1,18 +1,20 @@
-"""Write-through tape replay one ordering point at a time — the oracle of
-the bulk replay in :meth:`repro.bsp.batch.ChargeLog.replay`.
+"""A charge log landed one ordering point at a time — the oracle of the bulk
+landing in :meth:`repro.bsp.batch.ChargeLog.flush`.
 
-This is how a write-through log replayed a :class:`~repro.bsp.batch.FlatTape`
-before the replay went bulk: walk the tape's ordering points in program
-order; before every span open or close and every metrics superstep sample,
-land each counter field up to that point with one ordered ``np.add.at``,
-then fire the hook the live kernel fired there (``machine.span(...)``
-enter/exit, ``metrics.on_superstep``, ``metrics.on_comm``).  Every hook
-reads the live store, so it is obviously the live call stream — and slow:
-O(points) hook calls per replay.  The bulk replay must leave counters, span
-events, buckets, calls and the metrics snapshot byte-identical to it.
+This is how a log reached its observers before the flush went bulk: walk
+the log's ordering points in program order; before every span open or
+close, every metrics superstep sample and every barrier's fault draw, land
+each counter field up to that point with one ordered ``np.add.at``, then
+fire the hook the per-call path fired there (the span recorder's open /
+close, ``metrics.on_superstep``, ``metrics.on_comm``,
+``faults.at_barrier``).  Every hook reads the live store, so it is
+obviously the per-call stream — and slow: O(points) hook calls per flush.
+A barrier whose draw raises stops the walk: nothing past it lands.  The
+bulk flush must leave counters, span events, buckets, calls, the metrics
+snapshot and the fault draws byte-identical to it.
 
-:func:`installed` swaps it in for a write-through log (a deferred log keeps
-the library replay, which never had a loop).
+:func:`installed` swaps it in for every log's landing.  It does not check
+ranks or amounts: it is run on charges the bulk landing accepts.
 """
 
 from __future__ import annotations
@@ -20,20 +22,18 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-import numpy as np
-
-from repro.bsp.batch import _CLOSE, _COMM, _FIELDS, _OPEN, _SUPERSTEP, ChargeLog, FlatTape
+from repro.bsp.batch import (
+    _CLOSE, _COMM, _FIELDS, _OPEN, _RECV, _ROW, _SENT, _SS, _SUPERSTEP, ChargeLog, _Recorder,
+)
 
 
 class _Fields:
-    """A tape's fields as the replay lands them on the live ``store``:
+    """A log's fields as the walk lands them on the live ``store``:
     ``landed`` entries of each field already added."""
 
-    def __init__(self, store: Any, tape: FlatTape):
-        self.tape = tape
-        self.events: list[Any] = [None if e is None else (e[0].astype(np.intp), e[1])
-                                  for e in (getattr(tape, name) for name in _FIELDS)]
-        self.sizes = [0 if e is None else e[0].size for e in self.events]
+    def __init__(self, store: Any, events: list):
+        self.events = events
+        self.sizes = [ranks.size for ranks, _ in events]
         self.landed = [0] * len(_FIELDS)
         self.adders: tuple[Callable[..., None], ...] = (
             store.add_flops,
@@ -45,11 +45,11 @@ class _Fields:
         )
 
     def entries(self, field: int, start: int, end: int) -> tuple[Any, Any]:
-        """One side of a taped comm charge as its metrics hook received it."""
-        event = getattr(self.tape, _FIELDS[field])
-        if event is None or start == end:
+        """One side of a comm charge as its metrics hook received it."""
+        if start == end:
             return None, None
-        return event[0][start:end].astype(np.int64), event[1][start:end]
+        ranks, amounts = self.events[field]
+        return ranks[start:end], amounts[start:end]
 
     def land(self, ends: list[int]) -> None:
         """Add every field's entries up to ``ends`` to the store."""
@@ -61,52 +61,45 @@ class _Fields:
                 self.landed[i] = end
 
 
-def replay(log: ChargeLog, tape: FlatTape) -> None:
-    """Replay ``tape`` into write-through ``log`` point by point."""
-    if tape.points is None:
-        raise RuntimeError("tape was recorded for a deferred log; it kept no ordering points")
+def land(log: ChargeLog) -> None:
+    """Land ``log``'s entries and ordering points one point at a time."""
+    rec, log._rec = log._rec, _Recorder()
     machine = log.machine
-    spans, metrics = machine.spans.enabled, machine.metrics.enabled
-    fields = _Fields(machine.counters, tape)
-    payloads = iter(tape.payloads)
-    open_spans = []
-    for kind, *rest in tape.points.tolist():
-        ends = rest[: len(_FIELDS)]
+    if machine.spans.log is rec:
+        machine.spans.log = None
+    spans, metrics, faults = machine.spans, machine.metrics, machine.faults
+    fields = _Fields(machine.counters, rec.events())
+    sent_start = recv_start = ss_start = 0
+    for (kind, *ends), payload in zip(rec.points.view().reshape(-1, _ROW).tolist(), rec.payloads):
         if kind == _COMM:
-            pattern = next(payloads)
-            if metrics:
-                s_start, r_start = rest[len(_FIELDS):]
-                machine.metrics.on_comm(*fields.entries(1, s_start, ends[1]),
-                                        *fields.entries(2, r_start, ends[2]), pattern)
+            if metrics.enabled:
+                metrics.on_comm(*fields.entries(_SENT, sent_start, ends[_SENT]),
+                                *fields.entries(_RECV, recv_start, ends[_RECV]), payload)
+            sent_start, recv_start = ends[_SENT], ends[_RECV]
         elif kind == _SUPERSTEP:
-            if metrics:
-                fields.land(ends)
-                machine.metrics.on_superstep(machine.counters)
-        elif kind == _OPEN:
-            name, group = next(payloads)
-            if spans:
-                fields.land(ends)
-                open_spans.append(machine.span(name, group).__enter__())
-        else:
-            assert kind == _CLOSE
-            if spans:
-                fields.land(ends)
-                open_spans.pop().__exit__(None, None, None)
+            fields.land(ends)
+            if metrics.enabled:
+                metrics.on_superstep(machine.counters)
+            if faults.enabled:
+                faults.at_barrier(fields.events[_SS][0][ss_start : ends[_SS]].tolist())
+            ss_start = ends[_SS]
+        elif spans.enabled:
+            fields.land(ends)
+            if kind == _OPEN:
+                spans.open(*payload)
+            else:
+                assert kind == _CLOSE
+                spans.close()
     fields.land(fields.sizes)
 
 
 @contextmanager
 def installed() -> Iterator[None]:
-    """Within the block, every write-through log replays through
-    :func:`replay`; a deferred log is untouched."""
-    bulk = ChargeLog.replay
-
-    def dispatch(self: ChargeLog, tape: FlatTape) -> None:
-        (bulk if self.deferred else replay)(self, tape)
-
-    ChargeLog.replay = dispatch  # type: ignore[method-assign]
+    """Within the block, every log lands through :func:`land`."""
+    bulk = ChargeLog._land
+    ChargeLog._land = land  # type: ignore[method-assign]
     try:
         yield
     finally:
-        ChargeLog.replay = bulk  # type: ignore[method-assign]
+        ChargeLog._land = bulk  # type: ignore[method-assign]
 

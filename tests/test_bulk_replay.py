@@ -1,20 +1,23 @@
-"""Bulk write-through tape replay against the per-point oracle.
+"""The bulk flush of a charge log against the per-point oracle.
 
-On a write-through log (spans or metrics live), :meth:`ChargeLog.replay
-<repro.bsp.batch.ChargeLog.replay>` lands a kernel tape's fields once and
-hands the span recorder and the metrics collector every ordering point in
-one call each, with the counter state at each point taken from exact
-per-rank running sums.  ``tests/replay_oracle.py`` keeps the replay it
-replaced: land up to each point, fire that point's hook.  The contract is
-byte-identity with the oracle — per-rank counters; span events, buckets,
-calls, chronological sums and ``verify_attribution()``; the metrics
-snapshot (matrices, mirrors, ``unpaired_*``, watermarks, series) — with a
-cold and a warm tape cache, spans-only, metrics-only and both; and O(1)
-observer calls per replay instead of O(points).
+:meth:`ChargeLog.flush <repro.bsp.batch.ChargeLog.flush>` lands a log's
+fields once and hands the span recorder and the metrics collector every
+ordering point in one call each, with the counter state at each point
+taken from exact per-rank running sums; a fault-injecting machine's log
+draws at each barrier first and lands nothing past one that raises.
+``tests/replay_oracle.py`` keeps the landing it replaced: land up to each
+point, fire that point's hook or draw.  The contract is byte-identity with
+the oracle — per-rank counters; span events, buckets, calls, chronological
+sums and ``verify_attribution()``; the metrics snapshot (matrices, mirrors,
+``unpaired_*``, watermarks, series); the fault draws and the outcome — over
+whole solves (full-to-band, band-to-band and CA-SBR) with a cold and a warm
+tape cache, on spans-only, metrics-only and both, a verifying machine and a
+fault-injecting one; and O(1) observer calls per flush instead of O(points).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import fields
 
@@ -28,6 +31,10 @@ from repro.bsp.batch import ChargeLog, KernelTape
 from repro.bsp.counters import COUNTER_FIELDS
 from repro.bsp.pattern import all_to_all
 from repro.eig import eigensolve_2p5d
+from repro.faults import FaultPlan, FaultyMachine
+from repro.faults.errors import FaultError
+from repro.faults.plan import SCENARIOS
+from repro.lint.verify import VerifiedMachine
 from repro.metrics import collector
 from repro.util.lru import ByteLRU
 from repro.util.matrices import random_symmetric
@@ -42,7 +49,21 @@ OBSERVERS = {
     "spans": {"spans": True},
     "metrics": {"metrics": True},
     "both": {"spans": True, "metrics": True},
+    "verified": {"spans": True, "metrics": True},
+    "faulty": {"spans": True, "metrics": True},
 }
+
+#: the fault-injecting machine's plan: its rank failure fires inside
+#: CA-SBR's step-indexed block at n = 96, p = 16, δ = ½
+FAULT_PLAN = ("chaos", 11)
+
+
+def _observed_machine(mode: str, p: int):
+    if mode == "verified":
+        return VerifiedMachine(p, **OBSERVERS[mode])
+    if mode == "faulty":
+        return FaultyMachine(p, **OBSERVERS[mode], plan=FaultPlan(SCENARIOS[FAULT_PLAN[0]], FAULT_PLAN[1]))
+    return make_machine(p, **OBSERVERS[mode])
 
 
 def _ids(config) -> str:
@@ -79,31 +100,43 @@ def observed(machine) -> dict:
     return out
 
 
-def _solve(config, observers: dict) -> dict:
+def _solve(config, mode: str) -> dict:
     n, p, delta = config
-    machine = make_machine(p, **observers)
-    eigensolve_2p5d(machine, random_symmetric(n, seed=3), delta=delta)
-    return observed(machine)
+    machine = _observed_machine(mode, p)
+    try:
+        outcome = eigensolve_2p5d(machine, random_symmetric(n, seed=3), delta=delta).eigenvalues.tobytes()
+    except FaultError as exc:
+        outcome = repr(exc)
+    out = observed(machine)
+    out["outcome"] = outcome
+    if mode == "faulty":
+        out["faults"] = (machine.plan.draws, machine.plan.events, machine.faults.recoveries)
+    return out
 
 
 @pytest.mark.parametrize("mode", sorted(OBSERVERS))
 @pytest.mark.parametrize("config", CONFIGS, ids=_ids)
 def test_bulk_replay_equals_the_oracle_cold_and_warm(config, mode, monkeypatch):
     """A whole observed solve: full-to-band's and band-to-band's tapes
-    (band-to-band replays ``rect_qr`` inside its open ``chase_qr`` span)."""
+    (band-to-band replays ``rect_qr`` inside its open ``chase_qr`` span)
+    and CA-SBR's step-indexed block.  A fault-injecting machine runs its
+    kernels live and never touches the tape cache."""
     monkeypatch.setattr(batch, "_TAPE_CACHE", ByteLRU(1 << 30))
     with replay_oracle.installed():
-        want = _solve(config, OBSERVERS[mode])
+        want = _solve(config, mode)
     cache = ByteLRU(1 << 30)
     monkeypatch.setattr(batch, "_TAPE_CACHE", cache)
     for warm in (False, True):
         misses = cache.misses
-        assert _solve(config, OBSERVERS[mode]) == want
-        assert (cache.misses == misses) == warm
+        assert _solve(config, mode) == want
+        assert (cache.misses == misses) == (warm or mode == "faulty")
+    if mode == "faulty" and config == (96, 16, 0.5):
+        [failure] = [e for e in want["faults"][1] if e.kind == "rank_failure"]
+        assert failure.span.endswith("/sbr_halve")
 
 
 def _tape_machine(mode: str, p: int = 16):
-    machine = make_machine(p, **OBSERVERS[mode])
+    machine = _observed_machine(mode, p)
     machine.charge_flops(machine.world, 3.0)  # a live store the replay must seed from
     machine.charge_comm_batch(machine.world, 1.0 / 3.0, 1.0 / 3.0, pattern=all_to_all(p, p))
     machine.superstep()
@@ -117,9 +150,18 @@ def _replay_in_open_span(mode: str, kernel, operands, oracle: bool) -> dict:
     tape = KernelTape(log)._record(kernel, group, *operands, charge_redistribution=False)
     with machine.span("outer", group=group):
         machine.charge_flops(group, 0.1)  # charged before the replay, in the open span
-        (replay_oracle.replay if oracle else ChargeLog.replay)(log, tape)
+        _land_tape(log, tape, oracle)
         machine.charge_flops(group, 0.7)
     return observed(machine)
+
+
+def _land_tape(log: ChargeLog, tape, oracle: bool) -> None:
+    """Replay ``tape`` into ``log`` and flush it, landing through the
+    oracle or the bulk path (a fault-injecting machine lands at the
+    replay)."""
+    with replay_oracle.installed() if oracle else contextlib.nullcontext():
+        log.replay(tape)
+        log.flush()
 
 
 @pytest.mark.parametrize("mode", sorted(OBSERVERS))
@@ -139,7 +181,7 @@ def _replay_rect_qr(machine, oracle: bool):
     operands = (np.random.default_rng(3).standard_normal((96, 12)),)
     tape = KernelTape(log)._record(rect_qr, machine.world.take(8), *operands,
                                    charge_redistribution=False)
-    (replay_oracle.replay if oracle else ChargeLog.replay)(log, tape)
+    _land_tape(log, tape, oracle)
     return tape
 
 
@@ -162,9 +204,9 @@ def test_superstep_samples_cross_the_series_cap_mid_replay(cap, monkeypatch):
 def test_full_solve_crosses_the_series_cap(monkeypatch):
     monkeypatch.setattr(collector, "_MAX_SAMPLES", 16)
     with replay_oracle.installed():
-        want = _solve((96, 16, 0.5), OBSERVERS["metrics"])
+        want = _solve((96, 16, 0.5), "metrics")
     assert want["stride"] >= 16
-    assert _solve((96, 16, 0.5), OBSERVERS["metrics"]) == want
+    assert _solve((96, 16, 0.5), "metrics") == want
 
 
 class _Counting:
@@ -187,7 +229,7 @@ class _Counting:
 
 
 def test_a_replay_calls_each_observer_once():
-    """O(1) observer calls per write-through replay, not O(points)."""
+    """O(1) observer calls per flush, not O(points)."""
     counted = {}
     for oracle in (True, False):
         machine = _tape_machine("both")

@@ -1,15 +1,18 @@
 """The chase charge log: schedule arrays, ChargeLog, kernel tapes, one loop.
 
 Algorithm IV.2 has one chase loop, written against
-:class:`~repro.bsp.batch.ChargeLog` / :class:`~repro.bsp.batch.KernelTape`;
-the log defers its charges to one order-preserving flush on a machine no
-observer needs program order on, and writes them through the machine's own
-primitives otherwise.  The contract is **bit-identity** — per rank, on the
-live store and on the scalar oracle — between the two modes, between a replayed tape and the
-live kernel, and with the per-step chase path this loop replaced (golden
-digests captured before it was deleted).  These tests pin that contract at
-the unit level (schedule arrays, log, tapes, window charges), at the stage
-level (band-to-band and CA-SBR) and at the full-pipeline level.
+:class:`~repro.bsp.batch.ChargeLog` / :class:`~repro.bsp.batch.KernelTape`.
+A log records every append and lands it in one order-preserving flush on
+every machine; on an observed machine the flush also hands the span
+recorder and the metrics collector the ordering points the log recorded,
+and a fault-injecting machine's log lands each append as it is made.  The
+contract is **bit-identity** — per rank, on the live store and on the
+scalar oracle — between plain and observed machines, between a replayed
+tape and the live kernel, and with the per-step chase path this loop
+replaced (golden digests captured before it was deleted).  These tests pin
+that contract at the unit level (schedule arrays, log, tapes, window
+charges), at the stage level (band-to-band and CA-SBR) and at the
+full-pipeline level.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.blocks.matmul import carma_matmul
 from repro.blocks.rect_qr import rect_qr
 from repro.bsp import BSPMachine, RankGroup
 from repro.bsp import batch
-from repro.bsp.batch import _TAPE_CACHE, ChargeLog, FlatTape, KernelTape, needs_program_order
+from repro.bsp.batch import _TAPE_CACHE, ChargeLog, FlatTape, KernelTape
 from repro.bsp.pattern import all_to_all, fan_in, pairs, uniform
 from repro.dist.banded import DistBandMatrix
 from repro.eig import eigensolve_2p5d
@@ -50,8 +53,8 @@ CONFIGS = [
     (100, 14, 7),  # ragged both ways
 ]
 
-#: machines whose logs write through (each observer alone) or defer while
-#: being more than a plain BSPMachine (the verifier)
+#: machines that are more than a plain BSPMachine: each observer alone, and
+#: the verifier
 OBSERVERS = ("spans", "metrics", "verified")
 
 
@@ -116,7 +119,7 @@ def _logged_workload(machine: BSPMachine) -> None:
     log.flush()
 
 
-#: one append each, in the forms a deferred log has always accepted
+#: one append each, in the forms a log accepts
 _APPEND_FORMS = {
     "comm between two ints": lambda log: log.charge_comm(0, 5.0, 1, 5.0, pattern=pairs(1)),
     "flops array": lambda log: log.charge_flops(np.array([1, 1, 2]), np.array([0.1, 0.2, 0.3])),
@@ -144,10 +147,10 @@ class TestChargeLog:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_array_superstep_counts(self, engine):
-        """Per-event int64 count arrays (from tape replay) add like scalars."""
+        """Per-entry int64 count arrays (as tapes record them) add like scalars."""
         machine = machine_on(engine, 4)
         log = ChargeLog(machine)
-        log._ss.append((np.array([0, 1, 1]), np.array([2, 1, 3], dtype=np.int64)))
+        log.superstep(np.array([0, 1, 1]), np.array([2, 1, 3], dtype=np.int64))
         log.superstep(np.array([3]), 4)
         log.flush()
         ss = machine.counters.field_array("supersteps").tolist()
@@ -180,12 +183,32 @@ class TestChargeLog:
         with pytest.raises(ValueError, match="nonnegative"):
             log.flush()
 
+    @pytest.mark.parametrize("machine", ["plain", "observed"])
+    @pytest.mark.parametrize("case", [
+        ("rank -1", lambda log: log.charge_flops(np.array([-1]), np.array([5.0]))),
+        ("rank p", lambda log: log.mem_stream(np.array([0, 4]), 1.0)),
+        ("receiver p", lambda log: log.charge_comm(0, 1.0, 4, 1.0, pattern=pairs(1))),
+        ("stepped rank -2", lambda log: log.charge_flops(np.array([1, -2]), 1.0, step=[0, 1])),
+        ("negative supersteps", lambda log: log.superstep(np.array([1]), -1)),
+        ("negative stepped supersteps", lambda log: log.superstep(np.array([1, 2]), -1, step=[0, 0])),
+    ], ids=lambda case: case[0])
+    def test_out_of_range_ranks_and_negative_counts_rejected(self, case, machine):
+        """A rank outside [0, p) or a negative superstep count raises at the
+        flush on every machine, and nothing of the log lands."""
+        m = BSPMachine(4, spans=machine == "observed", metrics=machine == "observed")
+        log = ChargeLog(m)
+        log.charge_flops(m.world, 1.0)
+        case[1](log)
+        with pytest.raises(ValueError, match="out of range|nonnegative"):
+            log.flush()
+        assert m.cost().F == 0 and m.cost().S == 0
+
     @pytest.mark.parametrize("observed", [False, True])
     def test_step_appends_land_in_step_order(self, observed):
         """A step-indexed schedule lands as the per-step loop charges it:
-        per-rank float sums in step order, not field order, on a deferred
-        log; on a write-through log the same machine calls in the same
-        order (span events and metrics samples included)."""
+        per-rank float sums in step order, not field order; on an observed
+        machine the observers see the per-step calls in the same order
+        (span events and metrics samples included)."""
         kwargs = {"spans": True, "metrics": True} if observed else {}
         owner, qr, mm = [1, 2, 2], [0.5, 1.0, 2.0**53], [0.25, 1.0, 1.0]
         direct = BSPMachine(4, **kwargs)
@@ -216,10 +239,10 @@ class TestChargeLog:
 
     @pytest.mark.parametrize("form", sorted(_APPEND_FORMS))
     def test_write_through_charges_every_deferred_append_identically(self, form):
-        """Whatever a deferred log accepts, a write-through log (an observed
-        machine) accepts too and lands on the same counter bytes: int ranks,
-        per-rank amount arrays with repeated ranks, a repeated sender within
-        one step, per-entry superstep counts."""
+        """Whatever a plain machine's log accepts, an observed machine's log
+        accepts too and lands on the same counter bytes: int ranks, per-rank
+        amount arrays with repeated ranks, a repeated sender within one
+        step, per-entry superstep counts."""
         counters = []
         for observed in (False, True):
             machine = BSPMachine(4, spans=observed, metrics=observed)
@@ -227,12 +250,11 @@ class TestChargeLog:
             machine.charge_comm_batch(machine.world, 1e16, 1e16, pattern=uniform(4))
             machine.mem_stream_group(machine.world, 0.1)
             log = ChargeLog(machine)
-            assert log.deferred is not observed
             _APPEND_FORMS[form](log)
             log.flush()
             counters.append(per_rank_arrays(machine.cost()))
-        deferred, written = counters
-        assert {k: v.tobytes() for k, v in deferred.items()} == {k: v.tobytes() for k, v in written.items()}
+        plain, observed = counters
+        assert {k: v.tobytes() for k, v in plain.items()} == {k: v.tobytes() for k, v in observed.items()}
 
     def test_flush_clears_pending_events(self):
         machine = BSPMachine(2)
@@ -265,9 +287,8 @@ def _observable_state(machine: BSPMachine) -> dict:
 class TestKernelTape:
     @pytest.mark.parametrize("kind", ["rect_qr", "carma"])
     def test_replay_matches_direct_kernel(self, kind, rng):
-        """A replayed tape is the live kernel: same per-rank costs from a
-        deferred flush, and the same spans and metrics from a write-through
-        replay."""
+        """A replayed tape is the live kernel: same per-rank costs from the
+        flush, and on an observed machine the same spans and metrics."""
         if kind == "rect_qr":
             kernel, operands = rect_qr, (rng.standard_normal((32, 8)),)
         else:
@@ -280,7 +301,6 @@ class TestKernelTape:
 
             replayed = BSPMachine(8, **kwargs)
             log = ChargeLog(replayed)
-            assert log.deferred == (not kwargs)
             KernelTape(log).run(kernel, replayed.world, operands)
             log.flush()
             assert report_mismatches(direct.cost(), replayed.cost()) == []
@@ -387,7 +407,7 @@ class TestKernelTape:
 
 
 # ------------------------------------------------------------------ #
-# window charges: the log's two modes are twins
+# window charges: plain and observed logs are twins
 
 
 class TestBatchedWindowCharges:
@@ -403,8 +423,7 @@ class TestBatchedWindowCharges:
             log = ChargeLog(machine)
             wins.append(band.fetch_window(log, rows, cols, grp, tag="f"))
             band.charge_store(log, rows, cols, grp)
-            if observer:  # written through: nothing waits for the flush
-                assert machine.cost().S == 2
+            assert machine.cost().S == 0  # nothing lands before the flush
             log.flush()
             machines.append(machine)
         assert np.array_equal(*wins)
@@ -412,30 +431,62 @@ class TestBatchedWindowCharges:
 
 
 # ------------------------------------------------------------------ #
-# which mode a log takes
+# when a log lands, and which ordering points it records
 
 
 class TestEngineResolution:
     def test_auto_picks_batched_on_plain_machine(self):
+        """A plain machine's log lands nothing before its flush and records
+        no ordering points: no observer reads them."""
         m = BSPMachine(4)
-        assert not needs_program_order(m)
-        assert ChargeLog(m).deferred
-
-    @pytest.mark.parametrize("observer", ["spans", "metrics", "faults"])
-    def test_auto_falls_back_under_observation(self, observer):
-        m = _machine(4, "faulty-clean" if observer == "faults" else observer)
-        assert needs_program_order(m)
         log = ChargeLog(m)
-        assert not log.deferred
-        log.charge_flops(m.world, 3.0)  # lands at once, through the machine
-        assert m.cost().F == 3.0
+        log.charge_comm(m.world, 1.0, m.world, 1.0, pattern=uniform(4))
+        log.superstep(m.world, 1)
+        assert m.counters.supersteps.tolist() == [0] * 4 and log._rec.points.size == 0
+        log.flush()
+        assert m.counters.supersteps.tolist() == [1] * 4
+
+    @pytest.mark.parametrize("observer", ["spans", "metrics"])
+    def test_observed_log_lands_at_the_flush(self, observer):
+        """Spans and metrics see a log's charges only through its flush: it
+        records a point per comm append and per barrier, and one per span
+        open or close issued while it holds entries."""
+        from repro.bsp.batch import _CLOSE, _COMM, _OPEN, _ROW, _SUPERSTEP
+
+        m = _machine(4, observer)
+        log = ChargeLog(m)
+        log.charge_flops(m.world, 3.0)
+        with m.span("inner"):
+            log.charge_comm(m.world, 1.0, m.world, 1.0, pattern=uniform(4))
+            log.superstep(m.world, 1)
+        assert m.counters.flops.tolist() == [0.0] * 4
+        kinds = log._rec.points.view()[::_ROW].tolist()
+        assert kinds == ([_OPEN, _COMM, _SUPERSTEP, _CLOSE] if observer == "spans" else [_COMM, _SUPERSTEP])
+        log.flush()
+        assert m.counters.flops.tolist() == [3.0] * 4
+        if observer == "spans":
+            assert [e.path for e in m.spans.events] == ["inner"] and m.spans.depth == 0
+        else:
+            assert m.metrics.supersteps_seen == 1 and m.metrics.sent_words.tolist() == [1.0] * 4
+
+    def test_a_faulty_log_lands_each_append(self):
+        """A fault-injecting machine draws at barriers and raises mid-stage:
+        its log lands each append at once, a step-indexed block at the
+        flush."""
+        m = _machine(4, "faulty-clean")
+        log = ChargeLog(m)
+        log.charge_flops(m.world, 3.0)
+        assert m.counters.flops.tolist() == [3.0] * 4
+        log.charge_flops(m.world, 1.0, step=np.zeros(4, dtype=np.int64))
+        assert m.counters.flops.tolist() == [3.0] * 4
+        log.flush()
+        assert m.counters.flops.tolist() == [4.0] * 4
 
     def test_verified_machine_defers_and_verifies_at_flush(self):
         """The verifier's checks are cumulative-state checks: it defers like
         a plain machine and re-checks when the flush lands."""
         m = VerifiedMachine(4)
         log = ChargeLog(m)
-        assert log.deferred
         log.charge_comm(m.world.take(2), 5.0, m.world.take(2), 5.0, pattern=uniform(2))
         log.flush()
         assert m.checks_run == 1
@@ -445,7 +496,7 @@ class TestEngineResolution:
 
 
 # ------------------------------------------------------------------ #
-# stage-level identity: deferred vs write-through, live store and oracle
+# stage-level identity: plain vs observed, live store and oracle
 
 
 def _b2b_run(machine: BSPMachine, n=64, b=8, k=2, seed=9):
@@ -616,7 +667,7 @@ class TestObservedRuns:
 
     def test_span_run_costs_match_unobserved_batched_run(self):
         """Spans change *where* charges are attributed, never their values:
-        a written-through run and a deferred run agree on every counter."""
+        an observed run and a plain run agree on every counter."""
         a = random_banded_symmetric(48, 8, seed=2)
         observed = BSPMachine(8, spans=True)
         band = DistBandMatrix(observed, a.copy(), 8, observed.world)

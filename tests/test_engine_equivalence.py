@@ -4,7 +4,7 @@
 produce cost reports **bit-identical** to the Python-loop store it replaced
 (``tests/scalar_oracle.py``) — per rank, not just in aggregate — for every
 charging path: collectives, batched entry points, sharded kernels, memory
-tracking, the deferred charge log, and a full eigensolver run, on all three
+tracking, the charge log's flush, and a full eigensolver run, on all three
 machine classes.  Both stores receive the identical pre-computed charge
 values, so any difference is a store bug, never float noise.
 
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.bsp import BSPMachine, RankGroup, collectives, pattern
-from repro.bsp.batch import ChargeLog
+from repro.bsp.batch import _NOTE, ChargeLog
 from repro.bsp.counters import COUNTER_FIELDS, CounterArray
 from repro.bsp.kernels import sharded_axpy, sharded_dot, sharded_matvec
 from repro.dist.grid import ProcGrid
@@ -231,8 +231,9 @@ def test_sharded_kernels_identical(rng):
 
 
 def test_full_driver_identical():
-    """The whole pipeline on every machine class: deferred log on the plain
-    and verified machines, write-through on the fault-injecting one.  (The
+    """The whole pipeline on every machine class: logs land at their
+    flushes on the plain and verified machines, at each append on the
+    fault-injecting one.  (The
     pinned n = 96, p = 16 instance runs on both stores under every observer
     in ``test_chase_batch.py::TestPipelineIdentity``.)"""
     from repro.eig import eigensolve_2p5d
@@ -248,7 +249,7 @@ def test_full_driver_identical():
 
 
 # ------------------------------------------------------------------ #
-# the charge log: deferred flush (``unique=False`` adds) and write-through
+# the charge log: one flush (``unique=False`` adds), observed or not
 
 def _logged(m: BSPMachine) -> None:
     w = m.world
@@ -269,17 +270,16 @@ def _logged(m: BSPMachine) -> None:
                     pattern=pattern.all_to_all(3, 2))
     log.mem_stream(np.array([3, 3]), 0.1)
     log.superstep(np.array([0, 3, 0]), np.array([2, 1, 3], dtype=np.int64))
-    if log.deferred:
-        log._note.append((np.array([1, 1, 2]), np.array([9.0, 4.0, 6.0])))  # as a tape replay does
+    log._rec.add(_NOTE, np.array([1, 1, 2]), np.array([9.0, 4.0, 6.0]))  # as a tape replay does
     log.flush()
 
 
 @pytest.mark.parametrize("observers", [{}, {"spans": True}, {"metrics": True}])
 def test_charge_log_identical(observers):
-    """No observer: one deferred flush through the stores' ``unique=False``
-    paths.  Spans or metrics on: every append written through at once."""
+    """One flush through the stores' ``unique=False`` paths, with or
+    without observers (which read the log's ordering points there)."""
     ma, _ = run_on_both(4, _logged, **observers)
-    assert ChargeLog(ma).deferred is not bool(observers)
+    assert ma.counters.peak_memory_words.tolist() == [0.0, 9.0, 6.0, 0.0]
 
 
 # ------------------------------------------------------------------ #

@@ -1,7 +1,7 @@
 """Knob ratchet: the ``REPRO_*`` environment switches ``src/`` reads (none),
-the constructor switches of :class:`BSPMachine`, the observers that force a
-charge log to write through, the service's one setting (``scheduling``), the
-job journal's constructor, and the flags that must not come back: the
+the constructor switches of :class:`BSPMachine`, the observer switches a
+charge log reads (and that it calls no machine primitive), the service's
+one setting (``scheduling``), the job journal's constructor, and the flags that must not come back: the
 counter-store selector (one store in ``src/``; the scalar one is
 ``tests/scalar_oracle.py``), the metrics gate's envelope (every gate is
 exact), hedged dispatch (one attempt per job in flight), resilience and
@@ -30,7 +30,7 @@ import repro.bsp
 import repro.bsp.kernels
 import repro.serve
 from repro.bsp import BSPMachine
-from repro.bsp.batch import needs_program_order
+from repro.bsp.batch import ChargeLog
 from repro.cli import build_parser
 from repro.faults import FaultyMachine
 from repro.lint.verify import VerifiedMachine
@@ -71,8 +71,14 @@ def test_environment_switches_are_pinned():
 #: observer switches (fault injection and verification are subclasses)
 MACHINE_KWARGS = ("p", "params", "spans", "metrics")
 
-#: machine attributes whose ``.enabled`` makes a ChargeLog write through
+#: machine attributes whose ``.enabled`` a ChargeLog reads: spans and metrics
+#: take its ordering points at the flush, and a fault-injecting machine's
+#: log also lands each append at once
 ORDERED_OBSERVERS = {"spans", "metrics", "faults"}
+
+#: the machine primitives a ChargeLog never calls: its charges land only
+#: through its flush
+MACHINE_PRIMITIVES = re.compile(r"charge_\w+|superstep|mem_stream\w*|mem_read|note_memory")
 
 
 def test_machine_constructor_switches_are_pinned():
@@ -89,22 +95,27 @@ def test_machine_constructor_switches_are_pinned():
 
 
 def test_program_order_observers_are_pinned():
-    tree = ast.parse(textwrap.dedent(inspect.getsource(needs_program_order)))
-    read = {
-        node.value.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Attribute)
-        and isinstance(node.value.value, ast.Name)
-        and node.value.value.id == "machine"
-    }
+    """A ChargeLog reads exactly these observer switches, and calls no
+    machine charging primitive: spans and metrics see its charges only
+    through its flush."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(ChargeLog)))
+    read, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "enabled" and isinstance(node.value, ast.Attribute):
+            read.add(node.value.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if (isinstance(owner, ast.Name) and owner.id == "machine") or (
+                    isinstance(owner, ast.Attribute) and owner.attr == "machine"):
+                called.add(node.func.attr)
     assert read == ORDERED_OBSERVERS
+    assert called and not {name for name in called if MACHINE_PRIMITIVES.fullmatch(name)}
 
 
 def test_only_the_charge_log_asks_for_program_order():
-    """A solver stage writes each charge once, to a ChargeLog: no module
-    under eig/, blocks/ or dist/ names ``needs_program_order`` or reads a
-    log's ``.deferred`` to pick an emission."""
+    """A solver stage writes each charge once, to a ChargeLog, and the log
+    has one landing: no module under eig/, blocks/ or dist/ names a
+    landing mode (``needs_program_order``, a log's ``.deferred``)."""
     for d in ("eig", "blocks", "dist"):
         for path in sorted((SRC / "repro" / d).glob("*.py")):
             names = set()
