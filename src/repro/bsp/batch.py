@@ -88,22 +88,36 @@ def _ranks(ranks: Any) -> Any:
 
 class _Column:
     """A 1-D array appended to in program order: its chunks, joined on the
-    first read after an append (a chunk is read, never written)."""
+    first read after an append (a chunk is read, never written).  Scalar and
+    list appends collect in one list, which becomes a chunk when an array
+    is appended or the column is read."""
 
-    __slots__ = ("dtype", "chunks", "size")
+    __slots__ = ("dtype", "chunks", "scalars", "size")
 
     def __init__(self, dtype: type):
         self.dtype = dtype
         self.chunks: list[Any] = []
+        self.scalars: list[Any] = []
         self.size = 0
 
     def extend(self, values: Any, count: int) -> None:
-        if not (isinstance(values, np.ndarray) and values.ndim):
-            values = np.full(count, values, dtype=self.dtype)
-        self.chunks.append(values)
+        if isinstance(values, np.ndarray) and values.ndim:
+            if self.scalars:
+                self._seal()
+            self.chunks.append(values)
+        elif isinstance(values, (list, tuple)):
+            self.scalars.extend(values)
+        else:
+            self.scalars += [values] * count
         self.size += count
 
+    def _seal(self) -> None:
+        self.chunks.append(np.array(self.scalars, self.dtype))
+        self.scalars = []
+
     def view(self) -> np.ndarray:
+        if self.scalars:
+            self._seal()
         if not self.chunks:
             return np.empty(0, self.dtype)
         if len(self.chunks) > 1 or self.chunks[0].dtype != self.dtype:

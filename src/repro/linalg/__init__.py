@@ -6,9 +6,11 @@ Householder reconstruction), successive band reduction via bulge
 chasing, band → tridiagonal reduction, and Sturm-bisection tridiagonal
 eigenvalues.
 
-numpy is used only for array storage and BLAS-like primitives (``@``, slicing,
-norms); all factorization logic is implemented here and validated against
-``numpy.linalg`` in the tests.
+numpy is used for array storage and BLAS-like primitives (``@``, slicing,
+norms).  The one exception is a rank's local Householder QR, which calls
+LAPACK's ``dgeqrf`` (and forms ``T`` with one small inverse) through
+``numpy.linalg``, as a real rank would; every other factorization is
+implemented here and validated against ``numpy.linalg`` in the tests.
 """
 
 from repro.linalg.householder import (

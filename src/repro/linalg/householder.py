@@ -9,8 +9,14 @@ Conventions (LAPACK-compatible):
   paper aggregates across panels.
 
 The QR factors a matrix or a stack of equal-shape matrices (leading batch
-axes): item by item a stack gives the bits a 2-D call on that item gives,
-which is how the bulge chase factors a whole pipeline phase at once.
+axes) with LAPACK's ``dgeqrf`` — one ``np.linalg.qr(…, mode="raw")`` call,
+which runs it item by item — as a real rank would factor its local panel or
+chase window; ``T`` is formed from ``(U, τ)`` and the reflectors are never
+re-applied.  Item by item a stack gives the bits a 2-D call on that item
+gives, which is how the bulge chase factors a whole pipeline phase at once.
+Only this local factorization is LAPACK's; every algorithm the paper
+contributes is written from scratch.  ``tests/sbr_oracle.py`` keeps the
+scalar column-by-column loop as the kernel's numerical reference.
 """
 # cost: free-module(sequential numerics; flops charged by repro.bsp.kernels callers)
 
@@ -18,49 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _reflect(v: np.ndarray) -> tuple:
-    """Turn the C-contiguous ``v`` — one vector, or a (…, L) stack of them —
-    into reflector vectors in place; return ``(tau, beta, live)``.
-
-    ``live`` marks the vectors with a non-zero tail; the others keep their
-    tail and get the identity (τ = 0, β = x₀).
-
-    One vector (a 2-D QR, or a stack of one) gets numpy scalars and a bool
-    ``live``, computed with operators: a ufunc call on a numpy scalar costs
-    several times an operator, and that overhead is most of a small QR.  A
-    stack gets β of shape (…), τ of shape (…, 1) and ``live`` of shape
-    (…, 1, 1), which broadcast against :func:`_compact_wy`'s per-item vectors
-    and blocks, and the same bits per vector: ``σ`` is one BLAS ``ddot``
-    either way (``vecdot`` calls the kernel ``np.dot`` does), and
-    ``float_power`` is libm's ``pow`` like the scalar ``x0 ** 2`` (on an
-    array ``**`` squares instead, and ``x0 * x0`` differs from ``pow`` in
-    the last bit for about one input in a thousand).
-    """
-    if v.size == v.shape[-1]:
-        v = v.reshape(-1)  # a view of the one vector
-        tail = v[1:]
-        sigma = np.vecdot(tail, tail)
-        x0 = v[0]
-        v[0] = 1.0
-        if sigma == 0.0:
-            return 0.0, x0, False
-        norm_x = np.sqrt(x0 ** 2 + sigma)
-        beta = -norm_x if x0 >= 0 else norm_x
-        v0 = x0 - beta
-        tail /= v0
-        return -v0 / beta, beta, True
-    tail = v[..., 1:]
-    sigma = np.vecdot(tail, tail)
-    x0 = v[..., 0].copy()
-    v[..., 0] = 1.0
-    live = sigma != 0.0
-    norm_x = np.sqrt(np.float_power(x0, 2) + sigma)
-    beta = np.where(x0 >= 0, -norm_x, norm_x)
-    v0 = x0 - beta
-    tau = np.where(live, -v0 / np.where(live, beta, 1.0), 0.0)
-    tail /= np.where(live, v0, 1.0)[..., None]
-    return tau[..., None], np.where(live, beta, x0), live[..., None, None]
+_TINY = np.finfo(np.float64).tiny
 
 
 def householder_vector(x: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -76,45 +40,47 @@ def householder_vector(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     v = np.array(x, dtype=np.float64).ravel()
     if v.size == 0:
         raise ValueError("householder_vector requires a non-empty vector")
-    tau, beta, _ = _reflect(v)
-    return v, float(tau), float(beta)
+    x0, tail = v[0], v[1:]
+    sigma = np.dot(tail, tail)
+    v[0] = 1.0
+    scale = 1.0
+    if sigma >= _TINY:
+        norm_x = np.sqrt(x0 ** 2 + sigma)
+    elif tail.any():
+        # σ underflowed: reflect x / 2ᵉ with ‖x / 2ᵉ‖∞ ∈ [½, 1), its norm by
+        # hypot (nothing squared), and scale β back — v and τ do not depend
+        # on the scale; LAPACK's dlarfg rescales too
+        scale = np.ldexp(1.0, np.frexp(max(abs(x0), np.abs(tail).max()))[1])
+        x0 = x0 / scale
+        tail /= scale
+        norm_x = np.hypot(x0, np.hypot.reduce(tail))
+    else:
+        return v, 0.0, float(x0)
+    beta = -norm_x if x0 >= 0 else norm_x
+    v0 = x0 - beta
+    tail /= v0
+    return v, float(-v0 / beta), float(beta * scale)
 
 
 def _compact_wy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one QR body: ``r = min(m, n)`` reflectors of the (…, m, n)
-    matrix or stack ``a``, which it overwrites.
+    matrix or stack ``a``, from one ``dgeqrf`` per item.
 
-    Each product is the 2-D one with leading batch axes, on operands of the
-    same per-item shape and strides, so ``vecmat`` / ``matvec`` issue the
-    BLAS call ``v @ A`` / ``A @ v`` issues, per item: item ``k`` of the
-    result is bit-identical to factoring ``a[k]`` alone.
+    U and R are read off the factor.  ``T = (I + D N)⁻¹ D`` with
+    ``D = diag(τ)`` and ``N`` the strictly upper part of ``UᵀU`` — the
+    inverse ``dlarft``'s recurrence builds column by column, from one
+    ``dgesv`` per item; a τ = 0 reflector gets a zero row and column, as in
+    that recurrence.  Every product keeps its per-item shape and strides,
+    so item ``k`` of a stack is bit-identical to a 2-D call on ``a[k]``.
     """
-    *lead, m, n = a.shape
-    r = min(m, n)
-    u = np.zeros((*lead, m, r))
-    t = np.zeros((*lead, r, r))
-    ut = np.swapaxes(u, -1, -2)
-    for j in range(r):
-        v = a[..., j:, j].copy()
-        tau, beta, live = _reflect(v)
-        # Apply H_j to the trailing columns: A[j:, j:] -= tau v (vᵀ A[j:, j:]),
-        # on the live items only (the others' H_j = I; a lone dead vector
-        # skips the work, as the scalar loop always did)
-        if live is not False:
-            trail = a[..., j:, j:]
-            step = v[..., :, None] * (tau * np.vecmat(v, trail))[..., None, :]
-            np.subtract(trail, step, out=trail, where=live)
-        a[..., j, j] = beta
-        a[..., j + 1 :, j] = 0.0
-        u[..., j:, j] = v
-        # Grow T: T[:j, j] = −τ · T[:j,:j] (U[:, :j]ᵀ v);  T[j, j] = τ.
-        if j > 0 and live is not False:
-            col = -tau * np.matvec(t[..., :j, :j], np.matvec(ut[..., :j, j:], v))
-            np.copyto(t[..., :j, j : j + 1], col[..., None], where=live)
-        t[..., j, j : j + 1] = tau
-    # the loop zeroed every below-diagonal entry of the first r columns and
-    # columns r: keep all their rows, so this equals np.triu(a[:r, :])
-    return u, t, a[..., :r, :].copy()
+    r = min(a.shape[-2:])
+    raw, tau = np.linalg.qr(a, mode="raw")
+    f = np.swapaxes(raw, -1, -2)  # dgeqrf's (…, m, n) factor: R on and above the diagonal
+    below = np.tri(*f.shape[-2:], -1, dtype=bool)
+    u = np.where(below[:, :r], f[..., :r], np.eye(len(below), r))
+    dn = np.where(below[:r, :r].T, np.swapaxes(u, -1, -2) @ u * tau[..., :, None], np.eye(r))
+    t = np.linalg.inv(dn) * tau[..., None, :]
+    return u, t, np.where(below[:r], 0.0, f[..., :r, :])
 
 
 def compact_wy_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,7 +93,7 @@ def compact_wy_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(U, T, R)``: U is m×n unit lower trapezoidal, T is n×n upper
     triangular, R is n×n upper triangular (each with the batch axes of ``a``).
     """
-    a = np.array(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     m, n = a.shape[-2:]
     if m < n:
         raise ValueError(f"compact_wy_qr requires m >= n, got {a.shape}")
@@ -145,7 +111,7 @@ def compact_wy_qr_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     Needed by bulge chasing near the bottom of the band, where QR blocks can
     be short and wide.
     """
-    return _compact_wy(np.array(a, dtype=np.float64))
+    return _compact_wy(np.asarray(a, dtype=np.float64))
 
 
 def apply_block_reflector_left(

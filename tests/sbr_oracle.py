@@ -1,10 +1,18 @@
 """The chase engine as it was before :mod:`repro.linalg.sbr` stacked the
 steps of a pipeline phase — kept as the bit-for-bit oracle of the wave
-engine.
+engine — and the scalar QR the kernel replaced.
 
-One chase step at a time, in panel-major order, each a 2-D compact-WY QR
-built one reflector at a time from scalar Householder vectors: slow, and
-obviously Algorithm IV.2's lines 16–22.
+One chase step at a time, in panel-major order, each a 2-D call of
+:func:`repro.linalg.householder.compact_wy_qr_general`: slow, and obviously
+Algorithm IV.2's lines 16–22.  The wave engine factors a phase's windows as
+one stack, so the two agree bit for bit as long as a stack gives each item
+the bits of a 2-D call.
+
+:func:`compact_wy_qr_general` here is the QR built one reflector at a time
+from scalar Householder vectors, as the kernel did before it called LAPACK's
+``dgeqrf``: the kernel's numerical reference (agreement to rounding level,
+not bits), and :func:`householder_vector` the bit-for-bit reference of the
+kernel's scalar reflector wherever ``‖x[1:]‖²`` does not underflow.
 
 Also the sequential dense-I/O references of Section IV the tests compare
 the parallel stages against: :func:`band_reduce_seq` (Algorithm IV.2 on the
@@ -66,7 +74,7 @@ def apply_chase_step(b_mat: np.ndarray, step: ChaseStep) -> tuple[np.ndarray, np
     """Execute one chase step in place (lines 16–22 of Algorithm IV.2)."""
     rows = slice(step.oqr_r, step.oqr_r + step.nr)
     cols = slice(step.oqr_c, step.oqr_c + step.ncols)
-    u, t, r = compact_wy_qr_general(b_mat[rows, cols])
+    u, t, r = householder.compact_wy_qr_general(b_mat[rows, cols])
     # Lines 17: write [R; 0] and its transpose.
     blk = np.zeros((step.nr, step.ncols))
     blk[: r.shape[0], :] = r

@@ -3,11 +3,14 @@
 :func:`repro.linalg.sbr.apply_chase_step` runs a whole phase of Algorithm
 IV.2 — first every QR, then every window update, each stacked across the
 phase's steps — and :func:`repro.linalg.householder.compact_wy_qr` factors
-a stack of blocks in one call.  The contract is **bit-identity** with the
-one-step-at-a-time engine kept in ``tests/sbr_oracle.py``: per block for the
-QR, per matrix for a whole reduction, per stage for CA-SBR and Lang's h = 1
-reduction.  The schedule rule that makes the two-stage order safe is
-checked structurally, and a negative control shows the order matters.
+a stack of blocks in one call (LAPACK ``dgeqrf`` per item).  The QR's
+contract is agreement with the scalar loop kept in ``tests/sbr_oracle.py``
+to rounding level, exact conventions, and per item the bits of a 2-D call.
+The engine's contract is **bit-identity** with the one-step-at-a-time engine
+kept there: per matrix for a whole reduction, per stage for CA-SBR and
+Lang's h = 1 reduction.  The schedule rule that makes the two-stage order
+safe is checked structurally, and a negative control shows the order
+matters.
 """
 
 from __future__ import annotations
@@ -49,8 +52,14 @@ def _waves_in_place(a: np.ndarray, b: int, h: int) -> np.ndarray:
 # the stacked QR
 
 
+EPS = np.finfo(np.float64).eps
+MS = (1, 2, 4, 7, 16, 33)
+NS_QR = (1, 2, 3, 8, 17)
+
+
 def _blocks(rng: np.random.Generator, m: int, n: int) -> list[np.ndarray]:
-    """Dense, already-triangular (zero tails), zero-column and −0.0-led blocks."""
+    """Dense, already-triangular (zero tails), zero-column, −0.0-led, zero
+    and ±1e150 blocks."""
     dense = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4)
     tri = np.triu(rng.standard_normal((m, n)))
     holes = dense.copy()
@@ -59,26 +68,88 @@ def _blocks(rng: np.random.Generator, m: int, n: int) -> list[np.ndarray]:
     signed = dense.copy()
     signed[0, 0] = -0.0
     signed[1:, 0] = 0.0
-    return [dense, tri, holes, signed]
+    huge = rng.choice([-1e150, 1e150], (m, n))
+    return [dense, tri, holes, signed, np.zeros((m, n)), huge]
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 7, 16, 33])
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
-def test_qr_matches_the_scalar_oracle_bit_for_bit(m, n):
-    """A 2-D call is the parent's scalar loop; a stack is that, per item."""
+def _kappa(a: np.ndarray) -> float:
+    """2-norm condition number of the ``min(m, n)`` leading columns, which
+    determine Q."""
+    sv = np.linalg.svd(a[:, : min(a.shape)], compute_uv=False)
+    return sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+
+
+@pytest.mark.parametrize("m", MS)
+@pytest.mark.parametrize("n", NS_QR)
+def test_qr_agrees_with_the_scalar_oracle(m, n):
+    """Q is orthogonal and QR = A to c·m·ε; U, T and R agree with the scalar
+    loop to c·m·ε·κ (forward error of a backward-stable QR)."""
     rng = np.random.default_rng(m * 100 + n)
-    blocks = _blocks(rng, m, n)
-    for blk in blocks:
-        want = sbr_oracle.compact_wy_qr_general(blk)
-        got = compact_wy_qr_general(blk)
-        assert all(_equal(g, w) for g, w in zip(got, want))
+    tol = 4 * m * EPS
+    for blk in _blocks(rng, m, n):
+        u, t, r = compact_wy_qr_general(blk)
+        u0, t0, r0 = sbr_oracle.compact_wy_qr_general(blk)
+        assert (u.shape, t.shape, r.shape) == (u0.shape, t0.shape, r0.shape)
+        q = np.eye(m) - u @ t @ u.T
+        norm_a = np.linalg.norm(blk, 2)
+        assert np.linalg.norm(q.T @ q - np.eye(m), 2) <= tol
+        assert np.linalg.norm(q[:, : min(m, n)] @ r - blk, 2) <= tol * norm_a
+        kappa = _kappa(blk)  # infinite (no bound) when the leading columns are singular
+        if np.isfinite(kappa):
+            assert np.linalg.norm(r - r0, 2) <= tol * kappa * norm_a
+            assert np.linalg.norm(u - u0, 2) <= tol * kappa
+            assert np.linalg.norm(t - t0, 2) <= tol * kappa
         if m >= n:
-            assert all(_equal(g, w) for g, w in zip(compact_wy_qr(blk), want))
-    stack = np.stack(blocks + [rng.standard_normal((m, n))])
+            assert all(_equal(g, w) for g, w in zip(compact_wy_qr(blk), (u, t, r)))
+
+
+@pytest.mark.parametrize("m", MS)
+@pytest.mark.parametrize("n", NS_QR)
+def test_qr_conventions_are_exact(m, n):
+    """v[0] = 1, β of opposite sign to x₀, τ = 0 (and an identity column of
+    U, a zero row and column of T) for a zero tail, R = A when A is already
+    upper triangular, exactly."""
+    rng = np.random.default_rng(m * 100 + n)
+    dense, tri, _, signed, zero, _ = _blocks(rng, m, n)
+    r_ = min(m, n)
+    for blk in (tri, zero):
+        u, t, r = compact_wy_qr_general(blk)
+        assert _equal(u, np.eye(m, r_)) and not t.any() and _equal(r, blk[:r_])
+    u, t, r = compact_wy_qr_general(dense)
+    assert np.all(np.diag(u) == 1.0) and not np.triu(u, 1).any() and not np.tril(t, -1).any()
+    if m > 1:
+        assert np.sign(r[0, 0]) == -np.sign(dense[0, 0])
+    np.testing.assert_array_equal(np.sign(np.diag(r)), np.sign(np.diag(sbr_oracle.compact_wy_qr_general(dense)[2])))
+    u, t, r = compact_wy_qr_general(signed)
+    assert np.signbit(r[0, 0]) and r[0, 0] == 0.0 and t[0, 0] == 0.0
+    assert not u[1:, 0].any() and not t[0].any() and not t[:, 0].any()
+
+
+@pytest.mark.parametrize("m", MS)
+@pytest.mark.parametrize("n", NS_QR)
+def test_qr_stack_is_bit_identical_to_2d_calls(m, n):
+    """Per item, a stack gives the bits of a 2-D call — dead columns in some
+    items (triangular, zero-led, zero blocks) beside live ones included."""
+    rng = np.random.default_rng(m * 100 + n)
+    stack = np.stack(_blocks(rng, m, n) + [rng.standard_normal((m, n))])
     got = compact_wy_qr_general(stack)
     for k, blk in enumerate(stack):
-        want = sbr_oracle.compact_wy_qr_general(blk)
+        want = compact_wy_qr_general(blk)
         assert all(_equal(g[k], w) for g, w in zip(got, want)), k
+    if m >= n:
+        assert all(_equal(g, w) for g, w in zip(compact_wy_qr(stack), got))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 0, 3), (2, 3, 0), (0, 4, 2)])
+def test_qr_empty_shapes(shape):
+    """r = min(m, n) reflectors: U (…, m, r), T (…, r, r), R (…, r, n)."""
+    *lead, m, n = shape
+    r_ = min(m, n)
+    u, t, r = compact_wy_qr_general(np.zeros(shape))
+    assert (u.shape, t.shape, r.shape) == ((*lead, m, r_), (*lead, r_, r_), (*lead, r_, n))
+    if not lead:
+        want = sbr_oracle.compact_wy_qr_general(np.zeros(shape))
+        assert all(_equal(g, w) for g, w in zip((u, t, r), want))
 
 
 def test_qr_stack_keeps_leading_axes_and_rejects_wide():

@@ -1,5 +1,7 @@
 """Tests for Householder kernels and compact-WY aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from repro.linalg.householder import (
     expand_q,
     householder_vector,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 class TestHouseholderVector:
@@ -96,6 +100,37 @@ class TestCompactWYGeneral:
         u2, t2, r2 = compact_wy_qr_general(a.copy())
         assert np.array_equal(r1, r2)
         assert np.array_equal(u1, u2)
+
+
+class TestTinyTails:
+    """A tail whose squared norm underflows is reflected, not dropped: LAPACK's
+    ``dlarfg`` rescales, and so does :func:`householder_vector`."""
+
+    @pytest.mark.parametrize("x", [[1e-300, 1e-300], [0.0, 1e-300], [-1e-300, 2e-300, 0.0, 5e-301],
+                                   [1e-160, -3e-160, 2e-160], [3.0, 1e-170]])
+    def test_householder_vector(self, x):
+        x = np.array(x)
+        v, tau, beta = householder_vector(x)
+        norm = math.hypot(*x)
+        assert v[0] == 1.0 and (beta < 0) == (x[0] >= 0)
+        assert abs(abs(beta) - norm) <= 4 * EPS * norm
+        hx = x - tau * v * np.dot(v, x)
+        assert abs(hx[0] - beta) <= 4 * EPS * norm
+        assert np.abs(hx[1:]).max() <= 4 * x.size * EPS * norm
+
+    @pytest.mark.parametrize("a", [[[1e-300, 2.0], [1e-300, 3.0]],
+                                   [[1e-300, 2e-300], [1e-300, 3e-300]],
+                                   [[1.0, 1e-160, 0.0], [0.0, 2e-160, 1.0], [0.0, -1e-160, 1.0], [1.0, 0.0, 0.0]]])
+    def test_qr_is_columnwise_backward_stable(self, a):
+        """‖(QR − A)[:, j]‖ ≤ c·m·ε·‖A[:, j]‖ (Higham, Thm 19.4)."""
+        a = np.array(a)
+        m, n = a.shape
+        u, t, r = compact_wy_qr_general(a)
+        q = np.eye(m) - u @ t @ u.T
+        res = q[:, : min(m, n)] @ r - a
+        for j in range(n):
+            assert np.abs(res[:, j]).max() <= 4 * m * EPS * math.hypot(*a[:, j]), j
+        assert np.abs(q.T @ q - np.eye(m)).max() <= 4 * m * EPS
 
 
 class TestApplyAndExpand:
