@@ -407,24 +407,25 @@ def _apply(machine: BSPMachine, events: list[_Event], points: np.ndarray, payloa
         at = wanted[lo : lo + segment]
         ends = points[at, 1:] - landed
         part = [(r[s : s + e], a[s : s + e]) for (r, a), s, e in zip(events, landed, ends[-1].tolist())]
-        states, is_span = _states(store, part, ends, machine.p), kinds[at] != _SUPERSTEP
+        is_span = kinds[at] != _SUPERSTEP
+        barriers, span_points = _states(store, part, machine.p, ends[~is_span], ends[is_span])
         _add(store, part)
         if metrics.enabled:
-            metrics.on_replay(comms, states[:, :, ~is_span])
+            metrics.on_replay(comms, barriers)
             comms = None
         if spans.enabled:
-            spans.replay([payloads[i] for i in at[is_span].tolist()], states[:, : len(SPAN_FIELDS), is_span])
+            spans.replay([payloads[i] for i in at[is_span].tolist()], span_points[: len(SPAN_FIELDS)])
         landed = [s + e for s, e in zip(landed, ends[-1].tolist())]
     _add(store, [(r[s:], a[s:]) for (r, a), s in zip(events, landed)])
     if comms is not None:
-        metrics.on_replay(comms, np.empty((machine.p, len(STATE_FIELDS), 0)))
+        metrics.on_replay(comms, np.empty((len(STATE_FIELDS), machine.p, 0)))
 
 
-def _states(store: Any, events: list[_Event], ends: np.ndarray, p: int) -> np.ndarray:
-    """The counter state at each point (``ends[k, field]``: how many of
-    each field's ``events`` point ``k`` sees), as ``(rank, field, point)``
-    over :data:`STATE_FIELDS`, with ``store`` holding the state before
-    ``events``.
+def _states(store: Any, events: list[_Event], p: int, *point_ends: np.ndarray) -> list[np.ndarray]:
+    """The counter state at each point of each ``ends`` of ``point_ends``
+    (``ends[k, field]``: how many of each field's ``events`` point ``k``
+    sees), as ``(field, rank, point)`` over :data:`STATE_FIELDS`, with
+    ``store`` holding the state before ``events``.
 
     A rank's state at a point is its live value followed by its entries
     before the point, added in program order.  ``acc`` holds one column per
@@ -437,10 +438,17 @@ def _states(store: Any, events: list[_Event], ends: np.ndarray, p: int) -> np.nd
     """
     present = [(f, event) for f, event in enumerate(events) if event[0].size]
     column = np.concatenate([f * p + event[0] for f, event in present] or [np.empty(0, np.int64)])
-    cols, slot = np.unique(column, return_inverse=True)
-    order = np.argsort(slot, kind="stable")
-    row = np.empty_like(slot)
-    row[order] = np.arange(slot.size) - np.searchsorted(slot[order], slot[order]) + 1
+    # one stable sort groups the entries by column (a radix sort on 16-bit keys)
+    order = np.argsort(column.astype(np.uint16 if len(STATE_FIELDS) * p <= 1 << 16 else np.int64), kind="stable")
+    ordered = column[order]
+    starts = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    group = np.cumsum(starts) - 1
+    starts = np.flatnonzero(starts)
+    cols = ordered[starts]
+    slot, row = np.empty_like(column), np.empty_like(column)
+    slot[order] = group
+    row[order] = np.arange(ordered.size) - starts[group] + 1
     notes = int(np.searchsorted(cols, _NOTE * p))
     live = np.array([store.field_array(f) for f in STATE_FIELDS], dtype=np.float64)
     width = int(row.max(initial=0)) + 1
@@ -450,18 +458,20 @@ def _states(store: Any, events: list[_Event], ends: np.ndarray, p: int) -> np.nd
     np.add.accumulate(acc[:, :notes], axis=0, out=acc[:, :notes])
     np.maximum.accumulate(acc[:, notes:], axis=0, out=acc[:, notes:])
     acc = acc.T.ravel()
-    dest = cols % p * len(STATE_FIELDS) + cols // p  # each column's (rank, field) slot
-    count = len(ends)
-    first = [np.searchsorted(ends[:, f], np.arange(event[0].size), side="right") for f, event in present]
-    bounds = np.full((cols.size, width + 1), count, dtype=np.intp)
-    bounds[:, 0] = 0
-    bounds[slot, row] = np.concatenate(first or [np.empty(0, np.intp)])
-    states = np.empty((p, len(STATE_FIELDS), count))
-    if dest.size < live.size:  # untouched ranks keep their live state
-        states[:] = live.T[:, :, None]
-    touched = np.repeat(acc, np.diff(bounds, axis=1).ravel()).reshape(dest.size, count)
-    states.reshape(live.size, count)[dest] = touched
-    return states
+    untouched = np.setdiff1d(np.arange(live.size), cols, assume_unique=True)
+    out = []
+    for ends in point_ends:
+        count = len(ends)
+        first = [np.searchsorted(ends[:, f], np.arange(event[0].size), side="right") for f, event in present]
+        bounds = np.full((cols.size, width + 1), count, dtype=np.intp)
+        bounds[:, 0] = 0
+        bounds[slot, row] = np.concatenate(first or [np.empty(0, np.intp)])
+        states = np.empty((len(STATE_FIELDS), p, count))
+        columns = states.reshape(live.size, count)  # column f·p + r is (field f, rank r)
+        columns[untouched] = live.ravel()[untouched, None]
+        columns[cols] = np.repeat(acc, np.diff(bounds, axis=1).ravel()).reshape(cols.size, count)
+        out.append(states)
+    return out
 
 
 #: bytes one payload of an ordering point retains (a span's name and group

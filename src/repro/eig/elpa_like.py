@@ -19,12 +19,11 @@ import math
 import numpy as np
 
 from repro.bsp.machine import BSPMachine
-from repro.bsp.pattern import uniform
 from repro.dist.banded import DistBandMatrix
 from repro.dist.grid import ProcGrid
 from repro.eig.ca_sbr import band_to_tridiagonal_1d
+from repro.eig.driver import parallel_bisection
 from repro.eig.full_to_band import full_to_band_2p5d
-from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.validation import check_symmetric, scaled_to_safe_range
 
 
@@ -63,12 +62,5 @@ def eigensolve_elpa_like(
         band = DistBandMatrix(machine, banded, b, machine.world)
         tri = band_to_tridiagonal_1d(machine, band)
 
-        # Tridiagonal eigenvalues (parallel bisection, as in the other solvers).
-        d = np.diag(tri.data).copy()
-        e = np.diag(tri.data, -1).copy()
-        evals = sturm_bisection_eigenvalues(d, e)
-        with machine.span("bisection"):
-            machine.charge_flops(machine.world, 64.0 * 5.0 * n * n / p)
-            machine.charge_comm_batch(machine.world, float(n), float(n), pattern=uniform(p))
-            machine.superstep(machine.world, 2)
-    return evals
+        # Tridiagonal eigenvalues (parallel bisection, as in ScaLAPACK).
+        return parallel_bisection(machine, np.diag(tri.data).copy(), np.diag(tri.data, -1).copy())

@@ -20,9 +20,9 @@ import numpy as np
 
 from repro.bsp.kernels import sharded_axpy, sharded_dot, sharded_matvec, sharded_rank2_update
 from repro.bsp.machine import BSPMachine
-from repro.bsp.pattern import grid_lines, uniform
+from repro.bsp.pattern import grid_lines
+from repro.eig.driver import parallel_bisection
 from repro.linalg.householder import householder_vector
-from repro.linalg.tridiag import sturm_bisection_eigenvalues
 from repro.util.validation import check_symmetric, scaled_to_safe_range
 
 
@@ -78,10 +78,4 @@ def eigensolve_scalapack_like(machine: BSPMachine, a: np.ndarray, tag: str = "sc
     """
     with machine.span(tag):
         d, e = tridiagonalize_scalapack_like(machine, a, tag=tag)
-        n = d.size
-        evals = sturm_bisection_eigenvalues(d, e)
-        with machine.span("bisection"):
-            machine.charge_flops(machine.world, 64.0 * 5.0 * n * n / machine.p)
-            machine.charge_comm_batch(machine.world, float(n), float(n), pattern=uniform(machine.p))
-            machine.superstep(machine.world, 2)
-    return evals
+        return parallel_bisection(machine, d, e)

@@ -1,4 +1,4 @@
-"""Sequential dense/banded linear algebra written from scratch.
+"""Sequential dense/banded linear algebra.
 
 This package is the numerical substrate of the reproduction: Householder
 transformations and their compact-WY aggregation, non-pivoted LU (for
@@ -6,11 +6,10 @@ Householder reconstruction), successive band reduction via bulge
 chasing, band → tridiagonal reduction, and Sturm-bisection tridiagonal
 eigenvalues.
 
-numpy is used for array storage and BLAS-like primitives (``@``, slicing,
-norms).  The one exception is a rank's local Householder QR, which calls
-LAPACK's ``dgeqrf`` (and forms ``T`` with one small inverse) through
-``numpy.linalg``, as a real rank would; every other factorization is
-implemented here and validated against ``numpy.linalg`` in the tests.
+numpy is used for array storage and BLAS-like primitives.  Where a real
+rank would call LAPACK, so does this package: the local Householder QR is
+``dgeqrf`` through ``numpy.linalg``, and the sequential finish is ``dsbtrd``
+and ``dstebz`` (:mod:`repro.linalg.lapack`).  The rest is implemented here.
 """
 
 from repro.linalg.householder import (

@@ -101,7 +101,7 @@ class ChaseRun:
     ``stride`` rows *and* columns below the previous one — the unit
     :func:`apply_chase_step` stacks.  Every block a step touches sits at a
     fixed offset from its QR row, so a run's blocks are one strided view of
-    the matrix (the lda idiom of :mod:`repro.linalg.band_tridiag`)."""
+    the matrix (LAPACK's ``lda`` idiom)."""
 
     oqr_r: int  # first row of the QR block of the run's topmost step
     lag: int  # oqr_r − oqr_c: h for a panel elimination (j = 1), b after

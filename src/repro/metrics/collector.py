@@ -137,8 +137,9 @@ def comm_block(sent, recv, starts: np.ndarray, patterns: list) -> tuple:
     ``int64``, the fold's index dtype), ``starts[i]`` where charge ``i``'s
     entries start on each side and ``patterns[i]`` its wire pattern."""
     sizes = np.diff(np.vstack([starts, [sent[0].size, recv[0].size]]), axis=0)
-    for (senders, receivers), pattern in zip(sizes.tolist(), patterns):
-        _check_fit(pattern, senders, receivers)
+    misfit = np.flatnonzero((np.array([pattern.shape for pattern in patterns]) != sizes).any(axis=1))
+    if misfit.size:
+        _check_fit(patterns[misfit[0]], *sizes[misfit[0]].tolist())
     rows, cols, share = zip(*[pattern.cells() for pattern in patterns])
     # each charge's cells index its own entries: shift them to the block's
     counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
@@ -277,16 +278,17 @@ class MetricsCollector:
         """Sample per-rank memory at a superstep boundary (watermarks plus
         the decimated time series feeding the Perfetto counter tracks)."""
         state = np.array([store.field_array(f) for f in STATE_FIELDS], dtype=np.float64)
-        self.on_replay(None, state.T[:, :, None])
+        self.on_replay(None, state[:, :, None])
 
     def on_replay(self, comms, states: np.ndarray) -> None:
         """Mirror a flushed charge log: its comm charges as one pending
-        block (:func:`comm_block`, or ``None``), and a superstep sample
-        at each counter state ``states[:, :, k]`` (:data:`STATE_FIELDS`) —
-        bit-identical to :meth:`on_comm` / the sample at each barrier."""
+        block (:func:`comm_block`, or ``None``), and a superstep sample at
+        each counter state ``states[:, :, k]`` (``(field, rank)``, fields
+        :data:`STATE_FIELDS`) — bit-identical to :meth:`on_comm` / the
+        sample at each barrier."""
         if comms is not None:
             self._book(*comms)
-        memory, count, seen = states[:, -1], states.shape[2], self.supersteps_seen
+        memory, count, seen = states[-1], states.shape[2], self.supersteps_seen
         if not count:
             return
         # the last superstep a rank's watermark grew at is the first at
@@ -305,7 +307,7 @@ class MetricsCollector:
             take = take[: _MAX_SAMPLES + 1 - len(self.series)]
             if not take:
                 break
-            self._append(states[:, :, take.start : take.stop : take.step])
+            self._append(states[..., take.start : take.stop : take.step])
             k = take[-1] + 1
 
     def _append(self, states: np.ndarray) -> None:
@@ -313,19 +315,23 @@ class MetricsCollector:
         ``_MAX_SAMPLES`` the series halves and the stride doubles."""
         # the memory vector rarely moves between samples: share the
         # previous sample's array while the content is unchanged
-        cur = states[:, -1]
-        moved = [True, *_any(cur[:, 1:] != cur[:, :-1], axis=0).tolist()] if cur.shape[1] > 1 else [True]
+        cur = states[-1]
+        moved = [True, *_any(cur[:, 1:] != cur[:, :-1], axis=0).tolist()]
         if self.series and _all(self.series[-1][1] == cur[:, 0]):
             moved[0] = False
             memory = self.series[-1][1]
-        times = model_time(self._params, states[:, :-1])
-        # one array per sample: a halving must free the samples it drops
+        times = model_time(self._params, states[:-1])
+        sent = states[1].T.copy()  # one block: a sample's sent vector is a row of it
         for k, (time, new) in enumerate(zip(times, moved)):
             if new:
                 memory = cur[:, k].copy()
-            self.series.append((time, memory, states[:, 1, k].copy()))
+            self.series.append((time, memory, sent[k]))
         if len(self.series) > _MAX_SAMPLES:
-            self.series = self.series[::2]
+            # the kept rows move to one new block, so the blocks of the
+            # samples a halving drops are freed
+            kept = self.series[::2]
+            block = np.array([row for _, _, row in kept])
+            self.series = [(time, memory, row) for (time, memory, _), row in zip(kept, block)]
             self._stride *= 2
 
     # ------------------------------------------------------------------ #

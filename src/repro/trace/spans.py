@@ -204,24 +204,24 @@ class _OpenSpan:
         self.group_size = group_size
         self.ranks = ranks
         self.ts_open = ts_open
-        self.excl = np.zeros((p, len(SPAN_FIELDS)))
+        self.excl = np.zeros((len(SPAN_FIELDS), p))
 
 
 def model_time(params: MachineParams, state: np.ndarray) -> Any:
     """Modeled critical-path time γF + βW + νQ + αS of a counter state
-    ``state[rank, field]`` (fields in :data:`SPAN_FIELDS` order) from its
-    maxima over ranks, as a float — or of states ``state[rank, field, k]``,
+    ``state[field, rank]`` (fields in :data:`SPAN_FIELDS` order) from its
+    maxima over ranks, as a float — or of states ``state[field, rank, k]``,
     as a list."""
-    peaks = _max(state, axis=0).tolist()
-    words = _max(state[:, 1] + state[:, 2], axis=0).tolist()
-    if state.ndim == 2:
-        return params.time(peaks[0], words, peaks[3], peaks[4])
-    return [params.time(*point) for point in zip(peaks[0], words, peaks[3], peaks[4])]
+    peaks = _max(state, axis=1)
+    words = _max(state[1] + state[2], axis=0)
+    # elementwise: the IEEE operations of ``params.time`` on each point's floats
+    time = params.time(peaks[0], words, peaks[3], peaks[4])
+    return float(time) if state.ndim == 2 else time.tolist()
 
 
 def field_arrays(state: np.ndarray) -> dict[str, np.ndarray]:
-    """A ``(rank, field)`` state as per-field arrays (copies; S as int64)."""
-    return {f: col.astype(np.int64 if f == "supersteps" else np.float64) for f, col in zip(SPAN_FIELDS, state.T)}
+    """A ``(field, rank)`` state as per-field arrays (copies; S as int64)."""
+    return {f: row.astype(np.int64 if f == "supersteps" else np.float64) for f, row in zip(SPAN_FIELDS, state)}
 
 
 class SpanRecorder:
@@ -239,12 +239,12 @@ class SpanRecorder:
         self.p = len(store)  # type: ignore[arg-type]
         self.events: list[SpanEvent] = []
         self._stack: list[_OpenSpan] = []
-        #: per-path ``(rank, field)`` exclusive sums, in first-open order
+        #: per-path ``(field, rank)`` exclusive sums, in first-open order
         self._buckets: dict[str, np.ndarray] = {}
         self._calls: dict[str, int] = {}
         #: chronological re-accumulation of every attributed segment delta;
         #: bit-equality with the live store is the no-orphan guarantee
-        self._chron = np.zeros((self.p, len(SPAN_FIELDS)))
+        self._chron = np.zeros((len(SPAN_FIELDS), self.p))
         self._mark = self._now()
         #: the recorder of a charge log that holds unlanded entries: span
         #: opens and closes become its ordering points, since the live
@@ -255,14 +255,14 @@ class SpanRecorder:
     # store access
 
     def _now(self) -> np.ndarray:
-        """The live ``(rank, field)`` state (a float64 copy: S is exact)."""
+        """The live ``(field, rank)`` state (a float64 copy: S is exact)."""
         store: Any = self._store
-        return np.array([store.field_array(f) for f in SPAN_FIELDS], dtype=np.float64).T
+        return np.array([store.field_array(f) for f in SPAN_FIELDS], dtype=np.float64)
 
     def _bucket(self, path: str) -> np.ndarray:
         bucket = self._buckets.get(path)
         if bucket is None:
-            bucket = self._buckets[path] = np.zeros((self.p, len(SPAN_FIELDS)))
+            bucket = self._buckets[path] = np.zeros((len(SPAN_FIELDS), self.p))
             self._calls.setdefault(path, 0)
         return bucket
 
@@ -288,8 +288,8 @@ class SpanRecorder:
     def _emit(self, closed: list[tuple[_OpenSpan, float]]) -> None:
         """Record the :class:`SpanEvent` of each ``(span, close time)``, in order."""
         excl = np.array([span.excl for span, _ in closed])
-        peaks = _max(excl, axis=1).tolist()
-        words = _max(excl[:, :, 1] + excl[:, :, 2], axis=1).tolist()
+        peaks = _max(excl, axis=2).tolist()
+        words = _max(excl[:, 1] + excl[:, 2], axis=1).tolist()
         for (span, ts_close), peak, w in zip(closed, peaks, words):
             self._calls[span.path] = self._calls.get(span.path, 0) + 1
             self.events.append(
@@ -311,7 +311,7 @@ class SpanRecorder:
     def flush(self) -> np.ndarray:
         """Attribute the counters-since-mark segment to the innermost open
         span (or the untraced bucket) and advance the watermark.  Returns
-        the current ``(rank, field)`` counter state."""
+        the current ``(field, rank)`` counter state."""
         now = self._now()
         self._attribute(now - self._mark)
         self._mark = now
@@ -341,12 +341,12 @@ class SpanRecorder:
     def replay(self, marks: list, states: np.ndarray) -> None:
         """A flushed charge log's span opens (``marks[k]`` its ``(name,
         group size, ranks)``) and closes (``None``), the counter state at
-        each being ``states[:, :, k]``: bit-identical to an :meth:`open` /
-        :meth:`close` there."""
+        each being ``states[:, :, k]`` (``(field, rank)``): bit-identical to
+        an :meth:`open` / :meth:`close` there."""
         if not marks:
             return
         points = states.transpose(2, 0, 1)
-        deltas = np.empty(points.shape)
+        deltas = np.empty(points.shape)  # a point's delta is a contiguous row
         np.subtract(points[0], self._mark, out=deltas[0])
         np.subtract(points[1:], points[:-1], out=deltas[1:])
         closed = []
@@ -380,7 +380,7 @@ class SpanRecorder:
         not bit-identical to the live counters ([] = exact attribution:
         nothing double-charged, nothing orphaned)."""
         now = self.flush()
-        return [f for f, chron, live in zip(SPAN_FIELDS, self._chron.T, now.T)
+        return [f for f, chron, live in zip(SPAN_FIELDS, self._chron, now)
                 if not np.array_equal(chron, live)]
 
     def breakdown(self) -> "SpanBreakdown":

@@ -3,14 +3,15 @@
 ``tests/data/chase_observed_digests.json`` holds these digests as captured
 at the last commit that still had the per-step chase path: real ``rect_qr``
 / ``carma_matmul`` calls per chase step on a ``spans=True, metrics=True``
-machine.  Three re-captures since, each of one kind of digest: ``metrics``
+machine.  Four re-captures since, each of one kind of digest: ``metrics``
 when every comm charge began to name its wire pattern (the heat map
 stopped being fitted), ``spectrum`` when full-to-band began to factor
 each panel with one sequential QR and to replay its ``rect_qr`` /
 ``carma_matmul`` charges from kernel tapes (eigenvalues moved at rounding
-level, ≤ 0.04 n·ε·‖A‖₂), and ``spectrum`` again when the local Householder
-QR moved onto LAPACK's ``dgeqrf`` (≤ 0.041 n·ε·‖A‖₂).  No counter or span
-digest has moved.
+level, ≤ 0.04 n·ε·‖A‖₂), ``spectrum`` again when the local Householder
+QR moved onto LAPACK's ``dgeqrf`` (≤ 0.041 n·ε·‖A‖₂), and ``spectrum``
+once more when the sequential finish moved onto LAPACK's ``dsbtrd`` +
+``dstebz`` (≤ 0.032 n·ε·‖A‖₂).  No counter or span digest has moved.
 ``tests/test_chase_batch.py`` asserts the single chase loop reproduces
 them; regenerate (``PYTHONPATH=src python tests/chase_digests.py``) only
 when a charge legitimately changes.

@@ -4,7 +4,7 @@ This is the accounting engine as it stood before it was vectorised: one
 :class:`RankCounters` object per rank, updated by plain Python loops.  It
 left ``src/`` when :class:`~repro.bsp.counters.CounterArray` became the only
 store there, and stays under ``tests/`` (beside ``flow_oracle.py`` and
-``sturm_oracle.py``) as the oracle the equivalence tests compare the live
+``replay_oracle.py``) as the oracle the equivalence tests compare the live
 store against, bit for bit and per rank.
 
 Bit-identity can hold because every charged *value* is computed upstream of

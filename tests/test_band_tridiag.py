@@ -1,43 +1,47 @@
-"""Band→tridiagonal in band storage: both sides of the band-width switch
-(Givens sweeps up to ``GIVENS_MAX_BANDWIDTH``, Householder chase above)."""
+"""Band→tridiagonal in band storage (LAPACK ``dsbtrd``): the tridiagonal
+has the band's spectrum to a backward error of c·n·ε·‖A‖₂ against
+``np.linalg.eigvalsh``, and its Frobenius norm."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg.band_tridiag import (
-    GIVENS_MAX_BANDWIDTH,
-    band_to_tridiagonal_storage,
-    extract_band,
-)
-from repro.util.matrices import random_banded_symmetric
+from repro.linalg.band_tridiag import band_to_tridiagonal_storage, extract_band
+from repro.util.matrices import clustered_spectrum, random_banded_symmetric, random_spectrum_symmetric
 
-from tests.sbr_oracle import band_reduce_seq
+from tests.helpers import wilkinson
+from tests.sbr_oracle import band_reduce_seq, full_to_band_seq
 
 EPS = np.finfo(np.float64).eps
-#: backward-error budget in multiples of n·ε·‖A‖₂ (worst seen over 3000 random (n, b, seed): 1.4)
+#: backward-error budget in multiples of n·ε·‖A‖₂
 C = 8.0
 
 
-def tridiagonal_spectrum(d, e):
-    if d.size == 1:
-        return d.copy()
-    return scipy.linalg.eigvalsh_tridiagonal(d, e)
+def band_matrix(data):
+    """The dense symmetric matrix whose lower band storage is ``data``."""
+    n = data.shape[1]
+    a = np.zeros((n, n))
+    for k in range(min(data.shape[0], n)):
+        idx = np.arange(n - k)
+        a[idx + k, idx] = a[idx, idx + k] = data[k, : n - k]
+    return a
+
+
+def tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 def assert_reduces(data, b):
-    """(d, e) has the band's spectrum (LAPACK's banded solver as oracle),
-    the band's Frobenius norm, and the input is left alone."""
+    """(d, e) has the band's spectrum and Frobenius norm, and the input is
+    left alone."""
     n = data.shape[1]
     keep = data.copy()
     d, e = band_to_tridiagonal_storage(data, b)
     assert np.array_equal(data, keep)
     assert d.shape == (n,) and e.shape == (max(0, n - 1),)
-    # scipy's lower banded form is this repo's: ab[i − j, j] = A[i, j]
-    ref = scipy.linalg.eigvals_banded(data[: min(b, n - 1) + 1], lower=True)
+    ref = np.linalg.eigvalsh(band_matrix(data))
     norm2 = np.abs(ref).max()
-    assert np.abs(tridiagonal_spectrum(d, e) - ref).max() <= C * n * EPS * norm2
+    assert np.abs(np.linalg.eigvalsh(tridiagonal(d, e)) - ref).max() <= C * n * EPS * norm2
     # frobenius: each off-diagonal entry of the symmetric matrix counts twice
     want = np.sqrt((data[0] ** 2).sum() + 2.0 * sum(
         (data[k, : n - k] ** 2).sum() for k in range(1, min(b, n - 1) + 1)))
@@ -46,18 +50,14 @@ def assert_reduces(data, b):
     return d, e
 
 
-def test_switch_sits_between_the_benchmarked_widths():
-    # chase_large / chase_observed gather at b = 2 / 4, finish_wide at 24
-    assert 4 <= GIVENS_MAX_BANDWIDTH < 24
-
-
 @pytest.mark.parametrize("b", [2, 4, 5, 6, 8, 24])
 @pytest.mark.parametrize("n", [31, 64])
-def test_random_band_both_sides_of_the_switch(n, b):
+def test_random_band(n, b):
     assert_reduces(extract_band(random_banded_symmetric(n, b, seed=n + b), b), b)
 
 
 @pytest.mark.parametrize("n,b", [
+    (1, 0), (1, 3),                          # one row
     (2, 1), (2, 2), (3, 2), (3, 5),          # n ∈ {2, 3}
     (5, 4), (7, 6), (9, 8), (25, 24),        # b = n − 1
     (6, 7), (8, 8), (4, 24),                 # n ≤ b: diagonals past the corner
@@ -89,22 +89,30 @@ def test_already_tridiagonal_passes_through(b):
     assert np.array_equal(d, data[0]) and np.array_equal(e, data[1, : n - 1])
 
 
+@pytest.mark.parametrize("b", [1, 5])
+def test_wilkinson_and_clusters(b):
+    """W⁺₂₁'s near-double eigenvalues, and four clusters of spread 1e-8
+    behind a dense band."""
+    assert_reduces(extract_band(wilkinson(21), b), b)
+    a = random_spectrum_symmetric(clustered_spectrum(48, 4, 1e-8, seed=b), seed=b)
+    assert_reduces(extract_band(full_to_band_seq(a, b), b), b)
+
+
 @pytest.mark.parametrize("b", [4, 8, 24])
-@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("scale", [1e-150, 1e150, -1e150])
 def test_extreme_scale(b, scale):
     data = extract_band(random_banded_symmetric(40, b, seed=b), b) * scale
     d, e = assert_reduces(data, b)
     assert np.isfinite(d).all() and np.isfinite(e).all()
 
 
-@pytest.mark.parametrize("b", [6, 12])
-def test_householder_chase_is_the_h1_chase_of_algorithm_iv2(b):
-    """Same index algebra as ``chase_steps(n, b, 1)``: the dense reference
-    ``band_reduce_seq(a, b, 1)`` yields the same tridiagonal up to the sign
-    of each off-diagonal entry (reflector sign conventions differ).  The
-    entries of a tridiagonal form are not backward-stable quantities the way
-    its spectrum is, hence the loose tolerance; another elimination order
-    would differ in the first digit."""
+@pytest.mark.parametrize("b", [2, 5, 6, 12])
+def test_agrees_with_the_h1_chase_of_algorithm_iv2(b):
+    """The dense reference ``band_reduce_seq(a, b, 1)`` yields the same
+    tridiagonal up to the sign of each off-diagonal entry: both keep e₁
+    fixed, so the implicit-Q theorem makes (d, |e|) unique.  The entries of
+    a tridiagonal form are not backward-stable quantities the way its
+    spectrum is, hence the loose tolerance."""
     n = 41
     a = random_banded_symmetric(n, b, seed=b)
     d, e = band_to_tridiagonal_storage(extract_band(a, b), b)

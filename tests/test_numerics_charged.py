@@ -5,7 +5,8 @@ number a runtime gate reads, so this check is its only killer (EXPERIMENTS.md
 § "Kill matrix").  Outside ``bsp/kernels.py`` (the charged kernels) and
 ``util/validation.py`` (cost-free oracles) it flags ``@`` / ``@=``,
 ``np.{dot, matmul, vdot, inner, outer, einsum, tensordot, kron, cross}``, any
-``.dot(`` call, and ``numpy.linalg`` / ``scipy.linalg`` calls or names
+``.dot(`` call, and ``numpy.linalg`` / ``scipy.linalg`` /
+``repro.linalg.lapack`` (the ``ctypes`` LAPACK binding) calls or names
 imported from them.  ``# cost: free(<reason>)`` on the line, or
 ``# cost: free-module(<reason>)`` anywhere in the module, waives a finding;
 a malformed pragma, an empty reason or a parse error is itself a finding.
@@ -24,7 +25,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 EXEMPT = ("bsp/kernels.py", "util/validation.py")
 FLOP_FUNCS = {"dot", "matmul", "vdot", "inner", "outer", "einsum", "tensordot", "kron", "cross"}
-LINALG = ("numpy.linalg", "scipy.linalg")
+LINALG = ("numpy.linalg", "scipy.linalg", "repro.linalg.lapack")
 # the reason may itself contain parentheses: match greedily to the last ')'
 _PRAGMA = re.compile(r"#\s*cost:\s*(free-module|free)\s*\((.*)\)\s*$")
 
@@ -56,7 +57,7 @@ def scan_source(source: str, path: str) -> list[str]:
             module_free = True
         else:
             waived.add(tok.start[0])
-    # names bound to numpy / scipy, to their linalg modules, and imported from those
+    # names bound to numpy / scipy, to the LINALG modules, and imported from those
     pkgs, linalg, names = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -65,10 +66,10 @@ def scan_source(source: str, path: str) -> list[str]:
                     linalg.add(alias.asname)
                 elif (top := alias.name.split(".")[0]) in ("numpy", "scipy"):
                     pkgs.add(alias.asname or top)
-        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "scipy"):
-            linalg.update(a.asname or a.name for a in node.names if a.name == "linalg")
         elif isinstance(node, ast.ImportFrom) and node.module in LINALG:
             names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            linalg.update(a.asname or a.name for a in node.names if f"{node.module}.{a.name}" in LINALG)
 
     def flag(node: ast.AST, what: str) -> None:
         if not module_free and node.lineno not in waived:
@@ -104,7 +105,9 @@ def test_shipped_tree_is_clean():
     "source", ["c = a @ b", "c @= b", "c = a.dot(b)", "c = (a.T).dot(b)", "w = np.linalg.eigvalsh(a)"]
     + [f"c = np.{fn}(a, b)" for fn in sorted(FLOP_FUNCS)]
     + ["import scipy.linalg\nw = scipy.linalg.eigh(a)", "from numpy.linalg import svd\nu = svd(a)",
-       "from scipy import linalg as sl\nq = sl.qr(a)", "import numpy.linalg as la\nq = la.qr(a)"],
+       "from scipy import linalg as sl\nq = sl.qr(a)", "import numpy.linalg as la\nq = la.qr(a)",
+       "from repro.linalg.lapack import dstebz\nw = dstebz(d, e)",
+       "from repro.linalg import lapack\nw = lapack.dstebz(d, e)"],
 )
 def test_each_uncharged_form_is_flagged(source):
     assert len(scan_source("import numpy as np\n" + source + "\n", "m.py")) == 1
