@@ -16,15 +16,17 @@ multiplies).
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.bsp.group import RankGroup
 from repro.bsp.machine import BSPMachine
 from repro.bsp.pattern import uniform
-from repro.blocks.matmul import carma_matmul
-from repro.blocks.square_qr import square_qr
+from repro.blocks.matmul import carma_matmul, carma_schedule
+from repro.blocks.square_qr import square_qr, square_qr_schedule
 from repro.blocks.square_qr_25d import square_qr_25d
-from repro.blocks.tsqr import reconstruct_householder
+from repro.blocks.tsqr import reconstruct_householder, reconstruct_schedule
 from repro.linalg.householder import expand_q
 
 
@@ -36,16 +38,12 @@ def default_qmax(p: int, m: int, n: int, delta: float = 0.5) -> int:
     return max(1, int(np.ceil(p * n / m * lg ** (1.0 / delta))))
 
 
-def _rect_qr_thin(
-    machine: BSPMachine,
-    group: RankGroup,
-    a: np.ndarray,
-    qmax: int,
-    delta: float,
-    base25d: bool,
-    tag: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    m, n = a.shape
+def _rect_qr_thin(machine: BSPMachine, group: RankGroup, a: np.ndarray | None, shape: tuple[int, int],
+                  qmax: int, delta: float, base25d: bool, tag: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lines 1–11 on an m×n panel: its thin Q and R — or, with ``a`` None,
+    only the charges of ``shape``'s factorization (the walk a kernel tape
+    records, :func:`rect_qr_schedule`)."""
+    m, n = shape
     g = group.size
 
     # Base cases (lines 1–2).  The 2.5D base case is opt-in: its replicated
@@ -53,6 +51,9 @@ def _rect_qr_thin(
     # blocks the eigensolvers produce (see bench_ablation.py).
     if g == 1 or m <= 2 * n:
         sub = group.take(min(g, max(1, qmax)))
+        if a is None:
+            square_qr_schedule(machine, sub, m, n)
+            return None
         if base25d and delta > 0.5 and sub.size >= 8:
             u, t, r = square_qr_25d(machine, sub, a, delta=delta, tag=f"{tag}:base25")
         else:
@@ -67,27 +68,48 @@ def _rect_qr_thin(
 
     # Lines 5–6: concurrent recursive QRs (disjoint groups — costs land on
     # their own ranks, so sequential execution models concurrency).
-    ws: list[np.ndarray] = []
-    rs: list[np.ndarray] = []
-    for i, sub in enumerate(subgroups):
-        ai = a[offs[i] : offs[i + 1], :]
-        wi, ri = _rect_qr_thin(machine, sub, ai, qmax, delta, base25d, tag=f"{tag}:leaf{i}")
-        ws.append(wi)
-        rs.append(ri)
+    leaves = [
+        _rect_qr_thin(machine, sub, None if a is None else a[offs[i] : offs[i + 1], :],
+                      (sizes[i], n), qmax, delta, base25d, tag=f"{tag}:leaf{i}")
+        for i, sub in enumerate(subgroups)
+    ]
 
-    # Line 7: recursive QR of the stacked R factors on the whole group.
-    stacked = np.vstack(rs)
-    z, r_final = _rect_qr_thin(machine, group, stacked, qmax, delta, base25d, tag=f"{tag}:stack")
+    # Line 7: recursive QR of the stacked R factors (n×n each) on the whole group.
+    stacked = None if a is None else np.vstack([leaf[1] for leaf in leaves])  # type: ignore[index]
+    top = _rect_qr_thin(machine, group, stacked, (r_parts * n, n), qmax, delta, base25d,
+                        tag=f"{tag}:stack")
 
     # Lines 9–11: Q_i = W_i · Z_i, concurrent per subset.
     q_blocks: list[np.ndarray] = []
-    for i, sub in enumerate(subgroups):
-        zi = z[i * n : (i + 1) * n, :]
-        q_blocks.append(
-            carma_matmul(machine, sub, ws[i], zi, charge_redistribution=False)
-        )
+    for i, (sub, leaf) in enumerate(zip(subgroups, leaves)):
+        if top is None:
+            carma_schedule(machine, sub, (sizes[i], n), (n, n), charge_redistribution=False)
+        else:
+            zi = top[0][i * n : (i + 1) * n, :]
+            q_blocks.append(carma_matmul(machine, sub, leaf[0], zi, charge_redistribution=False))  # type: ignore[index]
     machine.superstep(group, 1)
-    return np.vstack(q_blocks), r_final
+    return None if top is None else (np.vstack(q_blocks), top[1])
+
+
+def _rect_qr(machine: BSPMachine, group: RankGroup, a: np.ndarray | None, shape: tuple[int, int],
+             qmax: int | None = None, delta: float = 0.5, base25d: bool = False,
+             charge_redistribution: bool = True, tag: str = "rect_qr") -> Any:
+    """:func:`rect_qr` on ``a``, or with ``a`` None its charges alone."""
+    m, n = shape
+    if m < n:
+        raise ValueError(f"rect_qr requires m >= n, got {shape}")
+    machine.check_group(group)
+    if qmax is None:
+        qmax = default_qmax(group.size, m, n, delta)
+    with machine.span("rect_qr", group=group):
+        if charge_redistribution and group.size > 1:
+            per_rank = m * n / group.size
+            machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(group.size))
+            machine.superstep(group, 1)
+        thin = _rect_qr_thin(machine, group, a, shape, qmax, delta, base25d, tag)
+        if thin is None:
+            return reconstruct_schedule(machine, group, m, n)
+        return reconstruct_householder(machine, group, *thin)
 
 
 def rect_qr(
@@ -107,16 +129,11 @@ def rect_qr(
     S = O((np/m)^δ log² p).
     """
     a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"rect_qr requires m >= n, got {a.shape}")
-    machine.check_group(group)
-    if qmax is None:
-        qmax = default_qmax(group.size, m, n, delta)
-    with machine.span("rect_qr", group=group):
-        if charge_redistribution and group.size > 1:
-            per_rank = m * n / group.size
-            machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(group.size))
-            machine.superstep(group, 1)
-        q_thin, r = _rect_qr_thin(machine, group, a, qmax, delta, base25d, tag)
-        return reconstruct_householder(machine, group, q_thin, r)
+    return _rect_qr(machine, group, a, a.shape, qmax, delta, base25d, charge_redistribution, tag)
+
+
+def rect_qr_schedule(machine: BSPMachine, group: RankGroup, shape: tuple[int, int], qmax: int | None = None,
+                     delta: float = 0.5, charge_redistribution: bool = True) -> None:
+    """The charges of :func:`rect_qr` (with the 2-D base case) on an m×n
+    matrix, from its shape alone."""
+    _rect_qr(machine, group, None, shape, qmax, delta, False, charge_redistribution)

@@ -20,7 +20,7 @@ from repro.bsp.group import RankGroup
 from repro.bsp.kernels import matmul_flops
 from repro.bsp.machine import BSPMachine
 from repro.bsp.pattern import uniform
-from repro.blocks.tsqr import tsqr
+from repro.blocks.tsqr import tsqr_factors, tsqr_schedule
 from repro.linalg.householder import apply_block_reflector_left
 
 
@@ -40,6 +40,29 @@ def _charged_trailing_update(
     machine.mem_stream(group[0], float(rows * nb + nb * cols + rows * cols) / g)
 
 
+def _panel_width(n: int, g: int) -> int:
+    """The default panel width n/√g."""
+    return max(1, int(np.ceil(n / max(1.0, np.sqrt(g)))))
+
+
+def square_qr_schedule(
+    machine: BSPMachine, group: RankGroup, m: int, n: int, panel: int | None = None
+) -> None:
+    """The charges of :func:`square_qr` on an m×n matrix, from its shape
+    alone: per panel, a TSQR on the group, the trailing update and the
+    T-merge."""
+    g = group.size
+    panel = _panel_width(n, g) if panel is None else panel
+    with machine.span("square_qr", group=group):
+        for j0 in range(0, n, panel):
+            nb = min(panel, n - j0)
+            tsqr_schedule(machine, group, m - j0, nb)
+            if j0 + nb < n:
+                _charged_trailing_update(machine, group, m - j0, nb, n - j0 - nb)
+            if j0 > 0:
+                machine.charge_flops(group, matmul_flops(j0, m - j0, nb) / g)
+
+
 def square_qr(
     machine: BSPMachine,
     group: RankGroup,
@@ -56,31 +79,26 @@ def square_qr(
     if m < n:
         raise ValueError(f"square_qr requires m >= n, got {a.shape}")
     machine.check_group(group)
-    g = group.size
-    if panel is None:
-        panel = max(1, int(np.ceil(n / max(1.0, np.sqrt(g)))))
+    panel = _panel_width(n, group.size) if panel is None else panel
+    square_qr_schedule(machine, group, m, n, panel)
 
     u = np.zeros((m, n))
     t = np.zeros((n, n))
-    with machine.span("square_qr", group=group):
-        for j0 in range(0, n, panel):
-            j1 = min(j0 + panel, n)
-            nb = j1 - j0
-            # Panel QR by TSQR on the group (rank count self-limits to rows/nb).
-            up, tp, rp = tsqr(machine, group, a[j0:, j0:j1])
-            a[j0 : j0 + nb, j0:j1] = rp
-            a[j0 + nb :, j0:j1] = 0.0
-            # Trailing update A[j0:, j1:] ← Qᵀ A[j0:, j1:]: two thin products,
-            # charged as group-distributed matmuls.
-            if j1 < n:
-                _charged_trailing_update(machine, group, m - j0, nb, n - j1)
-                a[j0:, j1:] = apply_block_reflector_left(up, tp, a[j0:, j1:], transpose=True)
-            # Merge the panel reflectors into the aggregated (U, T).
-            u[j0:, j0:j1] = up
-            if j0 > 0:
-                cross = u[j0:, :j0].T @ up  # cost: free(charged via matmul_flops two lines below)
-                t[:j0, j0:j1] = -t[:j0, :j0] @ cross @ tp  # cost: free(lower-order T-merge; dominant product charged below)
-                machine.charge_flops(group, matmul_flops(j0, m - j0, nb) / g)
-            t[j0:j1, j0:j1] = tp
+    for j0 in range(0, n, panel):
+        j1 = min(j0 + panel, n)
+        nb = j1 - j0
+        # Panel QR by TSQR on the group (rank count self-limits to rows/nb).
+        up, tp, rp = tsqr_factors(a[j0:, j0:j1], group.size)
+        a[j0 : j0 + nb, j0:j1] = rp
+        a[j0 + nb :, j0:j1] = 0.0
+        # Trailing update A[j0:, j1:] ← Qᵀ A[j0:, j1:] (two thin products).
+        if j1 < n:
+            a[j0:, j1:] = apply_block_reflector_left(up, tp, a[j0:, j1:], transpose=True)
+        # Merge the panel reflectors into the aggregated (U, T).
+        u[j0:, j0:j1] = up
+        if j0 > 0:
+            cross = u[j0:, :j0].T @ up  # cost: free(charged via matmul_flops in square_qr_schedule)
+            t[:j0, j0:j1] = -t[:j0, :j0] @ cross @ tp  # cost: free(lower-order T-merge; dominant product charged in square_qr_schedule)
+        t[j0:j1, j0:j1] = tp
     r = np.triu(a[:n, :])
     return u, t, r

@@ -10,10 +10,13 @@ pair ``(U, T)`` — the representation the eigensolvers aggregate.
 
 All tree nodes perform *real* factorizations of the actual data, so the
 returned factors are bit-for-bit those of the distributed algorithm.  The
-eigensolver stages use the kernel (inside ``rect_qr``) for its charges:
-recorded once per shape onto a kernel tape (:mod:`repro.bsp.batch`) and,
-under fault injection, run live on the real panel.  Their panels' factors
-come from one sequential compact-WY QR.
+charges depend on the shape and the group size alone: each kernel charges
+them from its shape (:func:`tsqr_schedule`) and then runs the numerics
+uncharged.  The eigensolver stages use the kernel (inside ``rect_qr``) for
+its charges: its schedule is recorded once per shape and group size onto a
+kernel tape (:mod:`repro.bsp.batch`) and, under fault injection, the kernel
+runs live on the real panel.  Their panels' factors come from one
+sequential compact-WY QR.
 """
 
 from __future__ import annotations
@@ -21,12 +24,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bsp.group import RankGroup
-from repro.bsp.kernels import local_matmul, qr_flops
+from repro.bsp.kernels import matmul_flops, qr_flops
 from repro.bsp.machine import BSPMachine
 from repro.bsp.pattern import pairs, tree_level, uniform
 from repro.linalg.householder import compact_wy_qr, expand_q
 from repro.linalg.reconstruct import householder_reconstruct
 from repro.util.intlog import chunk_offsets, split_evenly
+
+
+def reconstruct_schedule(machine: BSPMachine, group: RankGroup, m: int, n: int) -> None:
+    """The charges of :func:`reconstruct_householder` on an m×n thin Q,
+    from its shape alone."""
+    g = group.size
+    with machine.span("reconstruct", group=group):
+        machine.charge_flops(group, 4.0 * m * n * n / g + (2.0 / 3.0) * n**3 / g)
+        if g > 1:
+            # Q's rows never move: the LU runs on the n×n top block and each
+            # rank forms its rows of U = Y·W₁⁻¹ locally after a W₁ broadcast.
+            per_rank = n * n / np.sqrt(g)
+            machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(g))
+            machine.superstep(group, max(1, int(np.ceil(np.log2(g)))))
+        machine.mem_stream(group[0], float(m * n + n * n))  # U and T written
 
 
 def reconstruct_householder(
@@ -44,20 +62,99 @@ def reconstruct_householder(
     top block plus triangular-solve matmuls over the group — flops
     O(mn²/g), horizontal words O(mn/g + n²/√g), O(log g) supersteps.
     """
-    m, n = q_thin.shape
     u, t, s = householder_reconstruct(q_thin)
-    r_signed = s[:, None] * r
-    g = group.size
-    with machine.span("reconstruct", group=group):
-        machine.charge_flops(group, 4.0 * m * n * n / g + (2.0 / 3.0) * n**3 / g)
-        if g > 1:
-            # Q's rows never move: the LU runs on the n×n top block and each
-            # rank forms its rows of U = Y·W₁⁻¹ locally after a W₁ broadcast.
-            per_rank = n * n / np.sqrt(g)
-            machine.charge_comm_batch(group, per_rank, per_rank, pattern=uniform(g))
-            machine.superstep(group, max(1, int(np.ceil(np.log2(g)))))
-        machine.mem_stream(group[0], float(u.size + t.size))
-    return u, t, r_signed
+    reconstruct_schedule(machine, group, *q_thin.shape)
+    return u, t, s[:, None] * r
+
+
+def _charge_tsqr(machine: BSPMachine, grp: RankGroup, m: int, n: int) -> None:
+    """Charge TSQR of an m×n matrix with one row block per rank of ``grp``:
+    the leaf QRs, the reduction tree, the downward pass and the leaf
+    products ``Q_leaf·Z``."""
+    p_eff = grp.size
+    if p_eff == 1:
+        machine.charge_flops(grp[0], qr_flops(m, n))
+        machine.mem_stream(grp[0], float(2 * m * n + n * n))  # A read; U and R written
+        return
+    sizes = split_evenly(m, p_eff)
+    # Leaf QRs (concurrent; each rank factors its block).
+    for idx, sz in enumerate(sizes):
+        machine.charge_flops(grp[idx], qr_flops(sz, n))
+        machine.mem_stream(grp[idx], float(sz * n + n * n))
+    machine.superstep(grp, 1)
+    # Reduction tree: node owners are the even-index ranks of each level.
+    tri_words = float(n * (n + 1) // 2)
+    owners = list(range(p_eff))
+    while len(owners) > 1:
+        for ia, ib in zip(owners[::2], owners[1::2]):
+            machine.charge_comm(grp[ib], tri_words, grp[ia], tri_words, pattern=pairs(1))
+            machine.charge_flops(grp[ia], qr_flops(2 * n, n))
+            machine.mem_stream(grp[ia], float(3 * n * n))
+        owners = owners[::2]
+        machine.superstep(grp, 1)
+    # Downward pass: one n×n block per tree edge, charged uniformly (each
+    # rank touches O(1) edges per level), on the leaf-level edges, where
+    # every rank has one.
+    per_rank = float(n * n)
+    machine.charge_comm_batch(grp, per_rank, per_rank, pattern=tree_level(p_eff, 0))
+    machine.superstep(grp, max(1, int(np.ceil(np.log2(p_eff)))))
+    # Leaf products Q_leaf·Z: both operands read, the output written.
+    for idx, sz in enumerate(sizes):
+        machine.charge_flops(grp[idx], matmul_flops(sz, n, n))
+        machine.mem_stream(grp[idx], float(sz * n))
+        machine.mem_stream(grp[idx], float(n * n))
+        machine.mem_stream(grp[idx], float(sz * n))
+    machine.superstep(grp, 1)
+
+
+def _tsqr_factors(a: np.ndarray, p_eff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The thin Q and R of ``a`` by TSQR over ``p_eff`` row blocks (the
+    numerics :func:`_charge_tsqr` charges)."""
+    m, n = a.shape
+    if p_eff == 1:
+        u, t, r = compact_wy_qr(a)
+        return expand_q(u, t), r
+    sizes = split_evenly(m, p_eff)
+    leaf_q: list[np.ndarray] = []
+    nodes: list[np.ndarray] = []
+    for o, sz in zip(chunk_offsets(sizes), sizes):
+        u, t, r = compact_wy_qr(a[o : o + sz, :])
+        leaf_q.append(expand_q(u, t))
+        nodes.append(r)
+    # Reduction tree: pairs of R factors are stacked and re-factored.
+    tree_qs: list[list[np.ndarray | None]] = []
+    while len(nodes) > 1:
+        level_qs: list[np.ndarray | None] = []
+        nxt: list[np.ndarray] = []
+        for ra, rb in zip(nodes[::2], nodes[1::2]):
+            u, t, r = compact_wy_qr(np.vstack([ra, rb]))
+            level_qs.append(expand_q(u, t))
+            nxt.append(r)
+        if len(nodes) % 2:
+            nxt.append(nodes[-1])
+            level_qs.append(None)
+        tree_qs.append(level_qs)
+        nodes = nxt
+    # Downward pass: expand the implicit Q; leaves then form Q_leaf · Z.
+    zs: list[np.ndarray] = [np.eye(n)]
+    for level_qs in reversed(tree_qs):
+        new_zs: list[np.ndarray] = []
+        for qnode, z in zip(level_qs, zs):
+            if qnode is None:
+                new_zs.append(z)
+            else:
+                prod = qnode @ z  # cost: free(explicit-Q expansion is simulation-only; Lemma III.4 charges the implicit tree QR)
+                new_zs.append(prod[:n, :])
+                new_zs.append(prod[n:, :])
+        zs = new_zs
+    q_blocks = [qleaf @ z for qleaf, z in zip(leaf_q, zs)]  # cost: free(charged by _charge_tsqr)
+    return np.vstack(q_blocks), nodes[0]
+
+
+def _leaves(group_size: int, m: int, n: int) -> int:
+    """How many ranks TSQR of an m×n matrix uses: at most ``m // n``, so
+    every leaf block is at least as tall as it is wide."""
+    return max(1, min(group_size, m // n))
 
 
 def tsqr_thin(
@@ -75,87 +172,10 @@ def tsqr_thin(
     if m < n:
         raise ValueError(f"tsqr requires m >= n, got {a.shape}")
     machine.check_group(group)
-    p_eff = max(1, min(group.size, m // n))
-    grp = group.take(p_eff)
-
+    grp = group.take(_leaves(group.size, m, n))
     with machine.span("tsqr", group=grp):
-        if p_eff == 1:
-            rank = grp[0]
-            u, t, r = compact_wy_qr(a)
-            machine.charge_flops(rank, qr_flops(m, n))
-            machine.mem_stream(rank, float(a.size + u.size + r.size))
-            return expand_q(u, t), r
-
-        sizes = split_evenly(m, p_eff)
-        offs = chunk_offsets(sizes)
-        # Leaf QRs (concurrent; each rank factors its block).
-        leaf_q: list[np.ndarray] = []
-        rs: list[np.ndarray] = []
-        for idx, (o, sz) in enumerate(zip(offs, sizes)):
-            rank = grp[idx]
-            u, t, r = compact_wy_qr(a[o : o + sz, :])
-            machine.charge_flops(rank, qr_flops(sz, n))
-            machine.mem_stream(rank, float(sz * n + n * n))
-            leaf_q.append(expand_q(u, t))
-            rs.append(r)
-        machine.superstep(grp, 1)
-
-        # Reduction tree: node owners are the even-index ranks of each level.
-        tri_words = float(n * (n + 1) // 2)
-        nodes: list[tuple[np.ndarray, int]] = [(r, i) for i, r in enumerate(rs)]  # (R, owner idx)
-        tree_qs: list[list[np.ndarray | None]] = []
-        while len(nodes) > 1:
-            nxt: list[tuple[np.ndarray, int]] = []
-            level_qs: list[np.ndarray | None] = []
-            for k in range(0, len(nodes) - 1, 2):
-                (ra, ia), (rb, ib) = nodes[k], nodes[k + 1]
-                machine.charge_comm(grp[ib], tri_words, grp[ia], tri_words, pattern=pairs(1))
-                stacked = np.vstack([ra, rb])
-                u, t, r = compact_wy_qr(stacked)
-                machine.charge_flops(grp[ia], qr_flops(2 * n, n))
-                machine.mem_stream(grp[ia], float(3 * n * n))
-                level_qs.append(expand_q(u, t))
-                nxt.append((r, ia))
-            if len(nodes) % 2:
-                nxt.append(nodes[-1])
-                level_qs.append(None)
-            machine.superstep(grp, 1)
-            tree_qs.append(level_qs)
-            nodes = nxt
-
-        r_final = nodes[0][0]
-
-        # Downward pass: expand the implicit Q.  Each edge sends one n×n block
-        # back to the child owner; leaves then form Q_leaf · Z locally.
-        zs: list[np.ndarray] = [np.eye(n)]
-        for level_qs in reversed(tree_qs):
-            new_zs: list[np.ndarray] = []
-            zi = 0
-            for qnode in level_qs:
-                if qnode is None:
-                    new_zs.append(zs[zi])
-                else:
-                    z = zs[zi]
-                    prod = qnode @ z  # cost: free(explicit-Q expansion is simulation-only; Lemma III.4 charges the implicit tree QR)
-                    new_zs.append(prod[:n, :])
-                    new_zs.append(prod[n:, :])
-                zi += 1
-            zs = new_zs
-        # Communication of the downward pass: one n×n block per tree edge,
-        # charged uniformly (each rank touches O(1) edges per level), on the
-        # leaf-level edges, where every rank has one.
-        if p_eff > 1:
-            per_rank = float(n * n)
-            machine.charge_comm_batch(grp, per_rank, per_rank, pattern=tree_level(p_eff, 0))
-            machine.superstep(grp, max(1, int(np.ceil(np.log2(p_eff)))))
-
-        q_blocks = []
-        for idx, (qleaf, z) in enumerate(zip(leaf_q, zs)):
-            rank = grp[idx]
-            q_blocks.append(local_matmul(machine, rank, qleaf, z))
-        machine.superstep(grp, 1)
-        q_thin = np.vstack(q_blocks)
-    return q_thin, r_final
+        _charge_tsqr(machine, grp, m, n)
+        return _tsqr_factors(a, grp.size)
 
 
 def tsqr(
@@ -170,5 +190,20 @@ def tsqr(
     every QR call site in Section IV relies on.
     """
     q_thin, r = tsqr_thin(machine, group, a)
-    p_eff = max(1, min(group.size, a.shape[0] // a.shape[1]))
-    return reconstruct_householder(machine, group.take(p_eff), q_thin, r)
+    return reconstruct_householder(machine, group.take(_leaves(group.size, *a.shape)), q_thin, r)
+
+
+def tsqr_schedule(machine: BSPMachine, group: RankGroup, m: int, n: int) -> None:
+    """The charges of :func:`tsqr` on an m×n matrix, from its shape alone."""
+    grp = group.take(_leaves(group.size, m, n))
+    with machine.span("tsqr", group=grp):
+        _charge_tsqr(machine, grp, m, n)
+    reconstruct_schedule(machine, grp, m, n)
+
+
+def tsqr_factors(a: np.ndarray, group_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(U, T, R)`` :func:`tsqr` returns on a ``group_size``-rank
+    group, uncharged (the numerics :func:`tsqr_schedule` charges)."""
+    q_thin, r = _tsqr_factors(a, _leaves(group_size, *a.shape))
+    u, t, s = householder_reconstruct(q_thin)
+    return u, t, s[:, None] * r

@@ -32,11 +32,14 @@ that raises.
 ``carma_matmul``) charge, for the two stages that do their numerics
 locally: full-to-band (one rect-QR and four CARMA products per panel) and
 band-to-band (both per chase step).  A kernel's charges depend only on
-operand shapes, the executing group and its charging keyword arguments —
-never on operand values or cache state — so one recording per such key
-serves every machine.  A tape is recorded on a scratch machine whose
-counter store, span recorder and metrics collector are one
-:class:`_Recorder`, the log's own format, so :meth:`ChargeLog.replay` only
+operand shapes, the size of the executing group and its charging keyword
+arguments — never on operand values, cache state or which ranks execute —
+so one recording per such key serves every machine and group.  A tape
+records the kernel's schedule (its charges walked on the operand shapes,
+no numerics) on the world group of a scratch machine of the group's size
+whose counter store, span recorder and metrics collector are one
+:class:`_Recorder`, the log's own format; each executing group replays it
+relabeled (:meth:`FlatTape.relabel`), and :meth:`ChargeLog.replay` only
 appends the tape's columns and its points, shifted.
 """
 
@@ -492,33 +495,73 @@ class FlatTape:
 
     __slots__ = ("events", "points", "payloads")
 
-    def __init__(self, rec: _Recorder):
-        self.events: list[_Event | None] = [
-            (_narrow(ranks), amounts.copy()) if ranks.size else None for ranks, amounts in rec.events()
-        ]
-        self.points = _narrow(rec.points.view()).reshape(-1, _ROW)
-        self.payloads = rec.payloads
+    def __init__(self, events: list[_Event | None], points: np.ndarray, payloads: list):
+        self.events, self.points, self.payloads = events, points, payloads
+
+    @classmethod
+    def of(cls, rec: _Recorder) -> "FlatTape":
+        events = [(_narrow(ranks), amounts.copy()) if ranks.size else None for ranks, amounts in rec.events()]
+        return cls(events, _narrow(rec.points.view()).reshape(-1, _ROW), rec.payloads)
+
+    def relabel(self, group: RankGroup) -> "FlatTape":
+        """This tape, recorded on ranks ``0 … g−1``, as ``group`` charges
+        it: each rank column and span-open rank tuple mapped through the
+        group's ranks (wire patterns are in entry space).  The amounts and
+        points are this tape's own arrays."""
+        idx, ranks = group.indices(), group.ranks
+        events = [None if e is None else (_narrow(idx[e[0]]), e[1]) for e in self.events]
+        payloads = [(p[0], p[1], tuple([ranks[r] for r in p[2]])) if isinstance(p, tuple) and p[2] else p
+                    for p in self.payloads]
+        return FlatTape(events, self.points, payloads)
 
     @property
     def nbytes(self) -> int:
         """Bytes this tape retains: its field arrays, ordering points and
         their payloads."""
-        fields = sum(a.nbytes for event in self.events if event is not None for a in event)
-        return fields + self.points.nbytes + _PAYLOAD_OVERHEAD * len(self.payloads)
+        ranks = sum(event[0].nbytes for event in self.events if event is not None)
+        return ranks + self.shared_nbytes + _PAYLOAD_OVERHEAD * len(self.payloads)
+
+    @property
+    def shared_nbytes(self) -> int:
+        """Bytes of the amount arrays and ordering points, which every
+        relabeled copy of this tape shares."""
+        return sum(event[1].nbytes for event in self.events if event is not None) + self.points.nbytes
+
+
+def _record(schedule: Callable[..., None], params: Any, size: int, shapes: tuple,
+            kwargs: dict) -> FlatTape:
+    """Run ``schedule(scratch, scratch.world, *shapes, **kwargs)`` on a
+    ``size``-rank scratch machine whose counter store, metrics collector and
+    span recorder's log are one recorder."""
+    scratch: Any = BSPMachine(size, params=params, spans=True)
+    rec = _Recorder()
+    scratch.counters = scratch.metrics = scratch.spans.log = rec
+    schedule(scratch, scratch.world, *shapes, **kwargs)
+    return FlatTape.of(rec)
+
+
+def _schedules() -> dict[str, Callable[..., None]]:
+    """Each taped kernel's charge walk on operand shapes, by kernel name."""
+    from repro.blocks.matmul import carma_schedule  # late import: the blocks import bsp
+    from repro.blocks.rect_qr import rect_qr_schedule
+
+    return {"carma_matmul": carma_schedule, "rect_qr": rect_qr_schedule}
 
 
 #: byte cap of the process-wide tape cache (least recently used tapes are
 #: evicted and re-recorded on their next use).  Full-to-band and band-to-band
-#: tapes declare 5.0 MiB after an n = 512, p = 256 solve, observed or not
-#: (2.5 MiB of field arrays, the rest ordering points and payloads), so
-#: after a warm-up op everything replays; an ``EigenService`` process that
-#: keeps meeting new shapes stops growing here.
+#: tapes declare 5.7 MiB after an n = 512, p = 256 solve, observed or not
+#: (70 recordings and 366 relabeled copies, which declare only their rank
+#: columns and payloads), so after a warm-up op everything replays; an
+#: ``EigenService`` process that keeps meeting new shapes stops growing here.
 _TAPE_CACHE_BYTES = 64 << 20
 
 # Recorded tapes are reusable across KernelTape instances (and hence across
-# stages and solves): the key pins everything a kernel's charges depend on —
-# machine size and parameters, kernel, operand shapes, the executing group's
-# exact rank tuple, and every keyword argument but ``tag``.
+# stages and solves).  A kernel's charges depend on the machine parameters,
+# the kernel, its operand shapes, the size of its group and every keyword
+# argument but ``tag``: one tape per such key is recorded on the group's
+# ranks 0 … g−1, and each exact rank tuple replays a relabeled copy, cached
+# under the key with the tuple in place of the size.
 _TAPE_CACHE = ByteLRU(_TAPE_CACHE_BYTES)
 
 
@@ -527,26 +570,7 @@ class KernelTape:
 
     def __init__(self, log: ChargeLog):
         self.log = log
-        self._scratch: BSPMachine | None = None
-        self._key = (log.machine.p, repr(log.machine.params))
-
-    def _record(self, kernel: Callable[..., object], *args: Any, **kwargs: Any) -> FlatTape:
-        """Run ``kernel(scratch, *args, **kwargs)`` on a scratch machine whose
-        counter store, metrics collector and span recorder's log are one
-        recorder."""
-        machine = self.log.machine
-        if self._scratch is None:
-            self._scratch = BSPMachine(machine.p, params=machine.params, spans=True)
-        scratch: Any = self._scratch
-        quiet = (scratch.counters, scratch.metrics)
-        rec = _Recorder()
-        scratch.counters = scratch.metrics = scratch.spans.log = rec
-        try:
-            kernel(scratch, *args, **kwargs)
-        finally:
-            scratch.counters, scratch.metrics = quiet
-            scratch.spans.log = None
-        return FlatTape(rec)
+        self._params = repr(log.machine.params)
 
     def run(self, kernel: Callable[..., object], group: RankGroup, operands: tuple, **kwargs: Any) -> None:
         """Charge ``kernel(machine, group, *operands, **kwargs)`` to the log.
@@ -556,19 +580,31 @@ class KernelTape:
         kernel (``charge_redistribution`` defaults to False: the operands
         are already in the kernel's layout) and, all but ``tag`` (a label
         no charge reads), into the tape's key: ``rect_qr``'s ``delta`` and
-        ``charge_redistribution`` change what it charges.  Under fault
-        injection the real kernel runs on the real operands, so drop /
-        corrupt / ABFT sites and the seeded RNG stream are untouched.
+        ``charge_redistribution`` change what it charges.  A tape is
+        recorded from the kernel's schedule (its charges walked on the
+        operand shapes, no numerics).  Under fault injection the real kernel
+        runs on the real operands, so drop / corrupt / ABFT sites and the
+        seeded RNG stream are untouched.
         """
         kwargs = {"charge_redistribution": False, **kwargs}
-        machine = self.log.machine
-        if machine.faults.enabled:
-            kernel(machine, group, *operands, **kwargs)
-            return
-        key = (self._key, kernel.__name__, tuple([a.shape for a in operands]), group.ranks,
-               tuple(sorted((k, v) for k, v in kwargs.items() if k != "tag")))
-        tape = _TAPE_CACHE.get(key)
+        if self.log.machine.faults.enabled:
+            kernel(self.log.machine, group, *operands, **kwargs)
+        else:
+            self.log.replay(self._tape(kernel, group, operands, **kwargs))
+
+    def _tape(self, kernel: Callable[..., object], group: RankGroup, operands: tuple,
+              **kwargs: Any) -> FlatTape:
+        """The cached tape of ``kernel``'s charges on ``group``; on a miss
+        the group-relative tape, relabeled (and recorded first on its miss)."""
+        kwargs.pop("tag", None)
+        head = (self._params, kernel.__name__, tuple([a.shape for a in operands]))
+        charging = tuple(sorted(kwargs.items()))
+        tape = _TAPE_CACHE.get((*head, group.ranks, charging))
         if tape is None:
-            tape = self._record(kernel, group, *operands, **kwargs)
-            _TAPE_CACHE.put(key, tape, tape.nbytes)
-        self.log.replay(tape)
+            base = _TAPE_CACHE.get((*head, group.size, charging))
+            if base is None:
+                base = _record(_schedules()[head[1]], self.log.machine.params, group.size, head[2], kwargs)
+                _TAPE_CACHE.put((*head, group.size, charging), base, base.nbytes)
+            tape = base.relabel(group)
+            _TAPE_CACHE.put((*head, group.ranks, charging), tape, tape.nbytes - tape.shared_nbytes)
+        return tape

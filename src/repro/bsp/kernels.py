@@ -7,10 +7,6 @@ rank performs charges:
 * vertical traffic per Lemma III.1 (matmul: ``Q = O(mn + mk + nk)``) and
   Lemma III.4 (QR: ``Q = O(mn)``) — the paper drops the ``mnk/√H`` term by
   assuming ``ν ≤ γ·√H``, and so do we.
-
-Operands may carry cache *keys*; a keyed operand that is already resident in
-the rank's cache (e.g. the replicated ``A`` blocks of Algorithm III.1 /
-Lemma III.3) charges no read traffic.  Unkeyed operands are streamed.
 """
 
 from __future__ import annotations
@@ -24,14 +20,6 @@ from repro.bsp.machine import BSPMachine
 def _span_group(ranks) -> RankGroup | None:
     """Rank spec as a RankGroup for span labelling, when it is one."""
     return ranks if isinstance(ranks, RankGroup) else None
-
-
-def _read(machine: BSPMachine, rank: int, array: np.ndarray, key: object | None) -> None:
-    words = float(array.size)
-    if key is None:
-        machine.mem_stream(rank, words)
-    else:
-        machine.mem_read(rank, key, words)
 
 
 def matmul_flops(m: int, n: int, k: int) -> float:
@@ -48,42 +36,6 @@ def qr_flops(m: int, n: int) -> float:
     on float64 arrays like :func:`matmul_flops` (both terms are exact
     before the one subtraction)."""
     return 2.0 * m * n * n - (2.0 / 3.0) * n**3
-
-
-def local_matmul(
-    machine: BSPMachine,
-    rank: int,
-    a: np.ndarray,
-    b: np.ndarray,
-    a_key: object | None = None,
-    b_key: object | None = None,
-    accumulate: np.ndarray | None = None,
-    transpose_a: bool = False,
-    transpose_b: bool = False,
-) -> np.ndarray:
-    """Multiply two local matrices on ``rank``; returns the product.
-
-    ``accumulate`` adds the product into an existing array (charged as a
-    read-modify-write of the output).
-    """
-    am = a.T if transpose_a else a
-    bm = b.T if transpose_b else b
-    m, n = am.shape
-    n2, k = bm.shape
-    if n != n2:
-        raise ValueError(f"inner dimensions mismatch: {am.shape} @ {bm.shape}")
-    c = am @ bm
-    machine.charge_flops(rank, matmul_flops(m, n, k))
-    _read(machine, rank, a, a_key)
-    _read(machine, rank, b, b_key)
-    if accumulate is not None:
-        accumulate += c
-        machine.mem_stream(rank, float(c.size))  # read old output
-        machine.mem_stream(rank, float(accumulate.size))  # write the output
-        machine.charge_flops(rank, float(c.size))  # the additions
-        return accumulate
-    machine.mem_stream(rank, float(c.size))  # write the output
-    return c
 
 
 # ---------------------------------------------------------------------- #

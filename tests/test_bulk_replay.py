@@ -147,7 +147,7 @@ def _replay_in_open_span(mode: str, kernel, operands, oracle: bool) -> dict:
     machine = _tape_machine(mode)
     group = machine.world.take(8)
     log = ChargeLog(machine)
-    tape = KernelTape(log)._record(kernel, group, *operands, charge_redistribution=False)
+    tape = KernelTape(log)._tape(kernel, group, operands, charge_redistribution=False)
     with machine.span("outer", group=group):
         machine.charge_flops(group, 0.1)  # charged before the replay, in the open span
         _land_tape(log, tape, oracle)
@@ -179,8 +179,8 @@ def test_a_replay_inside_an_open_span(kernel, mode):
 def _replay_rect_qr(machine, oracle: bool):
     log = ChargeLog(machine)
     operands = (np.random.default_rng(3).standard_normal((96, 12)),)
-    tape = KernelTape(log)._record(rect_qr, machine.world.take(8), *operands,
-                                   charge_redistribution=False)
+    tape = KernelTape(log)._tape(rect_qr, machine.world.take(8), operands,
+                                 charge_redistribution=False)
     _land_tape(log, tape, oracle)
     return tape
 

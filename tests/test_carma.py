@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.bsp import BSPMachine
+from repro.bsp import BSPMachine, RankGroup
 from repro.blocks.matmul import carma_matmul
 from repro.model.costs import carma_cost
+from tests import carma_oracle, chase_digests
 
 
 def run(p, m, n, k, seed=0, **kw):
@@ -35,6 +36,33 @@ class TestCorrectness:
         mach = BSPMachine(2)
         with pytest.raises(ValueError):
             carma_matmul(mach, mach.world, np.zeros((2, 2)), np.zeros((2, 2)), memory_words=0)
+
+
+#: (p, group, m, n, k, memory_words): BFS splits of each dimension, DFS
+#: splits (finite budgets), ragged halves and a scattered group
+WALKS = [
+    (8, None, 64, 8, 8, math.inf), (8, None, 8, 64, 8, math.inf), (8, None, 8, 8, 64, math.inf),
+    (16, None, 33, 17, 9, math.inf), (16, None, 16, 96, 16, 200.0), (8, None, 64, 8, 8, 100.0),
+    (8, None, 8, 8, 64, 100.0), (16, (7, 2, 11, 4, 9), 24, 40, 16, math.inf), (5, None, 1, 3, 1, math.inf),
+]
+
+
+@pytest.mark.parametrize("redistribute", [True, False])
+@pytest.mark.parametrize("p,ranks,m,n,k,memory", WALKS)
+def test_walk_charges_the_live_recursion(p, ranks, m, n, k, memory, redistribute):
+    """CARMA's charges, walked on shapes, are those of the live recursion
+    on array slices (``tests/carma_oracle.py``): per-rank counters and, on a
+    spans + metrics machine, span events, buckets and metrics, byte for byte."""
+    r = np.random.default_rng(0)
+    a, b = r.standard_normal((m, n)), r.standard_normal((n, k))
+    for observed in ({}, {"spans": True, "metrics": True}):
+        digests = []
+        for kernel in (carma_matmul, carma_oracle.carma_matmul):
+            mach = BSPMachine(p, **observed)
+            group = mach.world if ranks is None else RankGroup(ranks)
+            kernel(mach, group, a, b, memory_words=memory, charge_redistribution=redistribute)
+            digests.append(chase_digests.machine_digests(mach))
+        assert digests[0] == digests[1]
 
 
 class TestCostProfile:

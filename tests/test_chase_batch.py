@@ -17,6 +17,8 @@ full-pipeline level.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 
 import numpy as np
@@ -284,7 +286,113 @@ def _observable_state(machine: BSPMachine) -> dict:
     }
 
 
+@pytest.fixture
+def recordings(monkeypatch) -> list:
+    """A fresh tape cache, and the (group-relative key, charging kwargs) of
+    every tape recorded into it."""
+    monkeypatch.setattr(batch, "_TAPE_CACHE", ByteLRU(1 << 30))
+    seen: list = []
+    record = batch._record
+
+    def counted(schedule, params, size, shapes, kwargs):
+        seen.append(((schedule.__name__, size, shapes), tuple(sorted(kwargs.items()))))
+        return record(schedule, params, size, shapes, kwargs)
+
+    monkeypatch.setattr(batch, "_record", counted)
+    return seen
+
+
+def _scattered(size: int, p: int = 16) -> RankGroup:
+    return RankGroup(tuple(int(r) for r in np.random.default_rng(size).permutation(p)[:size]))
+
+
+#: groups on p = 16: contiguous (not at rank 0), scattered, and one by hand
+TAPE_GROUPS = [RankGroup(tuple(range(16 - g, 16))) for g in (1, 2, 3, 5, 8, 16)] + [
+    _scattered(g) for g in (2, 3, 5, 8, 16)] + [RankGroup((7, 2, 11, 4))]
+
+#: per kernel: operands and the charging kwargs a tape keys on
+TAPE_KERNELS = {
+    "rect_qr": (rect_qr, ((64, 8),), [{"delta": d, "charge_redistribution": c}
+                                      for d in (0.5, 2.0 / 3.0) for c in (False, True)]),
+    "carma": (carma_matmul, ((24, 40), (40, 16)), [{"charge_redistribution": c} for c in (False, True)]
+              + [{"memory_words": 200.0}]),
+}
+
+
 class TestKernelTape:
+    @pytest.mark.parametrize("kind", sorted(TAPE_KERNELS))
+    @pytest.mark.parametrize("group", TAPE_GROUPS, ids=lambda g: "-".join(map(str, g.ranks)))
+    def test_group_relative_tape_is_the_live_kernel(self, kind, group, recordings):
+        """A tape recorded once per group size on ranks 0 … g−1, from the
+        kernel's shape-only schedule, relabeled onto ``group``: the live
+        kernel's per-rank costs and, on a spans + metrics machine, its span
+        events (rank tuples included), buckets and metrics, byte for byte —
+        cold (a relabel of a recording) and warm (the exact-key hit)."""
+        kernel, shapes, charging = TAPE_KERNELS[kind]
+        rng = np.random.default_rng(group.size)
+        operands = tuple(rng.standard_normal(shape) for shape in shapes)
+        for kwargs in charging:
+            for observed in ({}, {"spans": True, "metrics": True}):
+                direct = BSPMachine(16, **observed)
+                kernel(direct, group, *operands, **{"charge_redistribution": False, **kwargs})
+                for _warm in range(2):
+                    m = BSPMachine(16, **observed)
+                    log = ChargeLog(m)
+                    KernelTape(log).run(kernel, group, operands, **kwargs)
+                    log.flush()
+                    assert report_mismatches(direct.cost(), m.cost()) == []
+                    if observed:
+                        assert _observable_state(direct) == _observable_state(m)
+        assert len(recordings) == len(charging)
+
+    @pytest.mark.parametrize("kind", sorted(TAPE_KERNELS))
+    def test_tape_recorded_on_p8_replays_on_p64(self, kind, recordings):
+        """The group-relative key holds no machine size: a tape recorded for
+        a p = 8 machine's world replays on an 8-rank group of a p = 64
+        machine, as the live kernel there."""
+        kernel, shapes, _charging = TAPE_KERNELS[kind]
+        rng = np.random.default_rng(0)
+        operands = tuple(rng.standard_normal(shape) for shape in shapes)
+        small = BSPMachine(8)
+        log = ChargeLog(small)
+        KernelTape(log).run(kernel, small.world, operands)
+        log.flush()
+        group = RankGroup((63, 0, 17, 40, 8, 33, 62, 1))
+        for observed in ({}, {"spans": True, "metrics": True}):
+            direct = BSPMachine(64, **observed)
+            kernel(direct, group, *operands, charge_redistribution=False)
+            m = BSPMachine(64, **observed)
+            log = ChargeLog(m)
+            KernelTape(log).run(kernel, group, operands)
+            log.flush()
+            assert report_mismatches(direct.cost(), m.cost()) == []
+            if observed:
+                assert _observable_state(direct) == _observable_state(m)
+        assert len(recordings) == 1
+
+    def test_a_cold_solve_records_from_shapes_alone(self, recordings, monkeypatch):
+        """A tape miss runs no numerics: with the QR numerics the blocks
+        import made to raise, a cold n = 256, p = 64, δ = ⅔ solve (its
+        full-to-band and band-to-band take every ``rect_qr`` / CARMA charge
+        from tapes) still matches the pinned digests of its counters and
+        spectrum, and records exactly one tape per group-relative key
+        (38, against 129 tapes per exact rank tuple)."""
+        def numerics(*args, **kwargs):
+            raise AssertionError("a tape recording ran kernel numerics")
+
+        for module, name in (("tsqr", "compact_wy_qr"), ("tsqr", "expand_q"),
+                             ("tsqr", "householder_reconstruct"), ("rect_qr", "expand_q"),
+                             ("square_qr", "apply_block_reflector_left")):
+            monkeypatch.setattr(importlib.import_module(f"repro.blocks.{module}"), name, numerics)
+        n, p, delta = 256, 64, 2.0 / 3.0
+        machine = BSPMachine(p)
+        result = eigensolve_2p5d(machine, random_symmetric(n, seed=3), delta=delta)
+        want = json.loads(chase_digests.DATA.read_text())[chase_digests.config_key(n, p, delta)]
+        got = {**chase_digests.machine_digests(machine),
+               "spectrum": chase_digests._sha([chase_digests._array_bytes(result.eigenvalues)])}
+        assert got == {k: want[k] for k in ("counters", "spectrum")}
+        assert len(recordings) == len(set(recordings)) == 38
+
     @pytest.mark.parametrize("kind", ["rect_qr", "carma"])
     def test_replay_matches_direct_kernel(self, kind, rng):
         """A replayed tape is the live kernel: same per-rank costs from the
@@ -307,31 +415,38 @@ class TestKernelTape:
             if kwargs:
                 assert _observable_state(direct) == _observable_state(replayed)
 
-    def test_tape_is_memoized_across_instances(self, rng):
+    def test_tape_is_memoized_across_instances(self, rng, recordings):
+        """One recording per group-relative key, whichever instance asks:
+        each exact rank tuple keeps its relabeled tape, which shares the
+        recording's amounts and points."""
         m = BSPMachine(8)
         log = ChargeLog(m)
         operands = (rng.standard_normal((12, 12)), rng.standard_normal((12, 6)))
+        head = (repr(m.params), "carma_matmul", ((12, 12), (12, 6)))
+        charging = (("charge_redistribution", False),)
         KernelTape(log).run(carma_matmul, m.world, operands)
-        key = ((m.p, repr(m.params)), "carma_matmul", ((12, 12), (12, 6)), m.world.ranks,
-               (("charge_redistribution", False),))
-        first = _TAPE_CACHE.get(key)
+        first = batch._TAPE_CACHE.get((*head, m.world.ranks, charging))
         KernelTape(log).run(carma_matmul, m.world, operands)
-        assert _TAPE_CACHE.get(key) is first
-        assert isinstance(first, FlatTape)
+        assert batch._TAPE_CACHE.get((*head, m.world.ranks, charging)) is first
+        KernelTape(log).run(carma_matmul, RankGroup((7, 5, 3, 1, 0, 2, 4, 6)), operands)
+        base = batch._TAPE_CACHE.get((*head, 8, charging))
+        assert isinstance(first, FlatTape) and isinstance(base, FlatTape)
+        assert len(recordings) == 1
+        assert first.points is base.points
+        assert all(e is f is None or e[1] is f[1] for e, f in zip(first.events, base.events))
 
     @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("first, second", [
         ({"delta": 0.5}, {"delta": 2.0 / 3.0}),
         ({"charge_redistribution": True}, {"charge_redistribution": False}),
     ], ids=["delta", "charge_redistribution"])
-    def test_charging_kwargs_key_their_own_tapes(self, first, second, observed, rng, monkeypatch):
+    def test_charging_kwargs_key_their_own_tapes(self, first, second, observed, rng, recordings):
         """``rect_qr``'s ``delta`` (its base-case rank cap) and
         ``charge_redistribution`` change what it charges: the same shapes
         and group record one tape per value, and each replay — cold, then
         warm after the other value's — is a direct call on a fresh machine,
         byte for byte.  ``tag`` is no part of the key."""
-        cache = ByteLRU(1 << 30)
-        monkeypatch.setattr(batch, "_TAPE_CACHE", cache)
+        cache = batch._TAPE_CACHE
         kwargs = {"spans": True, "metrics": True} if observed else {}
         a = rng.standard_normal((64, 8))  # p = 8: δ moves the base-case groups
 
@@ -347,7 +462,11 @@ class TestKernelTape:
             if observed:
                 assert _observable_state(direct) == _observable_state(m)
             states.append(per_rank_arrays(m.cost()))
-        assert len(cache._entries) == 2 and cache.misses == 2 and cache.hits == 2
+        # per value: one recording (group-relative key) and its relabeled
+        # tape (exact key), both missed once; the warm replays hit
+        assert len(recordings) == 2 and {kw for _key, kw in recordings} == {
+            tuple(sorted({"charge_redistribution": False, **c}.items())) for c in (first, second)}
+        assert len(cache._entries) == 4 and cache.misses == 4 and cache.hits == 2
         assert any(not np.array_equal(states[0][f], states[1][f]) for f in states[0])
 
     def test_fault_path_forwards_charge_redistribution(self, rng, monkeypatch):
@@ -371,7 +490,7 @@ class TestKernelTape:
         assert report_mismatches(*reports) != []
 
     @pytest.mark.parametrize("observed", [False, True])
-    def test_cache_evicts_and_re_records_identically(self, observed, rng, monkeypatch):
+    def test_cache_evicts_and_re_records_identically(self, observed, rng, monkeypatch, recordings):
         """More distinct shapes than the byte cap holds: cold tapes are
         evicted and re-recorded on their next use, and every replay still
         equals the live kernel (costs; spans and metrics when observed)."""
@@ -400,7 +519,10 @@ class TestKernelTape:
                 if observed:
                     assert _observable_state(direct) == _observable_state(m)
                 assert 0 < cache.nbytes <= cache.cap_bytes
-        assert cache.misses == 2 * len(shapes) and cache.hits == 0  # each shape fell out before its return
+        # each shape fell out before its return: both its keys miss, and it
+        # is recorded again
+        assert cache.misses == 4 * len(shapes) and cache.hits == 0
+        assert len(recordings) == 1 + 2 * len(shapes)
         assert len(cache._entries) < len(shapes)
         replayed(shapes[-1])
         assert cache.hits == 1  # the warm end still replays
@@ -641,9 +763,8 @@ class TestObservedRuns:
         calls = []
         for name in ("rect_qr", "carma_matmul"):
             kernel = getattr(b2b, name)
-            monkeypatch.setattr(
-                b2b, name, lambda *a, _k=kernel, _n=name, **kw: (calls.append(_n), _k(*a, **kw))[1]
-            )
+            monkeypatch.setattr(b2b, name, functools.wraps(kernel)(
+                lambda *a, _k=kernel, _n=name, **kw: (calls.append(_n), _k(*a, **kw))[1]))
         a = random_banded_symmetric(64, 16, seed=2)  # p·h/n = 2: rect-QR groups of two
 
         plain = BSPMachine(16)

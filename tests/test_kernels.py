@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bsp import BSPMachine, MachineParams
-from repro.bsp.kernels import (
-    local_matmul,
-    matmul_flops,
-    qr_flops,
-)
+from repro.bsp.kernels import matmul_flops, qr_flops
+from tests.carma_oracle import local_matmul
 
 
 class TestFlopFormulas:
