@@ -45,7 +45,8 @@ appends the tape's columns and its points, shifted.
 
 from __future__ import annotations
 
-from functools import partialmethod
+import inspect
+from functools import lru_cache, partialmethod
 from typing import Any, Callable
 
 import numpy as np
@@ -343,10 +344,14 @@ class ChargeLog:
 
     def _land(self) -> None:
         """Check and land the recorded entries and points, and clear them;
-        on a fault-injecting machine draw at each barrier first."""
-        rec, self._rec, machine = self._rec, _Recorder(), self.machine
+        on a fault-injecting machine draw at each barrier first.  A log
+        holding nothing returns before building anything."""
+        rec, machine = self._rec, self.machine
         if machine.spans.log is rec:
             machine.spans.log = None
+        if not rec.points.size and not any(ranks.size for ranks, _ in rec.columns):
+            return
+        self._rec = _Recorder()
         # observers may keep views of these columns: the log starts new ones
         events, points, payloads = rec.events(), rec.points.view().reshape(-1, _ROW), rec.payloads
         for (ranks, amounts), label in zip(events, _LABELS):
@@ -528,11 +533,12 @@ class FlatTape:
         return sum(event[1].nbytes for event in self.events if event is not None) + self.points.nbytes
 
 
-def _record(schedule: Callable[..., None], params: Any, size: int, shapes: tuple,
+def _record(schedule: Callable[..., object], params: Any, size: int, shapes: tuple,
             kwargs: dict) -> FlatTape:
-    """Run ``schedule(scratch, scratch.world, *shapes, **kwargs)`` on a
-    ``size``-rank scratch machine whose counter store, metrics collector and
-    span recorder's log are one recorder."""
+    """Run ``schedule(scratch, scratch.world, *shapes, **kwargs)`` (a
+    kernel's schedule on operand shapes, or the kernel itself on its
+    operands) on a ``size``-rank scratch machine whose counter store,
+    metrics collector and span recorder's log are one recorder."""
     scratch: Any = BSPMachine(size, params=params, spans=True)
     rec = _Recorder()
     scratch.counters = scratch.metrics = scratch.spans.log = rec
@@ -540,12 +546,20 @@ def _record(schedule: Callable[..., None], params: Any, size: int, shapes: tuple
     return FlatTape.of(rec)
 
 
-def _schedules() -> dict[str, Callable[..., None]]:
-    """Each taped kernel's charge walk on operand shapes, by kernel name."""
-    from repro.blocks.matmul import carma_schedule  # late import: the blocks import bsp
-    from repro.blocks.rect_qr import rect_qr_schedule
+@lru_cache(maxsize=256)
+def _schedule(kernel: Callable[..., object]) -> tuple[Any, Callable[..., object] | None]:
+    """``kernel``'s tape-key part and its charge walk on operand shapes:
+    the name of the kernel under its ``functools.wraps`` layers and that
+    kernel's schedule, or the kernel object itself and None for a kernel
+    with no known schedule."""
+    from repro.blocks.matmul import carma_matmul, carma_schedule  # late import: the blocks import bsp
+    from repro.blocks.rect_qr import rect_qr, rect_qr_schedule
 
-    return {"carma_matmul": carma_schedule, "rect_qr": rect_qr_schedule}
+    inner = inspect.unwrap(kernel)
+    # the table's kernels unwrapped too: a tracer may have rebound their names
+    table = {inspect.unwrap(carma_matmul): carma_schedule, inspect.unwrap(rect_qr): rect_qr_schedule}
+    schedule = table.get(inner)
+    return (inner.__name__, schedule) if schedule else (kernel, None)
 
 
 #: byte cap of the process-wide tape cache (least recently used tapes are
@@ -595,15 +609,21 @@ class KernelTape:
     def _tape(self, kernel: Callable[..., object], group: RankGroup, operands: tuple,
               **kwargs: Any) -> FlatTape:
         """The cached tape of ``kernel``'s charges on ``group``; on a miss
-        the group-relative tape, relabeled (and recorded first on its miss)."""
+        the group-relative tape, relabeled (and recorded first on its miss).
+        A kernel with no known schedule (a wrapper that does not expose the
+        kernel it calls) is recorded by running it on the operands, and its
+        tapes are keyed by the kernel object."""
         kwargs.pop("tag", None)
-        head = (self._params, kernel.__name__, tuple([a.shape for a in operands]))
+        name, schedule = _schedule(kernel)
+        shapes = tuple([a.shape for a in operands])
+        head = (self._params, name, shapes)
         charging = tuple(sorted(kwargs.items()))
         tape = _TAPE_CACHE.get((*head, group.ranks, charging))
         if tape is None:
             base = _TAPE_CACHE.get((*head, group.size, charging))
             if base is None:
-                base = _record(_schedules()[head[1]], self.log.machine.params, group.size, head[2], kwargs)
+                args = shapes if schedule else operands
+                base = _record(schedule or kernel, self.log.machine.params, group.size, args, kwargs)
                 _TAPE_CACHE.put((*head, group.size, charging), base, base.nbytes)
             tape = base.relabel(group)
             _TAPE_CACHE.put((*head, group.ranks, charging), tape, tape.nbytes - tape.shared_nbytes)

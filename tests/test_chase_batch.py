@@ -370,6 +370,29 @@ class TestKernelTape:
                 assert _observable_state(direct) == _observable_state(m)
         assert len(recordings) == 1
 
+    @pytest.mark.parametrize("kind", sorted(TAPE_KERNELS))
+    def test_a_wrapper_without_wraps_charges_as_the_kernel(self, kind, monkeypatch):
+        """A wrapper that hides the kernel it calls (a ``lambda``, no
+        ``functools.wraps``) runs through a tape on a plain machine, and
+        charges byte-identically to the bare kernel, cold and warm."""
+        monkeypatch.setattr(batch, "_TAPE_CACHE", ByteLRU(1 << 30))
+        kernel, shapes, _charging = TAPE_KERNELS[kind]
+        rng = np.random.default_rng(4)
+        operands = tuple(rng.standard_normal(shape) for shape in shapes)
+        group = RankGroup((5, 2, 11, 7))
+        wrapper = lambda *args, **kwargs: kernel(*args, **kwargs)  # noqa: E731
+
+        def charged(run_kernel) -> dict:
+            m = BSPMachine(16)
+            log = ChargeLog(m)
+            KernelTape(log).run(run_kernel, group, operands)
+            log.flush()
+            return {k: v.tobytes() for k, v in per_rank_arrays(m.cost()).items()}
+
+        want = charged(kernel)
+        assert charged(wrapper) == want
+        assert charged(wrapper) == want  # the warm, relabeled tape
+
     def test_a_cold_solve_records_from_shapes_alone(self, recordings, monkeypatch):
         """A tape miss runs no numerics: with the QR numerics the blocks
         import made to raise, a cold n = 256, p = 64, δ = ⅔ solve (its
