@@ -115,6 +115,10 @@ class _Column:
             self.scalars += [values] * count
         self.size += count
 
+    def clear(self) -> None:
+        """Empty the column (views already taken keep their arrays)."""
+        self.chunks, self.scalars, self.size = [], [], 0
+
     def _seal(self) -> None:
         self.chunks.append(np.array(self.scalars, self.dtype))
         self.scalars = []
@@ -168,6 +172,16 @@ class _Recorder:
 
     def events(self) -> list[_Event]:
         return [(ranks.view(), amounts.view()) for ranks, amounts in self.columns]
+
+    def clear(self) -> None:
+        """Drop every entry, point and payload; the fields with entries
+        start new chunk lists, so views taken before stay intact."""
+        for ranks, amounts in self.columns:
+            if ranks.size:
+                ranks.clear()
+                amounts.clear()
+        self.points.clear()
+        self.payloads = []
 
     # the counter-store calls of a recorded kernel (``unique`` changes nothing here)
     add_flops = partialmethod(add, _FLOPS)
@@ -351,9 +365,9 @@ class ChargeLog:
             machine.spans.log = None
         if not rec.points.size and not any(ranks.size for ranks, _ in rec.columns):
             return
-        self._rec = _Recorder()
-        # observers may keep views of these columns: the log starts new ones
+        # observers may keep views of these columns: clearing starts new chunks
         events, points, payloads = rec.events(), rec.points.view().reshape(-1, _ROW), rec.payloads
+        rec.clear()
         for (ranks, amounts), label in zip(events, _LABELS):
             if ranks.size:
                 low, high = _min(ranks), _max(ranks)
